@@ -8,14 +8,11 @@ indistinguishability holds (ciphertexts of 0 and 1 have identical shape and
 leaf format); computational security is explicitly not claimed, and the
 public key carries the stream seed, so possession of pk suffices to unseal in
 this model.
-
-A transparent-debug variant of the same interface (plaintext riding along on
-every leaf) is selectable at keygen time for test triage.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +22,6 @@ NONCE_BYTES = 16
 TAG_BYTES = 8
 
 LEAF, XOR, AND, NOT, CONST, KEYSWITCH = range(6)
-_OP_NAMES = {XOR: "XOR", AND: "AND", NOT: "NOT", CONST: "CONST", KEYSWITCH: "KEYSWITCH"}
 
 
 class HEError(Exception):
@@ -54,7 +50,6 @@ class HEPublicKey:
     level: int
     key_id: bytes
     stream_seed: bytes
-    transparent: bool = False
 
 
 @dataclass(frozen=True)
@@ -71,18 +66,13 @@ class HEKeyTriple:
     level: int
 
 
-def he_keygen(
-    security: int,
-    rng: np.random.Generator,
-    level: int = 0,
-    transparent: bool = False,
-) -> HEKeyTriple:
+def he_keygen(security: int, rng: np.random.Generator, level: int = 0) -> HEKeyTriple:
     if security < MIN_SECURITY:
         raise HEError(f"security parameter {security} below minimum {MIN_SECURITY}")
     seed = rng.bytes(max(2, security // 8))
     sk = HESecretKey(level, seed)
     key_id = _digest(seed, b"id")[:8]
-    pk = HEPublicKey(level, key_id, sk.stream_seed, transparent)
+    pk = HEPublicKey(level, key_id, sk.stream_seed)
     evk = HEEvalKey(level, key_id)
     return HEKeyTriple(pk, sk, evk, level)
 
@@ -105,12 +95,6 @@ class HECiphertext:
     children: tuple["HECiphertext", ...] = ()
     const_value: int = 0
     sk_enc: tuple["HECiphertext", ...] = ()
-    debug_plaintext: int | None = field(default=None, compare=False)
-
-    def describe(self) -> str:
-        if self.op == LEAF:
-            return f"leaf(level={self.level})"
-        return f"{_OP_NAMES[self.op]}(level={self.level})"
 
 
 def he_enc(
@@ -137,7 +121,6 @@ def he_enc(
                 nonce=nonce,
                 masked=bit ^ sb,
                 tag=_tag(pk.stream_seed, nonce),
-                debug_plaintext=bit if pk.transparent else None,
             )
     raise HEError("could not hit requested keystream bit")  # pragma: no cover
 

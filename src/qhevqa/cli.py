@@ -31,8 +31,8 @@ from .simulator import (
     prepare_plus_theta,
     tensor,
 )
+from .vqa import MODES
 
-MODES = ("plaintext", "delegated-exact-gates", "delegated-faithful")
 TRANSPORTS = ("local", "inproc", "tcp")
 
 
@@ -42,7 +42,6 @@ class RunManifest:
     seed: int
     mode: str
     eps_target: float
-    kappa: int
     dataset: str | None
     out_dir: str | None
     shots: int
@@ -88,17 +87,15 @@ def _demo_tables():
     (there are only 4 x 16 combinations) keeps the per-shot work to two Bell
     measurements and one Hadamard.
     """
+    from .pauli_frame import KeyFrame, PauliKey, apply_pad
     from .rsp_gadget import assemble_gadget_state, theta_bits
 
+    plus = apply_gate(StateVector(1), gate("H", 0))
     inputs = {}
     for a in (0, 1):
         for b in (0, 1):
-            st = apply_gate(StateVector(1), gate("H", 0))
-            if b:
-                st = apply_gate(st, gate("Z", 0))
-            if a:
-                st = apply_gate(st, gate("X", 0))
-            inputs[(a, b)] = apply_gate(st, gate("T", 0))
+            padded = apply_pad(plus, KeyFrame([PauliKey(a, b)]))
+            inputs[(a, b)] = apply_gate(padded, gate("T", 0))
 
     resources = {}
     for h0 in (0, 2):
@@ -608,7 +605,6 @@ def _manifest(args, subcommand: str) -> RunManifest:
         seed=args.seed,
         mode=getattr(args, "mode", "plaintext"),
         eps_target=args.epsilon,
-        kappa=args.kappa,
         dataset=getattr(args, "dataset", None),
         out_dir=args.out,
         shots=getattr(args, "shots", 0),
@@ -630,7 +626,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--shots", type=int, default=2048)
     parser.add_argument("--epsilon", type=float, default=1e-2)
-    parser.add_argument("--kappa", type=int, default=16)
     parser.add_argument("--mode", choices=MODES, default="plaintext")
     parser.add_argument("--transport", choices=TRANSPORTS, default="local")
     parser.add_argument("--port", type=int, default=None)
@@ -672,29 +667,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args, argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    values = load_config_file(args.config)
-    explicit = {a.split("=", 1)[0].lstrip("-").replace("-", "_") for a in argv}
-    for key, raw in values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in explicit:
-            continue  # unknown keys ignored; explicit flags win
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            setattr(args, attr, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, attr, int(raw))
-        elif isinstance(current, float):
-            setattr(args, attr, float(raw))
-        else:
-            setattr(args, attr, raw)
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    _apply_config_file(args, sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # Config values become flags ahead of the command line, so they are
+        # typed and checked like flags and an explicit flag, parsed later,
+        # wins. Keys that name no option of the subcommand are ignored.
+        options = vars(args)
+        flags = [
+            f"--{key.replace('_', '-')}={value}"
+            for key, value in load_config_file(args.config).items()
+            if key.replace("-", "_") in options
+        ]
+        args = parser.parse_args([argv[0], *flags, *argv[1:]])
     return args.func(args)
 
 

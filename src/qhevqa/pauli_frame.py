@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .simulator import FIXED_1Q, Gate
+from .simulator import FIXED_1Q, Gate, StateVector, apply_gate, gate
 
 CLIFFORD_1Q = ("X", "Y", "Z", "H", "P", "Pdagger")
 CLIFFORD_2Q = ("CNOT", "CZ")
@@ -58,6 +58,26 @@ class KeyFrame:
 
     def __len__(self) -> int:
         return len(self.keys)
+
+
+def apply_pad(state: StateVector, frame: KeyFrame) -> StateVector:
+    """Pad every wire with X^a Z^b: Z^b first, so X ends outermost."""
+    for w, key in enumerate(frame.keys):
+        if key.b:
+            state = apply_gate(state, gate("Z", w))
+        if key.a:
+            state = apply_gate(state, gate("X", w))
+    return state
+
+
+def remove_pad(state: StateVector, frame: KeyFrame) -> StateVector:
+    """Undo ``apply_pad``: (X^a Z^b)^-1 = Z^b X^a, so X comes off first."""
+    for w, key in enumerate(frame.keys):
+        if key.a:
+            state = apply_gate(state, gate("X", w))
+        if key.b:
+            state = apply_gate(state, gate("Z", w))
+    return state
 
 
 def _pad_matrix(a: int, b: int) -> np.ndarray:

@@ -34,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical_he import HECiphertext, ct_from_bytes, ct_to_bytes, he_dec
-from .pauli_frame import KeyFrame, PauliKey
+from .classical_he import HECiphertext, ct_from_bytes, ct_to_bytes
 from .qhe import (
     CipherState,
     ClientKeys,
     EvalKey,
+    decrypt_flips,
     encrypt,
     eval_circuit,
     keygen,
@@ -66,11 +66,11 @@ from .simulator import (
     PauliString,
     StateVector,
     apply_circuit,
-    apply_gate,
     expectation,
     gate,
     measure,
 )
+from .vqa import exact_evaluator, faithful_evaluator, train
 
 VERSION = 1
 MAX_FRAME = 16 * 1024 * 1024
@@ -290,8 +290,6 @@ TRANSITIONS = frozenset(
 class SessionState:
     role: str  # "client" or "server"
     phase: str = "handshake"
-    gadget_budget: int = 0
-    key_level: int = 0
 
     def __post_init__(self):
         if self.role not in ("client", "server"):
@@ -492,7 +490,6 @@ class ServerSession:
             Gadget(self._partial_state, x_ct, z_ct, e_ct, sk_enc, level)
         )
         self._partial_state = None
-        self.state.gadget_budget = len(self.gadgets)
         self._reply("GadgetClassical", {"ok": True, "budget": len(self.gadgets)})
 
     def _on_rspbasis(self, p: dict) -> None:
@@ -595,17 +592,7 @@ class ServerSession:
         """Compensated-circuit mode: keys stay client-side, no gadgets."""
         values, bits = [], []
         for _ in range(shots):
-            out = apply_circuit(self.register, circuit)
-            if spec["type"] == "xx":
-                values.append(
-                    expectation(out, PauliString(("X", "X"), tuple(wires)))
-                )
-            else:
-                row = []
-                for w in wires:
-                    bit, out = measure(out, w, spec.get("basis", "Z"), self.rng)
-                    row.append(bit)
-                bits.append(row)
+            self._read_out(apply_circuit(self.register, circuit), spec, wires, values, bits)
         self._reply("ShotResults", {"values": values, "bits": bits})
         self._reply("EncKeysUpdate", {"enc_keys": None, "level": 0})
 
@@ -622,28 +609,27 @@ class ServerSession:
         values, bits, key_rows = [], [], []
         for _ in range(shots):
             run_gadgets, self.gadgets = self.gadgets[:needed], self.gadgets[needed:]
-            ek = EvalKey(tuple(run_gadgets), (), ())
+            ek = EvalKey(tuple(run_gadgets))
             cs = CipherState(self.register.copy(), tuple(self.enc_keys), 0)
             cs = eval_circuit(cs, circuit, ek, self.rng)
-            out = cs.register
-            if spec["type"] == "xx":
-                values.append(
-                    expectation(out, PauliString(("X", "X"), tuple(wires)))
-                )
-            else:
-                row = []
-                for w in wires:
-                    bit, out = measure(out, w, spec.get("basis", "Z"), self.rng)
-                    row.append(bit)
-                bits.append(row)
+            self._read_out(cs.register, spec, wires, values, bits)
             key_rows.append(
                 [[ct_to_hex(a), ct_to_hex(b)] for a, b in cs.encrypted_keys]
             )
             final_level = cs.level
-        self.state.gadget_budget = len(self.gadgets)
-        self.state.key_level = final_level
         self._reply("ShotResults", {"values": values, "bits": bits})
         self._reply("EncKeysUpdate", {"enc_keys": key_rows, "level": final_level})
+
+    def _read_out(self, out, spec, wires, values, bits) -> None:
+        """Append one shot's <X x X> to ``values`` or its measured bits to ``bits``."""
+        if spec["type"] == "xx":
+            values.append(expectation(out, PauliString(("X", "X"), tuple(wires))))
+            return
+        row = []
+        for w in wires:
+            bit, out = measure(out, w, spec.get("basis", "Z"), self.rng)
+            row.append(bit)
+        bits.append(row)
 
     def _on_paramupdate(self, p: dict) -> None:
         self.state.expect("evaluating")
@@ -659,13 +645,6 @@ class ServerSession:
 
     def _on_error(self, p: dict) -> None:
         self.closed = True
-
-
-def run_server(channel: Channel) -> ServerSession:
-    """Service one session on an already-connected channel (blocking)."""
-    session = ServerSession(channel)
-    session.run()
-    return session
 
 
 def serve_inproc() -> tuple[Channel, ServerSession, threading.Thread]:
@@ -736,14 +715,7 @@ class ClientSession:
 
     def _ask(self, kind: str, payload: dict, *expected: str) -> Message:
         self.channel.send(Message(kind, payload))
-        reply = self.channel.recv()
-        if reply.kind == "Error":
-            raise ProtocolError(
-                reply.payload.get("code", "server"), reply.payload.get("text", "")
-            )
-        if expected and reply.kind not in expected:
-            raise ProtocolError("kind", f"expected {expected}, got {reply.kind}")
-        return reply
+        return self._recv(*expected)
 
     def _recv(self, *expected: str) -> Message:
         reply = self.channel.recv()
@@ -1011,52 +983,37 @@ def client_qhe_run(
         use_gadgets=True,
         shots=shots,
     )
-    level = keys["level"]
-    sk = client_keys.triples[level].sk
     corrected = []
     for row, key_row in zip(results["bits"], keys["enc_keys"]):
-        frame = KeyFrame(
-            [PauliKey(he_dec(sk, ct_from_hex(a)), he_dec(sk, ct_from_hex(b))) for a, b in key_row]
-        )
-        shot = {}
-        for w, bit in zip(measure_wires, row):
-            key = frame.keys[w]
-            flip = key.a if basis == "Z" else key.b
-            shot[w] = bit ^ flip
-        corrected.append(shot)
+        pairs = _key_pairs(key_row, measure_wires)
+        flips = decrypt_flips(client_keys, keys["level"], pairs, measure_wires, basis)
+        corrected.append({w: bit ^ f for w, bit, f in zip(measure_wires, row, flips)})
     return corrected
+
+
+def _key_pairs(key_row, wires) -> dict[int, tuple[HECiphertext, HECiphertext]]:
+    """Parse the listed wires' (a, b) key ciphertexts from an EncKeysUpdate row."""
+    return {w: (ct_from_hex(key_row[w][0]), ct_from_hex(key_row[w][1])) for w in wires}
 
 
 # --- delegated training (protocol-level run_client) -------------------------
 
 
 def make_exact_evaluator(session: ClientSession):
-    """Window evaluator routing compensated circuits through the session.
+    """Delegated-exact window evaluator whose server step runs over the session.
 
-    Matches the in-library compensated-rotation mode value for value: the
-    client pads the input and rewrites the circuit, the server only ever sees
-    the padded register and angle signs.
+    Matches the local delegated-exact evaluator value for value: the server
+    only ever sees the padded register and the compensated circuit.
     """
-    from .vqa import _compensate
 
-    def evaluator(state, circuit, wires, rng):
-        frame = KeyFrame.random(state.num_qubits, rng)
-        padded = state.copy()
-        for w, key in enumerate(frame.keys):
-            if key.b:
-                padded = apply_gate(padded, gate("Z", w))
-            if key.a:
-                padded = apply_gate(padded, gate("X", w))
-        compensated, final = _compensate(circuit, frame)
-        session.send_input(padded, None)
+    def server_run(register, circuit, wires):
+        session.send_input(register, None)
         results, _ = session.request_run(
-            compensated, {"type": "xx", "wires": list(wires)}, use_gadgets=False
+            circuit, {"type": "xx", "wires": list(wires)}, use_gadgets=False
         )
-        raw = results["values"][0]
-        sign = -1.0 if final.keys[wires[0]].b ^ final.keys[wires[1]].b else 1.0
-        return sign * raw
+        return results["values"][0]
 
-    return evaluator
+    return exact_evaluator(server_run)
 
 
 def make_faithful_evaluator(
@@ -1065,35 +1022,29 @@ def make_faithful_evaluator(
     security: int = 16,
     rsp_mode: str = "ideal",
 ):
-    """Window evaluator delegating the decomposed circuit homomorphically.
+    """Delegated-faithful window evaluator whose server step runs over the session.
 
     Each evaluation provisions fresh gadgets (one per T gate) for the exact
     circuit it is about to run, so the server's gadget twists always match
     the key flow. Dramatically slower than the compensated mode; intended for
     demonstrations and spot checks, not full training sweeps.
     """
-    from .skdecomp import decompose_circuit
 
-    def evaluator(state, circuit, wires, rng):
-        clifford_t, _ = decompose_circuit(circuit, eps_target)
+    def provision(num_wires, circuit, rng):
         session.reopen_rsp()
-        client_keys = session.remote_keygen(
-            security, state.num_qubits, clifford_t, rng, rsp_mode
-        )
+        client_keys = session.remote_keygen(security, num_wires, circuit, rng, rsp_mode)
         session.close_rsp()
-        cs, _ = encrypt(client_keys, state, rng)
+        return client_keys, None
+
+    def server_run(cs, circuit, wires, _ek, _rng):
         session.send_input(cs.register, cs.encrypted_keys)
         results, keys = session.request_run(
-            clifford_t, {"type": "xx", "wires": list(wires)}, use_gadgets=True
+            circuit, {"type": "xx", "wires": list(wires)}, use_gadgets=True
         )
-        sk = client_keys.triples[keys["level"]].sk
-        key_row = keys["enc_keys"][0]
-        b1 = he_dec(sk, ct_from_hex(key_row[wires[0]][1]))
-        b2 = he_dec(sk, ct_from_hex(key_row[wires[1]][1]))
-        sign = -1.0 if b1 ^ b2 else 1.0
-        return sign * results["values"][0]
+        pairs = _key_pairs(keys["enc_keys"][0], wires)
+        return results["values"][0], keys["level"], pairs
 
-    return evaluator
+    return faithful_evaluator(provision, server_run, eps_target)
 
 
 def run_client(channel: Channel, dataset, config):
@@ -1103,8 +1054,6 @@ def run_client(channel: Channel, dataset, config):
     the delegated-exact mode routes every window evaluation through the
     server, plaintext mode trains locally but still publishes parameters.
     """
-    from .vqa import train
-
     session = ClientSession(channel)
     session.hello(config.seed, config.mode)
     session.open_rsp(0)

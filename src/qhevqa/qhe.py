@@ -17,12 +17,12 @@ for the initial key leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .classical_he import (
     HECiphertext,
-    HEEvalKey,
     HEKeyTriple,
     he_dec,
     he_enc,
@@ -31,7 +31,14 @@ from .classical_he import (
     encrypt_seed,
     key_switch,
 )
-from .pauli_frame import CLIFFORD_KINDS, KeyFrame, PauliKey, apply_rule
+from .pauli_frame import (
+    CLIFFORD_KINDS,
+    KeyFrame,
+    PauliKey,
+    apply_pad,
+    apply_rule,
+    remove_pad,
+)
 from .rsp_gadget import (
     Gadget,
     GadgetSecrets,
@@ -43,7 +50,7 @@ from .rsp_gadget import (
     gen_measurement,
     ideal_sampler,
 )
-from .simulator import Gate, StateVector, apply_gate, gate
+from .simulator import Gate, StateVector, apply_gate
 
 NON_CLIFFORD = ("T", "Tdagger")
 EVAL_KINDS = CLIFFORD_KINDS + NON_CLIFFORD
@@ -55,11 +62,9 @@ class QHEError(Exception):
 
 @dataclass(frozen=True)
 class EvalKey:
-    """Server-side evaluation material: gadget per T gate plus level chain."""
+    """Server-side evaluation material: one gadget per T gate."""
 
     gadgets: tuple[Gadget, ...]
-    he_evks: tuple[HEEvalKey, ...]
-    sk_encryptions: tuple[tuple[HECiphertext, ...], ...]
 
     @property
     def t_budget(self) -> int:
@@ -194,8 +199,7 @@ def keygen(
         tuple(secrets),
         num_wires,
     )
-    server = EvalKey(tuple(gadgets), tuple(t.evk for t in triples), sk_encs)
-    return client, server
+    return client, EvalKey(tuple(gadgets))
 
 
 def encrypt(
@@ -212,17 +216,12 @@ def encrypt(
         )
     pk0 = client.triples[0].pk
     frame = KeyFrame.random(state.num_qubits, rng)
-    padded = state
     pairs = []
     for w, key in enumerate(frame.keys):
-        if key.b:
-            padded = apply_gate(padded, gate("Z", w))
-        if key.a:
-            padded = apply_gate(padded, gate("X", w))
         a_ct = he_enc(pk0, key.a, rng, keystream_bit=client.init_stream_bits[("init", w, "a")])
         b_ct = he_enc(pk0, key.b, rng, keystream_bit=client.init_stream_bits[("init", w, "b")])
         pairs.append((a_ct, b_ct))
-    return CipherState(padded, tuple(pairs), 0), frame
+    return CipherState(apply_pad(state, frame), tuple(pairs), 0), frame
 
 
 def eval_circuit(
@@ -274,25 +273,38 @@ def eval_circuit(
     return CipherState(register, tuple(keys), level)
 
 
+def decrypt_flips(
+    client: ClientKeys,
+    level: int,
+    encrypted_keys,
+    wires,
+    basis: str,
+) -> list[int]:
+    """Decrypt, at ``level``, the pad bit that flips each listed wire's outcome.
+
+    A Z-basis outcome flips with the X key a, an X-basis outcome with the Z
+    key b. ``encrypted_keys[w]`` is wire w's (a, b) ciphertext pair; only the
+    listed wires' ciphertexts for ``basis`` are decrypted.
+    """
+    if basis not in ("Z", "X"):
+        raise QHEError(f"basis must be 'Z' or 'X', got {basis!r}")
+    if level >= client.levels:
+        raise QHEError(f"cipherstate level {level} beyond key chain {client.levels}")
+    sk = client.triples[level].sk
+    component = 0 if basis == "Z" else 1
+    return [he_dec(sk, encrypted_keys[w][component]) for w in wires]
+
+
 def decrypt_keys(client: ClientKeys, cs: CipherState) -> KeyFrame:
-    if cs.level >= client.levels:
-        raise QHEError(f"cipherstate level {cs.level} beyond key chain {client.levels}")
-    sk = client.triples[cs.level].sk
-    return KeyFrame(
-        [PauliKey(he_dec(sk, a), he_dec(sk, b)) for a, b in cs.encrypted_keys]
-    )
+    wires = range(len(cs.encrypted_keys))
+    a = decrypt_flips(client, cs.level, cs.encrypted_keys, wires, "Z")
+    b = decrypt_flips(client, cs.level, cs.encrypted_keys, wires, "X")
+    return KeyFrame([PauliKey(*bits) for bits in zip(a, b)])
 
 
 def decrypt_state(client: ClientKeys, cs: CipherState) -> StateVector:
-    """Strip the final pad: apply X^a then Z^b per wire."""
-    frame = decrypt_keys(client, cs)
-    out = cs.register
-    for w, key in enumerate(frame.keys):
-        if key.a:
-            out = apply_gate(out, gate("X", w))
-        if key.b:
-            out = apply_gate(out, gate("Z", w))
-    return out
+    """Strip the final pad."""
+    return remove_pad(cs.register, decrypt_keys(client, cs))
 
 
 def decrypt_outcome(
@@ -302,15 +314,8 @@ def decrypt_outcome(
     outcomes: dict[int, int],
 ) -> dict[int, int]:
     """Correct raw measurement bits: Z-basis flips on a, X-basis flips on b."""
-    if basis not in ("Z", "X"):
-        raise QHEError(f"basis must be 'Z' or 'X', got {basis!r}")
-    frame = decrypt_keys(client, cs)
-    out = {}
-    for w, bit in outcomes.items():
-        key = frame.keys[w]
-        flip = key.a if basis == "Z" else key.b
-        out[w] = bit ^ flip
-    return out
+    flips = decrypt_flips(client, cs.level, cs.encrypted_keys, outcomes, basis)
+    return {w: bit ^ flip for (w, bit), flip in zip(outcomes.items(), flips)}
 
 
 def xx_expectation_sign(client: ClientKeys, cs: CipherState, wires: tuple[int, int]) -> int:
@@ -319,8 +324,8 @@ def xx_expectation_sign(client: ClientKeys, cs: CipherState, wires: tuple[int, i
     X-basis statistics flip under the Z part of the pad, so the plaintext
     expectation is (-1)^(b1 XOR b2) times the cipher-side value.
     """
-    frame = decrypt_keys(client, cs)
-    return -1 if frame.keys[wires[0]].b ^ frame.keys[wires[1]].b else 1
+    b1, b2 = decrypt_flips(client, cs.level, cs.encrypted_keys, wires, "X")
+    return -1 if b1 ^ b2 else 1
 
 
 def pad_average_density(state: StateVector, wire: int) -> np.ndarray:
@@ -328,12 +333,8 @@ def pad_average_density(state: StateVector, wire: int) -> np.ndarray:
     from .simulator import reduced_density_matrix
 
     acc = np.zeros((2, 2), dtype=complex)
-    for a in (0, 1):
-        for b in (0, 1):
-            padded = state
-            if b:
-                padded = apply_gate(padded, gate("Z", wire))
-            if a:
-                padded = apply_gate(padded, gate("X", wire))
-            acc += reduced_density_matrix(padded, [wire])
+    for a, b in product((0, 1), repeat=2):
+        frame = KeyFrame.zeros(state.num_qubits)
+        frame.keys[wire] = PauliKey(a, b)
+        acc += reduced_density_matrix(apply_pad(state, frame), [wire])
     return acc / 4.0

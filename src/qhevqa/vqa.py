@@ -20,15 +20,14 @@ from math import pi
 
 import numpy as np
 
-from .pauli_frame import KeyFrame, update_clifford
-from .qhe import encrypt, eval_circuit, keygen, xx_expectation_sign
+from .pauli_frame import KeyFrame, apply_pad, update_clifford
+from .qhe import decrypt_flips, encrypt, eval_circuit, keygen
 from .simulator import (
     Gate,
     PauliString,
     StateVector,
     amplitude_encode,
     apply_circuit,
-    apply_gate,
     expectation,
     gate,
 )
@@ -226,39 +225,68 @@ def _compensate(circuit: list[Gate], frame: KeyFrame) -> tuple[list[Gate], KeyFr
     return out, frame
 
 
-def _xx_delegated_exact(
-    state: StateVector,
-    circuit: list[Gate],
-    wires: tuple[int, int],
-    rng: np.random.Generator,
-) -> float:
-    frame = KeyFrame.random(state.num_qubits, rng)
-    padded = state.copy()
-    for w, key in enumerate(frame.keys):
-        if key.b:
-            padded = apply_gate(padded, gate("Z", w))
-        if key.a:
-            padded = apply_gate(padded, gate("X", w))
-    compensated, final = _compensate(circuit, frame)
-    cipher_out = apply_circuit(padded, compensated)
-    raw = expectation(cipher_out, PauliString(("X", "X"), wires))
-    sign = -1.0 if final.keys[wires[0]].b ^ final.keys[wires[1]].b else 1.0
-    return sign * raw
+# A delegated window evaluation is one client procedure: pad the input, have a
+# server run the window, undo the pad on the value that comes back. Only the
+# server step differs between local simulation and the wire protocol.
 
 
-def _xx_delegated_faithful(
-    state: StateVector,
-    circuit: list[Gate],
-    wires: tuple[int, int],
-    rng: np.random.Generator,
-    eps_target: float,
-) -> float:
-    clifford_t, _ = decompose_circuit(circuit, eps_target)
-    client, ek = keygen(16, state.num_qubits, clifford_t, rng)
-    cs, _ = encrypt(client, state, rng)
-    cs = eval_circuit(cs, clifford_t, ek, rng)
-    raw = expectation(cs.register, PauliString(("X", "X"), wires))
-    return xx_expectation_sign(client, cs, wires) * raw
+def exact_evaluator(server_run):
+    """Delegated-exact window evaluator around one server step.
+
+    ``server_run(register, circuit, wires)`` runs the compensated circuit on
+    the padded register and returns the raw <X x X>. The pad frame and the
+    rotation signs stay with the client.
+    """
+
+    def evaluate(state, circuit, wires, rng):
+        frame = KeyFrame.random(state.num_qubits, rng)
+        compensated, final = _compensate(circuit, frame)
+        raw = server_run(apply_pad(state, frame), compensated, wires)
+        sign = -1.0 if final.keys[wires[0]].b ^ final.keys[wires[1]].b else 1.0
+        return sign * raw
+
+    return evaluate
+
+
+def faithful_evaluator(provision, server_run, eps_target: float):
+    """Delegated-faithful window evaluator around one server step.
+
+    ``provision(num_wires, circuit, rng)`` returns the client keys and the
+    EvalKey (None when the gadgets live on a remote server);
+    ``server_run(cs, circuit, wires, ek, rng)`` returns the raw <X x X>, the
+    final key level and the final encrypted keys.
+    """
+
+    def evaluate(state, circuit, wires, rng):
+        clifford_t, _ = decompose_circuit(circuit, eps_target)
+        client, ek = provision(state.num_qubits, clifford_t, rng)
+        cs, _ = encrypt(client, state, rng)
+        raw, level, keys = server_run(cs, clifford_t, wires, ek, rng)
+        b1, b2 = decrypt_flips(client, level, keys, wires, "X")
+        return (-1 if b1 ^ b2 else 1) * raw
+
+    return evaluate
+
+
+def _provision_local(num_wires, circuit, rng):
+    return keygen(16, num_wires, circuit, rng)
+
+
+def _run_homomorphic_local(cs, circuit, wires, ek, rng):
+    out = eval_circuit(cs, circuit, ek, rng)
+    raw = expectation(out.register, PauliString(("X", "X"), wires))
+    return raw, out.level, out.encrypted_keys
+
+
+def window_evaluator(mode: str, eps_target: float = DEFAULT_EPS_TARGET):
+    """The local window evaluator of ``mode``; None is the plaintext fast path."""
+    if mode not in MODES:
+        raise VQAError(f"unknown mode {mode!r}")
+    if mode == "plaintext":
+        return None
+    if mode == "delegated-exact-gates":
+        return exact_evaluator(_xx_plaintext)
+    return faithful_evaluator(_provision_local, _run_homomorphic_local, eps_target)
 
 
 def shadow_features(
@@ -271,29 +299,25 @@ def shadow_features(
 ) -> np.ndarray:
     """One <X x X> per sliding window position, each on a fresh input copy.
 
-    ``evaluator(state, circuit, wires, rng)`` optionally replaces the built-in
-    delegated evaluation (e.g. to route the circuit run over a wire protocol).
+    ``evaluator(state, circuit, wires, rng)`` optionally replaces the local
+    evaluator of ``mode`` (e.g. to route the circuit run over a wire protocol).
     """
     if state.num_qubits != model.n:
         raise VQAError(f"state width {state.num_qubits} != model width {model.n}")
-    if mode not in MODES:
-        raise VQAError(f"unknown mode {mode!r}")
-    if mode != "plaintext" and rng is None:
+    if evaluator is None:
+        evaluator = window_evaluator(mode, eps_target)
+    if evaluator is not None and rng is None:
         raise VQAError("delegated modes need an rng for pad keys")
     out = np.empty(model.num_windows)
     for v in range(1, model.n):
         circuit = build_shadow_circuit(model, v)
         wires = (v - 1, v)
-        if evaluator is not None and mode != "plaintext":
-            out[v - 1] = evaluator(state, circuit, wires, rng)
-        elif mode == "plaintext":
+        if evaluator is None:
             out[v - 1] = _xx_plaintext_fast(
                 _window_reduced(state, wires), _window_observable(circuit, wires)
             )
-        elif mode == "delegated-exact-gates":
-            out[v - 1] = _xx_delegated_exact(state, circuit, wires, rng)
         else:
-            out[v - 1] = _xx_delegated_faithful(state, circuit, wires, rng, eps_target)
+            out[v - 1] = evaluator(state, circuit, wires, rng)
     return out
 
 
@@ -355,7 +379,7 @@ class TrainConfig:
 
 
 def _batch_features(states, model, config, rng, red=None, evaluator=None) -> np.ndarray:
-    if config.mode == "plaintext":
+    if evaluator is None:
         if red is None:
             red = _reduced_stack(states, model.n)
         return _features_from_reduced(red, model)
@@ -381,10 +405,13 @@ def gradients(
     Head gradients are analytic through the sigmoid; angle gradients shift
     each parameter by +-alpha (exact for half-turn generators) or by a small
     central-difference step, re-evaluating only the windows the row feeds.
-    ``red`` optionally carries precomputed per-window reduced states for the
+    ``evaluator`` defaults to the local evaluator of ``config.mode``; ``red``
+    optionally carries precomputed per-window reduced states for the
     plaintext fast path.
     """
-    if config.mode == "plaintext" and red is None:
+    if evaluator is None:
+        evaluator = window_evaluator(config.mode, config.eps_target)
+    if evaluator is None and red is None:
         red = _reduced_stack(states, model.n)
     feats = _batch_features(states, model, config, rng, red, evaluator)
     y_hat = np.array([predict(o, model.w, model.bias) for o in feats])
@@ -409,7 +436,7 @@ def gradients(
                     wires = (v - 1, v)
                     # d o_v / d theta_rc feeds the chain rule directly:
                     # dC/dtheta = mean(resid * w_v * do_v).
-                    if config.mode == "plaintext":
+                    if evaluator is None:
                         obs = _window_observable(circuit, wires)
                         vals = np.real(np.einsum("nij,ji->n", red[v - 1], obs))
                         d_theta[r, c] += sgn * model.w[v - 1] * float(
@@ -417,14 +444,7 @@ def gradients(
                         ) / scale
                         continue
                     for m, state in enumerate(states):
-                        if evaluator is not None:
-                            val = evaluator(state, circuit, wires, rng)
-                        elif config.mode == "delegated-exact-gates":
-                            val = _xx_delegated_exact(state, circuit, wires, rng)
-                        else:
-                            val = _xx_delegated_faithful(
-                                state, circuit, wires, rng, config.eps_target
-                            )
+                        val = evaluator(state, circuit, wires, rng)
                         d_theta[r, c] += sgn * resid[m] * model.w[v - 1] * val / scale
     return d_theta, d_w, d_b
 
@@ -450,11 +470,14 @@ def train(
 ) -> tuple[ShadowModel, list[EpochMetrics]]:
     """Minibatch gradient descent; deterministic given (seed, mode).
 
+    ``evaluator`` defaults to the local evaluator of ``config.mode``.
     ``epoch_callback(model, metrics_entry)`` fires after each epoch (e.g. to
     publish updated parameters to the other protocol party).
     """
     if len(dataset) == 0:
         raise VQAError("empty dataset")
+    if evaluator is None:
+        evaluator = window_evaluator(config.mode, config.eps_target)
     seq = np.random.SeedSequence(config.seed)
     data_rng, init_rng, eval_rng = (np.random.default_rng(s) for s in seq.spawn(3))
 
@@ -477,7 +500,7 @@ def train(
         dataset.n,
     )
 
-    red_all = _reduced_stack(states, dataset.n) if config.mode == "plaintext" else None
+    red_all = _reduced_stack(states, dataset.n) if evaluator is None else None
 
     def red_rows(idx):
         if red_all is None:

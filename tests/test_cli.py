@@ -11,7 +11,7 @@ from qhevqa.cli import (
     main,
     write_training_svg,
 )
-from qhevqa.vqa import EpochMetrics
+from qhevqa.vqa import EpochMetrics, load_digits_csv
 
 
 class TestGadgetDemo:
@@ -188,6 +188,31 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert rc == 0
         assert "50 shots" in out
+
+    def test_config_port_reaches_tcp_server_as_int(self, tmp_path, capsys):
+        full = load_digits_csv()
+        data = tmp_path / "digits16.csv"
+        data.write_text(
+            "".join(
+                ",".join(f"{x:g}" for x in vec) + f",{label}\n"
+                for vec, label in full.samples[:16]
+            )
+        )
+        cfg = tmp_path / "tcp.cfg"
+        cfg.write_text(
+            "port=0\ntransport=tcp\nmode=delegated-exact-gates\nepochs=1\n"
+            f"dataset={data}\n"
+        )
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert "transport tcp" in capsys.readouterr().out
+
+    def test_config_value_outside_choices_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mode=bogus\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(cfg), "--epochs", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSvg:

@@ -10,28 +10,20 @@ from qhevqa.pauli_frame import (
     KeyFrame,
     PauliKey,
     _RULE_OVERRIDES,
+    apply_pad,
     apply_rule,
+    remove_pad,
     rule_table,
     t_byproduct,
     update_clifford,
     verify_conjugation,
 )
-from qhevqa.simulator import StateVector, apply_gate, fidelity, gate
+from qhevqa.simulator import FIXED_1Q, StateVector, apply_gate, fidelity, gate
 
 
 def rand_state(n, rng):
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return StateVector(n, v / np.linalg.norm(v))
-
-
-def pad_state(state, frame):
-    out = state
-    for w, key in enumerate(frame.keys):
-        if key.b:
-            out = apply_gate(out, gate("Z", w))
-        if key.a:
-            out = apply_gate(out, gate("X", w))
-    return out
 
 
 class TestConjugationOracle:
@@ -109,9 +101,9 @@ class TestFrameUpdates:
             for _ in range(8):
                 frame = KeyFrame.random(2, rng)
                 psi = rand_state(2, rng)
-                lhs = apply_gate(pad_state(psi, frame), g)
+                lhs = apply_gate(apply_pad(psi, frame), g)
                 new_frame = update_clifford(frame, g)
-                rhs = pad_state(apply_gate(psi, g), new_frame)
+                rhs = apply_pad(apply_gate(psi, g), new_frame)
                 assert fidelity(lhs, rhs) == pytest.approx(1.0, abs=1e-12)
 
     def test_t_byproduct_padded_simulation(self):
@@ -124,8 +116,8 @@ class TestFrameUpdates:
             ok, new_keys, p = verify_conjugation(gate("T", 0), keys)
             assert ok and p == t_byproduct(frame, 0)
             psi = rand_state(1, rng)
-            lhs = apply_gate(pad_state(psi, frame), gate("T", 0))
-            rhs = pad_state(
+            lhs = apply_gate(apply_pad(psi, frame), gate("T", 0))
+            rhs = apply_pad(
                 apply_gate(psi, gate("T", 0)), KeyFrame([PauliKey(*new_keys)])
             )
             for _i in range(p):
@@ -154,6 +146,23 @@ class TestOverrides:
             assert rule_table("CNOT")[(1, 0, 0, 0)] != new_keys
         finally:
             _RULE_OVERRIDES.clear()
+
+
+class TestPadHelpers:
+    def test_apply_pad_is_x_a_z_b_per_wire(self):
+        rng = np.random.default_rng(3)
+        x, z = FIXED_1Q["X"], FIXED_1Q["Z"]
+        for _ in range(10):
+            psi = rand_state(3, rng)
+            frame = KeyFrame.random(3, rng)
+            op = np.eye(1)
+            for key in reversed(frame.keys):  # wire 0 is the least significant bit
+                pad = np.linalg.matrix_power(x, key.a) @ np.linalg.matrix_power(z, key.b)
+                op = np.kron(op, pad)
+            padded = apply_pad(psi, frame)
+            np.testing.assert_allclose(padded.amplitudes, op @ psi.amplitudes, atol=1e-12)
+            restored = remove_pad(padded, frame)
+            np.testing.assert_allclose(restored.amplitudes, psi.amplitudes, atol=1e-12)
 
 
 class TestKeyFrame:

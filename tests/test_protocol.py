@@ -33,10 +33,21 @@ from qhevqa.protocol import (
     make_faithful_evaluator,
     make_inproc_pair,
     reachable_phases,
+    run_client,
     serve_inproc,
 )
+from qhevqa.classical_he import ct_from_bytes
 from qhevqa.simulator import StateVector, apply_circuit, fidelity, gate
-from qhevqa.vqa import ShadowModel, _xx_delegated_exact, build_shadow_circuit
+from qhevqa.vqa import (
+    LabeledDataset,
+    ShadowModel,
+    TrainConfig,
+    build_shadow_circuit,
+    load_digits_csv,
+    train,
+    window_evaluator,
+    write_metrics_csv,
+)
 
 
 def rand_state(n, rng):
@@ -334,7 +345,9 @@ class TestDelegatedRuns:
         psi = rand_state(4, np.random.default_rng(4))
         circ = build_shadow_circuit(model, 2)
         remote = evaluator(psi, circ, (1, 2), np.random.default_rng(42))
-        local = _xx_delegated_exact(psi, circ, (1, 2), np.random.default_rng(42))
+        local = window_evaluator("delegated-exact-gates")(
+            psi, circ, (1, 2), np.random.default_rng(42)
+        )
         assert remote == local  # identical rng draws, identical arithmetic
         client.done()
         thread.join(timeout=5)
@@ -362,6 +375,18 @@ class TestDelegatedRuns:
         client.done()
         thread.join(timeout=5)
 
+    def test_local_and_remote_exact_training_give_identical_csvs(self, tmp_path):
+        full = load_digits_csv()
+        dataset = LabeledDataset(full.samples[:16], full.n)
+        config = TrainConfig(epochs=1, seed=3, mode="delegated-exact-gates")
+        _, local = train(dataset, config)
+        channel, _session, thread = serve_inproc()
+        _, remote = run_client(channel, dataset, config)
+        thread.join(timeout=30)
+        write_metrics_csv(str(tmp_path / "local.csv"), local)
+        write_metrics_csv(str(tmp_path / "remote.csv"), remote)
+        assert (tmp_path / "local.csv").read_bytes() == (tmp_path / "remote.csv").read_bytes()
+
     def test_param_update_round_trip(self):
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
@@ -373,6 +398,64 @@ class TestDelegatedRuns:
         thread.join(timeout=5)
         assert session.params["epoch"] == 3
         assert session.params["b"] == 0.5
+
+
+class TestServerBlindness:
+    """Everything the server receives is public structure, a ciphertext
+    string or padded quantum data (checked on ``ServerSession.audit``)."""
+
+    PUBLIC_FIELDS = {
+        "Hello": {"version", "session_seed", "mode"},
+        "GadgetClassical": {"declare", "x_ct", "z_ct", "e_ct", "sk_enc", "level"},
+        "RspBasis": {"matrix", "qid", "alphas"},
+        "CoupleInstr": {"close", "pairs", "discard"},
+        "EncInput": {"num_wires", "amps", "enc_keys", "level"},
+        "RunRequest": {"circuit", "measure", "use_gadgets", "shots"},
+        "Done": set(),
+    }
+
+    def audited_window(self, mode, make_evaluator):
+        """Run one delegated 2-wire window; return the server's audit log."""
+        channel, session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(41, mode)
+        client.open_rsp(0)
+        client.close_rsp()
+        model = ShadowModel(
+            np.random.default_rng(7).uniform(0, 2 * np.pi, (2, 4)), np.zeros(1), 0.0, 2
+        )
+        psi = rand_state(2, np.random.default_rng(8))
+        evaluate = make_evaluator(client)
+        evaluate(psi, build_shadow_circuit(model, 1), (0, 1), np.random.default_rng(9))
+        client.done()
+        thread.join(timeout=30)
+        for kind, payload in session.audit:
+            assert set(payload) <= self.PUBLIC_FIELDS[kind], (kind, sorted(payload))
+        return session.audit
+
+    def test_exact_session(self):
+        audit = self.audited_window("delegated-exact-gates", make_exact_evaluator)
+        inputs = [p for kind, p in audit if kind == "EncInput"]
+        assert inputs
+        assert all(p["enc_keys"] is None for p in inputs)
+
+    def test_faithful_session_claw_rsp(self):
+        audit = self.audited_window(
+            "delegated-faithful",
+            lambda client: make_faithful_evaluator(
+                client, eps_target=0.1, rsp_mode="faithful"
+            ),
+        )
+        assert any("matrix" in p for kind, p in audit if kind == "RspBasis")
+        inputs = [p for kind, p in audit if kind == "EncInput"]
+        assert inputs
+        for p in inputs:
+            assert len(p["enc_keys"]) == p["num_wires"] == 2
+            for pair in p["enc_keys"]:
+                assert len(pair) == 2
+                for text in pair:
+                    assert isinstance(text, str)
+                    ct_from_bytes(bytes.fromhex(text))
 
 
 class TestTcpTransport:
