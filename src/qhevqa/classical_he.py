@@ -3,7 +3,9 @@
 This is an API-faithful stand-in, not hardened cryptography: evaluation is
 deferred (ciphertexts record the boolean circuit; decryption replays it on
 unsealed leaves), and each leaf hides its bit as ``masked = bit XOR
-stream(seed, nonce)`` under a keyed pseudorandom stream. Structural
+stream(seed, nonce)`` under a keyed pseudorandom stream. Every node stores its
+public masked parity when it is built, and ``_topological`` is the one walk
+over a ciphertext DAG, shared by decryption and the wire encoding. Structural
 indistinguishability holds (ciphertexts of 0 and 1 have identical shape and
 leaf format); computational security is explicitly not claimed, and the
 public key carries the stream seed, so possession of pk suffices to unseal in
@@ -12,7 +14,7 @@ this model.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -87,6 +89,14 @@ def _tag(stream_seed: bytes, nonce: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class HECiphertext:
+    """One node of a deferred-evaluation DAG.
+
+    ``masked_parity`` is derived, not serialised: the XOR of the masked bits
+    and constants below the node, flipped by each NOT and passed through
+    KEYSWITCH (its ``sk_enc`` is not part of the value); None at or above an
+    AND, where no public parity exists.
+    """
+
     op: int
     level: int
     nonce: bytes = b""
@@ -95,6 +105,19 @@ class HECiphertext:
     children: tuple["HECiphertext", ...] = ()
     const_value: int = 0
     sk_enc: tuple["HECiphertext", ...] = ()
+    masked_parity: int | None = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.op == LEAF:
+            parity = self.masked
+        elif self.op == CONST:
+            parity = self.const_value
+        elif self.op in (XOR, NOT, KEYSWITCH):
+            kids = [c.masked_parity for c in self.children]
+            parity = None if None in kids else (self.op == NOT) ^ sum(kids) % 2
+        else:
+            parity = None
+        object.__setattr__(self, "masked_parity", parity)
 
 
 def he_enc(
@@ -201,74 +224,82 @@ def he_eval(
     return values[-1]
 
 
-def _lower_key(sk: HESecretKey, bits: list[int]) -> HESecretKey:
-    if len(bits) % 8:
-        raise HEError("malformed key switch: seed bit count not byte-aligned")
-    seed = bytes(
-        sum(bits[i * 8 + j] << j for j in range(8)) for i in range(len(bits) // 8)
-    )
-    return HESecretKey(sk.level - 1, seed)
+def _topological(ct: HECiphertext) -> list[HECiphertext]:
+    """Every node reachable from ``ct`` once: children, then ``sk_enc``, before each parent.
+
+    Ciphertexts are shared DAGs after long evaluations, so each distinct node
+    is listed once; the walk is iterative because key-switch chains nest far
+    beyond the recursion limit.
+    """
+    order: list[HECiphertext] = []
+    seen: set[int] = set()
+    stack: list[HECiphertext] = [ct]
+    while stack:
+        node = stack[-1]
+        if id(node) in seen:
+            stack.pop()
+            continue
+        deps = [c for c in (*node.children, *node.sk_enc) if id(c) not in seen]
+        if deps:
+            stack.extend(deps)
+            continue
+        seen.add(id(node))
+        order.append(node)
+        stack.pop()
+    return order
 
 
 def _dec(sk: HESecretKey, ct: HECiphertext) -> int:
-    """Replay the deferred circuit iteratively.
+    """Replay the deferred circuit over the topological order, one key per level.
 
-    Ciphertext 'trees' are shared DAGs after long evaluations, so traversal is
-    memoized per (node, key) and uses an explicit stack (key-switch chains can
-    nest far beyond the recursion limit).
+    Level l-1's key is unsealed from the ``sk_enc`` leaves of the first key
+    switch out of level l-1 met parents-first, so it is known before any node
+    below that switch is evaluated.
     """
-    memo: dict[tuple[int, bytes], int] = {}
+    order = _topological(ct)
+    streams = {sk.level: sk.stream_seed}
+    vals: dict[int, int] = {}
 
-    def key_of(node: HECiphertext, key: HESecretKey) -> tuple[int, bytes]:
-        return (id(node), key.seed)
+    def unseal(leaf: HECiphertext) -> int:
+        if leaf.op != LEAF:
+            raise HEError("malformed key switch: encrypted key bit is not a leaf")
+        stream_seed = streams.get(leaf.level)
+        if stream_seed is None:
+            raise HEError(f"no secret key for leaf level {leaf.level}")
+        if _tag(stream_seed, leaf.nonce) != leaf.tag:
+            raise HEError("seal verification failed: wrong secret key")
+        vals[id(leaf)] = leaf.masked ^ _stream_bit(stream_seed, leaf.nonce)
+        return vals[id(leaf)]
 
-    stack: list[tuple[HECiphertext, HESecretKey]] = [(ct, sk)]
-    while stack:
-        node, key = stack[-1]
-        mk = key_of(node, key)
-        if mk in memo:
-            stack.pop()
+    for node in reversed(order):
+        if node.op == KEYSWITCH and node.level - 1 not in streams:
+            bits = [unseal(c) for c in node.sk_enc]
+            if len(bits) % 8:
+                raise HEError("malformed key switch: seed bit count not byte-aligned")
+            seed = bytes(
+                sum(bits[i * 8 + j] << j for j in range(8)) for i in range(len(bits) // 8)
+            )
+            streams[node.level - 1] = HESecretKey(node.level - 1, seed).stream_seed
+    for node in order:
+        if id(node) in vals:
             continue
-        if node.op == CONST:
-            memo[mk] = node.const_value
-            stack.pop()
-        elif node.op == LEAF:
-            if node.level != key.level:
-                raise HEError(
-                    f"secret key level {key.level} does not match leaf level {node.level}"
-                )
-            if _tag(key.stream_seed, node.nonce) != node.tag:
-                raise HEError("seal verification failed: wrong secret key")
-            memo[mk] = node.masked ^ _stream_bit(key.stream_seed, node.nonce)
-            stack.pop()
-        elif node.op in (XOR, AND, NOT):
-            missing = [c for c in node.children if key_of(c, key) not in memo]
-            if missing:
-                stack.extend((c, key) for c in missing)
-                continue
-            vals = [memo[key_of(c, key)] for c in node.children]
+        if node.op == LEAF:
+            unseal(node)
+        elif node.op == CONST:
+            vals[id(node)] = node.const_value
+        elif node.op in (XOR, AND, NOT, KEYSWITCH):
+            kids = [vals[id(c)] for c in node.children]
             if node.op == XOR:
-                memo[mk] = vals[0] ^ vals[1]
+                vals[id(node)] = kids[0] ^ kids[1]
             elif node.op == AND:
-                memo[mk] = vals[0] & vals[1]
+                vals[id(node)] = kids[0] & kids[1]
+            elif node.op == NOT:
+                vals[id(node)] = 1 ^ kids[0]
             else:
-                memo[mk] = 1 ^ vals[0]
-            stack.pop()
-        elif node.op == KEYSWITCH:
-            missing = [c for c in node.sk_enc if key_of(c, key) not in memo]
-            if missing:
-                stack.extend((c, key) for c in missing)
-                continue
-            lower = _lower_key(key, [memo[key_of(c, key)] for c in node.sk_enc])
-            child = node.children[0]
-            if key_of(child, lower) in memo:
-                memo[mk] = memo[key_of(child, lower)]
-                stack.pop()
-            else:
-                stack.append((child, lower))
+                vals[id(node)] = kids[0]
         else:
             raise HEError(f"malformed ciphertext node op={node.op}")
-    return memo[key_of(ct, sk)]
+    return vals[id(ct)]
 
 
 def he_dec(sk: HESecretKey, ct: HECiphertext) -> int:
@@ -299,37 +330,11 @@ def public_masked_parity(ct: HECiphertext) -> int:
 
     Defined for XOR/NOT/KEYSWITCH structures only: for those, the plaintext
     equals this parity XOR the (secret) parity of the leaves' stream bits.
-    Iterative with memoization — evaluated ciphertexts are shared DAGs.
+    Each node stores it when built, so this reads one field.
     """
-    memo: dict[int, int] = {}
-    stack = [ct]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        if node.op == LEAF:
-            memo[id(node)] = node.masked
-            stack.pop()
-        elif node.op == CONST:
-            memo[id(node)] = node.const_value
-            stack.pop()
-        elif node.op in (XOR, NOT, KEYSWITCH):
-            missing = [c for c in node.children if id(c) not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            vals = [memo[id(c)] for c in node.children]
-            if node.op == XOR:
-                memo[id(node)] = vals[0] ^ vals[1]
-            elif node.op == NOT:
-                memo[id(node)] = 1 ^ vals[0]
-            else:
-                memo[id(node)] = vals[0]
-            stack.pop()
-        else:
-            raise HEError("masked parity undefined for AND nodes")
-    return memo[id(ct)]
+    if ct.masked_parity is None:
+        raise HEError("masked parity undefined for AND nodes")
+    return ct.masked_parity
 
 
 # --- canonical byte encoding (wire format) ---------------------------------
@@ -364,21 +369,8 @@ def ct_to_bytes(ct: HECiphertext) -> bytes:
     Shared subgraphs are emitted once, so the encoding stays linear in the
     number of distinct nodes even for deeply shared evaluation DAGs.
     """
-    order: list[HECiphertext] = []
-    index: dict[int, int] = {}
-    stack: list[HECiphertext] = [ct]
-    while stack:
-        node = stack[-1]
-        if id(node) in index:
-            stack.pop()
-            continue
-        deps = [c for c in (*node.children, *node.sk_enc) if id(c) not in index]
-        if deps:
-            stack.extend(deps)
-            continue
-        index[id(node)] = len(order)
-        order.append(node)
-        stack.pop()
+    order = _topological(ct)
+    index = {id(node): i for i, node in enumerate(order)}
     out = bytearray(_varint(len(order)))
     for node in order:
         out.append(node.op)

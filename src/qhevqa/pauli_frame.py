@@ -5,9 +5,11 @@ global phase; decryption and measurement statistics never see the phase.
 
 The update rules for every supported gate are machine-derived at import time
 from the matrix conjugation identity (``verify_conjugation`` is the oracle),
-so hand-transcription errors are structurally impossible. A test hook
-(``_RULE_OVERRIDES``) lets the verification suite inject a wrong rule and
-watch the exhaustive property fail.
+so hand-transcription errors are structurally impossible. Each rule's GF(2)
+linear form is derived and checked against its table once, beside the
+tables, and ``apply_rule`` evaluates that form. A test hook
+(``_RULE_OVERRIDES``) on ``rule_table`` lets the verification suite inject a
+wrong rule and watch the exhaustive oracle comparison fail.
 """
 from __future__ import annotations
 
@@ -145,7 +147,28 @@ def _derive_rules() -> dict[str, dict[tuple[int, ...], tuple[int, ...]]]:
     return rules
 
 
+def _linear_form(kind: str, table: dict) -> tuple[tuple[int, ...], ...]:
+    """Per output bit, the input bits it is the XOR of.
+
+    Found by probing unit vectors and checked against the whole table: every
+    Clifford pad rule is an invertible GF(2)-linear map (no constant term).
+    """
+    width = len(next(iter(table)))
+    units = [tuple(int(i == j) for i in range(width)) for j in range(width)]
+    form = tuple(
+        tuple(j for j in range(width) if table[units[j]][out]) for out in range(width)
+    )
+    linear = all(
+        tuple(sum(bits_in[j] for j in terms) % 2 for terms in form) == bits_out
+        for bits_in, bits_out in table.items()
+    )
+    if not linear or not all(form):
+        raise FrameError(f"rule for {kind} is not an invertible GF(2)-linear map")
+    return form
+
+
 _RULES = _derive_rules()
+_FORMS = {kind: _linear_form(kind, table) for kind, table in _RULES.items()}
 _RULE_OVERRIDES: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
 
 
@@ -158,43 +181,18 @@ def rule_table(kind: str) -> dict[tuple[int, ...], tuple[int, ...]]:
 def apply_rule(kind: str, bits, xor):
     """Evaluate a derived rule over any XOR-capable values.
 
-    ``bits`` supplies the current key values (2 or 4 of them); the rule is
-    expressed as GF(2)-affine combinations so the same table drives plain
-    bits, ciphertext handles, and symbolic leaf sets. ``xor`` combines two
-    values; constants in the rule reduce to selections of the inputs because
-    every Clifford pad rule is a permutation-free linear map.
+    ``bits`` supplies the current key values (2 or 4 of them); each output is
+    the XOR, under ``xor``, of the inputs its linear form lists, so the same
+    form drives plain bits, ciphertext handles, and symbolic leaf sets.
     """
-    table = rule_table(kind)
-    width = 2 if kind in CLIFFORD_1Q else 4
-    # Express each output bit as XOR of input bits by probing unit vectors.
-    outputs = []
-    zero_out = table[tuple([0] * width)]
-    for out_idx in range(width):
-        terms = []
-        for in_idx in range(width):
-            probe = tuple(1 if i == in_idx else 0 for i in range(width))
-            if table[probe][out_idx] != zero_out[out_idx]:
-                terms.append(in_idx)
-        outputs.append((terms, zero_out[out_idx]))
-    # Sanity: linearity must reproduce the full table.
-    for bits_in, bits_out in table.items():
-        for out_idx, (terms, const) in enumerate(outputs):
-            val = const
-            for t in terms:
-                val ^= bits_in[t]
-            if val != bits_out[out_idx]:
-                raise FrameError(f"rule for {kind} is not GF(2)-affine")
+    if kind not in _FORMS:
+        raise FrameError(f"{kind} is not a tracked Clifford gate")
     result = []
-    for terms, const in outputs:
-        if const:
-            raise FrameError(f"rule for {kind} has a constant term")  # never for Cliffords
-        if not terms:
-            result.append(None)  # identically zero (cannot happen for invertible rules)
-        else:
-            acc = bits[terms[0]]
-            for t in terms[1:]:
-                acc = xor(acc, bits[t])
-            result.append(acc)
+    for terms in _FORMS[kind]:
+        acc = bits[terms[0]]
+        for t in terms[1:]:
+            acc = xor(acc, bits[t])
+        result.append(acc)
     return tuple(result)
 
 

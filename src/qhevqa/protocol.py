@@ -148,7 +148,9 @@ def decode_message(data: bytes) -> Message:
         raise ProtocolError("kind", f"unknown message kind code {code}")
     try:
         payload = json.loads(data[HEADER.size + 2 :].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers past the digit
+        # limit; RecursionError is nesting past the interpreter's depth.
         raise ProtocolError("payload", f"malformed JSON payload: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError("payload", "payload must be a JSON object")
@@ -597,7 +599,11 @@ class ServerSession:
         self._reply("EncKeysUpdate", {"enc_keys": None, "level": 0})
 
     def _run_gadgets(self, circuit, shots, spec, wires) -> None:
-        """Full homomorphic mode: consume queued gadgets, return updated keys."""
+        """Full homomorphic mode: consume queued gadgets, return updated keys.
+
+        Each shot's key row holds the (a, b) pairs of the measured wires only,
+        in ``wires`` order: those are all the client decrypts.
+        """
         if self.enc_keys is None:
             raise ProtocolError("order", "homomorphic run needs encrypted keys")
         needed = t_count(circuit)
@@ -613,9 +619,8 @@ class ServerSession:
             cs = CipherState(self.register.copy(), tuple(self.enc_keys), 0)
             cs = eval_circuit(cs, circuit, ek, self.rng)
             self._read_out(cs.register, spec, wires, values, bits)
-            key_rows.append(
-                [[ct_to_hex(a), ct_to_hex(b)] for a, b in cs.encrypted_keys]
-            )
+            pairs = [cs.encrypted_keys[w] for w in wires]
+            key_rows.append([[ct_to_hex(a), ct_to_hex(b)] for a, b in pairs])
             final_level = cs.level
         self._reply("ShotResults", {"values": values, "bits": bits})
         self._reply("EncKeysUpdate", {"enc_keys": key_rows, "level": final_level})
@@ -992,8 +997,10 @@ def client_qhe_run(
 
 
 def _key_pairs(key_row, wires) -> dict[int, tuple[HECiphertext, HECiphertext]]:
-    """Parse the listed wires' (a, b) key ciphertexts from an EncKeysUpdate row."""
-    return {w: (ct_from_hex(key_row[w][0]), ct_from_hex(key_row[w][1])) for w in wires}
+    """Parse an EncKeysUpdate row, one (a, b) pair per measured wire in order."""
+    if len(key_row) != len(wires):
+        raise ProtocolError("payload", "one key pair per measured wire required")
+    return {w: (ct_from_hex(a), ct_from_hex(b)) for w, (a, b) in zip(wires, key_row)}
 
 
 # --- delegated training (protocol-level run_client) -------------------------

@@ -12,7 +12,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-NORM_TOL = 1e-9
 MAX_QUBITS = 24
 
 _SQRT2_INV = 1.0 / sqrt(2.0)
@@ -298,11 +297,6 @@ def permute_wires(state: StateVector, perm: Sequence[int]) -> StateVector:
     psi = state.amplitudes.reshape([2] * n)
     axes = [_axis(state, perm[i]) for i in reversed(range(n))]
     return StateVector(n, np.transpose(psi, axes).reshape(-1))
-
-
-def density_matrix(state: StateVector) -> np.ndarray:
-    v = state.amplitudes
-    return np.outer(v, v.conj())
 
 
 def reduced_density_matrix(state: StateVector, wires: Sequence[int]) -> np.ndarray:

@@ -1,4 +1,6 @@
 """Modeled bit-level homomorphic encryption: correctness, levels, wire format."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,3 +229,127 @@ class TestDeepChains:
             sk_enc = encrypt_seed(levels[i + 1].pk, levels[i].sk, rng)
             ct = key_switch(he_xor(ct, he_const(0, ct.level)), sk_enc)
         assert he_dec(levels[29].sk, ct) == 1
+
+
+# --- the one DAG walker: stored parity, decryption, wire format --------------
+
+_CHAIN_RNG = np.random.default_rng(30)
+CHAIN = [he_keygen(16, _CHAIN_RNG, level=i) for i in range(3)]
+SK_ENC = [encrypt_seed(CHAIN[i + 1].pk, CHAIN[i].sk, _CHAIN_RNG) for i in range(2)]
+_LOW = key_switch(
+    he_xor(he_enc(CHAIN[0].pk, 1, _CHAIN_RNG), he_not(he_enc(CHAIN[0].pk, 0, _CHAIN_RNG))),
+    SK_ENC[0],
+)
+KEYSWITCHED_BYTES = ct_to_bytes(key_switch(he_xor(_LOW, _LOW), SK_ENC[1]))
+
+# (op, operand index, operand index, bit); indices wrap around the node list.
+DAG_PROGRAMS = st.lists(
+    st.tuples(
+        st.sampled_from(["LEAF", "CONST", "XOR", "AND", "NOT", "KEYSWITCH"]),
+        st.integers(0, 63),
+        st.integers(0, 63),
+        st.integers(0, 1),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def build_dag(program, seed):
+    """Build a random DAG; each node is (ct, plaintext, stream parity, AND below)."""
+    rng = np.random.default_rng(seed)
+
+    def lift(node, level):
+        while node[0].level < level:
+            ct, plain, stream, has_and = node
+            node = (key_switch(ct, SK_ENC[ct.level]), plain, stream, has_and)
+        return node
+
+    nodes = []
+    for op, i, j, bit in program:
+        if op == "LEAF" or not nodes:
+            ct = he_enc(CHAIN[0].pk, bit, rng)
+            nodes.append((ct, bit, keystream_bit(CHAIN[0].pk, ct.nonce), False))
+            continue
+        x, y = nodes[i % len(nodes)], nodes[j % len(nodes)]
+        if op == "CONST":
+            nodes.append((he_const(bit, x[0].level), bit, 0, False))
+        elif op == "NOT":
+            nodes.append((he_not(x[0]), 1 ^ x[1], x[2], x[3]))
+        elif op == "KEYSWITCH":
+            nodes.append(lift(x, min(x[0].level + 1, len(CHAIN) - 1)))
+        else:
+            level = max(x[0].level, y[0].level)
+            x, y = lift(x, level), lift(y, level)
+            if op == "XOR":
+                has_and = x[3] or y[3]
+                stream = None if has_and else x[2] ^ y[2]
+                nodes.append((he_xor(x[0], y[0]), x[1] ^ y[1], stream, has_and))
+            else:
+                nodes.append((he_and(x[0], y[0]), x[1] & y[1], None, True))
+    return nodes[-1]
+
+
+class TestDagWalker:
+    @settings(max_examples=150, deadline=None)
+    @given(DAG_PROGRAMS, st.integers(0, 2**32 - 1))
+    def test_stored_parity_matches_plaintext_and_keystream(self, program, seed):
+        ct, plain, stream, has_and = build_dag(program, seed)
+        for node in (ct, ct_from_bytes(ct_to_bytes(ct))):
+            assert he_dec(CHAIN[node.level].sk, node) == plain
+            if has_and:
+                with pytest.raises(HEError):
+                    public_masked_parity(node)
+            else:
+                assert public_masked_parity(node) == plain ^ stream
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, len(KEYSWITCHED_BYTES) - 1), st.integers(0, 255)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_mutated_keyswitched_bytes_raise_only_heerror(self, edits):
+        data = bytearray(KEYSWITCHED_BYTES)
+        for pos, value in edits:
+            data[pos] = value
+        try:
+            ct = ct_from_bytes(bytes(data))
+        except HEError:
+            return
+        sk = CHAIN[min(ct.level, len(CHAIN) - 1)].sk
+        for read in (lambda: he_dec(sk, ct), lambda: public_masked_parity(ct)):
+            try:
+                assert read() in (0, 1)
+            except HEError:
+                pass
+
+    def test_non_leaf_key_bit_rejected(self):
+        rng = np.random.default_rng(32)
+        bad = list(SK_ENC[0])
+        bad[0] = he_not(bad[0])
+        ct = key_switch(he_enc(CHAIN[0].pk, 1, rng), bad)
+        with pytest.raises(HEError, match="not a leaf"):
+            he_dec(CHAIN[1].sk, ct)
+
+    def test_golden_keyswitched_encoding(self):
+        # Pins the wire format: a fixed seeded DAG with an AND, a constant, a
+        # shared subgraph and two key switches must encode to the same bytes.
+        rng = np.random.default_rng(2024)
+        levels = [he_keygen(16, rng, level=i) for i in range(3)]
+        a = he_enc(levels[0].pk, 1, rng)
+        b = he_enc(levels[0].pk, 0, rng)
+        low = he_xor(he_and(a, b), he_not(a))
+        sk_enc = encrypt_seed(levels[1].pk, levels[0].sk, rng)
+        mid = key_switch(he_xor(low, he_const(1, 0)), sk_enc)
+        c = he_enc(levels[1].pk, 1, rng)
+        sk_enc = encrypt_seed(levels[2].pk, levels[1].sk, rng)
+        top = key_switch(he_xor(mid, he_xor(c, mid)), sk_enc)
+        data = ct_to_bytes(top)
+        assert len(data) == 1026
+        assert hashlib.sha256(data).hexdigest() == (
+            "5275381e9a6eef05cacfe7a53054388bffccbd06ce8be33008a650c703164256"
+        )
+        assert he_dec(levels[2].sk, top) == 1

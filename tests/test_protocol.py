@@ -105,6 +105,23 @@ class TestCodec:
         with pytest.raises(ProtocolError, match="payload"):
             decode_message(frame)
 
+    @staticmethod
+    def raw_frame(body: bytes) -> bytes:
+        import struct
+
+        return struct.pack("<I", len(body)) + bytes([VERSION, 0]) + body
+
+    def test_deeply_nested_json_is_a_payload_error(self):
+        depth = 200_000
+        frame = self.raw_frame(b'{"k":' + b"[" * depth + b"]" * depth + b"}")
+        with pytest.raises(ProtocolError, match="payload"):
+            decode_message(frame)
+
+    def test_oversized_json_integer_is_a_payload_error(self):
+        frame = self.raw_frame(b'{"shots":' + b"9" * 5000 + b"}")
+        with pytest.raises(ProtocolError, match="payload"):
+            decode_message(frame)
+
     def test_oversize_rejected_on_encode(self):
         big = {"blob": "x" * (MAX_FRAME + 16)}
         with pytest.raises(ProtocolError, match="oversize"):
@@ -308,6 +325,33 @@ class TestDelegatedRuns:
         assert all(o[0] in (0, 1) for o in outcomes)
         client.done()
         thread.join(timeout=5)
+
+    def test_key_update_carries_only_measured_wires(self):
+        channel, _session, thread = serve_inproc()
+        received = []
+        recv = channel.recv
+        channel.recv = lambda: received.append(recv()) or received[-1]
+        client = ClientSession(channel)
+        client.hello(7, "x")
+        client.open_rsp(0)
+        circ = [
+            gate("H", 0), gate("T", 0), gate("CNOT", 0, 2),
+            gate("H", 2), gate("T", 2), gate("T", 1),
+        ]
+        outcomes = client_qhe_run(
+            client, circ, StateVector(3), np.random.default_rng(7),
+            shots=16, measure_wires=(2, 0),
+        )
+        client.done()
+        thread.join(timeout=5)
+        (update,) = [m.payload for m in received if m.kind == "EncKeysUpdate"]
+        assert len(update["enc_keys"]) == 16
+        assert all(len(row) == 2 for row in update["enc_keys"])
+        # Outcomes recorded when every wire's keys were still sent.
+        assert [(o[2], o[0]) for o in outcomes] == [
+            (1, 1), (1, 1), (0, 1), (0, 0), (0, 0), (0, 1), (1, 0), (0, 0),
+            (1, 1), (1, 0), (1, 1), (0, 1), (1, 1), (0, 0), (0, 1), (1, 0),
+        ]
 
     def test_budget_enforced(self):
         channel, _session, thread = serve_inproc()
