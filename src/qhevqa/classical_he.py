@@ -87,9 +87,12 @@ def _tag(stream_seed: bytes, nonce: bytes) -> bytes:
     return _digest(stream_seed, nonce, b"tag")[:TAG_BYTES]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HECiphertext:
     """One node of a deferred-evaluation DAG.
+
+    Equality and hashing are by identity: a value comparison would recurse
+    through the whole DAG.
 
     ``masked_parity`` is derived, not serialised: the XOR of the masked bits
     and constants below the node, flipped by each NOT and passed through
@@ -105,7 +108,7 @@ class HECiphertext:
     children: tuple["HECiphertext", ...] = ()
     const_value: int = 0
     sk_enc: tuple["HECiphertext", ...] = ()
-    masked_parity: int | None = field(init=False, compare=False)
+    masked_parity: int | None = field(init=False)
 
     def __post_init__(self):
         if self.op == LEAF:

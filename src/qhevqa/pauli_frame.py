@@ -13,6 +13,7 @@ wrong rule and watch the exhaustive oracle comparison fail.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -196,23 +197,25 @@ def apply_rule(kind: str, bits, xor):
     return tuple(result)
 
 
+def update_keys(keys, g: Gate, xor) -> None:
+    """Update the (a, b) pairs of Clifford ``g``'s wires in place.
+
+    ``keys[w]`` is wire w's pair; ``xor`` combines the values as in
+    ``apply_rule``, which runs once for the gate.
+    """
+    out = apply_rule(g.kind, tuple(v for w in g.wires for v in keys[w]), xor)
+    for i, w in enumerate(g.wires):
+        keys[w] = out[2 * i : 2 * i + 2]
+
+
 def update_clifford(frame: KeyFrame, gate: Gate) -> KeyFrame:
     if gate.kind not in CLIFFORD_KINDS:
         raise FrameError(f"{gate.kind} is not Clifford")
+    pairs = {w: (frame.keys[w].a, frame.keys[w].b) for w in gate.wires}
+    update_keys(pairs, gate, operator.xor)
     out = frame.copy()
-    if len(gate.wires) == 1:
-        (w,) = gate.wires
-        k = frame.keys[w]
-        a, b = apply_rule(gate.kind, (k.a, k.b), lambda x, y: x ^ y)
+    for w, (a, b) in pairs.items():
         out.keys[w] = PauliKey(a, b)
-    else:
-        w1, w2 = gate.wires
-        k1, k2 = frame.keys[w1], frame.keys[w2]
-        a1, b1, a2, b2 = apply_rule(
-            gate.kind, (k1.a, k1.b, k2.a, k2.b), lambda x, y: x ^ y
-        )
-        out.keys[w1] = PauliKey(a1, b1)
-        out.keys[w2] = PauliKey(a2, b2)
     return out
 
 

@@ -46,19 +46,17 @@ from .qhe import (
     t_count,
 )
 from .rsp_gadget import (
+    RSP_MU,
+    RSP_N,
     Gadget,
     GadgetSecrets,
-    RSPResult,
-    TrapdoorFunction,
     assemble_gadget_state,
-    build_gadget_ciphertexts,
+    gen_gadget,
     rsp_round_ideal,
     rsp_server_commit,
     rsp_server_measure,
     rsp_theta_index,
     sample_trapdoor,
-    theta_bits,
-    twist_bits,
 )
 from .simulator import (
     GATE_KINDS,
@@ -74,6 +72,7 @@ from .vqa import exact_evaluator, faithful_evaluator, train
 
 VERSION = 1
 MAX_FRAME = 16 * 1024 * 1024
+MAX_SHOTS = 4096
 HEADER = struct.Struct("<I")  # little-endian payload length
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7913
@@ -502,16 +501,16 @@ class ServerSession:
         if p.get("ideal"):
             # Modeled shortcut: the server draws the angle itself, so this
             # variant is not blind; the claw-based flow below is.
-            res: RSPResult = rsp_round_ideal(self.rng)
+            idx, state = rsp_round_ideal(self.rng)
             qid = self._next_qid
             self._next_qid += 1
-            self.qubits[qid] = res.state
-            self._reply("RspOutcome", {"qid": qid, "theta_index": res.theta_index})
+            self.qubits[qid] = state
+            self._reply("RspOutcome", {"qid": qid, "theta_index": idx})
             return
         if "matrix" in p:
             matrix = np.asarray(p["matrix"], dtype=np.int64)
-            if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 2:
-                raise ProtocolError("payload", "claw matrix must be 2-D")
+            if matrix.shape != (RSP_MU, RSP_N):
+                raise ProtocolError("payload", f"claw matrix must be {RSP_MU}x{RSP_N}")
             y, state = rsp_server_commit(matrix, self.rng)
             qid = self._next_qid
             self._next_qid += 1
@@ -531,10 +530,16 @@ class ServerSession:
         raise ProtocolError("payload", "RspBasis needs 'matrix', 'alphas' or 'ideal'")
 
     def _on_coupleinstr(self, p: dict) -> None:
+        """Couple two (head, tail) pairs, or close the rsp phase; drop discards.
+
+        Every qid is checked before any prepared qubit is removed.
+        """
         self.state.expect("rsp")
-        for qid in p.get("discard", ()):
-            self.qubits.pop(qid, None)
+        discard = p.get("discard", [])
+        if not isinstance(discard, list) or not all(isinstance(q, int) for q in discard):
+            raise ProtocolError("payload", "discard must be a list of qids")
         if p.get("close"):
+            self._drop(discard)
             self._reply("CoupleInstr", {"ok": True})
             self.state.advance("evaluating")
             return
@@ -542,16 +547,22 @@ class ServerSession:
         if (
             not isinstance(pairs, list)
             or len(pairs) != 2
-            or any(len(pair) != 2 for pair in pairs)
+            or any(not isinstance(pair, list) or len(pair) != 2 for pair in pairs)
         ):
             raise ProtocolError("payload", "need two (head, tail) qubit pairs")
-        try:
-            heads = [self.qubits.pop(pair[0]) for pair in pairs]
-            tails = [self.qubits.pop(pair[1]) for pair in pairs]
-        except KeyError as exc:
-            raise ProtocolError("order", f"unknown prepared qubit {exc}") from exc
-        self._partial_state = assemble_gadget_state(heads, tails)
+        qids = [pair[0] for pair in pairs] + [pair[1] for pair in pairs]
+        if not all(isinstance(q, int) and q in self.qubits for q in qids):
+            raise ProtocolError("order", f"unknown prepared qubit among {qids}")
+        if len(set(qids)) != len(qids):
+            raise ProtocolError("payload", f"pair qids must be distinct, got {qids}")
+        qubits = [self.qubits.pop(q) for q in qids]
+        self._drop(discard)
+        self._partial_state = assemble_gadget_state(qubits[:2], qubits[2:])
         self._reply("CoupleInstr", {"ok": True})
+
+    def _drop(self, qids: list) -> None:
+        for qid in qids:
+            self.qubits.pop(qid, None)
 
     def _on_encinput(self, p: dict) -> None:
         self.state.expect("evaluating")
@@ -577,10 +588,10 @@ class ServerSession:
         assert self.rng is not None
         if self.register is None:
             raise ProtocolError("order", "RunRequest before EncInput")
+        shots = p.get("shots", 1)
+        if type(shots) is not int or not 1 <= shots <= MAX_SHOTS:  # bool is not a count
+            raise ProtocolError("payload", f"shots must be an int in 1..{MAX_SHOTS}")
         circuit = circuit_from_json(p.get("circuit", ()))
-        shots = int(p.get("shots", 1))
-        if shots < 1:
-            raise ProtocolError("payload", "shots must be >= 1")
         spec = p.get("measure")
         if not isinstance(spec, dict) or spec.get("type") not in ("xx", "bits"):
             raise ProtocolError("payload", "measure must be 'xx' or 'bits'")
@@ -761,38 +772,36 @@ class ClientSession:
 
     # -- remote state preparation --
 
-    def _draw_remote(self, rng, rsp_mode: str, n: int, mu: int, accept):
-        """Repeat remote rounds until the recovered angle satisfies ``accept``.
+    def _round(self, rsp_mode: str):
+        """The remote RSP round of ``rsp_mode``; each yields (theta_index, qid)."""
 
-        Returns (qid, theta_index, rejected qids to discard).
-        """
-        discards = []
-        for _ in range(512):
-            if rsp_mode == "ideal":
-                reply = self._ask("RspBasis", {"ideal": True}, "RspOutcome")
-                qid = reply.payload["qid"]
-                idx = reply.payload["theta_index"]
-            else:
-                td: TrapdoorFunction = sample_trapdoor(n, mu, rng)
-                commit = self._ask(
-                    "RspBasis",
-                    {"matrix": [[int(v) for v in row] for row in td.matrix]},
-                    "RspCommit",
-                )
-                qid = commit.payload["qid"]
-                y = np.asarray(commit.payload["y"], dtype=np.int64)
-                alphas = rng.integers(0, 2, n - 1)
-                outcome = self._ask(
-                    "RspBasis",
-                    {"qid": qid, "alphas": [int(a) for a in alphas]},
-                    "RspOutcome",
-                )
-                b = np.asarray(outcome.payload["b"], dtype=np.int64)
-                idx = rsp_theta_index(td, y, b, alphas)
-            if accept(idx):
-                return qid, idx, discards
-            discards.append(qid)
-        raise ProtocolError("rsp", "rejection sampling did not converge")
+        def ideal(rng):
+            reply = self._ask("RspBasis", {"ideal": True}, "RspOutcome").payload
+            return reply["theta_index"], reply["qid"]
+
+        def claw(rng):
+            td = sample_trapdoor(RSP_N, RSP_MU, rng)
+            commit = self._ask(
+                "RspBasis",
+                {"matrix": [[int(v) for v in row] for row in td.matrix]},
+                "RspCommit",
+            ).payload
+            alphas = rng.integers(0, 2, RSP_N - 1)
+            outcome = self._ask(
+                "RspBasis",
+                {"qid": commit["qid"], "alphas": [int(a) for a in alphas]},
+                "RspOutcome",
+            ).payload
+            y = np.asarray(commit["y"], dtype=np.int64)
+            b = np.asarray(outcome["b"], dtype=np.int64)
+            return rsp_theta_index(td, y, b, alphas), commit["qid"]
+
+        return ideal if rsp_mode == "ideal" else claw
+
+    def _couple(self, heads, tails, rejected) -> None:
+        """Have the server couple the accepted pairs and drop the rejected qubits."""
+        pairs = [[head, tail] for head, tail in zip(heads, tails)]
+        self._ask("CoupleInstr", {"pairs": pairs, "discard": rejected}, "CoupleInstr")
 
     def provision_gadget(
         self,
@@ -801,39 +810,20 @@ class ClientSession:
         k_bit: int,
         rng: np.random.Generator,
         rsp_mode: str = "ideal",
-        rsp_n: int = 4,
-        rsp_mu: int = 4,
     ) -> GadgetSecrets:
         """Build one gadget on the server: RSP rounds, coupling, ciphertexts."""
         self.state.expect("rsp")
-        p = twist_bits(k_bit)
-        pairs, discards, xs, zs = [], [], [], []
-        for j in range(2):
-            head_qid, head_idx, rejected = self._draw_remote(
-                rng, rsp_mode, rsp_n, rsp_mu, lambda i: i in (0, 2)
-            )
-            discards.extend(rejected)
-            tail_qid, tail_idx, rejected = self._draw_remote(
-                rng, rsp_mode, rsp_n, rsp_mu, lambda i, pj=p[j]: (i & 1) == pj
-            )
-            discards.extend(rejected)
-            pairs.append([head_qid, tail_qid])
-            xs.append(theta_bits(head_idx)[0])
-            zs.append(theta_bits(tail_idx)[1])
-        self._ask(
-            "CoupleInstr", {"pairs": pairs, "discard": discards}, "CoupleInstr"
-        )
-        x_ct, z_ct, e_ct, secrets = build_gadget_ciphertexts(
-            pk_next, p, tuple(xs), tuple(zs), rng
+        gadget, secrets = gen_gadget(
+            pk_next, sk_enc, k_bit, rng, self._round(rsp_mode), self._couple
         )
         self._ask(
             "GadgetClassical",
             {
-                "x_ct": [ct_to_hex(c) for c in x_ct],
-                "z_ct": [ct_to_hex(c) for c in z_ct],
-                "e_ct": [[ct_to_hex(c) for c in row] for row in e_ct],
-                "sk_enc": [ct_to_hex(c) for c in sk_enc],
-                "level": pk_next.level,
+                "x_ct": [ct_to_hex(c) for c in gadget.x_ct],
+                "z_ct": [ct_to_hex(c) for c in gadget.z_ct],
+                "e_ct": [[ct_to_hex(c) for c in row] for row in gadget.e_ct],
+                "sk_enc": [ct_to_hex(c) for c in gadget.sk_enc],
+                "level": gadget.level,
             },
             "GadgetClassical",
         )
@@ -846,8 +836,6 @@ class ClientSession:
         circuit: list[Gate],
         rng: np.random.Generator,
         rsp_mode: str = "ideal",
-        rsp_n: int = 4,
-        rsp_mu: int = 4,
     ) -> ClientKeys:
         """Run key generation with gadgets provisioned on the server.
 
@@ -857,12 +845,9 @@ class ClientSession:
         """
         self._slots = []
 
-        def factory(i, pk_next, sk_enc, k_bit):
+        def factory(pk_next, sk_enc, k_bit):
             self._slots.append((pk_next, sk_enc, k_bit))
-            secrets = self.provision_gadget(
-                pk_next, sk_enc, k_bit, rng, rsp_mode, rsp_n, rsp_mu
-            )
-            return None, secrets
+            return None, self.provision_gadget(pk_next, sk_enc, k_bit, rng, rsp_mode)
 
         client_keys, _ = keygen(
             security, num_wires, circuit, rng, gadget_factory=factory
@@ -870,19 +855,12 @@ class ClientSession:
         return client_keys
 
     def top_up(
-        self,
-        runs: int,
-        rng: np.random.Generator,
-        rsp_mode: str = "ideal",
-        rsp_n: int = 4,
-        rsp_mu: int = 4,
+        self, runs: int, rng: np.random.Generator, rsp_mode: str = "ideal"
     ) -> None:
         """Provision ``runs`` more gadget sets for the previous circuit."""
         for _ in range(runs):
             for pk_next, sk_enc, k_bit in self._slots:
-                self.provision_gadget(
-                    pk_next, sk_enc, k_bit, rng, rsp_mode, rsp_n, rsp_mu
-                )
+                self.provision_gadget(pk_next, sk_enc, k_bit, rng, rsp_mode)
 
     # -- delegated evaluation --
 
@@ -962,8 +940,6 @@ def client_qhe_run(
     basis: str = "Z",
     security: int = 16,
     rsp_mode: str = "ideal",
-    rsp_n: int = 4,
-    rsp_mu: int = 4,
 ) -> list[dict[int, int]]:
     """Full homomorphic delegation of one Clifford+T circuit, multi-shot.
 
@@ -974,10 +950,8 @@ def client_qhe_run(
     session.state.expect("rsp", "evaluating")
     if session.state.phase == "evaluating":
         session.reopen_rsp()
-    client_keys = session.remote_keygen(
-        security, state.num_qubits, circuit, rng, rsp_mode, rsp_n, rsp_mu
-    )
-    session.top_up(shots - 1, rng, rsp_mode, rsp_n, rsp_mu)
+    client_keys = session.remote_keygen(security, state.num_qubits, circuit, rng, rsp_mode)
+    session.top_up(shots - 1, rng, rsp_mode)
     session.close_rsp()
 
     cs, _ = encrypt(client_keys, state, rng)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import xor
 
 import numpy as np
 
@@ -36,19 +37,21 @@ from .pauli_frame import (
     KeyFrame,
     PauliKey,
     apply_pad,
-    apply_rule,
     remove_pad,
+    update_keys,
 )
 from .rsp_gadget import (
+    RSP_MU,
+    RSP_N,
     Gadget,
     GadgetSecrets,
-    RSPSampler,
+    claw_round,
     consume_gadget,
-    faithful_sampler,
     gadget_key_update,
     gen_gadget,
     gen_measurement,
-    ideal_sampler,
+    rsp_round_ideal,
+    sample_trapdoor,
 )
 from .simulator import Gate, StateVector, apply_gate
 
@@ -111,18 +114,12 @@ def _check_circuit(circuit: list[Gate], num_wires: int) -> None:
                 raise QHEError(f"wire {w} out of range for {num_wires} wires")
 
 
-def _symbol_xor(a: frozenset, b: frozenset) -> frozenset:
-    return a ^ b
-
-
 def keygen(
     security: int,
     num_wires: int,
     circuit: list[Gate],
     rng: np.random.Generator,
     rsp_mode: str = "ideal",
-    rsp_n: int = 4,
-    rsp_mu: int = 4,
     gadget_factory=None,
 ) -> tuple[ClientKeys, EvalKey]:
     """Generate the level chain and one twisted gadget per T / Tdagger.
@@ -131,7 +128,7 @@ def keygen(
     gadget's twist equals the keystream parity its routing ciphertext will
     have at run time, independent of pad values and runtime outcomes.
 
-    ``gadget_factory(index, pk_next, sk_enc, k_bit)`` may replace local gadget
+    ``gadget_factory(pk_next, sk_enc, k_bit)`` may replace local gadget
     generation; a remote factory (the wire protocol) provisions the gadget on
     the server and returns ``(None, secrets)``, in which case the returned
     EvalKey carries no gadget states.
@@ -146,52 +143,43 @@ def keygen(
     )
     if gadget_factory is None:
         if rsp_mode == "ideal":
-            sampler: RSPSampler = ideal_sampler()
+            round_ = rsp_round_ideal
         elif rsp_mode == "faithful":
-            sampler = faithful_sampler(rsp_n, rsp_mu, rng)
+            round_ = claw_round(sample_trapdoor(RSP_N, RSP_MU, rng))
         else:
             raise QHEError(f"unknown rsp mode {rsp_mode!r}")
 
-        def gadget_factory(i, pk_next, sk_enc, k_bit):
-            return gen_gadget(pk_next, sk_enc, k_bit, rng, sampler)
+        def gadget_factory(pk_next, sk_enc, k_bit):
+            return gen_gadget(pk_next, sk_enc, k_bit, rng, round_)
 
     stream_bits: dict = {}
-    symbols: list[list[frozenset]] = []
+    symbols: list[tuple[frozenset, frozenset]] = []
     for w in range(num_wires):
         for comp in ("a", "b"):
             stream_bits[("init", w, comp)] = int(rng.integers(2))
-        symbols.append([frozenset([("init", w, "a")]), frozenset([("init", w, "b")])])
+        symbols.append((frozenset([("init", w, "a")]), frozenset([("init", w, "b")])))
 
     gadgets: list[Gadget] = []
     secrets: list[GadgetSecrets] = []
     for g in circuit:
         if g.kind in CLIFFORD_KINDS:
-            if len(g.wires) == 1:
-                (w,) = g.wires
-                symbols[w] = list(apply_rule(g.kind, tuple(symbols[w]), _symbol_xor))
-            else:
-                w1, w2 = g.wires
-                r = apply_rule(
-                    g.kind, (symbols[w1][0], symbols[w1][1], symbols[w2][0], symbols[w2][1]),
-                    _symbol_xor,
-                )
-                symbols[w1], symbols[w2] = [r[0], r[1]], [r[2], r[3]]
+            update_keys(symbols, g, xor)
             continue
         i = len(gadgets)
         (w,) = g.wires
+        a, b = symbols[w]
         k_bit = 0
-        for token in symbols[w][0]:
+        for token in a:
             k_bit ^= stream_bits[token]
-        gadget, sec = gadget_factory(i, triples[i + 1].pk, sk_encs[i], k_bit)
+        gadget, sec = gadget_factory(triples[i + 1].pk, sk_encs[i], k_bit)
         gadgets.append(gadget)
         secrets.append(sec)
         stream_bits[("gx", i)] = sec.x_stream
         stream_bits[("gz", i)] = sec.z_stream
         stream_bits[("ge", i)] = sec.e_stream
         if g.kind == "Tdagger":
-            symbols[w][1] = symbols[w][1] ^ symbols[w][0]
-        symbols[w][0] = symbols[w][0] ^ frozenset([("gx", i)])
-        symbols[w][1] = symbols[w][1] ^ frozenset([("gz", i), ("ge", i)])
+            b = b ^ a
+        symbols[w] = (a ^ frozenset([("gx", i)]), b ^ frozenset([("gz", i), ("ge", i)]))
 
     client = ClientKeys(
         triples,
@@ -247,13 +235,7 @@ def eval_circuit(
     for g in circuit:
         register = apply_gate(register, g)
         if g.kind in CLIFFORD_KINDS:
-            if len(g.wires) == 1:
-                (w,) = g.wires
-                keys[w] = apply_rule(g.kind, keys[w], he_xor)  # type: ignore[assignment]
-            else:
-                w1, w2 = g.wires
-                r = apply_rule(g.kind, (*keys[w1], *keys[w2]), he_xor)
-                keys[w1], keys[w2] = (r[0], r[1]), (r[2], r[3])
+            update_keys(keys, g, he_xor)
             continue
         (w,) = g.wires
         gadget = ek.gadgets[level]

@@ -14,14 +14,20 @@ ciphertext that will route the measurement; the route j is then readable
 from the ciphertext's public masked parity, yet equals the secret key bit's
 pair exactly.
 
-Preparation angles come either from an ideal sampler or from a faithful
-claw-based remote-preparation protocol using a 2-to-1 GF(2) linear function
-with a trapdoor (the hidden kernel vector).
+One builder, ``gen_gadget``, holds the recipe: the twist, the head and tail
+acceptance tests, the bounded rejection loop and the correction
+ciphertexts. It is the same for a gadget built in this process and one built
+on a remote server; only two seams differ. ``round_(rng)`` runs one
+preparation round and returns ``(theta_index, handle)``: locally the handle
+is the prepared state, from the ideal sampler or a claw-based round under a
+2-to-1 GF(2) linear function with a trapdoor (the hidden kernel vector);
+remotely it is the server's qubit id. ``couple(heads, tails, rejected)``
+entangles the accepted pairs and drops the rejected rounds. The claw
+function has a fixed size, ``RSP_N`` inputs by ``RSP_MU`` outputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -51,6 +57,9 @@ GADGET_QUBITS = 2 * PAIR_COUNT
 # Gadget wire layout: pair j occupies wires (2j, 2j+1) = (head, tail).
 _HEAD = (0, 2)
 _TAIL = (1, 3)
+# Claw function size (inputs, outputs) and the rounds one draw may take.
+RSP_N = RSP_MU = 4
+MAX_DRAWS = 512
 
 
 class GadgetError(Exception):
@@ -157,21 +166,9 @@ def sample_trapdoor(n: int, mu: int, rng: np.random.Generator) -> TrapdoorFuncti
             return TrapdoorFunction(a % 2, t % 2)
 
 
-@dataclass(frozen=True)
-class RSPResult:
-    """One remotely prepared qubit: the server-side state and the angle index.
-
-    ``theta_index`` counts quarter turns; only the party holding the trapdoor
-    (or the ideal sampler) learns it.
-    """
-
-    theta_index: int
-    state: StateVector
-
-
-def rsp_round_ideal(rng: np.random.Generator) -> RSPResult:
+def rsp_round_ideal(rng: np.random.Generator) -> tuple[int, StateVector]:
     idx = int(rng.integers(4))
-    return RSPResult(idx, prepare_plus_theta(idx * np.pi / 2))
+    return idx, prepare_plus_theta(idx * np.pi / 2)
 
 
 def rsp_server_commit(
@@ -244,38 +241,30 @@ def rsp_theta_index(
     return s % 4
 
 
-def rsp_round_faithful(td: TrapdoorFunction, rng: np.random.Generator) -> RSPResult:
-    """Claw-based preparation of |+_theta> with trapdoor-recoverable theta.
+def claw_round(td: TrapdoorFunction):
+    """Local claw-based round under ``td``: returns (theta_index, state).
 
     Composes the server quantum steps with random basis bits and the
     trapdoor recovery; the wire protocol runs the same pieces across
     messages.
     """
-    y, state = rsp_server_commit(td.matrix, rng)
-    alphas = rng.integers(0, 2, td.n - 1)
-    b, qubit = rsp_server_measure(state, alphas, rng)
-    return RSPResult(rsp_theta_index(td, y, b, alphas), qubit)
+
+    def round_(rng: np.random.Generator) -> tuple[int, StateVector]:
+        y, state = rsp_server_commit(td.matrix, rng)
+        alphas = rng.integers(0, 2, td.n - 1)
+        b, qubit = rsp_server_measure(state, alphas, rng)
+        return rsp_theta_index(td, y, b, alphas), qubit
+
+    return round_
 
 
-RSPSampler = Callable[[np.random.Generator], RSPResult]
-
-
-def ideal_sampler() -> RSPSampler:
-    return rsp_round_ideal
-
-
-def faithful_sampler(n: int, mu: int, rng: np.random.Generator) -> RSPSampler:
-    td = sample_trapdoor(n, mu, rng)
-    return lambda r: rsp_round_faithful(td, r)
-
-
-def _draw_with_constraint(
-    sampler: RSPSampler, rng: np.random.Generator, accept: Callable[[int], bool]
-) -> RSPResult:
-    for _ in range(512):
-        res = sampler(rng)
-        if accept(res.theta_index):
-            return res
+def _draw(round_, rng: np.random.Generator, accept, rejected: list):
+    """Run rounds until ``accept(theta_index)``; rejected handles go to ``rejected``."""
+    for _ in range(MAX_DRAWS):
+        idx, handle = round_(rng)
+        if accept(idx):
+            return idx, handle
+        rejected.append(handle)
     raise GadgetError("rejection sampling for preparation angle did not converge")
 
 
@@ -286,12 +275,13 @@ def _draw_with_constraint(
 class Gadget:
     """Server-side gadget: the 4-qubit state plus its correction ciphertexts.
 
-    All ciphertexts live one key level above the wire keys they will update;
+    ``state`` is None in a client's copy of a gadget built on a server. All
+    ciphertexts live one key level above the wire keys they will update;
     ``sk_enc`` (the encrypted lower secret key) bridges the gap via key
     switching.
     """
 
-    state: StateVector
+    state: StateVector | None
     x_ct: tuple[HECiphertext, HECiphertext]
     z_ct: tuple[HECiphertext, HECiphertext]
     e_ct: tuple[tuple[HECiphertext, HECiphertext], tuple[HECiphertext, HECiphertext]]
@@ -326,24 +316,34 @@ def gen_gadget(
     sk_enc: tuple[HECiphertext, ...],
     k_bit: int,
     rng: np.random.Generator,
-    sampler: RSPSampler,
+    round_,
+    couple=None,
 ) -> tuple[Gadget, GadgetSecrets]:
     """Build one conditional-phase gadget twisted by keystream parity ``k_bit``.
 
     Pair position j gets phase bit p_j = j XOR k_bit, so the position selected
     at runtime by a ciphertext's public masked parity carries exactly the
-    encrypted bit's phase. Corrections that the server picks by public runtime
-    data (position and flip outcome) are encrypted with shared per-family
-    keystream bits, keeping downstream keystream parities choice-independent.
+    encrypted bit's phase. Each pair's head needs theta in {0, pi} (no phase
+    bit) and its tail a phase bit equal to the pair's twist; rounds are drawn
+    head 0, tail 0, head 1, tail 1. Corrections that the server picks by
+    public runtime data (position and flip outcome) are encrypted with shared
+    per-family keystream bits, keeping downstream keystream parities
+    choice-independent. ``couple`` defaults to ``assemble_gadget_state``,
+    which drops the rejected states.
     """
     p = twist_bits(k_bit)
-    heads, tails = [], []
+    heads, tails, rejected = [], [], []
     for j in range(PAIR_COUNT):
-        heads.append(draw_head(sampler, rng))
-        tails.append(draw_tail(sampler, rng, p[j]))
-    state = assemble_gadget_state([h.state for h in heads], [t.state for t in tails])
-    xs = tuple(theta_bits(h.theta_index)[0] for h in heads)
-    zs = tuple(theta_bits(t.theta_index)[1] for t in tails)
+        heads.append(_draw(round_, rng, lambda i: i in (0, 2), rejected))
+        tails.append(_draw(round_, rng, lambda i, pj=p[j]: (i & 1) == pj, rejected))
+    head_idx, head_handles = zip(*heads)
+    tail_idx, tail_handles = zip(*tails)
+    if couple is None:
+        state = assemble_gadget_state(head_handles, tail_handles)
+    else:
+        state = couple(head_handles, tail_handles, rejected)
+    xs = tuple(theta_bits(i)[0] for i in head_idx)
+    zs = tuple(theta_bits(i)[1] for i in tail_idx)
     x_ct, z_ct, e_ct, secrets = build_gadget_ciphertexts(pk_next, p, xs, zs, rng)
     gadget = Gadget(state, x_ct, z_ct, e_ct, tuple(sk_enc), pk_next.level)
     return gadget, secrets
@@ -355,19 +355,7 @@ def twist_bits(k_bit: int) -> tuple[int, int]:
     return (k_bit, 1 ^ k_bit)
 
 
-def draw_head(sampler: RSPSampler, rng: np.random.Generator) -> RSPResult:
-    """Pair head: needs theta in {0, pi} (no phase bit)."""
-    return _draw_with_constraint(sampler, rng, lambda i: i in (0, 2))
-
-
-def draw_tail(sampler: RSPSampler, rng: np.random.Generator, p_bit: int) -> RSPResult:
-    """Pair tail: its phase bit must equal the pair's twist."""
-    return _draw_with_constraint(sampler, rng, lambda i: (i & 1) == p_bit)
-
-
-def assemble_gadget_state(
-    heads: list[StateVector], tails: list[StateVector]
-) -> StateVector:
+def assemble_gadget_state(heads, tails) -> StateVector:
     """Couple each (head, tail) pair: CZ across the pair, then H on the head."""
     state = tensor(tensor(heads[0], tails[0]), tensor(heads[1], tails[1]))
     for j in range(PAIR_COUNT):

@@ -353,3 +353,13 @@ class TestDagWalker:
             "5275381e9a6eef05cacfe7a53054388bffccbd06ce8be33008a650c703164256"
         )
         assert he_dec(levels[2].sk, top) == 1
+
+    def test_deep_chain_hashes_and_compares_by_identity(self):
+        # Value equality would recurse through all 3000 NOT nodes.
+        ct = he_enc(CHAIN[0].pk, 1, np.random.default_rng(33))
+        for _ in range(3000):
+            ct = he_not(ct)
+        back = ct_from_bytes(ct_to_bytes(ct))
+        assert hash(ct) == hash(ct) and ct == ct
+        assert back != ct
+        assert he_dec(CHAIN[0].sk, back) == he_dec(CHAIN[0].sk, ct) == 1

@@ -1,4 +1,5 @@
 """Wire protocol: codec, phase machine, server/client sessions, transports."""
+import hashlib
 import threading
 
 import numpy as np
@@ -12,6 +13,7 @@ from qhevqa.protocol import (
     ClientSession,
     KINDS,
     MAX_FRAME,
+    MAX_SHOTS,
     Message,
     PHASES,
     ProtocolError,
@@ -266,6 +268,65 @@ class TestServerSession:
             assert not thread.is_alive()
 
 
+class TestHostilePayloads:
+    """Well-formed messages with hostile values: refused before any work."""
+
+    def open_session(self, seed=0):
+        channel, session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(seed, "x")
+        client.open_rsp(0)
+        return channel, session, thread, client
+
+    def test_claw_matrix_of_the_wrong_shape_is_refused(self):
+        channel, session, thread, _client = self.open_session()
+        matrix = [[1, 0, 1, 0, 1]] * 4  # 4x5; the claw size is 4x4
+        channel.send(Message("RspBasis", {"matrix": matrix}))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        assert not session.pending
+        thread.join(timeout=5)
+
+    @pytest.mark.parametrize("shots", [0, -1, MAX_SHOTS + 1, True, 2.0, "3", None])
+    def test_bad_shot_counts_are_refused(self, shots):
+        channel, _session, thread, client = self.open_session()
+        client.close_rsp()
+        client.send_input(StateVector(1), None)
+        channel.send(Message("RunRequest", {
+            "circuit": [], "measure": {"type": "bits", "wires": [0]},
+            "use_gadgets": False, "shots": shots,
+        }))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+
+    def test_largest_shot_count_runs(self):
+        channel, _session, thread, client = self.open_session()
+        client.close_rsp()
+        client.send_input(StateVector(1), None)
+        results, _ = client.request_run(
+            [], {"type": "bits", "wires": [0]}, use_gadgets=False, shots=MAX_SHOTS
+        )
+        assert len(results["bits"]) == MAX_SHOTS
+        client.done()
+        thread.join(timeout=5)
+
+    @pytest.mark.parametrize("pairs", [[[0, 1], [2, 99]], [[0, 1], [0, 2]]])
+    def test_bad_couple_leaves_prepared_qubits_alone(self, pairs):
+        # An unknown tail or a repeated qid is found before any qubit is taken.
+        channel, session, thread, _client = self.open_session()
+        for _ in range(3):
+            channel.send(Message("RspBasis", {"ideal": True}))
+            assert channel.recv().kind == "RspOutcome"
+        before = dict(session.qubits)
+        channel.send(Message("CoupleInstr", {"pairs": pairs, "discard": [1]}))
+        reply = channel.recv()
+        assert reply.kind == "Error"
+        thread.join(timeout=5)
+        assert list(session.qubits) == [0, 1, 2]
+        assert all(session.qubits[q] is before[q] for q in before)
+
+
 class TestDelegatedRuns:
     def test_plain_run_matches_local_simulation(self):
         channel, session, thread = serve_inproc()
@@ -352,6 +413,41 @@ class TestDelegatedRuns:
             (1, 1), (1, 1), (0, 1), (0, 0), (0, 0), (0, 1), (1, 0), (0, 0),
             (1, 1), (1, 0), (1, 1), (0, 1), (1, 1), (0, 0), (0, 1), (1, 0),
         ]
+
+    def test_golden_faithful_transcript(self):
+        # Every frame both ways and the outcomes of a small claw-based RSP
+        # session, pinned by a SHA-256 recorded before gadget provisioning
+        # moved into the shared builder.
+        channel, _session, thread = serve_inproc()
+        transcript = hashlib.sha256()
+        send, recv = channel.send_bytes, channel.recv_bytes
+
+        def send_bytes(data):
+            transcript.update(data)
+            send(data)
+
+        def recv_bytes():
+            data = recv()
+            transcript.update(data)
+            return data
+
+        channel.send_bytes, channel.recv_bytes = send_bytes, recv_bytes
+        client = ClientSession(channel)
+        client.hello(5, "x")
+        client.open_rsp(0)
+        circ = [
+            gate("H", 0), gate("T", 0), gate("CNOT", 0, 1), gate("Tdagger", 1), gate("H", 1),
+        ]
+        outcomes = client_qhe_run(
+            client, circ, StateVector(2), np.random.default_rng(5),
+            shots=3, measure_wires=(1, 0), rsp_mode="faithful",
+        )
+        client.done()
+        thread.join(timeout=5)
+        assert outcomes == [{1: 0, 0: 1}, {1: 0, 0: 1}, {1: 1, 0: 0}]
+        assert transcript.hexdigest() == (
+            "362c159293fb6022989b266d741dbce6d0fb8e38cbbd54206ee960ccb682dda6"
+        )
 
     def test_budget_enforced(self):
         channel, _session, thread = serve_inproc()

@@ -13,19 +13,17 @@ from qhevqa.classical_he import (
 )
 from qhevqa.pauli_frame import verify_conjugation
 from qhevqa.rsp_gadget import (
+    MAX_DRAWS,
+    RSP_MU,
+    RSP_N,
     GadgetError,
-    RSPResult,
-    _draw_with_constraint,
+    assemble_gadget_state,
+    claw_round,
     consume_gadget,
-    draw_head,
-    draw_tail,
-    faithful_sampler,
     gadget_key_update,
     gen_gadget,
     gen_measurement,
-    ideal_sampler,
     pair_byproduct,
-    rsp_round_faithful,
     rsp_round_ideal,
     rsp_server_commit,
     rsp_server_measure,
@@ -48,6 +46,23 @@ from qhevqa.simulator import (
 def rand_state(n, rng):
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return StateVector(n, v / np.linalg.norm(v))
+
+
+def recording(round_):
+    """Wrap a round so every (theta_index, handle) it yields is logged."""
+    log = []
+
+    def wrapped(rng):
+        log.append(round_(rng))
+        return log[-1]
+
+    return wrapped, log
+
+
+def build(round_, k_bit, rng, couple=None):
+    l0 = he_keygen(16, rng, level=0)
+    l1 = he_keygen(16, rng, level=1)
+    return gen_gadget(l1.pk, encrypt_seed(l1.pk, l0.sk, rng), k_bit, rng, round_, couple)
 
 
 class TestThetaBits:
@@ -155,19 +170,19 @@ class TestRemotePreparation:
     def test_ideal_round_state_matches_index(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            res = rsp_round_ideal(rng)
-            want = prepare_plus_theta(res.theta_index * np.pi / 2)
-            assert fidelity(res.state, want) == pytest.approx(1.0, abs=1e-12)
+            idx, state = rsp_round_ideal(rng)
+            want = prepare_plus_theta(idx * np.pi / 2)
+            assert fidelity(state, want) == pytest.approx(1.0, abs=1e-12)
 
     def test_faithful_round_state_matches_recovered_index(self):
         rng = np.random.default_rng(6)
-        td = sample_trapdoor(4, 4, rng)
+        round_ = claw_round(sample_trapdoor(RSP_N, RSP_MU, rng))
         seen = set()
         for _ in range(40):
-            res = rsp_round_faithful(td, rng)
-            seen.add(res.theta_index)
-            want = prepare_plus_theta(res.theta_index * np.pi / 2)
-            assert fidelity(res.state, want) == pytest.approx(1.0, abs=1e-12)
+            idx, state = round_(rng)
+            seen.add(idx)
+            want = prepare_plus_theta(idx * np.pi / 2)
+            assert fidelity(state, want) == pytest.approx(1.0, abs=1e-12)
         assert seen == {0, 1, 2, 3}
 
     def test_commit_produces_claw_superposition(self):
@@ -207,29 +222,75 @@ class TestSamplers:
             twist_bits(2)
 
     def test_draw_constraints(self):
+        # Heads need theta in {0, pi}; tail j needs the phase bit p_j of the
+        # twist. Handles here are draw numbers, so the accepted ones map back
+        # to their angles.
         rng = np.random.default_rng(10)
-        sampler = ideal_sampler()
-        for _ in range(10):
-            assert draw_head(sampler, rng).theta_index in (0, 2)
-            assert draw_tail(sampler, rng, 0).theta_index in (0, 2)
-            assert draw_tail(sampler, rng, 1).theta_index in (1, 3)
+        for k in (0, 1):
+            p = twist_bits(k)
+            for _ in range(10):
+                angles = []
+
+                def round_(r):
+                    angles.append(int(r.integers(4)))
+                    return angles[-1], len(angles) - 1
+
+                seen = []
+                build(round_, k, rng, lambda h, t, rej: seen.append((h, t)))
+                ((heads, tails),) = seen
+                assert all(angles[h] in (0, 2) for h in heads)
+                assert [angles[t] & 1 for t in tails] == list(p)
 
     def test_faithful_sampler_draws_valid_states(self):
+        # Claw rounds through the builder: every accepted state matches its
+        # recovered angle and meets its acceptance test.
         rng = np.random.default_rng(11)
-        sampler = faithful_sampler(4, 4, rng)
-        res = draw_tail(sampler, rng, 1)
-        assert fidelity(
-            res.state, prepare_plus_theta(res.theta_index * np.pi / 2)
-        ) == pytest.approx(1.0, abs=1e-12)
+        round_, log = recording(claw_round(sample_trapdoor(RSP_N, RSP_MU, rng)))
+        seen = []
+        build(round_, 1, rng, lambda h, t, rej: seen.append((h, t)))
+        angle = {id(state): idx for idx, state in log}
+        ((heads, tails),) = seen
+        for state in heads + tails:
+            want = prepare_plus_theta(angle[id(state)] * np.pi / 2)
+            assert fidelity(state, want) == pytest.approx(1.0, abs=1e-12)
+        assert all(angle[id(h)] in (0, 2) for h in heads)
+        assert [angle[id(t)] & 1 for t in tails] == list(twist_bits(1))
 
     def test_rejection_sampling_gives_up(self):
         rng = np.random.default_rng(12)
+        calls = []
 
         def stuck(_rng):
-            return RSPResult(0, prepare_plus_theta(0.0))
+            calls.append(1)
+            return 1, prepare_plus_theta(np.pi / 2)  # never a valid head
 
         with pytest.raises(GadgetError):
-            _draw_with_constraint(stuck, rng, lambda i: i == 1)
+            build(stuck, 0, rng)
+        assert len(calls) == MAX_DRAWS
+
+    def test_couple_receives_rejected_in_draw_order(self):
+        rng = np.random.default_rng(16)
+        round_, log = recording(rsp_round_ideal)
+        seen = []
+        gadget, _ = build(round_, 0, rng, lambda h, t, rej: seen.append((h, t, rej)) or "s")
+        ((heads, tails, rejected),) = seen
+        accepted = {id(s) for s in heads + tails}
+        assert [id(s) for s in rejected] == [
+            id(state) for _, state in log if id(state) not in accepted
+        ]
+        assert rejected and len(rejected) == len(log) - 4
+        assert gadget.state == "s"
+
+    def test_default_couple_assembles_accepted_states(self):
+        # Same seed twice: once capturing the accepted states, once with the
+        # local default coupling.
+        seen = []
+        build(rsp_round_ideal, 1, np.random.default_rng(17),
+              lambda h, t, rej: seen.append((h, t)))
+        gadget, _ = build(rsp_round_ideal, 1, np.random.default_rng(17))
+        ((heads, tails),) = seen
+        want = assemble_gadget_state(heads, tails)
+        assert np.array_equal(gadget.state.amplitudes, want.amplitudes)
 
 
 class TestRouting:
@@ -258,7 +319,7 @@ class TestEndToEnd:
         l1 = he_keygen(16, rng, level=1)
         sk_enc = encrypt_seed(l1.pk, l0.sk, rng)
         for a, b, k in product((0, 1), repeat=3):
-            gadget, _sec = gen_gadget(l1.pk, sk_enc, k, rng, ideal_sampler())
+            gadget, _sec = gen_gadget(l1.pk, sk_enc, k, rng, rsp_round_ideal)
             a_ct = he_enc(l0.pk, a, rng, keystream_bit=k)
             b_ct = he_enc(l0.pk, b, rng)
             psi = rand_state(1, rng)
