@@ -427,9 +427,10 @@ def _check_pad_mixing():
 
 def _check_he_roundtrip():
     from .classical_he import he_dec, he_enc, he_keygen, he_not, he_and, he_xor
+    from .qhe import SECURITY
 
     rng = np.random.default_rng(1)
-    triple = he_keygen(16, rng)
+    triple = he_keygen(SECURITY, rng)
     for _ in range(200):
         bits = [int(rng.integers(2)) for _ in range(3)]
         cts = [he_enc(triple.pk, b, rng) for b in bits]
@@ -441,7 +442,7 @@ def _check_he_roundtrip():
 
 
 def _check_qhe_roundtrip():
-    from .qhe import encrypt, eval_circuit, decrypt_state, keygen
+    from .qhe import SECURITY, encrypt, eval_circuit, decrypt_state, keygen
     from .simulator import apply_circuit, fidelity
 
     rng = np.random.default_rng(2)
@@ -456,7 +457,7 @@ def _check_qhe_roundtrip():
             circuit.append(gate(kind, *(int(w) for w in wires)))
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         st = StateVector(n, v / np.linalg.norm(v))
-        ck, ek = keygen(16, n, circuit, rng)
+        ck, ek = keygen(SECURITY, n, circuit, rng)
         cs, _ = encrypt(ck, st, rng)
         cs = eval_circuit(cs, circuit, ek, rng)
         worst = min(worst, fidelity(decrypt_state(ck, cs), apply_circuit(st, circuit)))

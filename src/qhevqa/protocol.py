@@ -1,16 +1,20 @@
-"""Two-party delegation protocol: framed messages, transports, role machines.
+"""Two-party delegation protocol: framed messages, transports, sessions.
 
 The client (data owner) and server (compute owner) exchange length-prefixed
-frames carrying JSON payloads. A session walks a fixed phase order
+frames carrying JSON payloads. The server owns the one phase machine
 
-    handshake -> keygen -> rsp -> evaluating <-> training -> done
+    handshake -> open -> done
 
-with one extra legal edge, evaluating -> rsp, used to top up the server's
-gadget queue mid-session. The server performs all quantum actions (remote
-state preparation rounds, pair coupling, homomorphic evaluation, measurement)
-and only ever sees public structure, ciphertext strings, padded amplitudes,
-and model parameters; the client keeps the trapdoors, the key chain, and the
-data.
+(Hello opens a session, Done ends it). Every other message needs an open
+session, and each handler checks its own data: prepared and pending qids, a
+coupled pair before gadget ciphertexts, an input register and encrypted keys
+before a run, the gadget budget. The client session holds only its channel;
+a misordered call raises ``ProtocolError`` from the server's Error reply.
+
+The server performs all quantum actions (remote state preparation rounds,
+pair coupling, homomorphic evaluation, measurement) and only ever sees public
+structure, ciphertext strings, padded amplitudes, and model parameters; the
+client keeps the trapdoors, the key chain, and the data.
 
 Two transports share the frame codec byte for byte: an in-process queue pair
 and localhost TCP (default port 7913; ``QHEVQA_HOST`` / ``QHEVQA_PORT``
@@ -36,6 +40,7 @@ import numpy as np
 
 from .classical_he import HECiphertext, ct_from_bytes, ct_to_bytes
 from .qhe import (
+    SECURITY,
     CipherState,
     ClientKeys,
     EvalKey,
@@ -60,6 +65,7 @@ from .rsp_gadget import (
 )
 from .simulator import (
     GATE_KINDS,
+    MAX_QUBITS,
     Gate,
     PauliString,
     StateVector,
@@ -269,32 +275,21 @@ def connect_tcp(host: str | None = None, port: int | None = None) -> TcpChannel:
 
 # --- session phase machine --------------------------------------------------
 
-PHASES = ("handshake", "keygen", "rsp", "evaluating", "training", "done")
+PHASES = ("handshake", "open", "done")
 TRANSITIONS = frozenset(
     {
-        ("handshake", "keygen"),
-        ("keygen", "rsp"),
-        ("rsp", "evaluating"),
-        ("evaluating", "training"),
-        ("training", "evaluating"),
-        ("evaluating", "rsp"),  # gadget top-up mid-session
-        ("evaluating", "done"),
-        ("training", "done"),
+        ("handshake", "open"),
+        ("open", "done"),
         ("handshake", "done"),  # client may hang up before delegating anything
-        ("keygen", "done"),
-        ("rsp", "done"),
     }
 )
 
 
 @dataclass
 class SessionState:
-    role: str  # "client" or "server"
     phase: str = "handshake"
 
     def __post_init__(self):
-        if self.role not in ("client", "server"):
-            raise ProtocolError("role", f"unknown role {self.role!r}")
         if self.phase not in PHASES:
             raise ProtocolError("phase", f"unknown phase {self.phase!r}")
 
@@ -397,9 +392,8 @@ class ServerSession:
 
     def __init__(self, channel: Channel):
         self.channel = channel
-        self.state = SessionState("server")
+        self.state = SessionState()
         self.rng: np.random.Generator | None = None
-        self.mode = ""
         self.audit: list[tuple[str, dict]] = []
         self.qubits: dict[int, StateVector] = {}  # prepared RSP outputs
         self.pending: dict[int, StateVector] = {}  # committed, not yet measured
@@ -449,6 +443,8 @@ class ServerSession:
         handler = getattr(self, f"_on_{msg.kind.lower()}", None)
         if handler is None:
             raise ProtocolError("kind", f"server cannot handle {msg.kind}")
+        if msg.kind not in ("Hello", "Done", "Error"):
+            self.state.expect("open")
         handler(msg.payload)
 
     # -- handlers --
@@ -461,20 +457,16 @@ class ServerSession:
         if not isinstance(seed, int) or seed < 0:
             raise ProtocolError("payload", "session_seed must be a non-negative int")
         self.rng = np.random.default_rng(seed)
-        self.mode = str(p.get("mode", ""))
         self._reply("Announce", ANNOUNCE)
-        self.state.advance("keygen")
+        self.state.advance("open")
 
     def _on_gadgetclassical(self, p: dict) -> None:
-        if "declare" in p:
-            self.state.expect("keygen")
+        if "declare" in p:  # an acknowledged count; the server does not keep it
             declared = p["declare"]
             if not isinstance(declared, int) or declared < 0:
                 raise ProtocolError("payload", "declared gadget count must be >= 0")
             self._reply("GadgetClassical", {"ok": True})
-            self.state.advance("rsp")
             return
-        self.state.expect("rsp")
         if self._partial_state is None:
             raise ProtocolError("order", "gadget ciphertexts before pair coupling")
         try:
@@ -494,9 +486,6 @@ class ServerSession:
         self._reply("GadgetClassical", {"ok": True, "budget": len(self.gadgets)})
 
     def _on_rspbasis(self, p: dict) -> None:
-        if self.state.phase == "evaluating":
-            self.state.advance("rsp")  # top-up
-        self.state.expect("rsp")
         assert self.rng is not None
         if p.get("ideal"):
             # Modeled shortcut: the server draws the angle itself, so this
@@ -521,8 +510,15 @@ class ServerSession:
             qid = p.get("qid")
             if qid not in self.pending:
                 raise ProtocolError("order", f"no committed round with qid {qid!r}")
+            alphas = p["alphas"]
+            if (
+                not isinstance(alphas, list)
+                or len(alphas) != RSP_N - 1
+                or any(type(a) is not int or a not in (0, 1) for a in alphas)
+            ):
+                raise ProtocolError("payload", f"alphas must be {RSP_N - 1} bits")
             state = self.pending.pop(qid)
-            alphas = np.asarray(p["alphas"], dtype=np.int64)
+            alphas = np.asarray(alphas, dtype=np.int64)
             b, qubit = rsp_server_measure(state, alphas, self.rng)
             self.qubits[qid] = qubit
             self._reply("RspOutcome", {"qid": qid, "b": [int(x) for x in b]})
@@ -530,18 +526,16 @@ class ServerSession:
         raise ProtocolError("payload", "RspBasis needs 'matrix', 'alphas' or 'ideal'")
 
     def _on_coupleinstr(self, p: dict) -> None:
-        """Couple two (head, tail) pairs, or close the rsp phase; drop discards.
+        """Couple two (head, tail) pairs, or acknowledge a close; drop discards.
 
         Every qid is checked before any prepared qubit is removed.
         """
-        self.state.expect("rsp")
         discard = p.get("discard", [])
         if not isinstance(discard, list) or not all(isinstance(q, int) for q in discard):
             raise ProtocolError("payload", "discard must be a list of qids")
         if p.get("close"):
             self._drop(discard)
             self._reply("CoupleInstr", {"ok": True})
-            self.state.advance("evaluating")
             return
         pairs = p.get("pairs")
         if (
@@ -565,12 +559,12 @@ class ServerSession:
             self.qubits.pop(qid, None)
 
     def _on_encinput(self, p: dict) -> None:
-        self.state.expect("evaluating")
-        try:
-            num_wires = int(p["num_wires"])
-            amps = p["amps"]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError("payload", f"malformed input: {exc}") from exc
+        # The wire count is bounded before amps_from_json evaluates 2**num_wires.
+        num_wires, amps = p.get("num_wires"), p.get("amps")
+        if type(num_wires) is not int or not 1 <= num_wires <= MAX_QUBITS:
+            raise ProtocolError("payload", f"num_wires must be an int in 1..{MAX_QUBITS}")
+        if not isinstance(amps, list):
+            raise ProtocolError("payload", "amps must be a list of (re, im) pairs")
         self.register = amps_from_json(amps, num_wires)
         keys = p.get("enc_keys")
         if keys is None:
@@ -584,7 +578,6 @@ class ServerSession:
         self._reply("EncInput", {"ok": True})
 
     def _on_runrequest(self, p: dict) -> None:
-        self.state.expect("evaluating")
         assert self.rng is not None
         if self.register is None:
             raise ProtocolError("order", "RunRequest before EncInput")
@@ -648,11 +641,8 @@ class ServerSession:
         bits.append(row)
 
     def _on_paramupdate(self, p: dict) -> None:
-        self.state.expect("evaluating")
-        self.state.advance("training")
         self.params = dict(p)
         self._reply("ParamUpdate", {"ok": True})
-        self.state.advance("evaluating")
 
     def _on_done(self, p: dict) -> None:
         self.state.advance("done")
@@ -719,13 +709,13 @@ class TcpServer:
 
 
 class ClientSession:
-    """Client-side driver: handshake, gadget provisioning, delegated runs."""
+    """Client-side driver: handshake, gadget provisioning, delegated runs.
+
+    It keeps no phase: the server decides what is in order.
+    """
 
     def __init__(self, channel: Channel):
         self.channel = channel
-        self.state = SessionState("client")
-        self.announce: dict | None = None
-        self._slots: list[tuple] = []  # (pk_next, sk_enc, k_bit) per gadget slot
 
     # -- plumbing --
 
@@ -743,32 +733,20 @@ class ClientSession:
             raise ProtocolError("kind", f"expected {expected}, got {reply.kind}")
         return reply
 
-    # -- phases --
+    # -- acknowledged steps --
 
     def hello(self, session_seed: int, mode: str) -> dict:
-        self.state.expect("handshake")
-        reply = self._ask(
+        return self._ask(
             "Hello",
             {"version": VERSION, "session_seed": int(session_seed), "mode": mode},
             "Announce",
-        )
-        self.announce = reply.payload
-        self.state.advance("keygen")
-        return reply.payload
+        ).payload
 
     def open_rsp(self, declared: int = 0) -> None:
-        self.state.expect("keygen")
         self._ask("GadgetClassical", {"declare": int(declared)}, "GadgetClassical")
-        self.state.advance("rsp")
 
     def close_rsp(self) -> None:
-        self.state.expect("rsp")
         self._ask("CoupleInstr", {"close": True}, "CoupleInstr")
-        self.state.advance("evaluating")
-
-    def reopen_rsp(self) -> None:
-        self.state.expect("evaluating")
-        self.state.advance("rsp")
 
     # -- remote state preparation --
 
@@ -812,7 +790,6 @@ class ClientSession:
         rsp_mode: str = "ideal",
     ) -> GadgetSecrets:
         """Build one gadget on the server: RSP rounds, coupling, ciphertexts."""
-        self.state.expect("rsp")
         gadget, secrets = gen_gadget(
             pk_next, sk_enc, k_bit, rng, self._round(rsp_mode), self._couple
         )
@@ -831,36 +808,29 @@ class ClientSession:
 
     def remote_keygen(
         self,
-        security: int,
         num_wires: int,
         circuit: list[Gate],
         rng: np.random.Generator,
         rsp_mode: str = "ideal",
+        runs: int = 1,
     ) -> ClientKeys:
         """Run key generation with gadgets provisioned on the server.
 
-        Must be called in the rsp phase (after ``open_rsp``). Records each
-        slot's key material so ``top_up`` can replay provisioning for
-        additional runs of the same circuit.
+        Provisions one gadget set per run of ``circuit``: the first while
+        ``keygen`` plans the key flow, the others by replaying each slot's
+        key material once ``keygen`` has returned.
         """
-        self._slots = []
+        slots = []  # (pk_next, sk_enc, k_bit) per gadget slot
 
         def factory(pk_next, sk_enc, k_bit):
-            self._slots.append((pk_next, sk_enc, k_bit))
+            slots.append((pk_next, sk_enc, k_bit))
             return None, self.provision_gadget(pk_next, sk_enc, k_bit, rng, rsp_mode)
 
-        client_keys, _ = keygen(
-            security, num_wires, circuit, rng, gadget_factory=factory
-        )
-        return client_keys
-
-    def top_up(
-        self, runs: int, rng: np.random.Generator, rsp_mode: str = "ideal"
-    ) -> None:
-        """Provision ``runs`` more gadget sets for the previous circuit."""
-        for _ in range(runs):
-            for pk_next, sk_enc, k_bit in self._slots:
+        client_keys, _ = keygen(SECURITY, num_wires, circuit, rng, gadget_factory=factory)
+        for _ in range(runs - 1):
+            for pk_next, sk_enc, k_bit in slots:
                 self.provision_gadget(pk_next, sk_enc, k_bit, rng, rsp_mode)
+        return client_keys
 
     # -- delegated evaluation --
 
@@ -869,7 +839,6 @@ class ClientSession:
         register: StateVector,
         enc_keys: tuple[tuple[HECiphertext, HECiphertext], ...] | None,
     ) -> None:
-        self.state.expect("evaluating")
         payload = {
             "num_wires": register.num_qubits,
             "amps": amps_to_json(register),
@@ -887,7 +856,6 @@ class ClientSession:
         use_gadgets: bool,
         shots: int = 1,
     ) -> tuple[dict, dict]:
-        self.state.expect("evaluating")
         self.channel.send(
             Message(
                 "RunRequest",
@@ -904,8 +872,6 @@ class ClientSession:
         return results, keys
 
     def param_update(self, theta, w, bias: float, epoch: int) -> None:
-        self.state.expect("evaluating")
-        self.state.advance("training")
         self._ask(
             "ParamUpdate",
             {
@@ -916,14 +882,12 @@ class ClientSession:
             },
             "ParamUpdate",
         )
-        self.state.advance("evaluating")
 
     def done(self) -> None:
         try:
             self._ask("Done", {}, "Done")
         except (ChannelClosed, ProtocolError):
             pass
-        self.state.phase = "done"
         self.channel.close()
 
 
@@ -938,7 +902,6 @@ def client_qhe_run(
     shots: int = 1,
     measure_wires: tuple[int, ...] = (0,),
     basis: str = "Z",
-    security: int = 16,
     rsp_mode: str = "ideal",
 ) -> list[dict[int, int]]:
     """Full homomorphic delegation of one Clifford+T circuit, multi-shot.
@@ -947,11 +910,7 @@ def client_qhe_run(
     shot's raw bits with that run's updated keys. Returns per-shot corrected
     outcome dictionaries keyed by wire.
     """
-    session.state.expect("rsp", "evaluating")
-    if session.state.phase == "evaluating":
-        session.reopen_rsp()
-    client_keys = session.remote_keygen(security, state.num_qubits, circuit, rng, rsp_mode)
-    session.top_up(shots - 1, rng, rsp_mode)
+    client_keys = session.remote_keygen(state.num_qubits, circuit, rng, rsp_mode, shots)
     session.close_rsp()
 
     cs, _ = encrypt(client_keys, state, rng)
@@ -1000,7 +959,6 @@ def make_exact_evaluator(session: ClientSession):
 def make_faithful_evaluator(
     session: ClientSession,
     eps_target: float = 1e-2,
-    security: int = 16,
     rsp_mode: str = "ideal",
 ):
     """Delegated-faithful window evaluator whose server step runs over the session.
@@ -1012,8 +970,7 @@ def make_faithful_evaluator(
     """
 
     def provision(num_wires, circuit, rng):
-        session.reopen_rsp()
-        client_keys = session.remote_keygen(security, num_wires, circuit, rng, rsp_mode)
+        client_keys = session.remote_keygen(num_wires, circuit, rng, rsp_mode)
         session.close_rsp()
         return client_keys, None
 

@@ -57,6 +57,7 @@ from .simulator import Gate, StateVector, apply_gate
 
 NON_CLIFFORD = ("T", "Tdagger")
 EVAL_KINDS = CLIFFORD_KINDS + NON_CLIFFORD
+SECURITY = 16  # the classical HE security parameter every caller uses
 
 
 class QHEError(Exception):

@@ -21,7 +21,7 @@ from math import pi
 import numpy as np
 
 from .pauli_frame import KeyFrame, apply_pad, update_clifford
-from .qhe import decrypt_flips, encrypt, eval_circuit, keygen
+from .qhe import SECURITY, decrypt_flips, encrypt, eval_circuit, keygen
 from .simulator import (
     Gate,
     PauliString,
@@ -269,7 +269,7 @@ def faithful_evaluator(provision, server_run, eps_target: float):
 
 
 def _provision_local(num_wires, circuit, rng):
-    return keygen(16, num_wires, circuit, rng)
+    return keygen(SECURITY, num_wires, circuit, rng)
 
 
 def _run_homomorphic_local(cs, circuit, wires, ek, rng):

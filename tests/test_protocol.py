@@ -46,6 +46,7 @@ from qhevqa.vqa import (
     TrainConfig,
     build_shadow_circuit,
     load_digits_csv,
+    shadow_features,
     train,
     window_evaluator,
     write_metrics_csv,
@@ -146,22 +147,31 @@ class TestPhaseMachine:
         for src, dst in TRANSITIONS:
             assert src in PHASES and dst in PHASES
 
+    def test_three_phase_table(self):
+        assert PHASES == ("handshake", "open", "done")
+        assert TRANSITIONS == {
+            ("handshake", "open"), ("open", "done"), ("handshake", "done")
+        }
+
     def test_advance_rejects_illegal(self):
-        state = SessionState("client")
+        state = SessionState()
+        state.advance("open")
         with pytest.raises(ProtocolError, match="phase"):
-            state.advance("training")
-        state.advance("keygen")
-        assert state.phase == "keygen"
+            state.advance("handshake")
+        with pytest.raises(ProtocolError, match="phase"):
+            state.advance("open")
+        state.advance("done")
+        assert state.phase == "done"
 
     def test_expect(self):
-        state = SessionState("server")
+        state = SessionState()
         state.expect("handshake")
-        with pytest.raises(ProtocolError):
-            state.expect("evaluating")
+        with pytest.raises(ProtocolError, match="phase"):
+            state.expect("open")
 
-    def test_role_validation(self):
-        with pytest.raises(ProtocolError):
-            SessionState("nope")
+    def test_unknown_phase_refused(self):
+        with pytest.raises(ProtocolError, match="phase"):
+            SessionState("evaluating")
 
 
 class TestConversions:
@@ -239,6 +249,15 @@ class TestServerSession:
         thread.join(timeout=5)
         assert session.closed
 
+    def test_second_hello_is_a_phase_error(self):
+        channel, session, thread = serve_inproc()
+        ClientSession(channel).hello(0, "x")
+        channel.send(Message("Hello", {"version": VERSION, "session_seed": 1}))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "phase"
+        thread.join(timeout=5)
+        assert session.closed
+
     def test_internal_errors_are_reported_not_raised(self):
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
@@ -286,6 +305,33 @@ class TestHostilePayloads:
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         assert not session.pending
         thread.join(timeout=5)
+
+    @pytest.mark.parametrize("alphas", [[0, 1, 0, 1, 0], [0, 2, 1]])
+    def test_bad_alphas_leave_the_round_pending(self, alphas):
+        # A wrong length or a non-bit entry is refused before the round is taken.
+        channel, session, thread, _client = self.open_session()
+        matrix = [[1, 0, 1, 0]] * 4
+        channel.send(Message("RspBasis", {"matrix": matrix}))
+        qid = channel.recv().payload["qid"]
+        channel.send(Message("RspBasis", {"qid": qid, "alphas": alphas}))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert list(session.pending) == [qid]
+
+    @pytest.mark.parametrize("num_wires, amps", [(True, 2), ("3", 8)])
+    def test_bad_wire_counts_are_refused(self, num_wires, amps):
+        # Checked as an int in 1..MAX_QUBITS before 2**num_wires is evaluated.
+        channel, session, thread, client = self.open_session()
+        client.close_rsp()
+        channel.send(Message("EncInput", {
+            "num_wires": num_wires, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * (amps - 1),
+            "enc_keys": None, "level": 0,
+        }))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session.register is None
 
     @pytest.mark.parametrize("shots", [0, -1, MAX_SHOTS + 1, True, 2.0, "3", None])
     def test_bad_shot_counts_are_refused(self, shots):
@@ -456,11 +502,11 @@ class TestDelegatedRuns:
         client.open_rsp(0)
         rng = np.random.default_rng(9)
         circ = [gate("T", 0)]
-        client.remote_keygen(16, 1, circ, rng)  # one gadget provisioned
+        client.remote_keygen(1, circ, rng)  # one gadget provisioned
         client.close_rsp()
-        from qhevqa.qhe import encrypt, keygen
+        from qhevqa.qhe import SECURITY, encrypt, keygen
 
-        client_keys, _ = keygen(16, 1, circ, rng)
+        client_keys, _ = keygen(SECURITY, 1, circ, rng)
         cs, _ = encrypt(client_keys, StateVector(1), rng)
         client.send_input(cs.register, cs.encrypted_keys)
         with pytest.raises(ProtocolError, match="budget"):
@@ -514,6 +560,37 @@ class TestDelegatedRuns:
         assert got == pytest.approx(want, abs=0.15)
         client.done()
         thread.join(timeout=5)
+
+    def test_faithful_features_without_t_gates_match_plaintext(self):
+        # At theta = 0 each window is [CNOT, CNOT], so a window provisions no
+        # gadget before its close acknowledgement.
+        channel, _session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(15, "delegated-faithful")
+        client.open_rsp(0)
+        client.close_rsp()
+        evaluator = make_faithful_evaluator(client, eps_target=0.1)
+        model = ShadowModel(np.zeros((2, 4)), np.zeros(2), 0.0, 3)
+        psi = rand_state(3, np.random.default_rng(15))
+        got = shadow_features(
+            psi, model, "delegated-faithful", np.random.default_rng(16), 0.1, evaluator
+        )
+        client.done()
+        thread.join(timeout=5)
+        want = shadow_features(psi, model)
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_qhe_runs_without_t_gates_follow_runs_with_them(self):
+        channel, _session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(16, "x")
+        client.open_rsp(0)
+        rng = np.random.default_rng(16)
+        client_qhe_run(client, [gate("H", 0), gate("T", 0)], StateVector(1), rng)
+        second = client_qhe_run(client, [gate("X", 0)], StateVector(1), rng)
+        client.done()
+        thread.join(timeout=5)
+        assert second == [{0: 1}]
 
     def test_local_and_remote_exact_training_give_identical_csvs(self, tmp_path):
         full = load_digits_csv()
