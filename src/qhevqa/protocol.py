@@ -559,22 +559,23 @@ class ServerSession:
             self.qubits.pop(qid, None)
 
     def _on_encinput(self, p: dict) -> None:
-        # The wire count is bounded before amps_from_json evaluates 2**num_wires.
-        num_wires, amps = p.get("num_wires"), p.get("amps")
+        # Everything is checked and decoded before the session changes; the
+        # wire count is bounded before amps_from_json evaluates 2**num_wires.
+        num_wires, amps, keys = p.get("num_wires"), p.get("amps"), p.get("enc_keys")
         if type(num_wires) is not int or not 1 <= num_wires <= MAX_QUBITS:
             raise ProtocolError("payload", f"num_wires must be an int in 1..{MAX_QUBITS}")
         if not isinstance(amps, list):
             raise ProtocolError("payload", "amps must be a list of (re, im) pairs")
-        self.register = amps_from_json(amps, num_wires)
-        keys = p.get("enc_keys")
-        if keys is None:
-            self.enc_keys = None
-        else:
-            if len(keys) != num_wires:
-                raise ProtocolError("payload", "one key pair per wire required")
-            self.enc_keys = [
-                (ct_from_hex(a), ct_from_hex(b)) for a, b in keys
-            ]
+        if keys is not None and (
+            not isinstance(keys, list)
+            or len(keys) != num_wires
+            or any(not isinstance(pair, list) or len(pair) != 2 for pair in keys)
+        ):
+            raise ProtocolError("payload", "enc_keys needs one (a, b) pair per wire")
+        register = amps_from_json(amps, num_wires)
+        # ct_from_hex refuses, as a payload error, anything but a hex ciphertext.
+        enc_keys = None if keys is None else [(ct_from_hex(a), ct_from_hex(b)) for a, b in keys]
+        self.register, self.enc_keys = register, enc_keys
         self._reply("EncInput", {"ok": True})
 
     def _on_runrequest(self, p: dict) -> None:
@@ -588,7 +589,11 @@ class ServerSession:
         spec = p.get("measure")
         if not isinstance(spec, dict) or spec.get("type") not in ("xx", "bits"):
             raise ProtocolError("payload", "measure must be 'xx' or 'bits'")
-        wires = [int(w) for w in spec.get("wires", ())]
+        wires, n = spec.get("wires", []), self.register.num_qubits
+        if not isinstance(wires, list) or any(type(w) is not int or not 0 <= w < n for w in wires):
+            raise ProtocolError("payload", f"measure wires must be ints in 0..{n - 1}")
+        if spec["type"] == "xx" and (len(wires) != 2 or wires[0] == wires[1]):
+            raise ProtocolError("payload", "xx measures two distinct wires")
         if p.get("use_gadgets"):
             self._run_gadgets(circuit, shots, spec, wires)
         else:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
-import struct
 from dataclasses import dataclass
 from math import pi
 
@@ -23,6 +22,8 @@ import numpy as np
 from .pauli_frame import KeyFrame, apply_pad, update_clifford
 from .qhe import SECURITY, decrypt_flips, encrypt, eval_circuit, keygen
 from .simulator import (
+    CNOT_MATRIX,
+    ROTATION_1Q,
     Gate,
     PauliString,
     StateVector,
@@ -75,27 +76,6 @@ def load_digits_csv(path: str | None = None, n: int = 6) -> LabeledDataset:
         values = [float(x) for x in row]
         samples.append((np.array(values[:-1]), int(values[-1])))
     return LabeledDataset(tuple(samples), n)
-
-
-def load_idx(images_path: str, labels_path: str, n: int = 10) -> LabeledDataset:
-    """IDX image/label pair (big-endian, magics 0x803 / 0x801), classes 0/1."""
-    with open(images_path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", fh.read(16))
-        if magic != 0x803:
-            raise VQAError(f"bad image magic {magic:#x}")
-        pixels = np.frombuffer(fh.read(count * rows * cols), dtype=np.uint8)
-        images = pixels.reshape(count, rows * cols).astype(float)
-    with open(labels_path, "rb") as fh:
-        magic, lcount = struct.unpack(">II", fh.read(8))
-        if magic != 0x801:
-            raise VQAError(f"bad label magic {magic:#x}")
-        labels = np.frombuffer(fh.read(lcount), dtype=np.uint8)
-    if count != lcount:
-        raise VQAError("image/label counts differ")
-    samples = tuple(
-        (images[i], int(labels[i])) for i in range(count) if labels[i] in (0, 1)
-    )
-    return LabeledDataset(samples, n)
 
 
 # --- model and circuits -----------------------------------------------------
@@ -156,41 +136,40 @@ def _xx_plaintext(state: StateVector, circuit: list[Gate], wires: tuple[int, int
     return expectation(out, PauliString(("X", "X"), wires))
 
 
-def _window_observable(circuit: list[Gate], wires: tuple[int, int]) -> np.ndarray:
-    """U^dag (X x X) U as a 4x4 matrix, first wire most significant.
+# Window matrices put the first wire (a) most significant. CNOT(b, a) is
+# CNOT(a, b) with the wires swapped; X x X reverses the basis order.
+_SWAP = [0, 2, 1, 3]
+_CNOT_PAIR = CNOT_MATRIX[np.ix_(_SWAP, _SWAP)] @ CNOT_MATRIX  # CNOT(a, b), then CNOT(b, a)
+_XX = np.eye(4, dtype=complex)[::-1].copy()
+# Where a one-wire 2x2 block sits in a window matrix: kron(m, I) on a, kron(I, m) on b.
+_ON_A = (slice(0, 4, 2), slice(1, 4, 2))
+_ON_B = (slice(0, 2), slice(2, 4))
 
-    The whole window acts on two wires, so the Heisenberg-picture observable
-    collapses every feature evaluation to a 4x4 trace.
+
+def _one_wire(kind: str, angles: np.ndarray, blocks) -> np.ndarray:
+    """The simulator's ``kind`` rotation of each angle as a window matrix, (...) -> (..., 4, 4)."""
+    m = np.array([ROTATION_1Q[kind](t) for t in angles.ravel()]).reshape(angles.shape + (2, 2))
+    out = np.zeros(angles.shape + (4, 4), dtype=complex)
+    for block in blocks:
+        out[..., block, block] = m
+    return out
+
+
+def _row_observables(rows: np.ndarray) -> np.ndarray:
+    """U^dag (X x X) U of the window circuit of each theta row, (..., 4) -> (..., 4, 4).
+
+    A window acts on two wires and depends only on its theta row, so the
+    Heisenberg-picture observable collapses every feature evaluation to a
+    4x4 trace. The product follows ``build_shadow_circuit``: RX_a, RY_a,
+    RX_b, CNOT(a, b), CNOT(b, a), RY_b.
     """
-    from .simulator import CNOT_MATRIX, CZ_MATRIX, FIXED_1Q
-
-    a, b = wires
-    u = np.eye(4, dtype=complex)
-    for g in circuit:
-        if len(g.wires) == 2:
-            m = CNOT_MATRIX if g.kind == "CNOT" else CZ_MATRIX
-            if g.wires == (a, b):
-                pass
-            elif g.wires == (b, a):
-                swap = np.array(
-                    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                    dtype=complex,
-                )
-                m = swap @ m @ swap
-            else:
-                raise VQAError("window circuit strays off its two wires")
-            u = m @ u
-        else:
-            m1 = g.matrix()
-            u = (np.kron(m1, np.eye(2)) if g.wires == (a,) else np.kron(np.eye(2), m1)) @ u
-    xx = np.kron(FIXED_1Q["X"], FIXED_1Q["X"])
-    return u.conj().T @ xx @ u
-
-
-def _xx_plaintext_fast(
-    reduced: np.ndarray, observable: np.ndarray
-) -> float:
-    return float(np.real(np.trace(reduced @ observable)))
+    rows = np.asarray(rows, dtype=float)
+    u = _one_wire("RX", rows[..., 0], _ON_A)
+    u = _one_wire("RY", rows[..., 1], _ON_A) @ u
+    u = _one_wire("RX", rows[..., 2], _ON_B) @ u
+    u = _CNOT_PAIR @ u
+    u = _one_wire("RY", rows[..., 3], _ON_B) @ u
+    return np.swapaxes(u.conj(), -1, -2) @ _XX @ u
 
 
 def _window_reduced(state: StateVector, wires: tuple[int, int]) -> np.ndarray:
@@ -309,15 +288,15 @@ def shadow_features(
     if evaluator is not None and rng is None:
         raise VQAError("delegated modes need an rng for pad keys")
     out = np.empty(model.num_windows)
+    if evaluator is None:
+        obs = _row_observables(model.theta)
+        for v in range(1, model.n):
+            red = _window_reduced(state, (v - 1, v))
+            out[v - 1] = np.real(np.trace(red @ obs[theta_row(v)]))
+        return out
     for v in range(1, model.n):
         circuit = build_shadow_circuit(model, v)
-        wires = (v - 1, v)
-        if evaluator is None:
-            out[v - 1] = _xx_plaintext_fast(
-                _window_reduced(state, wires), _window_observable(circuit, wires)
-            )
-        else:
-            out[v - 1] = evaluator(state, circuit, wires, rng)
+        out[v - 1] = evaluator(state, circuit, (v - 1, v), rng)
     return out
 
 
@@ -329,10 +308,11 @@ def _reduced_stack(states: list[StateVector], n: int) -> list[np.ndarray]:
 
 
 def _features_from_reduced(red: list[np.ndarray], model: ShadowModel) -> np.ndarray:
-    cols = []
-    for v in range(1, model.n):
-        obs = _window_observable(build_shadow_circuit(model, v), (v - 1, v))
-        cols.append(np.real(np.einsum("nij,ji->n", red[v - 1], obs)))
+    obs = _row_observables(model.theta)
+    cols = [
+        np.real(np.einsum("nij,ji->n", red[v - 1], obs[theta_row(v)]))
+        for v in range(1, model.n)
+    ]
     return np.stack(cols, axis=1)
 
 
@@ -391,6 +371,15 @@ def _batch_features(states, model, config, rng, red=None, evaluator=None) -> np.
     )
 
 
+def _shifted_rows(theta: np.ndarray, shift: float) -> np.ndarray:
+    """(2, 8, 4): each theta row with column c moved by +shift, then -shift."""
+    rows = np.repeat(theta[:, None, :], 8, axis=1)
+    for c in range(4):
+        rows[:, 2 * c, c] += shift
+        rows[:, 2 * c + 1, c] -= shift
+    return rows
+
+
 def gradients(
     states: list[StateVector],
     labels: np.ndarray,
@@ -425,24 +414,27 @@ def gradients(
         shift, denom = config.fd_step, 2.0 * config.fd_step
     d_theta = np.zeros((2, 4))
     scale = denom * len(states)
+    if evaluator is None:
+        # Every shifted observable in one build: obs[r, 2 * c + k] for sign k.
+        obs = _row_observables(_shifted_rows(model.theta, shift))
     for r in range(2):
         windows = [v for v in range(1, model.n) if theta_row(v) == r]
         for c in range(4):
-            for sgn in (+1, -1):
+            for k, sgn in enumerate((+1, -1)):
+                # d o_v / d theta_rc feeds the chain rule directly:
+                # dC/dtheta = mean(resid * w_v * do_v).
+                if evaluator is None:
+                    for v in windows:
+                        vals = np.real(np.einsum("nij,ji->n", red[v - 1], obs[r, 2 * c + k]))
+                        d_theta[r, c] += sgn * model.w[v - 1] * float(
+                            np.dot(resid, vals)
+                        ) / scale
+                    continue
                 shifted = model.copy()
                 shifted.theta[r, c] += sgn * shift
                 for v in windows:
                     circuit = build_shadow_circuit(shifted, v)
                     wires = (v - 1, v)
-                    # d o_v / d theta_rc feeds the chain rule directly:
-                    # dC/dtheta = mean(resid * w_v * do_v).
-                    if evaluator is None:
-                        obs = _window_observable(circuit, wires)
-                        vals = np.real(np.einsum("nij,ji->n", red[v - 1], obs))
-                        d_theta[r, c] += sgn * model.w[v - 1] * float(
-                            np.dot(resid, vals)
-                        ) / scale
-                        continue
                     for m, state in enumerate(states):
                         val = evaluator(state, circuit, wires, rng)
                         d_theta[r, c] += sgn * resid[m] * model.w[v - 1] * val / scale

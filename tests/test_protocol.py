@@ -333,6 +333,53 @@ class TestHostilePayloads:
         thread.join(timeout=5)
         assert session.register is None
 
+    @pytest.mark.parametrize("enc_keys", [5, [[1, 2, 3]], [[1, 2]], [["00", "zz"]]])
+    def test_bad_enc_keys_leave_the_register_alone(self, enc_keys):
+        # enc_keys is checked and decoded before the register is replaced.
+        channel, session, thread, client = self.open_session()
+        client.close_rsp()
+        client.send_input(StateVector(1), None)
+        before = session.register
+        channel.send(Message("EncInput", {
+            "num_wires": 1, "amps": [[0.0, 0.0], [1.0, 0.0]],
+            "enc_keys": enc_keys, "level": 0,
+        }))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session.register is before
+        assert session.enc_keys is None
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "bits", "wires": ["0"]},
+        {"type": "bits", "wires": [True]},
+        {"type": "bits", "wires": [5]},
+        {"type": "bits", "wires": 0},
+        {"type": "xx", "wires": [0]},
+        {"type": "xx", "wires": [0, 0]},
+    ])
+    def test_bad_measure_wires_consume_no_gadget(self, spec):
+        # Ints (not bools) inside the register; an xx spec names two distinct
+        # wires. All checked before the queued gadget is taken.
+        channel, session, thread, client = self.open_session()
+        rng = np.random.default_rng(9)
+        circ = [gate("T", 0)]
+        client_keys = client.remote_keygen(1, circ, rng)
+        client.close_rsp()
+        from qhevqa.qhe import encrypt
+
+        cs, _ = encrypt(client_keys, StateVector(1), rng)
+        client.send_input(cs.register, cs.encrypted_keys)
+        assert len(session.gadgets) == 1
+        channel.send(Message("RunRequest", {
+            "circuit": circuit_to_json(circ), "measure": spec,
+            "use_gadgets": True, "shots": 1,
+        }))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert len(session.gadgets) == 1
+
     @pytest.mark.parametrize("shots", [0, -1, MAX_SHOTS + 1, True, 2.0, "3", None])
     def test_bad_shot_counts_are_refused(self, shots):
         channel, _session, thread, client = self.open_session()

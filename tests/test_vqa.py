@@ -1,5 +1,7 @@
 """Shadow classifier: features, compensation, gradients, training."""
-import struct
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from qhevqa.pauli_frame import KeyFrame
 from qhevqa.simulator import (
     StateVector,
+    amplitude_encode,
     apply_circuit,
     apply_gate,
     gate,
@@ -18,12 +21,14 @@ from qhevqa.vqa import (
     TrainConfig,
     VQAError,
     _compensate,
+    _row_observables,
+    _shifted_rows,
+    _window_reduced,
     _xx_plaintext,
     build_shadow_circuit,
     cross_entropy,
     gradients,
     load_digits_csv,
-    load_idx,
     predict,
     shadow_features,
     theta_row,
@@ -62,25 +67,6 @@ class TestDatasets:
     def test_rejects_zero_vector(self):
         with pytest.raises(VQAError):
             LabeledDataset(((np.zeros(4), 0),), 2)
-
-    def test_idx_loader(self, tmp_path):
-        images = np.arange(3 * 4, dtype=np.uint8).reshape(3, 2, 2) + 1
-        labels = np.array([0, 1, 7], dtype=np.uint8)  # the 7 is filtered out
-        ip = tmp_path / "im.idx"
-        lp = tmp_path / "lb.idx"
-        ip.write_bytes(struct.pack(">IIII", 0x803, 3, 2, 2) + images.tobytes())
-        lp.write_bytes(struct.pack(">II", 0x801, 3) + labels.tobytes())
-        ds = load_idx(str(ip), str(lp), n=2)
-        assert len(ds) == 2
-        assert [label for _, label in ds.samples] == [0, 1]
-
-    def test_idx_rejects_bad_magic(self, tmp_path):
-        ip = tmp_path / "im.idx"
-        ip.write_bytes(struct.pack(">IIII", 0x123, 0, 0, 0))
-        lp = tmp_path / "lb.idx"
-        lp.write_bytes(struct.pack(">II", 0x801, 0))
-        with pytest.raises(VQAError):
-            load_idx(str(ip), str(lp))
 
 
 class TestModel:
@@ -251,6 +237,67 @@ class TestGradients:
             TrainConfig(grad_method="nope")
 
 
+class TestStackedObservables:
+    """The plaintext path builds each window observable once per theta row.
+
+    The digests were recorded with the per-window, per-shift builder the
+    stack replaced (NumPy 2.4, OpenBLAS, x86-64); the stack must reproduce
+    its bits.
+    """
+
+    GOLDEN = {
+        "parameter-shift": "67073e7cd78a865bfee23763696b17fc90fccc54264938199803fdf48e8f9777",
+        "central-difference": "91dcc7ff262858baa0ac0f81157cc85cd74ae7c34fe1a55a70090a309de21e50",
+        "features": "7539b5f15cc7298903ac59a792aa6f29c8afd6d2607c67b1ecc7c9723ff2b555",
+    }
+
+    @staticmethod
+    def digits_batch(seed):
+        rng = np.random.default_rng(seed)
+        ds = load_digits_csv()
+        idx = rng.choice(len(ds), 4, replace=False)
+        states = [amplitude_encode(ds.samples[i][0], ds.n) for i in idx]
+        labels = np.array([ds.samples[i][1] for i in idx], dtype=float)
+        return states, labels, small_model(n=ds.n, seed=seed)
+
+    @pytest.mark.parametrize("method", ["parameter-shift", "central-difference"])
+    def test_gradients_match_golden_digest(self, method):
+        digest = hashlib.sha256()
+        for seed in range(4):
+            states, labels, model = self.digits_batch(seed)
+            d_theta, d_w, d_b = gradients(states, labels, model, TrainConfig(grad_method=method))
+            digest.update(d_theta.tobytes() + d_w.tobytes() + np.float64(d_b).tobytes())
+        assert digest.hexdigest() == self.GOLDEN[method]
+
+    def test_features_match_golden_digest(self):
+        digest = hashlib.sha256()
+        for seed in range(4):
+            states, _, model = self.digits_batch(seed)
+            for state in states:
+                digest.update(shadow_features(state, model).tobytes())
+        assert digest.hexdigest() == self.GOLDEN["features"]
+
+    def test_shifted_stack_matches_full_simulation(self):
+        rng = np.random.default_rng(7)
+        model = small_model(n=5, seed=7)
+        psi = rand_state(5, rng)
+        shift = 0.3
+        stack = _row_observables(_shifted_rows(model.theta, shift))
+        assert stack.shape == (2, 8, 4, 4)
+        for r in range(2):
+            for c in range(4):
+                for k, sgn in enumerate((+1, -1)):
+                    shifted = model.copy()
+                    shifted.theta[r, c] += sgn * shift
+                    for v in range(1, model.n):
+                        if theta_row(v) != r:
+                            continue
+                        wires = (v - 1, v)
+                        fast = np.trace(_window_reduced(psi, wires) @ stack[r, 2 * c + k]).real
+                        slow = _xx_plaintext(psi, build_shadow_circuit(shifted, v), wires)
+                        assert fast == pytest.approx(slow, abs=1e-12)
+
+
 class TestTraining:
     def test_short_run_is_deterministic_and_learns(self):
         ds = load_digits_csv()
@@ -299,3 +346,14 @@ class TestTraining:
         for a, b in zip(plain, deleg):
             assert a.loss == pytest.approx(b.loss, abs=1e-6)
             assert a.test_acc == b.test_acc
+
+    def test_two_epoch_csvs_match_pinned_reference(self, tmp_path):
+        # perfbench's train-plaintext configuration, every pinned seed.
+        pinned = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        digests = json.loads(pinned.read_text())["train-plaintext"]
+        ds = load_digits_csv()
+        out = tmp_path / "metrics.csv"
+        for seed in range(64):
+            _, metrics = train(ds, TrainConfig(epochs=2, seed=seed))
+            write_metrics_csv(str(out), metrics)
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[str(seed)], seed
