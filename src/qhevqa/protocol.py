@@ -5,11 +5,11 @@ frames carrying JSON payloads. The server owns the one phase machine
 
     handshake -> open -> done
 
-(Hello opens a session, Done ends it). Every other message needs an open
-session, and each handler checks its own data: prepared and pending qids, a
-coupled pair before gadget ciphertexts, an input register and encrypted keys
-before a run, the gadget budget. The client session holds only its channel;
-a misordered call raises ``ProtocolError`` from the server's Error reply.
+(Hello opens a session, Done ends it). ``SCHEMA`` gives each kind the server
+accepts its phases and the type and bound of every field, and ``validate``
+checks a payload against it before any handler runs; a handler checks only
+what needs session state, before it changes anything. The client session holds
+only its channel; a misordered call raises ``ProtocolError`` from the server.
 
 The server performs all quantum actions (remote state preparation rounds,
 pair coupling, homomorphic evaluation, measurement) and only ever sees public
@@ -31,15 +31,20 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import socket
 import struct
 import threading
+from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain, count
 
 import numpy as np
 
 from .classical_he import HECiphertext, ct_from_bytes, ct_to_bytes
 from .qhe import (
+    EVAL_KINDS,
     SECURITY,
     CipherState,
     ClientKeys,
@@ -51,6 +56,8 @@ from .qhe import (
     t_count,
 )
 from .rsp_gadget import (
+    MAX_DRAWS,
+    PAIR_COUNT,
     RSP_MU,
     RSP_N,
     Gadget,
@@ -66,6 +73,8 @@ from .rsp_gadget import (
 from .simulator import (
     GATE_KINDS,
     MAX_QUBITS,
+    ROTATION_1Q,
+    TWO_QUBIT_KINDS,
     Gate,
     PauliString,
     StateVector,
@@ -157,8 +166,6 @@ def decode_message(data: bytes) -> Message:
         # ValueError covers bad UTF-8, bad JSON and integers past the digit
         # limit; RecursionError is nesting past the interpreter's depth.
         raise ProtocolError("payload", f"malformed JSON payload: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ProtocolError("payload", "payload must be a JSON object")
     return Message(KINDS[code], payload)
 
 
@@ -188,9 +195,6 @@ class InProcChannel(Channel):
     _SENTINEL = object()
 
     def __init__(self, inbox, outbox):
-        import queue as _queue
-
-        self._queue_mod = _queue
         self.inbox = inbox
         self.outbox = outbox
         self._closed = False
@@ -213,8 +217,6 @@ class InProcChannel(Channel):
 
 
 def make_inproc_pair() -> tuple[InProcChannel, InProcChannel]:
-    import queue
-
     a_to_b: queue.Queue = queue.Queue()
     b_to_a: queue.Queue = queue.Queue()
     return InProcChannel(b_to_a, a_to_b), InProcChannel(a_to_b, b_to_a)
@@ -324,40 +326,22 @@ def reachable_phases() -> set[str]:
 
 
 def amps_to_json(state: StateVector) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
+    return np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, 2).tolist()
 
 
 def amps_from_json(pairs, num_qubits: int) -> StateVector:
-    if len(pairs) != 2**num_qubits:
-        raise ProtocolError("payload", "amplitude count does not match wire count")
-    try:
-        amps = np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError("payload", f"bad amplitude entry: {exc}") from exc
-    return StateVector(num_qubits, amps)
+    """The register of (re, im) pairs that ``validate`` has accepted."""
+    return StateVector(num_qubits, np.asarray(pairs, dtype=float).view(complex).ravel())
 
 
 def circuit_to_json(circuit: list[Gate]) -> list[dict]:
-    out = []
-    for g in circuit:
-        entry = {"kind": g.kind, "wires": list(g.wires)}
-        if g.angle is not None:
-            entry["angle"] = float(g.angle)
-        out.append(entry)
-    return out
+    return [{"kind": g.kind, "wires": list(g.wires)} if g.angle is None else
+            {"kind": g.kind, "wires": list(g.wires), "angle": float(g.angle)} for g in circuit]
 
 
 def circuit_from_json(entries) -> list[Gate]:
-    circuit = []
-    try:
-        for entry in entries:
-            kind = entry["kind"]
-            if kind not in GATE_KINDS:
-                raise ProtocolError("payload", f"unknown gate kind {kind!r}")
-            circuit.append(gate(kind, *entry["wires"], angle=entry.get("angle")))
-    except (TypeError, KeyError) as exc:
-        raise ProtocolError("payload", f"malformed circuit: {exc}") from exc
-    return circuit
+    """The circuit of gate entries that ``validate`` has accepted."""
+    return [gate(e["kind"], *e["wires"], angle=e.get("angle")) for e in entries]
 
 
 def ct_to_hex(ct: HECiphertext) -> str:
@@ -369,6 +353,135 @@ def ct_from_hex(text: str) -> HECiphertext:
         return ct_from_bytes(bytes.fromhex(text))
     except Exception as exc:  # noqa: BLE001 - hex and HE decode errors alike
         raise ProtocolError("payload", f"bad ciphertext encoding: {exc}") from exc
+
+
+# --- message schema ---------------------------------------------------------
+
+# Field types, read only by ``validate``. A bound given as a string names an
+# earlier field of an enclosing message, or ``last_wire``: the open register's
+# last wire (the largest register's while none is open).
+Int = namedtuple("Int", "lo hi", defaults=(0, None))  # an int, never a bool
+Num = namedtuple("Num", ())  # a finite JSON number, never a bool
+Enum = namedtuple("Enum", "values")  # a str or bool among the values
+Str = namedtuple("Str", ())
+Ct = namedtuple("Ct", ())  # a hex ciphertext, decoded as it is checked
+Seq = namedtuple("Seq", "item lo hi distinct", defaults=(0, None, False))  # lo..hi items
+Amps = namedtuple("Amps", "wires")  # (re, im) pairs of a unit-norm 2**wires register
+Opt = namedtuple("Opt", "type default", defaults=(None,))  # absent or null: default
+Rec = namedtuple("Rec", "fields")  # an object with no fields but these
+Variants = namedtuple("Variants", "tag cases")  # tag None: the one case key present
+Entry = namedtuple("Entry", "phases payload")
+
+BIT, QID, WIRE, OPEN = Int(0, 1), Int(), Int(0, "last_wire"), ("open",)
+CT_PAIR = Seq(Ct(), 2, 2)
+DISCARD = Opt(Seq(QID, 0, 2 * PAIR_COUNT * MAX_DRAWS), ())  # every rejected round
+
+
+def _run_request(use_gadgets: bool, kinds) -> Rec:
+    """A run of a circuit over ``kinds``: homomorphic runs take Clifford+T only."""
+    arity = {k: 2 if k in TWO_QUBIT_KINDS else 1 for k in kinds}
+    gates = {k: Rec({"kind": Enum((k,)), "wires": Seq(WIRE, arity[k], arity[k], True),
+                     **({"angle": Num()} if k in ROTATION_1Q else {})}) for k in kinds}
+    return Rec({
+        "circuit": Seq(Variants("kind", gates)),
+        "measure": Variants("type", {
+            "xx": Rec({"type": Enum(("xx",)), "wires": Seq(WIRE, 2, 2, True)}),
+            "bits": Rec({"type": Enum(("bits",)), "wires": Seq(WIRE, 0, None, True),
+                         "basis": Opt(Enum(("Z", "X")), "Z")}),
+        }),
+        "use_gadgets": Enum((use_gadgets,)), "shots": Int(1, MAX_SHOTS),
+    })
+
+
+SCHEMA = {
+    "Hello": Entry(("handshake",), Rec(
+        {"version": Int(), "session_seed": Int(), "mode": Opt(Str())})),
+    "RspBasis": Entry(OPEN, Variants(None, {
+        "ideal": Rec({"ideal": Enum((True,))}),
+        "matrix": Rec({"matrix": Seq(Seq(BIT, RSP_N, RSP_N), RSP_MU, RSP_MU)}),
+        "alphas": Rec({"qid": QID, "alphas": Seq(BIT, RSP_N - 1, RSP_N - 1)}),
+    })),
+    "CoupleInstr": Entry(OPEN, Variants(None, {
+        "close": Rec({"close": Enum((True,)), "discard": DISCARD}),
+        "pairs": Rec({"pairs": Seq(Seq(QID, 2, 2), 2, 2, True), "discard": DISCARD}),
+    })),
+    "GadgetClassical": Entry(OPEN, Variants(None, {
+        "declare": Rec({"declare": Int()}),
+        "x_ct": Rec({"x_ct": CT_PAIR, "z_ct": CT_PAIR, "e_ct": Seq(CT_PAIR, 2, 2),
+                     "sk_enc": Seq(Ct(), SECURITY, SECURITY), "level": Int(1)}),
+    })),
+    "EncInput": Entry(OPEN, Rec({
+        "num_wires": Int(1, MAX_QUBITS), "amps": Amps("num_wires"),  # bounded before 2**n
+        "enc_keys": Opt(Seq(CT_PAIR, "num_wires", "num_wires")), "level": Opt(Int(0, 0)),
+    })),
+    "RunRequest": Entry(OPEN, Variants("use_gadgets", {
+        False: _run_request(False, GATE_KINDS), True: _run_request(True, EVAL_KINDS),
+    })),
+    "ParamUpdate": Entry(OPEN, Rec({
+        "theta": Seq(Seq(Num(), 4, 4), 2, 2), "w": Seq(Num(), 0, MAX_QUBITS),
+        "b": Num(), "epoch": Int(),
+    })),
+    "Done": Entry(("handshake", "open"), Rec({})),
+    "Error": Entry(PHASES, Rec({"code": Str(), "text": Opt(Str(), "")})),
+}
+
+
+def validate(spec, value, ctx):
+    """Return ``value`` checked against the field type ``spec`` (else a payload
+    error), with lists as tuples, ciphertexts decoded, amplitudes as one flat
+    float array and absent optional fields filled in. ``ctx`` holds named bounds
+    and gains each record field that passes."""
+    t = type(spec)
+    if t is Int:
+        hi = ctx.get(spec.hi, spec.hi)  # a named bound resolves through ctx
+        if type(value) is int and spec.lo <= value and (hi is None or value <= hi):
+            return value
+    elif t is Enum:
+        if type(value) in (str, bool) and value in spec.values:
+            return value
+    elif t is Num:
+        if type(value) in (int, float) and abs(value) < 1e308:  # NaN and inf fail
+            return value
+    elif t is Rec:
+        if type(value) is not dict or not value.keys() <= spec.fields.keys():
+            raise ProtocolError("payload", f"expected an object with fields {list(spec.fields)}")
+        out: dict = {}
+        for name, field in spec.fields.items():
+            try:  # each field joins ctx, as a bound for the fields after it
+                out[name] = ctx[name] = validate(field, value.get(name), ctx)
+            except ProtocolError as exc:
+                raise ProtocolError("payload", f"{name}: {exc.text}") from None
+        return out
+    elif t is Seq:
+        lo, hi = ctx.get(spec.lo, spec.lo), ctx.get(spec.hi, spec.hi)
+        if type(value) is not list or len(value) < lo or (hi is not None and len(value) > hi):
+            raise ProtocolError("payload", f"expected a list of {lo} to {hi} entries")
+        out = tuple([validate(spec.item, item, ctx) for item in value])
+        flat = list(chain.from_iterable(out)) if out and type(out[0]) is tuple else out
+        if spec.distinct and len(set(flat)) != len(flat):
+            raise ProtocolError("payload", "expected distinct entries")
+        return out
+    elif t is Variants:  # the tag's value names the case; with no tag, the one case key present
+        d = value if type(value) is dict else {}
+        keys = [d.get(spec.tag)] if spec.tag else [k for k in spec.cases if k in d]
+        if len(keys) != 1 or type(keys[0]) not in (str, bool) or keys[0] not in spec.cases:
+            raise ProtocolError("payload", f"expected one of the forms {list(spec.cases)}")
+        return validate(spec.cases[keys[0]], value, ctx)
+    elif t is Opt:
+        return spec.default if value is None else validate(spec.type, value, ctx)
+    elif t is Amps:
+        n = 2 ** ctx[spec.wires]
+        with suppress(TypeError, OverflowError):  # a row with no length, an int past a float
+            if type(value) is list and len(value) == n and set(map(len, value)) == {2}:
+                flat = list(chain.from_iterable(value))
+                if set(map(type, flat)) <= {int, float}:
+                    arr = np.array(flat, dtype=float)
+                    # One dot product checks finiteness and norm: NaN or inf fails the bound.
+                    if abs(arr @ arr - 1) <= 1e-9:
+                        return arr
+    elif type(value) is str:  # Str or Ct
+        return value if t is Str else ct_from_hex(value)
+    raise ProtocolError("payload", f"expected {spec}")
 
 
 # --- server role ------------------------------------------------------------
@@ -397,11 +510,11 @@ class ServerSession:
         self.audit: list[tuple[str, dict]] = []
         self.qubits: dict[int, StateVector] = {}  # prepared RSP outputs
         self.pending: dict[int, StateVector] = {}  # committed, not yet measured
-        self._next_qid = 0
+        self._qids = count()  # the next qid to hand out
         self._partial_state: StateVector | None = None
         self.gadgets: list[Gadget] = []
         self.register: StateVector | None = None
-        self.enc_keys: list[tuple[HECiphertext, HECiphertext]] | None = None
+        self.enc_keys: tuple[tuple[HECiphertext, HECiphertext], ...] | None = None
         self.params: dict | None = None
         self.closed = False
 
@@ -409,22 +522,15 @@ class ServerSession:
 
     def run(self) -> None:
         try:
-            while not self.closed:
+            while not self.closed:  # _fail closes the session
                 try:
-                    msg = self.channel.recv()
+                    self._dispatch(self.channel.recv())
                 except ChannelClosed:
                     break
                 except ProtocolError as exc:
                     self._fail(exc)
-                    break
-                try:
-                    self._dispatch(msg)
-                except ProtocolError as exc:
-                    self._fail(exc)
-                    break
                 except Exception as exc:  # noqa: BLE001 - session must not crash
                     self._fail(ProtocolError("internal", str(exc)))
-                    break
         finally:
             self.channel.close()
 
@@ -440,210 +546,106 @@ class ServerSession:
 
     def _dispatch(self, msg: Message) -> None:
         self.audit.append((msg.kind, msg.payload))
-        handler = getattr(self, f"_on_{msg.kind.lower()}", None)
-        if handler is None:
+        entry = SCHEMA.get(msg.kind)
+        if entry is None:
             raise ProtocolError("kind", f"server cannot handle {msg.kind}")
-        if msg.kind not in ("Hello", "Done", "Error"):
-            self.state.expect("open")
-        handler(msg.payload)
+        self.state.expect(*entry.phases)
+        width = MAX_QUBITS if self.register is None else self.register.num_qubits
+        payload = validate(entry.payload, msg.payload, {"last_wire": width - 1})
+        getattr(self, f"_on_{msg.kind.lower()}")(payload)
 
-    # -- handlers --
+    # -- handlers: each payload has passed ``validate`` --
 
     def _on_hello(self, p: dict) -> None:
-        self.state.expect("handshake")
-        if p.get("version") != VERSION:
-            raise ProtocolError("version", f"client version {p.get('version')!r}")
-        seed = p.get("session_seed")
-        if not isinstance(seed, int) or seed < 0:
-            raise ProtocolError("payload", "session_seed must be a non-negative int")
-        self.rng = np.random.default_rng(seed)
+        if p["version"] != VERSION:
+            raise ProtocolError("version", f"client version {p['version']!r}")
+        self.rng = np.random.default_rng(p["session_seed"])
         self._reply("Announce", ANNOUNCE)
         self.state.advance("open")
 
     def _on_gadgetclassical(self, p: dict) -> None:
         if "declare" in p:  # an acknowledged count; the server does not keep it
-            declared = p["declare"]
-            if not isinstance(declared, int) or declared < 0:
-                raise ProtocolError("payload", "declared gadget count must be >= 0")
             self._reply("GadgetClassical", {"ok": True})
             return
         if self._partial_state is None:
             raise ProtocolError("order", "gadget ciphertexts before pair coupling")
-        try:
-            x_ct = tuple(ct_from_hex(h) for h in p["x_ct"])
-            z_ct = tuple(ct_from_hex(h) for h in p["z_ct"])
-            e_ct = tuple(tuple(ct_from_hex(h) for h in row) for row in p["e_ct"])
-            sk_enc = tuple(ct_from_hex(h) for h in p["sk_enc"])
-            level = int(p["level"])
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError("payload", f"malformed gadget bundle: {exc}") from exc
-        if len(x_ct) != 2 or len(z_ct) != 2 or len(e_ct) != 2:
-            raise ProtocolError("payload", "gadget needs two of each correction")
-        self.gadgets.append(
-            Gadget(self._partial_state, x_ct, z_ct, e_ct, sk_enc, level)
-        )
+        fields = (p[k] for k in ("x_ct", "z_ct", "e_ct", "sk_enc", "level"))
+        self.gadgets.append(Gadget(self._partial_state, *fields))
         self._partial_state = None
         self._reply("GadgetClassical", {"ok": True, "budget": len(self.gadgets)})
 
     def _on_rspbasis(self, p: dict) -> None:
-        assert self.rng is not None
-        if p.get("ideal"):
-            # Modeled shortcut: the server draws the angle itself, so this
-            # variant is not blind; the claw-based flow below is.
-            idx, state = rsp_round_ideal(self.rng)
-            qid = self._next_qid
-            self._next_qid += 1
-            self.qubits[qid] = state
-            self._reply("RspOutcome", {"qid": qid, "theta_index": idx})
-            return
-        if "matrix" in p:
-            matrix = np.asarray(p["matrix"], dtype=np.int64)
-            if matrix.shape != (RSP_MU, RSP_N):
-                raise ProtocolError("payload", f"claw matrix must be {RSP_MU}x{RSP_N}")
-            y, state = rsp_server_commit(matrix, self.rng)
-            qid = self._next_qid
-            self._next_qid += 1
-            self.pending[qid] = state
-            self._reply("RspCommit", {"qid": qid, "y": [int(b) for b in y]})
-            return
         if "alphas" in p:
-            qid = p.get("qid")
+            qid = p["qid"]
             if qid not in self.pending:
                 raise ProtocolError("order", f"no committed round with qid {qid!r}")
-            alphas = p["alphas"]
-            if (
-                not isinstance(alphas, list)
-                or len(alphas) != RSP_N - 1
-                or any(type(a) is not int or a not in (0, 1) for a in alphas)
-            ):
-                raise ProtocolError("payload", f"alphas must be {RSP_N - 1} bits")
             state = self.pending.pop(qid)
-            alphas = np.asarray(alphas, dtype=np.int64)
-            b, qubit = rsp_server_measure(state, alphas, self.rng)
-            self.qubits[qid] = qubit
+            b, self.qubits[qid] = rsp_server_measure(state, p["alphas"], self.rng)
             self._reply("RspOutcome", {"qid": qid, "b": [int(x) for x in b]})
             return
-        raise ProtocolError("payload", "RspBasis needs 'matrix', 'alphas' or 'ideal'")
+        qid = next(self._qids)
+        if "ideal" in p:
+            # Modeled shortcut: the server draws the angle itself, so this
+            # variant is not blind; the claw-based flow below is.
+            idx, self.qubits[qid] = rsp_round_ideal(self.rng)
+            self._reply("RspOutcome", {"qid": qid, "theta_index": idx})
+            return
+        y, self.pending[qid] = rsp_server_commit(p["matrix"], self.rng)
+        self._reply("RspCommit", {"qid": qid, "y": [int(b) for b in y]})
 
     def _on_coupleinstr(self, p: dict) -> None:
         """Couple two (head, tail) pairs, or acknowledge a close; drop discards.
 
         Every qid is checked before any prepared qubit is removed.
         """
-        discard = p.get("discard", [])
-        if not isinstance(discard, list) or not all(isinstance(q, int) for q in discard):
-            raise ProtocolError("payload", "discard must be a list of qids")
-        if p.get("close"):
-            self._drop(discard)
-            self._reply("CoupleInstr", {"ok": True})
-            return
-        pairs = p.get("pairs")
-        if (
-            not isinstance(pairs, list)
-            or len(pairs) != 2
-            or any(not isinstance(pair, list) or len(pair) != 2 for pair in pairs)
-        ):
-            raise ProtocolError("payload", "need two (head, tail) qubit pairs")
-        qids = [pair[0] for pair in pairs] + [pair[1] for pair in pairs]
-        if not all(isinstance(q, int) and q in self.qubits for q in qids):
-            raise ProtocolError("order", f"unknown prepared qubit among {qids}")
-        if len(set(qids)) != len(qids):
-            raise ProtocolError("payload", f"pair qids must be distinct, got {qids}")
-        qubits = [self.qubits.pop(q) for q in qids]
-        self._drop(discard)
-        self._partial_state = assemble_gadget_state(qubits[:2], qubits[2:])
+        if "pairs" in p:
+            qids = [pair[0] for pair in p["pairs"]] + [pair[1] for pair in p["pairs"]]
+            if not all(q in self.qubits for q in qids):
+                raise ProtocolError("order", f"unknown prepared qubit among {qids}")
+            qubits = [self.qubits.pop(q) for q in qids]
+            self._partial_state = assemble_gadget_state(qubits[:2], qubits[2:])
+        for qid in p["discard"]:
+            self.qubits.pop(qid, None)
         self._reply("CoupleInstr", {"ok": True})
 
-    def _drop(self, qids: list) -> None:
-        for qid in qids:
-            self.qubits.pop(qid, None)
-
     def _on_encinput(self, p: dict) -> None:
-        # Everything is checked and decoded before the session changes; the
-        # wire count is bounded before amps_from_json evaluates 2**num_wires.
-        num_wires, amps, keys = p.get("num_wires"), p.get("amps"), p.get("enc_keys")
-        if type(num_wires) is not int or not 1 <= num_wires <= MAX_QUBITS:
-            raise ProtocolError("payload", f"num_wires must be an int in 1..{MAX_QUBITS}")
-        if not isinstance(amps, list):
-            raise ProtocolError("payload", "amps must be a list of (re, im) pairs")
-        if keys is not None and (
-            not isinstance(keys, list)
-            or len(keys) != num_wires
-            or any(not isinstance(pair, list) or len(pair) != 2 for pair in keys)
-        ):
-            raise ProtocolError("payload", "enc_keys needs one (a, b) pair per wire")
-        register = amps_from_json(amps, num_wires)
-        # ct_from_hex refuses, as a payload error, anything but a hex ciphertext.
-        enc_keys = None if keys is None else [(ct_from_hex(a), ct_from_hex(b)) for a, b in keys]
-        self.register, self.enc_keys = register, enc_keys
+        self.register = amps_from_json(p["amps"], p["num_wires"])
+        self.enc_keys = p["enc_keys"]
         self._reply("EncInput", {"ok": True})
 
     def _on_runrequest(self, p: dict) -> None:
-        assert self.rng is not None
-        if self.register is None:
-            raise ProtocolError("order", "RunRequest before EncInput")
-        shots = p.get("shots", 1)
-        if type(shots) is not int or not 1 <= shots <= MAX_SHOTS:  # bool is not a count
-            raise ProtocolError("payload", f"shots must be an int in 1..{MAX_SHOTS}")
-        circuit = circuit_from_json(p.get("circuit", ()))
-        spec = p.get("measure")
-        if not isinstance(spec, dict) or spec.get("type") not in ("xx", "bits"):
-            raise ProtocolError("payload", "measure must be 'xx' or 'bits'")
-        wires, n = spec.get("wires", []), self.register.num_qubits
-        if not isinstance(wires, list) or any(type(w) is not int or not 0 <= w < n for w in wires):
-            raise ProtocolError("payload", f"measure wires must be ints in 0..{n - 1}")
-        if spec["type"] == "xx" and (len(wires) != 2 or wires[0] == wires[1]):
-            raise ProtocolError("payload", "xx measures two distinct wires")
-        if p.get("use_gadgets"):
-            self._run_gadgets(circuit, shots, spec, wires)
-        else:
-            self._run_plain(circuit, shots, spec, wires)
-
-    def _run_plain(self, circuit, shots, spec, wires) -> None:
-        """Compensated-circuit mode: keys stay client-side, no gadgets."""
-        values, bits = [], []
-        for _ in range(shots):
-            self._read_out(apply_circuit(self.register, circuit), spec, wires, values, bits)
-        self._reply("ShotResults", {"values": values, "bits": bits})
-        self._reply("EncKeysUpdate", {"enc_keys": None, "level": 0})
-
-    def _run_gadgets(self, circuit, shots, spec, wires) -> None:
-        """Full homomorphic mode: consume queued gadgets, return updated keys.
-
-        Each shot's key row holds the (a, b) pairs of the measured wires only,
-        in ``wires`` order: those are all the client decrypts.
-        """
-        if self.enc_keys is None:
-            raise ProtocolError("order", "homomorphic run needs encrypted keys")
-        needed = t_count(circuit)
+        """Run and read out each shot. A homomorphic run consumes gadgets and
+        returns each shot's updated (a, b) pairs of the measured wires, in
+        ``wires`` order; a compensated-circuit run leaves keys with the client."""
+        circuit, shots, homomorphic = circuit_from_json(p["circuit"]), p["shots"], p["use_gadgets"]
+        spec, wires = p["measure"], p["measure"]["wires"]
+        if self.register is None or (homomorphic and self.enc_keys is None):
+            raise ProtocolError("order", "a run needs an input; a homomorphic one, its keys")
+        needed = t_count(circuit) if homomorphic else 0
         if shots * needed > len(self.gadgets):
-            raise ProtocolError(
-                "budget",
-                f"{shots * needed} gadgets needed, {len(self.gadgets)} queued",
-            )
-        values, bits, key_rows = [], [], []
+            queued = len(self.gadgets)
+            raise ProtocolError("budget", f"{shots * needed} gadgets needed, {queued} queued")
+        values, bits, key_rows, level = [], [], [] if homomorphic else None, 0
         for _ in range(shots):
-            run_gadgets, self.gadgets = self.gadgets[:needed], self.gadgets[needed:]
-            ek = EvalKey(tuple(run_gadgets))
-            cs = CipherState(self.register.copy(), tuple(self.enc_keys), 0)
-            cs = eval_circuit(cs, circuit, ek, self.rng)
-            self._read_out(cs.register, spec, wires, values, bits)
-            pairs = [cs.encrypted_keys[w] for w in wires]
-            key_rows.append([[ct_to_hex(a), ct_to_hex(b)] for a, b in pairs])
-            final_level = cs.level
+            if homomorphic:
+                run_gadgets, self.gadgets = self.gadgets[:needed], self.gadgets[needed:]
+                cs = CipherState(self.register.copy(), self.enc_keys, 0)
+                cs = eval_circuit(cs, circuit, EvalKey(tuple(run_gadgets)), self.rng)
+                pairs = [cs.encrypted_keys[w] for w in wires]
+                key_rows.append([[ct_to_hex(a), ct_to_hex(b)] for a, b in pairs])
+                out, level = cs.register, cs.level
+            else:
+                out = apply_circuit(self.register, circuit)
+            if spec["type"] == "xx":
+                values.append(expectation(out, PauliString(("X", "X"), wires)))
+                continue
+            row = []
+            for w in wires:
+                bit, out = measure(out, w, spec["basis"], self.rng)
+                row.append(bit)
+            bits.append(row)
         self._reply("ShotResults", {"values": values, "bits": bits})
-        self._reply("EncKeysUpdate", {"enc_keys": key_rows, "level": final_level})
-
-    def _read_out(self, out, spec, wires, values, bits) -> None:
-        """Append one shot's <X x X> to ``values`` or its measured bits to ``bits``."""
-        if spec["type"] == "xx":
-            values.append(expectation(out, PauliString(("X", "X"), tuple(wires))))
-            return
-        row = []
-        for w in wires:
-            bit, out = measure(out, w, spec.get("basis", "Z"), self.rng)
-            row.append(bit)
-        bits.append(row)
+        self._reply("EncKeysUpdate", {"enc_keys": key_rows, "level": level})
 
     def _on_paramupdate(self, p: dict) -> None:
         self.params = dict(p)
@@ -861,20 +863,17 @@ class ClientSession:
         use_gadgets: bool,
         shots: int = 1,
     ) -> tuple[dict, dict]:
-        self.channel.send(
-            Message(
-                "RunRequest",
-                {
-                    "circuit": circuit_to_json(circuit),
-                    "measure": measure_spec,
-                    "use_gadgets": use_gadgets,
-                    "shots": shots,
-                },
-            )
-        )
-        results = self._recv("ShotResults").payload
-        keys = self._recv("EncKeysUpdate").payload
-        return results, keys
+        results = self._ask(
+            "RunRequest",
+            {
+                "circuit": circuit_to_json(circuit),
+                "measure": measure_spec,
+                "use_gadgets": use_gadgets,
+                "shots": shots,
+            },
+            "ShotResults",
+        ).payload
+        return results, self._recv("EncKeysUpdate").payload
 
     def param_update(self, theta, w, bias: float, epoch: int) -> None:
         self._ask(

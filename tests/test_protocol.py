@@ -1,6 +1,8 @@
 """Wire protocol: codec, phase machine, server/client sessions, transports."""
+import functools
 import hashlib
 import threading
+from collections import ChainMap
 
 import numpy as np
 import pytest
@@ -9,18 +11,28 @@ from hypothesis import given, settings, strategies as st
 from qhevqa.classical_he import he_enc, he_keygen
 from qhevqa.protocol import (
     ANNOUNCE,
+    Amps,
     ChannelClosed,
     ClientSession,
+    Ct,
+    Enum,
+    Int,
     KINDS,
     MAX_FRAME,
     MAX_SHOTS,
     Message,
+    Num,
+    Opt,
     PHASES,
     ProtocolError,
+    Rec,
+    SCHEMA,
+    Seq,
     SessionState,
     TRANSITIONS,
     TcpServer,
     VERSION,
+    Variants,
     amps_from_json,
     amps_to_json,
     circuit_from_json,
@@ -37,6 +49,7 @@ from qhevqa.protocol import (
     reachable_phases,
     run_client,
     serve_inproc,
+    validate,
 )
 from qhevqa.classical_he import ct_from_bytes
 from qhevqa.simulator import StateVector, apply_circuit, fidelity, gate
@@ -182,8 +195,9 @@ class TestConversions:
         assert fidelity(back, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_amps_length_check(self):
-        with pytest.raises(ProtocolError):
-            amps_from_json([[1.0, 0.0]], 2)
+        # amps_from_json converts validated pairs; the count is the schema's check.
+        with pytest.raises(ProtocolError, match="payload"):
+            validate(SCHEMA["EncInput"].payload, {"num_wires": 2, "amps": [[1.0, 0.0]]}, {})
 
     def test_circuit_round_trip(self):
         circ = [gate("H", 0), gate("RX", 1, angle=0.7), gate("CNOT", 0, 1)]
@@ -193,8 +207,9 @@ class TestConversions:
         ]
 
     def test_circuit_rejects_unknown_gate(self):
-        with pytest.raises(ProtocolError):
-            circuit_from_json([{"kind": "NOPE", "wires": [0]}])
+        circuit = SCHEMA["RunRequest"].payload.cases[False].fields["circuit"]
+        with pytest.raises(ProtocolError, match="payload"):
+            validate(circuit, [{"kind": "NOPE", "wires": [0]}], {"last_wire": 0})
 
     def test_ct_hex_round_trip(self):
         rng = np.random.default_rng(1)
@@ -418,6 +433,317 @@ class TestHostilePayloads:
         thread.join(timeout=5)
         assert list(session.qubits) == [0, 1, 2]
         assert all(session.qubits[q] is before[q] for q in before)
+
+    def gadget_session(self):
+        """An open session with a 1-qubit input and one queued T gadget."""
+        channel, session, thread, client = self.open_session()
+        rng = np.random.default_rng(9)
+        client_keys = client.remote_keygen(1, [gate("T", 0)], rng)
+        client.close_rsp()
+        from qhevqa.qhe import encrypt
+
+        cs, _ = encrypt(client_keys, StateVector(1), rng)
+        client.send_input(cs.register, cs.encrypted_keys)
+        assert len(session.gadgets) == 1
+        return channel, session, thread
+
+    @pytest.mark.parametrize("circuit, spec", [
+        ([{"kind": "T", "wires": [5]}], {"type": "bits", "wires": [0]}),
+        ([{"kind": "T", "wires": ["0"]}], {"type": "bits", "wires": [0]}),
+        ([{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0], "basis": "Q"}),
+        ([{"kind": "H", "wires": [0, 0]}], {"type": "bits", "wires": [0]}),
+        ([{"kind": "RX", "wires": [0], "angle": "x"}], {"type": "bits", "wires": [0]}),
+    ])
+    def test_bad_gates_consume_no_gadget(self, circuit, spec):
+        # Gate kinds, wires inside the register and angles are checked, like
+        # the measure spec, before the queued gadget is taken.
+        channel, session, thread = self.gadget_session()
+        register, enc_keys = session.register, session.enc_keys
+        channel.send(Message("RunRequest", {
+            "circuit": circuit, "measure": spec, "use_gadgets": True, "shots": 1,
+        }))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert len(session.gadgets) == 1
+        assert session.register is register and session.enc_keys is enc_keys
+
+    @pytest.mark.parametrize("payload", [
+        {"matrix": [[1, 2], [3]]},
+        {"matrix": "abcd"},
+        {"matrix": [[10**30] * 4] * 4},
+        {"qid": [1], "alphas": [0, 1, 0]},
+        {"ideal": "no"},
+    ])
+    def test_bad_rsp_basis_changes_nothing(self, payload):
+        channel, session, thread, _client = self.open_session()
+        channel.send(Message("RspBasis", {"ideal": True}))
+        assert channel.recv().kind == "RspOutcome"
+        channel.send(Message("RspBasis", {"matrix": [[1, 0, 1, 0]] * 4}))
+        assert channel.recv().kind == "RspCommit"
+        qubits, pending = dict(session.qubits), dict(session.pending)
+        channel.send(Message("RspBasis", payload))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session.qubits == qubits and session.pending == pending
+
+    @pytest.mark.parametrize("payload", [
+        {"close": True, "discard": [True]},
+        {"pairs": [[0, 2], [True, 3]], "discard": []},
+    ])
+    def test_bool_qids_are_refused(self, payload):
+        # True == 1 as a dict key: taken as an int it would drop or couple qid 1.
+        channel, session, thread, _client = self.open_session()
+        for _ in range(4):
+            channel.send(Message("RspBasis", {"ideal": True}))
+            assert channel.recv().kind == "RspOutcome"
+        qubits = dict(session.qubits)
+        channel.send(Message("CoupleInstr", payload))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session.qubits == qubits
+
+    def test_bool_declared_count_is_refused(self):
+        channel, _session, thread, _client = self.open_session()
+        channel.send(Message("GadgetClassical", {"declare": True}))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+
+    @pytest.mark.parametrize("level", ["3", True, 2.5])
+    def test_gadget_level_must_be_an_int(self, level):
+        channel, session, thread, _client = self.open_session()
+        for _ in range(4):
+            channel.send(Message("RspBasis", {"ideal": True}))
+            assert channel.recv().kind == "RspOutcome"
+        channel.send(Message("CoupleInstr", {"pairs": [[0, 1], [2, 3]], "discard": []}))
+        assert channel.recv().kind == "CoupleInstr"
+        partial = session._partial_state
+        rng = np.random.default_rng(4)
+        pk = he_keygen(16, rng, level=1).pk
+        cts = [ct_to_hex(he_enc(pk, int(rng.integers(2)), rng)) for _ in range(24)]
+        channel.send(Message("GadgetClassical", {
+            "x_ct": cts[:2], "z_ct": cts[2:4], "e_ct": [cts[4:6], cts[6:8]],
+            "sk_enc": cts[8:], "level": level,
+        }))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session.gadgets == [] and session._partial_state is partial
+
+    @pytest.mark.parametrize("amps", [
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[float("nan"), 0.0], [1.0, 0.0]],
+        [[float("inf"), 0.0], [0.0, 0.0]],
+        [[True, 0.0], [0.0, 0.0]],
+        [["1.0", 0.0], [0.0, 0.0]],
+        [[1.0, 0.0], [1.0, 0.0]],
+    ])
+    def test_registers_must_be_finite_with_unit_norm(self, amps):
+        channel, session, thread, client = self.open_session()
+        client.close_rsp()
+        client.send_input(StateVector(1), None)
+        before = session.register
+        channel.send(Message("EncInput", {
+            "num_wires": 1, "amps": amps, "enc_keys": None, "level": 0,
+        }))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session.register is before
+
+    def test_near_unit_norm_register_is_accepted(self):
+        # Honest registers are normalized to float precision, not exactly.
+        channel, session, thread, client = self.open_session()
+        client.close_rsp()
+        psi = StateVector(3, np.full(8, (1 + 1e-10) / np.sqrt(8)))
+        client.send_input(psi, None)
+        assert np.array_equal(session.register.amplitudes, psi.amplitudes)
+        client.done()
+        thread.join(timeout=5)
+
+
+# --- payloads generated from the schema --------------------------------------
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.5, 10**400]),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+REPLIES = {  # the replies an accepted message gets, in order (Error: none)
+    "Hello": [{"Announce"}], "RspBasis": [{"RspOutcome", "RspCommit"}],
+    "CoupleInstr": [{"CoupleInstr"}], "GadgetClassical": [{"GadgetClassical"}],
+    "EncInput": [{"EncInput"}], "RunRequest": [{"ShotResults"}, {"EncKeysUpdate"}],
+    "ParamUpdate": [{"ParamUpdate"}], "Done": [{"Done"}], "Error": [set()],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def ciphertext_pool():
+    rng = np.random.default_rng(17)
+    return tuple(
+        ct_to_hex(he_enc(he_keygen(16, rng, level=lv).pk, int(rng.integers(2)), rng))
+        for lv in (0, 0, 1, 2)
+    )
+
+
+def draw_value(draw, spec, ctx, bad):
+    """A value of the field type ``spec``, well-formed, or with one hostile
+    part when ``bad``: a value out of range or of the wrong type, a wrong
+    length, a ragged or non-finite register, or a wrong variant."""
+    t = type(spec)
+
+    def bound(b):  # a named bound; a hostile wire count stands in as 1
+        if not isinstance(b, str):
+            return b
+        return ctx[b] if type(ctx[b]) is int and 0 <= ctx[b] <= 6 else 1
+
+    if t is Rec:
+        spoil = draw(st.sampled_from(["field", "missing", "extra", "type"])) if bad else None
+        target = draw(st.sampled_from(list(spec.fields))) if spec.fields else None
+        out = {}
+        for name, field in spec.fields.items():
+            hostile = spoil == "field" and name == target
+            if type(field) is Opt:
+                if not hostile and draw(st.booleans()):
+                    continue
+                field = field.type
+            out[name] = draw_value(draw, field, ChainMap(out, ctx), hostile)
+        if spoil == "missing" and target is not None:
+            out.pop(target, None)
+        elif spoil == "extra" or (spoil == "field" and target is None):
+            out["extra"] = draw(SCALARS)
+        elif spoil == "type":
+            return draw(SCALARS)
+        return out
+    if t is Variants:
+        case = draw(st.sampled_from(sorted(spec.cases)))
+        if bad and draw(st.booleans()):  # keys of two forms, or an unknown tag
+            other = draw(st.sampled_from(sorted(spec.cases)))
+            out = {**draw_value(draw, spec.cases[other], ctx, False),
+                   **draw_value(draw, spec.cases[case], ctx, False)}
+            if spec.tag is not None:
+                out[spec.tag] = draw(st.one_of(st.text(max_size=4), SCALARS))
+            return out
+        return draw_value(draw, spec.cases[case], ctx, bad)
+    if t is Seq:
+        lo, hi = bound(spec.lo), bound(spec.hi)
+        size = draw(st.integers(lo, lo + 3 if hi is None else min(hi, lo + 3)))
+        items = [draw_value(draw, spec.item, ctx, False) for _ in range(size)]
+        spoil = draw(st.sampled_from(["item", "short", "long", "type", "repeat"])) if bad else None
+        if spoil == "item" and items:
+            items[draw(st.integers(0, size - 1))] = draw_value(draw, spec.item, ctx, True)
+        elif spoil == "short" and lo > 0:
+            items = items[: lo - 1]
+        elif spoil == "long" and hi is not None:
+            items += [draw_value(draw, spec.item, ctx, False)] * (hi + 1 - size)
+        elif spoil == "type":
+            return draw(SCALARS)
+        elif spoil == "repeat" and items:
+            items.append(items[0])
+        return items
+    if t is Amps:
+        n = 2 ** bound(spec.wires)
+        v = np.random.default_rng(draw(st.integers(0, 99))).normal(size=(n, 2))
+        amps = (v / np.linalg.norm(v)).tolist()
+        if bad:
+            spoil = draw(st.sampled_from(["zero", "nan", "ragged", "short", "bool", "str"]))
+            amps = {
+                "zero": [[0.0, 0.0]] * n, "nan": [[float("nan"), 0.0]] + amps[1:],
+                "ragged": [[1.0, 0.0, 0.0]] + amps[1:], "short": amps[1:],
+                "bool": [[True, 0.0]] + amps[1:], "str": [["1", 0.0]] + amps[1:],
+            }[spoil]
+        return amps
+    if bad:
+        if t is Int:  # out of range, or not an int
+            hi = bound(spec.hi)
+            edges = [spec.lo - 1] + ([] if hi is None else [hi + 1, hi + 7])
+            return draw(st.one_of(st.sampled_from(edges), SCALARS))
+        if t is Ct:
+            return draw(st.one_of(st.sampled_from(["zz", "00ff", ""]), SCALARS))
+        return draw(SCALARS)
+    if t is Int:
+        hi = bound(spec.hi)
+        return draw(st.integers(spec.lo, spec.lo + 6 if hi is None else min(hi, spec.lo + 6)))
+    if t is Num:
+        return draw(st.floats(-7.0, 7.0))
+    if t is Enum:
+        return draw(st.sampled_from(spec.values))
+    if t is Ct:
+        return draw(st.sampled_from(ciphertext_pool()))
+    return draw(st.text(max_size=4))
+
+
+@st.composite
+def server_messages(draw):
+    kind = draw(st.sampled_from(sorted(SCHEMA)))
+    payload = draw_value(draw, SCHEMA[kind].payload, {"last_wire": 1}, draw(st.booleans()))
+    # A frame's payload is always an object; a hostile non-object goes inside one.
+    return kind, payload if isinstance(payload, dict) else {"payload": payload}
+
+
+def session_view(session):
+    """The state a refusal must leave alone, and the ids it is compared by
+    (the state is returned too, so that no id is reused while it is held)."""
+    state = (
+        session.register, session.enc_keys, list(session.gadgets),
+        dict(session.qubits), dict(session.pending),
+    )
+    ids = [id(state[0]), id(state[1]), [id(g) for g in state[2]]]
+    return state, ids + [{q: id(v) for q, v in d.items()} for d in state[3:]]
+
+
+class TestSchemaProperty:
+    """Every kind the server accepts, well-formed or hostile, on an open
+    session with a 2-qubit input, one queued gadget, four prepared qubits
+    and one committed claw round."""
+
+    @staticmethod
+    def loaded_session():
+        channel, session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(3, "x")
+        client.open_rsp(0)
+        rng = np.random.default_rng(3)
+        client_keys = client.remote_keygen(2, [gate("T", 0)], rng)
+        from qhevqa.qhe import encrypt
+
+        cs, _ = encrypt(client_keys, StateVector(2), rng)
+        client.send_input(cs.register, cs.encrypted_keys)
+        for payload in [{"ideal": True}] * 4 + [{"matrix": [[1, 0, 1, 0]] * 4}]:
+            channel.send(Message("RspBasis", payload))
+            assert channel.recv().kind in ("RspOutcome", "RspCommit")
+        return channel, session, thread
+
+    @settings(max_examples=300, deadline=None)
+    @given(server_messages())
+    def test_replies_are_expected_or_refusals_that_change_nothing(self, message):
+        kind, payload = message
+        channel, session, thread = self.loaded_session()
+        before = session_view(session)
+        channel.send(Message(kind, payload))
+        try:
+            for allowed in REPLIES[kind]:
+                reply = channel.recv()
+                if reply.kind == "Error":
+                    break
+                assert reply.kind in allowed, (kind, reply.kind)
+        except ChannelClosed:
+            assert kind == "Error"  # an accepted Error ends the session unanswered
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            return
+        if reply.kind != "Error":
+            ClientSession(channel).done()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            return
+        assert reply.payload["code"] != "internal", reply.payload
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert session_view(session)[1] == before[1]
 
 
 class TestDelegatedRuns:
