@@ -227,43 +227,61 @@ def he_eval(
     return values[-1]
 
 
-def _topological(ct: HECiphertext) -> list[HECiphertext]:
-    """Every node reachable from ``ct`` once: children, then ``sk_enc``, before each parent.
+_EXPANDED = object()  # on the stack above a node whose dependencies sit above it
+
+
+def _topological(*roots: HECiphertext) -> list[HECiphertext]:
+    """Every node reachable from the roots once: children, then ``sk_enc``, before each parent.
 
     Ciphertexts are shared DAGs after long evaluations, so each distinct node
-    is listed once; the walk is iterative because key-switch chains nest far
+    is listed once; roots are walked in turn over one ``seen`` set, so a node
+    shared by several roots is listed where the first of them reaches it, and
+    one root's order is the order ``ct_to_bytes`` encodes. A node's unseen
+    dependencies are pushed once, above an ``_EXPANDED`` marker: when the
+    marker comes back to the top they are all listed, and so is the node
+    under it. The walk is iterative because key-switch chains nest far
     beyond the recursion limit.
     """
     order: list[HECiphertext] = []
-    seen: set[int] = set()
-    stack: list[HECiphertext] = [ct]
+    seen: set[HECiphertext] = set()
+    stack: list = list(reversed(roots))
     while stack:
-        node = stack[-1]
-        if id(node) in seen:
-            stack.pop()
+        node = stack.pop()
+        if node is _EXPANDED:
+            node = stack.pop()
+        elif node in seen:
             continue
-        deps = [c for c in (*node.children, *node.sk_enc) if id(c) not in seen]
-        if deps:
-            stack.extend(deps)
-            continue
-        seen.add(id(node))
+        else:
+            deps = [c for c in (*node.children, *node.sk_enc) if c not in seen]
+            if deps:
+                stack += (node, _EXPANDED, *deps)
+                continue
+        seen.add(node)
         order.append(node)
-        stack.pop()
     return order
 
 
-def _dec(sk: HESecretKey, ct: HECiphertext) -> int:
-    """Replay the deferred circuit over the topological order, one key per level.
+def _dec(sk: HESecretKey, *roots: HECiphertext) -> list[int]:
+    """Decrypt every root in one pass: one walk, each leaf unsealed once, one key chain.
 
-    Level l-1's key is unsealed from the ``sk_enc`` leaves of the first key
-    switch out of level l-1 met parents-first, so it is known before any node
-    below that switch is evaluated.
+    Level l-1's seed is unsealed from the ``sk_enc`` leaves of the key switches
+    out of level l-1, met parents-first, so it is known before any node below
+    them is evaluated. Key switches out of one level that unseal different
+    seeds are refused, so the order of the roots never picks the seed.
     """
-    order = _topological(ct)
+    for ct in roots:
+        if ct.level != sk.level:
+            raise HEError(
+                f"secret key level {sk.level} does not match ciphertext level {ct.level}"
+            )
+    order = _topological(*roots)
     streams = {sk.level: sk.stream_seed}
-    vals: dict[int, int] = {}
+    vals: dict[HECiphertext, int] = {}
 
     def unseal(leaf: HECiphertext) -> int:
+        bit = vals.get(leaf)
+        if bit is not None:
+            return bit
         if leaf.op != LEAF:
             raise HEError("malformed key switch: encrypted key bit is not a leaf")
         stream_seed = streams.get(leaf.level)
@@ -271,44 +289,49 @@ def _dec(sk: HESecretKey, ct: HECiphertext) -> int:
             raise HEError(f"no secret key for leaf level {leaf.level}")
         if _tag(stream_seed, leaf.nonce) != leaf.tag:
             raise HEError("seal verification failed: wrong secret key")
-        vals[id(leaf)] = leaf.masked ^ _stream_bit(stream_seed, leaf.nonce)
-        return vals[id(leaf)]
+        bit = vals[leaf] = leaf.masked ^ _stream_bit(stream_seed, leaf.nonce)
+        return bit
 
+    switched: set[tuple[HECiphertext, ...]] = set()  # key leaves already unsealed
     for node in reversed(order):
-        if node.op == KEYSWITCH and node.level - 1 not in streams:
-            bits = [unseal(c) for c in node.sk_enc]
-            if len(bits) % 8:
-                raise HEError("malformed key switch: seed bit count not byte-aligned")
-            seed = bytes(
-                sum(bits[i * 8 + j] << j for j in range(8)) for i in range(len(bits) // 8)
-            )
-            streams[node.level - 1] = HESecretKey(node.level - 1, seed).stream_seed
+        if node.op != KEYSWITCH or node.sk_enc in switched:
+            continue
+        switched.add(node.sk_enc)
+        bits = [unseal(c) for c in node.sk_enc]
+        if len(bits) % 8:
+            raise HEError("malformed key switch: seed bit count not byte-aligned")
+        seed = bytes(
+            sum(bits[i * 8 + j] << j for j in range(8)) for i in range(len(bits) // 8)
+        )
+        lower = node.level - 1
+        stream_seed = HESecretKey(lower, seed).stream_seed
+        if streams.setdefault(lower, stream_seed) != stream_seed:
+            raise HEError(f"key switches out of level {lower} unseal different seeds")
     for node in order:
-        if id(node) in vals:
+        if node in vals:
             continue
         if node.op == LEAF:
             unseal(node)
         elif node.op == CONST:
-            vals[id(node)] = node.const_value
+            vals[node] = node.const_value
         elif node.op in (XOR, AND, NOT, KEYSWITCH):
-            kids = [vals[id(c)] for c in node.children]
+            kids = [vals[c] for c in node.children]
             if node.op == XOR:
-                vals[id(node)] = kids[0] ^ kids[1]
+                vals[node] = kids[0] ^ kids[1]
             elif node.op == AND:
-                vals[id(node)] = kids[0] & kids[1]
+                vals[node] = kids[0] & kids[1]
             elif node.op == NOT:
-                vals[id(node)] = 1 ^ kids[0]
+                vals[node] = 1 ^ kids[0]
             else:
-                vals[id(node)] = kids[0]
+                vals[node] = kids[0]
         else:
             raise HEError(f"malformed ciphertext node op={node.op}")
-    return vals[id(ct)]
+    return [vals[ct] for ct in roots]
 
 
 def he_dec(sk: HESecretKey, ct: HECiphertext) -> int:
-    if sk.level != ct.level:
-        raise HEError(f"secret key level {sk.level} does not match ciphertext level {ct.level}")
-    return _dec(sk, ct)
+    (bit,) = _dec(sk, ct)
+    return bit
 
 
 def encrypt_seed(

@@ -35,7 +35,7 @@ import queue
 import socket
 import struct
 import threading
-from collections import namedtuple
+from collections import deque, namedtuple
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, count
@@ -88,6 +88,7 @@ from .vqa import exact_evaluator, faithful_evaluator, train
 VERSION = 1
 MAX_FRAME = 16 * 1024 * 1024
 MAX_SHOTS = 4096
+AUDIT_LIMIT = 512  # payloads a session keeps; a faithful ε = 0.1 window sends 271
 HEADER = struct.Struct("<I")  # little-endian payload length
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7913
@@ -364,7 +365,7 @@ Int = namedtuple("Int", "lo hi", defaults=(0, None))  # an int, never a bool
 Num = namedtuple("Num", ())  # a finite JSON number, never a bool
 Enum = namedtuple("Enum", "values")  # a str or bool among the values
 Str = namedtuple("Str", ())
-Ct = namedtuple("Ct", ())  # a hex ciphertext, decoded as it is checked
+Ct = namedtuple("Ct", "level")  # a hex ciphertext at the level with a public masked parity
 Seq = namedtuple("Seq", "item lo hi distinct", defaults=(0, None, False))  # lo..hi items
 Amps = namedtuple("Amps", "wires")  # (re, im) pairs of a unit-norm 2**wires register
 Opt = namedtuple("Opt", "type default", defaults=(None,))  # absent or null: default
@@ -373,7 +374,7 @@ Variants = namedtuple("Variants", "tag cases")  # tag None: the one case key pre
 Entry = namedtuple("Entry", "phases payload")
 
 BIT, QID, WIRE, OPEN = Int(0, 1), Int(), Int(0, "last_wire"), ("open",)
-CT_PAIR = Seq(Ct(), 2, 2)
+KEY_PAIR, GADGET_PAIR = Seq(Ct(0), 2, 2), Seq(Ct("level"), 2, 2)
 DISCARD = Opt(Seq(QID, 0, 2 * PAIR_COUNT * MAX_DRAWS), ())  # every rejected round
 
 
@@ -407,12 +408,13 @@ SCHEMA = {
     })),
     "GadgetClassical": Entry(OPEN, Variants(None, {
         "declare": Rec({"declare": Int()}),
-        "x_ct": Rec({"x_ct": CT_PAIR, "z_ct": CT_PAIR, "e_ct": Seq(CT_PAIR, 2, 2),
-                     "sk_enc": Seq(Ct(), SECURITY, SECURITY), "level": Int(1)}),
+        "x_ct": Rec({"level": Int(1), "x_ct": GADGET_PAIR, "z_ct": GADGET_PAIR,
+                     "e_ct": Seq(GADGET_PAIR, 2, 2),
+                     "sk_enc": Seq(Ct("level"), SECURITY, SECURITY)}),
     })),
     "EncInput": Entry(OPEN, Rec({
         "num_wires": Int(1, MAX_QUBITS), "amps": Amps("num_wires"),  # bounded before 2**n
-        "enc_keys": Opt(Seq(CT_PAIR, "num_wires", "num_wires")), "level": Opt(Int(0, 0)),
+        "enc_keys": Opt(Seq(KEY_PAIR, "num_wires", "num_wires")), "level": Opt(Int(0, 0)),
     })),
     "RunRequest": Entry(OPEN, Variants("use_gadgets", {
         False: _run_request(False, GATE_KINDS), True: _run_request(True, EVAL_KINDS),
@@ -479,8 +481,14 @@ def validate(spec, value, ctx):
                     # One dot product checks finiteness and norm: NaN or inf fails the bound.
                     if abs(arr @ arr - 1) <= 1e-9:
                         return arr
-    elif type(value) is str:  # Str or Ct
-        return value if t is Str else ct_from_hex(value)
+    elif t is Str:
+        if type(value) is str:
+            return value
+    elif t is Ct:  # the level, and a parity to route gadgets by, checked before any run
+        if type(value) is str:
+            ct = ct_from_hex(value)
+            if ct.level == ctx.get(spec.level, spec.level) and ct.masked_parity is not None:
+                return ct
     raise ProtocolError("payload", f"expected {spec}")
 
 
@@ -498,16 +506,16 @@ ANNOUNCE = {
 class ServerSession:
     """One server-side session: phase machine plus quantum/HE workloads.
 
-    The session records every received payload in ``audit`` so tests can check
-    server blindness: everything visible here is public structure, ciphertext
-    strings, or padded quantum data.
+    The session records the last ``AUDIT_LIMIT`` received payloads in
+    ``audit`` so tests can check server blindness: everything visible here is
+    public structure, ciphertext strings, or padded quantum data.
     """
 
     def __init__(self, channel: Channel):
         self.channel = channel
         self.state = SessionState()
         self.rng: np.random.Generator | None = None
-        self.audit: list[tuple[str, dict]] = []
+        self.audit: deque[tuple[str, dict]] = deque(maxlen=AUDIT_LIMIT)
         self.qubits: dict[int, StateVector] = {}  # prepared RSP outputs
         self.pending: dict[int, StateVector] = {}  # committed, not yet measured
         self._qids = count()  # the next qid to hand out
@@ -625,6 +633,9 @@ class ServerSession:
         if shots * needed > len(self.gadgets):
             queued = len(self.gadgets)
             raise ProtocolError("budget", f"{shots * needed} gadgets needed, {queued} queued")
+        # Each shot starts at level 0, so its i-th gadget must lift keys to level i + 1.
+        if any(g.level != i % needed + 1 for i, g in enumerate(self.gadgets[: shots * needed])):
+            raise ProtocolError("order", "queued gadget levels do not fit their slots in the run")
         values, bits, key_rows, level = [], [], [] if homomorphic else None, 0
         for _ in range(shots):
             if homomorphic:
@@ -679,8 +690,10 @@ class TcpServer:
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self.listener.bind((self.host, env_port if port is None else port))
         self.port = self.listener.getsockname()[1]
-        self.sessions: list[ServerSession] = []
-        self._threads: list[threading.Thread] = []
+        # Sessions still running and their threads; each leaves when its run returns.
+        self.sessions: set[ServerSession] = set()
+        self._threads: set[threading.Thread] = set()
+        self._lock = threading.Lock()
         self._accept_thread: threading.Thread | None = None
         self._stopping = False
 
@@ -698,17 +711,28 @@ class TcpServer:
                 break
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             session = ServerSession(TcpChannel(sock))
-            self.sessions.append(session)
-            thread = threading.Thread(target=session.run, daemon=True)
-            self._threads.append(thread)
+            thread = threading.Thread(target=self._serve, args=(session,), daemon=True)
+            with self._lock:
+                self.sessions.add(session)
+                self._threads.add(thread)
             thread.start()
+
+    def _serve(self, session: ServerSession) -> None:
+        try:
+            session.run()
+        finally:
+            with self._lock:
+                self.sessions.discard(session)
+                self._threads.discard(threading.current_thread())
 
     def stop(self) -> None:
         self._stopping = True
         self.listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
-        for thread in self._threads:
+        with self._lock:
+            threads = list(self._threads)
+        for thread in threads:
             thread.join(timeout=5)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .classical_he import (
     HECiphertext,
     HEKeyTriple,
-    he_dec,
+    _dec,
     he_enc,
     he_keygen,
     he_xor,
@@ -256,6 +256,13 @@ def eval_circuit(
     return CipherState(register, tuple(keys), level)
 
 
+def _decrypt(client: ClientKeys, level: int, roots) -> list[int]:
+    """Decrypt the key ciphertexts ``roots`` of one request at ``level`` in one pass."""
+    if level >= client.levels:
+        raise QHEError(f"cipherstate level {level} beyond key chain {client.levels}")
+    return _dec(client.triples[level].sk, *roots)
+
+
 def decrypt_flips(
     client: ClientKeys,
     level: int,
@@ -267,22 +274,18 @@ def decrypt_flips(
 
     A Z-basis outcome flips with the X key a, an X-basis outcome with the Z
     key b. ``encrypted_keys[w]`` is wire w's (a, b) ciphertext pair; only the
-    listed wires' ciphertexts for ``basis`` are decrypted.
+    listed wires' ciphertexts for ``basis`` are decrypted, in one pass.
     """
     if basis not in ("Z", "X"):
         raise QHEError(f"basis must be 'Z' or 'X', got {basis!r}")
-    if level >= client.levels:
-        raise QHEError(f"cipherstate level {level} beyond key chain {client.levels}")
-    sk = client.triples[level].sk
     component = 0 if basis == "Z" else 1
-    return [he_dec(sk, encrypted_keys[w][component]) for w in wires]
+    return _decrypt(client, level, [encrypted_keys[w][component] for w in wires])
 
 
 def decrypt_keys(client: ClientKeys, cs: CipherState) -> KeyFrame:
-    wires = range(len(cs.encrypted_keys))
-    a = decrypt_flips(client, cs.level, cs.encrypted_keys, wires, "Z")
-    b = decrypt_flips(client, cs.level, cs.encrypted_keys, wires, "X")
-    return KeyFrame([PauliKey(*bits) for bits in zip(a, b)])
+    """Decrypt every wire's (a, b) pad key in one pass."""
+    bits = _decrypt(client, cs.level, [ct for pair in cs.encrypted_keys for ct in pair])
+    return KeyFrame([PauliKey(a, b) for a, b in zip(bits[::2], bits[1::2])])
 
 
 def decrypt_state(client: ClientKeys, cs: CipherState) -> StateVector:

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qhevqa.classical_he import (
     HEError,
+    _dec,
+    _topological,
     ct_from_bytes,
     ct_to_bytes,
     encrypt_seed,
@@ -255,16 +257,19 @@ DAG_PROGRAMS = st.lists(
 )
 
 
+def lift(node, level):
+    """Key-switch a built node up to ``level``."""
+    while node[0].level < level:
+        ct, plain, stream, has_and = node
+        node = (key_switch(ct, SK_ENC[ct.level]), plain, stream, has_and)
+    return node
+
+
 def build_dag(program, seed):
-    """Build a random DAG; each node is (ct, plaintext, stream parity, AND below)."""
+    """Build a random DAG; each node is (ct, plaintext, stream parity, AND below).
+
+    Returns every node built, the last one being the program's output."""
     rng = np.random.default_rng(seed)
-
-    def lift(node, level):
-        while node[0].level < level:
-            ct, plain, stream, has_and = node
-            node = (key_switch(ct, SK_ENC[ct.level]), plain, stream, has_and)
-        return node
-
     nodes = []
     for op, i, j, bit in program:
         if op == "LEAF" or not nodes:
@@ -287,14 +292,14 @@ def build_dag(program, seed):
                 nodes.append((he_xor(x[0], y[0]), x[1] ^ y[1], stream, has_and))
             else:
                 nodes.append((he_and(x[0], y[0]), x[1] & y[1], None, True))
-    return nodes[-1]
+    return nodes
 
 
 class TestDagWalker:
     @settings(max_examples=150, deadline=None)
     @given(DAG_PROGRAMS, st.integers(0, 2**32 - 1))
     def test_stored_parity_matches_plaintext_and_keystream(self, program, seed):
-        ct, plain, stream, has_and = build_dag(program, seed)
+        ct, plain, stream, has_and = build_dag(program, seed)[-1]
         for node in (ct, ct_from_bytes(ct_to_bytes(ct))):
             assert he_dec(CHAIN[node.level].sk, node) == plain
             if has_and:
@@ -320,9 +325,16 @@ class TestDagWalker:
         except HEError:
             return
         sk = CHAIN[min(ct.level, len(CHAIN) - 1)].sk
-        for read in (lambda: he_dec(sk, ct), lambda: public_masked_parity(ct)):
+        clean = ct_from_bytes(KEYSWITCHED_BYTES)
+        reads = (
+            lambda: [he_dec(sk, ct)],
+            lambda: [public_masked_parity(ct)],
+            lambda: _dec(sk, ct, clean),
+            lambda: _dec(sk, clean, ct),
+        )
+        for read in reads:
             try:
-                assert read() in (0, 1)
+                assert set(read()) <= {0, 1}
             except HEError:
                 pass
 
@@ -363,3 +375,74 @@ class TestDagWalker:
         assert hash(ct) == hash(ct) and ct == ct
         assert back != ct
         assert he_dec(CHAIN[0].sk, back) == he_dec(CHAIN[0].sk, ct) == 1
+
+
+def reference_topological(ct):
+    """The single-root walk ``ct_to_bytes`` has always encoded in: a node's
+    unseen dependencies are recomputed each time it is back on top."""
+    order, seen, stack = [], set(), [ct]
+    while stack:
+        node = stack[-1]
+        if id(node) in seen:
+            stack.pop()
+            continue
+        deps = [c for c in (*node.children, *node.sk_enc) if id(c) not in seen]
+        if deps:
+            stack.extend(deps)
+            continue
+        seen.add(id(node))
+        order.append(node)
+        stack.pop()
+    return order
+
+
+class TestOnePassDecrypt:
+    """``_dec`` decrypts many roots over one walk and one key chain."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(DAG_PROGRAMS, st.integers(0, 2**32 - 1), st.data())
+    def test_many_roots_equal_one_root_at_a_time(self, program, seed, data):
+        nodes = build_dag(program, seed)
+        picks = data.draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=6))
+        level = max(nodes[i][0].level for i in picks)
+        roots = [lift(nodes[i], level)[0] for i in picks]
+        plains = [nodes[i][1] for i in picks]
+        sk = CHAIN[level].sk
+        for cts in (roots, [ct_from_bytes(ct_to_bytes(r)) for r in roots]):
+            assert _dec(sk, *cts) == [he_dec(sk, r) for r in cts] == plains
+
+    @settings(max_examples=150, deadline=None)
+    @given(DAG_PROGRAMS, st.integers(0, 2**32 - 1))
+    def test_one_root_walk_is_the_encoded_order(self, program, seed):
+        nodes = build_dag(program, seed)
+        for ct in (nodes[-1][0], ct_from_bytes(ct_to_bytes(nodes[-1][0]))):
+            assert list(map(id, _topological(ct))) == list(map(id, reference_topological(ct)))
+        # Many roots: every node of the union once, each after its dependencies.
+        roots = [node[0] for node in nodes]
+        order = _topological(*roots)
+        place = {id(node): i for i, node in enumerate(order)}
+        union = {id(n) for r in roots for n in reference_topological(r)}
+        assert len(place) == len(order) and place.keys() == union
+        for node in order:
+            for dep in (*node.children, *node.sk_enc):
+                assert place[id(dep)] < place[id(node)]
+
+    def test_key_switches_with_different_seeds_are_refused(self):
+        # Two switches out of level 0 that carry different seeds: no root
+        # order may decide which one holds.
+        rng = np.random.default_rng(34)
+        other = he_keygen(16, rng, level=0)
+        good = key_switch(he_enc(CHAIN[0].pk, 1, rng), SK_ENC[0])
+        forged = key_switch(
+            he_enc(other.pk, 0, rng), encrypt_seed(CHAIN[1].pk, other.sk, rng)
+        )
+        assert he_dec(CHAIN[1].sk, good) == 1 and he_dec(CHAIN[1].sk, forged) == 0
+        for reads in ((good, forged), (forged, good), (he_xor(good, forged),)):
+            with pytest.raises(HEError, match="different seeds"):
+                _dec(CHAIN[1].sk, *reads)
+
+    def test_roots_at_another_level_are_refused(self):
+        rng = np.random.default_rng(35)
+        low, high = he_enc(CHAIN[0].pk, 1, rng), he_enc(CHAIN[1].pk, 1, rng)
+        with pytest.raises(HEError, match="does not match"):
+            _dec(CHAIN[1].sk, high, low)

@@ -2,15 +2,17 @@
 import functools
 import hashlib
 import threading
+import time
 from collections import ChainMap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhevqa.classical_he import he_enc, he_keygen
+from qhevqa.classical_he import he_and, he_enc, he_keygen
 from qhevqa.protocol import (
     ANNOUNCE,
+    AUDIT_LIMIT,
     Amps,
     ChannelClosed,
     ClientSession,
@@ -533,6 +535,81 @@ class TestHostilePayloads:
         thread.join(timeout=5)
         assert session.gadgets == [] and session._partial_state is partial
 
+    @pytest.mark.parametrize("spoil", ["level-1", "and"])
+    def test_input_keys_the_run_cannot_use_are_refused(self, spoil):
+        # Input keys sit at level 0 with a public masked parity (an AND has
+        # none, and routing a gadget reads it); a key without either would
+        # fail the next homomorphic run after it took the gadget.
+        channel, session, thread = self.gadget_session()
+        enc_keys = session.enc_keys
+        rng = np.random.default_rng(5)
+        pk = he_keygen(16, rng, level=1 if spoil == "level-1" else 0).pk
+        a, b = he_enc(pk, 0, rng), he_enc(pk, 1, rng)
+        if spoil == "and":
+            a = he_and(a, b)
+        channel.send(Message("EncInput", {
+            "num_wires": 1, "amps": [[1.0, 0.0], [0.0, 0.0]],
+            "enc_keys": [[ct_to_hex(a), ct_to_hex(b)]], "level": 0,
+        }))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert len(session.gadgets) == 1 and session.enc_keys is enc_keys
+
+    @pytest.mark.parametrize("spoil", [None, "level", "x_ct", "e_ct", "sk_enc"])
+    def test_gadget_ciphertexts_sit_at_the_bundle_level(self, spoil):
+        channel, session, thread, client = self.open_session()
+        for _ in range(4):
+            channel.send(Message("RspBasis", {"ideal": True}))
+            assert channel.recv().kind == "RspOutcome"
+        channel.send(Message("CoupleInstr", {"pairs": [[0, 1], [2, 3]], "discard": []}))
+        assert channel.recv().kind == "CoupleInstr"
+        partial = session._partial_state
+        rng = np.random.default_rng(4)
+        pk1, pk2 = (he_keygen(16, rng, level=lv).pk for lv in (1, 2))
+        cts = [ct_to_hex(he_enc(pk1, int(rng.integers(2)), rng)) for _ in range(24)]
+        stray = ct_to_hex(he_enc(pk2, 0, rng))
+        bundle = {"x_ct": cts[:2], "z_ct": cts[2:4], "e_ct": [cts[4:6], cts[6:8]],
+                  "sk_enc": cts[8:], "level": 1}
+        if spoil == "level":
+            bundle["level"] = 2
+        elif spoil == "e_ct":
+            bundle["e_ct"] = [cts[4:6], [cts[6], stray]]
+        elif spoil is not None:
+            bundle[spoil] = bundle[spoil][:-1] + [stray]
+        channel.send(Message("GadgetClassical", bundle))
+        reply = channel.recv()
+        if spoil is None:
+            assert reply.payload == {"ok": True, "budget": 1}
+            assert len(session.gadgets) == 1
+            client.done()
+            thread.join(timeout=5)
+            return
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session.gadgets == [] and session._partial_state is partial
+
+    def test_gadgets_out_of_slot_order_are_refused_before_any_is_taken(self):
+        # Two runs of one T each need two level-1 gadgets; a queue provisioned
+        # for one run of two T gates holds levels 1 and 2.
+        channel, session, thread, client = self.open_session()
+        rng = np.random.default_rng(9)
+        client_keys = client.remote_keygen(1, [gate("T", 0), gate("T", 0)], rng)
+        client.close_rsp()
+        from qhevqa.qhe import encrypt
+
+        cs, _ = encrypt(client_keys, StateVector(1), rng)
+        client.send_input(cs.register, cs.encrypted_keys)
+        assert [g.level for g in session.gadgets] == [1, 2]
+        channel.send(Message("RunRequest", {
+            "circuit": circuit_to_json([gate("T", 0)]),
+            "measure": {"type": "bits", "wires": [0]}, "use_gadgets": True, "shots": 2,
+        }))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "order"
+        thread.join(timeout=5)
+        assert [g.level for g in session.gadgets] == [1, 2]
+
     @pytest.mark.parametrize("amps", [
         [[0.0, 0.0], [0.0, 0.0]],
         [[float("nan"), 0.0], [1.0, 0.0]],
@@ -582,11 +659,14 @@ REPLIES = {  # the replies an accepted message gets, in order (Error: none)
 
 @functools.lru_cache(maxsize=None)
 def ciphertext_pool():
+    """Two ciphertexts per level 0..7, and one with an AND (no public parity)."""
     rng = np.random.default_rng(17)
-    return tuple(
-        ct_to_hex(he_enc(he_keygen(16, rng, level=lv).pk, int(rng.integers(2)), rng))
-        for lv in (0, 0, 1, 2)
-    )
+    pool = {}
+    for lv in range(8):
+        pk = he_keygen(16, rng, level=lv).pk
+        pool[lv] = tuple(ct_to_hex(he_enc(pk, int(rng.integers(2)), rng)) for _ in range(2))
+    a = he_enc(he_keygen(16, rng).pk, 1, rng)
+    return pool, ct_to_hex(he_and(a, a))
 
 
 def draw_value(draw, spec, ctx, bad):
@@ -661,8 +741,11 @@ def draw_value(draw, spec, ctx, bad):
             hi = bound(spec.hi)
             edges = [spec.lo - 1] + ([] if hi is None else [hi + 1, hi + 7])
             return draw(st.one_of(st.sampled_from(edges), SCALARS))
-        if t is Ct:
-            return draw(st.one_of(st.sampled_from(["zz", "00ff", ""]), SCALARS))
+        if t is Ct:  # undecodable, at another level, or with no public parity
+            pool, with_and = ciphertext_pool()
+            wrong = [ct for lv, cts in pool.items() if lv != bound(spec.level) for ct in cts]
+            return draw(st.one_of(
+                st.sampled_from(["zz", "00ff", "", with_and] + wrong), SCALARS))
         return draw(SCALARS)
     if t is Int:
         hi = bound(spec.hi)
@@ -672,7 +755,7 @@ def draw_value(draw, spec, ctx, bad):
     if t is Enum:
         return draw(st.sampled_from(spec.values))
     if t is Ct:
-        return draw(st.sampled_from(ciphertext_pool()))
+        return draw(st.sampled_from(ciphertext_pool()[0][bound(spec.level)]))
     return draw(st.text(max_size=4))
 
 
@@ -1046,6 +1129,40 @@ class TestServerBlindness:
                 for text in pair:
                     assert isinstance(text, str)
                     ct_from_bytes(bytes.fromhex(text))
+
+
+class TestServerMemory:
+    """A long session or a long-running server keeps bounded state."""
+
+    def test_audit_keeps_only_the_last_payloads(self):
+        channel, session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(0, "x")
+        updates = AUDIT_LIMIT + 10
+        for epoch in range(updates):
+            client.param_update(np.ones((2, 4)), np.zeros(3), 0.5, epoch)
+        client.done()
+        thread.join(timeout=30)
+        audit = list(session.audit)
+        assert len(audit) == AUDIT_LIMIT and audit[-1] == ("Done", {})
+        epochs = [p["epoch"] for kind, p in audit if kind == "ParamUpdate"]
+        assert epochs == list(range(updates))[-(AUDIT_LIMIT - 1):]
+        session.audit.clear()
+        assert not session.audit
+
+    def test_tcp_server_drops_finished_sessions(self):
+        server = TcpServer(port=0).start()
+        try:
+            for seed in range(3):
+                client = ClientSession(connect_tcp("127.0.0.1", server.port))
+                client.hello(seed, "x")
+                client.done()
+            deadline = time.monotonic() + 10
+            while (server.sessions or server._threads) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server.sessions and not server._threads
+        finally:
+            server.stop()
 
 
 class TestTcpTransport:

@@ -1,7 +1,10 @@
 """Quantum homomorphic encryption: round trips, statistics, blindness."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from qhevqa import qhe
 from qhevqa.qhe import (
     QHEError,
     decrypt_keys,
@@ -187,6 +190,59 @@ class TestDecryption:
         bad = type(cs)(cs.register, cs.encrypted_keys, 5)
         with pytest.raises(QHEError):
             decrypt_keys(client, bad)
+
+
+def deep_circuit(rng, num_wires=4, t_gates=200):
+    """The acceptance-2 gate draw, continued until it holds ``t_gates`` T/T†."""
+    kinds = ["H", "P", "T", "Tdagger", "CNOT", "CZ", "X", "Z"]
+    circ, t_used = [], 0
+    while t_used < t_gates:
+        kind = kinds[rng.integers(len(kinds))]
+        wires = rng.choice(num_wires, size=2 if kind in ("CNOT", "CZ") else 1, replace=False)
+        circ.append(gate(kind, *(int(w) for w in wires)))
+        t_used += kind in ("T", "Tdagger")
+    return circ
+
+
+def deep_cipherstate(seed):
+    rng = np.random.default_rng(seed)
+    circ = deep_circuit(rng)
+    client, server = keygen(16, 4, circ, rng)
+    cs, _ = encrypt(client, rand_state(4, rng), rng)
+    return client, eval_circuit(cs, circ, server, rng)
+
+
+class TestOnePassDecryption:
+    def test_deep_outputs_are_pinned(self):
+        # Recorded with per-root decryption; one pass must reproduce it bit for bit.
+        amps, keys = hashlib.sha256(), hashlib.sha256()
+        for seed in range(3):
+            client, cs = deep_cipherstate(seed)
+            amps.update(decrypt_state(client, cs).amplitudes.tobytes())
+            keys.update(bytes(b for k in decrypt_keys(client, cs).keys for b in (k.a, k.b)))
+        assert amps.hexdigest() == (
+            "50ecfa61953d76897dbad40ae0aac1d60f21276c3d4416879885f869aaef4c82"
+        )
+        assert keys.hexdigest() == (
+            "2a386c84799f86160a213d8d11b412c01dc59674afa35bb78b0db80d9437b5e2"
+        )
+
+    def test_one_decrypt_pass_per_request(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        circ = [gate("T", 0), gate("CNOT", 0, 1), gate("Tdagger", 2)]
+        client, server = keygen(16, 3, circ, rng)
+        cs = eval_circuit(encrypt(client, rand_state(3, rng), rng)[0], circ, server, rng)
+        passes, one_pass = [], qhe._dec
+
+        def counted(sk, *roots):
+            passes.append(len(roots))
+            return one_pass(sk, *roots)
+
+        monkeypatch.setattr(qhe, "_dec", counted)
+        decrypt_state(client, cs)
+        xx_expectation_sign(client, cs, (0, 2))
+        decrypt_outcome(client, cs, "Z", {0: 1, 1: 0, 2: 1})
+        assert passes == [6, 2, 3]
 
 
 class TestBlindness:
