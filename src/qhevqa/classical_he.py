@@ -1,4 +1,4 @@
-"""Modeled classical homomorphic encryption with a four-algorithm interface.
+"""Modeled classical homomorphic encryption: keygen, encrypt, gates, decrypt.
 
 This is an API-faithful stand-in, not hardened cryptography: evaluation is
 deferred (ciphertexts record the boolean circuit; decryption replays it on
@@ -50,22 +50,13 @@ class HESecretKey:
 @dataclass(frozen=True)
 class HEPublicKey:
     level: int
-    key_id: bytes
     stream_seed: bytes
-
-
-@dataclass(frozen=True)
-class HEEvalKey:
-    level: int
-    key_id: bytes
 
 
 @dataclass(frozen=True)
 class HEKeyTriple:
     pk: HEPublicKey
     sk: HESecretKey
-    evk: HEEvalKey
-    level: int
 
 
 def he_keygen(security: int, rng: np.random.Generator, level: int = 0) -> HEKeyTriple:
@@ -73,10 +64,7 @@ def he_keygen(security: int, rng: np.random.Generator, level: int = 0) -> HEKeyT
         raise HEError(f"security parameter {security} below minimum {MIN_SECURITY}")
     seed = rng.bytes(max(2, security // 8))
     sk = HESecretKey(level, seed)
-    key_id = _digest(seed, b"id")[:8]
-    pk = HEPublicKey(level, key_id, sk.stream_seed)
-    evk = HEEvalKey(level, key_id)
-    return HEKeyTriple(pk, sk, evk, level)
+    return HEKeyTriple(HEPublicKey(level, sk.stream_seed), sk)
 
 
 def _stream_bit(stream_seed: bytes, nonce: bytes) -> int:
@@ -189,42 +177,6 @@ def key_switch(ct: HECiphertext, sk_enc: Sequence[HECiphertext]) -> HECiphertext
     if target != ct.level + 1:
         raise HEError(f"key_switch target level {target} != ciphertext level {ct.level}+1")
     return HECiphertext(KEYSWITCH, target, children=(ct,), sk_enc=tuple(sk_enc))
-
-
-def he_eval(
-    evk: HEEvalKey,
-    circuit: Sequence[tuple],
-    inputs: Sequence[HECiphertext],
-) -> HECiphertext:
-    """Evaluate a boolean DAG over {XOR, AND, NOT, CONST} on ciphertexts.
-
-    Circuit ops reference operands by index into inputs followed by previous
-    nodes; the final node is the output.
-    """
-    if inputs:
-        lvl = _check_same_level(inputs)
-    elif not circuit:
-        raise HEError("empty circuit")
-    else:
-        lvl = 0
-    if evk.level != lvl and inputs:
-        raise HEError(f"evaluation key level {evk.level} != input level {lvl}")
-    values: list[HECiphertext] = list(inputs)
-    for op in circuit:
-        name = op[0]
-        if name == "XOR":
-            values.append(he_xor(values[op[1]], values[op[2]]))
-        elif name == "AND":
-            values.append(he_and(values[op[1]], values[op[2]]))
-        elif name == "NOT":
-            values.append(he_not(values[op[1]]))
-        elif name == "CONST":
-            values.append(he_const(op[1], lvl))
-        else:
-            raise HEError(f"unknown circuit op {name!r}")
-    if not circuit:
-        raise HEError("empty circuit")
-    return values[-1]
 
 
 _EXPANDED = object()  # on the stack above a node whose dependencies sit above it

@@ -7,9 +7,10 @@ Subcommands:
 - ``train``         the window-feature classifier in any mode/transport
 - ``verify``        the invariant suite with per-property runtimes
 
-Every run writes a manifest (seed, mode, tolerances, paths) so its outputs
-can be reproduced exactly; CSV is the canonical record and the SVG plot is a
-native line rendering with no plotting dependency.
+Each subcommand takes only the options its handler reads. A run given
+``--out`` also writes ``manifest.json``: the subcommand and every option it
+parsed, so its outputs can be reproduced exactly. CSV is the canonical record
+and the SVG plot is a native line rendering with no plotting dependency.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from math import pi
 
 import numpy as np
@@ -34,22 +34,6 @@ from .simulator import (
 from .vqa import MODES
 
 TRANSPORTS = ("local", "inproc", "tcp")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    seed: int
-    mode: str
-    eps_target: float
-    dataset: str | None
-    out_dir: str | None
-    shots: int
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -139,6 +123,7 @@ def _gadget_shot(rng: np.random.Generator) -> int:
     resource, xs, zs = resources[(h0, t0, h1, t1)]
     full = tensor(inputs[(a, b)], resource)
 
+    from .rsp_gadget import pair_byproduct
     from .simulator import measure
 
     j = a  # route: the pair whose phase bit equals the pad key
@@ -146,11 +131,10 @@ def _gadget_shot(rng: np.random.Generator) -> int:
     # The spent pair factorizes from the output; discarding it does not
     # change the output wire's statistics, so it is not measured here.
     out_wire = 0 if j == 0 else 2
-    a1 = a ^ xs[j] ^ v
-    b1 = b ^ zs[j] ^ u ^ (j & (xs[j] ^ v))
+    _, db = pair_byproduct(xs[j], zs[j], j, u, v)
     full = apply_gate(full, gate("H", out_wire))
     bit, _ = measure(full, out_wire, "Z", rng)
-    return bit ^ b1  # after H the X-type key is the previous Z-type key
+    return bit ^ b ^ db  # after H the X-type key is the previous Z-type key
 
 
 def gadget_demo(shots: int, seed: int) -> dict:
@@ -181,7 +165,7 @@ def cmd_gadget_demo(args) -> int:
             f"{report['gadget'][bit]:>10.4f} {report['analytic'][bit]:>10.5f}"
         )
     print(f"elapsed {dt:.3f} s")
-    _maybe_write_outputs(args, "gadget-demo", {"report": report})
+    _maybe_write_outputs(args, {"report": report})
     return 0
 
 
@@ -261,9 +245,7 @@ def cmd_decompose(args) -> int:
         f"published single-rotation reference: T=35 Tdagger=24 H=28"
     )
     print(f"elapsed {dt:.3f} s")
-    _maybe_write_outputs(
-        args, "decompose", {"sequence": ops, "distance": dist, "tallies": tallies}
-    )
+    _maybe_write_outputs(args, {"sequence": ops, "distance": dist, "tallies": tallies})
     return 0 if dist <= args.epsilon else 1
 
 
@@ -367,7 +349,7 @@ def cmd_train(args) -> int:
         f"test acc {final.test_acc:.3f}"
     )
 
-    out_dir = _out_dir(args, "train")
+    out_dir = _out_dir(args)
     if out_dir is not None:
         write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
         write_training_svg(os.path.join(out_dir, "training.svg"), metrics)
@@ -383,7 +365,7 @@ def cmd_train(args) -> int:
                 indent=2,
             )
             fh.write("\n")
-        _manifest(args, "train").write(os.path.join(out_dir, "manifest.json"))
+        _write_json(os.path.join(out_dir, "manifest.json"), run_manifest(args))
         print(f"artifacts in {out_dir}")
     return 0
 
@@ -593,45 +575,65 @@ def cmd_verify(args) -> int:
 # --- argument plumbing ------------------------------------------------------
 
 
-def _out_dir(args, subcommand: str) -> str | None:
+def run_manifest(args: argparse.Namespace) -> dict:
+    """The subcommand and every option it parsed, config values included."""
+    return {key: value for key, value in vars(args).items() if key != "func"}
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _out_dir(args) -> str | None:
     if args.out is None:
         return None
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
 
-def _manifest(args, subcommand: str) -> RunManifest:
-    return RunManifest(
-        subcommand=subcommand,
-        seed=args.seed,
-        mode=getattr(args, "mode", "plaintext"),
-        eps_target=args.epsilon,
-        dataset=getattr(args, "dataset", None),
-        out_dir=args.out,
-        shots=getattr(args, "shots", 0),
-    )
-
-
-def _maybe_write_outputs(args, subcommand: str, payload: dict) -> None:
-    out_dir = _out_dir(args, subcommand)
+def _maybe_write_outputs(args, payload: dict) -> None:
+    out_dir = _out_dir(args)
     if out_dir is None:
         return
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _manifest(args, subcommand).write(os.path.join(out_dir, "manifest.json"))
+    _write_json(os.path.join(out_dir, "report.json"), payload)
+    _write_json(os.path.join(out_dir, "manifest.json"), run_manifest(args))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file (flags win)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--shots", type=int, default=2048)
-    parser.add_argument("--epsilon", type=float, default=1e-2)
-    parser.add_argument("--mode", choices=MODES, default="plaintext")
-    parser.add_argument("--transport", choices=TRANSPORTS, default="local")
-    parser.add_argument("--port", type=int, default=None)
-    parser.add_argument("--dataset", default=None)
-    parser.add_argument("--out", default=None)
+# Every option once. A subcommand lists the options its handler reads, and no
+# other: an option it does not list is a usage error.
+OPTIONS = {
+    "config": dict(help="key=value config file (flags win)"),
+    "seed": dict(type=int, default=0),
+    "shots": dict(type=int, default=2048),
+    "epsilon": dict(type=float, default=1e-2),
+    "mode": dict(choices=MODES, default="plaintext"),
+    "transport": dict(choices=TRANSPORTS, default="local"),
+    "port": dict(type=int, default=None),
+    "dataset": dict(default=None),
+    "out": dict(default=None),
+    "axis": dict(default="X", help="rotation axis: X, Y or Z"),
+    "angle": dict(type=float, default=5.57),
+    "epochs": dict(type=int, default=20),
+    "negative-control": dict(
+        action="store_true",
+        help="inject a wrong conjugation rule and require the suite to catch it",
+    ),
+}
+
+# (name, help, handler, options). verify takes no --config: its one option is
+# a switch, and switches stay on the command line.
+SUBCOMMANDS = (
+    ("gadget-demo", "direct vs gadget T-gate statistics", cmd_gadget_demo,
+     ("config", "seed", "shots", "out")),
+    ("decompose", "certified H/T synthesis of a rotation", cmd_decompose,
+     ("config", "epsilon", "axis", "angle", "out")),
+    ("train", "train the window-feature classifier", cmd_train,
+     ("config", "seed", "epsilon", "mode", "transport", "port", "dataset", "out",
+      "epochs")),
+    ("verify", "run the invariant suite", cmd_verify, ("negative-control",)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -641,30 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
         "homomorphically padded circuits: demos, synthesis, training, checks.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("gadget-demo", help="direct vs gadget T-gate statistics")
-    _add_common(p)
-    p.set_defaults(func=cmd_gadget_demo)
-
-    p = sub.add_parser("decompose", help="certified H/T synthesis of a rotation")
-    _add_common(p)
-    p.add_argument("--axis", default="X", help="rotation axis: X, Y or Z")
-    p.add_argument("--angle", type=float, default=5.57)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("train", help="train the window-feature classifier")
-    _add_common(p)
-    p.add_argument("--epochs", type=int, default=20)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("verify", help="run the invariant suite")
-    _add_common(p)
-    p.add_argument(
-        "--negative-control",
-        action="store_true",
-        help="inject a wrong conjugation rule and require the suite to catch it",
-    )
-    p.set_defaults(func=cmd_verify)
+    for name, help_, handler, options in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_)
+        for option in options:
+            p.add_argument(f"--{option}", **OPTIONS[option])
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -672,11 +655,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
+    options = set(run_manifest(args)) - {"subcommand"}
+    if "config" in options and args.config:
         # Config values become flags ahead of the command line, so they are
         # typed and checked like flags and an explicit flag, parsed later,
         # wins. Keys that name no option of the subcommand are ignored.
-        options = vars(args)
         flags = [
             f"--{key.replace('_', '-')}={value}"
             for key, value in load_config_file(args.config).items()

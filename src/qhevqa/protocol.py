@@ -727,6 +727,11 @@ class TcpServer:
 
     def stop(self) -> None:
         self._stopping = True
+        # Closing alone does not wake a thread blocked in accept() on Linux;
+        # shutting the listener down makes accept() fail. A listener already
+        # shut down raises OSError here, which is harmless.
+        with suppress(OSError):
+            self.listener.shutdown(socket.SHUT_RDWR)
         self.listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)

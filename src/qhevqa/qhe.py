@@ -240,10 +240,10 @@ def eval_circuit(
             continue
         (w,) = g.wires
         gadget = ek.gadgets[level]
-        plan = gen_measurement(keys[w][0])
-        register, (u, v) = consume_gadget(register, w, gadget, plan, rng)
+        route = gen_measurement(keys[w][0])
+        register, (u, v) = consume_gadget(register, w, gadget, route, rng)
         new_a, new_b = gadget_key_update(
-            gadget, plan, u, v, keys[w][0], keys[w][1], dagger=g.kind == "Tdagger"
+            gadget, route, u, v, keys[w][0], keys[w][1], dagger=g.kind == "Tdagger"
         )
         keys[w] = (new_a, new_b)
         for other in range(len(keys)):

@@ -90,19 +90,26 @@ def pair_byproduct(x: int, z: int, p: int, u: int, v: int) -> tuple[int, int]:
 # --- GF(2) trapdoor function and remote state preparation ------------------
 
 
-def _rank_gf2(m: np.ndarray) -> int:
-    m = m.copy() % 2
-    rank = 0
-    for col in range(m.shape[1]):
-        pivot = next((r for r in range(rank, m.shape[0]) if m[r, col]), None)
+def _row_reduce_gf2(rows: list[list[int]], cols: int) -> list[int]:
+    """Gauss-Jordan over GF(2) on the first ``cols`` columns of 0/1 ``rows``.
+
+    Reduces in place and returns the pivot columns; row r < len(pivots) holds
+    the pivot of column pivots[r]. The matrices are a few bits wide, so plain
+    lists beat NumPy's per-element indexing.
+    """
+    pivots: list[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(m.shape[0]):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                rows[r] = [a ^ b for a, b in zip(row, top)]
+        pivots.append(col)
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -125,25 +132,13 @@ class TrapdoorFunction:
 
     def preimages(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve Ax = y; the claw is (x, x XOR t)."""
-        aug = np.concatenate([self.matrix % 2, (np.asarray(y) % 2)[:, None]], axis=1)
-        m = aug.copy()
-        pivots = []
-        rank = 0
-        for col in range(self.n):
-            pivot = next((r for r in range(rank, m.shape[0]) if m[r, col]), None)
-            if pivot is None:
-                continue
-            m[[rank, pivot]] = m[[pivot, rank]]
-            for r in range(m.shape[0]):
-                if r != rank and m[r, col]:
-                    m[r] ^= m[rank]
-            pivots.append(col)
-            rank += 1
-        if any(m[r, -1] for r in range(rank, m.shape[0])):
+        rows = np.concatenate([self.matrix % 2, (np.asarray(y) % 2)[:, None]], axis=1).tolist()
+        pivots = _row_reduce_gf2(rows, self.n)
+        if any(row[-1] for row in rows[len(pivots) :]):
             raise GadgetError("image point has no preimage")
         x = np.zeros(self.n, dtype=np.int64)
-        for r, col in enumerate(pivots):
-            x[col] = m[r, -1]
+        for row, col in zip(rows, pivots):
+            x[col] = row[-1]
         return x, (x ^ self.kernel) % 2
 
 
@@ -162,7 +157,7 @@ def sample_trapdoor(n: int, mu: int, rng: np.random.Generator) -> TrapdoorFuncti
         for i in range(mu):
             while (a[i] @ t) % 2:
                 a[i] = rng.integers(0, 2, n)
-        if _rank_gf2(a) == n - 1:
+        if len(_row_reduce_gf2((a % 2).tolist(), n)) == n - 1:
             return TrapdoorFunction(a % 2, t % 2)
 
 
@@ -301,16 +296,6 @@ class GadgetSecrets:
     e_stream: int
 
 
-@dataclass(frozen=True)
-class MeasurementPlan:
-    """Public Bell-measurement routing derived from the key-bit ciphertext."""
-
-    route: int  # pair position j the input teleports through
-    consume_first: tuple[str, int]  # (input marker, head of pair j)
-    consume_second: tuple[int, int]  # the other pair, measured against itself
-    output: int  # gadget wire carrying the result
-
-
 def gen_gadget(
     pk_next: HEPublicKey,
     sk_enc: tuple[HECiphertext, ...],
@@ -385,29 +370,25 @@ def build_gadget_ciphertexts(
     return x_ct, z_ct, e_ct, secrets
 
 
-def gen_measurement(a_ct: HECiphertext) -> MeasurementPlan:
-    """Route the input through the pair selected by the public masked parity."""
-    j = public_masked_parity(a_ct)
-    other = 1 - j
-    return MeasurementPlan(
-        route=j,
-        consume_first=("input", _HEAD[j]),
-        consume_second=(_HEAD[other], _TAIL[other]),
-        output=_TAIL[j],
-    )
+def gen_measurement(a_ct: HECiphertext) -> int:
+    """The route: the pair j the input teleports through, read from the
+    public masked parity of the key-bit ciphertext."""
+    return public_masked_parity(a_ct)
 
 
 def consume_gadget(
     state: StateVector,
     wire: int,
     gadget: Gadget,
-    plan: MeasurementPlan,
+    route: int,
     rng: np.random.Generator,
 ) -> tuple[StateVector, tuple[int, int]]:
-    """Teleport ``wire`` through the gadget; returns the state and (u, v).
+    """Teleport ``wire`` through pair ``route``; returns the state and (u, v).
 
-    The input wire position is preserved: the gadget's output qubit is moved
-    back to ``wire`` after the spent qubits are measured out.
+    The input is Bell-measured against the route's head, the other pair
+    against itself, and the route's tail carries the result. The input wire
+    position is preserved: the output qubit is moved back to ``wire`` after
+    the spent qubits are measured out.
     """
     state.check_wires([wire])
     n = state.num_qubits
@@ -430,9 +411,10 @@ def consume_gadget(
         take(lb)
         return out, st
 
-    (u, v), full = bell(full, ("reg", wire), ("gad", plan.consume_first[1]))
-    _, full = bell(full, ("gad", plan.consume_second[0]), ("gad", plan.consume_second[1]))
-    out_pos = pos[("gad", plan.output)]
+    other = 1 - route
+    (u, v), full = bell(full, ("reg", wire), ("gad", _HEAD[route]))
+    _, full = bell(full, ("gad", _HEAD[other]), ("gad", _TAIL[other]))
+    out_pos = pos[("gad", _TAIL[route])]
     order = list(range(full.num_qubits))
     order.remove(out_pos)
     order.insert(wire, out_pos)
@@ -443,7 +425,7 @@ def consume_gadget(
 
 def gadget_key_update(
     gadget: Gadget,
-    plan: MeasurementPlan,
+    route: int,
     u: int,
     v: int,
     a_ct: HECiphertext,
@@ -452,18 +434,18 @@ def gadget_key_update(
 ) -> tuple[HECiphertext, HECiphertext]:
     """Homomorphic pad-key update after consuming the gadget.
 
-    a' = a XOR x_j XOR v and b' = b XOR z_j XOR u XOR e_{j,v}, with the old
-    keys first switched up to the gadget's level. The inverse-rotation variant
-    folds the extra Z^a from commuting Tdagger past the pad into b.
+    a' = a XOR x_j XOR v and b' = b XOR z_j XOR u XOR e_{j,v}, for j the
+    route, with the old keys first switched up to the gadget's level. The
+    inverse-rotation variant folds the extra Z^a from commuting Tdagger past
+    the pad into b.
     """
-    j = plan.route
     if dagger:
         b_ct = he_xor(b_ct, a_ct)
     a_up = key_switch(a_ct, gadget.sk_enc)
     b_up = key_switch(b_ct, gadget.sk_enc)
-    a_new = he_xor(he_xor(a_up, gadget.x_ct[j]), he_const(v, gadget.level))
+    a_new = he_xor(he_xor(a_up, gadget.x_ct[route]), he_const(v, gadget.level))
     b_new = he_xor(
-        he_xor(he_xor(b_up, gadget.z_ct[j]), he_const(u, gadget.level)),
-        gadget.e_ct[j][v],
+        he_xor(he_xor(b_up, gadget.z_ct[route]), he_const(u, gadget.level)),
+        gadget.e_ct[route][v],
     )
     return a_new, b_new

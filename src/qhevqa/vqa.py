@@ -36,6 +36,8 @@ from .skdecomp import DEFAULT_EPS_TARGET, decompose_circuit
 
 MODES = ("plaintext", "delegated-exact-gates", "delegated-faithful")
 SHADOW_WIDTH = 2
+# Encoding width of a dataset row: the digits are 8x8 images, 2^6 intensities.
+DIGITS_QUBITS = 6
 
 
 class VQAError(Exception):
@@ -61,8 +63,8 @@ class LabeledDataset:
         return len(self.samples)
 
 
-def load_digits_csv(path: str | None = None, n: int = 6) -> LabeledDataset:
-    """Rows of 2^n-or-fewer comma-separated intensities followed by a label."""
+def load_digits_csv(path: str | None = None) -> LabeledDataset:
+    """Rows of at most 2^DIGITS_QUBITS comma-separated intensities, then a label."""
     if path is None:
         ref = importlib.resources.files("qhevqa").joinpath("data/digits_01.csv")
         text = ref.read_text()
@@ -75,7 +77,7 @@ def load_digits_csv(path: str | None = None, n: int = 6) -> LabeledDataset:
             continue
         values = [float(x) for x in row]
         samples.append((np.array(values[:-1]), int(values[-1])))
-    return LabeledDataset(tuple(samples), n)
+    return LabeledDataset(tuple(samples), DIGITS_QUBITS)
 
 
 # --- model and circuits -----------------------------------------------------
@@ -87,25 +89,25 @@ class ShadowModel:
     w: np.ndarray  # length n - SHADOW_WIDTH + 1
     bias: float
     n: int
-    n_qsc: int = SHADOW_WIDTH
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
         self.w = np.asarray(self.w, dtype=float)
         if self.theta.shape != (2, 4) or not np.all(np.isfinite(self.theta)):
             raise VQAError("theta must be a finite 2x4 matrix")
-        if self.w.shape != (self.n - self.n_qsc + 1,):
-            raise VQAError("weight length must be n - n_qsc + 1")
+        if self.w.shape != (self.num_windows,):
+            raise VQAError("weight length must be n - SHADOW_WIDTH + 1")
 
     @property
     def num_windows(self) -> int:
-        return self.n - self.n_qsc + 1
+        return self.n - SHADOW_WIDTH + 1
 
     def copy(self) -> "ShadowModel":
-        return ShadowModel(self.theta.copy(), self.w.copy(), self.bias, self.n, self.n_qsc)
+        return ShadowModel(self.theta.copy(), self.w.copy(), self.bias, self.n)
 
 
-# Paper-style starting angles usable via TrainConfig.theta_init.
+# Paper-style fixed angles for a model built by hand, such as one delegated
+# feature vector; ``train`` draws its starting angles from its seed.
 REFERENCE_THETA_INIT = np.array(
     [[5.57, 4.34, 3.85, 6.22], [5.76, 1.40, 5.23, 5.05]]
 )
@@ -333,23 +335,24 @@ def cross_entropy(y_hat: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(y * np.log(clamped) + (1 - y) * np.log(1 - clamped)))
 
 
+# The one training recipe: plain minibatch steps, a quarter of the data held
+# out, and the angle shift of each gradient method.
+LEARNING_RATE = 0.01
+BATCH_SIZE = 2
+TEST_FRACTION = 0.25
+SHIFT_ALPHA = pi / 2  # parameter shift, exact for half-turn generators
+FD_STEP = 1e-5  # central-difference step
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.01
     epochs: int = 20
-    batch_size: int = 2
     grad_method: str = "parameter-shift"  # or "central-difference"
-    alpha: float = pi / 2
-    fd_step: float = 1e-5
     mode: str = "plaintext"
     seed: int = 0
-    test_fraction: float = 0.25
     eps_target: float = DEFAULT_EPS_TARGET
-    theta_init: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise VQAError("learning rate must be positive")
         if self.epochs < 1:
             raise VQAError("epochs must be >= 1")
         if self.mode not in MODES:
@@ -392,8 +395,9 @@ def gradients(
     """(d theta, d w, d bias) of the batch cross-entropy.
 
     Head gradients are analytic through the sigmoid; angle gradients shift
-    each parameter by +-alpha (exact for half-turn generators) or by a small
-    central-difference step, re-evaluating only the windows the row feeds.
+    each parameter by +-SHIFT_ALPHA (exact for half-turn generators) or by
+    the central-difference step FD_STEP, re-evaluating only the windows the
+    row feeds.
     ``evaluator`` defaults to the local evaluator of ``config.mode``; ``red``
     optionally carries precomputed per-window reduced states for the
     plaintext fast path.
@@ -409,9 +413,9 @@ def gradients(
     d_b = float(np.mean(resid))
 
     if config.grad_method == "parameter-shift":
-        shift, denom = config.alpha, 2.0 * np.sin(config.alpha)
+        shift, denom = SHIFT_ALPHA, 2.0 * np.sin(SHIFT_ALPHA)
     else:
-        shift, denom = config.fd_step, 2.0 * config.fd_step
+        shift, denom = FD_STEP, 2.0 * FD_STEP
     d_theta = np.zeros((2, 4))
     scale = denom * len(states)
     if evaluator is None:
@@ -476,17 +480,12 @@ def train(
     states = [amplitude_encode(vec, dataset.n) for vec, _ in dataset.samples]
     labels = np.array([label for _, label in dataset.samples], dtype=float)
     order = data_rng.permutation(len(dataset))
-    n_test = max(1, int(len(dataset) * config.test_fraction))
+    n_test = max(1, int(len(dataset) * TEST_FRACTION))
     test_idx, train_idx = order[:n_test], order[n_test:]
 
-    theta0 = (
-        np.array(config.theta_init, dtype=float)
-        if config.theta_init is not None
-        else init_rng.uniform(0.0, 2 * pi, (2, 4))
-    )
     n_feats = dataset.n - SHADOW_WIDTH + 1
     model = ShadowModel(
-        theta0,
+        init_rng.uniform(0.0, 2 * pi, (2, 4)),
         init_rng.uniform(-0.01, 0.01, n_feats),
         float(init_rng.uniform(-0.01, 0.01)),
         dataset.n,
@@ -502,8 +501,8 @@ def train(
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         shuffled = data_rng.permutation(train_idx)
-        for start in range(0, len(shuffled), config.batch_size):
-            batch = shuffled[start : start + config.batch_size]
+        for start in range(0, len(shuffled), BATCH_SIZE):
+            batch = shuffled[start : start + BATCH_SIZE]
             d_theta, d_w, d_b = gradients(
                 [states[i] for i in batch],
                 labels[batch],
@@ -513,9 +512,9 @@ def train(
                 red_rows(batch),
                 evaluator,
             )
-            model.theta -= config.learning_rate * d_theta
-            model.w -= config.learning_rate * d_w
-            model.bias -= config.learning_rate * d_b
+            model.theta -= LEARNING_RATE * d_theta
+            model.w -= LEARNING_RATE * d_w
+            model.bias -= LEARNING_RATE * d_b
         train_loss, train_acc = _evaluate(
             [states[i] for i in train_idx],
             labels[train_idx],

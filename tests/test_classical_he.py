@@ -16,7 +16,6 @@ from qhevqa.classical_he import (
     he_const,
     he_dec,
     he_enc,
-    he_eval,
     he_keygen,
     he_not,
     he_xor,
@@ -96,15 +95,6 @@ class TestHomomorphics:
                     nodes.append(he_not(nodes[i]))
                     vals.append(1 ^ vals[i])
             assert he_dec(triple.sk, nodes[-1]) == vals[-1]
-
-    def test_he_eval_interface(self, triple):
-        rng = np.random.default_rng(8)
-        circuit = [("XOR", 0, 1), ("AND", 3, 0), ("NOT", 4)]
-        bits = [1, 0, 1]
-        cts = [he_enc(triple.pk, b, rng) for b in bits]
-        out = he_eval(triple.evk, circuit, cts)
-        want = 1 ^ ((bits[0] ^ bits[1]) & bits[0])
-        assert he_dec(triple.sk, out) == want
 
     def test_mixed_levels_rejected(self, triple):
         rng = np.random.default_rng(9)

@@ -6,9 +6,11 @@ import pytest
 
 from qhevqa.cli import (
     ANALYTIC_P0,
+    build_parser,
     gadget_demo,
     load_config_file,
     main,
+    run_manifest,
     write_training_svg,
 )
 from qhevqa.vqa import EpochMetrics, load_digits_csv
@@ -181,6 +183,13 @@ class TestConfigFile:
         assert rc == 0
         assert "123 shots, seed 5" in out
 
+    def test_keys_that_name_no_option_are_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text("subcommand=train\nfunc=x\nepochs=3\nshots=7\n")
+        rc = main(["gadget-demo", "--config", str(cfg)])
+        assert rc == 0
+        assert "7 shots" in capsys.readouterr().out
+
     def test_explicit_flag_beats_config(self, tmp_path, capsys):
         cfg = tmp_path / "demo.cfg"
         cfg.write_text("shots=123\n")
@@ -213,6 +222,73 @@ class TestConfigFile:
             main(["train", "--config", str(cfg), "--epochs", "1"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestOptions:
+    """Each subcommand takes the options its handler reads, and no other."""
+
+    OPTIONS = {
+        "gadget-demo": {"config", "seed", "shots", "out"},
+        "decompose": {"config", "epsilon", "axis", "angle", "out"},
+        "train": {
+            "config", "seed", "epsilon", "mode", "transport", "port", "dataset",
+            "out", "epochs",
+        },
+        "verify": {"negative_control"},
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(OPTIONS))
+    def test_manifest_holds_every_option(self, subcommand):
+        manifest = run_manifest(build_parser().parse_args([subcommand]))
+        assert manifest["subcommand"] == subcommand
+        assert set(manifest) == {"subcommand"} | self.OPTIONS[subcommand]
+        json.dumps(manifest)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--seed", "1"],
+            ["verify", "--config", "run.cfg"],
+            ["gadget-demo", "--epsilon", "0.1"],
+            ["decompose", "--seed", "1"],
+            ["train", "--shots", "10"],
+        ],
+    )
+    def test_removed_option_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_train_manifest_records_the_run(self, tmp_path, capsys):
+        full = load_digits_csv()
+        data = tmp_path / "digits8.csv"
+        data.write_text(
+            "".join(
+                ",".join(f"{x:g}" for x in vec) + f",{label}\n"
+                for vec, label in full.samples[:8]
+            )
+        )
+        out = tmp_path / "run"
+        argv = [
+            "train", "--epochs", "2", "--transport", "inproc",
+            "--mode", "delegated-exact-gates", "--dataset", str(data),
+            "--out", str(out),
+        ]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest == {
+            "subcommand": "train",
+            "config": None,
+            "seed": 0,
+            "epsilon": 0.01,
+            "mode": "delegated-exact-gates",
+            "transport": "inproc",
+            "port": None,
+            "dataset": str(data),
+            "out": str(out),
+            "epochs": 2,
+        }
 
 
 class TestSvg:

@@ -1164,6 +1164,16 @@ class TestServerMemory:
         finally:
             server.stop()
 
+    def test_tcp_stop_ends_the_accept_thread_at_once(self):
+        server = TcpServer(port=0).start()
+        client = ClientSession(connect_tcp("127.0.0.1", server.port))
+        client.hello(0, "x")
+        client.done()
+        t0 = time.monotonic()
+        server.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert not server._accept_thread.is_alive()
+
 
 class TestTcpTransport:
     def test_session_over_tcp(self):

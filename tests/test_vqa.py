@@ -228,8 +228,6 @@ class TestGradients:
 
     def test_config_validation(self):
         with pytest.raises(VQAError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(VQAError):
             TrainConfig(epochs=0)
         with pytest.raises(VQAError):
             TrainConfig(mode="nope")
