@@ -320,7 +320,7 @@ def cmd_train(args) -> int:
     )
 
     t0 = time.perf_counter()
-    if args.transport == "local" or args.mode == "plaintext":
+    if args.transport == "local":
         model, metrics = train(dataset, config)
     elif args.transport == "inproc":
         from .protocol import run_client, serve_inproc
@@ -375,8 +375,9 @@ def cmd_train(args) -> int:
 
 def _check_conjugation():
     from itertools import product
+    from operator import xor
 
-    from .pauli_frame import CLIFFORD_KINDS, rule_table, verify_conjugation
+    from .pauli_frame import CLIFFORD_KINDS, apply_rule, verify_conjugation
 
     checked = 0
     for kind in CLIFFORD_KINDS + ("T", "Tdagger"):
@@ -386,8 +387,8 @@ def _check_conjugation():
             ok, new_keys, _p = verify_conjugation(g, keys)
             if not ok:
                 return False, f"{kind} pad {keys} has no conjugation rule"
-            if kind not in ("T", "Tdagger") and rule_table(kind)[keys] != new_keys:
-                return False, f"{kind} stored rule disagrees with oracle at {keys}"
+            if kind not in ("T", "Tdagger") and apply_rule(kind, keys, xor) != new_keys:
+                return False, f"{kind} key update disagrees with oracle at {keys}"
             checked += 1
     return True, f"{checked} (gate, pad) pairs against the matrix oracle"
 
@@ -495,12 +496,12 @@ def _check_gradients():
 def _check_protocol():
     from .protocol import (
         KINDS,
+        ClientSession,
         Message,
-        PHASES,
         ProtocolError,
         decode_message,
         encode_message,
-        reachable_phases,
+        serve_inproc,
     )
 
     rng = np.random.default_rng(5)
@@ -510,8 +511,18 @@ def _check_protocol():
         frame = encode_message(Message(kind, payload))
         if encode_message(decode_message(frame)) != frame:
             return False, "codec round trip not byte-stable"
-    if reachable_phases() != set(PHASES):
-        return False, "phase machine does not reach every phase"
+    walks = []  # live sessions: one says Hello then Done, one only Done
+    for hello in (True, False):
+        channel, session, thread = serve_inproc()
+        walk = [session.phase]
+        if hello:
+            ClientSession(channel).hello(0, "plaintext")
+            walk.append(session.phase)
+        ClientSession(channel).done()
+        thread.join(timeout=5)
+        walks.append((*walk, session.phase))
+    if walks != [("handshake", "open", "done"), ("handshake", "done")]:
+        return False, f"live sessions walked the phases {walks}"
     for _ in range(200):
         try:
             decode_message(rng.bytes(int(rng.integers(0, 32))))
@@ -519,7 +530,7 @@ def _check_protocol():
             continue
         except Exception as exc:  # noqa: BLE001
             return False, f"decoder leaked {type(exc).__name__}"
-    return True, "codec round trips, fuzz decodes reject cleanly, phases reachable"
+    return True, "codec round trips, fuzz decodes reject cleanly, live sessions walk every phase"
 
 
 VERIFY_CHECKS = (
@@ -535,17 +546,15 @@ VERIFY_CHECKS = (
 
 
 def cmd_verify(args) -> int:
-    from .pauli_frame import _RULE_OVERRIDES
+    from . import pauli_frame
 
+    cnot = pauli_frame._FORMS["CNOT"]
     if args.negative_control:
-        # Corrupt the stored CNOT rule; the conjugation check must notice.
-        from .pauli_frame import rule_table
+        # A CNOT form that moves no key: the oracle comparison and the QHE
+        # round trip, which evaluates the same form, must both notice.
+        pauli_frame._FORMS["CNOT"] = ((0,), (1,), (2,), (3,))
 
-        broken = dict(rule_table("CNOT"))
-        broken[(1, 0, 0, 0)] = (0, 0, 0, 0)
-        _RULE_OVERRIDES["CNOT"] = broken
-
-    failures = 0
+    failed = []
     print(f"{'property':<24} {'result':<6} {'time':>8}  detail")
     try:
         for name, check in VERIFY_CHECKS:
@@ -557,19 +566,19 @@ def cmd_verify(args) -> int:
             dt = time.perf_counter() - t0
             status = "pass" if ok else "FAIL"
             if not ok:
-                failures += 1
+                failed.append(name)
             print(f"{name:<24} {status:<6} {dt:>7.2f}s  {detail}")
     finally:
-        _RULE_OVERRIDES.clear()
+        pauli_frame._FORMS["CNOT"] = cnot
     if args.negative_control:
-        # The run is healthy exactly when the corruption was caught.
-        caught = failures > 0
+        # The run is healthy exactly when both checks caught the corruption.
+        caught = {"clifford-conjugation", "qhe-roundtrip"} <= set(failed)
         print(
             "negative control: injected wrong CNOT rule was "
             + ("caught" if caught else "NOT caught")
         )
         return 0 if caught else 1
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 # --- argument plumbing ------------------------------------------------------

@@ -3,13 +3,12 @@
 A wire's pad is applied as X^a Z^b (X outermost). Keys are tracked modulo
 global phase; decryption and measurement statistics never see the phase.
 
-The update rules for every supported gate are machine-derived at import time
+The update rule of every supported gate is machine-derived at import time
 from the matrix conjugation identity (``verify_conjugation`` is the oracle),
-so hand-transcription errors are structurally impossible. Each rule's GF(2)
-linear form is derived and checked against its table once, beside the
-tables, and ``apply_rule`` evaluates that form. A test hook
-(``_RULE_OVERRIDES``) on ``rule_table`` lets the verification suite inject a
-wrong rule and watch the exhaustive oracle comparison fail.
+so hand-transcription errors are structurally impossible. Each rule is kept
+only as its GF(2) linear form, found by probing the unit pads and checked
+against the oracle on every pad, and ``apply_rule`` evaluates that form for
+plain bits, ciphertexts and symbolic key flows alike.
 """
 from __future__ import annotations
 
@@ -127,56 +126,34 @@ def verify_conjugation(gate: Gate, keys: tuple[int, ...]) -> tuple[bool, tuple[i
     return False, keys, 0
 
 
-def _derive_rules() -> dict[str, dict[tuple[int, ...], tuple[int, ...]]]:
-    rules: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
-    for kind in CLIFFORD_1Q:
-        table = {}
-        for bits in product((0, 1), repeat=2):
-            ok, new, p = verify_conjugation(Gate(kind, (0,)), bits)
-            if not ok or p != 0:
-                raise FrameError(f"no Clifford conjugation rule for {kind} {bits}")
-            table[bits] = new
-        rules[kind] = table
-    for kind in CLIFFORD_2Q:
-        table = {}
-        for bits in product((0, 1), repeat=4):
-            ok, new, p = verify_conjugation(Gate(kind, (0, 1)), bits)
-            if not ok or p != 0:
-                raise FrameError(f"no Clifford conjugation rule for {kind} {bits}")
-            table[bits] = new
-        rules[kind] = table
-    return rules
-
-
-def _linear_form(kind: str, table: dict) -> tuple[tuple[int, ...], ...]:
+def _derive_form(kind: str) -> tuple[tuple[int, ...], ...]:
     """Per output bit, the input bits it is the XOR of.
 
-    Found by probing unit vectors and checked against the whole table: every
-    Clifford pad rule is an invertible GF(2)-linear map (no constant term).
+    Found by probing the unit pads with the oracle, then checked against the
+    oracle on every pad: each Clifford pad rule is an invertible GF(2)-linear
+    map with no constant term.
     """
-    width = len(next(iter(table)))
+    wires = (0, 1) if kind in CLIFFORD_2Q else (0,)
+    width = 2 * len(wires)
+    table = {}
+    for bits in product((0, 1), repeat=width):
+        ok, table[bits], p = verify_conjugation(Gate(kind, wires), bits)
+        if not ok or p != 0:
+            raise FrameError(f"no Clifford conjugation rule for {kind} {bits}")
     units = [tuple(int(i == j) for i in range(width)) for j in range(width)]
     form = tuple(
         tuple(j for j in range(width) if table[units[j]][out]) for out in range(width)
     )
     linear = all(
-        tuple(sum(bits_in[j] for j in terms) % 2 for terms in form) == bits_out
-        for bits_in, bits_out in table.items()
+        tuple(sum(bits[j] for j in terms) % 2 for terms in form) == new
+        for bits, new in table.items()
     )
     if not linear or not all(form):
         raise FrameError(f"rule for {kind} is not an invertible GF(2)-linear map")
     return form
 
 
-_RULES = _derive_rules()
-_FORMS = {kind: _linear_form(kind, table) for kind, table in _RULES.items()}
-_RULE_OVERRIDES: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
-
-
-def rule_table(kind: str) -> dict[tuple[int, ...], tuple[int, ...]]:
-    if kind not in _RULES:
-        raise FrameError(f"{kind} is not a tracked Clifford gate")
-    return _RULE_OVERRIDES.get(kind, _RULES[kind])
+_FORMS = {kind: _derive_form(kind) for kind in CLIFFORD_KINDS}
 
 
 def apply_rule(kind: str, bits, xor):

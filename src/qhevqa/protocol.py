@@ -45,6 +45,7 @@ import numpy as np
 from .classical_he import HECiphertext, ct_from_bytes, ct_to_bytes
 from .qhe import (
     EVAL_KINDS,
+    MAX_WIRES,
     SECURITY,
     CipherState,
     ClientKeys,
@@ -63,12 +64,11 @@ from .rsp_gadget import (
     Gadget,
     GadgetSecrets,
     assemble_gadget_state,
+    claw_round,
     gen_gadget,
     rsp_round_ideal,
     rsp_server_commit,
     rsp_server_measure,
-    rsp_theta_index,
-    sample_trapdoor,
 )
 from .simulator import (
     GATE_KINDS,
@@ -89,6 +89,7 @@ VERSION = 1
 MAX_FRAME = 16 * 1024 * 1024
 MAX_SHOTS = 4096
 AUDIT_LIMIT = 512  # payloads a session keeps; a faithful ε = 0.1 window sends 271
+AUDIT_FRAME = 1 << 14  # a payload of a larger frame is kept as its fields' lengths
 HEADER = struct.Struct("<I")  # little-endian payload length
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7913
@@ -276,53 +277,6 @@ def connect_tcp(host: str | None = None, port: int | None = None) -> TcpChannel:
     return TcpChannel(sock)
 
 
-# --- session phase machine --------------------------------------------------
-
-PHASES = ("handshake", "open", "done")
-TRANSITIONS = frozenset(
-    {
-        ("handshake", "open"),
-        ("open", "done"),
-        ("handshake", "done"),  # client may hang up before delegating anything
-    }
-)
-
-
-@dataclass
-class SessionState:
-    phase: str = "handshake"
-
-    def __post_init__(self):
-        if self.phase not in PHASES:
-            raise ProtocolError("phase", f"unknown phase {self.phase!r}")
-
-    def advance(self, new_phase: str) -> None:
-        if (self.phase, new_phase) not in TRANSITIONS:
-            raise ProtocolError(
-                "phase", f"illegal transition {self.phase} -> {new_phase}"
-            )
-        self.phase = new_phase
-
-    def expect(self, *phases: str) -> None:
-        if self.phase not in phases:
-            raise ProtocolError(
-                "phase", f"message not allowed in phase {self.phase!r}"
-            )
-
-
-def reachable_phases() -> set[str]:
-    """Phases reachable from handshake under the transition table."""
-    seen = {"handshake"}
-    frontier = ["handshake"]
-    while frontier:
-        here = frontier.pop()
-        for src, dst in TRANSITIONS:
-            if src == here and dst not in seen:
-                seen.add(dst)
-                frontier.append(dst)
-    return seen
-
-
 # --- JSON <-> simulator conversions ----------------------------------------
 
 
@@ -372,6 +326,10 @@ Opt = namedtuple("Opt", "type default", defaults=(None,))  # absent or null: def
 Rec = namedtuple("Rec", "fields")  # an object with no fields but these
 Variants = namedtuple("Variants", "tag cases")  # tag None: the one case key present
 Entry = namedtuple("Entry", "phases payload")
+
+# A session's phases. Hello, accepted only in handshake, opens it; Done,
+# accepted only in handshake or open, ends it.
+PHASES = ("handshake", "open", "done")
 
 BIT, QID, WIRE, OPEN = Int(0, 1), Int(), Int(0, "last_wire"), ("open",)
 KEY_PAIR, GADGET_PAIR = Seq(Ct(0), 2, 2), Seq(Ct("level"), 2, 2)
@@ -506,14 +464,17 @@ ANNOUNCE = {
 class ServerSession:
     """One server-side session: phase machine plus quantum/HE workloads.
 
-    The session records the last ``AUDIT_LIMIT`` received payloads in
+    The session records the last ``AUDIT_LIMIT`` accepted payloads in
     ``audit`` so tests can check server blindness: everything visible here is
-    public structure, ciphertext strings, or padded quantum data.
+    public structure, ciphertext strings, or padded quantum data. A payload
+    whose frame is over ``AUDIT_FRAME`` bytes is recorded with each list or
+    string field replaced by its length (an 18-wire register decodes to
+    38 MB), so the log holds at most ``AUDIT_LIMIT * AUDIT_FRAME`` frame bytes.
     """
 
     def __init__(self, channel: Channel):
         self.channel = channel
-        self.state = SessionState()
+        self.phase = "handshake"
         self.rng: np.random.Generator | None = None
         self.audit: deque[tuple[str, dict]] = deque(maxlen=AUDIT_LIMIT)
         self.qubits: dict[int, StateVector] = {}  # prepared RSP outputs
@@ -532,7 +493,8 @@ class ServerSession:
         try:
             while not self.closed:  # _fail closes the session
                 try:
-                    self._dispatch(self.channel.recv())
+                    data = self.channel.recv_bytes()
+                    self._dispatch(decode_message(data), len(data))
                 except ChannelClosed:
                     break
                 except ProtocolError as exc:
@@ -552,14 +514,18 @@ class ServerSession:
     def _reply(self, kind: str, payload: dict) -> None:
         self.channel.send(Message(kind, payload))
 
-    def _dispatch(self, msg: Message) -> None:
-        self.audit.append((msg.kind, msg.payload))
+    def _dispatch(self, msg: Message, size: int) -> None:
         entry = SCHEMA.get(msg.kind)
         if entry is None:
             raise ProtocolError("kind", f"server cannot handle {msg.kind}")
-        self.state.expect(*entry.phases)
+        if self.phase not in entry.phases:
+            raise ProtocolError("phase", f"message not allowed in phase {self.phase!r}")
         width = MAX_QUBITS if self.register is None else self.register.num_qubits
         payload = validate(entry.payload, msg.payload, {"last_wire": width - 1})
+        record = msg.payload
+        if size > AUDIT_FRAME:  # validated, so its fields are the schema's few
+            record = {k: len(v) if type(v) in (list, str) else v for k, v in record.items()}
+        self.audit.append((msg.kind, record))
         getattr(self, f"_on_{msg.kind.lower()}")(payload)
 
     # -- handlers: each payload has passed ``validate`` --
@@ -568,8 +534,8 @@ class ServerSession:
         if p["version"] != VERSION:
             raise ProtocolError("version", f"client version {p['version']!r}")
         self.rng = np.random.default_rng(p["session_seed"])
+        self.phase = "open"
         self._reply("Announce", ANNOUNCE)
-        self.state.advance("open")
 
     def _on_gadgetclassical(self, p: dict) -> None:
         if "declare" in p:  # an acknowledged count; the server does not keep it
@@ -629,6 +595,8 @@ class ServerSession:
         spec, wires = p["measure"], p["measure"]["wires"]
         if self.register is None or (homomorphic and self.enc_keys is None):
             raise ProtocolError("order", "a run needs an input; a homomorphic one, its keys")
+        if homomorphic and self.register.num_qubits > MAX_WIRES:
+            raise ProtocolError("oversize", f"a homomorphic run holds {MAX_WIRES} wires")
         needed = t_count(circuit) if homomorphic else 0
         if shots * needed > len(self.gadgets):
             queued = len(self.gadgets)
@@ -663,7 +631,7 @@ class ServerSession:
         self._reply("ParamUpdate", {"ok": True})
 
     def _on_done(self, p: dict) -> None:
-        self.state.advance("done")
+        self.phase = "done"
         self._reply("Done", {})
         self.closed = True
 
@@ -793,42 +761,29 @@ class ClientSession:
             reply = self._ask("RspBasis", {"ideal": True}, "RspOutcome").payload
             return reply["theta_index"], reply["qid"]
 
-        def claw(rng):
-            td = sample_trapdoor(RSP_N, RSP_MU, rng)
-            commit = self._ask(
-                "RspBasis",
-                {"matrix": [[int(v) for v in row] for row in td.matrix]},
-                "RspCommit",
-            ).payload
-            alphas = rng.integers(0, 2, RSP_N - 1)
-            outcome = self._ask(
-                "RspBasis",
-                {"qid": commit["qid"], "alphas": [int(a) for a in alphas]},
-                "RspOutcome",
-            ).payload
-            y = np.asarray(commit["y"], dtype=np.int64)
-            b = np.asarray(outcome["b"], dtype=np.int64)
-            return rsp_theta_index(td, y, b, alphas), commit["qid"]
+        def commit(matrix, _rng):
+            matrix = [[int(v) for v in row] for row in matrix]
+            reply = self._ask("RspBasis", {"matrix": matrix}, "RspCommit").payload
+            return np.asarray(reply["y"], dtype=np.int64), reply["qid"]
 
-        return ideal if rsp_mode == "ideal" else claw
+        def measure(qid, alphas, _rng):
+            alphas = [int(a) for a in alphas]
+            reply = self._ask("RspBasis", {"qid": qid, "alphas": alphas}, "RspOutcome").payload
+            return np.asarray(reply["b"], dtype=np.int64), qid
+
+        rounds = {"ideal": ideal, "faithful": claw_round(commit, measure)}
+        if rsp_mode not in rounds:
+            raise ProtocolError("mode", f"unknown rsp mode {rsp_mode!r}")
+        return rounds[rsp_mode]
 
     def _couple(self, heads, tails, rejected) -> None:
         """Have the server couple the accepted pairs and drop the rejected qubits."""
         pairs = [[head, tail] for head, tail in zip(heads, tails)]
         self._ask("CoupleInstr", {"pairs": pairs, "discard": rejected}, "CoupleInstr")
 
-    def provision_gadget(
-        self,
-        pk_next,
-        sk_enc,
-        k_bit: int,
-        rng: np.random.Generator,
-        rsp_mode: str = "ideal",
-    ) -> GadgetSecrets:
+    def provision_gadget(self, pk_next, sk_enc, k_bit: int, rng, round_) -> GadgetSecrets:
         """Build one gadget on the server: RSP rounds, coupling, ciphertexts."""
-        gadget, secrets = gen_gadget(
-            pk_next, sk_enc, k_bit, rng, self._round(rsp_mode), self._couple
-        )
+        gadget, secrets = gen_gadget(pk_next, sk_enc, k_bit, rng, round_, self._couple)
         self._ask(
             "GadgetClassical",
             {
@@ -856,16 +811,17 @@ class ClientSession:
         ``keygen`` plans the key flow, the others by replaying each slot's
         key material once ``keygen`` has returned.
         """
+        round_ = self._round(rsp_mode)
         slots = []  # (pk_next, sk_enc, k_bit) per gadget slot
 
         def factory(pk_next, sk_enc, k_bit):
             slots.append((pk_next, sk_enc, k_bit))
-            return None, self.provision_gadget(pk_next, sk_enc, k_bit, rng, rsp_mode)
+            return None, self.provision_gadget(pk_next, sk_enc, k_bit, rng, round_)
 
         client_keys, _ = keygen(SECURITY, num_wires, circuit, rng, gadget_factory=factory)
         for _ in range(runs - 1):
             for pk_next, sk_enc, k_bit in slots:
-                self.provision_gadget(pk_next, sk_enc, k_bit, rng, rsp_mode)
+                self.provision_gadget(pk_next, sk_enc, k_bit, rng, round_)
         return client_keys
 
     # -- delegated evaluation --

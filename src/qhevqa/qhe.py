@@ -41,8 +41,7 @@ from .pauli_frame import (
     update_keys,
 )
 from .rsp_gadget import (
-    RSP_MU,
-    RSP_N,
+    GADGET_QUBITS,
     Gadget,
     GadgetSecrets,
     claw_round,
@@ -51,13 +50,15 @@ from .rsp_gadget import (
     gen_gadget,
     gen_measurement,
     rsp_round_ideal,
-    sample_trapdoor,
+    rsp_server_commit,
+    rsp_server_measure,
 )
-from .simulator import Gate, StateVector, apply_gate
+from .simulator import MAX_QUBITS, Gate, StateVector, apply_gate
 
 NON_CLIFFORD = ("T", "Tdagger")
 EVAL_KINDS = CLIFFORD_KINDS + NON_CLIFFORD
 SECURITY = 16  # the classical HE security parameter every caller uses
+MAX_WIRES = MAX_QUBITS - GADGET_QUBITS  # a consumed gadget joins the register
 
 
 class QHEError(Exception):
@@ -107,6 +108,8 @@ def t_count(circuit: list[Gate]) -> int:
 
 
 def _check_circuit(circuit: list[Gate], num_wires: int) -> None:
+    if num_wires > MAX_WIRES:
+        raise QHEError(f"{num_wires} wires: a homomorphic register holds {MAX_WIRES} wires")
     for g in circuit:
         if g.kind not in EVAL_KINDS:
             raise QHEError(f"gate {g.kind} is not evaluable under the pad (Clifford+T only)")
@@ -143,12 +146,13 @@ def keygen(
         encrypt_seed(triples[i + 1].pk, triples[i].sk, rng) for i in range(n_gadgets)
     )
     if gadget_factory is None:
-        if rsp_mode == "ideal":
-            round_ = rsp_round_ideal
-        elif rsp_mode == "faithful":
-            round_ = claw_round(sample_trapdoor(RSP_N, RSP_MU, rng))
-        else:
+        rounds = {
+            "ideal": rsp_round_ideal,
+            "faithful": claw_round(rsp_server_commit, rsp_server_measure),
+        }
+        if rsp_mode not in rounds:
             raise QHEError(f"unknown rsp mode {rsp_mode!r}")
+        round_ = rounds[rsp_mode]
 
         def gadget_factory(pk_next, sk_enc, k_bit):
             return gen_gadget(pk_next, sk_enc, k_bit, rng, round_)

@@ -19,11 +19,13 @@ acceptance tests, the bounded rejection loop and the correction
 ciphertexts. It is the same for a gadget built in this process and one built
 on a remote server; only two seams differ. ``round_(rng)`` runs one
 preparation round and returns ``(theta_index, handle)``: locally the handle
-is the prepared state, from the ideal sampler or a claw-based round under a
-2-to-1 GF(2) linear function with a trapdoor (the hidden kernel vector);
-remotely it is the server's qubit id. ``couple(heads, tails, rejected)``
-entangles the accepted pairs and drops the rejected rounds. The claw
-function has a fixed size, ``RSP_N`` inputs by ``RSP_MU`` outputs.
+is the prepared state, remotely the server's qubit id. A round comes from the
+ideal sampler or from ``claw_round``, the one claw-based recipe: a fresh
+2-to-1 GF(2) linear function with a trapdoor (the hidden kernel vector) per
+round, with its two server steps called locally or sent as messages.
+``couple(heads, tails, rejected)`` entangles the accepted pairs and drops the
+rejected rounds. The claw function has a fixed size, ``RSP_N`` inputs by
+``RSP_MU`` outputs.
 """
 from __future__ import annotations
 
@@ -236,19 +238,23 @@ def rsp_theta_index(
     return s % 4
 
 
-def claw_round(td: TrapdoorFunction):
-    """Local claw-based round under ``td``: returns (theta_index, state).
+def claw_round(commit, measure):
+    """The claw-based round, run as ``round_(rng) -> (theta_index, handle)``.
 
-    Composes the server quantum steps with random basis bits and the
-    trapdoor recovery; the wire protocol runs the same pieces across
-    messages.
+    The client draws a fresh trapdoor, the server commits to its matrix
+    (``commit(matrix, rng) -> (y, handle)``), the client draws random basis
+    bits, the server measures (``measure(handle, alphas, rng) -> (b,
+    handle)``), and the client recovers the angle. Locally the two server
+    steps are ``rsp_server_commit`` and ``rsp_server_measure``, and the handle
+    is the state; remotely they are messages, and the handle is a qubit id.
     """
 
-    def round_(rng: np.random.Generator) -> tuple[int, StateVector]:
-        y, state = rsp_server_commit(td.matrix, rng)
-        alphas = rng.integers(0, 2, td.n - 1)
-        b, qubit = rsp_server_measure(state, alphas, rng)
-        return rsp_theta_index(td, y, b, alphas), qubit
+    def round_(rng: np.random.Generator):
+        td = sample_trapdoor(RSP_N, RSP_MU, rng)
+        y, handle = commit(td.matrix, rng)
+        alphas = rng.integers(0, 2, RSP_N - 1)
+        b, handle = measure(handle, alphas, rng)
+        return rsp_theta_index(td, y, b, alphas), handle
 
     return round_
 

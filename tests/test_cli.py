@@ -16,6 +16,18 @@ from qhevqa.cli import (
 from qhevqa.vqa import EpochMetrics, load_digits_csv
 
 
+def write_digits(tmp_path, rows: int) -> str:
+    """The first ``rows`` bundled digits as a dataset file; returns its path."""
+    path = tmp_path / f"digits{rows}.csv"
+    path.write_text(
+        "".join(
+            ",".join(f"{x:g}" for x in vec) + f",{label}\n"
+            for vec, label in load_digits_csv().samples[:rows]
+        )
+    )
+    return str(path)
+
+
 class TestGadgetDemo:
     def test_statistics_within_band(self):
         report = gadget_demo(1500, 3)
@@ -101,15 +113,13 @@ class TestTrain:
 
     def test_inproc_transport_matches_local(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["train", "--epochs", "2", "--seed", "4", "--out", str(a)]) == 0
+        data = write_digits(tmp_path, 48)
+        common = ["train", "--epochs", "2", "--seed", "4", "--dataset", data]
+        assert main([*common, "--out", str(a)]) == 0
         assert (
             main(
                 [
-                    "train",
-                    "--epochs",
-                    "2",
-                    "--seed",
-                    "4",
+                    *common,
                     "--transport",
                     "inproc",
                     "--mode",
@@ -127,6 +137,25 @@ class TestTrain:
         for la, lb in zip(local.decode().splitlines()[1:], remote.decode().splitlines()[1:]):
             for ca, cb in zip(la.split(",")[1:], lb.split(",")[1:]):
                 assert float(ca) == pytest.approx(float(cb), abs=1e-6)
+
+    def test_plaintext_over_a_session_publishes_each_epoch(self, tmp_path, monkeypatch):
+        from qhevqa import protocol
+
+        sessions, serve_inproc = [], protocol.serve_inproc
+
+        def serve():
+            channel, session, thread = serve_inproc()
+            sessions.append(session)
+            return channel, session, thread
+
+        monkeypatch.setattr(protocol, "serve_inproc", serve)
+        a, b = tmp_path / "a", tmp_path / "b"
+        common = ["train", "--epochs", "2", "--dataset", write_digits(tmp_path, 16)]
+        assert main([*common, "--out", str(a)]) == 0
+        assert main([*common, "--transport", "inproc", "--out", str(b)]) == 0
+        (session,) = sessions
+        assert [p["epoch"] for kind, p in session.audit if kind == "ParamUpdate"] == [1, 2]
+        assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
 
 class TestVerify:
@@ -148,15 +177,18 @@ class TestVerify:
             assert name in out
 
     def test_negative_control_catches_corruption(self, capsys):
+        from qhevqa import pauli_frame
+
+        cnot = pauli_frame._FORMS["CNOT"]
         rc = main(["verify", "--negative-control"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "FAIL" in out
-        assert "caught" in out
-        # the override must not leak into later runs
-        from qhevqa.pauli_frame import _RULE_OVERRIDES
-
-        assert _RULE_OVERRIDES == {}
+        rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
+        assert rows["clifford-conjugation"] == rows["qhe-roundtrip"] == "FAIL"
+        assert "was caught" in out
+        # the wrong form must not leak into later runs
+        assert pauli_frame._FORMS["CNOT"] == cnot
+        assert main(["verify"]) == 0
 
 
 class TestConfigFile:
@@ -199,14 +231,7 @@ class TestConfigFile:
         assert "50 shots" in out
 
     def test_config_port_reaches_tcp_server_as_int(self, tmp_path, capsys):
-        full = load_digits_csv()
-        data = tmp_path / "digits16.csv"
-        data.write_text(
-            "".join(
-                ",".join(f"{x:g}" for x in vec) + f",{label}\n"
-                for vec, label in full.samples[:16]
-            )
-        )
+        data = write_digits(tmp_path, 16)
         cfg = tmp_path / "tcp.cfg"
         cfg.write_text(
             "port=0\ntransport=tcp\nmode=delegated-exact-gates\nepochs=1\n"
@@ -261,18 +286,11 @@ class TestOptions:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_train_manifest_records_the_run(self, tmp_path, capsys):
-        full = load_digits_csv()
-        data = tmp_path / "digits8.csv"
-        data.write_text(
-            "".join(
-                ",".join(f"{x:g}" for x in vec) + f",{label}\n"
-                for vec, label in full.samples[:8]
-            )
-        )
+        data = write_digits(tmp_path, 8)
         out = tmp_path / "run"
         argv = [
             "train", "--epochs", "2", "--transport", "inproc",
-            "--mode", "delegated-exact-gates", "--dataset", str(data),
+            "--mode", "delegated-exact-gates", "--dataset", data,
             "--out", str(out),
         ]
         assert main(argv) == 0
@@ -285,7 +303,7 @@ class TestOptions:
             "mode": "delegated-exact-gates",
             "transport": "inproc",
             "port": None,
-            "dataset": str(data),
+            "dataset": data,
             "out": str(out),
             "epochs": 2,
         }

@@ -30,8 +30,6 @@ from qhevqa.protocol import (
     Rec,
     SCHEMA,
     Seq,
-    SessionState,
-    TRANSITIONS,
     TcpServer,
     VERSION,
     Variants,
@@ -48,7 +46,6 @@ from qhevqa.protocol import (
     make_exact_evaluator,
     make_faithful_evaluator,
     make_inproc_pair,
-    reachable_phases,
     run_client,
     serve_inproc,
     validate,
@@ -156,37 +153,31 @@ class TestCodec:
 
 class TestPhaseMachine:
     def test_all_phases_reachable(self):
-        assert reachable_phases() == set(PHASES)
+        # Walked live: Hello opens a session and Done ends it, or Done ends
+        # it at once.
+        walks = []
+        for hello in (True, False):
+            channel, session, thread = serve_inproc()
+            client = ClientSession(channel)
+            walk = [session.phase]
+            if hello:
+                client.hello(0, "x")
+                walk.append(session.phase)
+            client.done()
+            thread.join(timeout=5)
+            walks.append((*walk, session.phase))
+        assert walks == [("handshake", "open", "done"), ("handshake", "done")]
+        assert {phase for walk in walks for phase in walk} == set(PHASES)
 
     def test_transitions_reference_known_phases(self):
-        for src, dst in TRANSITIONS:
-            assert src in PHASES and dst in PHASES
+        for entry in SCHEMA.values():
+            assert set(entry.phases) <= set(PHASES)
 
     def test_three_phase_table(self):
+        # Only Hello and Done move a session, so their phases are the table.
         assert PHASES == ("handshake", "open", "done")
-        assert TRANSITIONS == {
-            ("handshake", "open"), ("open", "done"), ("handshake", "done")
-        }
-
-    def test_advance_rejects_illegal(self):
-        state = SessionState()
-        state.advance("open")
-        with pytest.raises(ProtocolError, match="phase"):
-            state.advance("handshake")
-        with pytest.raises(ProtocolError, match="phase"):
-            state.advance("open")
-        state.advance("done")
-        assert state.phase == "done"
-
-    def test_expect(self):
-        state = SessionState()
-        state.expect("handshake")
-        with pytest.raises(ProtocolError, match="phase"):
-            state.expect("open")
-
-    def test_unknown_phase_refused(self):
-        with pytest.raises(ProtocolError, match="phase"):
-            SessionState("evaluating")
+        assert SCHEMA["Hello"].phases == ("handshake",)
+        assert SCHEMA["Done"].phases == ("handshake", "open")
 
 
 class TestConversions:
@@ -249,7 +240,7 @@ class TestServerSession:
         assert announce == ANNOUNCE
         client.done()
         thread.join(timeout=5)
-        assert session.state.phase == "done"
+        assert session.phase == "done"
 
     def test_version_mismatch_errors(self):
         channel, session, thread = serve_inproc()
@@ -409,6 +400,31 @@ class TestHostilePayloads:
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
+
+    def test_homomorphic_run_on_more_than_20_wires_is_refused(self):
+        # Gadgets add four wires, so a homomorphic run past 20 would build a
+        # 2**25-amplitude state: refused before any gadget is taken.
+        from dataclasses import replace
+
+        channel, session, thread, client = self.open_session()
+        rng = np.random.default_rng(10)
+        circ = [gate("T", 0)]
+        client.remote_keygen(1, circ, rng)
+        client.close_rsp()
+        # Installed directly: a 21-wire register frame is 12.6 MB. The queued
+        # gadget carries no state, so a run that got through would fail at once.
+        session.gadgets = [replace(session.gadgets[0], state=None)]
+        pk = he_keygen(16, rng).pk
+        session.register = StateVector(21)
+        session.enc_keys = tuple((he_enc(pk, 0, rng), he_enc(pk, 0, rng)) for _ in range(21))
+        channel.send(Message("RunRequest", {
+            "circuit": circuit_to_json(circ), "measure": {"type": "bits", "wires": [0]},
+            "use_gadgets": True, "shots": 1,
+        }))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "oversize", reply.payload
+        thread.join(timeout=5)
+        assert len(session.gadgets) == 1
 
     def test_largest_shot_count_runs(self):
         channel, _session, thread, client = self.open_session()
@@ -951,6 +967,17 @@ class TestDelegatedRuns:
             "362c159293fb6022989b266d741dbce6d0fb8e38cbbd54206ee960ccb682dda6"
         )
 
+    def test_unknown_rsp_mode_is_refused(self):
+        channel, session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(9, "x")
+        client.open_rsp(0)
+        with pytest.raises(ProtocolError, match="rsp mode"):
+            client.remote_keygen(1, [gate("T", 0)], np.random.default_rng(9), "claw")
+        client.done()
+        thread.join(timeout=5)
+        assert not session.qubits and not session.pending
+
     def test_budget_enforced(self):
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
@@ -1149,6 +1176,26 @@ class TestServerMemory:
         assert epochs == list(range(updates))[-(AUDIT_LIMIT - 1):]
         session.audit.clear()
         assert not session.audit
+
+    def test_audit_keeps_large_payloads_as_lengths(self):
+        import tracemalloc
+
+        channel, session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(0, "x")
+        register = StateVector(12)  # a 4096-pair register: 41 KB of frame, 0.5 MB decoded
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                client.send_input(register, None)
+            client.done()
+            thread.join(timeout=30)
+            held = tracemalloc.get_traced_memory()[0]
+            session.audit.clear()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000
 
     def test_tcp_server_drops_finished_sessions(self):
         server = TcpServer(port=0).start()

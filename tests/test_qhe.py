@@ -131,6 +131,25 @@ class TestKeygenValidation:
         with pytest.raises(QHEError):
             eval_circuit(cs, [gate("T", 0), gate("T", 0)], server, rng)
 
+    def test_more_than_20_wires_refused_before_any_allocation(self):
+        # Gadgets add four wires to the register, and a register holds at most 24.
+        import tracemalloc
+
+        from qhevqa.qhe import CipherState, EvalKey
+
+        rng = np.random.default_rng(12)
+        with pytest.raises(QHEError, match="20 wires"):
+            keygen(16, 21, [gate("T", 0)], rng)
+        cs = CipherState(StateVector(21), ((None, None),) * 21, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QHEError, match="20 wires"):
+                eval_circuit(cs, [gate("T", 0)], EvalKey((None,)), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_encrypt_rejects_wrong_width(self):
         rng = np.random.default_rng(11)
         client, _ = keygen(16, 2, [], rng)

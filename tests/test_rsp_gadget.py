@@ -14,8 +14,6 @@ from qhevqa.classical_he import (
 from qhevqa.pauli_frame import verify_conjugation
 from qhevqa.rsp_gadget import (
     MAX_DRAWS,
-    RSP_MU,
-    RSP_N,
     GadgetError,
     assemble_gadget_state,
     claw_round,
@@ -176,7 +174,13 @@ class TestRemotePreparation:
 
     def test_faithful_round_state_matches_recovered_index(self):
         rng = np.random.default_rng(6)
-        round_ = claw_round(sample_trapdoor(RSP_N, RSP_MU, rng))
+        matrices = []
+
+        def commit(matrix, r):
+            matrices.append(matrix.tobytes())
+            return rsp_server_commit(matrix, r)
+
+        round_ = claw_round(commit, rsp_server_measure)
         seen = set()
         for _ in range(40):
             idx, state = round_(rng)
@@ -184,6 +188,7 @@ class TestRemotePreparation:
             want = prepare_plus_theta(idx * np.pi / 2)
             assert fidelity(state, want) == pytest.approx(1.0, abs=1e-12)
         assert seen == {0, 1, 2, 3}
+        assert len(set(matrices)) > 20  # a fresh trapdoor per round
 
     def test_commit_produces_claw_superposition(self):
         rng = np.random.default_rng(7)
@@ -245,7 +250,7 @@ class TestSamplers:
         # Claw rounds through the builder: every accepted state matches its
         # recovered angle and meets its acceptance test.
         rng = np.random.default_rng(11)
-        round_, log = recording(claw_round(sample_trapdoor(RSP_N, RSP_MU, rng)))
+        round_, log = recording(claw_round(rsp_server_commit, rsp_server_measure))
         seen = []
         build(round_, 1, rng, lambda h, t, rej: seen.append((h, t)))
         angle = {id(state): idx for idx, state in log}
