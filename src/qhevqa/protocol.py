@@ -88,7 +88,9 @@ from .vqa import exact_evaluator, faithful_evaluator, train
 VERSION = 1
 MAX_FRAME = 16 * 1024 * 1024
 MAX_SHOTS = 4096
-AUDIT_LIMIT = 512  # payloads a session keeps; a faithful ε = 0.1 window sends 271
+# Payloads a session keeps. A faithful ε = 0.1 reference-model window sends
+# 497-639 with claw RSP (280-362 ideal), the blindness tests' 2-wire one 271.
+AUDIT_LIMIT = 512
 AUDIT_FRAME = 1 << 14  # a payload of a larger frame is kept as its fields' lengths
 HEADER = struct.Struct("<I")  # little-endian payload length
 DEFAULT_HOST = "127.0.0.1"
@@ -335,6 +337,16 @@ BIT, QID, WIRE, OPEN = Int(0, 1), Int(), Int(0, "last_wire"), ("open",)
 KEY_PAIR, GADGET_PAIR = Seq(Ct(0), 2, 2), Seq(Ct("level"), 2, 2)
 DISCARD = Opt(Seq(QID, 0, 2 * PAIR_COUNT * MAX_DRAWS), ())  # every rejected round
 
+# The replies the client checks; ``asked`` names the qid of the round asked about.
+REPLIES = {
+    "RspCommit": Rec({"qid": QID, "y": Seq(BIT, RSP_MU, RSP_MU)}),
+    "RspOutcome": Variants(None, {
+        "b": Rec({"qid": Int("asked", "asked"), "b": Seq(BIT, RSP_N - 1, RSP_N - 1)}),
+        "theta_index": Rec({"qid": QID, "theta_index": Int(0, 3)}),
+    }),
+    "Error": Rec({"code": Str(), "text": Opt(Str(), "")}),
+}
+
 
 def _run_request(use_gadgets: bool, kinds) -> Rec:
     """A run of a circuit over ``kinds``: homomorphic runs take Clifford+T only."""
@@ -382,7 +394,7 @@ SCHEMA = {
         "b": Num(), "epoch": Int(),
     })),
     "Done": Entry(("handshake", "open"), Rec({})),
-    "Error": Entry(PHASES, Rec({"code": Str(), "text": Opt(Str(), "")})),
+    "Error": Entry(PHASES, REPLIES["Error"]),
 }
 
 
@@ -393,8 +405,8 @@ def validate(spec, value, ctx):
     and gains each record field that passes."""
     t = type(spec)
     if t is Int:
-        hi = ctx.get(spec.hi, spec.hi)  # a named bound resolves through ctx
-        if type(value) is int and spec.lo <= value and (hi is None or value <= hi):
+        lo, hi = ctx.get(spec.lo, spec.lo), ctx.get(spec.hi, spec.hi)  # named bounds resolve
+        if type(value) is int and lo <= value and (hi is None or value <= hi):
             return value
     elif t is Enum:
         if type(value) in (str, bool) and value in spec.values:
@@ -723,16 +735,20 @@ class ClientSession:
 
     # -- plumbing --
 
-    def _ask(self, kind: str, payload: dict, *expected: str) -> Message:
+    def _ask(self, kind: str, payload: dict, *expected: str, **check) -> Message:
         self.channel.send(Message(kind, payload))
-        return self._recv(*expected)
+        return self._recv(*expected, **check)
 
-    def _recv(self, *expected: str) -> Message:
+    def _recv(self, *expected: str, form: str | None = None, **bounds) -> Message:
+        """The next reply, of an ``expected`` kind, validated if ``REPLIES`` has
+        its kind (in case ``form``), with ``bounds`` naming request values."""
         reply = self.channel.recv()
+        if reply.kind in REPLIES:
+            spec = REPLIES[reply.kind]
+            spec = spec.cases[form] if form and reply.kind in expected else spec
+            reply = Message(reply.kind, validate(spec, reply.payload, bounds))
         if reply.kind == "Error":
-            raise ProtocolError(
-                reply.payload.get("code", "server"), reply.payload.get("text", "")
-            )
+            raise ProtocolError(reply.payload["code"], reply.payload["text"])
         if expected and reply.kind not in expected:
             raise ProtocolError("kind", f"expected {expected}, got {reply.kind}")
         return reply
@@ -758,18 +774,17 @@ class ClientSession:
         """The remote RSP round of ``rsp_mode``; each yields (theta_index, qid)."""
 
         def ideal(rng):
-            reply = self._ask("RspBasis", {"ideal": True}, "RspOutcome").payload
-            return reply["theta_index"], reply["qid"]
+            reply = self._ask("RspBasis", {"ideal": True}, "RspOutcome", form="theta_index")
+            return reply.payload["theta_index"], reply.payload["qid"]
 
         def commit(matrix, _rng):
-            matrix = [[int(v) for v in row] for row in matrix]
-            reply = self._ask("RspBasis", {"matrix": matrix}, "RspCommit").payload
-            return np.asarray(reply["y"], dtype=np.int64), reply["qid"]
+            reply = self._ask("RspBasis", {"matrix": matrix.tolist()}, "RspCommit")
+            return reply.payload["y"], reply.payload["qid"]
 
         def measure(qid, alphas, _rng):
-            alphas = [int(a) for a in alphas]
-            reply = self._ask("RspBasis", {"qid": qid, "alphas": alphas}, "RspOutcome").payload
-            return np.asarray(reply["b"], dtype=np.int64), qid
+            payload = {"qid": qid, "alphas": alphas.tolist()}
+            reply = self._ask("RspBasis", payload, "RspOutcome", form="b", asked=qid)
+            return reply.payload["b"], qid
 
         rounds = {"ideal": ideal, "faithful": claw_round(commit, measure)}
         if rsp_mode not in rounds:

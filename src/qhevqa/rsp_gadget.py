@@ -25,11 +25,17 @@ ideal sampler or from ``claw_round``, the one claw-based recipe: a fresh
 round, with its two server steps called locally or sent as messages.
 ``couple(heads, tails, rejected)`` entangles the accepted pairs and drops the
 rejected rounds. The claw function has a fixed size, ``RSP_N`` inputs by
-``RSP_MU`` outputs.
+``RSP_MU`` outputs. The server's claw steps run on the state's support, not
+on n + mu dense wires: the commit enumerates the 2^n inputs once, and the
+measurement is two-term arithmetic on one wire at a time. Each measured wire
+takes one ``rng.random()``, in the dense order and against the same
+probability, so seeded rounds give the dense simulation's outcomes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
+from operator import and_
 
 import numpy as np
 
@@ -47,10 +53,8 @@ from .simulator import (
     apply_gate,
     gate,
     bell_measure,
-    measure,
     permute_wires,
     prepare_plus_theta,
-    remove_wire,
     tensor,
 )
 
@@ -76,17 +80,12 @@ def theta_bits(theta_index: int) -> tuple[int, int, int]:
     """
     if theta_index not in (0, 1, 2, 3):
         raise GadgetError(f"theta index must be 0..3, got {theta_index}")
-    x = 1 if theta_index == 2 else 0
-    p = theta_index & 1
-    z = 1 if theta_index in (1, 2) else 0
-    return x, z, p
+    return int(theta_index == 2), int(theta_index in (1, 2)), theta_index & 1
 
 
 def pair_byproduct(x: int, z: int, p: int, u: int, v: int) -> tuple[int, int]:
     """Pauli bits (da, db) accompanying the pair's Pdagger^p action."""
-    da = x ^ v
-    db = z ^ u ^ (p & da)
-    return da, db
+    return x ^ v, z ^ u ^ (p & (x ^ v))
 
 
 # --- GF(2) trapdoor function and remote state preparation ------------------
@@ -125,13 +124,6 @@ class TrapdoorFunction:
     def n(self) -> int:
         return int(self.matrix.shape[1])
 
-    @property
-    def mu(self) -> int:
-        return int(self.matrix.shape[0])
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (self.matrix @ x) % 2
-
     def preimages(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve Ax = y; the claw is (x, x XOR t)."""
         rows = np.concatenate([self.matrix % 2, (np.asarray(y) % 2)[:, None]], axis=1).tolist()
@@ -149,18 +141,18 @@ def sample_trapdoor(n: int, mu: int, rng: np.random.Generator) -> TrapdoorFuncti
     if n < 2 or mu < n - 1:
         raise GadgetError(f"need n >= 2 and mu >= n-1, got n={n}, mu={mu}")
     while True:
-        t = rng.integers(0, 2, n)
+        t = rng.integers(0, 2, n).tolist()
         t[n - 1] = 1
-        if not t[: n - 1].any():
+        if not any(t[: n - 1]):
             # A kernel supported only on the last position would pin the
             # prepared angle to zero; resample for full angle coverage.
             continue
-        a = rng.integers(0, 2, (mu, n))
+        rows = rng.integers(0, 2, (mu, n)).tolist()
         for i in range(mu):
-            while (a[i] @ t) % 2:
-                a[i] = rng.integers(0, 2, n)
-        if len(_row_reduce_gf2((a % 2).tolist(), n)) == n - 1:
-            return TrapdoorFunction(a % 2, t % 2)
+            while sum(map(and_, rows[i], t)) & 1:
+                rows[i] = rng.integers(0, 2, n).tolist()
+        if len(_row_reduce_gf2(list(rows), n)) == n - 1:
+            return TrapdoorFunction(np.array(rows, dtype=np.int64), np.array(t, dtype=np.int64))
 
 
 def rsp_round_ideal(rng: np.random.Generator) -> tuple[int, StateVector]:
@@ -171,50 +163,51 @@ def rsp_round_ideal(rng: np.random.Generator) -> tuple[int, StateVector]:
 def rsp_server_commit(
     matrix: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, StateVector]:
-    """Server step 1-2: claw superposition, image measured out.
+    """Server step 1-2: claw superposition, image measured out, top bit first.
 
-    Needs only the public matrix. Returns the measured image point y and the
-    surviving n-qubit input register (a superposition of the two preimages).
+    Needs only the public matrix. Returns y and the uniform superposition of
+    its preimages: the claw (x, x XOR t), or more for a rank-deficient matrix.
     """
     matrix = np.asarray(matrix) % 2
     mu, n = matrix.shape
-    total = n + mu
-    amps = np.zeros(2**total, dtype=complex)
-    for xi in range(2**n):
-        x = np.array([(xi >> j) & 1 for j in range(n)], dtype=np.int64)
-        y = (matrix @ x) % 2
-        yi = int(sum(int(y[k]) << k for k in range(mu)))
-        amps[(yi << n) | xi] = 1.0
-    state = StateVector(total, amps / np.linalg.norm(amps))
-
+    inputs = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    images = (inputs @ matrix.T % 2).T.tolist()  # images[k][x]: bit k of Ax
+    alive = range(2**n)
     y = np.zeros(mu, dtype=np.int64)
-    for w in range(total - 1, n - 1, -1):
-        bit, state = measure(state, w, "Z", rng)
-        state = remove_wire(state, w, bit)
-        y[w - n] = bit
-    return y, state
+    for k in range(mu - 1, -1, -1):
+        ones = [x for x in alive if images[k][x]]
+        y[k] = rng.random() < len(ones) / len(alive)
+        alive = ones if y[k] else [x for x in alive if not images[k][x]]
+    amps = np.zeros(2**n, dtype=complex)
+    amps[alive] = 1 / np.sqrt(len(alive))
+    return y, StateVector(n, amps)
 
 
 def rsp_server_measure(
     state: StateVector, alphas: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, StateVector]:
-    """Server step 3: measure all but the last qubit in {|0> +- i^alpha |1>}.
+    """Server step 3: measure wires n-2..0 in {|0> +- i^alpha |1>}, in turn.
 
-    Returns the outcome bits b and the surviving single qubit, which is
-    |+_theta> for the angle only the trapdoor holder can recover.
+    Returns the outcome bits b and the surviving qubit, which is |+_theta>
+    for the angle only the trapdoor holder can recover.
     """
     n = state.num_qubits
     alphas = np.asarray(alphas, dtype=np.int64)
     if alphas.shape != (n - 1,):
         raise GadgetError(f"need {n - 1} basis bits, got shape {alphas.shape}")
+    amps = state.amplitudes
     b = np.zeros(n - 1, dtype=np.int64)
     for w in range(n - 2, -1, -1):
+        psi = amps.reshape(2, 2, -1)  # (top wire, measured wire, lower wires)
+        zero, one = psi[:, 0], psi[:, 1]
         if alphas[w]:
-            state = apply_gate(state, gate("Pdagger", w))
-        state = apply_gate(state, gate("H", w))
-        b[w], state = measure(state, w, "Z", rng)
-        state = remove_wire(state, w, int(b[w]))
-    return b, state
+            one = -1j * one
+        # H up to its 1/sqrt(2), which the probability and the renormalization absorb.
+        plus, minus = zero + one, zero - one
+        b[w] = rng.random() < np.vdot(minus, minus).real / 2
+        kept = minus if b[w] else plus
+        amps = kept.reshape(-1) / sqrt(np.vdot(kept, kept).real)
+    return b, StateVector(1, amps)
 
 
 def rsp_theta_index(
@@ -227,15 +220,9 @@ def rsp_theta_index(
     over the claw (x, x') = preimages of y, outcome bits b_j and basis bits
     alpha_j; returned as the quarter-turn index theta / (pi/2) mod 4.
     """
-    x1, x2 = td.preimages(np.asarray(y))
-    n = td.n
-    s = (-1) ** int(x1[n - 1]) * int(
-        sum(
-            (int(x1[j]) - int(x2[j])) * (2 * int(b[j]) + int(alphas[j]))
-            for j in range(n - 1)
-        )
-    )
-    return s % 4
+    x1, x2 = td.preimages(y)
+    s = sum((int(u) - int(v)) * (2 * int(bj) + int(aj)) for u, v, bj, aj in zip(x1, x2, b, alphas))
+    return (-s if x1[-1] else s) % 4
 
 
 def claw_round(commit, measure):
@@ -363,9 +350,7 @@ def build_gadget_ciphertexts(
     rng: np.random.Generator,
 ) -> tuple[tuple, tuple, tuple, GadgetSecrets]:
     """Encrypt the per-pair correction bits with shared family keystream bits."""
-    x_stream = int(rng.integers(2))
-    z_stream = int(rng.integers(2))
-    e_stream = int(rng.integers(2))
+    x_stream, z_stream, e_stream = (int(rng.integers(2)) for _ in range(3))
     x_ct = tuple(he_enc(pk_next, xs[j], rng, keystream_bit=x_stream) for j in range(2))
     z_ct = tuple(he_enc(pk_next, zs[j], rng, keystream_bit=z_stream) for j in range(2))
     e_ct = tuple(

@@ -1100,6 +1100,64 @@ class TestDelegatedRuns:
         assert session.params["b"] == 0.5
 
 
+COMMIT = Message("RspCommit", {"qid": 0, "y": [0, 1, 1, 0]})
+OUTCOME = Message("RspOutcome", {"qid": 0, "b": [1, 0, 1]})
+
+
+class TestHostileReplies:
+    """A malformed reply to a claw round, or a malformed Error, reaches the
+    client's caller only as ``ProtocolError``."""
+
+    @staticmethod
+    def round_with_replies(rsp_mode, *replies):
+        """Run one client RSP round of ``rsp_mode`` against queued replies
+        (a well-formed outcome follows a hostile commit, so that a client that
+        lets the commit through does not wait for a reply)."""
+        client_end, server_end = make_inproc_pair()
+        for reply in replies:
+            server_end.send(reply)
+        return ClientSession(client_end)._round(rsp_mode)(np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rsp_mode, replies", [
+        ("faithful", [Message("RspCommit", {"qid": 0, "y": "zz"}), OUTCOME]),
+        ("faithful", [Message("RspCommit", {"y": [0, 1, 1, 0]}), OUTCOME]),
+        ("faithful", [Message("RspCommit", {"qid": 0, "y": [0, 1, 1]}), OUTCOME]),
+        ("faithful", [COMMIT, Message("RspOutcome", {"qid": 1, "b": [0, 1, 0]})]),
+        ("faithful", [COMMIT, Message("RspOutcome", {"qid": 0, "b": [0, 2, 0]})]),
+        ("faithful", [COMMIT, Message("RspOutcome", {"qid": 0, "theta_index": 1})]),
+        ("ideal", [Message("RspOutcome", {"qid": 0})]),
+        ("ideal", [Message("RspOutcome", {"qid": 0, "theta_index": 4})]),
+        ("ideal", [Message("RspOutcome", {"qid": 0, "b": [0, 1, 0]})]),
+    ], ids=["y-not-bits", "commit-without-qid", "short-y", "outcome-for-another-qid",
+            "b-not-bits", "theta-index-for-alphas", "ideal-without-theta-index",
+            "theta-index-out-of-range", "b-for-ideal"])
+    def test_malformed_round_reply_is_a_protocol_error(self, rsp_mode, replies):
+        with pytest.raises(ProtocolError) as exc:
+            self.round_with_replies(rsp_mode, *replies)
+        assert exc.value.code == "payload"
+
+    def test_well_formed_replies_pass(self):
+        idx, qid = self.round_with_replies("faithful", COMMIT, OUTCOME)
+        assert idx in range(4) and qid == 0
+        ideal = Message("RspOutcome", {"qid": 5, "theta_index": 3})
+        assert self.round_with_replies("ideal", ideal) == (3, 5)
+
+    @pytest.mark.parametrize("payload", [{"code": [1]}, {"code": "x", "text": 7}, {}])
+    def test_malformed_error_is_a_protocol_error_with_a_str_code(self, payload):
+        client_end, server_end = make_inproc_pair()
+        server_end.send(Message("Error", payload))
+        with pytest.raises(ProtocolError) as exc:
+            ClientSession(client_end).open_rsp(0)
+        assert exc.value.code == "payload"
+
+    def test_well_formed_error_keeps_its_code_and_text(self):
+        client_end, server_end = make_inproc_pair()
+        server_end.send(Message("Error", {"code": "budget", "text": "none queued"}))
+        with pytest.raises(ProtocolError) as exc:
+            ClientSession(client_end).open_rsp(0)
+        assert (exc.value.code, exc.value.text) == ("budget", "none queued")
+
+
 class TestServerBlindness:
     """Everything the server receives is public structure, a ciphertext
     string or padded quantum data (checked on ``ServerSession.audit``)."""
@@ -1146,6 +1204,7 @@ class TestServerBlindness:
                 client, eps_target=0.1, rsp_mode="faithful"
             ),
         )
+        assert audit[0][0] == "Hello"  # the log holds the whole window
         assert any("matrix" in p for kind, p in audit if kind == "RspBasis")
         inputs = [p for kind, p in audit if kind == "EncInput"]
         assert inputs

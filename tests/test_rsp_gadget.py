@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qhevqa.classical_he import (
     encrypt_seed,
@@ -15,6 +16,7 @@ from qhevqa.pauli_frame import verify_conjugation
 from qhevqa.rsp_gadget import (
     MAX_DRAWS,
     GadgetError,
+    _row_reduce_gf2,
     assemble_gadget_state,
     claw_round,
     consume_gadget,
@@ -36,7 +38,9 @@ from qhevqa.simulator import (
     bell_measure,
     fidelity,
     gate,
+    measure,
     prepare_plus_theta,
+    remove_wire,
     tensor,
 )
 
@@ -55,6 +59,11 @@ def recording(round_):
         return log[-1]
 
     return wrapped, log
+
+
+def image(td, x):
+    """The trapdoor function's image Ax over GF(2)."""
+    return td.matrix @ x % 2
 
 
 def build(round_, k_bit, rng, couple=None):
@@ -121,11 +130,11 @@ class TestTrapdoor:
         for _ in range(5):
             td = sample_trapdoor(4, 4, rng)
             assert td.kernel[td.n - 1] == 1
-            assert not td.apply(td.kernel).any()
+            assert not image(td, td.kernel).any()
             images = {}
             for xi in range(2**td.n):
                 x = np.array([(xi >> j) & 1 for j in range(td.n)])
-                y = tuple(td.apply(x))
+                y = tuple(image(td, x))
                 images.setdefault(y, []).append(xi)
             assert all(len(v) == 2 for v in images.values())
 
@@ -134,23 +143,23 @@ class TestTrapdoor:
         td = sample_trapdoor(5, 6, rng)
         for _ in range(10):
             x = rng.integers(0, 2, td.n)
-            y = td.apply(x)
+            y = image(td, x)
             x1, x2 = td.preimages(y)
             assert not ((x1 ^ x2) ^ td.kernel).any()
-            assert not (td.apply(x1) ^ y).any()
-            assert not (td.apply(x2) ^ y).any()
+            assert not (image(td, x1) ^ y).any()
+            assert not (image(td, x2) ^ y).any()
 
     def test_preimages_reject_out_of_image(self):
         # mu > rank means some image points are unreachable.
         rng = np.random.default_rng(3)
         td = sample_trapdoor(3, 5, rng)
         reachable = {
-            tuple(td.apply(np.array([(xi >> j) & 1 for j in range(td.n)])))
+            tuple(image(td, np.array([(xi >> j) & 1 for j in range(td.n)])))
             for xi in range(2**td.n)
         }
         bad = next(
             y
-            for y in product((0, 1), repeat=td.mu)
+            for y in product((0, 1), repeat=len(td.matrix))
             if y not in reachable
         )
         with pytest.raises(GadgetError):
@@ -217,6 +226,89 @@ class TestRemotePreparation:
         _, state = rsp_server_commit(td.matrix, rng)
         with pytest.raises(GadgetError):
             rsp_server_measure(state, np.zeros(td.n, dtype=np.int64), rng)
+
+
+def dense_commit(matrix, rng):
+    """The dense commit recipe: all n + mu wires simulated, the image wires
+    measured out from the top wire down."""
+    matrix = np.asarray(matrix) % 2
+    mu, n = matrix.shape
+    amps = np.zeros(2 ** (n + mu), dtype=complex)
+    for xi in range(2**n):
+        x = np.array([(xi >> j) & 1 for j in range(n)])
+        yi = sum(int(bit) << k for k, bit in enumerate(matrix @ x % 2))
+        amps[(yi << n) | xi] = 1.0
+    state = StateVector(n + mu, amps / np.linalg.norm(amps))
+    y = np.zeros(mu, dtype=np.int64)
+    for w in range(n + mu - 1, n - 1, -1):
+        y[w - n], state = measure(state, w, "Z", rng)
+        state = remove_wire(state, w, int(y[w - n]))
+    return y, state
+
+
+def dense_measure(state, alphas, rng):
+    """The dense measure recipe: Pdagger^alpha, H and a Z measurement per wire,
+    wires n-2 down to 0."""
+    b = np.zeros(state.num_qubits - 1, dtype=np.int64)
+    for w in range(state.num_qubits - 2, -1, -1):
+        if alphas[w]:
+            state = apply_gate(state, gate("Pdagger", w))
+        state = apply_gate(state, gate("H", w))
+        b[w], state = measure(state, w, "Z", rng)
+        state = remove_wire(state, w, int(b[w]))
+    return b, state
+
+
+def array_trapdoor(n, mu, rng):
+    """The NumPy-array trapdoor recipe: the same draws, checked on arrays."""
+    while True:
+        t = rng.integers(0, 2, n)
+        t[n - 1] = 1
+        if not t[: n - 1].any():
+            continue
+        a = rng.integers(0, 2, (mu, n))
+        for i in range(mu):
+            while (a[i] @ t) % 2:
+                a[i] = rng.integers(0, 2, n)
+        if len(_row_reduce_gf2(a.tolist(), n)) == n - 1:
+            return a, t
+
+
+MATRICES = st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), min_size=4, max_size=4)
+
+
+class TestDenseOracle:
+    """The server's claw kernels against the dense recipe they replace: the
+    same draws from the same generator, the same bits, the same states."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(MATRICES, st.integers(0, 7), st.integers(0, 2**32 - 1))
+    @example([[0] * 4] * 4, 0, 0)  # every input survives
+    @example([[1, 0, 1, 1], [0] * 4, [1, 0, 1, 1], [0] * 4], 5, 1)  # rank 1
+    @example([[1, 1, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], 7, 2)  # duplicate rows
+    @example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3, 3)  # 1-to-1
+    def test_kernels_match_dense_recipe(self, matrix, alpha_bits, seed):
+        alphas = np.array([(alpha_bits >> j) & 1 for j in range(3)])
+        fast, dense = np.random.default_rng(seed), np.random.default_rng(seed)
+        y, committed = rsp_server_commit(matrix, fast)
+        y_dense, committed_dense = dense_commit(matrix, dense)
+        assert np.array_equal(y, y_dense)
+        assert fidelity(committed, committed_dense) >= 1 - 1e-12
+        b, qubit = rsp_server_measure(committed, alphas, fast)
+        b_dense, qubit_dense = dense_measure(committed_dense, alphas, dense)
+        assert np.array_equal(b, b_dense)
+        assert fidelity(qubit, qubit_dense) >= 1 - 1e-12
+        assert fast.bit_generator.state == dense.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_trapdoor_matches_array_recipe(self, seed):
+        fast, arrays = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            td = sample_trapdoor(4, 4, fast)
+            a, t = array_trapdoor(4, 4, arrays)
+            assert np.array_equal(td.matrix, a) and np.array_equal(td.kernel, t)
+            assert td.matrix.dtype == a.dtype and td.kernel.dtype == t.dtype
+        assert fast.bit_generator.state == arrays.bit_generator.state
 
 
 class TestSamplers:
