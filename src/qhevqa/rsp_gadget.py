@@ -91,26 +91,18 @@ def pair_byproduct(x: int, z: int, p: int, u: int, v: int) -> tuple[int, int]:
 # --- GF(2) trapdoor function and remote state preparation ------------------
 
 
-def _row_reduce_gf2(rows: list[list[int]], cols: int) -> list[int]:
-    """Gauss-Jordan over GF(2) on the first ``cols`` columns of 0/1 ``rows``.
-
-    Reduces in place and returns the pivot columns; row r < len(pivots) holds
-    the pivot of column pivots[r]. The matrices are a few bits wide, so plain
-    lists beat NumPy's per-element indexing.
+def _images(rows: list[list[int]]) -> list[int]:
+    """Images of the inputs x = 0..2^n - 1 (bit j of x is x_j) under the 0/1
+    matrix ``rows`` of n columns, each image an int whose bit k is row k's parity.
+    The matrices are a few bits wide, so plain ints beat NumPy's per-call cost.
     """
-    pivots: list[int] = []
-    for col in range(cols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for r, row in enumerate(rows):
-            if r != rank and row[col]:
-                rows[r] = [a ^ b for a, b in zip(row, top)]
-        pivots.append(col)
-    return pivots
+    out = [0]
+    for col in zip(*rows):
+        image = 0
+        for bit in reversed(col):
+            image = image << 1 | bit
+        out += [v ^ image for v in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,15 +117,16 @@ class TrapdoorFunction:
         return int(self.matrix.shape[1])
 
     def preimages(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve Ax = y; the claw is (x, x XOR t)."""
-        rows = np.concatenate([self.matrix % 2, (np.asarray(y) % 2)[:, None]], axis=1).tolist()
-        pivots = _row_reduce_gf2(rows, self.n)
-        if any(row[-1] for row in rows[len(pivots) :]):
-            raise GadgetError("image point has no preimage")
-        x = np.zeros(self.n, dtype=np.int64)
-        for row, col in zip(rows, pivots):
-            x[col] = row[-1]
-        return x, (x ^ self.kernel) % 2
+        """The claw (x, x XOR t) of y, x the lowest-numbered preimage (for a
+        sampled trapdoor, the one whose top bit is 0)."""
+        try:
+            xi = _images(self.matrix.tolist()).index(
+                sum(int(bit) << k for k, bit in enumerate(y))
+            )
+        except ValueError:
+            raise GadgetError("image point has no preimage") from None
+        x = (xi >> np.arange(self.n)) & 1
+        return x, x ^ self.kernel
 
 
 def sample_trapdoor(n: int, mu: int, rng: np.random.Generator) -> TrapdoorFunction:
@@ -151,7 +144,7 @@ def sample_trapdoor(n: int, mu: int, rng: np.random.Generator) -> TrapdoorFuncti
         for i in range(mu):
             while sum(map(and_, rows[i], t)) & 1:
                 rows[i] = rng.integers(0, 2, n).tolist()
-        if len(_row_reduce_gf2(list(rows), n)) == n - 1:
+        if _images(rows).count(0) == 2:  # kernel {0, t}: rank n - 1
             return TrapdoorFunction(np.array(rows, dtype=np.int64), np.array(t, dtype=np.int64))
 
 
@@ -220,8 +213,8 @@ def rsp_theta_index(
     over the claw (x, x') = preimages of y, outcome bits b_j and basis bits
     alpha_j; returned as the quarter-turn index theta / (pi/2) mod 4.
     """
-    x1, x2 = td.preimages(y)
-    s = sum((int(u) - int(v)) * (2 * int(bj) + int(aj)) for u, v, bj, aj in zip(x1, x2, b, alphas))
+    x1, x2 = (x.tolist() for x in td.preimages(y))
+    s = sum((u - v) * (2 * int(bj) + int(aj)) for u, v, bj, aj in zip(x1, x2, b, alphas))
     return (-s if x1[-1] else s) % 4
 
 

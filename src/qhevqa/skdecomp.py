@@ -74,6 +74,37 @@ def simplify_ops(ops: tuple[str, ...]) -> tuple[str, ...]:
     return collapsed if collapsed == ops else simplify_ops(collapsed)
 
 
+# T^p for p mod 8 with at most one T or Tdagger: T^2 = P, T^4 = Z, T^6 = Pdagger.
+_T_POWERS = ((), ("T",), ("P",), ("P", "T"), ("Z",), ("Z", "T"), ("Pdagger",), ("Tdagger",))
+
+
+def fold_t_runs(circuit: list[Gate]) -> list[Gate]:
+    """Rewrite each maximal same-wire run of T/Tdagger as its power mod 8 with
+    at most one T or Tdagger, so the run costs at most one gadget.
+
+    A run ends only at a gate that touches its wire, and its folded gates take
+    the place of its first T. The unitary is unchanged exactly, global phase too.
+    """
+    slots: list[list[Gate]] = []  # each other gate alone, each run at its first T
+    runs: dict[int, list[Gate]] = {}  # wire -> the slot of its open run
+    for g in circuit:
+        if g.kind not in ("T", "Tdagger"):
+            for wire in g.wires:
+                runs.pop(wire, None)
+            slots.append([g])
+        elif g.wires[0] in runs:
+            runs[g.wires[0]].append(g)
+        else:
+            slots.append(runs.setdefault(g.wires[0], [g]))
+    out: list[Gate] = []
+    for slot in slots:
+        if slot[0].kind in ("T", "Tdagger"):
+            power = sum(1 if g.kind == "T" else 7 for g in slot) % 8
+            slot = [gate(kind, slot[0].wires[0]) for kind in _T_POWERS[power]]
+        out += slot
+    return out
+
+
 def ops_unitary(ops: tuple[str, ...]) -> np.ndarray:
     u = np.eye(2, dtype=complex)
     for op in ops:

@@ -32,7 +32,7 @@ from .simulator import (
     expectation,
     gate,
 )
-from .skdecomp import DEFAULT_EPS_TARGET, decompose_circuit
+from .skdecomp import DEFAULT_EPS_TARGET, decompose_circuit, fold_t_runs
 
 MODES = ("plaintext", "delegated-exact-gates", "delegated-faithful")
 SHADOW_WIDTH = 2
@@ -239,7 +239,7 @@ def faithful_evaluator(provision, server_run, eps_target: float):
     """
 
     def evaluate(state, circuit, wires, rng):
-        clifford_t, _ = decompose_circuit(circuit, eps_target)
+        clifford_t = fold_t_runs(decompose_circuit(circuit, eps_target)[0])
         client, ek = provision(state.num_qubits, clifford_t, rng)
         cs, _ = encrypt(client, state, rng)
         raw, level, keys = server_run(cs, clifford_t, wires, ek, rng)

@@ -50,9 +50,13 @@ from qhevqa.protocol import (
     serve_inproc,
     validate,
 )
+from qhevqa import vqa
 from qhevqa.classical_he import ct_from_bytes
+from qhevqa.qhe import t_count
 from qhevqa.simulator import StateVector, apply_circuit, fidelity, gate
+from qhevqa.skdecomp import decompose_circuit, fold_t_runs
 from qhevqa.vqa import (
+    REFERENCE_THETA_INIT,
     LabeledDataset,
     ShadowModel,
     TrainConfig,
@@ -1102,6 +1106,56 @@ class TestDelegatedRuns:
 
 COMMIT = Message("RspCommit", {"qid": 0, "y": [0, 1, 1, 0]})
 OUTCOME = Message("RspOutcome", {"qid": 0, "b": [1, 0, 1]})
+
+
+class TestGadgetBudget:
+    """A faithful window provisions one gadget per T gate of its folded
+    circuit, locally and over the wire."""
+
+    EPS = 0.1
+
+    def window(self):
+        model = ShadowModel(REFERENCE_THETA_INIT, np.zeros(1), 0.0, 2)
+        circ = build_shadow_circuit(model, 1)
+        synthesised = decompose_circuit(circ, self.EPS)[0]
+        # The SK output holds T^2 runs, which fold into P.
+        assert any(
+            g.kind == h.kind == "T" and g.wires == h.wires
+            for g, h in zip(synthesised, synthesised[1:])
+        )
+        budget = t_count(fold_t_runs(synthesised))
+        assert budget < t_count(synthesised)
+        return circ, budget
+
+    def test_remote_window_sends_one_gadget_frame_per_folded_t(self):
+        circ, budget = self.window()
+        channel, _session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(18, "delegated-faithful")
+        client.open_rsp(0)
+        client.close_rsp()
+        sent = []
+        send = channel.send
+        channel.send = lambda msg: (sent.append(msg.kind), send(msg))[-1]
+        evaluator = make_faithful_evaluator(client, eps_target=self.EPS, rsp_mode="faithful")
+        evaluator(rand_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
+        client.done()
+        thread.join(timeout=30)
+        assert sent.count("GadgetClassical") == budget
+
+    def test_local_keygen_makes_one_gadget_per_folded_t(self, monkeypatch):
+        circ, budget = self.window()
+        made, keygen = [], vqa.keygen
+
+        def counting_keygen(*args, **kwargs):
+            client, ek = keygen(*args, **kwargs)
+            made.append(ek.t_budget)
+            return client, ek
+
+        monkeypatch.setattr(vqa, "keygen", counting_keygen)
+        evaluate = window_evaluator("delegated-faithful", self.EPS)
+        evaluate(rand_state(2, np.random.default_rng(20)), circ, (0, 1), np.random.default_rng(21))
+        assert made == [budget]
 
 
 class TestHostileReplies:

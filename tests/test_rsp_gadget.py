@@ -16,7 +16,6 @@ from qhevqa.pauli_frame import verify_conjugation
 from qhevqa.rsp_gadget import (
     MAX_DRAWS,
     GadgetError,
-    _row_reduce_gf2,
     assemble_gadget_state,
     claw_round,
     consume_gadget,
@@ -259,6 +258,46 @@ def dense_measure(state, alphas, rng):
     return b, state
 
 
+def row_reduce_gf2(rows, cols):
+    """Gauss-Jordan over GF(2) on the first ``cols`` columns of 0/1 ``rows``.
+
+    Reduces in place and returns the pivot columns; row r < len(pivots) holds
+    the pivot of column pivots[r].
+    """
+    pivots = []
+    for col in range(cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                rows[r] = [a ^ b for a, b in zip(row, top)]
+        pivots.append(col)
+    return pivots
+
+
+def eliminated_preimages(td, y):
+    """The elimination recipe: solve Ax = y with the free variables at 0."""
+    rows = np.concatenate([td.matrix % 2, (np.asarray(y) % 2)[:, None]], axis=1).tolist()
+    pivots = row_reduce_gf2(rows, td.n)
+    if any(row[-1] for row in rows[len(pivots) :]):
+        raise GadgetError("image point has no preimage")
+    x = np.zeros(td.n, dtype=np.int64)
+    for row, col in zip(rows, pivots):
+        x[col] = row[-1]
+    return x, (x ^ td.kernel) % 2
+
+
+def eliminated_theta_index(td, y, b, alphas):
+    """``rsp_theta_index`` over the eliminated claw."""
+    x1, x2 = eliminated_preimages(td, y)
+    s = sum((int(u) - int(v)) * (2 * int(bj) + int(aj)) for u, v, bj, aj in zip(x1, x2, b, alphas))
+    return (-s if x1[-1] else s) % 4
+
+
 def array_trapdoor(n, mu, rng):
     """The NumPy-array trapdoor recipe: the same draws, checked on arrays."""
     while True:
@@ -270,7 +309,7 @@ def array_trapdoor(n, mu, rng):
         for i in range(mu):
             while (a[i] @ t) % 2:
                 a[i] = rng.integers(0, 2, n)
-        if len(_row_reduce_gf2(a.tolist(), n)) == n - 1:
+        if len(row_reduce_gf2(a.tolist(), n)) == n - 1:
             return a, t
 
 
@@ -309,6 +348,53 @@ class TestDenseOracle:
             assert np.array_equal(td.matrix, a) and np.array_equal(td.kernel, t)
             assert td.matrix.dtype == a.dtype and td.kernel.dtype == t.dtype
         assert fast.bit_generator.state == arrays.bit_generator.state
+
+
+SHAPES = st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n - 1, 6)))
+
+
+class TestEliminationOracle:
+    """Angle recovery and the trapdoor's rank test against the Gauss-Jordan
+    recipe they replace: the same claw, angle, errors and draws."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SHAPES, st.integers(0, 2**32 - 1), st.data())
+    def test_claw_and_angle_match_elimination(self, shape, seed, data):
+        n, mu = shape
+        fast, arrays = np.random.default_rng(seed), np.random.default_rng(seed)
+        td = sample_trapdoor(n, mu, fast)
+        a, t = array_trapdoor(n, mu, arrays)
+        assert np.array_equal(td.matrix, a) and np.array_equal(td.kernel, t)
+        assert fast.bit_generator.state == arrays.bit_generator.state
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=mu, max_size=mu)))
+        b, alphas = (
+            np.array(data.draw(st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1)))
+            for _ in range(2)
+        )
+        try:
+            want = eliminated_preimages(td, y)
+        except GadgetError:
+            with pytest.raises(GadgetError):
+                td.preimages(y)
+            with pytest.raises(GadgetError):
+                rsp_theta_index(td, y, b, alphas)
+            return
+        got = td.preimages(y)
+        assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+        assert rsp_theta_index(td, y, b, alphas) == eliminated_theta_index(td, y, b, alphas)
+
+    def test_every_reachable_point_of_a_4x4_trapdoor(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            td = sample_trapdoor(4, 4, rng)
+            for xi in range(16):
+                y = image(td, (xi >> np.arange(4)) & 1)
+                for bits in range(64):
+                    b = (bits >> np.arange(3)) & 1
+                    alphas = (bits >> np.arange(3, 6)) & 1
+                    assert rsp_theta_index(td, tuple(y), tuple(b), alphas) == (
+                        eliminated_theta_index(td, y, b, alphas)
+                    )
 
 
 class TestSamplers:

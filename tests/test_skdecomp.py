@@ -1,9 +1,11 @@
 """Clifford+T approximation of rotations: net, recursion, certification."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhevqa.cli import decompose_report_tallies
-from qhevqa.simulator import FIXED_1Q, ROTATION_1Q, apply_circuit, fidelity, gate
+from qhevqa.qhe import t_count
+from qhevqa.simulator import FIXED_1Q, ROTATION_1Q, StateVector, apply_circuit, fidelity, gate
 from qhevqa.skdecomp import (
     DEFAULT_DEPTH,
     DecompositionError,
@@ -11,12 +13,14 @@ from qhevqa.skdecomp import (
     build_net,
     decompose_circuit,
     default_net,
+    fold_t_runs,
     group_commutator_factors,
     ops_unitary,
     simplify_ops,
     sk_decompose,
     trace_distance,
 )
+from qhevqa.vqa import REFERENCE_THETA_INIT, ShadowModel, build_shadow_circuit
 
 
 class TestTraceDistance:
@@ -165,8 +169,6 @@ class TestDecompose:
         assert t_total == sum(1 for g in out if g.kind in ("T", "Tdagger"))
         # end-to-end action agrees on a random state within the two targets
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        from qhevqa.simulator import StateVector
-
         psi = StateVector(2, v / np.linalg.norm(v))
         f = fidelity(apply_circuit(psi, circ), apply_circuit(psi, out))
         assert f > 1 - 2 * (1e-2) ** 2 - 1e-6
@@ -189,3 +191,84 @@ class TestReportTallies:
         assert report["Tdagger"] == 43
         assert report["H"] == 68
         assert report["distance"] == pytest.approx(0.0135, abs=2e-3)
+
+
+ONE_WIRE = ("H", "T", "T", "Tdagger", "Tdagger", "P", "Pdagger", "X", "Z")
+
+
+@st.composite
+def circuits(draw):
+    """Circuits over H, T, Tdagger, P, Pdagger, X, Z, CNOT and CZ on 1-3
+    wires, weighted towards T runs."""
+    n = draw(st.integers(1, 3))
+    kinds = ONE_WIRE + (("CNOT", "CZ") if n > 1 else ())
+    out = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
+        if kind in ("CNOT", "CZ"):
+            wires = draw(st.permutations(range(n)))[:2]
+        else:
+            wires = (draw(st.integers(0, n - 1)),)
+        out.append(gate(kind, *wires))
+    return n, out
+
+
+def circuit_unitary(circuit, n):
+    return np.stack(
+        [apply_circuit(StateVector(n, np.eye(2**n)[k]), circuit).amplitudes for k in range(2**n)],
+        axis=1,
+    )
+
+
+def reference_vector_windows(eps):
+    """The Clifford+T windows of the reference model's feature vector."""
+    model = ShadowModel(REFERENCE_THETA_INIT, np.zeros(5), 0.0, 6)
+    return [decompose_circuit(build_shadow_circuit(model, v), eps)[0] for v in range(1, 6)]
+
+
+class TestFoldTRuns:
+    def test_powers_of_t(self):
+        for p in range(16):
+            folded = fold_t_runs([gate("T", 0)] * p)
+            want = np.linalg.matrix_power(FIXED_1Q["T"], p)
+            np.testing.assert_allclose(circuit_unitary(folded, 1), want, rtol=0, atol=1e-12)
+            assert t_count(folded) == p % 2
+        assert [g.kind for g in fold_t_runs([gate("T", 0)] * 6)] == ["Pdagger"]
+        assert [g.kind for g in fold_t_runs([gate("Tdagger", 0)])] == ["Tdagger"]
+
+    def test_run_spans_gates_on_other_wires(self):
+        circ = [gate("T", 0), gate("H", 1), gate("T", 0), gate("CNOT", 1, 2), gate("Z", 0)]
+        assert fold_t_runs(circ) == [
+            gate("P", 0), gate("H", 1), gate("CNOT", 1, 2), gate("Z", 0)
+        ]
+        assert fold_t_runs([gate("T", 0), gate("CZ", 1, 0), gate("T", 0)]) == [
+            gate("T", 0), gate("CZ", 1, 0), gate("T", 0)
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(circuits())
+    def test_properties(self, drawn):
+        n, circ = drawn
+        folded = fold_t_runs(circ)
+        # The same unitary, global phase included.
+        assert np.max(np.abs(circuit_unitary(folded, n) - circuit_unitary(circ, n))) <= 1e-12
+        assert t_count(folded) <= t_count(circ)
+        # No two T/Tdagger on a wire without a gate on that wire between them.
+        last = {}
+        for i, g in enumerate(folded):
+            for w in g.wires:
+                if g.kind in ("T", "Tdagger") and w in last:
+                    assert folded[last[w]].kind not in ("T", "Tdagger")
+                last[w] = i
+        assert fold_t_runs(folded) == folded
+        # Gates other than T/Tdagger keep their relative order; new gates are
+        # only the folded powers.
+        kept = [g for g in circ if g.kind not in ("T", "Tdagger")]
+        ids = {id(g) for g in kept}
+        assert [g for g in folded if id(g) in ids] == kept
+        assert {g.kind for g in folded if id(g) not in ids} <= {"T", "Tdagger", "P", "Z", "Pdagger"}
+
+    @pytest.mark.parametrize("eps, before, after", [(0.1, 155, 111), (1e-2, 6103, 4325)])
+    def test_reference_vector_counts(self, eps, before, after):
+        windows = reference_vector_windows(eps)
+        assert sum(map(t_count, windows)) == before
+        assert sum(t_count(fold_t_runs(w)) for w in windows) == after
