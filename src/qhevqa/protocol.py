@@ -14,7 +14,10 @@ only its channel; a misordered call raises ``ProtocolError`` from the server.
 The server performs all quantum actions (remote state preparation rounds,
 pair coupling, homomorphic evaluation, measurement) and only ever sees public
 structure, ciphertext strings, padded amplitudes, and model parameters; the
-client keeps the trapdoors, the key chain, and the data.
+client keeps the trapdoors, the key chain, and the data. Remote state
+preparation runs in batches of up to ``RSP_BATCH`` rounds, one request and
+one reply frame per batch and step, and each gadget's coupling instructions
+travel in its one ``GadgetClassical`` frame.
 
 Two transports share the frame codec byte for byte: an in-process queue pair
 and localhost TCP (default port 7913; ``QHEVQA_HOST`` / ``QHEVQA_PORT``
@@ -38,7 +41,7 @@ import threading
 from collections import deque, namedtuple
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -59,13 +62,16 @@ from .qhe import (
 from .rsp_gadget import (
     MAX_DRAWS,
     PAIR_COUNT,
+    RSP_BATCH,
     RSP_MU,
     RSP_N,
     Gadget,
+    GadgetError,
     GadgetSecrets,
     assemble_gadget_state,
     claw_round,
     gen_gadget,
+    pooled,
     rsp_round_ideal,
     rsp_server_commit,
     rsp_server_measure,
@@ -85,13 +91,16 @@ from .simulator import (
 )
 from .vqa import exact_evaluator, faithful_evaluator, train
 
-VERSION = 1
+VERSION = 2
 MAX_FRAME = 16 * 1024 * 1024
 MAX_SHOTS = 4096
 # Payloads a session keeps. A faithful ε = 0.1 reference-model window sends
-# 497-639 with claw RSP (280-362 ideal), the blindness tests' 2-wire one 271.
+# 38-40 with claw RSP (31-33 ideal), the blindness tests' 2-wire one 11.
 AUDIT_LIMIT = 512
 AUDIT_FRAME = 1 << 14  # a payload of a larger frame is kept as its fields' lengths
+# RSP qubits a session holds, committed or prepared: one gadget's worst-case
+# draws plus one batch.
+MAX_HELD = 2 * PAIR_COUNT * MAX_DRAWS + RSP_BATCH
 HEADER = struct.Struct("<I")  # little-endian payload length
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7913
@@ -315,8 +324,9 @@ def ct_from_hex(text: str) -> HECiphertext:
 # --- message schema ---------------------------------------------------------
 
 # Field types, read only by ``validate``. A bound given as a string names an
-# earlier field of an enclosing message, or ``last_wire``: the open register's
-# last wire (the largest register's while none is open).
+# earlier field of an enclosing message (a list field stands for its length),
+# a request value the client checks a reply against, or ``last_wire``: the
+# open register's last wire (the largest register's while none is open).
 Int = namedtuple("Int", "lo hi", defaults=(0, None))  # an int, never a bool
 Num = namedtuple("Num", ())  # a finite JSON number, never a bool
 Enum = namedtuple("Enum", "values")  # a str or bool among the values
@@ -324,6 +334,7 @@ Str = namedtuple("Str", ())
 Ct = namedtuple("Ct", "level")  # a hex ciphertext at the level with a public masked parity
 Seq = namedtuple("Seq", "item lo hi distinct", defaults=(0, None, False))  # lo..hi items
 Amps = namedtuple("Amps", "wires")  # (re, im) pairs of a unit-norm 2**wires register
+Bits = namedtuple("Bits", "lo hi shape")  # lo..hi rows of 0/1 ints, each nested to shape
 Opt = namedtuple("Opt", "type default", defaults=(None,))  # absent or null: default
 Rec = namedtuple("Rec", "fields")  # an object with no fields but these
 Variants = namedtuple("Variants", "tag cases")  # tag None: the one case key present
@@ -333,16 +344,23 @@ Entry = namedtuple("Entry", "phases payload")
 # accepted only in handshake or open, ends it.
 PHASES = ("handshake", "open", "done")
 
-BIT, QID, WIRE, OPEN = Int(0, 1), Int(), Int(0, "last_wire"), ("open",)
+QID, WIRE, OPEN = Int(), Int(0, "last_wire"), ("open",)
 KEY_PAIR, GADGET_PAIR = Seq(Ct(0), 2, 2), Seq(Ct("level"), 2, 2)
 DISCARD = Opt(Seq(QID, 0, 2 * PAIR_COUNT * MAX_DRAWS), ())  # every rejected round
+QIDS = Seq(QID, "rows", "rows", True)
 
-# The replies the client checks; ``asked`` names the qid of the round asked about.
+# The replies the client checks; ``rows`` names the number of rounds asked for.
 REPLIES = {
-    "RspCommit": Rec({"qid": QID, "y": Seq(BIT, RSP_MU, RSP_MU)}),
+    "Announce": Rec({
+        "ansatz": Str(), "layout": Str(), "observables": Seq(Str()), "gate_set": Seq(Str()),
+        "version": Int(VERSION, VERSION), "max_shots": Int(1), "max_qubits": Int(1),
+        "max_frame": Int(1), "max_wires": Int(1), "rsp_n": Int(RSP_N, RSP_N),
+        "rsp_mu": Int(RSP_MU, RSP_MU), "rsp_batch": Int(1, RSP_BATCH),
+    }),
+    "RspCommit": Rec({"qids": QIDS, "y": Bits("rows", "rows", (RSP_MU,))}),
     "RspOutcome": Variants(None, {
-        "b": Rec({"qid": Int("asked", "asked"), "b": Seq(BIT, RSP_N - 1, RSP_N - 1)}),
-        "theta_index": Rec({"qid": QID, "theta_index": Int(0, 3)}),
+        "b": Rec({"qids": QIDS, "b": Bits("rows", "rows", (RSP_N - 1,))}),
+        "theta_index": Rec({"qids": QIDS, "theta_index": Seq(Int(0, 3), "rows", "rows")}),
     }),
     "Error": Rec({"code": Str(), "text": Opt(Str(), "")}),
 }
@@ -368,19 +386,18 @@ SCHEMA = {
     "Hello": Entry(("handshake",), Rec(
         {"version": Int(), "session_seed": Int(), "mode": Opt(Str())})),
     "RspBasis": Entry(OPEN, Variants(None, {
-        "ideal": Rec({"ideal": Enum((True,))}),
-        "matrix": Rec({"matrix": Seq(Seq(BIT, RSP_N, RSP_N), RSP_MU, RSP_MU)}),
-        "alphas": Rec({"qid": QID, "alphas": Seq(BIT, RSP_N - 1, RSP_N - 1)}),
+        "ideal": Rec({"ideal": Int(1, RSP_BATCH)}),
+        "matrix": Rec({"matrix": Bits(1, RSP_BATCH, (RSP_MU, RSP_N))}),
+        "alphas": Rec({"qids": Seq(QID, 1, RSP_BATCH, True),
+                       "alphas": Bits("qids", "qids", (RSP_N - 1,))}),
     })),
-    "CoupleInstr": Entry(OPEN, Variants(None, {
-        "close": Rec({"close": Enum((True,)), "discard": DISCARD}),
-        "pairs": Rec({"pairs": Seq(Seq(QID, 2, 2), 2, 2, True), "discard": DISCARD}),
-    })),
+    "CoupleInstr": Entry(OPEN, Rec({"close": Enum((True,)), "discard": DISCARD})),
     "GadgetClassical": Entry(OPEN, Variants(None, {
         "declare": Rec({"declare": Int()}),
-        "x_ct": Rec({"level": Int(1), "x_ct": GADGET_PAIR, "z_ct": GADGET_PAIR,
-                     "e_ct": Seq(GADGET_PAIR, 2, 2),
-                     "sk_enc": Seq(Ct("level"), SECURITY, SECURITY)}),
+        "pairs": Rec({"pairs": Seq(Seq(QID, 2, 2), 2, 2, True), "discard": DISCARD,
+                      "level": Int(1), "x_ct": GADGET_PAIR, "z_ct": GADGET_PAIR,
+                      "e_ct": Seq(GADGET_PAIR, 2, 2),
+                      "sk_enc": Seq(Ct("level"), SECURITY, SECURITY)}),
     })),
     "EncInput": Entry(OPEN, Rec({
         "num_wires": Int(1, MAX_QUBITS), "amps": Amps("num_wires"),  # bounded before 2**n
@@ -398,14 +415,20 @@ SCHEMA = {
 }
 
 
+def _bound(bound, ctx):
+    """A bound's value: a named bound resolves in ``ctx``, a list to its length."""
+    bound = ctx.get(bound, bound)
+    return len(bound) if type(bound) is tuple else bound
+
+
 def validate(spec, value, ctx):
     """Return ``value`` checked against the field type ``spec`` (else a payload
-    error), with lists as tuples, ciphertexts decoded, amplitudes as one flat
-    float array and absent optional fields filled in. ``ctx`` holds named bounds
+    error), with lists as tuples, bits and amplitudes as arrays, ciphertexts
+    decoded and absent optional fields filled in. ``ctx`` holds named bounds
     and gains each record field that passes."""
     t = type(spec)
     if t is Int:
-        lo, hi = ctx.get(spec.lo, spec.lo), ctx.get(spec.hi, spec.hi)  # named bounds resolve
+        lo, hi = _bound(spec.lo, ctx), _bound(spec.hi, ctx)
         if type(value) is int and lo <= value and (hi is None or value <= hi):
             return value
     elif t is Enum:
@@ -425,7 +448,7 @@ def validate(spec, value, ctx):
                 raise ProtocolError("payload", f"{name}: {exc.text}") from None
         return out
     elif t is Seq:
-        lo, hi = ctx.get(spec.lo, spec.lo), ctx.get(spec.hi, spec.hi)
+        lo, hi = _bound(spec.lo, ctx), _bound(spec.hi, ctx)
         if type(value) is not list or len(value) < lo or (hi is not None and len(value) > hi):
             raise ProtocolError("payload", f"expected a list of {lo} to {hi} entries")
         out = tuple([validate(spec.item, item, ctx) for item in value])
@@ -451,6 +474,17 @@ def validate(spec, value, ctx):
                     # One dot product checks finiteness and norm: NaN or inf fails the bound.
                     if abs(arr @ arr - 1) <= 1e-9:
                         return arr
+    elif t is Bits:  # one level of nesting at a time, not one call per bit
+        lo, hi = _bound(spec.lo, ctx), _bound(spec.hi, ctx)
+        if type(value) is list and lo <= len(value) <= hi:
+            flat = value
+            for size in spec.shape:
+                if not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {size}):
+                    break
+                flat = list(chain.from_iterable(flat))
+            else:  # bools are not ints here: type(True) is bool
+                if set(map(type, flat)) <= {int} and set(flat) <= {0, 1}:
+                    return np.array(flat, dtype=np.int64).reshape(len(value), *spec.shape)
     elif t is Str:
         if type(value) is str:
             return value
@@ -467,9 +501,18 @@ def validate(spec, value, ctx):
 ANNOUNCE = {
     "ansatz": "sliding-window-entangler",
     "layout": "windows (v-1, v) for v in 1..n-1, RX/RY rotations + CNOT pair",
-    "observables": ["XX"],
-    "gate_set": list(GATE_KINDS),
+    "observables": ("XX",),
+    "gate_set": GATE_KINDS,
     "version": VERSION,
+    # The server's limits: shots per run, register wires, frame bytes, wires
+    # of a homomorphic run, the claw function's size and RSP rounds per batch.
+    "max_shots": MAX_SHOTS,
+    "max_qubits": MAX_QUBITS,
+    "max_frame": MAX_FRAME,
+    "max_wires": MAX_WIRES,
+    "rsp_n": RSP_N,
+    "rsp_mu": RSP_MU,
+    "rsp_batch": RSP_BATCH,
 }
 
 
@@ -490,9 +533,8 @@ class ServerSession:
         self.rng: np.random.Generator | None = None
         self.audit: deque[tuple[str, dict]] = deque(maxlen=AUDIT_LIMIT)
         self.qubits: dict[int, StateVector] = {}  # prepared RSP outputs
-        self.pending: dict[int, StateVector] = {}  # committed, not yet measured
+        self.pending: dict[int, np.ndarray] = {}  # committed claw states, not yet measured
         self._qids = count()  # the next qid to hand out
-        self._partial_state: StateVector | None = None
         self.gadgets: list[Gadget] = []
         self.register: StateVector | None = None
         self.enc_keys: tuple[tuple[HECiphertext, HECiphertext], ...] | None = None
@@ -550,49 +592,59 @@ class ServerSession:
         self._reply("Announce", ANNOUNCE)
 
     def _on_gadgetclassical(self, p: dict) -> None:
-        if "declare" in p:  # an acknowledged count; the server does not keep it
-            self._reply("GadgetClassical", {"ok": True})
-            return
-        if self._partial_state is None:
-            raise ProtocolError("order", "gadget ciphertexts before pair coupling")
-        fields = (p[k] for k in ("x_ct", "z_ct", "e_ct", "sk_enc", "level"))
-        self.gadgets.append(Gadget(self._partial_state, *fields))
-        self._partial_state = None
-        self._reply("GadgetClassical", {"ok": True, "budget": len(self.gadgets)})
-
-    def _on_rspbasis(self, p: dict) -> None:
-        if "alphas" in p:
-            qid = p["qid"]
-            if qid not in self.pending:
-                raise ProtocolError("order", f"no committed round with qid {qid!r}")
-            state = self.pending.pop(qid)
-            b, self.qubits[qid] = rsp_server_measure(state, p["alphas"], self.rng)
-            self._reply("RspOutcome", {"qid": qid, "b": [int(x) for x in b]})
-            return
-        qid = next(self._qids)
-        if "ideal" in p:
-            # Modeled shortcut: the server draws the angle itself, so this
-            # variant is not blind; the claw-based flow below is.
-            idx, self.qubits[qid] = rsp_round_ideal(self.rng)
-            self._reply("RspOutcome", {"qid": qid, "theta_index": idx})
-            return
-        y, self.pending[qid] = rsp_server_commit(p["matrix"], self.rng)
-        self._reply("RspCommit", {"qid": qid, "y": [int(b) for b in y]})
-
-    def _on_coupleinstr(self, p: dict) -> None:
-        """Couple two (head, tail) pairs, or acknowledge a close; drop discards.
+        """Acknowledge a declared count, or queue a gadget: couple its two
+        (head, tail) pairs, drop its rejected rounds and keep its ciphertexts.
 
         Every qid is checked before any prepared qubit is removed.
         """
-        if "pairs" in p:
-            qids = [pair[0] for pair in p["pairs"]] + [pair[1] for pair in p["pairs"]]
-            if not all(q in self.qubits for q in qids):
-                raise ProtocolError("order", f"unknown prepared qubit among {qids}")
-            qubits = [self.qubits.pop(q) for q in qids]
-            self._partial_state = assemble_gadget_state(qubits[:2], qubits[2:])
-        for qid in p["discard"]:
-            self.qubits.pop(qid, None)
+        if "declare" in p:  # an acknowledged count; the server does not keep it
+            self._reply("GadgetClassical", {"ok": True})
+            return
+        qids = [pair[0] for pair in p["pairs"]] + [pair[1] for pair in p["pairs"]]
+        if not all(q in self.qubits for q in qids):
+            raise ProtocolError("order", f"unknown prepared qubit among {qids}")
+        qubits = [self.qubits.pop(q) for q in qids]
+        self._discard(p["discard"])
+        fields = (p[k] for k in ("x_ct", "z_ct", "e_ct", "sk_enc", "level"))
+        self.gadgets.append(Gadget(assemble_gadget_state(qubits[:2], qubits[2:]), *fields))
+        self._reply("GadgetClassical", {"ok": True, "budget": len(self.gadgets)})
+
+    def _on_rspbasis(self, p: dict) -> None:
+        """Commit a batch of claw rounds, measure a committed batch, or
+        prepare a batch of ideal rounds; a batch's replies list its qids."""
+        if "alphas" in p:
+            qids = list(p["qids"])
+            if not self.pending.keys() >= set(qids):
+                raise ProtocolError("order", f"no committed round among qids {qids}")
+            states = np.array(list(map(self.pending.pop, qids)))
+            b, qubits = rsp_server_measure(states, p["alphas"], self.rng)
+            self.qubits.update(zip(qids, qubits))
+            self._reply("RspOutcome", {"qids": qids, "b": b.tolist()})
+            return
+        rows = p["ideal"] if "ideal" in p else len(p["matrix"])
+        held = len(self.qubits) + len(self.pending)
+        if held + rows > MAX_HELD:
+            raise ProtocolError("budget", f"{held} RSP qubits held, {rows} more asked")
+        qids = list(islice(self._qids, rows))
+        if "ideal" in p:
+            # Modeled shortcut: the server draws the angles itself, so this
+            # variant is not blind; the claw-based flow below is.
+            idx, qubits = zip(*(rsp_round_ideal(self.rng) for _ in qids))
+            self.qubits.update(zip(qids, qubits))
+            self._reply("RspOutcome", {"qids": qids, "theta_index": list(idx)})
+            return
+        y, states = rsp_server_commit(p["matrix"], self.rng)
+        self.pending.update(zip(qids, states))
+        self._reply("RspCommit", {"qids": qids, "y": y.tolist()})
+
+    def _on_coupleinstr(self, p: dict) -> None:
+        """Acknowledge the close of gadget provisioning; drop the discards."""
+        self._discard(p["discard"])
         self._reply("CoupleInstr", {"ok": True})
+
+    def _discard(self, qids) -> None:
+        for qid in qids:
+            self.qubits.pop(qid, None)
 
     def _on_encinput(self, p: dict) -> None:
         self.register = amps_from_json(p["amps"], p["num_wires"])
@@ -727,11 +779,15 @@ class TcpServer:
 class ClientSession:
     """Client-side driver: handshake, gadget provisioning, delegated runs.
 
-    It keeps no phase: the server decides what is in order.
+    It keeps no phase: the server decides what is in order. It keeps the RSP
+    batch size the server announced, and the qids of prepared rounds no gadget
+    took, which the next ``close_rsp`` discards.
     """
 
     def __init__(self, channel: Channel):
         self.channel = channel
+        self.rsp_batch = RSP_BATCH
+        self._spare: list[int] = []
 
     # -- plumbing --
 
@@ -756,52 +812,72 @@ class ClientSession:
     # -- acknowledged steps --
 
     def hello(self, session_seed: int, mode: str) -> dict:
-        return self._ask(
+        announce = self._ask(
             "Hello",
             {"version": VERSION, "session_seed": int(session_seed), "mode": mode},
             "Announce",
         ).payload
+        self.rsp_batch = announce["rsp_batch"]
+        return announce
 
     def open_rsp(self, declared: int = 0) -> None:
         self._ask("GadgetClassical", {"declare": int(declared)}, "GadgetClassical")
 
     def close_rsp(self) -> None:
-        self._ask("CoupleInstr", {"close": True}, "CoupleInstr")
+        """End gadget provisioning; the server drops the prepared rounds no
+        gadget took."""
+        self._ask("CoupleInstr", {"close": True, "discard": self._spare}, "CoupleInstr")
+        self._spare = []
 
     # -- remote state preparation --
 
-    def _round(self, rsp_mode: str):
-        """The remote RSP round of ``rsp_mode``; each yields (theta_index, qid)."""
+    def _round(self, rsp_mode: str, pool: deque):
+        """The remote RSP round of ``rsp_mode``, pooled in batches of the
+        announced size; each yields (theta_index, qid)."""
+        rows = self.rsp_batch
 
-        def ideal(rng):
-            reply = self._ask("RspBasis", {"ideal": True}, "RspOutcome", form="theta_index")
-            return reply.payload["theta_index"], reply.payload["qid"]
+        def ideal(_rng):
+            reply = self._ask("RspBasis", {"ideal": rows}, "RspOutcome", form="theta_index",
+                              rows=rows)
+            return zip(reply.payload["theta_index"], reply.payload["qids"])
 
-        def commit(matrix, _rng):
-            reply = self._ask("RspBasis", {"matrix": matrix.tolist()}, "RspCommit")
-            return reply.payload["y"], reply.payload["qid"]
+        def commit(matrices, _rng):
+            reply = self._ask("RspBasis", {"matrix": matrices.tolist()}, "RspCommit", rows=rows)
+            return reply.payload["y"], reply.payload["qids"]
 
-        def measure(qid, alphas, _rng):
-            payload = {"qid": qid, "alphas": alphas.tolist()}
-            reply = self._ask("RspBasis", payload, "RspOutcome", form="b", asked=qid)
-            return reply.payload["b"], qid
+        def measure(qids, alphas, _rng):
+            payload = {"qids": qids, "alphas": alphas.tolist()}
+            reply = self._ask("RspBasis", payload, "RspOutcome", form="b", rows=rows)
+            if reply.payload["qids"] != qids:
+                raise ProtocolError("payload", "the outcomes are for other qids")
+            return reply.payload["b"], qids
 
-        rounds = {"ideal": ideal, "faithful": claw_round(commit, measure)}
+        claw = claw_round(commit, measure, rows, pool)
+
+        def faithful(rng):
+            try:
+                return claw(rng)
+            except GadgetError as exc:  # an image y outside its matrix's image
+                raise ProtocolError("payload", str(exc)) from None
+
+        rounds = {"ideal": pooled(ideal, pool), "faithful": faithful}
         if rsp_mode not in rounds:
             raise ProtocolError("mode", f"unknown rsp mode {rsp_mode!r}")
         return rounds[rsp_mode]
 
-    def _couple(self, heads, tails, rejected) -> None:
-        """Have the server couple the accepted pairs and drop the rejected qubits."""
-        pairs = [[head, tail] for head, tail in zip(heads, tails)]
-        self._ask("CoupleInstr", {"pairs": pairs, "discard": rejected}, "CoupleInstr")
-
     def provision_gadget(self, pk_next, sk_enc, k_bit: int, rng, round_) -> GadgetSecrets:
-        """Build one gadget on the server: RSP rounds, coupling, ciphertexts."""
-        gadget, secrets = gen_gadget(pk_next, sk_enc, k_bit, rng, round_, self._couple)
+        """Build one gadget on the server: RSP rounds, then one frame with the
+        pairs to couple, the rejected rounds to drop and the ciphertexts."""
+        coupling = {}
+
+        def couple(heads, tails, rejected):
+            coupling.update(pairs=[list(pair) for pair in zip(heads, tails)], discard=rejected)
+
+        gadget, secrets = gen_gadget(pk_next, sk_enc, k_bit, rng, round_, couple)
         self._ask(
             "GadgetClassical",
             {
+                **coupling,
                 "x_ct": [ct_to_hex(c) for c in gadget.x_ct],
                 "z_ct": [ct_to_hex(c) for c in gadget.z_ct],
                 "e_ct": [[ct_to_hex(c) for c in row] for row in gadget.e_ct],
@@ -824,9 +900,12 @@ class ClientSession:
 
         Provisions one gadget set per run of ``circuit``: the first while
         ``keygen`` plans the key flow, the others by replaying each slot's
-        key material once ``keygen`` has returned.
+        key material once ``keygen`` has returned. All gadgets draw from one
+        pool of RSP rounds; the rounds left in it are discarded at the next
+        ``close_rsp``.
         """
-        round_ = self._round(rsp_mode)
+        pool: deque = deque()
+        round_ = self._round(rsp_mode, pool)
         slots = []  # (pk_next, sk_enc, k_bit) per gadget slot
 
         def factory(pk_next, sk_enc, k_bit):
@@ -837,6 +916,7 @@ class ClientSession:
         for _ in range(runs - 1):
             for pk_next, sk_enc, k_bit in slots:
                 self.provision_gadget(pk_next, sk_enc, k_bit, rng, round_)
+        self._spare += [qid for _, qid in pool]
         return client_keys
 
     # -- delegated evaluation --

@@ -16,6 +16,7 @@ for the initial key leaves.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from operator import xor
@@ -42,6 +43,7 @@ from .pauli_frame import (
 )
 from .rsp_gadget import (
     GADGET_QUBITS,
+    RSP_BATCH,
     Gadget,
     GadgetSecrets,
     claw_round,
@@ -135,7 +137,9 @@ def keygen(
     ``gadget_factory(pk_next, sk_enc, k_bit)`` may replace local gadget
     generation; a remote factory (the wire protocol) provisions the gadget on
     the server and returns ``(None, secrets)``, in which case the returned
-    EvalKey carries no gadget states.
+    EvalKey carries no gadget states. Local claw-based gadgets
+    (``rsp_mode="faithful"``) share one pool of rounds, filled ``RSP_BATCH``
+    at a time; the ideal sampler draws one round at a time.
     """
     _check_circuit(circuit, num_wires)
     n_gadgets = t_count(circuit)
@@ -148,7 +152,7 @@ def keygen(
     if gadget_factory is None:
         rounds = {
             "ideal": rsp_round_ideal,
-            "faithful": claw_round(rsp_server_commit, rsp_server_measure),
+            "faithful": claw_round(rsp_server_commit, rsp_server_measure, RSP_BATCH, deque()),
         }
         if rsp_mode not in rounds:
             raise QHEError(f"unknown rsp mode {rsp_mode!r}")

@@ -17,25 +17,27 @@ pair exactly.
 One builder, ``gen_gadget``, holds the recipe: the twist, the head and tail
 acceptance tests, the bounded rejection loop and the correction
 ciphertexts. It is the same for a gadget built in this process and one built
-on a remote server; only two seams differ. ``round_(rng)`` runs one
-preparation round and returns ``(theta_index, handle)``: locally the handle
-is the prepared state, remotely the server's qubit id. A round comes from the
-ideal sampler or from ``claw_round``, the one claw-based recipe: a fresh
-2-to-1 GF(2) linear function with a trapdoor (the hidden kernel vector) per
-round, with its two server steps called locally or sent as messages.
+on a remote server; only two seams differ. ``round_(rng)`` hands out one
+preparation round as ``(theta_index, handle)``: locally the handle is the
+prepared state, remotely the server's qubit id. A round comes from the ideal
+sampler or from ``claw_round``, the one claw-based recipe: a first-in,
+first-out pool refilled ``batch`` rounds at a time, each round with a fresh
+2-to-1 GF(2) linear function and its trapdoor (the hidden kernel vector), and
+the batch's two server steps called locally or sent as messages. The rounds
+are independent instances, so every step works on the whole batch as arrays.
 ``couple(heads, tails, rejected)`` entangles the accepted pairs and drops the
 rejected rounds. The claw function has a fixed size, ``RSP_N`` inputs by
-``RSP_MU`` outputs. The server's claw steps run on the state's support, not
+``RSP_MU`` outputs. The server's claw steps run on each state's support, not
 on n + mu dense wires: the commit enumerates the 2^n inputs once, and the
-measurement is two-term arithmetic on one wire at a time. Each measured wire
-takes one ``rng.random()``, in the dense order and against the same
-probability, so seeded rounds give the dense simulation's outcomes.
+measurement is two-term arithmetic on one wire at a time. A batch of k rounds
+draws ``rng.random((k, m))`` for its m measured wires, the stream k separate
+rounds would draw, in the dense order and against the same probabilities, so
+seeded rounds give the dense simulation's outcomes.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from math import sqrt
-from operator import and_
 
 import numpy as np
 
@@ -66,6 +68,8 @@ _TAIL = (1, 3)
 # Claw function size (inputs, outputs) and the rounds one draw may take.
 RSP_N = RSP_MU = 4
 MAX_DRAWS = 512
+# Claw rounds per batch, the most a server takes in one frame.
+RSP_BATCH = 32
 
 
 class GadgetError(Exception):
@@ -91,61 +95,60 @@ def pair_byproduct(x: int, z: int, p: int, u: int, v: int) -> tuple[int, int]:
 # --- GF(2) trapdoor function and remote state preparation ------------------
 
 
-def _images(rows: list[list[int]]) -> list[int]:
-    """Images of the inputs x = 0..2^n - 1 (bit j of x is x_j) under the 0/1
-    matrix ``rows`` of n columns, each image an int whose bit k is row k's parity.
-    The matrices are a few bits wide, so plain ints beat NumPy's per-call cost.
-    """
-    out = [0]
-    for col in zip(*rows):
-        image = 0
-        for bit in reversed(col):
-            image = image << 1 | bit
-        out += [v ^ image for v in out]
-    return out
+def _image_bits(matrices: np.ndarray) -> np.ndarray:
+    """Bit i of A_r x for each matrix A_r and input x = 0..2^n - 1 (bit j of x
+    is x_j), shape (k, mu, 2^n)."""
+    n = matrices.shape[-1]
+    return matrices @ ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).T % 2
 
 
 @dataclass(frozen=True)
 class TrapdoorFunction:
-    """2-to-1 linear map x -> Ax over GF(2) with hidden kernel {0, t}."""
+    """k 2-to-1 linear maps x -> A_r x over GF(2), map r with hidden kernel {0, t_r}."""
 
-    matrix: np.ndarray  # shape (mu, n)
-    kernel: np.ndarray  # shape (n,), the trapdoor t, with t[n-1] = 1
-
-    @property
-    def n(self) -> int:
-        return int(self.matrix.shape[1])
+    matrix: np.ndarray  # shape (k, mu, n)
+    kernel: np.ndarray  # shape (k, n), the trapdoors t_r, each with t_r[n-1] = 1
 
     def preimages(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The claw (x, x XOR t) of y, x the lowest-numbered preimage (for a
-        sampled trapdoor, the one whose top bit is 0)."""
-        try:
-            xi = _images(self.matrix.tolist()).index(
-                sum(int(bit) << k for k, bit in enumerate(y))
-            )
-        except ValueError:
-            raise GadgetError("image point has no preimage") from None
-        x = (xi >> np.arange(self.n)) & 1
+        """The claws (x_r, x_r XOR t_r) of the rows y_r, each x_r the
+        lowest-numbered preimage (for a sampled trapdoor, the one whose top
+        bit is 0)."""
+        mu = self.matrix.shape[1]
+        weights = 1 << np.arange(mu)
+        images = weights @ _image_bits(self.matrix)  # (k, 2^n): Ax as an int
+        hits = images == (np.asarray(y) @ weights)[:, None]
+        if not hits.any(axis=1).all():
+            raise GadgetError("image point has no preimage")
+        x = (hits.argmax(axis=1)[:, None] >> np.arange(self.matrix.shape[2])) & 1
         return x, x ^ self.kernel
 
 
-def sample_trapdoor(n: int, mu: int, rng: np.random.Generator) -> TrapdoorFunction:
-    """Draw a rank n-1 matrix whose kernel is {0, t} with t's top bit set."""
+def sample_trapdoor(k: int, n: int, mu: int, rng: np.random.Generator) -> TrapdoorFunction:
+    """Draw k rank n-1 matrices, matrix r with kernel {0, t_r} and t_r's top bit set.
+
+    Each draw takes t and the matrix rows uniformly at random; XOR-ing a row's
+    parity against t into its top bit makes it orthogonal to t (t's top bit
+    is 1) and keeps it uniform among the rows that are. A draw whose t has no
+    other bit set, or whose matrix fails the rank test, is dropped whole. Each
+    pass draws twice the trapdoors still missing and keeps the first good ones.
+    """
     if n < 2 or mu < n - 1:
         raise GadgetError(f"need n >= 2 and mu >= n-1, got n={n}, mu={mu}")
-    while True:
-        t = rng.integers(0, 2, n).tolist()
-        t[n - 1] = 1
-        if not any(t[: n - 1]):
-            # A kernel supported only on the last position would pin the
-            # prepared angle to zero; resample for full angle coverage.
-            continue
-        rows = rng.integers(0, 2, (mu, n)).tolist()
-        for i in range(mu):
-            while sum(map(and_, rows[i], t)) & 1:
-                rows[i] = rng.integers(0, 2, n).tolist()
-        if _images(rows).count(0) == 2:  # kernel {0, t}: rank n - 1
-            return TrapdoorFunction(np.array(rows, dtype=np.int64), np.array(t, dtype=np.int64))
+    kernel = np.empty((k, n), dtype=np.int64)
+    matrix = np.empty((k, mu, n), dtype=np.int64)
+    filled = 0
+    while filled < k:
+        t = rng.integers(0, 2, (2 * (k - filled), n))
+        t[:, n - 1] = 1
+        a = rng.integers(0, 2, (len(t), mu, n))
+        a[:, :, n - 1] ^= (a @ t[:, :, None])[:, :, 0] % 2
+        # A kernel supported only on the top bit would pin the prepared angle
+        # to zero; the kernel is {0, t} when exactly two inputs map to zero.
+        zeros = (~_image_bits(a).any(axis=1)).sum(axis=1)
+        good = np.flatnonzero(t[:, : n - 1].any(axis=1) & (zeros == 2))[: k - filled]
+        kernel[filled : filled + len(good)], matrix[filled : filled + len(good)] = t[good], a[good]
+        filled += len(good)
+    return TrapdoorFunction(matrix, kernel)
 
 
 def rsp_round_ideal(rng: np.random.Generator) -> tuple[int, StateVector]:
@@ -154,89 +157,106 @@ def rsp_round_ideal(rng: np.random.Generator) -> tuple[int, StateVector]:
 
 
 def rsp_server_commit(
-    matrix: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, StateVector]:
-    """Server step 1-2: claw superposition, image measured out, top bit first.
+    matrices: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Server steps 1-2 for k rounds: claw superposition, image measured out,
+    top bit first.
 
-    Needs only the public matrix. Returns y and the uniform superposition of
-    its preimages: the claw (x, x XOR t), or more for a rank-deficient matrix.
+    Needs only the public (k, mu, n) matrices. Returns the (k, mu) images y
+    and the (k, 2^n) uniform superpositions of their preimages: the claw
+    (x, x XOR t), or more for a rank-deficient matrix.
     """
-    matrix = np.asarray(matrix) % 2
-    mu, n = matrix.shape
-    inputs = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    images = (inputs @ matrix.T % 2).T.tolist()  # images[k][x]: bit k of Ax
-    alive = range(2**n)
-    y = np.zeros(mu, dtype=np.int64)
-    for k in range(mu - 1, -1, -1):
-        ones = [x for x in alive if images[k][x]]
-        y[k] = rng.random() < len(ones) / len(alive)
-        alive = ones if y[k] else [x for x in alive if not images[k][x]]
-    amps = np.zeros(2**n, dtype=complex)
-    amps[alive] = 1 / np.sqrt(len(alive))
-    return y, StateVector(n, amps)
+    images = _image_bits(np.asarray(matrices) % 2).astype(bool)
+    k, mu, size = images.shape
+    draws = rng.random((k, mu))
+    alive = np.ones((k, size), dtype=bool)
+    y = np.zeros((k, mu), dtype=np.int64)
+    for j, bit in enumerate(range(mu - 1, -1, -1)):
+        ones = alive & images[:, bit]
+        y[:, bit] = draws[:, j] < ones.sum(axis=1) / alive.sum(axis=1)
+        alive = np.where(y[:, bit, None] == 1, ones, alive & ~ones)
+    return y, alive / np.sqrt(alive.sum(axis=1, keepdims=True)) + 0j
 
 
 def rsp_server_measure(
-    state: StateVector, alphas: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, StateVector]:
-    """Server step 3: measure wires n-2..0 in {|0> +- i^alpha |1>}, in turn.
+    states: np.ndarray, alphas: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, list[StateVector]]:
+    """Server step 3 for k rounds: measure wires n-2..0 of each (k, 2^n)
+    state in {|0> +- i^alpha |1>}, in turn.
 
-    Returns the outcome bits b and the surviving qubit, which is |+_theta>
-    for the angle only the trapdoor holder can recover.
+    Returns the (k, n-1) outcome bits b and the k surviving qubits, each
+    |+_theta> for the angle only the trapdoor holder can recover.
     """
-    n = state.num_qubits
+    amps = np.asarray(states)
+    k, size = amps.shape
+    n = size.bit_length() - 1
     alphas = np.asarray(alphas, dtype=np.int64)
-    if alphas.shape != (n - 1,):
-        raise GadgetError(f"need {n - 1} basis bits, got shape {alphas.shape}")
-    amps = state.amplitudes
-    b = np.zeros(n - 1, dtype=np.int64)
-    for w in range(n - 2, -1, -1):
-        psi = amps.reshape(2, 2, -1)  # (top wire, measured wire, lower wires)
-        zero, one = psi[:, 0], psi[:, 1]
-        if alphas[w]:
-            one = -1j * one
+    if alphas.shape != (k, n - 1):
+        raise GadgetError(f"need {k} rows of {n - 1} basis bits, got shape {alphas.shape}")
+    draws = rng.random((k, n - 1))
+    b = np.zeros((k, n - 1), dtype=np.int64)
+    for j, w in enumerate(range(n - 2, -1, -1)):
+        psi = amps.reshape(k, 2, 2, -1)  # (round, top wire, measured wire, lower wires)
+        zero, one = psi[:, :, 0], psi[:, :, 1]
+        one = np.where(alphas[:, w, None, None] == 1, -1j * one, one)
         # H up to its 1/sqrt(2), which the probability and the renormalization absorb.
         plus, minus = zero + one, zero - one
-        b[w] = rng.random() < np.vdot(minus, minus).real / 2
-        kept = minus if b[w] else plus
-        amps = kept.reshape(-1) / sqrt(np.vdot(kept, kept).real)
-    return b, StateVector(1, amps)
+        b[:, w] = draws[:, j] < np.einsum("rij,rij->r", minus.conj(), minus).real / 2
+        kept = np.where(b[:, w, None, None] == 1, minus, plus).reshape(k, -1)
+        amps = kept / np.sqrt(np.einsum("ri,ri->r", kept.conj(), kept).real)[:, None]
+    return b, [StateVector(1, a) for a in amps]
 
 
 def rsp_theta_index(
     td: TrapdoorFunction, y: np.ndarray, b: np.ndarray, alphas: np.ndarray
-) -> int:
-    """Client-side angle recovery from the round transcript.
+) -> np.ndarray:
+    """Client-side angle recovery from k round transcripts.
 
         theta = (pi/2) * (-1)^{x_n} sum_j (x_j - x'_j)(2 b_j + alpha_j)
 
-    over the claw (x, x') = preimages of y, outcome bits b_j and basis bits
-    alpha_j; returned as the quarter-turn index theta / (pi/2) mod 4.
+    over each round's claw (x, x') = preimages of y, outcome bits b_j and basis
+    bits alpha_j; returned as the k quarter-turn indices theta / (pi/2) mod 4.
     """
-    x1, x2 = (x.tolist() for x in td.preimages(y))
-    s = sum((u - v) * (2 * int(bj) + int(aj)) for u, v, bj, aj in zip(x1, x2, b, alphas))
-    return (-s if x1[-1] else s) % 4
+    x1, x2 = td.preimages(y)
+    m = x1.shape[1] - 1
+    s = ((x1[:, :m] - x2[:, :m]) * (2 * np.asarray(b) + np.asarray(alphas))).sum(axis=1)
+    return np.where(x1[:, m] == 1, -s, s) % 4
 
 
-def claw_round(commit, measure):
-    """The claw-based round, run as ``round_(rng) -> (theta_index, handle)``.
-
-    The client draws a fresh trapdoor, the server commits to its matrix
-    (``commit(matrix, rng) -> (y, handle)``), the client draws random basis
-    bits, the server measures (``measure(handle, alphas, rng) -> (b,
-    handle)``), and the client recovers the angle. Locally the two server
-    steps are ``rsp_server_commit`` and ``rsp_server_measure``, and the handle
-    is the state; remotely they are messages, and the handle is a qubit id.
-    """
+def pooled(refill, pool: deque):
+    """``round_(rng)`` handing out the rounds in ``pool`` first in, first out;
+    when it is empty, ``refill(rng)`` tops it up with a batch of
+    ``(theta_index, handle)`` rounds. Whoever owns the pool can drop what is
+    left of it."""
 
     def round_(rng: np.random.Generator):
-        td = sample_trapdoor(RSP_N, RSP_MU, rng)
-        y, handle = commit(td.matrix, rng)
-        alphas = rng.integers(0, 2, RSP_N - 1)
-        b, handle = measure(handle, alphas, rng)
-        return rsp_theta_index(td, y, b, alphas), handle
+        if not pool:
+            pool.extend(refill(rng))
+        return pool.popleft()
 
     return round_
+
+
+def claw_round(commit, measure, batch: int, pool: deque):
+    """The claw-based round, pooled over batches of ``batch`` rounds.
+
+    A refill draws ``batch`` fresh trapdoors, the server commits to their
+    matrices (``commit(matrices, rng) -> (y, handles)``), the client draws
+    random basis bits, the server measures (``measure(handles, alphas, rng)
+    -> (b, handles)``), and the client recovers the angles. Locally the two
+    server steps are ``rsp_server_commit`` and ``rsp_server_measure``, and
+    the handles are the states; remotely they are messages, and the handles
+    are qubit ids.
+    """
+
+    def refill(rng: np.random.Generator):
+        td = sample_trapdoor(batch, RSP_N, RSP_MU, rng)
+        y, handles = commit(td.matrix, rng)
+        alphas = rng.integers(0, 2, (batch, RSP_N - 1))
+        b, handles = measure(handles, alphas, rng)
+        return zip(rsp_theta_index(td, y, b, alphas).tolist(), handles)
+
+    return pooled(refill, pool)
 
 
 def _draw(round_, rng: np.random.Generator, accept, rejected: list):

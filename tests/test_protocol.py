@@ -3,7 +3,8 @@ import functools
 import hashlib
 import threading
 import time
-from collections import ChainMap
+from collections import ChainMap, Counter, deque
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qhevqa.protocol import (
     ANNOUNCE,
     AUDIT_LIMIT,
     Amps,
+    Bits,
     ChannelClosed,
     ClientSession,
     Ct,
@@ -21,6 +23,7 @@ from qhevqa.protocol import (
     Int,
     KINDS,
     MAX_FRAME,
+    MAX_HELD,
     MAX_SHOTS,
     Message,
     Num,
@@ -53,6 +56,7 @@ from qhevqa.protocol import (
 from qhevqa import vqa
 from qhevqa.classical_he import ct_from_bytes
 from qhevqa.qhe import t_count
+from qhevqa.rsp_gadget import RSP_BATCH, RSP_MU, RSP_N, sample_trapdoor
 from qhevqa.simulator import StateVector, apply_circuit, fidelity, gate
 from qhevqa.skdecomp import decompose_circuit, fold_t_runs
 from qhevqa.vqa import (
@@ -309,27 +313,39 @@ class TestHostilePayloads:
         client.open_rsp(0)
         return channel, session, thread, client
 
+    @staticmethod
+    def bundle(level=1, seed=4):
+        """A gadget's ciphertexts at ``level``, as GadgetClassical fields."""
+        rng = np.random.default_rng(seed)
+        pk = he_keygen(16, rng, level=level).pk
+        cts = [ct_to_hex(he_enc(pk, int(rng.integers(2)), rng)) for _ in range(24)]
+        return {"x_ct": cts[:2], "z_ct": cts[2:4], "e_ct": [cts[4:6], cts[6:8]],
+                "sk_enc": cts[8:], "level": level}
+
     def test_claw_matrix_of_the_wrong_shape_is_refused(self):
         channel, session, thread, _client = self.open_session()
-        matrix = [[1, 0, 1, 0, 1]] * 4  # 4x5; the claw size is 4x4
+        matrix = [[[1, 0, 1, 0, 1]] * 4]  # a batch of one 4x5; the claw size is 4x4
         channel.send(Message("RspBasis", {"matrix": matrix}))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         assert not session.pending
         thread.join(timeout=5)
 
-    @pytest.mark.parametrize("alphas", [[0, 1, 0, 1, 0], [0, 2, 1]])
+    @pytest.mark.parametrize("alphas", [
+        [[0, 1, 0, 1, 0]] * 2, [[0, 2, 1]] * 2, [[0, 1, 0]] * 3, [[0, 1, 0]], [[0, True, 0]] * 2,
+    ])
     def test_bad_alphas_leave_the_round_pending(self, alphas):
-        # A wrong length or a non-bit entry is refused before the round is taken.
+        # A wrong length, a non-bit entry or a row count other than the qid
+        # count is refused before the rounds are taken.
         channel, session, thread, _client = self.open_session()
         matrix = [[1, 0, 1, 0]] * 4
-        channel.send(Message("RspBasis", {"matrix": matrix}))
-        qid = channel.recv().payload["qid"]
-        channel.send(Message("RspBasis", {"qid": qid, "alphas": alphas}))
+        channel.send(Message("RspBasis", {"matrix": [matrix] * 2}))
+        qids = channel.recv().payload["qids"]
+        channel.send(Message("RspBasis", {"qids": qids, "alphas": alphas}))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
-        assert list(session.pending) == [qid]
+        assert list(session.pending) == qids
 
     @pytest.mark.parametrize("num_wires, amps", [(True, 2), ("3", 8)])
     def test_bad_wire_counts_are_refused(self, num_wires, amps):
@@ -443,17 +459,17 @@ class TestHostilePayloads:
 
     @pytest.mark.parametrize("pairs", [[[0, 1], [2, 99]], [[0, 1], [0, 2]]])
     def test_bad_couple_leaves_prepared_qubits_alone(self, pairs):
-        # An unknown tail or a repeated qid is found before any qubit is taken.
+        # An unknown tail or a repeated qid in a gadget frame is found before
+        # any qubit is taken or discarded.
         channel, session, thread, _client = self.open_session()
-        for _ in range(3):
-            channel.send(Message("RspBasis", {"ideal": True}))
-            assert channel.recv().kind == "RspOutcome"
+        channel.send(Message("RspBasis", {"ideal": 3}))
+        assert channel.recv().kind == "RspOutcome"
         before = dict(session.qubits)
-        channel.send(Message("CoupleInstr", {"pairs": pairs, "discard": [1]}))
+        channel.send(Message("GadgetClassical", {"pairs": pairs, "discard": [1], **self.bundle()}))
         reply = channel.recv()
         assert reply.kind == "Error"
         thread.join(timeout=5)
-        assert list(session.qubits) == [0, 1, 2]
+        assert list(session.qubits) == [0, 1, 2] and session.gadgets == []
         assert all(session.qubits[q] is before[q] for q in before)
 
     def gadget_session(self):
@@ -491,22 +507,50 @@ class TestHostilePayloads:
         assert session.register is register and session.enc_keys is enc_keys
 
     @pytest.mark.parametrize("payload", [
-        {"matrix": [[1, 2], [3]]},
+        {"matrix": [[[1, 2], [3]]]},
         {"matrix": "abcd"},
-        {"matrix": [[10**30] * 4] * 4},
-        {"qid": [1], "alphas": [0, 1, 0]},
-        {"ideal": "no"},
+        {"matrix": [[[10**30] * 4] * 4]},
+        {"qids": [True], "alphas": [[0, 1, 0]]},
+        {"ideal": True},
+        {"matrix": [[[1, 0, True, 0]] * 4]},
+        {"matrix": [[[1, 0, 1.0, 0]] * 4]},
+        {"matrix": [[[1, 0, 1, 0]] * 4] * (RSP_BATCH + 1)},
+        {"matrix": []},
+        {"ideal": 0},
+        {"ideal": RSP_BATCH + 1},
+        {"qids": [1, 1], "alphas": [[0, 1, 0]] * 2},
     ])
     def test_bad_rsp_basis_changes_nothing(self, payload):
         channel, session, thread, _client = self.open_session()
-        channel.send(Message("RspBasis", {"ideal": True}))
+        channel.send(Message("RspBasis", {"ideal": 1}))
         assert channel.recv().kind == "RspOutcome"
-        channel.send(Message("RspBasis", {"matrix": [[1, 0, 1, 0]] * 4}))
+        channel.send(Message("RspBasis", {"matrix": [[[1, 0, 1, 0]] * 4]}))
         assert channel.recv().kind == "RspCommit"
         qubits, pending = dict(session.qubits), dict(session.pending)
         channel.send(Message("RspBasis", payload))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session.qubits == qubits and session.pending == pending
+
+    @pytest.mark.parametrize("payload", [{"ideal": 2}, {"matrix": [[[1, 0, 1, 0]] * 4] * 2}])
+    def test_rsp_qubits_past_the_held_limit_are_refused(self, payload):
+        # One gadget's worst-case draws plus one batch may be held, committed
+        # or prepared; a batch past that is refused before any qubit is made.
+        channel, session, thread, _client = self.open_session()
+        channel.send(Message("RspBasis", {"matrix": [[[1, 0, 1, 0]] * 4]}))
+        assert channel.recv().kind == "RspCommit"
+        left = MAX_HELD - 2
+        while left:
+            rows = min(left, RSP_BATCH)
+            channel.send(Message("RspBasis", {"ideal": rows}))
+            assert channel.recv().kind == "RspOutcome"
+            left -= rows
+        qubits, pending = dict(session.qubits), dict(session.pending)
+        assert len(qubits) + len(pending) == MAX_HELD - 1
+        channel.send(Message("RspBasis", payload))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "budget"
         thread.join(timeout=5)
         assert session.qubits == qubits and session.pending == pending
 
@@ -517,11 +561,13 @@ class TestHostilePayloads:
     def test_bool_qids_are_refused(self, payload):
         # True == 1 as a dict key: taken as an int it would drop or couple qid 1.
         channel, session, thread, _client = self.open_session()
-        for _ in range(4):
-            channel.send(Message("RspBasis", {"ideal": True}))
-            assert channel.recv().kind == "RspOutcome"
+        channel.send(Message("RspBasis", {"ideal": 4}))
+        assert channel.recv().kind == "RspOutcome"
         qubits = dict(session.qubits)
-        channel.send(Message("CoupleInstr", payload))
+        if "pairs" in payload:
+            channel.send(Message("GadgetClassical", {**payload, **self.bundle()}))
+        else:
+            channel.send(Message("CoupleInstr", payload))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
@@ -537,23 +583,16 @@ class TestHostilePayloads:
     @pytest.mark.parametrize("level", ["3", True, 2.5])
     def test_gadget_level_must_be_an_int(self, level):
         channel, session, thread, _client = self.open_session()
-        for _ in range(4):
-            channel.send(Message("RspBasis", {"ideal": True}))
-            assert channel.recv().kind == "RspOutcome"
-        channel.send(Message("CoupleInstr", {"pairs": [[0, 1], [2, 3]], "discard": []}))
-        assert channel.recv().kind == "CoupleInstr"
-        partial = session._partial_state
-        rng = np.random.default_rng(4)
-        pk = he_keygen(16, rng, level=1).pk
-        cts = [ct_to_hex(he_enc(pk, int(rng.integers(2)), rng)) for _ in range(24)]
+        channel.send(Message("RspBasis", {"ideal": 4}))
+        assert channel.recv().kind == "RspOutcome"
+        qubits = dict(session.qubits)
         channel.send(Message("GadgetClassical", {
-            "x_ct": cts[:2], "z_ct": cts[2:4], "e_ct": [cts[4:6], cts[6:8]],
-            "sk_enc": cts[8:], "level": level,
+            "pairs": [[0, 1], [2, 3]], "discard": [], **self.bundle(), "level": level,
         }))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
-        assert session.gadgets == [] and session._partial_state is partial
+        assert session.gadgets == [] and session.qubits == qubits
 
     @pytest.mark.parametrize("spoil", ["level-1", "and"])
     def test_input_keys_the_run_cannot_use_are_refused(self, spoil):
@@ -579,35 +618,28 @@ class TestHostilePayloads:
     @pytest.mark.parametrize("spoil", [None, "level", "x_ct", "e_ct", "sk_enc"])
     def test_gadget_ciphertexts_sit_at_the_bundle_level(self, spoil):
         channel, session, thread, client = self.open_session()
-        for _ in range(4):
-            channel.send(Message("RspBasis", {"ideal": True}))
-            assert channel.recv().kind == "RspOutcome"
-        channel.send(Message("CoupleInstr", {"pairs": [[0, 1], [2, 3]], "discard": []}))
-        assert channel.recv().kind == "CoupleInstr"
-        partial = session._partial_state
-        rng = np.random.default_rng(4)
-        pk1, pk2 = (he_keygen(16, rng, level=lv).pk for lv in (1, 2))
-        cts = [ct_to_hex(he_enc(pk1, int(rng.integers(2)), rng)) for _ in range(24)]
-        stray = ct_to_hex(he_enc(pk2, 0, rng))
-        bundle = {"x_ct": cts[:2], "z_ct": cts[2:4], "e_ct": [cts[4:6], cts[6:8]],
-                  "sk_enc": cts[8:], "level": 1}
+        channel.send(Message("RspBasis", {"ideal": 5}))
+        assert channel.recv().kind == "RspOutcome"
+        qubits = dict(session.qubits)
+        bundle = {"pairs": [[0, 1], [2, 3]], "discard": [4], **self.bundle()}
+        stray = self.bundle(level=2)["x_ct"][0]
         if spoil == "level":
             bundle["level"] = 2
         elif spoil == "e_ct":
-            bundle["e_ct"] = [cts[4:6], [cts[6], stray]]
+            bundle["e_ct"] = [bundle["e_ct"][0], [bundle["e_ct"][1][0], stray]]
         elif spoil is not None:
             bundle[spoil] = bundle[spoil][:-1] + [stray]
         channel.send(Message("GadgetClassical", bundle))
         reply = channel.recv()
         if spoil is None:
             assert reply.payload == {"ok": True, "budget": 1}
-            assert len(session.gadgets) == 1
+            assert len(session.gadgets) == 1 and not session.qubits
             client.done()
             thread.join(timeout=5)
             return
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
-        assert session.gadgets == [] and session._partial_state is partial
+        assert session.gadgets == [] and session.qubits == qubits
 
     def test_gadgets_out_of_slot_order_are_refused_before_any_is_taken(self):
         # Two runs of one T each need two level-1 gadgets; a queue provisioned
@@ -695,10 +727,11 @@ def draw_value(draw, spec, ctx, bad):
     length, a ragged or non-finite register, or a wrong variant."""
     t = type(spec)
 
-    def bound(b):  # a named bound; a hostile wire count stands in as 1
+    def bound(b):  # a named bound (a list: its length); a hostile count stands in as 1
         if not isinstance(b, str):
             return b
-        return ctx[b] if type(ctx[b]) is int and 0 <= ctx[b] <= 6 else 1
+        value = len(ctx[b]) if type(ctx[b]) is list else ctx[b]
+        return value if type(value) is int and 0 <= value <= 6 else 1
 
     if t is Rec:
         spoil = draw(st.sampled_from(["field", "missing", "extra", "type"])) if bad else None
@@ -744,6 +777,27 @@ def draw_value(draw, spec, ctx, bad):
         elif spoil == "repeat" and items:
             items.append(items[0])
         return items
+    if t is Bits:
+        lo, hi = bound(spec.lo), bound(spec.hi)
+        rows = draw(st.integers(lo, min(hi, lo + 3)))
+        size = rows * int(np.prod(spec.shape))
+        bits = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+        value = np.array(bits, dtype=int).reshape(rows, *spec.shape).tolist()
+        spoil = draw(st.sampled_from(["entry", "ragged", "rows", "type"])) if bad else None
+        if spoil in ("entry", "ragged") and rows:
+            row = value[draw(st.integers(0, rows - 1))]
+            for _ in spec.shape[1:]:
+                row = row[draw(st.integers(0, len(row) - 1))]
+            if spoil == "ragged":
+                row.pop()
+            else:
+                row[draw(st.integers(0, len(row) - 1))] = draw(
+                    st.sampled_from([2, -1, True, False, 1.0, "1", None, [0]]))
+        elif spoil == "rows":
+            value = value[:1] * (hi + 1) if rows and hi + 1 > rows else []
+        elif spoil is not None:
+            return draw(SCALARS)
+        return value
     if t is Amps:
         n = 2 ** bound(spec.wires)
         v = np.random.default_rng(draw(st.integers(0, 99))).normal(size=(n, 2))
@@ -800,8 +854,8 @@ def session_view(session):
 
 class TestSchemaProperty:
     """Every kind the server accepts, well-formed or hostile, on an open
-    session with a 2-qubit input, one queued gadget, four prepared qubits
-    and one committed claw round."""
+    session with a 2-qubit input, one queued gadget, prepared qubits (the
+    keygen pool's spares and four more) and one committed claw round."""
 
     @staticmethod
     def loaded_session():
@@ -815,7 +869,7 @@ class TestSchemaProperty:
 
         cs, _ = encrypt(client_keys, StateVector(2), rng)
         client.send_input(cs.register, cs.encrypted_keys)
-        for payload in [{"ideal": True}] * 4 + [{"matrix": [[1, 0, 1, 0]] * 4}]:
+        for payload in [{"ideal": 4}, {"matrix": [[[1, 0, 1, 0]] * 4]}]:
             channel.send(Message("RspBasis", payload))
             assert channel.recv().kind in ("RspOutcome", "RspCommit")
         return channel, session, thread
@@ -930,16 +984,17 @@ class TestDelegatedRuns:
         (update,) = [m.payload for m in received if m.kind == "EncKeysUpdate"]
         assert len(update["enc_keys"]) == 16
         assert all(len(row) == 2 for row in update["enc_keys"])
-        # Outcomes recorded when every wire's keys were still sent.
+        # Outcomes recorded when RSP rounds came in batches: the server's
+        # generator serves each batch before the run's measurements.
         assert [(o[2], o[0]) for o in outcomes] == [
-            (1, 1), (1, 1), (0, 1), (0, 0), (0, 0), (0, 1), (1, 0), (0, 0),
-            (1, 1), (1, 0), (1, 1), (0, 1), (1, 1), (0, 0), (0, 1), (1, 0),
+            (1, 1), (0, 0), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 0),
+            (0, 0), (1, 1), (1, 0), (1, 1), (1, 0), (1, 0), (0, 0), (0, 1),
         ]
 
     def test_golden_faithful_transcript(self):
         # Every frame both ways and the outcomes of a small claw-based RSP
-        # session, pinned by a SHA-256 recorded before gadget provisioning
-        # moved into the shared builder.
+        # session, pinned by a SHA-256 recorded when protocol version 2
+        # batched the claw rounds and moved coupling into the gadget frame.
         channel, _session, thread = serve_inproc()
         transcript = hashlib.sha256()
         send, recv = channel.send_bytes, channel.recv_bytes
@@ -966,9 +1021,9 @@ class TestDelegatedRuns:
         )
         client.done()
         thread.join(timeout=5)
-        assert outcomes == [{1: 0, 0: 1}, {1: 0, 0: 1}, {1: 1, 0: 0}]
+        assert outcomes == [{1: 1, 0: 1}, {1: 1, 0: 0}, {1: 1, 0: 1}]
         assert transcript.hexdigest() == (
-            "362c159293fb6022989b266d741dbce6d0fb8e38cbbd54206ee960ccb682dda6"
+            "3c65d9329b38f28b57e1643b89044c06f9deb0d022f1eb52395a2fe31fe874eb"
         )
 
     def test_unknown_rsp_mode_is_refused(self):
@@ -1104,10 +1159,6 @@ class TestDelegatedRuns:
         assert session.params["b"] == 0.5
 
 
-COMMIT = Message("RspCommit", {"qid": 0, "y": [0, 1, 1, 0]})
-OUTCOME = Message("RspOutcome", {"qid": 0, "b": [1, 0, 1]})
-
-
 class TestGadgetBudget:
     """A faithful window provisions one gadget per T gate of its folded
     circuit, locally and over the wire."""
@@ -1143,6 +1194,28 @@ class TestGadgetBudget:
         thread.join(timeout=30)
         assert sent.count("GadgetClassical") == budget
 
+    def test_remote_window_frame_counts(self):
+        # RSP rounds come in batches and each gadget is one frame: 77 frames
+        # both ways, where one claw round per two round trips and a coupling
+        # frame per gadget took 867 on this window.
+        circ, budget = self.window()
+        channel, _session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(18, "delegated-faithful")
+        client.open_rsp(0)
+        client.close_rsp()
+        sent, received = Counter(), Counter()
+        send, recv = channel.send, channel.recv
+        channel.send = lambda msg: (sent.update([msg.kind]), send(msg))[-1]
+        channel.recv = lambda: (lambda msg: (received.update([msg.kind]), msg)[-1])(recv())
+        evaluator = make_faithful_evaluator(client, eps_target=self.EPS, rsp_mode="faithful")
+        evaluator(rand_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
+        client.done()
+        thread.join(timeout=30)
+        assert sent == {"RspBasis": 12, "GadgetClassical": budget, "CoupleInstr": 1,
+                        "EncInput": 1, "RunRequest": 1, "Done": 1}
+        assert sum(sent.values()) + sum(received.values()) == 77 + 2
+
     def test_local_keygen_makes_one_gadget_per_folded_t(self, monkeypatch):
         circ, budget = self.window()
         made, keygen = [], vqa.keygen
@@ -1158,33 +1231,66 @@ class TestGadgetBudget:
         assert made == [budget]
 
 
+K = RSP_BATCH
+QIDS = list(range(K))
+COMMIT = Message("RspCommit", {"qids": QIDS, "y": [[0] * RSP_MU] * K})  # A x = 0 for x = 0
+OUTCOME = Message("RspOutcome", {"qids": QIDS, "b": [[1, 0, 1]] * K})
+
+
+def unreachable_image():
+    """A y outside the image of the first matrix a client with generator
+    seed 0 sends: its trapdoors are the first draws."""
+    matrix = sample_trapdoor(K, RSP_N, RSP_MU, np.random.default_rng(0)).matrix[0]
+    inputs = (np.arange(2**RSP_N)[:, None] >> np.arange(RSP_N)) & 1
+    images = {tuple(row) for row in (inputs @ matrix.T % 2).tolist()}
+    return next(list(y) for y in product((0, 1), repeat=RSP_MU) if y not in images)
+
+
 class TestHostileReplies:
-    """A malformed reply to a claw round, or a malformed Error, reaches the
-    client's caller only as ``ProtocolError``."""
+    """A malformed reply to a batch of RSP rounds, a malformed Announce or a
+    malformed Error reaches the client's caller only as ``ProtocolError``."""
 
     @staticmethod
     def round_with_replies(rsp_mode, *replies):
-        """Run one client RSP round of ``rsp_mode`` against queued replies
-        (a well-formed outcome follows a hostile commit, so that a client that
-        lets the commit through does not wait for a reply)."""
+        """Take one round from a client RSP pool of ``rsp_mode`` against
+        queued replies (a well-formed outcome follows a hostile commit, so
+        that a client that lets the commit through does not wait for a reply)."""
         client_end, server_end = make_inproc_pair()
         for reply in replies:
             server_end.send(reply)
-        return ClientSession(client_end)._round(rsp_mode)(np.random.default_rng(0))
+        return ClientSession(client_end)._round(rsp_mode, deque())(np.random.default_rng(0))
 
     @pytest.mark.parametrize("rsp_mode, replies", [
-        ("faithful", [Message("RspCommit", {"qid": 0, "y": "zz"}), OUTCOME]),
-        ("faithful", [Message("RspCommit", {"y": [0, 1, 1, 0]}), OUTCOME]),
-        ("faithful", [Message("RspCommit", {"qid": 0, "y": [0, 1, 1]}), OUTCOME]),
-        ("faithful", [COMMIT, Message("RspOutcome", {"qid": 1, "b": [0, 1, 0]})]),
-        ("faithful", [COMMIT, Message("RspOutcome", {"qid": 0, "b": [0, 2, 0]})]),
-        ("faithful", [COMMIT, Message("RspOutcome", {"qid": 0, "theta_index": 1})]),
-        ("ideal", [Message("RspOutcome", {"qid": 0})]),
-        ("ideal", [Message("RspOutcome", {"qid": 0, "theta_index": 4})]),
-        ("ideal", [Message("RspOutcome", {"qid": 0, "b": [0, 1, 0]})]),
+        ("faithful", [Message("RspCommit", {"qids": QIDS, "y": "zz"}), OUTCOME]),
+        ("faithful", [Message("RspCommit", {"y": [[0] * RSP_MU] * K}), OUTCOME]),
+        ("faithful", [Message("RspCommit", {"qids": QIDS, "y": [[0] * (RSP_MU - 1)] * K}),
+                      OUTCOME]),
+        ("faithful", [COMMIT, Message("RspOutcome", {"qids": [q + 1 for q in QIDS],
+                                                     "b": [[0, 1, 0]] * K})]),
+        ("faithful", [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [[0, 2, 0]] * K})]),
+        ("faithful", [COMMIT, Message("RspOutcome", {"qids": QIDS, "theta_index": [1] * K})]),
+        ("ideal", [Message("RspOutcome", {"qids": QIDS})]),
+        ("ideal", [Message("RspOutcome", {"qids": QIDS, "theta_index": [4] * K})]),
+        ("ideal", [Message("RspOutcome", {"qids": QIDS, "b": [[0, 1, 0]] * K})]),
+        ("faithful", [Message("RspCommit", {"qids": QIDS, "y": [unreachable_image()]
+                                            + [[0] * RSP_MU] * (K - 1)}), OUTCOME]),
+        ("faithful", [Message("RspCommit", {"qids": QIDS, "y": [[0] * RSP_MU] * (K - 1)}),
+                      OUTCOME]),
+        ("faithful", [Message("RspCommit", {"qids": QIDS + [K], "y": [[0] * RSP_MU] * K}),
+                      OUTCOME]),
+        ("faithful", [Message("RspCommit", {"qids": [0] * K, "y": [[0] * RSP_MU] * K}),
+                      OUTCOME]),
+        ("faithful", [Message("RspCommit", {"qids": QIDS, "y": [[True] + [0] * (RSP_MU - 1)] * K}),
+                      OUTCOME]),
+        ("faithful", [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [[0, 1, 0]] * (K + 1)})]),
+        ("faithful", [COMMIT, Message("RspOutcome", {"qids": QIDS[::-1], "b": [[0, 1, 0]] * K})]),
+        ("ideal", [Message("RspOutcome", {"qids": QIDS[:-1], "theta_index": [1] * (K - 1)})]),
     ], ids=["y-not-bits", "commit-without-qid", "short-y", "outcome-for-another-qid",
             "b-not-bits", "theta-index-for-alphas", "ideal-without-theta-index",
-            "theta-index-out-of-range", "b-for-ideal"])
+            "theta-index-out-of-range", "b-for-ideal", "y-without-preimage",
+            "commit-missing-a-row", "commit-with-an-extra-qid", "commit-repeating-a-qid",
+            "y-with-a-bool", "outcome-with-an-extra-row", "outcome-qids-reordered",
+            "ideal-missing-a-row"])
     def test_malformed_round_reply_is_a_protocol_error(self, rsp_mode, replies):
         with pytest.raises(ProtocolError) as exc:
             self.round_with_replies(rsp_mode, *replies)
@@ -1193,8 +1299,33 @@ class TestHostileReplies:
     def test_well_formed_replies_pass(self):
         idx, qid = self.round_with_replies("faithful", COMMIT, OUTCOME)
         assert idx in range(4) and qid == 0
-        ideal = Message("RspOutcome", {"qid": 5, "theta_index": 3})
+        ideal = Message("RspOutcome", {"qids": [q + 5 for q in QIDS], "theta_index": [3] * K})
         assert self.round_with_replies("ideal", ideal) == (3, 5)
+
+    @pytest.mark.parametrize("spoil", [
+        {"rsp_batch": 0}, {"rsp_batch": RSP_BATCH + 1}, {"rsp_batch": True}, {"rsp_n": 5},
+        {"version": VERSION - 1}, {"max_shots": "4096"}, {"gate_set": "H"}, {"extra": 1},
+    ])
+    def test_malformed_announce_is_a_protocol_error(self, spoil):
+        client_end, server_end = make_inproc_pair()
+        server_end.send(Message("Announce", {**ANNOUNCE, **spoil}))
+        with pytest.raises(ProtocolError) as exc:
+            ClientSession(client_end).hello(0, "x")
+        assert exc.value.code == "payload"
+
+    def test_batches_take_the_announced_size(self):
+        client_end, server_end = make_inproc_pair()
+        server_end.send(Message("Announce", {**ANNOUNCE, "rsp_batch": 3}))
+        client = ClientSession(client_end)
+        client.hello(0, "x")
+        server_end.send(Message("RspCommit", {"qids": [7, 8, 9], "y": [[0] * RSP_MU] * 3}))
+        server_end.send(Message("RspOutcome", {"qids": [7, 8, 9], "b": [[1, 0, 1]] * 3}))
+        pool = deque()
+        _, qid = client._round("faithful", pool)(np.random.default_rng(0))
+        sent = [server_end.recv() for _ in range(3)]
+        assert [m.kind for m in sent] == ["Hello", "RspBasis", "RspBasis"]
+        assert len(sent[1].payload["matrix"]) == 3 and sent[2].payload["qids"] == [7, 8, 9]
+        assert qid == 7 and [q for _, q in pool] == [8, 9]
 
     @pytest.mark.parametrize("payload", [{"code": [1]}, {"code": "x", "text": 7}, {}])
     def test_malformed_error_is_a_protocol_error_with_a_str_code(self, payload):
@@ -1218,9 +1349,10 @@ class TestServerBlindness:
 
     PUBLIC_FIELDS = {
         "Hello": {"version", "session_seed", "mode"},
-        "GadgetClassical": {"declare", "x_ct", "z_ct", "e_ct", "sk_enc", "level"},
-        "RspBasis": {"matrix", "qid", "alphas"},
-        "CoupleInstr": {"close", "pairs", "discard"},
+        "GadgetClassical": {"declare", "pairs", "discard", "x_ct", "z_ct", "e_ct", "sk_enc",
+                            "level"},
+        "RspBasis": {"matrix", "qids", "alphas"},
+        "CoupleInstr": {"close", "discard"},
         "EncInput": {"num_wires", "amps", "enc_keys", "level"},
         "RunRequest": {"circuit", "measure", "use_gadgets", "shots"},
         "Done": set(),
@@ -1309,6 +1441,19 @@ class TestServerMemory:
         finally:
             tracemalloc.stop()
         assert held < 100_000
+
+    def test_a_faithful_window_leaves_no_rsp_qubits_held(self):
+        # The pool's spare rounds go out with the close of provisioning.
+        channel, session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(42, "delegated-faithful")
+        evaluator = make_faithful_evaluator(client, eps_target=0.1, rsp_mode="faithful")
+        model = ShadowModel(REFERENCE_THETA_INIT, np.zeros(1), 0.0, 2)
+        circ = build_shadow_circuit(model, 1)
+        evaluator(rand_state(2, np.random.default_rng(42)), circ, (0, 1), np.random.default_rng(43))
+        assert not session.qubits and not session.pending
+        client.done()
+        thread.join(timeout=30)
 
     def test_tcp_server_drops_finished_sessions(self):
         server = TcpServer(port=0).start()

@@ -1,4 +1,5 @@
 """Remote state preparation and the encrypted conditional-phase gadget."""
+from collections import Counter, deque
 from itertools import product
 
 import numpy as np
@@ -15,7 +16,9 @@ from qhevqa.classical_he import (
 from qhevqa.pauli_frame import verify_conjugation
 from qhevqa.rsp_gadget import (
     MAX_DRAWS,
+    RSP_BATCH,
     GadgetError,
+    TrapdoorFunction,
     assemble_gadget_state,
     claw_round,
     consume_gadget,
@@ -23,6 +26,7 @@ from qhevqa.rsp_gadget import (
     gen_gadget,
     gen_measurement,
     pair_byproduct,
+    pooled,
     rsp_round_ideal,
     rsp_server_commit,
     rsp_server_measure,
@@ -61,8 +65,8 @@ def recording(round_):
 
 
 def image(td, x):
-    """The trapdoor function's image Ax over GF(2)."""
-    return td.matrix @ x % 2
+    """The images A_r x_r over GF(2) of the rows x_r under each map of ``td``."""
+    return np.einsum("rij,rj->ri", td.matrix, x) % 2
 
 
 def build(round_, k_bit, rng, couple=None):
@@ -126,22 +130,20 @@ class TestSinglePairContract:
 class TestTrapdoor:
     def test_sampled_function_is_two_to_one(self):
         rng = np.random.default_rng(1)
-        for _ in range(5):
-            td = sample_trapdoor(4, 4, rng)
-            assert td.kernel[td.n - 1] == 1
-            assert not image(td, td.kernel).any()
-            images = {}
-            for xi in range(2**td.n):
-                x = np.array([(xi >> j) & 1 for j in range(td.n)])
-                y = tuple(image(td, x))
-                images.setdefault(y, []).append(xi)
-            assert all(len(v) == 2 for v in images.values())
+        td = sample_trapdoor(5, 4, 4, rng)
+        assert td.matrix.shape == (5, 4, 4) and td.kernel.shape == (5, 4)
+        assert (td.kernel[:, -1] == 1).all()
+        assert not image(td, td.kernel).any()
+        inputs = (np.arange(16)[:, None] >> np.arange(4)) & 1
+        for r in range(5):
+            images = Counter(tuple(y) for y in (inputs @ td.matrix[r].T % 2).tolist())
+            assert set(images.values()) == {2}
 
     def test_preimages_form_claw(self):
         rng = np.random.default_rng(2)
-        td = sample_trapdoor(5, 6, rng)
+        td = sample_trapdoor(3, 5, 6, rng)
         for _ in range(10):
-            x = rng.integers(0, 2, td.n)
+            x = rng.integers(0, 2, (3, 5))
             y = image(td, x)
             x1, x2 = td.preimages(y)
             assert not ((x1 ^ x2) ^ td.kernel).any()
@@ -149,27 +151,39 @@ class TestTrapdoor:
             assert not (image(td, x2) ^ y).any()
 
     def test_preimages_reject_out_of_image(self):
-        # mu > rank means some image points are unreachable.
+        # mu > rank means some image points are unreachable; one such row
+        # refuses the batch.
         rng = np.random.default_rng(3)
-        td = sample_trapdoor(3, 5, rng)
-        reachable = {
-            tuple(image(td, np.array([(xi >> j) & 1 for j in range(td.n)])))
-            for xi in range(2**td.n)
-        }
-        bad = next(
-            y
-            for y in product((0, 1), repeat=len(td.matrix))
-            if y not in reachable
-        )
+        td = sample_trapdoor(2, 3, 5, rng)
+        inputs = (np.arange(8)[:, None] >> np.arange(3)) & 1
+        reachable = {tuple(y) for y in (inputs @ td.matrix[1].T % 2).tolist()}
+        bad = next(y for y in product((0, 1), repeat=5) if y not in reachable)
         with pytest.raises(GadgetError):
-            td.preimages(np.array(bad))
+            td.preimages(np.array([[0] * 5, bad]))
 
     def test_rejects_bad_dimensions(self):
         rng = np.random.default_rng(4)
         with pytest.raises(GadgetError):
-            sample_trapdoor(1, 4, rng)
+            sample_trapdoor(1, 1, 4, rng)
         with pytest.raises(GadgetError):
-            sample_trapdoor(4, 2, rng)
+            sample_trapdoor(1, 4, 2, rng)
+
+    def test_draws_are_uniform_over_the_valid_trapdoors(self):
+        # At n = 3, mu = 2 there are three kernels t (top bit set, another
+        # bit set) and, for each, six ordered bases of the plane orthogonal
+        # to t: 18 (t, A) pairs, which the draws must hit uniformly.
+        rng = np.random.default_rng(5)
+        draws = [sample_trapdoor(k, 3, 2, rng) for k in (1, 7, 32, 200) * 6]
+        matrix = np.concatenate([td.matrix for td in draws])
+        kernel = np.concatenate([td.kernel for td in draws])
+        for a, t in zip(matrix, kernel):
+            assert t[2] == 1 and t[:2].any()
+            assert not (a @ t % 2).any() and len(row_reduce_gf2(a.tolist(), 3)) == 2
+        counts = Counter(zip(map(tuple, kernel.tolist()), map(str, matrix.tolist())))
+        assert len(counts) == 18
+        expected = len(kernel) / 18
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < 40.79  # the 0.999 quantile of chi-square with 17 degrees of freedom
 
 
 class TestRemotePreparation:
@@ -184,11 +198,11 @@ class TestRemotePreparation:
         rng = np.random.default_rng(6)
         matrices = []
 
-        def commit(matrix, r):
-            matrices.append(matrix.tobytes())
-            return rsp_server_commit(matrix, r)
+        def commit(batch, r):
+            matrices.extend(m.tobytes() for m in batch)
+            return rsp_server_commit(batch, r)
 
-        round_ = claw_round(commit, rsp_server_measure)
+        round_ = claw_round(commit, rsp_server_measure, 8, deque())
         seen = set()
         for _ in range(40):
             idx, state = round_(rng)
@@ -196,35 +210,50 @@ class TestRemotePreparation:
             want = prepare_plus_theta(idx * np.pi / 2)
             assert fidelity(state, want) == pytest.approx(1.0, abs=1e-12)
         assert seen == {0, 1, 2, 3}
-        assert len(set(matrices)) > 20  # a fresh trapdoor per round
+        assert len(matrices) == 40 and len(set(matrices)) > 20  # a fresh trapdoor per round
 
     def test_commit_produces_claw_superposition(self):
         rng = np.random.default_rng(7)
-        td = sample_trapdoor(4, 4, rng)
-        y, state = rsp_server_commit(td.matrix, rng)
+        td = sample_trapdoor(6, 4, 4, rng)
+        y, states = rsp_server_commit(td.matrix, rng)
         x1, x2 = td.preimages(y)
-        i1 = int(sum(int(b) << j for j, b in enumerate(x1)))
-        i2 = int(sum(int(b) << j for j, b in enumerate(x2)))
-        assert abs(state.amplitudes[i1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        assert abs(state.amplitudes[i2]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        weights = 1 << np.arange(4)
+        for state, i1, i2 in zip(states, x1 @ weights, x2 @ weights):
+            assert abs(state[i1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+            assert abs(state[i2]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_split_round_equals_composed_round(self):
         rng = np.random.default_rng(8)
-        td = sample_trapdoor(4, 4, rng)
-        y, state = rsp_server_commit(td.matrix, rng)
-        alphas = rng.integers(0, 2, td.n - 1)
-        b, qubit = rsp_server_measure(state, alphas, rng)
-        idx = rsp_theta_index(td, y, b, alphas)
-        assert fidelity(
-            qubit, prepare_plus_theta(idx * np.pi / 2)
-        ) == pytest.approx(1.0, abs=1e-12)
+        td = sample_trapdoor(6, 4, 4, rng)
+        y, states = rsp_server_commit(td.matrix, rng)
+        alphas = rng.integers(0, 2, (6, 3))
+        b, qubits = rsp_server_measure(states, alphas, rng)
+        for idx, qubit in zip(rsp_theta_index(td, y, b, alphas), qubits):
+            assert fidelity(qubit, prepare_plus_theta(idx * np.pi / 2)) == pytest.approx(
+                1.0, abs=1e-12
+            )
 
     def test_measure_rejects_wrong_basis_shape(self):
+        # Two rounds need two rows of three basis bits.
         rng = np.random.default_rng(9)
-        td = sample_trapdoor(4, 4, rng)
-        _, state = rsp_server_commit(td.matrix, rng)
-        with pytest.raises(GadgetError):
-            rsp_server_measure(state, np.zeros(td.n, dtype=np.int64), rng)
+        td = sample_trapdoor(2, 4, 4, rng)
+        _, states = rsp_server_commit(td.matrix, rng)
+        for shape in [(2, 4), (3, 3), (3,)]:
+            with pytest.raises(GadgetError):
+                rsp_server_measure(states, np.zeros(shape, dtype=np.int64), rng)
+
+    def test_pool_serves_rounds_in_order_and_refills_only_when_empty(self):
+        refills = []
+
+        def refill(_rng):
+            refills.append(len(refills))
+            return [(i, f"{len(refills)}.{i}") for i in range(3)]
+
+        pool = deque()
+        round_ = pooled(refill, pool)
+        got = [round_(None)[1] for _ in range(7)]
+        assert got == ["1.0", "1.1", "1.2", "2.0", "2.1", "2.2", "3.0"]
+        assert refills == [0, 1, 2] and [h for _, h in pool] == ["3.1", "3.2"]
 
 
 def dense_commit(matrix, rng):
@@ -279,72 +308,91 @@ def row_reduce_gf2(rows, cols):
     return pivots
 
 
-def eliminated_preimages(td, y):
-    """The elimination recipe: solve Ax = y with the free variables at 0."""
-    rows = np.concatenate([td.matrix % 2, (np.asarray(y) % 2)[:, None]], axis=1).tolist()
-    pivots = row_reduce_gf2(rows, td.n)
+def eliminated_preimages(matrix, kernel, y):
+    """The elimination recipe for one map: solve Ax = y with the free
+    variables at 0."""
+    n = len(kernel)
+    rows = np.concatenate([matrix % 2, (np.asarray(y) % 2)[:, None]], axis=1).tolist()
+    pivots = row_reduce_gf2(rows, n)
     if any(row[-1] for row in rows[len(pivots) :]):
         raise GadgetError("image point has no preimage")
-    x = np.zeros(td.n, dtype=np.int64)
+    x = np.zeros(n, dtype=np.int64)
     for row, col in zip(rows, pivots):
         x[col] = row[-1]
-    return x, (x ^ td.kernel) % 2
+    return x, (x ^ kernel) % 2
 
 
-def eliminated_theta_index(td, y, b, alphas):
-    """``rsp_theta_index`` over the eliminated claw."""
-    x1, x2 = eliminated_preimages(td, y)
+def eliminated_theta_index(matrix, kernel, y, b, alphas):
+    """``rsp_theta_index`` of one round over the eliminated claw."""
+    x1, x2 = eliminated_preimages(matrix, kernel, y)
     s = sum((int(u) - int(v)) * (2 * int(bj) + int(aj)) for u, v, bj, aj in zip(x1, x2, b, alphas))
     return (-s if x1[-1] else s) % 4
 
 
-def array_trapdoor(n, mu, rng):
-    """The NumPy-array trapdoor recipe: the same draws, checked on arrays."""
-    while True:
-        t = rng.integers(0, 2, n)
-        t[n - 1] = 1
-        if not t[: n - 1].any():
-            continue
-        a = rng.integers(0, 2, (mu, n))
-        for i in range(mu):
-            while (a[i] @ t) % 2:
-                a[i] = rng.integers(0, 2, n)
-        if len(row_reduce_gf2(a.tolist(), n)) == n - 1:
-            return a, t
+def array_trapdoor(k, n, mu, rng):
+    """The loop recipe of the batch sampler: the same draws, each candidate
+    made orthogonal to its t row by row and rank-checked by elimination."""
+    matrices, kernels = [], []
+    while len(kernels) < k:
+        ts = rng.integers(0, 2, (2 * (k - len(kernels)), n))
+        candidates = rng.integers(0, 2, (len(ts), mu, n))
+        for t, a in zip(ts, candidates):
+            t[n - 1] = 1
+            for a_row in a:
+                if (a_row @ t) % 2:
+                    a_row[n - 1] ^= 1
+            ok = t[: n - 1].any() and len(row_reduce_gf2(a.tolist(), n)) == n - 1
+            if ok and len(kernels) < k:
+                matrices.append(a)
+                kernels.append(t)
+    return np.array(matrices), np.array(kernels)
 
 
-MATRICES = st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), min_size=4, max_size=4)
+MATRIX = st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), min_size=4, max_size=4)
+EMPTY = [[0] * 4] * 4  # every input survives
+RANK_1 = [[1, 0, 1, 1], [0] * 4, [1, 0, 1, 1], [0] * 4]
+DUPLICATE_ROWS = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
+ONE_TO_ONE = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 class TestDenseOracle:
-    """The server's claw kernels against the dense recipe they replace: the
-    same draws from the same generator, the same bits, the same states."""
+    """The server's claw kernels against the dense recipe they replace: a
+    batch's rounds against the same rounds run one at a time, committed in
+    turn and then measured in turn, from the same generator; the same bits,
+    the same states and the same final generator state."""
 
     @settings(max_examples=200, deadline=None)
-    @given(MATRICES, st.integers(0, 7), st.integers(0, 2**32 - 1))
-    @example([[0] * 4] * 4, 0, 0)  # every input survives
-    @example([[1, 0, 1, 1], [0] * 4, [1, 0, 1, 1], [0] * 4], 5, 1)  # rank 1
-    @example([[1, 1, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], 7, 2)  # duplicate rows
-    @example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3, 3)  # 1-to-1
-    def test_kernels_match_dense_recipe(self, matrix, alpha_bits, seed):
-        alphas = np.array([(alpha_bits >> j) & 1 for j in range(3)])
+    @given(st.lists(MATRIX, min_size=1, max_size=5), st.integers(0, 2**15 - 1),
+           st.integers(0, 2**32 - 1))
+    @example([EMPTY], 0, 0)
+    @example([RANK_1], 5, 1)
+    @example([DUPLICATE_ROWS], 7, 2)
+    @example([ONE_TO_ONE], 3, 3)
+    @example([EMPTY, RANK_1, DUPLICATE_ROWS, ONE_TO_ONE], 0o5273, 4)
+    def test_kernels_match_dense_recipe(self, matrices, alpha_bits, seed):
+        k = len(matrices)
+        alphas = (alpha_bits >> np.arange(3 * k) & 1).reshape(k, 3)
         fast, dense = np.random.default_rng(seed), np.random.default_rng(seed)
-        y, committed = rsp_server_commit(matrix, fast)
-        y_dense, committed_dense = dense_commit(matrix, dense)
-        assert np.array_equal(y, y_dense)
-        assert fidelity(committed, committed_dense) >= 1 - 1e-12
-        b, qubit = rsp_server_measure(committed, alphas, fast)
-        b_dense, qubit_dense = dense_measure(committed_dense, alphas, dense)
-        assert np.array_equal(b, b_dense)
-        assert fidelity(qubit, qubit_dense) >= 1 - 1e-12
+        y, committed = rsp_server_commit(np.array(matrices), fast)
+        y_dense, committed_dense = zip(*(dense_commit(m, dense) for m in matrices))
+        assert np.array_equal(y, np.array(y_dense))
+        for amps, want in zip(committed, committed_dense):
+            assert fidelity(StateVector(4, amps), want) >= 1 - 1e-12
+        b, qubits = rsp_server_measure(committed, alphas, fast)
+        b_dense, qubits_dense = zip(
+            *(dense_measure(state, a, dense) for state, a in zip(committed_dense, alphas))
+        )
+        assert np.array_equal(b, np.array(b_dense))
+        for qubit, want in zip(qubits, qubits_dense):
+            assert fidelity(qubit, want) >= 1 - 1e-12
         assert fast.bit_generator.state == dense.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(20))
     def test_trapdoor_matches_array_recipe(self, seed):
         fast, arrays = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(20):
-            td = sample_trapdoor(4, 4, fast)
-            a, t = array_trapdoor(4, 4, arrays)
+        for k in (1, 2, 7, RSP_BATCH):
+            td = sample_trapdoor(k, 4, 4, fast)
+            a, t = array_trapdoor(k, 4, 4, arrays)
             assert np.array_equal(td.matrix, a) and np.array_equal(td.kernel, t)
             assert td.matrix.dtype == a.dtype and td.kernel.dtype == t.dtype
         assert fast.bit_generator.state == arrays.bit_generator.state
@@ -354,47 +402,55 @@ SHAPES = st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n
 
 
 class TestEliminationOracle:
-    """Angle recovery and the trapdoor's rank test against the Gauss-Jordan
-    recipe they replace: the same claw, angle, errors and draws."""
+    """Angle recovery against the Gauss-Jordan recipe it replaces: the same
+    claws, angles and errors, row by row."""
 
     @settings(max_examples=300, deadline=None)
-    @given(SHAPES, st.integers(0, 2**32 - 1), st.data())
-    def test_claw_and_angle_match_elimination(self, shape, seed, data):
+    @given(SHAPES, st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_claw_and_angle_match_elimination(self, shape, k, seed, data):
         n, mu = shape
-        fast, arrays = np.random.default_rng(seed), np.random.default_rng(seed)
-        td = sample_trapdoor(n, mu, fast)
-        a, t = array_trapdoor(n, mu, arrays)
-        assert np.array_equal(td.matrix, a) and np.array_equal(td.kernel, t)
-        assert fast.bit_generator.state == arrays.bit_generator.state
-        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=mu, max_size=mu)))
-        b, alphas = (
-            np.array(data.draw(st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1)))
-            for _ in range(2)
-        )
-        try:
-            want = eliminated_preimages(td, y)
-        except GadgetError:
-            with pytest.raises(GadgetError):
-                td.preimages(y)
-            with pytest.raises(GadgetError):
-                rsp_theta_index(td, y, b, alphas)
-            return
+        td = sample_trapdoor(k, n, mu, np.random.default_rng(seed))
+
+        def bits(size):
+            return np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+
+        y, b, alphas = (bits(k * m).reshape(k, m) for m in (mu, n - 1, n - 1))
+        want = []
+        for r in range(k):
+            try:
+                want.append(eliminated_preimages(td.matrix[r], td.kernel[r], y[r]))
+            except GadgetError:
+                with pytest.raises(GadgetError):
+                    TrapdoorFunction(td.matrix[r : r + 1], td.kernel[r : r + 1]).preimages(
+                        y[r : r + 1]
+                    )
+                with pytest.raises(GadgetError):
+                    td.preimages(y)
+                with pytest.raises(GadgetError):
+                    rsp_theta_index(td, y, b, alphas)
+                return
         got = td.preimages(y)
-        assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
-        assert rsp_theta_index(td, y, b, alphas) == eliminated_theta_index(td, y, b, alphas)
+        for g, w in zip(got, zip(*want)):
+            assert np.array_equal(g, np.array(w)) and g.dtype == np.array(w).dtype
+        assert rsp_theta_index(td, y, b, alphas).tolist() == [
+            eliminated_theta_index(td.matrix[r], td.kernel[r], y[r], b[r], alphas[r])
+            for r in range(k)
+        ]
 
     def test_every_reachable_point_of_a_4x4_trapdoor(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            td = sample_trapdoor(4, 4, rng)
-            for xi in range(16):
-                y = image(td, (xi >> np.arange(4)) & 1)
-                for bits in range(64):
-                    b = (bits >> np.arange(3)) & 1
-                    alphas = (bits >> np.arange(3, 6)) & 1
-                    assert rsp_theta_index(td, tuple(y), tuple(b), alphas) == (
-                        eliminated_theta_index(td, y, b, alphas)
-                    )
+        # Ten trapdoors, each with every input x and every (b, alpha), as one
+        # batch of 10 * 16 * 64 rounds.
+        td = sample_trapdoor(10, 4, 4, np.random.default_rng(11))
+        r, xi, bits = (a.ravel() for a in np.meshgrid(
+            np.arange(10), np.arange(16), np.arange(64), indexing="ij"))
+        batch = TrapdoorFunction(td.matrix[r], td.kernel[r])
+        y = image(batch, (xi[:, None] >> np.arange(4)) & 1)
+        b, alphas = (bits[:, None] >> np.arange(3)) & 1, (bits[:, None] >> np.arange(3, 6)) & 1
+        want = [
+            eliminated_theta_index(batch.matrix[i], batch.kernel[i], y[i], b[i], alphas[i])
+            for i in range(len(r))
+        ]
+        assert rsp_theta_index(batch, y, b, alphas).tolist() == want
 
 
 class TestSamplers:
@@ -428,7 +484,9 @@ class TestSamplers:
         # Claw rounds through the builder: every accepted state matches its
         # recovered angle and meets its acceptance test.
         rng = np.random.default_rng(11)
-        round_, log = recording(claw_round(rsp_server_commit, rsp_server_measure))
+        round_, log = recording(
+            claw_round(rsp_server_commit, rsp_server_measure, RSP_BATCH, deque())
+        )
         seen = []
         build(round_, 1, rng, lambda h, t, rej: seen.append((h, t)))
         angle = {id(state): idx for idx, state in log}
