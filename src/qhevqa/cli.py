@@ -19,7 +19,9 @@ import json
 import os
 import sys
 import time
+from itertools import product
 from math import pi
+from operator import xor
 
 import numpy as np
 
@@ -373,39 +375,157 @@ def cmd_train(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 
-def _check_conjugation():
-    from itertools import product
-    from operator import xor
+# Each property the acceptance suite states is one function here, returning
+# (ok, detail) and taking its sizes and seed (and the bounds that scale with
+# them) as parameters. ``verify`` runs them at small sizes and
+# ``tests/test_acceptance.py`` at the criteria's sizes.
 
-    from .pauli_frame import CLIFFORD_KINDS, apply_rule, verify_conjugation
 
-    checked = 0
+def _random_state(n: int, rng: np.random.Generator) -> StateVector:
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(n, v / np.linalg.norm(v))
+
+
+def check_gadget_contract(shots: int, seed: int, band: float, limit: float = 1.0):
+    """Acceptance 1: the direct and the gadget T-gate circuits both read P(0)
+    within ``band`` of cos^2(pi/8)."""
+    t0 = time.perf_counter()
+    report = gadget_demo(shots, seed)
+    dt = time.perf_counter() - t0
+    dev_direct = abs(report["direct"]["0"] - ANALYTIC_P0)
+    dev_gadget = abs(report["gadget"]["0"] - ANALYTIC_P0)
+    ok = dev_direct <= band and dev_gadget <= band and dt < limit
+    return ok, (
+        f"{shots} shots: direct dev {dev_direct:.4f}, gadget dev {dev_gadget:.4f} "
+        f"(band {band:g}), {dt:.2f} s (< {limit:g} s)"
+    )
+
+
+def _random_clifford_t_circuit(n: int, rng: np.random.Generator) -> list:
+    """Up to 50 T/Tdagger and 5 to 14 Cliffords, shuffled."""
+    kinds_1q = ["X", "Y", "Z", "H", "P", "Pdagger"]
+    circ = []
+    for _ in range(int(rng.integers(0, 51))):
+        circ.append(gate(str(rng.choice(["T", "Tdagger"])), int(rng.integers(n))))
+    for _ in range(int(rng.integers(5, 15))):
+        if n > 1 and rng.integers(2):
+            w = rng.choice(n, 2, replace=False)
+            circ.append(gate(str(rng.choice(["CNOT", "CZ"])), int(w[0]), int(w[1])))
+        else:
+            circ.append(gate(str(rng.choice(kinds_1q)), int(rng.integers(n))))
+    rng.shuffle(circ)
+    return circ
+
+
+def check_qhe_roundtrip(count: int, seed: int, limits: tuple = (60.0, 600.0)):
+    """Acceptance 2: ``count`` random Clifford+T circuits on 1-6 wires decrypt
+    to the plaintext output with ideal RSP gadgets, then ``count`` more with
+    claw-based (faithful) ones, all drawn from one generator."""
+    from .qhe import SECURITY, decrypt_state, encrypt, eval_circuit, keygen
+    from .simulator import apply_circuit, fidelity
+
+    rng = np.random.default_rng(seed)
+    ok, parts = True, []
+    for rsp_mode, limit in zip(("ideal", "faithful"), limits):
+        t0 = time.perf_counter()
+        worst = 1.0
+        for _ in range(count):
+            n = int(rng.integers(1, 7))
+            circ = _random_clifford_t_circuit(n, rng)
+            psi = _random_state(n, rng)
+            ck, ek = keygen(SECURITY, n, circ, rng, rsp_mode=rsp_mode)
+            cs, _ = encrypt(ck, psi, rng)
+            cs = eval_circuit(cs, circ, ek, rng)
+            worst = min(worst, fidelity(decrypt_state(ck, cs), apply_circuit(psi, circ)))
+        dt = time.perf_counter() - t0
+        ok = ok and worst >= 1 - 1e-9 and dt < limit
+        parts.append(f"{rsp_mode} {1 - worst:.1e} ({dt:.1f} s < {limit:g} s)")
+    return ok, f"{count} circuits each: worst fidelity deficit " + ", ".join(parts)
+
+
+def check_conjugation():
+    """Acceptance 3: every tracked Clifford and T/Tdagger on every pad against
+    the matrix oracle. A Clifford leaves no phase byproduct, and its key
+    update, run through ``update_keys`` as evaluation runs it, is the
+    oracle's; T and Tdagger leave the byproduct P^a of the pad's X key a."""
+    from .pauli_frame import CLIFFORD_KINDS, update_keys, verify_conjugation
+
+    checked, failures = 0, []
     for kind in CLIFFORD_KINDS + ("T", "Tdagger"):
         wires = (0, 1) if kind in ("CNOT", "CZ") else (0,)
         g = gate(kind, *wires)
         for keys in product((0, 1), repeat=2 * len(wires)):
-            ok, new_keys, _p = verify_conjugation(g, keys)
+            ok, new_keys, p = verify_conjugation(g, keys)
             if not ok:
-                return False, f"{kind} pad {keys} has no conjugation rule"
-            if kind not in ("T", "Tdagger") and apply_rule(kind, keys, xor) != new_keys:
-                return False, f"{kind} key update disagrees with oracle at {keys}"
+                failures.append((kind, keys, "no phase-invariant match"))
+                continue
+            if kind in ("T", "Tdagger"):
+                if p != keys[0]:
+                    failures.append((kind, keys, "byproduct != X key"))
+            elif p != 0:
+                failures.append((kind, keys, "Clifford byproduct"))
+            else:
+                pairs = {w: keys[2 * i : 2 * i + 2] for i, w in enumerate(wires)}
+                update_keys(pairs, g, xor)
+                if tuple(b for w in wires for b in pairs[w]) != new_keys:
+                    failures.append((kind, keys, "key update disagrees"))
             checked += 1
-    return True, f"{checked} (gate, pad) pairs against the matrix oracle"
+    return not failures, (
+        f"{checked} (gate, pad) pairs verified against the matrix oracle "
+        f"within 1e-12; failures: {failures[:3]}"
+    )
 
 
-def _check_pad_mixing():
+def _pad_average_full(state: StateVector) -> np.ndarray:
+    """Exact average of the padded register's density matrix over all pads."""
+    from .pauli_frame import KeyFrame, PauliKey, apply_pad
+
+    n = state.num_qubits
+    acc = np.zeros((2**n, 2**n), dtype=complex)
+    for bits in product((0, 1), repeat=2 * n):
+        frame = KeyFrame([PauliKey(*bits[2 * w : 2 * w + 2]) for w in range(n)])
+        padded = apply_pad(state, frame).amplitudes
+        acc += np.outer(padded, padded.conj())
+    return acc / 4**n
+
+
+def check_pad_mixing(registers: int, seed: int):
+    """Acceptance 4: what the server holds is maximally mixed: (a) every wire
+    of ``registers`` random 1-3 wire registers averaged over its pad, (b)
+    every gadget wire averaged over the preparation ensemble of either
+    twist, (c) the pad-averaged |00> and a random 2-wire state coincide."""
     from .qhe import pad_average_density
-    from .simulator import trace_distance_dm
+    from .rsp_gadget import assemble_gadget_state, twist_bits
+    from .simulator import reduced_density_matrix, trace_distance_dm
 
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(20):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        st = StateVector(2, v / np.linalg.norm(v))
-        for w in (0, 1):
-            dist = trace_distance_dm(pad_average_density(st, w), np.eye(2) / 2)
-            worst = max(worst, dist)
-    return worst < 1e-12, f"max trace distance to I/2: {worst:.2e}"
+    rng = np.random.default_rng(seed)
+    mixed, worst = np.eye(2) / 2, 0.0
+    for _ in range(registers):
+        n = int(rng.integers(1, 4))
+        psi = _random_state(n, rng)
+        for w in range(n):
+            worst = max(worst, trace_distance_dm(pad_average_density(psi, w), mixed))
+
+    for k_bit in (0, 1):
+        p = twist_bits(k_bit)
+        acc = np.zeros((4, 2, 2), dtype=complex)
+        for h0, h1, t0, t1 in product((0, 2), (0, 2), (0, 1), (0, 1)):
+            st = assemble_gadget_state(
+                [prepare_plus_theta(h0 * pi / 2), prepare_plus_theta(h1 * pi / 2)],
+                [prepare_plus_theta((p[0] + 2 * t0) * pi / 2),
+                 prepare_plus_theta((p[1] + 2 * t1) * pi / 2)],
+            )
+            for w in range(4):
+                acc[w] += reduced_density_matrix(st, [w])
+        worst = max([worst] + [trace_distance_dm(rho / 16, mixed) for rho in acc])
+
+    psi = _random_state(2, rng)
+    gap = float(np.max(np.abs(_pad_average_full(StateVector(2)) - _pad_average_full(psi))))
+    worst = max(worst, gap)
+    return worst < 1e-12, (
+        f"pad averages, gadget-wire averages and Enc(|0>) vs Enc(rho) all "
+        f"maximally mixed; worst deviation {worst:.1e} (< 1e-12)"
+    )
 
 
 def _check_he_roundtrip():
@@ -424,78 +544,76 @@ def _check_he_roundtrip():
     return True, "200 random AND/XOR/NOT evaluations decrypt correctly"
 
 
-def _check_qhe_roundtrip():
-    from .qhe import SECURITY, encrypt, eval_circuit, decrypt_state, keygen
-    from .simulator import apply_circuit, fidelity
-
-    rng = np.random.default_rng(2)
-    kinds = ["H", "P", "T", "Tdagger", "CNOT", "CZ", "X", "Z"]
-    worst = 1.0
-    for _ in range(5):
-        n = 3
-        circuit = []
-        for _ in range(12):
-            kind = kinds[rng.integers(len(kinds))]
-            wires = rng.choice(n, size=2 if kind in ("CNOT", "CZ") else 1, replace=False)
-            circuit.append(gate(kind, *(int(w) for w in wires)))
-        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        st = StateVector(n, v / np.linalg.norm(v))
-        ck, ek = keygen(SECURITY, n, circuit, rng)
-        cs, _ = encrypt(ck, st, rng)
-        cs = eval_circuit(cs, circuit, ek, rng)
-        worst = min(worst, fidelity(decrypt_state(ck, cs), apply_circuit(st, circuit)))
-    return worst >= 1 - 1e-9, f"5 random circuits, worst fidelity 1-{1 - worst:.1e}"
-
-
-def _check_gadget_contract():
-    report = gadget_demo(600, 7)
-    dev = abs(report["gadget"]["0"] - ANALYTIC_P0)
-    return dev < 0.05, f"600-shot gadget circuit, deviation {dev:.3f} from analytic"
-
-
-def _check_sk():
+def check_sk(count: int, seed: int, min_improved: int, limit: float = 120.0):
+    """Acceptance 5: ``count`` random X, Y or Z rotations synthesised at the
+    default depth lie within 1e-2 of their target, at least
+    ``min_improved`` of them closer than at depth 0, and RX(5.57) at the
+    comparison depth takes 40 to 200 T and Tdagger gates."""
     from .simulator import ROTATION_1Q
     from .skdecomp import DEFAULT_DEPTH, default_net, sk_decompose, trace_distance
 
-    rng = np.random.default_rng(3)
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(seed)
     net = default_net()
-    worst = 0.0
-    for _ in range(5):
-        angle = float(rng.uniform(0, 2 * pi))
-        u = ROTATION_1Q["RX"](angle)
-        seq = sk_decompose(u, DEFAULT_DEPTH, net)
-        worst = max(worst, trace_distance(seq.unitary, u))
-    return worst <= 1e-2, f"5 random rotations, worst certified distance {worst:.2e}"
+    worst, improved = 0.0, 0
+    for _ in range(count):
+        axis = str(rng.choice(["RX", "RY", "RZ"]))
+        u = ROTATION_1Q[axis](float(rng.uniform(0, 2 * pi)))
+        d0 = trace_distance(sk_decompose(u, 0, net).unitary, u)
+        dd = trace_distance(sk_decompose(u, DEFAULT_DEPTH, net).unitary, u)
+        worst = max(worst, dd)
+        improved += dd < d0
+    tallies = decompose_report_tallies(5.57, "X")
+    t_total = tallies["T"] + tallies["Tdagger"]
+    dt = time.perf_counter() - t0
+    ok = worst <= 1e-2 and improved >= min_improved and 40 <= t_total <= 200 and dt < limit
+    return ok, (
+        f"{count} rotations: worst certified distance {worst:.2e} (<= 1e-2), "
+        f"{improved}/{count} improved with depth (>= {min_improved}), T+Tdagger "
+        f"{t_total} in [40, 200], {dt:.1f} s (< {limit:g} s)"
+    )
 
 
-def _check_gradients():
-    from .vqa import ShadowModel, TrainConfig, gradients
+def check_gradients(models: int, seed: int, limit: float = 30.0):
+    """Acceptance 6: on ``models`` random 4-wire models, every parameter-shift
+    gradient entry a matches its central difference b: |a - b| <= 1e-4 *
+    max(|b|, 1e-2), relative 1e-4 away from zero and absolute 1e-6 near it."""
     from .simulator import amplitude_encode
+    from .vqa import ShadowModel, TrainConfig, gradients
 
-    rng = np.random.default_rng(4)
-    base = dict(epochs=1)
-    for _ in range(3):
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(seed)
+    n, worst = 4, 0.0
+    for _ in range(models):
         model = ShadowModel(
-            rng.uniform(0, 2 * pi, (2, 4)), rng.uniform(-0.5, 0.5, 5), 0.1, 6
+            rng.uniform(0, 2 * pi, (2, 4)),
+            rng.uniform(-0.5, 0.5, n - 1),
+            float(rng.uniform(-0.2, 0.2)),
+            n,
         )
-        states = [
-            amplitude_encode(np.abs(rng.normal(size=64)) + 1e-3, 6) for _ in range(2)
-        ]
+        states = [amplitude_encode(np.abs(rng.normal(size=2**n)) + 1e-3, n) for _ in range(2)]
         labels = np.array([0.0, 1.0])
-        g1 = gradients(states, labels, model, TrainConfig(grad_method="parameter-shift", **base))
-        g2 = gradients(states, labels, model, TrainConfig(grad_method="central-difference", **base))
-        dev = max(
-            float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-2)))
-            for a, b in zip(g1, g2)
-        )
-        if dev > 1e-4:
-            return False, f"parameter-shift vs central-difference deviate by {dev:.1e}"
-    return True, "3 models, parameter-shift matches central differences"
+        g_ps = gradients(states, labels, model, TrainConfig())
+        g_cd = gradients(states, labels, model, TrainConfig(grad_method="central-difference"))
+        for a, b in zip(g_ps, g_cd):
+            a, b = np.asarray(a), np.asarray(b)
+            worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-2))) / 1e-4)
+    dt = time.perf_counter() - t0
+    return worst <= 1.0 and dt < limit, (
+        f"{models} models: parameter-shift vs central-difference worst normalized "
+        f"deviation {worst:.3f} (<= 1, rel 1e-4 / abs 1e-6), {dt:.1f} s (< {limit:g} s)"
+    )
 
 
-def _check_protocol():
+def check_protocol(frames: int, sessions: int, seed: int):
+    """Acceptance 9: ``frames`` random frames make the decoder raise only
+    ``ProtocolError``; ``sessions`` live servers fed random bytes all end;
+    live sessions walk every phase and refuse messages out of phase with a
+    phase error; and 100 codec round trips are byte-stable."""
     from .protocol import (
         KINDS,
+        PHASES,
+        VERSION,
         ClientSession,
         Message,
         ProtocolError,
@@ -504,44 +622,81 @@ def _check_protocol():
         serve_inproc,
     )
 
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
+    leaks = 0
+    for _ in range(frames):
+        try:
+            encode_message(decode_message(rng.bytes(int(rng.integers(0, 64)))))
+        except ProtocolError:
+            continue
+        except Exception:  # noqa: BLE001 - anything else is a leak
+            leaks += 1
+
+    crashed = 0
+    for _ in range(sessions):
+        channel, _session, thread = serve_inproc()
+        for _i in range(5):
+            try:
+                channel.send_bytes(rng.bytes(int(rng.integers(0, 64))))
+            except Exception:  # noqa: BLE001 - peer may have closed
+                break
+        channel.close()
+        thread.join(timeout=5)
+        crashed += thread.is_alive()
+
+    # The phase machine, walked on live sessions: Hello then Done, Done at
+    # once, and a message out of its phase (a run before Hello, a second
+    # Hello) refused with a phase error.
+    walks, refusals = [], []
+    for hello in (True, False):
+        channel, session, thread = serve_inproc()
+        client = ClientSession(channel)
+        walk = [session.phase]
+        if hello:
+            client.hello(0, "x")
+            walk.append(session.phase)
+        client.done()
+        thread.join(timeout=5)
+        walks.append((*walk, session.phase))
+    for hello, kind, payload in (
+        (False, "RunRequest", {}),
+        (True, "Hello", {"version": VERSION, "session_seed": 1}),
+    ):
+        channel, session, thread = serve_inproc()
+        if hello:
+            ClientSession(channel).hello(0, "x")
+        channel.send(Message(kind, payload))
+        refusals.append(channel.recv().payload.get("code"))
+        thread.join(timeout=5)
+    model_ok = (
+        walks == [("handshake", "open", "done"), ("handshake", "done")]
+        and {phase for walk in walks for phase in walk} == set(PHASES)
+        and refusals == ["phase", "phase"]
+    )
+
+    stable = True
     for _ in range(100):
         kind = KINDS[rng.integers(len(KINDS))]
         payload = {"v": float(rng.normal()), "bits": [int(b) for b in rng.integers(0, 2, 4)]}
         frame = encode_message(Message(kind, payload))
-        if encode_message(decode_message(frame)) != frame:
-            return False, "codec round trip not byte-stable"
-    walks = []  # live sessions: one says Hello then Done, one only Done
-    for hello in (True, False):
-        channel, session, thread = serve_inproc()
-        walk = [session.phase]
-        if hello:
-            ClientSession(channel).hello(0, "plaintext")
-            walk.append(session.phase)
-        ClientSession(channel).done()
-        thread.join(timeout=5)
-        walks.append((*walk, session.phase))
-    if walks != [("handshake", "open", "done"), ("handshake", "done")]:
-        return False, f"live sessions walked the phases {walks}"
-    for _ in range(200):
-        try:
-            decode_message(rng.bytes(int(rng.integers(0, 32))))
-        except ProtocolError:
-            continue
-        except Exception as exc:  # noqa: BLE001
-            return False, f"decoder leaked {type(exc).__name__}"
-    return True, "codec round trips, fuzz decodes reject cleanly, live sessions walk every phase"
+        stable = stable and encode_message(decode_message(frame)) == frame
+    detail = (
+        f"{frames} fuzzed frames: {leaks} decoder leaks; {sessions} live fuzz sessions: "
+        f"{crashed} hung servers; phase machine sound on live sessions: {model_ok}"
+    )
+    ok = leaks == 0 and crashed == 0 and model_ok and stable
+    return ok, detail + ("" if stable else "; codec round trip not byte-stable")
 
 
 VERIFY_CHECKS = (
-    ("clifford-conjugation", _check_conjugation),
-    ("pad-mixing", _check_pad_mixing),
+    ("clifford-conjugation", check_conjugation),
+    ("pad-mixing", lambda: check_pad_mixing(5, 0)),
     ("he-roundtrip", _check_he_roundtrip),
-    ("qhe-roundtrip", _check_qhe_roundtrip),
-    ("gadget-contract", _check_gadget_contract),
-    ("sk-certification", _check_sk),
-    ("gradient-check", _check_gradients),
-    ("protocol-codec", _check_protocol),
+    ("qhe-roundtrip", lambda: check_qhe_roundtrip(3, 2)),
+    ("gadget-contract", lambda: check_gadget_contract(600, 7, 0.05)),
+    ("sk-certification", lambda: check_sk(5, 3, 5)),
+    ("gradient-check", lambda: check_gradients(3, 4)),
+    ("protocol-codec", lambda: check_protocol(200, 5, 5)),
 )
 
 

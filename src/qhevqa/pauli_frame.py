@@ -194,10 +194,3 @@ def update_clifford(frame: KeyFrame, gate: Gate) -> KeyFrame:
     for w, (a, b) in pairs.items():
         out.keys[w] = PauliKey(a, b)
     return out
-
-
-def t_byproduct(frame: KeyFrame, wire: int) -> int:
-    """P-gate exponent created by commuting T past the pad; T leaves keys unchanged."""
-    if not 0 <= wire < len(frame):
-        raise FrameError(f"wire {wire} out of range")
-    return frame.keys[wire].a

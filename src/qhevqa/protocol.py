@@ -345,11 +345,14 @@ Entry = namedtuple("Entry", "phases payload")
 PHASES = ("handshake", "open", "done")
 
 QID, WIRE, OPEN = Int(), Int(0, "last_wire"), ("open",)
-KEY_PAIR, GADGET_PAIR = Seq(Ct(0), 2, 2), Seq(Ct("level"), 2, 2)
+KEY_PAIR, LEVEL_PAIR = Seq(Ct(0), 2, 2), Seq(Ct("level"), 2, 2)
 DISCARD = Opt(Seq(QID, 0, 2 * PAIR_COUNT * MAX_DRAWS), ())  # every rejected round
 QIDS = Seq(QID, "rows", "rows", True)
 
-# The replies the client checks; ``rows`` names the number of rounds asked for.
+# The replies the client checks, with bounds from the request: ``rows`` RSP
+# rounds asked for; a run's ``shots``, its measured ``wires``, its T count
+# ``t_count``, and its shots read out as values (``xx_rows``) or as bit rows
+# (``bit_rows``).
 REPLIES = {
     "Announce": Rec({
         "ansatz": Str(), "layout": Str(), "observables": Seq(Str()), "gate_set": Seq(Str()),
@@ -361,6 +364,13 @@ REPLIES = {
     "RspOutcome": Variants(None, {
         "b": Rec({"qids": QIDS, "b": Bits("rows", "rows", (RSP_N - 1,))}),
         "theta_index": Rec({"qids": QIDS, "theta_index": Seq(Int(0, 3), "rows", "rows")}),
+    }),
+    "ShotResults": Rec({"values": Seq(Num(), "xx_rows", "xx_rows"),
+                        "bits": Bits("bit_rows", "bit_rows", ("wires",))}),
+    "EncKeysUpdate": Variants(None, {  # the form: whether the run took gadgets
+        "plain": Rec({"enc_keys": Opt(Seq(KEY_PAIR, 0, 0)), "level": Int(0, 0)}),
+        "keys": Rec({"level": Int("t_count", "t_count"),
+                     "enc_keys": Seq(Seq(LEVEL_PAIR, "wires", "wires"), "shots", "shots")}),
     }),
     "Error": Rec({"code": Str(), "text": Opt(Str(), "")}),
 }
@@ -395,8 +405,8 @@ SCHEMA = {
     "GadgetClassical": Entry(OPEN, Variants(None, {
         "declare": Rec({"declare": Int()}),
         "pairs": Rec({"pairs": Seq(Seq(QID, 2, 2), 2, 2, True), "discard": DISCARD,
-                      "level": Int(1), "x_ct": GADGET_PAIR, "z_ct": GADGET_PAIR,
-                      "e_ct": Seq(GADGET_PAIR, 2, 2),
+                      "level": Int(1), "x_ct": LEVEL_PAIR, "z_ct": LEVEL_PAIR,
+                      "e_ct": Seq(LEVEL_PAIR, 2, 2),
                       "sk_enc": Seq(Ct("level"), SECURITY, SECURITY)}),
     })),
     "EncInput": Entry(OPEN, Rec({
@@ -476,15 +486,16 @@ def validate(spec, value, ctx):
                         return arr
     elif t is Bits:  # one level of nesting at a time, not one call per bit
         lo, hi = _bound(spec.lo, ctx), _bound(spec.hi, ctx)
+        shape = [_bound(size, ctx) for size in spec.shape]
         if type(value) is list and lo <= len(value) <= hi:
             flat = value
-            for size in spec.shape:
+            for size in shape:
                 if not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {size}):
                     break
                 flat = list(chain.from_iterable(flat))
             else:  # bools are not ints here: type(True) is bool
                 if set(map(type, flat)) <= {int} and set(flat) <= {0, 1}:
-                    return np.array(flat, dtype=np.int64).reshape(len(value), *spec.shape)
+                    return np.array(flat, dtype=np.int64).reshape(len(value), *shape)
     elif t is Str:
         if type(value) is str:
             return value
@@ -894,28 +905,19 @@ class ClientSession:
         circuit: list[Gate],
         rng: np.random.Generator,
         rsp_mode: str = "ideal",
-        runs: int = 1,
     ) -> ClientKeys:
-        """Run key generation with gadgets provisioned on the server.
+        """Run key generation with one run's gadgets provisioned on the server.
 
-        Provisions one gadget set per run of ``circuit``: the first while
-        ``keygen`` plans the key flow, the others by replaying each slot's
-        key material once ``keygen`` has returned. All gadgets draw from one
-        pool of RSP rounds; the rounds left in it are discarded at the next
-        ``close_rsp``.
+        The gadgets draw from one pool of RSP rounds; the rounds left in it
+        are discarded at the next ``close_rsp``.
         """
         pool: deque = deque()
         round_ = self._round(rsp_mode, pool)
-        slots = []  # (pk_next, sk_enc, k_bit) per gadget slot
 
         def factory(pk_next, sk_enc, k_bit):
-            slots.append((pk_next, sk_enc, k_bit))
             return None, self.provision_gadget(pk_next, sk_enc, k_bit, rng, round_)
 
         client_keys, _ = keygen(SECURITY, num_wires, circuit, rng, gadget_factory=factory)
-        for _ in range(runs - 1):
-            for pk_next, sk_enc, k_bit in slots:
-                self.provision_gadget(pk_next, sk_enc, k_bit, rng, round_)
         self._spare += [qid for _, qid in pool]
         return client_keys
 
@@ -943,6 +945,10 @@ class ClientSession:
         use_gadgets: bool,
         shots: int = 1,
     ) -> tuple[dict, dict]:
+        """The run's validated replies: its readouts and its keys, the key
+        ciphertexts decoded."""
+        xx = measure_spec["type"] == "xx"
+        bounds = {"shots": shots, "wires": len(measure_spec["wires"])}
         results = self._ask(
             "RunRequest",
             {
@@ -952,8 +958,11 @@ class ClientSession:
                 "shots": shots,
             },
             "ShotResults",
+            xx_rows=shots * xx, bit_rows=shots * (not xx), **bounds,
         ).payload
-        return results, self._recv("EncKeysUpdate").payload
+        form = "keys" if use_gadgets else "plain"
+        keys = self._recv("EncKeysUpdate", form=form, t_count=t_count(circuit), **bounds)
+        return results, keys.payload
 
     def param_update(self, theta, w, bias: float, epoch: int) -> None:
         self._ask(
@@ -990,34 +999,26 @@ def client_qhe_run(
 ) -> list[dict[int, int]]:
     """Full homomorphic delegation of one Clifford+T circuit, multi-shot.
 
-    Provisions shot-many gadget sets, encrypts, delegates, and decrypts each
-    shot's raw bits with that run's updated keys. Returns per-shot corrected
-    outcome dictionaries keyed by wire.
+    Each shot is its own run: key generation with gadgets provisioned on the
+    server, a freshly padded input, one run, and the decryption of its raw
+    bits with that run's updated keys. Returns per-shot corrected outcome
+    dictionaries keyed by wire.
     """
-    client_keys = session.remote_keygen(state.num_qubits, circuit, rng, rsp_mode, shots)
-    session.close_rsp()
-
-    cs, _ = encrypt(client_keys, state, rng)
-    session.send_input(cs.register, cs.encrypted_keys)
-    results, keys = session.request_run(
-        circuit,
-        {"type": "bits", "basis": basis, "wires": list(measure_wires)},
-        use_gadgets=True,
-        shots=shots,
-    )
     corrected = []
-    for row, key_row in zip(results["bits"], keys["enc_keys"]):
-        pairs = _key_pairs(key_row, measure_wires)
+    for _ in range(shots):
+        client_keys = session.remote_keygen(state.num_qubits, circuit, rng, rsp_mode)
+        session.close_rsp()
+        cs, _ = encrypt(client_keys, state, rng)
+        session.send_input(cs.register, cs.encrypted_keys)
+        results, keys = session.request_run(
+            circuit, {"type": "bits", "basis": basis, "wires": list(measure_wires)},
+            use_gadgets=True,
+        )
+        pairs = dict(zip(measure_wires, keys["enc_keys"][0]))
         flips = decrypt_flips(client_keys, keys["level"], pairs, measure_wires, basis)
-        corrected.append({w: bit ^ f for w, bit, f in zip(measure_wires, row, flips)})
+        bits = results["bits"][0].tolist()
+        corrected.append({w: bit ^ f for w, bit, f in zip(measure_wires, bits, flips)})
     return corrected
-
-
-def _key_pairs(key_row, wires) -> dict[int, tuple[HECiphertext, HECiphertext]]:
-    """Parse an EncKeysUpdate row, one (a, b) pair per measured wire in order."""
-    if len(key_row) != len(wires):
-        raise ProtocolError("payload", "one key pair per measured wire required")
-    return {w: (ct_from_hex(a), ct_from_hex(b)) for w, (a, b) in zip(wires, key_row)}
 
 
 # --- delegated training (protocol-level run_client) -------------------------
@@ -1063,8 +1064,7 @@ def make_faithful_evaluator(
         results, keys = session.request_run(
             circuit, {"type": "xx", "wires": list(wires)}, use_gadgets=True
         )
-        pairs = _key_pairs(keys["enc_keys"][0], wires)
-        return results["values"][0], keys["level"], pairs
+        return results["values"][0], keys["level"], dict(zip(wires, keys["enc_keys"][0]))
 
     return faithful_evaluator(provision, server_run, eps_target)
 

@@ -73,10 +73,6 @@ class EvalKey:
 
     gadgets: tuple[Gadget, ...]
 
-    @property
-    def t_budget(self) -> int:
-        return len(self.gadgets)
-
 
 @dataclass(frozen=True)
 class ClientKeys:

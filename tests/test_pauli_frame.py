@@ -14,9 +14,7 @@ from qhevqa.pauli_frame import (
     apply_pad,
     apply_rule,
     remove_pad,
-    t_byproduct,
     update_clifford,
-    update_keys,
     verify_conjugation,
 )
 from qhevqa.simulator import FIXED_1Q, StateVector, apply_gate, fidelity, gate
@@ -28,33 +26,8 @@ def rand_state(n, rng):
 
 
 class TestConjugationOracle:
-    def test_exhaustive_single_qubit(self):
-        for kind in ("X", "Y", "Z", "H", "P", "Pdagger"):
-            for keys in product((0, 1), repeat=2):
-                ok, new_keys, p = verify_conjugation(gate(kind, 0), keys)
-                assert ok, (kind, keys)
-                assert p == 0
-                assert apply_rule(kind, keys, xor) == new_keys
-
-    def test_exhaustive_two_qubit(self):
-        for kind in ("CNOT", "CZ"):
-            for keys in product((0, 1), repeat=4):
-                ok, new_keys, p = verify_conjugation(gate(kind, 0, 1), keys)
-                assert ok, (kind, keys)
-                assert p == 0
-                pairs = {0: keys[:2], 1: keys[2:]}
-                update_keys(pairs, gate(kind, 0, 1), xor)
-                assert pairs[0] + pairs[1] == new_keys
-
-    def test_t_byproduct_is_x_key(self):
-        for keys in product((0, 1), repeat=2):
-            ok, new_keys, p = verify_conjugation(gate("T", 0), keys)
-            assert ok and p == keys[0]
-
-    def test_tdagger_byproduct(self):
-        for keys in product((0, 1), repeat=2):
-            ok, new_keys, p = verify_conjugation(gate("Tdagger", 0), keys)
-            assert ok and p == keys[0]
+    """Known rules by hand. Every gate on every pad against the oracle is
+    ``qhevqa.cli.check_conjugation`` (acceptance 3)."""
 
     def test_known_h_rule_swaps(self):
         assert apply_rule("H", (1, 0), xor) == (0, 1)
@@ -112,13 +85,13 @@ class TestFrameUpdates:
 
     def test_t_byproduct_padded_simulation(self):
         # T . pad = phase . P^p . pad' . T with (pad', p) from the oracle and
-        # p agreeing with the frame-level byproduct helper.
+        # p the pad's X key.
         rng = np.random.default_rng(1)
         for _ in range(8):
             frame = KeyFrame.random(1, rng)
             keys = (frame.keys[0].a, frame.keys[0].b)
             ok, new_keys, p = verify_conjugation(gate("T", 0), keys)
-            assert ok and p == t_byproduct(frame, 0)
+            assert ok and p == frame.keys[0].a
             psi = rand_state(1, rng)
             lhs = apply_gate(apply_pad(psi, frame), gate("T", 0))
             rhs = apply_pad(

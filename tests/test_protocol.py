@@ -288,20 +288,6 @@ class TestServerSession:
             )
         thread.join(timeout=5)
 
-    def test_fuzz_frames_never_crash_server(self):
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            channel, session, thread = serve_inproc()
-            for _i in range(10):
-                blob = rng.bytes(int(rng.integers(0, 40)))
-                try:
-                    channel.send_bytes(blob)
-                except ChannelClosed:
-                    break
-            channel.close()
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-
 
 class TestHostilePayloads:
     """Well-formed messages with hostile values: refused before any work."""
@@ -942,6 +928,23 @@ class TestDelegatedRuns:
         client.done()
         thread.join(timeout=5)
 
+    def test_every_shot_decrypts_to_the_circuit_output(self):
+        # T X T is X up to phase, so H T X T H reads 0 on every shot; H T T H
+        # = H P H reads 1 half the time. Each shot has its own keys: replaying
+        # one shot's gadget slots with fresh stream bits misroutes later shots.
+        channel, _session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(11, "x")
+        client.open_rsp(0)
+        rng = np.random.default_rng(11)
+        h, t = gate("H", 0), gate("T", 0)
+        zeros = client_qhe_run(client, [h, t, gate("X", 0), t, h], StateVector(1), rng, shots=60)
+        halves = client_qhe_run(client, [h, t, t, h], StateVector(1), rng, shots=400)
+        client.done()
+        thread.join(timeout=5)
+        assert [o[0] for o in zeros] == [0] * 60
+        assert abs(sum(o[0] for o in halves) / 400 - 0.5) <= 0.08
+
     def test_homomorphic_run_faithful_rsp(self):
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
@@ -981,20 +984,19 @@ class TestDelegatedRuns:
         )
         client.done()
         thread.join(timeout=5)
-        (update,) = [m.payload for m in received if m.kind == "EncKeysUpdate"]
-        assert len(update["enc_keys"]) == 16
-        assert all(len(row) == 2 for row in update["enc_keys"])
-        # Outcomes recorded when RSP rounds came in batches: the server's
-        # generator serves each batch before the run's measurements.
+        updates = [m.payload for m in received if m.kind == "EncKeysUpdate"]
+        assert [len(u["enc_keys"]) for u in updates] == [1] * 16  # one run per shot
+        assert all(len(u["enc_keys"][0]) == 2 for u in updates)
+        # Outcomes recorded when each shot became its own keygen and run.
         assert [(o[2], o[0]) for o in outcomes] == [
-            (1, 1), (0, 0), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 0),
-            (0, 0), (1, 1), (1, 0), (1, 1), (1, 0), (1, 0), (0, 0), (0, 1),
+            (1, 0), (0, 0), (0, 0), (0, 0), (0, 1), (1, 1), (0, 0), (0, 1),
+            (0, 1), (1, 1), (0, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 0),
         ]
 
     def test_golden_faithful_transcript(self):
         # Every frame both ways and the outcomes of a small claw-based RSP
-        # session, pinned by a SHA-256 recorded when protocol version 2
-        # batched the claw rounds and moved coupling into the gadget frame.
+        # session, pinned by a SHA-256 recorded when each shot became its own
+        # keygen, input and run (protocol version 2).
         channel, _session, thread = serve_inproc()
         transcript = hashlib.sha256()
         send, recv = channel.send_bytes, channel.recv_bytes
@@ -1021,9 +1023,9 @@ class TestDelegatedRuns:
         )
         client.done()
         thread.join(timeout=5)
-        assert outcomes == [{1: 1, 0: 1}, {1: 1, 0: 0}, {1: 1, 0: 1}]
+        assert outcomes == [{1: 1, 0: 0}, {1: 1, 0: 0}, {1: 1, 0: 1}]
         assert transcript.hexdigest() == (
-            "3c65d9329b38f28b57e1643b89044c06f9deb0d022f1eb52395a2fe31fe874eb"
+            "e746cdeec237574e3aaa2af7d21dc5d5f837e5f465cb1d57bf1d84c1415e83ee"
         )
 
     def test_unknown_rsp_mode_is_refused(self):
@@ -1222,7 +1224,7 @@ class TestGadgetBudget:
 
         def counting_keygen(*args, **kwargs):
             client, ek = keygen(*args, **kwargs)
-            made.append(ek.t_budget)
+            made.append(len(ek.gadgets))
             return client, ek
 
         monkeypatch.setattr(vqa, "keygen", counting_keygen)
@@ -1247,8 +1249,9 @@ def unreachable_image():
 
 
 class TestHostileReplies:
-    """A malformed reply to a batch of RSP rounds, a malformed Announce or a
-    malformed Error reaches the client's caller only as ``ProtocolError``."""
+    """A malformed reply to a batch of RSP rounds or to a run, a malformed
+    Announce or a malformed Error reaches the client's caller only as
+    ``ProtocolError``."""
 
     @staticmethod
     def round_with_replies(rsp_mode, *replies):
@@ -1341,6 +1344,39 @@ class TestHostileReplies:
         with pytest.raises(ProtocolError) as exc:
             ClientSession(client_end).open_rsp(0)
         assert (exc.value.code, exc.value.text) == ("budget", "none queued")
+
+    @pytest.mark.parametrize("kind, spoil, run", [
+        ("ShotResults", lambda p: {"bits": p["bits"]}, "xx"),
+        ("ShotResults", lambda p: {**p, "values": []}, "xx"),
+        ("ShotResults", lambda p: {**p, "values": ["x"]}, "xx"),
+        ("ShotResults", lambda p: {**p, "bits": [[]]}, "qhe"),
+        ("EncKeysUpdate", lambda p: {**p, "level": -1}, "qhe"),
+        ("EncKeysUpdate", lambda p: {**p, "level": 2}, "qhe"),
+        ("EncKeysUpdate", lambda p: {**p, "enc_keys": [p["enc_keys"][0] * 2]}, "qhe"),
+        ("EncKeysUpdate", lambda p: {**p, "enc_keys": []}, "qhe"),
+    ], ids=["no-values", "no-value", "value-not-a-number", "bit-row-without-the-bit",
+            "negative-level", "level-past-the-chain", "key-row-with-an-extra-pair",
+            "no-key-row"])
+    def test_malformed_run_reply_is_a_protocol_error(self, kind, spoil, run):
+        # A live session whose server sends each ``kind`` reply spoiled, under
+        # an exact window (an <X x X> run) or a one-T homomorphic run.
+        channel, session, thread = serve_inproc()
+        reply = session._reply
+        session._reply = lambda k, p: reply(k, spoil(p) if k == kind else p)
+        client = ClientSession(channel)
+        client.hello(3, "x")
+        client.open_rsp(0)
+        rng = np.random.default_rng(3)
+        with pytest.raises(ProtocolError) as exc:
+            if run == "xx":
+                window = [gate("RX", 0, angle=0.3), gate("CNOT", 0, 1)]
+                make_exact_evaluator(client)(rand_state(2, rng), window, (0, 1), rng)
+            else:
+                client_qhe_run(client, [gate("H", 0), gate("T", 0)], StateVector(1), rng)
+        assert exc.value.code == "payload"
+        client.done()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 class TestServerBlindness:

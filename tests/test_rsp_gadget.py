@@ -13,7 +13,6 @@ from qhevqa.classical_he import (
     he_keygen,
     public_masked_parity,
 )
-from qhevqa.pauli_frame import verify_conjugation
 from qhevqa.rsp_gadget import (
     MAX_DRAWS,
     RSP_BATCH,
@@ -582,10 +581,3 @@ class TestEndToEnd:
                 unpadded = apply_gate(unpadded, gate("Z", 0))
             target = apply_gate(psi, gate(kind, 0))
             assert fidelity(unpadded, target) == pytest.approx(1.0, abs=1e-10)
-
-    def test_byproduct_bit_matches_frame_oracle(self):
-        # The conjugation oracle's phase bit for T equals the pad's X key,
-        # which is exactly the bit the twist places on the routed pair.
-        for a, b in product((0, 1), repeat=2):
-            ok, _new, p = verify_conjugation(gate("T", 0), (a, b))
-            assert ok and p == a
