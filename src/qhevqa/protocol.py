@@ -17,7 +17,10 @@ structure, ciphertext strings, padded amplitudes, and model parameters; the
 client keeps the trapdoors, the key chain, and the data. Remote state
 preparation runs in batches of up to ``RSP_BATCH`` rounds, one request and
 one reply frame per batch and step, and each gadget's coupling instructions
-travel in its one ``GadgetClassical`` frame.
+travel in its one ``GadgetClassical`` frame. A delegated run is one
+``RunRequest``, which carries its own padded input (and, for a homomorphic run,
+the input's level-0 key ciphertexts), so no input waits on the server between
+requests; a homomorphic run is one shot.
 
 Two transports share the frame codec byte for byte: an in-process queue pair
 and localhost TCP (default port 7913; ``QHEVQA_HOST`` / ``QHEVQA_PORT``
@@ -25,8 +28,8 @@ override). All server randomness derives from the session seed sent in Hello,
 so a run is replayable and transport-independent.
 
 Simulation seam: states crossing the wire (the padded input register, remotely
-prepared qubits held server-side) are simulator objects; in TCP mode the input
-register is serialized as (re, im) amplitude pairs, which a physical protocol
+prepared qubits held server-side) are simulator objects; the input register
+travels as (re, im) amplitude pairs, which a physical protocol
 would of course never do. The classical transcript is real wire traffic in
 both modes.
 """
@@ -91,12 +94,14 @@ from .simulator import (
 )
 from .vqa import exact_evaluator, faithful_evaluator, train
 
-VERSION = 2
+VERSION = 3
 MAX_FRAME = 16 * 1024 * 1024
 MAX_SHOTS = 4096
 # Payloads a session keeps. A faithful ε = 0.1 reference-model window sends
-# 38-40 with claw RSP (31-33 ideal), the blindness tests' 2-wire one 11.
-AUDIT_LIMIT = 512
+# 37-39 with claw RSP (31-32 ideal), the blindness tests' 2-wire one 10; a
+# delegated-exact window sends one, its register and circuit, which decode
+# to about 12 KB of lists on the bundled digits' six wires.
+AUDIT_LIMIT = 256
 AUDIT_FRAME = 1 << 14  # a payload of a larger frame is kept as its fields' lengths
 # RSP qubits a session holds, committed or prepared: one gadget's worst-case
 # draws plus one batch.
@@ -113,7 +118,6 @@ KINDS = (
     "RspOutcome",
     "CoupleInstr",
     "GadgetClassical",
-    "EncInput",
     "RunRequest",
     "ShotResults",
     "EncKeysUpdate",
@@ -324,10 +328,10 @@ def ct_from_hex(text: str) -> HECiphertext:
 # --- message schema ---------------------------------------------------------
 
 # Field types, read only by ``validate``. A bound given as a string names an
-# earlier field of an enclosing message (a list field stands for its length),
-# a request value the client checks a reply against, or ``last_wire``: the
-# open register's last wire (the largest register's while none is open).
+# earlier field of an enclosing message (a list field stands for its length)
+# or a request value the client checks a reply against.
 Int = namedtuple("Int", "lo hi", defaults=(0, None))  # an int, never a bool
+Wire = namedtuple("Wire", "wires")  # an int index below the named wire count, never a bool
 Num = namedtuple("Num", ())  # a finite JSON number, never a bool
 Enum = namedtuple("Enum", "values")  # a str or bool among the values
 Str = namedtuple("Str", ())
@@ -344,12 +348,13 @@ Entry = namedtuple("Entry", "phases payload")
 # accepted only in handshake or open, ends it.
 PHASES = ("handshake", "open", "done")
 
-QID, WIRE, OPEN = Int(), Int(0, "last_wire"), ("open",)
+QID, WIRE, OPEN = Int(), Wire("num_wires"), ("open",)
 KEY_PAIR, LEVEL_PAIR = Seq(Ct(0), 2, 2), Seq(Ct("level"), 2, 2)
+OK = Rec({"ok": Enum((True,))})  # an acknowledgement
 DISCARD = Opt(Seq(QID, 0, 2 * PAIR_COUNT * MAX_DRAWS), ())  # every rejected round
 QIDS = Seq(QID, "rows", "rows", True)
 
-# The replies the client checks, with bounds from the request: ``rows`` RSP
+# Every reply the client takes, with bounds from the request: ``rows`` RSP
 # rounds asked for; a run's ``shots``, its measured ``wires``, its T count
 # ``t_count``, and its shots read out as values (``xx_rows``) or as bit rows
 # (``bit_rows``).
@@ -367,28 +372,31 @@ REPLIES = {
     }),
     "ShotResults": Rec({"values": Seq(Num(), "xx_rows", "xx_rows"),
                         "bits": Bits("bit_rows", "bit_rows", ("wires",))}),
-    "EncKeysUpdate": Variants(None, {  # the form: whether the run took gadgets
-        "plain": Rec({"enc_keys": Opt(Seq(KEY_PAIR, 0, 0)), "level": Int(0, 0)}),
-        "keys": Rec({"level": Int("t_count", "t_count"),
-                     "enc_keys": Seq(Seq(LEVEL_PAIR, "wires", "wires"), "shots", "shots")}),
-    }),
+    "EncKeysUpdate": Rec({"level": Int("t_count", "t_count"),  # one row: a run is one shot
+                          "enc_keys": Seq(Seq(LEVEL_PAIR, "wires", "wires"), 1, 1)}),
+    "GadgetClassical": OK, "CoupleInstr": OK, "ParamUpdate": OK,
+    "Done": Rec({}),
     "Error": Rec({"code": Str(), "text": Opt(Str(), "")}),
 }
 
 
-def _run_request(use_gadgets: bool, kinds) -> Rec:
-    """A run of a circuit over ``kinds``: homomorphic runs take Clifford+T only."""
+def _run_request(use_gadgets: bool, kinds, max_wires: int, max_shots: int) -> Rec:
+    """A run of a circuit over ``kinds`` on its padded input. A homomorphic run
+    takes Clifford+T only, one shot and the input's level-0 key pairs."""
     arity = {k: 2 if k in TWO_QUBIT_KINDS else 1 for k in kinds}
     gates = {k: Rec({"kind": Enum((k,)), "wires": Seq(WIRE, arity[k], arity[k], True),
                      **({"angle": Num()} if k in ROTATION_1Q else {})}) for k in kinds}
+    keys = {"enc_keys": Seq(KEY_PAIR, "num_wires", "num_wires")} if use_gadgets else {}
     return Rec({
+        "num_wires": Int(1, max_wires), "amps": Amps("num_wires"),  # bounded before 2**n
+        **keys,
         "circuit": Seq(Variants("kind", gates)),
         "measure": Variants("type", {
             "xx": Rec({"type": Enum(("xx",)), "wires": Seq(WIRE, 2, 2, True)}),
             "bits": Rec({"type": Enum(("bits",)), "wires": Seq(WIRE, 0, None, True),
                          "basis": Opt(Enum(("Z", "X")), "Z")}),
         }),
-        "use_gadgets": Enum((use_gadgets,)), "shots": Int(1, MAX_SHOTS),
+        "use_gadgets": Enum((use_gadgets,)), "shots": Int(1, max_shots),
     })
 
 
@@ -409,12 +417,9 @@ SCHEMA = {
                       "e_ct": Seq(LEVEL_PAIR, 2, 2),
                       "sk_enc": Seq(Ct("level"), SECURITY, SECURITY)}),
     })),
-    "EncInput": Entry(OPEN, Rec({
-        "num_wires": Int(1, MAX_QUBITS), "amps": Amps("num_wires"),  # bounded before 2**n
-        "enc_keys": Opt(Seq(KEY_PAIR, "num_wires", "num_wires")), "level": Opt(Int(0, 0)),
-    })),
     "RunRequest": Entry(OPEN, Variants("use_gadgets", {
-        False: _run_request(False, GATE_KINDS), True: _run_request(True, EVAL_KINDS),
+        False: _run_request(False, GATE_KINDS, MAX_QUBITS, MAX_SHOTS),
+        True: _run_request(True, EVAL_KINDS, MAX_WIRES, 1),
     })),
     "ParamUpdate": Entry(OPEN, Rec({
         "theta": Seq(Seq(Num(), 4, 4), 2, 2), "w": Seq(Num(), 0, MAX_QUBITS),
@@ -440,6 +445,9 @@ def validate(spec, value, ctx):
     if t is Int:
         lo, hi = _bound(spec.lo, ctx), _bound(spec.hi, ctx)
         if type(value) is int and lo <= value and (hi is None or value <= hi):
+            return value
+    elif t is Wire:
+        if type(value) is int and 0 <= value < ctx[spec.wires]:
             return value
     elif t is Enum:
         if type(value) in (str, bool) and value in spec.values:
@@ -530,6 +538,8 @@ ANNOUNCE = {
 class ServerSession:
     """One server-side session: phase machine plus quantum/HE workloads.
 
+    Between requests it holds only prepared and committed RSP qubits, queued
+    gadgets and the last published parameters: each run brings its own input.
     The session records the last ``AUDIT_LIMIT`` accepted payloads in
     ``audit`` so tests can check server blindness: everything visible here is
     public structure, ciphertext strings, or padded quantum data. A payload
@@ -547,8 +557,6 @@ class ServerSession:
         self.pending: dict[int, np.ndarray] = {}  # committed claw states, not yet measured
         self._qids = count()  # the next qid to hand out
         self.gadgets: list[Gadget] = []
-        self.register: StateVector | None = None
-        self.enc_keys: tuple[tuple[HECiphertext, HECiphertext], ...] | None = None
         self.params: dict | None = None
         self.closed = False
 
@@ -585,8 +593,7 @@ class ServerSession:
             raise ProtocolError("kind", f"server cannot handle {msg.kind}")
         if self.phase not in entry.phases:
             raise ProtocolError("phase", f"message not allowed in phase {self.phase!r}")
-        width = MAX_QUBITS if self.register is None else self.register.num_qubits
-        payload = validate(entry.payload, msg.payload, {"last_wire": width - 1})
+        payload = validate(entry.payload, msg.payload, {})
         record = msg.payload
         if size > AUDIT_FRAME:  # validated, so its fields are the schema's few
             record = {k: len(v) if type(v) in (list, str) else v for k, v in record.items()}
@@ -618,7 +625,7 @@ class ServerSession:
         self._discard(p["discard"])
         fields = (p[k] for k in ("x_ct", "z_ct", "e_ct", "sk_enc", "level"))
         self.gadgets.append(Gadget(assemble_gadget_state(qubits[:2], qubits[2:]), *fields))
-        self._reply("GadgetClassical", {"ok": True, "budget": len(self.gadgets)})
+        self._reply("GadgetClassical", {"ok": True})
 
     def _on_rspbasis(self, p: dict) -> None:
         """Commit a batch of claw rounds, measure a committed batch, or
@@ -657,49 +664,41 @@ class ServerSession:
         for qid in qids:
             self.qubits.pop(qid, None)
 
-    def _on_encinput(self, p: dict) -> None:
-        self.register = amps_from_json(p["amps"], p["num_wires"])
-        self.enc_keys = p["enc_keys"]
-        self._reply("EncInput", {"ok": True})
-
     def _on_runrequest(self, p: dict) -> None:
-        """Run and read out each shot. A homomorphic run consumes gadgets and
-        returns each shot's updated (a, b) pairs of the measured wires, in
-        ``wires`` order; a compensated-circuit run leaves keys with the client."""
-        circuit, shots, homomorphic = circuit_from_json(p["circuit"]), p["shots"], p["use_gadgets"]
-        spec, wires = p["measure"], p["measure"]["wires"]
-        if self.register is None or (homomorphic and self.enc_keys is None):
-            raise ProtocolError("order", "a run needs an input; a homomorphic one, its keys")
-        if homomorphic and self.register.num_qubits > MAX_WIRES:
-            raise ProtocolError("oversize", f"a homomorphic run holds {MAX_WIRES} wires")
-        needed = t_count(circuit) if homomorphic else 0
-        if shots * needed > len(self.gadgets):
-            queued = len(self.gadgets)
-            raise ProtocolError("budget", f"{shots * needed} gadgets needed, {queued} queued")
-        # Each shot starts at level 0, so its i-th gadget must lift keys to level i + 1.
-        if any(g.level != i % needed + 1 for i, g in enumerate(self.gadgets[: shots * needed])):
-            raise ProtocolError("order", "queued gadget levels do not fit their slots in the run")
-        values, bits, key_rows, level = [], [], [] if homomorphic else None, 0
-        for _ in range(shots):
-            if homomorphic:
-                run_gadgets, self.gadgets = self.gadgets[:needed], self.gadgets[needed:]
-                cs = CipherState(self.register.copy(), self.enc_keys, 0)
-                cs = eval_circuit(cs, circuit, EvalKey(tuple(run_gadgets)), self.rng)
-                pairs = [cs.encrypted_keys[w] for w in wires]
-                key_rows.append([[ct_to_hex(a), ct_to_hex(b)] for a, b in pairs])
-                out, level = cs.register, cs.level
-            else:
-                out = apply_circuit(self.register, circuit)
+        """Run the circuit on the request's padded input and read out each shot.
+        A homomorphic run (one shot) takes one queued gadget per T gate, at
+        levels 1..t in order, and also returns the measured wires' updated
+        (a, b) pairs in ``wires`` order; a compensated-circuit run leaves keys
+        with the client."""
+        circuit, spec, wires = circuit_from_json(p["circuit"]), p["measure"], p["measure"]["wires"]
+        out = amps_from_json(p["amps"], p["num_wires"])
+        if p["use_gadgets"]:
+            needed, queued = t_count(circuit), len(self.gadgets)
+            if needed > queued:
+                raise ProtocolError("budget", f"{needed} gadgets needed, {queued} queued")
+            if [g.level for g in self.gadgets[:needed]] != list(range(1, needed + 1)):
+                raise ProtocolError("order", "queued gadget levels are not 1..t in order")
+            run_gadgets, self.gadgets = self.gadgets[:needed], self.gadgets[needed:]
+            cs = CipherState(out, p["enc_keys"], 0)
+            cs = eval_circuit(cs, circuit, EvalKey(tuple(run_gadgets)), self.rng)
+            out = cs.register
+        else:
+            out = apply_circuit(out, circuit)
+        values, bits = [], []
+        for _ in range(p["shots"]):
             if spec["type"] == "xx":
                 values.append(expectation(out, PauliString(("X", "X"), wires)))
                 continue
-            row = []
+            row, state = [], out
             for w in wires:
-                bit, out = measure(out, w, spec["basis"], self.rng)
+                bit, state = measure(state, w, spec["basis"], self.rng)
                 row.append(bit)
             bits.append(row)
         self._reply("ShotResults", {"values": values, "bits": bits})
-        self._reply("EncKeysUpdate", {"enc_keys": key_rows, "level": level})
+        if p["use_gadgets"]:
+            pairs = [cs.encrypted_keys[w] for w in wires]
+            row = [[ct_to_hex(a), ct_to_hex(b)] for a, b in pairs]
+            self._reply("EncKeysUpdate", {"enc_keys": [row], "level": cs.level})
 
     def _on_paramupdate(self, p: dict) -> None:
         self.params = dict(p)
@@ -807,18 +806,18 @@ class ClientSession:
         return self._recv(*expected, **check)
 
     def _recv(self, *expected: str, form: str | None = None, **bounds) -> Message:
-        """The next reply, of an ``expected`` kind, validated if ``REPLIES`` has
-        its kind (in case ``form``), with ``bounds`` naming request values."""
+        """The next reply, of an ``expected`` kind or an Error, validated
+        against ``REPLIES`` (in case ``form``), with ``bounds`` naming request
+        values."""
         reply = self.channel.recv()
-        if reply.kind in REPLIES:
-            spec = REPLIES[reply.kind]
-            spec = spec.cases[form] if form and reply.kind in expected else spec
-            reply = Message(reply.kind, validate(spec, reply.payload, bounds))
-        if reply.kind == "Error":
-            raise ProtocolError(reply.payload["code"], reply.payload["text"])
-        if expected and reply.kind not in expected:
+        if reply.kind != "Error" and reply.kind not in expected:
             raise ProtocolError("kind", f"expected {expected}, got {reply.kind}")
-        return reply
+        spec = REPLIES[reply.kind]
+        payload = validate(spec.cases[form] if form and reply.kind != "Error" else spec,
+                           reply.payload, bounds)
+        if reply.kind == "Error":
+            raise ProtocolError(payload["code"], payload["text"])
+        return Message(reply.kind, payload)
 
     # -- acknowledged steps --
 
@@ -923,45 +922,30 @@ class ClientSession:
 
     # -- delegated evaluation --
 
-    def send_input(
+    def request_run(
         self,
         register: StateVector,
         enc_keys: tuple[tuple[HECiphertext, HECiphertext], ...] | None,
-    ) -> None:
-        payload = {
-            "num_wires": register.num_qubits,
-            "amps": amps_to_json(register),
-            "enc_keys": None
-            if enc_keys is None
-            else [[ct_to_hex(a), ct_to_hex(b)] for a, b in enc_keys],
-            "level": 0,
-        }
-        self._ask("EncInput", payload, "EncInput")
-
-    def request_run(
-        self,
         circuit: list[Gate],
         measure_spec: dict,
-        use_gadgets: bool,
         shots: int = 1,
-    ) -> tuple[dict, dict]:
-        """The run's validated replies: its readouts and its keys, the key
-        ciphertexts decoded."""
+    ) -> tuple[dict, dict | None]:
+        """Run ``circuit`` on the padded ``register``: homomorphically, on the
+        gadgets provisioned for it, when ``enc_keys`` holds the register's
+        level-0 key pairs. Returns the validated readouts and, for a
+        homomorphic run, its updated keys, the key ciphertexts decoded."""
+        payload = {"num_wires": register.num_qubits, "amps": amps_to_json(register),
+                   "circuit": circuit_to_json(circuit), "measure": measure_spec,
+                   "use_gadgets": enc_keys is not None, "shots": shots}
+        if enc_keys is not None:
+            payload["enc_keys"] = [[ct_to_hex(a), ct_to_hex(b)] for a, b in enc_keys]
         xx = measure_spec["type"] == "xx"
         bounds = {"shots": shots, "wires": len(measure_spec["wires"])}
-        results = self._ask(
-            "RunRequest",
-            {
-                "circuit": circuit_to_json(circuit),
-                "measure": measure_spec,
-                "use_gadgets": use_gadgets,
-                "shots": shots,
-            },
-            "ShotResults",
-            xx_rows=shots * xx, bit_rows=shots * (not xx), **bounds,
-        ).payload
-        form = "keys" if use_gadgets else "plain"
-        keys = self._recv("EncKeysUpdate", form=form, t_count=t_count(circuit), **bounds)
+        results = self._ask("RunRequest", payload, "ShotResults",
+                            xx_rows=shots * xx, bit_rows=shots * (not xx), **bounds).payload
+        if enc_keys is None:
+            return results, None
+        keys = self._recv("EncKeysUpdate", t_count=t_count(circuit), **bounds)
         return results, keys.payload
 
     def param_update(self, theta, w, bias: float, epoch: int) -> None:
@@ -1000,7 +984,7 @@ def client_qhe_run(
     """Full homomorphic delegation of one Clifford+T circuit, multi-shot.
 
     Each shot is its own run: key generation with gadgets provisioned on the
-    server, a freshly padded input, one run, and the decryption of its raw
+    server, one run on a freshly padded input, and the decryption of its raw
     bits with that run's updated keys. Returns per-shot corrected outcome
     dictionaries keyed by wire.
     """
@@ -1009,10 +993,9 @@ def client_qhe_run(
         client_keys = session.remote_keygen(state.num_qubits, circuit, rng, rsp_mode)
         session.close_rsp()
         cs, _ = encrypt(client_keys, state, rng)
-        session.send_input(cs.register, cs.encrypted_keys)
         results, keys = session.request_run(
-            circuit, {"type": "bits", "basis": basis, "wires": list(measure_wires)},
-            use_gadgets=True,
+            cs.register, cs.encrypted_keys, circuit,
+            {"type": "bits", "basis": basis, "wires": list(measure_wires)},
         )
         pairs = dict(zip(measure_wires, keys["enc_keys"][0]))
         flips = decrypt_flips(client_keys, keys["level"], pairs, measure_wires, basis)
@@ -1032,11 +1015,8 @@ def make_exact_evaluator(session: ClientSession):
     """
 
     def server_run(register, circuit, wires):
-        session.send_input(register, None)
-        results, _ = session.request_run(
-            circuit, {"type": "xx", "wires": list(wires)}, use_gadgets=False
-        )
-        return results["values"][0]
+        spec = {"type": "xx", "wires": list(wires)}
+        return session.request_run(register, None, circuit, spec)[0]["values"][0]
 
     return exact_evaluator(server_run)
 
@@ -1060,9 +1040,8 @@ def make_faithful_evaluator(
         return client_keys, None
 
     def server_run(cs, circuit, wires, _ek, _rng):
-        session.send_input(cs.register, cs.encrypted_keys)
         results, keys = session.request_run(
-            circuit, {"type": "xx", "wires": list(wires)}, use_gadgets=True
+            cs.register, cs.encrypted_keys, circuit, {"type": "xx", "wires": list(wires)}
         )
         return results["values"][0], keys["level"], dict(zip(wires, keys["enc_keys"][0]))
 

@@ -3,7 +3,7 @@ import functools
 import hashlib
 import threading
 import time
-from collections import ChainMap, Counter, deque
+from collections import ChainMap, Counter, deque, namedtuple
 from itertools import product
 
 import numpy as np
@@ -30,12 +30,14 @@ from qhevqa.protocol import (
     Opt,
     PHASES,
     ProtocolError,
+    REPLIES,
     Rec,
     SCHEMA,
     Seq,
     TcpServer,
     VERSION,
     Variants,
+    Wire,
     amps_from_json,
     amps_to_json,
     circuit_from_json,
@@ -55,7 +57,7 @@ from qhevqa.protocol import (
 )
 from qhevqa import vqa
 from qhevqa.classical_he import ct_from_bytes
-from qhevqa.qhe import t_count
+from qhevqa.qhe import SECURITY, encrypt, keygen, t_count
 from qhevqa.rsp_gadget import RSP_BATCH, RSP_MU, RSP_N, sample_trapdoor
 from qhevqa.simulator import StateVector, apply_circuit, fidelity, gate
 from qhevqa.skdecomp import decompose_circuit, fold_t_runs
@@ -76,6 +78,11 @@ from qhevqa.vqa import (
 def rand_state(n, rng):
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return StateVector(n, v / np.linalg.norm(v))
+
+
+def hex_keys(cs):
+    """A padded input's level-0 key pairs, as a RunRequest carries them."""
+    return [[ct_to_hex(a), ct_to_hex(b)] for a, b in cs.encrypted_keys]
 
 
 class TestCodec:
@@ -148,7 +155,7 @@ class TestCodec:
     def test_oversize_rejected_on_encode(self):
         big = {"blob": "x" * (MAX_FRAME + 16)}
         with pytest.raises(ProtocolError, match="oversize"):
-            encode_message(Message("EncInput", big))
+            encode_message(Message("RunRequest", big))
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=128))
@@ -160,22 +167,7 @@ class TestCodec:
 
 
 class TestPhaseMachine:
-    def test_all_phases_reachable(self):
-        # Walked live: Hello opens a session and Done ends it, or Done ends
-        # it at once.
-        walks = []
-        for hello in (True, False):
-            channel, session, thread = serve_inproc()
-            client = ClientSession(channel)
-            walk = [session.phase]
-            if hello:
-                client.hello(0, "x")
-                walk.append(session.phase)
-            client.done()
-            thread.join(timeout=5)
-            walks.append((*walk, session.phase))
-        assert walks == [("handshake", "open", "done"), ("handshake", "done")]
-        assert {phase for walk in walks for phase in walk} == set(PHASES)
+    # The live walk over every phase is ``cli.check_protocol``'s (acceptance 9).
 
     def test_transitions_reference_known_phases(self):
         for entry in SCHEMA.values():
@@ -197,8 +189,9 @@ class TestConversions:
 
     def test_amps_length_check(self):
         # amps_from_json converts validated pairs; the count is the schema's check.
-        with pytest.raises(ProtocolError, match="payload"):
-            validate(SCHEMA["EncInput"].payload, {"num_wires": 2, "amps": [[1.0, 0.0]]}, {})
+        run = SCHEMA["RunRequest"].payload.cases[False]
+        with pytest.raises(ProtocolError, match="payload: amps"):
+            validate(run, {"num_wires": 2, "amps": [[1.0, 0.0]]}, {})
 
     def test_circuit_round_trip(self):
         circ = [gate("H", 0), gate("RX", 1, angle=0.7), gate("CNOT", 0, 1)]
@@ -210,7 +203,7 @@ class TestConversions:
     def test_circuit_rejects_unknown_gate(self):
         circuit = SCHEMA["RunRequest"].payload.cases[False].fields["circuit"]
         with pytest.raises(ProtocolError, match="payload"):
-            validate(circuit, [{"kind": "NOPE", "wires": [0]}], {"last_wire": 0})
+            validate(circuit, [{"kind": "NOPE", "wires": [0]}], {"num_wires": 1})
 
     def test_ct_hex_round_trip(self):
         rng = np.random.default_rng(1)
@@ -280,12 +273,9 @@ class TestServerSession:
         client.hello(0, "x")
         client.open_rsp(0)
         client.close_rsp()
-        client.send_input(StateVector(1), None)
         with pytest.raises(ProtocolError):
             # XX observable needs two distinct wires; server must survive
-            client.request_run(
-                [], {"type": "xx", "wires": [0, 0]}, use_gadgets=False
-            )
+            client.request_run(StateVector(1), None, [], {"type": "xx", "wires": [0, 0]})
         thread.join(timeout=5)
 
 
@@ -298,6 +288,14 @@ class TestHostilePayloads:
         client.hello(seed, "x")
         client.open_rsp(0)
         return channel, session, thread, client
+
+    @staticmethod
+    def run(circuit, spec, enc_keys=None, shots=1):
+        """A RunRequest payload on one qubit in |0>, homomorphic when
+        ``enc_keys`` (hex pairs) is given."""
+        payload = {"num_wires": 1, "amps": [[1.0, 0.0], [0.0, 0.0]], "circuit": circuit,
+                   "measure": spec, "use_gadgets": enc_keys is not None, "shots": shots}
+        return payload if enc_keys is None else {**payload, "enc_keys": enc_keys}
 
     @staticmethod
     def bundle(level=1, seed=4):
@@ -336,33 +334,42 @@ class TestHostilePayloads:
     @pytest.mark.parametrize("num_wires, amps", [(True, 2), ("3", 8)])
     def test_bad_wire_counts_are_refused(self, num_wires, amps):
         # Checked as an int in 1..MAX_QUBITS before 2**num_wires is evaluated.
-        channel, session, thread, client = self.open_session()
+        channel, _session, thread, client = self.open_session()
         client.close_rsp()
-        channel.send(Message("EncInput", {
+        channel.send(Message("RunRequest", {
+            **self.run([], {"type": "bits", "wires": [0]}),
             "num_wires": num_wires, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * (amps - 1),
-            "enc_keys": None, "level": 0,
         }))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
-        assert session.register is None
 
     @pytest.mark.parametrize("enc_keys", [5, [[1, 2, 3]], [[1, 2]], [["00", "zz"]]])
     def test_bad_enc_keys_leave_the_register_alone(self, enc_keys):
-        # enc_keys is checked and decoded before the register is replaced.
-        channel, session, thread, client = self.open_session()
-        client.close_rsp()
-        client.send_input(StateVector(1), None)
-        before = session.register
-        channel.send(Message("EncInput", {
-            "num_wires": 1, "amps": [[0.0, 0.0], [1.0, 0.0]],
-            "enc_keys": enc_keys, "level": 0,
-        }))
+        # enc_keys is checked and decoded before the register is run and any
+        # gadget is taken.
+        channel, session, thread, _keys = self.gadget_session()
+        channel.send(Message("RunRequest", self.run(
+            [{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]}, enc_keys=enc_keys)))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
-        assert session.register is before
-        assert session.enc_keys is None
+        assert len(session.gadgets) == 1
+
+    @pytest.mark.parametrize("use_gadgets", [True, False])
+    def test_keys_come_with_gadgets_and_only_with_them(self, use_gadgets):
+        channel, session, thread, keys = self.gadget_session()
+        payload = self.run([{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]},
+                           enc_keys=keys)
+        if use_gadgets:
+            del payload["enc_keys"]  # a homomorphic run without its keys
+        else:
+            payload["use_gadgets"] = False  # a plain run with keys
+        channel.send(Message("RunRequest", payload))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert len(session.gadgets) == 1
 
     @pytest.mark.parametrize("spec", [
         {"type": "bits", "wires": ["0"]},
@@ -375,20 +382,9 @@ class TestHostilePayloads:
     def test_bad_measure_wires_consume_no_gadget(self, spec):
         # Ints (not bools) inside the register; an xx spec names two distinct
         # wires. All checked before the queued gadget is taken.
-        channel, session, thread, client = self.open_session()
-        rng = np.random.default_rng(9)
-        circ = [gate("T", 0)]
-        client_keys = client.remote_keygen(1, circ, rng)
-        client.close_rsp()
-        from qhevqa.qhe import encrypt
-
-        cs, _ = encrypt(client_keys, StateVector(1), rng)
-        client.send_input(cs.register, cs.encrypted_keys)
-        assert len(session.gadgets) == 1
-        channel.send(Message("RunRequest", {
-            "circuit": circuit_to_json(circ), "measure": spec,
-            "use_gadgets": True, "shots": 1,
-        }))
+        channel, session, thread, keys = self.gadget_session()
+        circ = circuit_to_json([gate("T", 0)])
+        channel.send(Message("RunRequest", self.run(circ, spec, enc_keys=keys)))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
@@ -398,46 +394,46 @@ class TestHostilePayloads:
     def test_bad_shot_counts_are_refused(self, shots):
         channel, _session, thread, client = self.open_session()
         client.close_rsp()
-        client.send_input(StateVector(1), None)
-        channel.send(Message("RunRequest", {
-            "circuit": [], "measure": {"type": "bits", "wires": [0]},
-            "use_gadgets": False, "shots": shots,
-        }))
+        channel.send(Message("RunRequest", self.run([], {"type": "bits", "wires": [0]},
+                                                    shots=shots)))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
 
+    def test_homomorphic_run_of_two_shots_is_refused_before_any_gadget_is_taken(self):
+        # A homomorphic run is one shot: a second would need gadgets built for
+        # the first shot's key flow.
+        channel, session, thread, keys = self.gadget_session()
+        channel.send(Message("RunRequest", self.run(
+            [{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]}, enc_keys=keys,
+            shots=2)))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        assert reply.payload["text"].startswith("shots"), reply.payload
+        thread.join(timeout=5)
+        assert len(session.gadgets) == 1
+
     def test_homomorphic_run_on_more_than_20_wires_is_refused(self):
         # Gadgets add four wires, so a homomorphic run past 20 would build a
-        # 2**25-amplitude state: refused before any gadget is taken.
-        from dataclasses import replace
-
-        channel, session, thread, client = self.open_session()
-        rng = np.random.default_rng(10)
-        circ = [gate("T", 0)]
-        client.remote_keygen(1, circ, rng)
-        client.close_rsp()
-        # Installed directly: a 21-wire register frame is 12.6 MB. The queued
-        # gadget carries no state, so a run that got through would fail at once.
-        session.gadgets = [replace(session.gadgets[0], state=None)]
-        pk = he_keygen(16, rng).pk
-        session.register = StateVector(21)
-        session.enc_keys = tuple((he_enc(pk, 0, rng), he_enc(pk, 0, rng)) for _ in range(21))
+        # 2**25-amplitude state: its wire count is refused before its
+        # amplitudes are read or any gadget is taken.
+        channel, session, thread, keys = self.gadget_session()
         channel.send(Message("RunRequest", {
-            "circuit": circuit_to_json(circ), "measure": {"type": "bits", "wires": [0]},
-            "use_gadgets": True, "shots": 1,
+            **self.run([{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]},
+                       enc_keys=keys * 21),
+            "num_wires": 21,
         }))
         reply = channel.recv()
-        assert reply.kind == "Error" and reply.payload["code"] == "oversize", reply.payload
+        assert reply.kind == "Error" and reply.payload["code"] == "payload", reply.payload
+        assert reply.payload["text"].startswith("num_wires"), reply.payload
         thread.join(timeout=5)
         assert len(session.gadgets) == 1
 
     def test_largest_shot_count_runs(self):
         channel, _session, thread, client = self.open_session()
         client.close_rsp()
-        client.send_input(StateVector(1), None)
         results, _ = client.request_run(
-            [], {"type": "bits", "wires": [0]}, use_gadgets=False, shots=MAX_SHOTS
+            StateVector(1), None, [], {"type": "bits", "wires": [0]}, shots=MAX_SHOTS
         )
         assert len(results["bits"]) == MAX_SHOTS
         client.done()
@@ -459,17 +455,15 @@ class TestHostilePayloads:
         assert all(session.qubits[q] is before[q] for q in before)
 
     def gadget_session(self):
-        """An open session with a 1-qubit input and one queued T gadget."""
+        """An open session with one queued T gadget, and the hex level-0 key
+        pairs of a 1-qubit input padded for it."""
         channel, session, thread, client = self.open_session()
         rng = np.random.default_rng(9)
         client_keys = client.remote_keygen(1, [gate("T", 0)], rng)
         client.close_rsp()
-        from qhevqa.qhe import encrypt
-
         cs, _ = encrypt(client_keys, StateVector(1), rng)
-        client.send_input(cs.register, cs.encrypted_keys)
         assert len(session.gadgets) == 1
-        return channel, session, thread
+        return channel, session, thread, hex_keys(cs)
 
     @pytest.mark.parametrize("circuit, spec", [
         ([{"kind": "T", "wires": [5]}], {"type": "bits", "wires": [0]}),
@@ -481,16 +475,12 @@ class TestHostilePayloads:
     def test_bad_gates_consume_no_gadget(self, circuit, spec):
         # Gate kinds, wires inside the register and angles are checked, like
         # the measure spec, before the queued gadget is taken.
-        channel, session, thread = self.gadget_session()
-        register, enc_keys = session.register, session.enc_keys
-        channel.send(Message("RunRequest", {
-            "circuit": circuit, "measure": spec, "use_gadgets": True, "shots": 1,
-        }))
+        channel, session, thread, keys = self.gadget_session()
+        channel.send(Message("RunRequest", self.run(circuit, spec, enc_keys=keys)))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
         assert len(session.gadgets) == 1
-        assert session.register is register and session.enc_keys is enc_keys
 
     @pytest.mark.parametrize("payload", [
         {"matrix": [[[1, 2], [3]]]},
@@ -584,22 +574,20 @@ class TestHostilePayloads:
     def test_input_keys_the_run_cannot_use_are_refused(self, spoil):
         # Input keys sit at level 0 with a public masked parity (an AND has
         # none, and routing a gadget reads it); a key without either would
-        # fail the next homomorphic run after it took the gadget.
-        channel, session, thread = self.gadget_session()
-        enc_keys = session.enc_keys
+        # fail the run after it took the gadget.
+        channel, session, thread, _keys = self.gadget_session()
         rng = np.random.default_rng(5)
         pk = he_keygen(16, rng, level=1 if spoil == "level-1" else 0).pk
         a, b = he_enc(pk, 0, rng), he_enc(pk, 1, rng)
         if spoil == "and":
             a = he_and(a, b)
-        channel.send(Message("EncInput", {
-            "num_wires": 1, "amps": [[1.0, 0.0], [0.0, 0.0]],
-            "enc_keys": [[ct_to_hex(a), ct_to_hex(b)]], "level": 0,
-        }))
+        channel.send(Message("RunRequest", self.run(
+            [{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]},
+            enc_keys=[[ct_to_hex(a), ct_to_hex(b)]])))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
-        assert len(session.gadgets) == 1 and session.enc_keys is enc_keys
+        assert len(session.gadgets) == 1
 
     @pytest.mark.parametrize("spoil", [None, "level", "x_ct", "e_ct", "sk_enc"])
     def test_gadget_ciphertexts_sit_at_the_bundle_level(self, spoil):
@@ -618,7 +606,7 @@ class TestHostilePayloads:
         channel.send(Message("GadgetClassical", bundle))
         reply = channel.recv()
         if spoil is None:
-            assert reply.payload == {"ok": True, "budget": 1}
+            assert reply.payload == {"ok": True}
             assert len(session.gadgets) == 1 and not session.qubits
             client.done()
             thread.join(timeout=5)
@@ -628,25 +616,22 @@ class TestHostilePayloads:
         assert session.gadgets == [] and session.qubits == qubits
 
     def test_gadgets_out_of_slot_order_are_refused_before_any_is_taken(self):
-        # Two runs of one T each need two level-1 gadgets; a queue provisioned
-        # for one run of two T gates holds levels 1 and 2.
+        # A run of two T gates needs gadgets at levels 1 and 2; a queue
+        # provisioned for two runs of one T each holds two at level 1.
         channel, session, thread, client = self.open_session()
         rng = np.random.default_rng(9)
-        client_keys = client.remote_keygen(1, [gate("T", 0), gate("T", 0)], rng)
+        client.remote_keygen(1, [gate("T", 0)], rng)
+        client_keys = client.remote_keygen(1, [gate("T", 0)], rng)
         client.close_rsp()
-        from qhevqa.qhe import encrypt
-
         cs, _ = encrypt(client_keys, StateVector(1), rng)
-        client.send_input(cs.register, cs.encrypted_keys)
-        assert [g.level for g in session.gadgets] == [1, 2]
-        channel.send(Message("RunRequest", {
-            "circuit": circuit_to_json([gate("T", 0)]),
-            "measure": {"type": "bits", "wires": [0]}, "use_gadgets": True, "shots": 2,
-        }))
+        assert [g.level for g in session.gadgets] == [1, 1]
+        channel.send(Message("RunRequest", self.run(
+            circuit_to_json([gate("T", 0), gate("T", 0)]), {"type": "bits", "wires": [0]},
+            enc_keys=hex_keys(cs))))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "order"
         thread.join(timeout=5)
-        assert [g.level for g in session.gadgets] == [1, 2]
+        assert [g.level for g in session.gadgets] == [1, 1]
 
     @pytest.mark.parametrize("amps", [
         [[0.0, 0.0], [0.0, 0.0]],
@@ -657,25 +642,22 @@ class TestHostilePayloads:
         [[1.0, 0.0], [1.0, 0.0]],
     ])
     def test_registers_must_be_finite_with_unit_norm(self, amps):
-        channel, session, thread, client = self.open_session()
+        channel, _session, thread, client = self.open_session()
         client.close_rsp()
-        client.send_input(StateVector(1), None)
-        before = session.register
-        channel.send(Message("EncInput", {
-            "num_wires": 1, "amps": amps, "enc_keys": None, "level": 0,
+        channel.send(Message("RunRequest", {
+            **self.run([], {"type": "bits", "wires": [0]}), "amps": amps,
         }))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
-        assert session.register is before
 
     def test_near_unit_norm_register_is_accepted(self):
         # Honest registers are normalized to float precision, not exactly.
-        channel, session, thread, client = self.open_session()
+        channel, _session, thread, client = self.open_session()
         client.close_rsp()
         psi = StateVector(3, np.full(8, (1 + 1e-10) / np.sqrt(8)))
-        client.send_input(psi, None)
-        assert np.array_equal(session.register.amplitudes, psi.amplitudes)
+        results, _ = client.request_run(psi, None, [], {"type": "xx", "wires": [0, 1]})
+        assert results["values"][0] == pytest.approx(1 + 2e-10, abs=1e-12)
         client.done()
         thread.join(timeout=5)
 
@@ -687,10 +669,10 @@ SCALARS = st.one_of(
     st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.5, 10**400]),
     st.lists(st.integers(0, 3), max_size=2),
 )
-REPLIES = {  # the replies an accepted message gets, in order (Error: none)
+SERVER_REPLIES = {  # the replies an accepted message gets, in order (Error: none)
     "Hello": [{"Announce"}], "RspBasis": [{"RspOutcome", "RspCommit"}],
     "CoupleInstr": [{"CoupleInstr"}], "GadgetClassical": [{"GadgetClassical"}],
-    "EncInput": [{"EncInput"}], "RunRequest": [{"ShotResults"}, {"EncKeysUpdate"}],
+    "RunRequest": [{"ShotResults"}, {"EncKeysUpdate"}],  # keys for a homomorphic run only
     "ParamUpdate": [{"ParamUpdate"}], "Done": [{"Done"}], "Error": [set()],
 }
 
@@ -717,7 +699,7 @@ def draw_value(draw, spec, ctx, bad):
         if not isinstance(b, str):
             return b
         value = len(ctx[b]) if type(ctx[b]) is list else ctx[b]
-        return value if type(value) is int and 0 <= value <= 6 else 1
+        return value if type(value) is int and 0 <= value <= 7 else 1
 
     if t is Rec:
         spoil = draw(st.sampled_from(["field", "missing", "extra", "type"])) if bad else None
@@ -764,15 +746,15 @@ def draw_value(draw, spec, ctx, bad):
             items.append(items[0])
         return items
     if t is Bits:
-        lo, hi = bound(spec.lo), bound(spec.hi)
+        lo, hi, shape = bound(spec.lo), bound(spec.hi), [bound(size) for size in spec.shape]
         rows = draw(st.integers(lo, min(hi, lo + 3)))
-        size = rows * int(np.prod(spec.shape))
+        size = rows * int(np.prod(shape))
         bits = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
-        value = np.array(bits, dtype=int).reshape(rows, *spec.shape).tolist()
+        value = np.array(bits, dtype=int).reshape(rows, *shape).tolist()
         spoil = draw(st.sampled_from(["entry", "ragged", "rows", "type"])) if bad else None
         if spoil in ("entry", "ragged") and rows:
             row = value[draw(st.integers(0, rows - 1))]
-            for _ in spec.shape[1:]:
+            for _ in shape[1:]:
                 row = row[draw(st.integers(0, len(row) - 1))]
             if spoil == "ragged":
                 row.pop()
@@ -799,8 +781,10 @@ def draw_value(draw, spec, ctx, bad):
     if bad:
         if t is Int:  # out of range, or not an int
             hi = bound(spec.hi)
-            edges = [spec.lo - 1] + ([] if hi is None else [hi + 1, hi + 7])
+            edges = [bound(spec.lo) - 1] + ([] if hi is None else [hi + 1, hi + 7])
             return draw(st.one_of(st.sampled_from(edges), SCALARS))
+        if t is Wire:  # outside the register, or not an int
+            return draw(st.one_of(st.sampled_from([-1, bound(spec.wires)]), SCALARS))
         if t is Ct:  # undecodable, at another level, or with no public parity
             pool, with_and = ciphertext_pool()
             wrong = [ct for lv, cts in pool.items() if lv != bound(spec.level) for ct in cts]
@@ -808,8 +792,10 @@ def draw_value(draw, spec, ctx, bad):
                 st.sampled_from(["zz", "00ff", "", with_and] + wrong), SCALARS))
         return draw(SCALARS)
     if t is Int:
-        hi = bound(spec.hi)
-        return draw(st.integers(spec.lo, spec.lo + 6 if hi is None else min(hi, spec.lo + 6)))
+        lo, hi = bound(spec.lo), bound(spec.hi)
+        return draw(st.integers(lo, lo + 6 if hi is None else min(hi, lo + 6)))
+    if t is Wire:
+        return draw(st.integers(0, max(bound(spec.wires), 1) - 1))
     if t is Num:
         return draw(st.floats(-7.0, 7.0))
     if t is Enum:
@@ -822,7 +808,7 @@ def draw_value(draw, spec, ctx, bad):
 @st.composite
 def server_messages(draw):
     kind = draw(st.sampled_from(sorted(SCHEMA)))
-    payload = draw_value(draw, SCHEMA[kind].payload, {"last_wire": 1}, draw(st.booleans()))
+    payload = draw_value(draw, SCHEMA[kind].payload, {}, draw(st.booleans()))
     # A frame's payload is always an object; a hostile non-object goes inside one.
     return kind, payload if isinstance(payload, dict) else {"payload": payload}
 
@@ -830,18 +816,15 @@ def server_messages(draw):
 def session_view(session):
     """The state a refusal must leave alone, and the ids it is compared by
     (the state is returned too, so that no id is reused while it is held)."""
-    state = (
-        session.register, session.enc_keys, list(session.gadgets),
-        dict(session.qubits), dict(session.pending),
-    )
-    ids = [id(state[0]), id(state[1]), [id(g) for g in state[2]]]
-    return state, ids + [{q: id(v) for q, v in d.items()} for d in state[3:]]
+    state = (list(session.gadgets), dict(session.qubits), dict(session.pending))
+    ids = [[id(g) for g in state[0]]]
+    return state, ids + [{q: id(v) for q, v in d.items()} for d in state[1:]]
 
 
 class TestSchemaProperty:
     """Every kind the server accepts, well-formed or hostile, on an open
-    session with a 2-qubit input, one queued gadget, prepared qubits (the
-    keygen pool's spares and four more) and one committed claw round."""
+    session with one queued gadget, prepared qubits (the keygen pool's spares
+    and four more) and one committed claw round."""
 
     @staticmethod
     def loaded_session():
@@ -849,12 +832,7 @@ class TestSchemaProperty:
         client = ClientSession(channel)
         client.hello(3, "x")
         client.open_rsp(0)
-        rng = np.random.default_rng(3)
-        client_keys = client.remote_keygen(2, [gate("T", 0)], rng)
-        from qhevqa.qhe import encrypt
-
-        cs, _ = encrypt(client_keys, StateVector(2), rng)
-        client.send_input(cs.register, cs.encrypted_keys)
+        client.remote_keygen(2, [gate("T", 0)], np.random.default_rng(3))
         for payload in [{"ideal": 4}, {"matrix": [[[1, 0, 1, 0]] * 4]}]:
             channel.send(Message("RspBasis", payload))
             assert channel.recv().kind in ("RspOutcome", "RspCommit")
@@ -867,8 +845,11 @@ class TestSchemaProperty:
         channel, session, thread = self.loaded_session()
         before = session_view(session)
         channel.send(Message(kind, payload))
+        replies = SERVER_REPLIES[kind]
+        if kind == "RunRequest" and payload.get("use_gadgets") is not True:
+            replies = replies[:1]  # a plain run gets no keys
         try:
-            for allowed in REPLIES[kind]:
+            for allowed in replies:
                 reply = channel.recv()
                 if reply.kind == "Error":
                     break
@@ -898,16 +879,13 @@ class TestDelegatedRuns:
         client.close_rsp()
         rng = np.random.default_rng(5)
         psi = rand_state(2, rng)
-        client.send_input(psi, None)
         circ = [gate("H", 0), gate("CNOT", 0, 1)]
-        results, keys = client.request_run(
-            circ, {"type": "xx", "wires": [0, 1]}, use_gadgets=False
-        )
+        results, keys = client.request_run(psi, None, circ, {"type": "xx", "wires": [0, 1]})
         from qhevqa.simulator import PauliString, expectation
 
         want = expectation(apply_circuit(psi, circ), PauliString(("X", "X"), (0, 1)))
         assert results["values"][0] == pytest.approx(want, abs=1e-10)
-        assert keys["enc_keys"] is None
+        assert keys is None
         client.done()
         thread.join(timeout=5)
 
@@ -995,8 +973,8 @@ class TestDelegatedRuns:
 
     def test_golden_faithful_transcript(self):
         # Every frame both ways and the outcomes of a small claw-based RSP
-        # session, pinned by a SHA-256 recorded when each shot became its own
-        # keygen, input and run (protocol version 2).
+        # session, pinned by a SHA-256 recorded when each run came to carry
+        # its own input (protocol version 3); the outcomes are version 2's.
         channel, _session, thread = serve_inproc()
         transcript = hashlib.sha256()
         send, recv = channel.send_bytes, channel.recv_bytes
@@ -1025,7 +1003,7 @@ class TestDelegatedRuns:
         thread.join(timeout=5)
         assert outcomes == [{1: 1, 0: 0}, {1: 1, 0: 0}, {1: 1, 0: 1}]
         assert transcript.hexdigest() == (
-            "e746cdeec237574e3aaa2af7d21dc5d5f837e5f465cb1d57bf1d84c1415e83ee"
+            "a562f38fd50a2fbe2453ea95b9bafcb393b20624664f017d25e879af77215ebe"
         )
 
     def test_unknown_rsp_mode_is_refused(self):
@@ -1040,24 +1018,20 @@ class TestDelegatedRuns:
         assert not session.qubits and not session.pending
 
     def test_budget_enforced(self):
-        channel, _session, thread = serve_inproc()
+        channel, session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(9, "x")
         client.open_rsp(0)
         rng = np.random.default_rng(9)
-        circ = [gate("T", 0)]
-        client.remote_keygen(1, circ, rng)  # one gadget provisioned
+        client.remote_keygen(1, [gate("T", 0)], rng)  # one gadget provisioned
         client.close_rsp()
-        from qhevqa.qhe import SECURITY, encrypt, keygen
-
+        circ = [gate("T", 0), gate("H", 0), gate("T", 0)]
         client_keys, _ = keygen(SECURITY, 1, circ, rng)
         cs, _ = encrypt(client_keys, StateVector(1), rng)
-        client.send_input(cs.register, cs.encrypted_keys)
         with pytest.raises(ProtocolError, match="budget"):
-            client.request_run(
-                circ, {"type": "bits", "wires": [0]}, use_gadgets=True, shots=5
-            )
+            client.request_run(cs.register, cs.encrypted_keys, circ, {"type": "bits", "wires": [0]})
         thread.join(timeout=5)
+        assert len(session.gadgets) == 1
 
     def test_exact_evaluator_bitwise_matches_local(self):
         channel, session, thread = serve_inproc()
@@ -1197,9 +1171,9 @@ class TestGadgetBudget:
         assert sent.count("GadgetClassical") == budget
 
     def test_remote_window_frame_counts(self):
-        # RSP rounds come in batches and each gadget is one frame: 77 frames
-        # both ways, where one claw round per two round trips and a coupling
-        # frame per gadget took 867 on this window.
+        # RSP rounds come in batches, each gadget is one frame and the run
+        # carries its input: 75 frames both ways, where one claw round per two
+        # round trips and a coupling frame per gadget took 867 on this window.
         circ, budget = self.window()
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
@@ -1215,8 +1189,8 @@ class TestGadgetBudget:
         client.done()
         thread.join(timeout=30)
         assert sent == {"RspBasis": 12, "GadgetClassical": budget, "CoupleInstr": 1,
-                        "EncInput": 1, "RunRequest": 1, "Done": 1}
-        assert sum(sent.values()) + sum(received.values()) == 77 + 2
+                        "RunRequest": 1, "Done": 1}
+        assert sum(sent.values()) + sum(received.values()) == 75 + 2
 
     def test_local_keygen_makes_one_gadget_per_folded_t(self, monkeypatch):
         circ, budget = self.window()
@@ -1338,6 +1312,38 @@ class TestHostileReplies:
             ClientSession(client_end).open_rsp(0)
         assert exc.value.code == "payload"
 
+    ACK_CALLS = {
+        "GadgetClassical": lambda client: client.open_rsp(0),
+        "CoupleInstr": lambda client: client.close_rsp(),
+        "ParamUpdate": lambda client: client.param_update(np.ones((2, 4)), np.zeros(3), 0.5, 0),
+        "Done": lambda client: client._ask("Done", {}, "Done"),
+    }
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("GadgetClassical", {"ok": True, "budget": 1}),
+        ("GadgetClassical", {"ok": False}),
+        ("GadgetClassical", {}),
+        ("CoupleInstr", {"ok": True, "extra": 1}),
+        ("CoupleInstr", {"ok": 1}),
+        ("ParamUpdate", {"ok": True, "extra": 1}),
+        ("ParamUpdate", {"ok": "true"}),
+        ("Done", {"ok": True}),
+    ], ids=["gadget-ack-with-budget", "gadget-ack-not-ok", "gadget-ack-without-ok",
+            "couple-ack-with-extra", "couple-ack-ok-1", "param-ack-with-extra",
+            "param-ack-ok-str", "done-with-ok"])
+    def test_malformed_ack_is_a_protocol_error(self, kind, payload):
+        client_end, server_end = make_inproc_pair()
+        server_end.send(Message(kind, payload))
+        with pytest.raises(ProtocolError) as exc:
+            self.ACK_CALLS[kind](ClientSession(client_end))
+        assert exc.value.code == "payload"
+
+    @pytest.mark.parametrize("kind", sorted(ACK_CALLS))
+    def test_well_formed_acks_pass(self, kind):
+        client_end, server_end = make_inproc_pair()
+        server_end.send(Message(kind, {} if kind == "Done" else {"ok": True}))
+        self.ACK_CALLS[kind](ClientSession(client_end))
+
     def test_well_formed_error_keeps_its_code_and_text(self):
         client_end, server_end = make_inproc_pair()
         server_end.send(Message("Error", {"code": "budget", "text": "none queued"}))
@@ -1379,6 +1385,94 @@ class TestHostileReplies:
         assert not thread.is_alive()
 
 
+@functools.lru_cache(maxsize=None)
+def padded_input():
+    """A padded 2-wire input of a one-T run."""
+    rng = np.random.default_rng(23)
+    client_keys, _ = keygen(SECURITY, 2, [gate("T", 0)], rng)
+    return encrypt(client_keys, StateVector(2), rng)[0]
+
+
+def take_rounds(rsp_mode):
+    return lambda client: client._round(rsp_mode, deque())(np.random.default_rng(0))
+
+
+def take_qhe_run(client):
+    """What ``client_qhe_run`` reads of a one-T run's replies (it then decrypts)."""
+    cs, wires = padded_input(), (1, 0)
+    spec = {"type": "bits", "wires": list(wires)}
+    results, keys = client.request_run(cs.register, cs.encrypted_keys, [gate("T", 0)], spec)
+    return keys["level"], dict(zip(wires, keys["enc_keys"][0])), results["bits"][0].tolist()
+
+
+def take_plain_run(client):
+    results, _ = client.request_run(StateVector(2), None, [gate("H", 0)],
+                                    {"type": "bits", "wires": [1, 0]}, shots=3)
+    return [row.tolist() for row in results["bits"]]
+
+
+def take_exact_window(client):
+    rng = np.random.default_rng(2)
+    window = [gate("RX", 0, angle=0.3), gate("CNOT", 0, 1)]
+    return make_exact_evaluator(client)(rand_state(2, rng), window, (0, 1), rng)
+
+
+# Per reply form: the client call that takes it, the request values its
+# bounds name, and well-formed replies that go before and after it.
+ReplyTaker = namedtuple("ReplyTaker", "call bounds before after", defaults=((), ()))
+ROWS = 2  # the RSP batch the client asks for
+REPLY_TAKERS = {
+    "Announce": ReplyTaker(lambda client: client.hello(0, "x"), {}),
+    "GadgetClassical": ReplyTaker(TestHostileReplies.ACK_CALLS["GadgetClassical"], {}),
+    "CoupleInstr": ReplyTaker(TestHostileReplies.ACK_CALLS["CoupleInstr"], {}),
+    "ParamUpdate": ReplyTaker(TestHostileReplies.ACK_CALLS["ParamUpdate"], {}),
+    "Done": ReplyTaker(TestHostileReplies.ACK_CALLS["Done"], {}),
+    "Error": ReplyTaker(lambda client: client.open_rsp(0), {}),
+    "RspCommit": ReplyTaker(take_rounds("faithful"), {"rows": ROWS}, after=(
+        Message("RspOutcome", {"qids": [0, 1], "b": [[1, 0, 1]] * ROWS}),)),
+    "RspOutcome/b": ReplyTaker(take_rounds("faithful"), {"rows": ROWS}, before=(
+        Message("RspCommit", {"qids": [0, 1], "y": [[0] * RSP_MU] * ROWS}),)),
+    "RspOutcome/theta_index": ReplyTaker(take_rounds("ideal"), {"rows": ROWS}),
+    "ShotResults/bits": ReplyTaker(
+        take_plain_run, {"shots": 3, "wires": 2, "xx_rows": 0, "bit_rows": 3}),
+    "ShotResults/xx": ReplyTaker(
+        take_exact_window, {"shots": 1, "wires": 2, "xx_rows": 1, "bit_rows": 0}),
+    "EncKeysUpdate": ReplyTaker(take_qhe_run, {"t_count": 1, "wires": 2, "shots": 1}, before=(
+        Message("ShotResults", {"values": [], "bits": [[0, 1]]}),)),
+}
+
+
+class TestReplyProperty:
+    """Every reply form the client checks, well-formed or hostile, sent by a
+    fake server to the call that takes it or to another call: the client
+    returns, or raises ``ProtocolError`` and nothing else."""
+
+    def test_every_reply_form_is_drawn(self):
+        forms = {form.split("/")[0] for form in REPLY_TAKERS}
+        assert forms == set(REPLIES)
+        assert {"RspOutcome/" + case for case in REPLIES["RspOutcome"].cases} <= set(REPLY_TAKERS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_client_raises_only_protocol_errors(self, data):
+        forms = sorted(REPLY_TAKERS)
+        form = data.draw(st.sampled_from(forms))
+        taker = REPLY_TAKERS[data.draw(st.one_of(st.just(form), st.sampled_from(forms)))]
+        kind = form.split("/")[0]
+        bounds = REPLY_TAKERS[form].bounds
+        payload = draw_value(data.draw, REPLIES[kind], dict(bounds), data.draw(st.booleans()))
+        reply = Message(kind, payload if isinstance(payload, dict) else {"payload": payload})
+        client_end, server_end = make_inproc_pair()
+        for msg in (*taker.before, reply, *taker.after):
+            server_end.send(msg)
+        client = ClientSession(client_end)
+        client.rsp_batch = ROWS
+        try:
+            taker.call(client)
+        except ProtocolError:
+            pass
+
+
 class TestServerBlindness:
     """Everything the server receives is public structure, a ciphertext
     string or padded quantum data (checked on ``ServerSession.audit``)."""
@@ -1389,8 +1483,8 @@ class TestServerBlindness:
                             "level"},
         "RspBasis": {"matrix", "qids", "alphas"},
         "CoupleInstr": {"close", "discard"},
-        "EncInput": {"num_wires", "amps", "enc_keys", "level"},
-        "RunRequest": {"circuit", "measure", "use_gadgets", "shots"},
+        "RunRequest": {"num_wires", "amps", "enc_keys", "circuit", "measure", "use_gadgets",
+                       "shots"},
         "Done": set(),
     }
 
@@ -1415,9 +1509,9 @@ class TestServerBlindness:
 
     def test_exact_session(self):
         audit = self.audited_window("delegated-exact-gates", make_exact_evaluator)
-        inputs = [p for kind, p in audit if kind == "EncInput"]
-        assert inputs
-        assert all(p["enc_keys"] is None for p in inputs)
+        runs = [p for kind, p in audit if kind == "RunRequest"]
+        assert runs
+        assert all("enc_keys" not in p for p in runs)
 
     def test_faithful_session_claw_rsp(self):
         audit = self.audited_window(
@@ -1428,9 +1522,9 @@ class TestServerBlindness:
         )
         assert audit[0][0] == "Hello"  # the log holds the whole window
         assert any("matrix" in p for kind, p in audit if kind == "RspBasis")
-        inputs = [p for kind, p in audit if kind == "EncInput"]
-        assert inputs
-        for p in inputs:
+        runs = [p for kind, p in audit if kind == "RunRequest"]
+        assert runs
+        for p in runs:
             assert len(p["enc_keys"]) == p["num_wires"] == 2
             for pair in p["enc_keys"]:
                 assert len(pair) == 2
@@ -1468,7 +1562,7 @@ class TestServerMemory:
         tracemalloc.start()
         try:
             for _ in range(20):
-                client.send_input(register, None)
+                client.request_run(register, None, [], {"type": "bits", "wires": [0]})
             client.done()
             thread.join(timeout=30)
             held = tracemalloc.get_traced_memory()[0]
@@ -1545,12 +1639,8 @@ class TestTcpTransport:
                 client.open_rsp(0)
                 client.close_rsp()
                 psi = rand_state(1, np.random.default_rng(seed))
-                client.send_input(psi, None)
                 results, _ = client.request_run(
-                    [gate("H", 0)],
-                    {"type": "bits", "wires": [0]},
-                    use_gadgets=False,
-                    shots=5,
+                    psi, None, [gate("H", 0)], {"type": "bits", "wires": [0]}, shots=5
                 )
                 assert len(results["bits"]) == 5
                 client.done()
