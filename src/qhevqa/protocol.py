@@ -56,8 +56,6 @@ from .qhe import (
     CipherState,
     ClientKeys,
     EvalKey,
-    decrypt_flips,
-    encrypt,
     eval_circuit,
     keygen,
     t_count,
@@ -74,8 +72,6 @@ from .rsp_gadget import (
     assemble_gadget_state,
     claw_round,
     gen_gadget,
-    pooled,
-    rsp_round_ideal,
     rsp_server_commit,
     rsp_server_measure,
 )
@@ -92,15 +88,15 @@ from .simulator import (
     gate,
     measure,
 )
-from .vqa import exact_evaluator, faithful_evaluator, train
+from .vqa import delegated_run, exact_evaluator, faithful_evaluator, train
 
-VERSION = 3
+VERSION = 4
 MAX_FRAME = 16 * 1024 * 1024
 MAX_SHOTS = 4096
 # Payloads a session keeps. A faithful ε = 0.1 reference-model window sends
-# 37-39 with claw RSP (31-32 ideal), the blindness tests' 2-wire one 10; a
-# delegated-exact window sends one, its register and circuit, which decode
-# to about 12 KB of lists on the bundled digits' six wires.
+# 37-39, the blindness tests' 2-wire one 10; a delegated-exact window sends
+# one, its register and circuit, which decode to about 12 KB of lists on the
+# bundled digits' six wires.
 AUDIT_LIMIT = 256
 AUDIT_FRAME = 1 << 14  # a payload of a larger frame is kept as its fields' lengths
 # RSP qubits a session holds, committed or prepared: one gadget's worst-case
@@ -366,10 +362,7 @@ REPLIES = {
         "rsp_mu": Int(RSP_MU, RSP_MU), "rsp_batch": Int(1, RSP_BATCH),
     }),
     "RspCommit": Rec({"qids": QIDS, "y": Bits("rows", "rows", (RSP_MU,))}),
-    "RspOutcome": Variants(None, {
-        "b": Rec({"qids": QIDS, "b": Bits("rows", "rows", (RSP_N - 1,))}),
-        "theta_index": Rec({"qids": QIDS, "theta_index": Seq(Int(0, 3), "rows", "rows")}),
-    }),
+    "RspOutcome": Rec({"qids": QIDS, "b": Bits("rows", "rows", (RSP_N - 1,))}),
     "ShotResults": Rec({"values": Seq(Num(), "xx_rows", "xx_rows"),
                         "bits": Bits("bit_rows", "bit_rows", ("wires",))}),
     "EncKeysUpdate": Rec({"level": Int("t_count", "t_count"),  # one row: a run is one shot
@@ -404,7 +397,6 @@ SCHEMA = {
     "Hello": Entry(("handshake",), Rec(
         {"version": Int(), "session_seed": Int(), "mode": Opt(Str())})),
     "RspBasis": Entry(OPEN, Variants(None, {
-        "ideal": Rec({"ideal": Int(1, RSP_BATCH)}),
         "matrix": Rec({"matrix": Bits(1, RSP_BATCH, (RSP_MU, RSP_N))}),
         "alphas": Rec({"qids": Seq(QID, 1, RSP_BATCH, True),
                        "alphas": Bits("qids", "qids", (RSP_N - 1,))}),
@@ -538,8 +530,8 @@ ANNOUNCE = {
 class ServerSession:
     """One server-side session: phase machine plus quantum/HE workloads.
 
-    Between requests it holds only prepared and committed RSP qubits, queued
-    gadgets and the last published parameters: each run brings its own input.
+    Between requests it holds only prepared and committed RSP qubits and
+    queued gadgets: each run brings its own input.
     The session records the last ``AUDIT_LIMIT`` accepted payloads in
     ``audit`` so tests can check server blindness: everything visible here is
     public structure, ciphertext strings, or padded quantum data. A payload
@@ -557,7 +549,6 @@ class ServerSession:
         self.pending: dict[int, np.ndarray] = {}  # committed claw states, not yet measured
         self._qids = count()  # the next qid to hand out
         self.gadgets: list[Gadget] = []
-        self.params: dict | None = None
         self.closed = False
 
     # -- plumbing --
@@ -628,8 +619,9 @@ class ServerSession:
         self._reply("GadgetClassical", {"ok": True})
 
     def _on_rspbasis(self, p: dict) -> None:
-        """Commit a batch of claw rounds, measure a committed batch, or
-        prepare a batch of ideal rounds; a batch's replies list its qids."""
+        """Commit a batch of claw rounds or measure a committed batch; a
+        batch's replies list its qids. The server never learns an angle: only
+        the client, which drew each round's trapdoor, can recover it."""
         if "alphas" in p:
             qids = list(p["qids"])
             if not self.pending.keys() >= set(qids):
@@ -639,18 +631,11 @@ class ServerSession:
             self.qubits.update(zip(qids, qubits))
             self._reply("RspOutcome", {"qids": qids, "b": b.tolist()})
             return
-        rows = p["ideal"] if "ideal" in p else len(p["matrix"])
+        rows = len(p["matrix"])
         held = len(self.qubits) + len(self.pending)
         if held + rows > MAX_HELD:
             raise ProtocolError("budget", f"{held} RSP qubits held, {rows} more asked")
         qids = list(islice(self._qids, rows))
-        if "ideal" in p:
-            # Modeled shortcut: the server draws the angles itself, so this
-            # variant is not blind; the claw-based flow below is.
-            idx, qubits = zip(*(rsp_round_ideal(self.rng) for _ in qids))
-            self.qubits.update(zip(qids, qubits))
-            self._reply("RspOutcome", {"qids": qids, "theta_index": list(idx)})
-            return
         y, states = rsp_server_commit(p["matrix"], self.rng)
         self.pending.update(zip(qids, states))
         self._reply("RspCommit", {"qids": qids, "y": y.tolist()})
@@ -701,7 +686,6 @@ class ServerSession:
             self._reply("EncKeysUpdate", {"enc_keys": [row], "level": cs.level})
 
     def _on_paramupdate(self, p: dict) -> None:
-        self.params = dict(p)
         self._reply("ParamUpdate", {"ok": True})
 
     def _on_done(self, p: dict) -> None:
@@ -805,16 +789,13 @@ class ClientSession:
         self.channel.send(Message(kind, payload))
         return self._recv(*expected, **check)
 
-    def _recv(self, *expected: str, form: str | None = None, **bounds) -> Message:
+    def _recv(self, *expected: str, **bounds) -> Message:
         """The next reply, of an ``expected`` kind or an Error, validated
-        against ``REPLIES`` (in case ``form``), with ``bounds`` naming request
-        values."""
+        against ``REPLIES`` with ``bounds`` naming request values."""
         reply = self.channel.recv()
         if reply.kind != "Error" and reply.kind not in expected:
             raise ProtocolError("kind", f"expected {expected}, got {reply.kind}")
-        spec = REPLIES[reply.kind]
-        payload = validate(spec.cases[form] if form and reply.kind != "Error" else spec,
-                           reply.payload, bounds)
+        payload = validate(REPLIES[reply.kind], reply.payload, bounds)
         if reply.kind == "Error":
             raise ProtocolError(payload["code"], payload["text"])
         return Message(reply.kind, payload)
@@ -841,15 +822,10 @@ class ClientSession:
 
     # -- remote state preparation --
 
-    def _round(self, rsp_mode: str, pool: deque):
-        """The remote RSP round of ``rsp_mode``, pooled in batches of the
+    def _round(self, pool: deque):
+        """The claw-based RSP round on the server, pooled in batches of the
         announced size; each yields (theta_index, qid)."""
         rows = self.rsp_batch
-
-        def ideal(_rng):
-            reply = self._ask("RspBasis", {"ideal": rows}, "RspOutcome", form="theta_index",
-                              rows=rows)
-            return zip(reply.payload["theta_index"], reply.payload["qids"])
 
         def commit(matrices, _rng):
             reply = self._ask("RspBasis", {"matrix": matrices.tolist()}, "RspCommit", rows=rows)
@@ -857,23 +833,20 @@ class ClientSession:
 
         def measure(qids, alphas, _rng):
             payload = {"qids": qids, "alphas": alphas.tolist()}
-            reply = self._ask("RspBasis", payload, "RspOutcome", form="b", rows=rows)
+            reply = self._ask("RspBasis", payload, "RspOutcome", rows=rows)
             if reply.payload["qids"] != qids:
                 raise ProtocolError("payload", "the outcomes are for other qids")
             return reply.payload["b"], qids
 
         claw = claw_round(commit, measure, rows, pool)
 
-        def faithful(rng):
+        def round_(rng):
             try:
                 return claw(rng)
             except GadgetError as exc:  # an image y outside its matrix's image
                 raise ProtocolError("payload", str(exc)) from None
 
-        rounds = {"ideal": pooled(ideal, pool), "faithful": faithful}
-        if rsp_mode not in rounds:
-            raise ProtocolError("mode", f"unknown rsp mode {rsp_mode!r}")
-        return rounds[rsp_mode]
+        return round_
 
     def provision_gadget(self, pk_next, sk_enc, k_bit: int, rng, round_) -> GadgetSecrets:
         """Build one gadget on the server: RSP rounds, then one frame with the
@@ -899,19 +872,15 @@ class ClientSession:
         return secrets
 
     def remote_keygen(
-        self,
-        num_wires: int,
-        circuit: list[Gate],
-        rng: np.random.Generator,
-        rsp_mode: str = "ideal",
+        self, num_wires: int, circuit: list[Gate], rng: np.random.Generator
     ) -> ClientKeys:
         """Run key generation with one run's gadgets provisioned on the server.
 
-        The gadgets draw from one pool of RSP rounds; the rounds left in it
-        are discarded at the next ``close_rsp``.
+        The gadgets draw from one pool of claw-based RSP rounds; the rounds
+        left in it are discarded at the next ``close_rsp``.
         """
         pool: deque = deque()
-        round_ = self._round(rsp_mode, pool)
+        round_ = self._round(pool)
 
         def factory(pk_next, sk_enc, k_bit):
             return None, self.provision_gadget(pk_next, sk_enc, k_bit, rng, round_)
@@ -919,6 +888,15 @@ class ClientSession:
         client_keys, _ = keygen(SECURITY, num_wires, circuit, rng, gadget_factory=factory)
         self._spare += [qid for _, qid in pool]
         return client_keys
+
+    def provision(
+        self, num_wires: int, circuit: list[Gate], rng: np.random.Generator
+    ) -> tuple[ClientKeys, None]:
+        """Provision one run: key generation with its gadgets on the server,
+        then the close of provisioning. The EvalKey stays with the server."""
+        client_keys = self.remote_keygen(num_wires, circuit, rng)
+        self.close_rsp()
+        return client_keys, None
 
     # -- delegated evaluation --
 
@@ -971,6 +949,21 @@ class ClientSession:
 # --- delegated QHE run over the wire ----------------------------------------
 
 
+def _homomorphic_step(session: ClientSession, spec: dict):
+    """The server step of ``vqa.delegated_run`` over the session: one
+    homomorphic run read out as the measure ``spec`` asks (an ``xx`` value or
+    a row of ``bits``), and its measured wires' updated keys."""
+    field = "values" if spec["type"] == "xx" else "bits"
+
+    def server_run(cs, circuit, wires, _ek, _rng):
+        results, keys = session.request_run(
+            cs.register, cs.encrypted_keys, circuit, {**spec, "wires": list(wires)}
+        )
+        return results[field][0], keys["level"], dict(zip(wires, keys["enc_keys"][0]))
+
+    return server_run
+
+
 def client_qhe_run(
     session: ClientSession,
     circuit: list[Gate],
@@ -979,28 +972,21 @@ def client_qhe_run(
     shots: int = 1,
     measure_wires: tuple[int, ...] = (0,),
     basis: str = "Z",
-    rsp_mode: str = "ideal",
 ) -> list[dict[int, int]]:
     """Full homomorphic delegation of one Clifford+T circuit, multi-shot.
 
-    Each shot is its own run: key generation with gadgets provisioned on the
-    server, one run on a freshly padded input, and the decryption of its raw
-    bits with that run's updated keys. Returns per-shot corrected outcome
-    dictionaries keyed by wire.
+    Each shot is its own ``delegated_run``: key generation with gadgets
+    provisioned on the server, one run on a freshly padded input, and the
+    decryption of its raw bits with that run's updated keys. Returns per-shot
+    corrected outcome dictionaries keyed by wire.
     """
+    server_run = _homomorphic_step(session, {"type": "bits", "basis": basis})
     corrected = []
     for _ in range(shots):
-        client_keys = session.remote_keygen(state.num_qubits, circuit, rng, rsp_mode)
-        session.close_rsp()
-        cs, _ = encrypt(client_keys, state, rng)
-        results, keys = session.request_run(
-            cs.register, cs.encrypted_keys, circuit,
-            {"type": "bits", "basis": basis, "wires": list(measure_wires)},
+        bits, flips = delegated_run(
+            session.provision, server_run, state, circuit, measure_wires, basis, rng
         )
-        pairs = dict(zip(measure_wires, keys["enc_keys"][0]))
-        flips = decrypt_flips(client_keys, keys["level"], pairs, measure_wires, basis)
-        bits = results["bits"][0].tolist()
-        corrected.append({w: bit ^ f for w, bit, f in zip(measure_wires, bits, flips)})
+        corrected.append({w: bit ^ f for w, bit, f in zip(measure_wires, bits.tolist(), flips)})
     return corrected
 
 
@@ -1024,28 +1010,21 @@ def make_exact_evaluator(session: ClientSession):
 def make_faithful_evaluator(
     session: ClientSession,
     eps_target: float = 1e-2,
-    rsp_mode: str = "ideal",
+    rsp_mode: str = "faithful",
 ):
     """Delegated-faithful window evaluator whose server step runs over the session.
 
     Each evaluation provisions fresh gadgets (one per T gate) for the exact
     circuit it is about to run, so the server's gadget twists always match
     the key flow. Dramatically slower than the compensated mode; intended for
-    demonstrations and spot checks, not full training sweeps.
+    demonstrations and spot checks, not full training sweeps. Remote RSP is
+    claw-based only: ``rsp_mode`` accepts ``"faithful"`` and nothing else.
     """
-
-    def provision(num_wires, circuit, rng):
-        client_keys = session.remote_keygen(num_wires, circuit, rng, rsp_mode)
-        session.close_rsp()
-        return client_keys, None
-
-    def server_run(cs, circuit, wires, _ek, _rng):
-        results, keys = session.request_run(
-            cs.register, cs.encrypted_keys, circuit, {"type": "xx", "wires": list(wires)}
-        )
-        return results["values"][0], keys["level"], dict(zip(wires, keys["enc_keys"][0]))
-
-    return faithful_evaluator(provision, server_run, eps_target)
+    if rsp_mode != "faithful":
+        raise ProtocolError("mode", f"unknown rsp mode {rsp_mode!r}")
+    return faithful_evaluator(
+        session.provision, _homomorphic_step(session, {"type": "xx"}), eps_target
+    )
 
 
 def run_client(channel: Channel, dataset, config):

@@ -131,11 +131,11 @@ def keygen(
     have at run time, independent of pad values and runtime outcomes.
 
     ``gadget_factory(pk_next, sk_enc, k_bit)`` may replace local gadget
-    generation; a remote factory (the wire protocol) provisions the gadget on
-    the server and returns ``(None, secrets)``, in which case the returned
-    EvalKey carries no gadget states. Local claw-based gadgets
-    (``rsp_mode="faithful"``) share one pool of rounds, filled ``RSP_BATCH``
-    at a time; the ideal sampler draws one round at a time.
+    generation; a remote factory (the wire protocol, claw-based rounds only)
+    provisions the gadget on the server and returns ``(None, secrets)``, in
+    which case the returned EvalKey carries no gadget states. Local claw-based
+    gadgets (``rsp_mode="faithful"``) share one pool of rounds, filled
+    ``RSP_BATCH`` at a time; the ideal sampler draws one round at a time.
     """
     _check_circuit(circuit, num_wires)
     n_gadgets = t_count(circuit)
@@ -295,17 +295,6 @@ def decrypt_keys(client: ClientKeys, cs: CipherState) -> KeyFrame:
 def decrypt_state(client: ClientKeys, cs: CipherState) -> StateVector:
     """Strip the final pad."""
     return remove_pad(cs.register, decrypt_keys(client, cs))
-
-
-def decrypt_outcome(
-    client: ClientKeys,
-    cs: CipherState,
-    basis: str,
-    outcomes: dict[int, int],
-) -> dict[int, int]:
-    """Correct raw measurement bits: Z-basis flips on a, X-basis flips on b."""
-    flips = decrypt_flips(client, cs.level, cs.encrypted_keys, outcomes, basis)
-    return {w: bit ^ flip for (w, bit), flip in zip(outcomes.items(), flips)}
 
 
 def xx_expectation_sign(client: ClientKeys, cs: CipherState, wires: tuple[int, int]) -> int:

@@ -20,19 +20,20 @@ ciphertexts. It is the same for a gadget built in this process and one built
 on a remote server; only two seams differ. ``round_(rng)`` hands out one
 preparation round as ``(theta_index, handle)``: locally the handle is the
 prepared state, remotely the server's qubit id. A round comes from the ideal
-sampler or from ``claw_round``, the one claw-based recipe: a first-in,
-first-out pool refilled ``batch`` rounds at a time, each round with a fresh
-2-to-1 GF(2) linear function and its trapdoor (the hidden kernel vector), and
-the batch's two server steps called locally or sent as messages. The rounds
-are independent instances, so every step works on the whole batch as arrays.
-``couple(heads, tails, rejected)`` entangles the accepted pairs and drops the
-rejected rounds. The claw function has a fixed size, ``RSP_N`` inputs by
-``RSP_MU`` outputs. The server's claw steps run on each state's support, not
-on n + mu dense wires: the commit enumerates the 2^n inputs once, and the
-measurement is two-term arithmetic on one wire at a time. A batch of k rounds
-draws ``rng.random((k, m))`` for its m measured wires, the stream k separate
-rounds would draw, in the dense order and against the same probabilities, so
-seeded rounds give the dense simulation's outcomes.
+sampler (in process only) or from ``claw_round``, the one claw-based recipe
+and the only remote one: a first-in, first-out pool refilled ``batch`` rounds
+at a time, each round with a fresh 2-to-1 GF(2) linear function and its
+trapdoor (the hidden kernel vector), and the batch's two server steps called
+locally or sent as messages. The rounds are independent instances, so every
+step works on the whole batch as arrays. ``couple(heads, tails, rejected)``
+entangles the accepted pairs and drops the rejected rounds. The claw function
+has a fixed size, ``RSP_N`` inputs by ``RSP_MU`` outputs. The server's claw
+steps run on each state's support, not on n + mu dense wires: the commit
+enumerates the 2^n inputs once, and the measurement is two-term arithmetic on
+one wire at a time. A batch of k rounds draws ``rng.random((k, m))`` for its
+m measured wires, the stream k separate rounds would draw, in the dense order
+and against the same probabilities, so seeded rounds give the dense
+simulation's outcomes.
 """
 from __future__ import annotations
 

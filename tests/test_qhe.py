@@ -7,8 +7,8 @@ import pytest
 from qhevqa import qhe
 from qhevqa.qhe import (
     QHEError,
+    decrypt_flips,
     decrypt_keys,
-    decrypt_outcome,
     decrypt_state,
     encrypt,
     eval_circuit,
@@ -177,8 +177,8 @@ class TestDecryption:
             cs, _ = encrypt(client, psi, rng)
             out = eval_circuit(cs, circ, server, rng)
             bit, post = measure(out.register, 0, "Z", rng)
-            fixed = decrypt_outcome(client, out, "Z", {0: bit})
-            hits += fixed[0]
+            (flip,) = decrypt_flips(client, out.level, out.encrypted_keys, [0], "Z")
+            hits += bit ^ flip
         want = abs(apply_circuit(psi, circ).amplitudes[1]) ** 2
         assert abs(hits / shots - want) < 0.07
 
@@ -187,7 +187,7 @@ class TestDecryption:
         client, _ = keygen(16, 1, [], rng)
         cs, _ = encrypt(client, StateVector(1), rng)
         with pytest.raises(QHEError):
-            decrypt_outcome(client, cs, "Y", {0: 0})
+            decrypt_flips(client, cs.level, cs.encrypted_keys, [0], "Y")
 
     def test_xx_expectation_sign(self):
         rng = np.random.default_rng(15)
@@ -259,7 +259,7 @@ class TestOnePassDecryption:
         monkeypatch.setattr(qhe, "_dec", counted)
         decrypt_state(client, cs)
         xx_expectation_sign(client, cs, (0, 2))
-        decrypt_outcome(client, cs, "Z", {0: 1, 1: 0, 2: 1})
+        decrypt_flips(client, cs.level, cs.encrypted_keys, [0, 1, 2], "Z")
         assert passes == [6, 2, 3]
 
 
