@@ -341,16 +341,8 @@ def cmd_train(args) -> int:
             server.stop()
     dt = time.perf_counter() - t0
 
-    final = metrics[-1]
-    print(
-        f"trained {config.epochs} epochs in {dt:.1f} s "
-        f"(mode {config.mode}, transport {args.transport}, seed {config.seed})"
-    )
-    print(
-        f"final loss {final.loss:.4f}, train acc {final.train_acc:.3f}, "
-        f"test acc {final.test_acc:.3f}"
-    )
-
+    # Artefacts first: a reader that closes stdout early (``| head -1``)
+    # cannot stop them being written.
     out_dir = _out_dir(args)
     if out_dir is not None:
         write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
@@ -368,6 +360,16 @@ def cmd_train(args) -> int:
             )
             fh.write("\n")
         _write_json(os.path.join(out_dir, "manifest.json"), run_manifest(args))
+    final = metrics[-1]
+    print(
+        f"trained {config.epochs} epochs in {dt:.1f} s "
+        f"(mode {config.mode}, transport {args.transport}, seed {config.seed})"
+    )
+    print(
+        f"final loss {final.loss:.4f}, train acc {final.train_acc:.3f}, "
+        f"test acc {final.test_acc:.3f}"
+    )
+    if out_dir is not None:
         print(f"artifacts in {out_dir}")
     return 0
 
@@ -830,7 +832,14 @@ def main(argv: list[str] | None = None) -> int:
             if key.replace("-", "_") in options
         ]
         args = parser.parse_args([argv[0], *flags, *argv[1:]])
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout has gone (``| head -1``): stop without a
+        # traceback. Output still buffered then goes to devnull, so the
+        # interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

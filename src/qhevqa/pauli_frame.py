@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .simulator import FIXED_1Q, Gate, StateVector, apply_gate, gate
+from .simulator import FIXED_1Q, Gate, StateVector, apply_pauli
 
 CLIFFORD_1Q = ("X", "Y", "Z", "H", "P", "Pdagger")
 CLIFFORD_2Q = ("CNOT", "CZ")
@@ -53,7 +53,10 @@ class KeyFrame:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "KeyFrame":
-        return cls([PauliKey(int(rng.integers(2)), int(rng.integers(2))) for _ in range(n)])
+        """Wire w gets (a, b) = draws 2w and 2w + 1 of one call: the same bits,
+        and the same generator state after, as 2n scalar ``integers(2)``."""
+        bits = rng.integers(2, size=2 * n).tolist()
+        return cls([PauliKey(a, b) for a, b in zip(bits[::2], bits[1::2])])
 
     def copy(self) -> "KeyFrame":
         return KeyFrame(list(self.keys))
@@ -62,24 +65,23 @@ class KeyFrame:
         return len(self.keys)
 
 
+def _masks(frame: KeyFrame) -> tuple[int, int]:
+    """The frame's X and Z key bits as integers, wire w at bit w."""
+    xmask = zmask = 0
+    for w, key in enumerate(frame.keys):
+        xmask, zmask = xmask | key.a << w, zmask | key.b << w
+    return xmask, zmask
+
+
 def apply_pad(state: StateVector, frame: KeyFrame) -> StateVector:
     """Pad every wire with X^a Z^b: Z^b first, so X ends outermost."""
-    for w, key in enumerate(frame.keys):
-        if key.b:
-            state = apply_gate(state, gate("Z", w))
-        if key.a:
-            state = apply_gate(state, gate("X", w))
-    return state
+    return apply_pauli(state, *_masks(frame))
 
 
 def remove_pad(state: StateVector, frame: KeyFrame) -> StateVector:
-    """Undo ``apply_pad``: (X^a Z^b)^-1 = Z^b X^a, so X comes off first."""
-    for w, key in enumerate(frame.keys):
-        if key.a:
-            state = apply_gate(state, gate("X", w))
-        if key.b:
-            state = apply_gate(state, gate("Z", w))
-    return state
+    """Undo ``apply_pad``: (X^a Z^b)^-1 = Z^b X^a = (-1)^(a.b) X^a Z^b."""
+    xmask, zmask = _masks(frame)
+    return apply_pauli(state, xmask, zmask, 2 * (xmask & zmask).bit_count())
 
 
 def _pad_matrix(a: int, b: int) -> np.ndarray:

@@ -3,6 +3,20 @@
 Qubit ordering is little-endian: qubit 0 is the least significant bit of the
 amplitude index. All state comparisons elsewhere in the library go through
 ``fidelity`` (global phase is never meaningful).
+
+Gates run by index arithmetic on the flat amplitude array, in two kernels:
+
+- Paulis, CNOT and CZ are a permutation and a sign: one gather on the index
+  XOR a bit mask, and ``0 - a`` where the parity of masked index bits is odd
+  (``apply_pauli``; a whole Pauli pad or string is one call). Nothing is
+  rounded, so the values equal the matrix product's exactly; a zero stays
+  +0.0 where the product may leave -0.0.
+- Every other gate is a matrix product through an (A, 2, B) view of its wire
+  (an (A, 2, M, 2, B) view for two wires) and one ``np.dot``: the same
+  product ``tensordot`` would make, so the same bytes.
+
+Measurement reads and collapses a wire through the same (A, 2, B) view. No
+index table is built at import or kept between calls.
 """
 from __future__ import annotations
 
@@ -135,32 +149,97 @@ def _axis(state: StateVector, wire: int) -> int:
     return state.num_qubits - 1 - wire
 
 
+def _split(amps: np.ndarray, n: int, wire: int) -> np.ndarray:
+    """View of ``amps`` as (2^(n-1-wire), 2, 2^wire): axis 1 is ``wire``'s bit."""
+    return amps.reshape(1 << (n - 1 - wire), 2, 1 << wire)
+
+
+def _signed_gather(amps: np.ndarray, src: np.ndarray, odd: np.ndarray | None) -> np.ndarray:
+    """``amps[src]``, negated where ``odd`` is set.
+
+    Negation is ``0 - a``, which leaves a zero as +0.0 where ``-a`` would make
+    it -0.0, so padded registers encode without minus-zero bytes.
+    """
+    out = amps[src]
+    if odd is not None:
+        np.subtract(0, out, out=out, where=odd.astype(bool))
+    return out
+
+
+def apply_pauli(state: StateVector, xmask: int, zmask: int, phase: int = 0) -> StateVector:
+    """i^phase X^x Z^z on the wires set in the masks, Z first so X is outermost.
+
+    One gather on ``idx ^ xmask`` and one sign from the parity of the source
+    index under ``zmask``: (X^x Z^z psi)[i] = (-1)^|(i ^ x) & z| psi[i ^ x].
+    """
+    n = state.num_qubits
+    if not 0 <= xmask < 1 << n or not 0 <= zmask < 1 << n:
+        raise SimulatorError(f"Pauli masks out of range for {n} qubits")
+    src = np.arange(1 << n)
+    src ^= xmask
+    odd = None
+    if zmask or phase & 2:
+        odd = (np.bitwise_count(src & zmask) + (phase >> 1)) & 1
+    out = _signed_gather(state.amplitudes, src, odd)
+    if phase & 1:
+        # i (x + iy) = (0 - y) + ix, swapped in place on the float pairs.
+        pairs = out.view(float).reshape(-1, 2)
+        pairs[:] = pairs[:, ::-1]
+        np.subtract(0, pairs[:, 0], out=pairs[:, 0])
+    return StateVector(n, out)
+
+
 def apply_matrix(state: StateVector, matrix: np.ndarray, wires: Sequence[int]) -> StateVector:
     """Apply a 2^k x 2^k matrix to the listed wires (k = 1 or 2).
 
     Matrix basis convention: the first listed wire is the most significant bit
     of the matrix row/column index (CNOT with wires (c, t) maps |c t> packed as
     index 2c + t).
+
+    The listed wires' axes of an (A, 2, B) or (A, 2, M, 2, B) view go first,
+    in list order, and one ``np.dot`` contracts them: the same product, over
+    the same column order, as ``tensordot`` on the full [2] * n tensor.
     """
     state.check_wires(wires)
     if len(set(wires)) != len(wires):
         raise SimulatorError(f"duplicate wires: {wires}")
     n = state.num_qubits
-    k = len(wires)
-    psi = state.amplitudes.reshape([2] * n)
-    mat = matrix.reshape([2] * (2 * k))
-    waxes = [_axis(state, w) for w in wires]
-    psi = np.tensordot(mat, psi, axes=(list(range(k, 2 * k)), waxes))
-    # tensordot leaves the fresh output axes first (one per listed wire, in
-    # list order) followed by the untouched axes in increasing original order.
-    other = [a for a in range(n) if a not in waxes]
-    current = {a: i for i, a in enumerate(waxes)}
-    current.update({a: k + j for j, a in enumerate(other)})
-    psi = np.transpose(psi, axes=[current[a] for a in range(n)])
-    return StateVector(n, psi.reshape(-1))
+    if len(wires) == 1:
+        view = _split(state.amplitudes, n, wires[0])
+        order, back = (1, 0, 2), (1, 0, 2)
+    else:
+        lo, hi = sorted(wires)
+        view = state.amplitudes.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        if wires[0] == hi:
+            order, back = (1, 3, 0, 2, 4), (2, 0, 3, 1, 4)
+        else:
+            order, back = (3, 1, 0, 2, 4), (2, 1, 3, 0, 4)
+    cols = view.transpose(order).reshape(len(matrix), -1)
+    out = np.dot(matrix, cols).reshape([view.shape[a] for a in order])
+    return StateVector(n, out.transpose(back).reshape(-1))
+
+
+# Pauli gates as (x bit, z bit, phase): Y = iXZ.
+_PAULI_GATES = {"X": (1, 0, 0), "Z": (0, 1, 0), "Y": (1, 1, 1)}
 
 
 def apply_gate(state: StateVector, g: Gate) -> StateVector:
+    """X, Y, Z, CNOT and CZ by permutation and sign; other gates by matrix."""
+    if g.kind in _PAULI_GATES:
+        state.check_wires(g.wires)
+        x, z, phase = _PAULI_GATES[g.kind]
+        bit = 1 << g.wires[0]
+        return apply_pauli(state, x * bit, z * bit, phase)
+    if g.kind in TWO_QUBIT_KINDS:
+        state.check_wires(g.wires)
+        c, t = g.wires
+        idx = np.arange(1 << state.num_qubits)
+        control = (idx >> c) & 1
+        if g.kind == "CNOT":
+            out = _signed_gather(state.amplitudes, idx ^ (control << t), None)
+        else:
+            out = _signed_gather(state.amplitudes, idx, control & (idx >> t))
+        return StateVector(state.num_qubits, out)
     return apply_matrix(state, g.matrix(), g.wires)
 
 
@@ -171,20 +250,14 @@ def apply_circuit(state: StateVector, gates: Iterable[Gate]) -> StateVector:
 
 
 def _prob_one(state: StateVector, wire: int) -> float:
-    n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    ax = _axis(state, wire)
-    probs = np.sum(np.abs(psi) ** 2, axis=tuple(a for a in range(n) if a != ax))
-    return float(probs[1])
+    view = _split(state.amplitudes, state.num_qubits, wire)
+    return float(np.sum(np.abs(view) ** 2, axis=(0, 2))[1])
 
 
 def _collapse(state: StateVector, wire: int, outcome: int) -> StateVector:
     n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n).copy()
-    idx = [slice(None)] * n
-    idx[_axis(state, wire)] = 1 - outcome
-    psi[tuple(idx)] = 0.0
-    flat = psi.reshape(-1)
+    flat = state.amplitudes.copy()
+    _split(flat, n, wire)[:, 1 - outcome, :] = 0.0
     nrm = np.linalg.norm(flat)
     if nrm < 1e-12:
         raise SimulatorError("collapse onto zero-probability branch")
@@ -214,10 +287,7 @@ def remove_wire(state: StateVector, wire: int, outcome: int) -> StateVector:
     n = state.num_qubits
     if n < 2:
         raise SimulatorError("cannot remove the last wire")
-    psi = state.amplitudes.reshape([2] * n)
-    idx = [slice(None)] * n
-    idx[_axis(state, wire)] = outcome
-    sub = psi[tuple(idx)].reshape(-1)
+    sub = _split(state.amplitudes, n, wire)[:, outcome, :].reshape(-1)
     nrm = np.linalg.norm(sub)
     if nrm < 1e-12:
         raise SimulatorError("removed wire had zero amplitude on its outcome")
@@ -247,13 +317,15 @@ def bell_measure(
 
 
 def expectation(state: StateVector, obs: PauliString) -> float:
+    """<psi|P|psi> as one vdot against the Pauli-permuted register."""
     state.check_wires(obs.wires)
-    transformed = state
+    xmask = zmask = phase = 0
     for f, w in zip(obs.factors, obs.wires):
         if f != "I":
-            transformed = apply_matrix(transformed, FIXED_1Q[f], [w])
-    val = np.vdot(state.amplitudes, transformed.amplitudes)
-    return float(np.real(val))
+            x, z, p = _PAULI_GATES[f]
+            xmask, zmask, phase = xmask | x << w, zmask | z << w, phase + p
+    transformed = apply_pauli(state, xmask, zmask, phase % 4)
+    return float(np.real(np.vdot(state.amplitudes, transformed.amplitudes)))
 
 
 def prepare_plus_theta(theta: float) -> StateVector:

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, config files, artifacts, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qhevqa
 from qhevqa.cli import (
     ANALYTIC_P0,
     build_parser,
@@ -110,6 +115,26 @@ class TestTrain:
         assert manifest["subcommand"] == "train"
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 epochs
+
+    def test_closed_stdout_is_a_quiet_exit(self, tmp_path):
+        # As in ``qhevqa train ... | head -1``, but with the reader gone before
+        # the first line, so every print meets a closed pipe.
+        out = tmp_path / "run"
+        src = str(Path(qhevqa.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qhevqa.cli", "train", "--epochs", "1",
+                 "--dataset", write_digits(tmp_path, 8), "--out", str(out)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 0
+        assert len((out / "metrics.csv").read_text().splitlines()) == 2
 
     def test_inproc_transport_matches_local(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -148,6 +148,19 @@ class TestKeyFrame:
             seen.add((frame.keys[0].a, frame.keys[0].b))
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
+    def test_random_frame_is_the_scalar_recipe(self):
+        # One size-2n draw gives the keys of 2n scalar draws, wire by wire,
+        # and leaves the generator where they left it, so every seeded run
+        # that pads keeps its keys and the draws after them.
+        for seed in range(8):
+            for n in range(1, 9):
+                one, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                frame = KeyFrame.random(n, one)
+                want = [PauliKey(int(scalar.integers(2)), int(scalar.integers(2))) for _ in range(n)]
+                assert frame.keys == want
+                assert one.integers(2**62) == scalar.integers(2**62)
+                assert one.random() == scalar.random()
+
     def test_apply_rule_rejects_unknown(self):
         with pytest.raises((FrameError, KeyError)):
             apply_rule("NOPE", (0, 0), lambda x, y: x ^ y)

@@ -980,10 +980,9 @@ class TestDelegatedRuns:
 
     def test_golden_faithful_transcript(self):
         # Every frame both ways and the outcomes of a small claw-based RSP
-        # session, pinned by a SHA-256 recorded at protocol version 4. It is
-        # version 3's transcript with each frame's version byte and the
-        # Hello and Announce "version" fields set to 4; the outcomes are
-        # version 2's.
+        # session, pinned by a SHA-256 recorded at protocol version 4. The
+        # outcomes are version 2's. The digest is the signed-gather pads':
+        # their RunRequest amplitudes carry no -0.0.
         channel, _session, thread = serve_inproc()
         transcript = hashlib.sha256()
         send, recv = channel.send_bytes, channel.recv_bytes
@@ -1012,7 +1011,7 @@ class TestDelegatedRuns:
         thread.join(timeout=5)
         assert outcomes == [{1: 1, 0: 0}, {1: 1, 0: 0}, {1: 1, 0: 1}]
         assert transcript.hexdigest() == (
-            "0fc90a5fee47d8d7ba9b07eac75d2aa24188d042b4dea9ce7911a664a084cc25"
+            "63d5b1598e6387665ffd974b175af41c131b0544a67bd2ad4785f67dc7097be9"
         )
 
     def test_unknown_rsp_mode_is_refused(self):

@@ -3,8 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhevqa import simulator
+from qhevqa.pauli_frame import KeyFrame, PauliKey, apply_pad, remove_pad
 from qhevqa.simulator import (
     FIXED_1Q,
+    GATE_KINDS,
+    ROTATION_1Q,
+    TWO_QUBIT_KINDS,
+    Gate,
     PauliString,
     SimulatorError,
     StateVector,
@@ -29,6 +35,124 @@ from qhevqa.simulator import (
 def rand_state(n, rng):
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return StateVector(n, v / np.linalg.norm(v))
+
+
+def tensordot_apply(state, matrix, wires):
+    """The simulator's former kernel, kept as the oracle: the matrix contracted
+    into the [2] * n tensor by ``tensordot``, then the axes put back."""
+    n, k = state.num_qubits, len(wires)
+    psi = state.amplitudes.reshape([2] * n)
+    waxes = [n - 1 - w for w in wires]
+    psi = np.tensordot(matrix.reshape([2] * (2 * k)), psi, axes=(list(range(k, 2 * k)), waxes))
+    # tensordot leaves the fresh output axes first (one per listed wire, in
+    # list order) followed by the untouched axes in increasing original order.
+    other = [a for a in range(n) if a not in waxes]
+    current = {a: i for i, a in enumerate(waxes)}
+    current.update({a: k + j for j, a in enumerate(other)})
+    psi = np.transpose(psi, axes=[current[a] for a in range(n)])
+    return StateVector(n, psi.reshape(-1))
+
+
+def state_with_zeros(n, rng):
+    """A normalised random state with about a third of its amplitudes exactly 0."""
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    v[rng.random(2**n) < 1 / 3] = 0
+    v[rng.integers(2**n)] = 1.0
+    return StateVector(n, v / np.linalg.norm(v))
+
+
+def has_negative_zero(amps):
+    parts = amps.view(float)
+    return bool(np.signbit(parts[parts == 0]).any())
+
+
+def random_wires(kind, n, rng):
+    count = 2 if kind in TWO_QUBIT_KINDS else 1
+    return tuple(int(w) for w in rng.choice(n, count, replace=False))
+
+
+# Gates that are a permutation and a sign (X, Y, Z, CNOT, CZ) must equal the
+# oracle's values; the oracle's products may leave a zero as -0.0 where the
+# kernels leave +0.0, so they are compared with ``array_equal``. Every other
+# gate goes through the same matrix product as the oracle, so its bytes match.
+PERMUTATION_KINDS = ("X", "Y", "Z") + TWO_QUBIT_KINDS
+
+
+class TestKernelsAgainstTensordot:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from(GATE_KINDS))
+    def test_every_gate_kind(self, seed, n, kind):
+        if kind in TWO_QUBIT_KINDS and n < 2:
+            n = 2
+        rng = np.random.default_rng(seed)
+        state = state_with_zeros(n, rng)
+        angle = float(rng.uniform(-4, 4)) if kind in ROTATION_1Q else None
+        g = Gate(kind, random_wires(kind, n, rng), angle)
+        got = apply_gate(state, g).amplitudes
+        want = tensordot_apply(state, g.matrix(), g.wires).amplitudes
+        if kind in PERMUTATION_KINDS:
+            assert np.array_equal(got, want)
+            assert not has_negative_zero(got)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+    def test_general_two_qubit_matrix(self, seed, n):
+        rng = np.random.default_rng(seed)
+        state = state_with_zeros(n, rng)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        wires = [int(w) for w in rng.choice(n, 2, replace=False)]
+        got = apply_matrix(state, m, wires).amplitudes
+        assert got.tobytes() == tensordot_apply(state, m, wires).amplitudes.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_pads(self, seed, n):
+        rng = np.random.default_rng(seed)
+        state = state_with_zeros(n, rng)
+        frame = KeyFrame([PauliKey(int(a), int(b)) for a, b in rng.integers(2, size=(n, 2))])
+        x, z = FIXED_1Q["X"], FIXED_1Q["Z"]
+        padded = unpadded = state
+        for w, key in enumerate(frame.keys):
+            if key.b:
+                padded = tensordot_apply(padded, z, [w])
+            if key.a:
+                padded = tensordot_apply(padded, x, [w])
+            if key.a:
+                unpadded = tensordot_apply(unpadded, x, [w])
+            if key.b:
+                unpadded = tensordot_apply(unpadded, z, [w])
+        for got, want in ((apply_pad(state, frame), padded), (remove_pad(state, frame), unpadded)):
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+            assert not has_negative_zero(got.amplitudes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_expectation(self, seed, n):
+        rng = np.random.default_rng(seed)
+        state = state_with_zeros(n, rng)
+        wires = tuple(int(w) for w in rng.permutation(n)[: rng.integers(1, n + 1)])
+        factors = tuple(str(f) for f in rng.choice(list("IXYZ"), len(wires)))
+        transformed = state
+        for f, w in zip(factors, wires):
+            if f != "I":
+                transformed = tensordot_apply(transformed, FIXED_1Q[f], [w])
+        want = float(np.real(np.vdot(state.amplitudes, transformed.amplitudes)))
+        assert expectation(state, PauliString(factors, wires)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_measurement_probability(self, seed, n):
+        # The Born probability decides every sampled outcome, so it must be
+        # the former full-tensor reduction's bytes, not just close to them.
+        rng = np.random.default_rng(seed)
+        state = state_with_zeros(n, rng)
+        w = int(rng.integers(n))
+        psi = state.amplitudes.reshape([2] * n)
+        axis = n - 1 - w
+        want = np.sum(np.abs(psi) ** 2, axis=tuple(a for a in range(n) if a != axis))[1]
+        assert simulator._prob_one(state, w) == float(want)
 
 
 def dense_1q(num_qubits, wire, m):
