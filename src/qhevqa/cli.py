@@ -833,13 +833,18 @@ def main(argv: list[str] | None = None) -> int:
         ]
         args = parser.parse_args([argv[0], *flags, *argv[1:]])
     try:
-        return args.func(args)
+        status = args.func(args)
+        # A piped stdout is block-buffered: flush here, so a closed pipe
+        # raises inside the try and not in the interpreter's flush at exit.
+        sys.stdout.flush()
+        return status
     except BrokenPipeError:
         # The reader of stdout has gone (``| head -1``): stop without a
-        # traceback. Output still buffered then goes to devnull, so the
-        # interpreter's flush at exit cannot raise again.
+        # traceback, but not with success, since output was lost and a
+        # command may not have finished. Output still buffered goes to
+        # devnull, so the flush at exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ Gates run by index arithmetic on the flat amplitude array, in two kernels:
   (``apply_pauli``; a whole Pauli pad or string is one call). Nothing is
   rounded, so the values equal the matrix product's exactly; a zero stays
   +0.0 where the product may leave -0.0.
-- Every other gate is a matrix product through an (A, 2, B) view of its wire
-  (an (A, 2, M, 2, B) view for two wires) and one ``np.dot``: the same
-  product ``tensordot`` would make, so the same bytes.
+- Every other gate acts on one wire: a matrix product through an (A, 2, B)
+  view of that wire and one ``np.dot``, the same product ``tensordot`` would
+  make, so the same bytes.
 
 Measurement reads and collapses a wire through the same (A, 2, B) view. No
 index table is built at import or kept between calls.
@@ -190,33 +190,20 @@ def apply_pauli(state: StateVector, xmask: int, zmask: int, phase: int = 0) -> S
 
 
 def apply_matrix(state: StateVector, matrix: np.ndarray, wires: Sequence[int]) -> StateVector:
-    """Apply a 2^k x 2^k matrix to the listed wires (k = 1 or 2).
+    """Apply a 2 x 2 matrix to one wire.
 
-    Matrix basis convention: the first listed wire is the most significant bit
-    of the matrix row/column index (CNOT with wires (c, t) maps |c t> packed as
-    index 2c + t).
-
-    The listed wires' axes of an (A, 2, B) or (A, 2, M, 2, B) view go first,
-    in list order, and one ``np.dot`` contracts them: the same product, over
-    the same column order, as ``tensordot`` on the full [2] * n tensor.
+    The wire's axis of the (A, 2, B) view goes first and one ``np.dot``
+    contracts it: the same product, over the same column order, as
+    ``tensordot`` on the full [2] * n tensor. Two-wire gates (CNOT, CZ) are
+    permutations and signs in ``apply_gate``.
     """
     state.check_wires(wires)
-    if len(set(wires)) != len(wires):
-        raise SimulatorError(f"duplicate wires: {wires}")
-    n = state.num_qubits
-    if len(wires) == 1:
-        view = _split(state.amplitudes, n, wires[0])
-        order, back = (1, 0, 2), (1, 0, 2)
-    else:
-        lo, hi = sorted(wires)
-        view = state.amplitudes.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
-        if wires[0] == hi:
-            order, back = (1, 3, 0, 2, 4), (2, 0, 3, 1, 4)
-        else:
-            order, back = (3, 1, 0, 2, 4), (2, 1, 3, 0, 4)
-    cols = view.transpose(order).reshape(len(matrix), -1)
-    out = np.dot(matrix, cols).reshape([view.shape[a] for a in order])
-    return StateVector(n, out.transpose(back).reshape(-1))
+    if len(wires) != 1:
+        raise SimulatorError(f"apply_matrix takes one wire, got {wires}")
+    view = _split(state.amplitudes, state.num_qubits, wires[0])
+    out = np.dot(matrix, view.transpose(1, 0, 2).reshape(2, -1))
+    out = out.reshape(2, view.shape[0], view.shape[2]).transpose(1, 0, 2)
+    return StateVector(state.num_qubits, out.reshape(-1))
 
 
 # Pauli gates as (x bit, z bit, phase): Y = iXZ.

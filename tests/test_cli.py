@@ -116,12 +116,17 @@ class TestTrain:
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 epochs
 
-    def test_closed_stdout_is_a_quiet_exit(self, tmp_path):
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_is_a_quiet_exit(self, tmp_path, unbuffered):
         # As in ``qhevqa train ... | head -1``, but with the reader gone before
-        # the first line, so every print meets a closed pipe.
+        # the first line. A piped stdout is block-buffered by default, so the
+        # pipe breaks at the final flush; unbuffered, at the first print.
         out = tmp_path / "run"
         src = str(Path(qhevqa.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -133,7 +138,7 @@ class TestTrain:
         finally:
             os.close(write_end)
         assert proc.stderr == b""
-        assert proc.returncode == 0
+        assert proc.returncode == 1  # output was lost: not a success
         assert len((out / "metrics.csv").read_text().splitlines()) == 2
 
     def test_inproc_transport_matches_local(self, tmp_path):

@@ -97,16 +97,6 @@ class TestKernelsAgainstTensordot:
             assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
-    def test_general_two_qubit_matrix(self, seed, n):
-        rng = np.random.default_rng(seed)
-        state = state_with_zeros(n, rng)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        wires = [int(w) for w in rng.choice(n, 2, replace=False)]
-        got = apply_matrix(state, m, wires).amplitudes
-        assert got.tobytes() == tensordot_apply(state, m, wires).amplitudes.tobytes()
-
-    @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
     def test_pads(self, seed, n):
         rng = np.random.default_rng(seed)
@@ -205,6 +195,8 @@ class TestApplyMatrix:
             apply_gate(st, gate("H", 5))
         with pytest.raises(SimulatorError):
             apply_gate(st, gate("CNOT", 0, 0))
+        with pytest.raises(SimulatorError):
+            apply_matrix(st, np.eye(4), [0, 1])
 
 
 class TestGateAlgebra:
