@@ -767,21 +767,36 @@ def _maybe_write_outputs(args, payload: dict) -> None:
     _write_json(os.path.join(out_dir, "manifest.json"), run_manifest(args))
 
 
+def _checked(convert, ok, rule: str):
+    """The argparse type of a ``convert``ed value for which ``ok`` holds; any
+    other value is a usage error saying what it must be."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 # Every option once. A subcommand lists the options its handler reads, and no
-# other: an option it does not list is a usage error.
+# other: an option it does not list is a usage error. A value out of its range
+# is a usage error too, before any work starts.
 OPTIONS = {
     "config": dict(help="key=value config file (flags win)"),
-    "seed": dict(type=int, default=0),
-    "shots": dict(type=int, default=2048),
-    "epsilon": dict(type=float, default=1e-2),
+    "seed": dict(type=_checked(int, lambda v: v >= 0, "at least 0"), default=0),
+    "shots": dict(type=_checked(int, lambda v: v >= 1, "at least 1"), default=2048),
+    "epsilon": dict(type=_checked(float, lambda v: v > 0, "positive"), default=1e-2),
     "mode": dict(choices=MODES, default="plaintext"),
     "transport": dict(choices=TRANSPORTS, default="local"),
-    "port": dict(type=int, default=None),
+    "port": dict(type=_checked(int, lambda v: 0 <= v <= 65535, "in 0..65535"), default=None),
     "dataset": dict(default=None),
     "out": dict(default=None),
     "axis": dict(default="X", help="rotation axis: X, Y or Z"),
     "angle": dict(type=float, default=5.57),
-    "epochs": dict(type=int, default=20),
+    "epochs": dict(type=_checked(int, lambda v: v >= 1, "at least 1"), default=20),
     "negative-control": dict(
         action="store_true",
         help="inject a wrong conjugation rule and require the suite to catch it",

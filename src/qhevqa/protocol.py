@@ -13,14 +13,16 @@ only its channel; a misordered call raises ``ProtocolError`` from the server.
 
 The server performs all quantum actions (remote state preparation rounds,
 pair coupling, homomorphic evaluation, measurement) and only ever sees public
-structure, ciphertext strings, padded amplitudes, and model parameters; the
-client keeps the trapdoors, the key chain, and the data. Remote state
-preparation runs in batches of up to ``RSP_BATCH`` rounds, one request and
-one reply frame per batch and step, and each gadget's coupling instructions
-travel in its one ``GadgetClassical`` frame. A delegated run is one
-``RunRequest``, which carries its own padded input (and, for a homomorphic run,
-the input's level-0 key ciphertexts), so no input waits on the server between
-requests; a homomorphic run is one shot.
+structure, ciphertext strings, padded amplitudes and the circuits it runs; the
+client keeps the trapdoors, the key chain, the data and the trained model.
+Remote state preparation runs in batches of up to ``RSP_BATCH`` rounds, one
+request and one reply frame per batch and step, and each gadget's coupling
+instructions travel in its one ``GadgetClassical`` frame. A delegated run is
+one ``RunRequest``, which carries its own padded input (and, for a homomorphic
+run, the input's level-0 key ciphertexts), so no input waits on the server
+between requests. A run is one shot: its ``ShotResults`` holds one readout, an
+<X x X> value or one row of bits. The client sends only what the server reads:
+a plaintext training session is Hello and Done.
 
 Two transports share the frame codec byte for byte: an in-process queue pair
 and localhost TCP (default port 7913; ``QHEVQA_HOST`` / ``QHEVQA_PORT``
@@ -90,9 +92,8 @@ from .simulator import (
 )
 from .vqa import delegated_run, exact_evaluator, faithful_evaluator, train
 
-VERSION = 4
+VERSION = 5
 MAX_FRAME = 16 * 1024 * 1024
-MAX_SHOTS = 4096
 # Payloads a session keeps. A faithful ε = 0.1 reference-model window sends
 # 37-39, the blindness tests' 2-wire one 10; a delegated-exact window sends
 # one, its register and circuit, which decode to about 12 KB of lists on the
@@ -117,7 +118,6 @@ KINDS = (
     "RunRequest",
     "ShotResults",
     "EncKeysUpdate",
-    "ParamUpdate",
     "Done",
     "Error",
 )
@@ -351,31 +351,30 @@ DISCARD = Opt(Seq(QID, 0, 2 * PAIR_COUNT * MAX_DRAWS), ())  # every rejected rou
 QIDS = Seq(QID, "rows", "rows", True)
 
 # Every reply the client takes, with bounds from the request: ``rows`` RSP
-# rounds asked for; a run's ``shots``, its measured ``wires``, its T count
-# ``t_count``, and its shots read out as values (``xx_rows``) or as bit rows
-# (``bit_rows``).
+# rounds asked for; a run's measured ``wires`` and its T count ``t_count``.
 REPLIES = {
     "Announce": Rec({
         "ansatz": Str(), "layout": Str(), "observables": Seq(Str()), "gate_set": Seq(Str()),
-        "version": Int(VERSION, VERSION), "max_shots": Int(1), "max_qubits": Int(1),
-        "max_frame": Int(1), "max_wires": Int(1), "rsp_n": Int(RSP_N, RSP_N),
-        "rsp_mu": Int(RSP_MU, RSP_MU), "rsp_batch": Int(1, RSP_BATCH),
+        "version": Int(VERSION, VERSION), "max_qubits": Int(1), "max_frame": Int(1),
+        "max_wires": Int(1), "rsp_n": Int(RSP_N, RSP_N), "rsp_mu": Int(RSP_MU, RSP_MU),
+        "rsp_batch": Int(1, RSP_BATCH),
     }),
     "RspCommit": Rec({"qids": QIDS, "y": Bits("rows", "rows", (RSP_MU,))}),
     "RspOutcome": Rec({"qids": QIDS, "b": Bits("rows", "rows", (RSP_N - 1,))}),
-    "ShotResults": Rec({"values": Seq(Num(), "xx_rows", "xx_rows"),
-                        "bits": Bits("bit_rows", "bit_rows", ("wires",))}),
+    "ShotResults": Variants(None, {  # a run's one readout
+        "value": Rec({"value": Num()}), "bits": Rec({"bits": Seq(Int(0, 1), "wires", "wires")}),
+    }),
     "EncKeysUpdate": Rec({"level": Int("t_count", "t_count"),  # one row: a run is one shot
                           "enc_keys": Seq(Seq(LEVEL_PAIR, "wires", "wires"), 1, 1)}),
-    "GadgetClassical": OK, "CoupleInstr": OK, "ParamUpdate": OK,
+    "GadgetClassical": OK, "CoupleInstr": OK,
     "Done": Rec({}),
     "Error": Rec({"code": Str(), "text": Opt(Str(), "")}),
 }
 
 
-def _run_request(use_gadgets: bool, kinds, max_wires: int, max_shots: int) -> Rec:
-    """A run of a circuit over ``kinds`` on its padded input. A homomorphic run
-    takes Clifford+T only, one shot and the input's level-0 key pairs."""
+def _run_request(use_gadgets: bool, kinds, max_wires: int) -> Rec:
+    """One shot of a circuit over ``kinds`` on its padded input. A homomorphic
+    run takes Clifford+T only and the input's level-0 key pairs."""
     arity = {k: 2 if k in TWO_QUBIT_KINDS else 1 for k in kinds}
     gates = {k: Rec({"kind": Enum((k,)), "wires": Seq(WIRE, arity[k], arity[k], True),
                      **({"angle": Num()} if k in ROTATION_1Q else {})}) for k in kinds}
@@ -389,7 +388,7 @@ def _run_request(use_gadgets: bool, kinds, max_wires: int, max_shots: int) -> Re
             "bits": Rec({"type": Enum(("bits",)), "wires": Seq(WIRE, 0, None, True),
                          "basis": Opt(Enum(("Z", "X")), "Z")}),
         }),
-        "use_gadgets": Enum((use_gadgets,)), "shots": Int(1, max_shots),
+        "use_gadgets": Enum((use_gadgets,)),
     })
 
 
@@ -410,15 +409,10 @@ SCHEMA = {
                       "sk_enc": Seq(Ct("level"), SECURITY, SECURITY)}),
     })),
     "RunRequest": Entry(OPEN, Variants("use_gadgets", {
-        False: _run_request(False, GATE_KINDS, MAX_QUBITS, MAX_SHOTS),
-        True: _run_request(True, EVAL_KINDS, MAX_WIRES, 1),
-    })),
-    "ParamUpdate": Entry(OPEN, Rec({
-        "theta": Seq(Seq(Num(), 4, 4), 2, 2), "w": Seq(Num(), 0, MAX_QUBITS),
-        "b": Num(), "epoch": Int(),
+        False: _run_request(False, GATE_KINDS, MAX_QUBITS),
+        True: _run_request(True, EVAL_KINDS, MAX_WIRES),
     })),
     "Done": Entry(("handshake", "open"), Rec({})),
-    "Error": Entry(PHASES, REPLIES["Error"]),
 }
 
 
@@ -515,9 +509,8 @@ ANNOUNCE = {
     "observables": ("XX",),
     "gate_set": GATE_KINDS,
     "version": VERSION,
-    # The server's limits: shots per run, register wires, frame bytes, wires
-    # of a homomorphic run, the claw function's size and RSP rounds per batch.
-    "max_shots": MAX_SHOTS,
+    # The server's limits: register wires, frame bytes, wires of a homomorphic
+    # run, the claw function's size and RSP rounds per batch.
     "max_qubits": MAX_QUBITS,
     "max_frame": MAX_FRAME,
     "max_wires": MAX_WIRES,
@@ -650,11 +643,10 @@ class ServerSession:
             self.qubits.pop(qid, None)
 
     def _on_runrequest(self, p: dict) -> None:
-        """Run the circuit on the request's padded input and read out each shot.
-        A homomorphic run (one shot) takes one queued gadget per T gate, at
-        levels 1..t in order, and also returns the measured wires' updated
-        (a, b) pairs in ``wires`` order; a compensated-circuit run leaves keys
-        with the client."""
+        """Run the circuit on the request's padded input and read it out once.
+        A homomorphic run takes one queued gadget per T gate, at levels 1..t in
+        order, and also returns the measured wires' updated (a, b) pairs in
+        ``wires`` order; a compensated-circuit run leaves keys with the client."""
         circuit, spec, wires = circuit_from_json(p["circuit"]), p["measure"], p["measure"]["wires"]
         out = amps_from_json(p["amps"], p["num_wires"])
         if p["use_gadgets"]:
@@ -669,31 +661,22 @@ class ServerSession:
             out = cs.register
         else:
             out = apply_circuit(out, circuit)
-        values, bits = [], []
-        for _ in range(p["shots"]):
-            if spec["type"] == "xx":
-                values.append(expectation(out, PauliString(("X", "X"), wires)))
-                continue
-            row, state = [], out
+        if spec["type"] == "xx":
+            self._reply("ShotResults", {"value": expectation(out, PauliString(("X", "X"), wires))})
+        else:
+            bits = []
             for w in wires:
-                bit, state = measure(state, w, spec["basis"], self.rng)
-                row.append(bit)
-            bits.append(row)
-        self._reply("ShotResults", {"values": values, "bits": bits})
+                bit, out = measure(out, w, spec["basis"], self.rng)
+                bits.append(bit)
+            self._reply("ShotResults", {"bits": bits})
         if p["use_gadgets"]:
             pairs = [cs.encrypted_keys[w] for w in wires]
             row = [[ct_to_hex(a), ct_to_hex(b)] for a, b in pairs]
             self._reply("EncKeysUpdate", {"enc_keys": [row], "level": cs.level})
 
-    def _on_paramupdate(self, p: dict) -> None:
-        self._reply("ParamUpdate", {"ok": True})
-
     def _on_done(self, p: dict) -> None:
         self.phase = "done"
         self._reply("Done", {})
-        self.closed = True
-
-    def _on_error(self, p: dict) -> None:
         self.closed = True
 
 
@@ -906,37 +889,26 @@ class ClientSession:
         enc_keys: tuple[tuple[HECiphertext, HECiphertext], ...] | None,
         circuit: list[Gate],
         measure_spec: dict,
-        shots: int = 1,
-    ) -> tuple[dict, dict | None]:
-        """Run ``circuit`` on the padded ``register``: homomorphically, on the
-        gadgets provisioned for it, when ``enc_keys`` holds the register's
-        level-0 key pairs. Returns the validated readouts and, for a
-        homomorphic run, its updated keys, the key ciphertexts decoded."""
+    ) -> tuple[float | tuple[int, ...], dict | None]:
+        """Run ``circuit`` once on the padded ``register``: homomorphically, on
+        the gadgets provisioned for it, when ``enc_keys`` holds the register's
+        level-0 key pairs. Returns the validated readout (an ``xx`` value or a
+        row of ``bits``) and, for a homomorphic run, its updated keys, the key
+        ciphertexts decoded."""
         payload = {"num_wires": register.num_qubits, "amps": amps_to_json(register),
                    "circuit": circuit_to_json(circuit), "measure": measure_spec,
-                   "use_gadgets": enc_keys is not None, "shots": shots}
+                   "use_gadgets": enc_keys is not None}
         if enc_keys is not None:
             payload["enc_keys"] = [[ct_to_hex(a), ct_to_hex(b)] for a, b in enc_keys]
-        xx = measure_spec["type"] == "xx"
-        bounds = {"shots": shots, "wires": len(measure_spec["wires"])}
-        results = self._ask("RunRequest", payload, "ShotResults",
-                            xx_rows=shots * xx, bit_rows=shots * (not xx), **bounds).payload
+        wires = len(measure_spec["wires"])
+        readout = self._ask("RunRequest", payload, "ShotResults", wires=wires).payload
+        field = "value" if measure_spec["type"] == "xx" else "bits"
+        if field not in readout:
+            raise ProtocolError("payload", f"expected a {field} readout")
         if enc_keys is None:
-            return results, None
-        keys = self._recv("EncKeysUpdate", t_count=t_count(circuit), **bounds)
-        return results, keys.payload
-
-    def param_update(self, theta, w, bias: float, epoch: int) -> None:
-        self._ask(
-            "ParamUpdate",
-            {
-                "theta": np.asarray(theta, dtype=float).tolist(),
-                "w": np.asarray(w, dtype=float).tolist(),
-                "b": float(bias),
-                "epoch": int(epoch),
-            },
-            "ParamUpdate",
-        )
+            return readout[field], None
+        keys = self._recv("EncKeysUpdate", t_count=t_count(circuit), wires=wires)
+        return readout[field], keys.payload
 
     def done(self) -> None:
         try:
@@ -953,13 +925,12 @@ def _homomorphic_step(session: ClientSession, spec: dict):
     """The server step of ``vqa.delegated_run`` over the session: one
     homomorphic run read out as the measure ``spec`` asks (an ``xx`` value or
     a row of ``bits``), and its measured wires' updated keys."""
-    field = "values" if spec["type"] == "xx" else "bits"
 
     def server_run(cs, circuit, wires, _ek, _rng):
-        results, keys = session.request_run(
+        readout, keys = session.request_run(
             cs.register, cs.encrypted_keys, circuit, {**spec, "wires": list(wires)}
         )
-        return results[field][0], keys["level"], dict(zip(wires, keys["enc_keys"][0]))
+        return readout, keys["level"], dict(zip(wires, keys["enc_keys"][0]))
 
     return server_run
 
@@ -986,7 +957,7 @@ def client_qhe_run(
         bits, flips = delegated_run(
             session.provision, server_run, state, circuit, measure_wires, basis, rng
         )
-        corrected.append({w: bit ^ f for w, bit, f in zip(measure_wires, bits.tolist(), flips)})
+        corrected.append({w: bit ^ f for w, bit, f in zip(measure_wires, bits, flips)})
     return corrected
 
 
@@ -1002,7 +973,7 @@ def make_exact_evaluator(session: ClientSession):
 
     def server_run(register, circuit, wires):
         spec = {"type": "xx", "wires": list(wires)}
-        return session.request_run(register, None, circuit, spec)[0]["values"][0]
+        return session.request_run(register, None, circuit, spec)[0]
 
     return exact_evaluator(server_run)
 
@@ -1031,13 +1002,11 @@ def run_client(channel: Channel, dataset, config):
     """Drive a full delegated training session over an open channel.
 
     Returns (model, metrics) exactly matching a local run with the same seed:
-    the delegated-exact mode routes every window evaluation through the
-    server, plaintext mode trains locally but still publishes parameters.
+    the delegated modes route every window evaluation through the server;
+    plaintext mode trains locally, so its session is the handshake and Done.
     """
     session = ClientSession(channel)
     session.hello(config.seed, config.mode)
-    session.open_rsp(0)
-    session.close_rsp()
 
     if config.mode == "plaintext":
         evaluator = None
@@ -1046,13 +1015,8 @@ def run_client(channel: Channel, dataset, config):
     else:
         evaluator = make_faithful_evaluator(session, config.eps_target)
 
-    def publish(model, entry):
-        session.param_update(model.theta, model.w, model.bias, entry.epoch)
-
     try:
-        model, metrics = train(
-            dataset, config, evaluator=evaluator, epoch_callback=publish
-        )
+        model, metrics = train(dataset, config, evaluator=evaluator)
     finally:
         session.done()
     return model, metrics

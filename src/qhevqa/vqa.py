@@ -64,7 +64,7 @@ class LabeledDataset:
 
 
 def load_digits_csv(path: str | None = None) -> LabeledDataset:
-    """Rows of at most 2^DIGITS_QUBITS comma-separated intensities, then a label."""
+    """Rows of at most 2^DIGITS_QUBITS finite comma-separated intensities, then a 0/1 label."""
     if path is None:
         ref = importlib.resources.files("qhevqa").joinpath("data/digits_01.csv")
         text = ref.read_text()
@@ -72,10 +72,14 @@ def load_digits_csv(path: str | None = None) -> LabeledDataset:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     samples = []
-    for row in csv.reader(text.strip().splitlines()):
+    for number, row in enumerate(csv.reader(text.strip().splitlines()), 1):
         if not row:
             continue
         values = [float(x) for x in row]
+        if not np.all(np.isfinite(values)):
+            raise VQAError(f"row {number}: values must be finite")
+        if values[-1] not in (0.0, 1.0):
+            raise VQAError(f"row {number}: label must be 0 or 1, got {row[-1]!r}")
         samples.append((np.array(values[:-1]), int(values[-1])))
     return LabeledDataset(tuple(samples), DIGITS_QUBITS)
 
@@ -470,13 +474,11 @@ def _evaluate(states, labels, model, config, rng, red=None, evaluator=None) -> t
 
 
 def train(
-    dataset: LabeledDataset, config: TrainConfig, evaluator=None, epoch_callback=None
+    dataset: LabeledDataset, config: TrainConfig, evaluator=None
 ) -> tuple[ShadowModel, list[EpochMetrics]]:
     """Minibatch gradient descent; deterministic given (seed, mode).
 
     ``evaluator`` defaults to the local evaluator of ``config.mode``.
-    ``epoch_callback(model, metrics_entry)`` fires after each epoch (e.g. to
-    publish updated parameters to the other protocol party).
     """
     if len(dataset) == 0:
         raise VQAError("empty dataset")
@@ -544,8 +546,6 @@ def train(
         if not np.isfinite(train_loss):
             raise VQAError(f"training diverged at epoch {epoch}")
         metrics.append(EpochMetrics(epoch, train_loss, train_acc, test_acc))
-        if epoch_callback is not None:
-            epoch_callback(model, metrics[-1])
     return model, metrics
 
 

@@ -101,6 +101,14 @@ class TestTrain:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["0.5,0.5,0.6", "nan,0.5,1"])
+    def test_unloadable_dataset_exits_2_before_training(self, tmp_path, capsys, row):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"1,2,0\n{row}\n")
+        rc = main(["train", "--epochs", "1", "--dataset", str(data)])
+        assert rc == 2
+        assert "error: could not load dataset" in capsys.readouterr().err
+
     def test_short_training_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(
@@ -168,24 +176,34 @@ class TestTrain:
             for ca, cb in zip(la.split(",")[1:], lb.split(",")[1:]):
                 assert float(ca) == pytest.approx(float(cb), abs=1e-6)
 
-    def test_plaintext_over_a_session_publishes_each_epoch(self, tmp_path, monkeypatch):
+    def test_sessions_send_only_what_the_server_reads(self, tmp_path, monkeypatch):
+        # A plaintext session is a handshake and its end; a delegated-exact
+        # one adds one RunRequest per window evaluation. No session sends an
+        # empty provisioning round or the trained parameters.
         from qhevqa import protocol
 
-        sessions, serve_inproc = [], protocol.serve_inproc
+        received, evaluations = [], []
+        dispatch, make_exact = protocol.ServerSession._dispatch, protocol.make_exact_evaluator
 
-        def serve():
-            channel, session, thread = serve_inproc()
-            sessions.append(session)
-            return channel, session, thread
+        def recording_dispatch(session, msg, size):
+            received.append(msg.kind)
+            dispatch(session, msg, size)
 
-        monkeypatch.setattr(protocol, "serve_inproc", serve)
+        def counting_evaluator(session):
+            evaluate = make_exact(session)
+            return lambda *args: (evaluations.append(1), evaluate(*args))[1]
+
+        monkeypatch.setattr(protocol.ServerSession, "_dispatch", recording_dispatch)
+        monkeypatch.setattr(protocol, "make_exact_evaluator", counting_evaluator)
         a, b = tmp_path / "a", tmp_path / "b"
-        common = ["train", "--epochs", "2", "--dataset", write_digits(tmp_path, 16)]
+        common = ["train", "--epochs", "1", "--dataset", write_digits(tmp_path, 16)]
         assert main([*common, "--out", str(a)]) == 0
         assert main([*common, "--transport", "inproc", "--out", str(b)]) == 0
-        (session,) = sessions
-        assert [p["epoch"] for kind, p in session.audit if kind == "ParamUpdate"] == [1, 2]
+        assert received == ["Hello", "Done"]
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+        received.clear()
+        assert main([*common, "--transport", "inproc", "--mode", "delegated-exact-gates"]) == 0
+        assert evaluations and received == ["Hello", *["RunRequest"] * len(evaluations), "Done"]
 
 
 class TestVerify:
@@ -314,6 +332,34 @@ class TestOptions:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--epochs", "0"],
+        ["train", "--epochs", "-3"],
+        ["gadget-demo", "--shots", "0"],
+        ["train", "--mode", "delegated-faithful", "--epsilon", "0"],
+        ["train", "--epsilon", "-0.1"],
+        ["train", "--epsilon", "nan"],
+        ["decompose", "--epsilon", "0"],
+        ["train", "--seed", "-1"],
+        ["gadget-demo", "--seed", "-1"],
+        ["train", "--transport", "tcp", "--port", "65536"],
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, argv, capsys):
+        # Each used to end in a traceback, some only after training began.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}" in err and "Traceback" not in err
+
+    def test_out_of_range_config_value_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "argument --epochs" in capsys.readouterr().err
 
     def test_train_manifest_records_the_run(self, tmp_path, capsys):
         data = write_digits(tmp_path, 8)
