@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -307,7 +308,14 @@ def write_training_svg(path: str, metrics) -> None:
 
 
 def cmd_train(args) -> int:
-    from .vqa import TrainConfig, load_digits_csv, train, write_metrics_csv
+    from .vqa import (
+        TrainConfig,
+        VQAError,
+        check_trainable,
+        load_digits_csv,
+        train,
+        write_metrics_csv,
+    )
 
     if args.dataset is not None and not os.path.exists(args.dataset):
         print(f"error: dataset not found: {args.dataset}", file=sys.stderr)
@@ -316,6 +324,11 @@ def cmd_train(args) -> int:
         dataset = load_digits_csv(args.dataset)
     except Exception as exc:  # noqa: BLE001
         print(f"error: could not load dataset: {exc}", file=sys.stderr)
+        return 2
+    try:
+        check_trainable(dataset)
+    except VQAError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     config = TrainConfig(
         mode=args.mode, seed=args.seed, eps_target=args.epsilon, epochs=args.epochs
@@ -333,7 +346,11 @@ def cmd_train(args) -> int:
     else:  # tcp
         from .protocol import TcpServer, connect_tcp, run_client
 
-        server = TcpServer(port=args.port).start()
+        try:
+            server = TcpServer(port=args.port).start()
+        except OSError as exc:
+            print(f"error: {exc.strerror}", file=sys.stderr)
+            return 2
         try:
             channel = connect_tcp(server.host, server.port)
             model, metrics = run_client(channel, dataset, config)
@@ -795,7 +812,7 @@ OPTIONS = {
     "dataset": dict(default=None),
     "out": dict(default=None),
     "axis": dict(default="X", help="rotation axis: X, Y or Z"),
-    "angle": dict(type=float, default=5.57),
+    "angle": dict(type=_checked(float, math.isfinite, "finite"), default=5.57),
     "epochs": dict(type=_checked(int, lambda v: v >= 1, "at least 1"), default=20),
     "negative-control": dict(
         action="store_true",

@@ -697,7 +697,13 @@ class TcpServer:
         self.host = host or env_host
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.listener.bind((self.host, env_port if port is None else port))
+        port = env_port if port is None else port
+        try:
+            self.listener.bind((self.host, port))
+        except OSError as exc:
+            self.listener.close()
+            detail = f"cannot listen on {self.host}:{port}: {exc.strerror}"
+            raise OSError(exc.errno, detail) from exc
         self.port = self.listener.getsockname()[1]
         # Sessions still running and their threads; each leaves when its run returns.
         self.sessions: set[ServerSession] = set()

@@ -35,13 +35,19 @@ class DecompositionError(Exception):
 def trace_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Phase-invariant distance sqrt(1 - |tr(U^dag V)|/2) on 2x2 unitaries."""
     overlap = abs(np.trace(u.conj().T @ v)) / 2.0
+    if not np.isfinite(overlap):  # min() below would turn NaN into distance 0
+        return float("nan")
     return float(np.sqrt(max(0.0, 1.0 - min(1.0, overlap))))
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
-        raise DecompositionError("input must be a 2x2 unitary within 1e-10")
+    if (
+        u.shape != (2, 2)
+        or not np.all(np.isfinite(u))
+        or np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10
+    ):
+        raise DecompositionError("input must be a finite 2x2 unitary within 1e-10")
     return u
 
 
@@ -322,6 +328,8 @@ def decompose_circuit(
             out.append(g)
             total_t += 1 if g.kind in ("T", "Tdagger") else 0
             continue
+        if not np.isfinite(g.angle):
+            raise DecompositionError(f"{g.kind} angle must be finite, got {g.angle}")
         u = ROTATION_1Q[g.kind](g.angle)
         seq = None
         for depth in range(max_depth + 1):

@@ -2,13 +2,17 @@
 amplitude-encoded register, <X x X> shadow features, sigmoid read-out, and
 cross-entropy training by parameter shift or central differences.
 
-Three evaluation modes share one training loop. ``plaintext`` simulates the
-windows directly. ``delegated-exact-gates`` runs every window on a one-time-
-padded register with client-compensated rotation angles, reading the
-expectation off the cipher register and correcting its sign from the pad --
-numerically identical to plaintext, demonstrating encryption transparency.
-``delegated-faithful`` first rewrites the window into Clifford+T and runs the
-full homomorphic evaluation with gadgets.
+Three evaluation modes share one training loop and differ only in the
+window reader ``_reader``, through which features, training features and
+shifted-parameter windows are all read. ``plaintext`` traces each window's
+Heisenberg-picture observable against the samples' stacked reduced states.
+The delegated modes call a window evaluator once per window and sample:
+``delegated-exact-gates`` runs every window on a one-time-padded register
+with client-compensated rotation angles, reading the expectation off the
+cipher register and correcting its sign from the pad -- numerically identical
+to plaintext, demonstrating encryption transparency. ``delegated-faithful``
+first rewrites the window into Clifford+T and runs the full homomorphic
+evaluation with gadgets.
 """
 from __future__ import annotations
 
@@ -125,7 +129,10 @@ def build_shadow_circuit(model: ShadowModel, v: int) -> list[Gate]:
     """Two-qubit parameterized block on wires (v-1, v), v in 1..n-1."""
     if not 1 <= v < model.n:
         raise VQAError(f"window start {v} out of range 1..{model.n - 1}")
-    row = model.theta[theta_row(v)]
+    return _window_circuit(model.theta[theta_row(v)], v)
+
+
+def _window_circuit(row: np.ndarray, v: int) -> list[Gate]:
     a, b = v - 1, v
     return [
         gate("RX", a, angle=row[0]),
@@ -282,6 +289,47 @@ def window_evaluator(mode: str, eps_target: float = DEFAULT_EPS_TARGET):
     return faithful_evaluator(_provision_local, _run_homomorphic_local, eps_target)
 
 
+def _reduced_stack(states: list[StateVector], n: int) -> list[np.ndarray]:
+    """Per window, the stacked 2-qubit reduced states of every sample."""
+    return [
+        np.stack([_window_reduced(s, (v - 1, v)) for s in states]) for v in range(1, n)
+    ]
+
+
+def _reader(states: list[StateVector], n: int, evaluator, rng, red=None):
+    """The one place plaintext and delegated evaluation differ: ``read(rows,
+    pairs)`` gives, per (k, v) pair, window v's <X x X> under theta row
+    ``rows[k]`` for every state as an (N,) array. Plaintext (``evaluator``
+    None) builds every row's observable in one call and traces it against the
+    stacked reduced states ``red``; delegated calls ``evaluator`` once per
+    pair and state, pair-major."""
+    if evaluator is None:
+        if red is None:
+            red = _reduced_stack(states, n)
+
+        def read(rows, pairs):
+            obs = _row_observables(rows)
+            return [np.real(np.einsum("nij,ji->n", red[v - 1], obs[k])) for k, v in pairs]
+
+        return read
+    if rng is None:
+        raise VQAError("delegated modes need an rng for pad keys")
+
+    def read(rows, pairs):
+        out = []
+        for k, v in pairs:
+            circuit, wires = _window_circuit(rows[k], v), (v - 1, v)
+            out.append(np.array([evaluator(s, circuit, wires, rng) for s in states]))
+        return out
+
+    return read
+
+
+def _features(read, model: ShadowModel) -> np.ndarray:
+    """(N, windows): every window's <X x X> under its own theta row."""
+    return np.stack(read(model.theta, [(theta_row(v), v) for v in range(1, model.n)]), axis=1)
+
+
 def shadow_features(
     state: StateVector,
     model: ShadowModel,
@@ -299,35 +347,7 @@ def shadow_features(
         raise VQAError(f"state width {state.num_qubits} != model width {model.n}")
     if evaluator is None:
         evaluator = window_evaluator(mode, eps_target)
-    if evaluator is not None and rng is None:
-        raise VQAError("delegated modes need an rng for pad keys")
-    out = np.empty(model.num_windows)
-    if evaluator is None:
-        obs = _row_observables(model.theta)
-        for v in range(1, model.n):
-            red = _window_reduced(state, (v - 1, v))
-            out[v - 1] = np.real(np.trace(red @ obs[theta_row(v)]))
-        return out
-    for v in range(1, model.n):
-        circuit = build_shadow_circuit(model, v)
-        out[v - 1] = evaluator(state, circuit, (v - 1, v), rng)
-    return out
-
-
-def _reduced_stack(states: list[StateVector], n: int) -> list[np.ndarray]:
-    """Per window, the stacked 2-qubit reduced states of every sample."""
-    return [
-        np.stack([_window_reduced(s, (v - 1, v)) for s in states]) for v in range(1, n)
-    ]
-
-
-def _features_from_reduced(red: list[np.ndarray], model: ShadowModel) -> np.ndarray:
-    obs = _row_observables(model.theta)
-    cols = [
-        np.real(np.einsum("nij,ji->n", red[v - 1], obs[theta_row(v)]))
-        for v in range(1, model.n)
-    ]
-    return np.stack(cols, axis=1)
+    return _features(_reader([state], model.n, evaluator, rng), model)[0]
 
 
 # --- read-out, loss, gradients ----------------------------------------------
@@ -373,19 +393,6 @@ class TrainConfig:
             raise VQAError(f"unknown gradient method {self.grad_method!r}")
 
 
-def _batch_features(states, model, config, rng, red=None, evaluator=None) -> np.ndarray:
-    if evaluator is None:
-        if red is None:
-            red = _reduced_stack(states, model.n)
-        return _features_from_reduced(red, model)
-    return np.stack(
-        [
-            shadow_features(s, model, config.mode, rng, config.eps_target, evaluator)
-            for s in states
-        ]
-    )
-
-
 def _shifted_rows(theta: np.ndarray, shift: float) -> np.ndarray:
     """(2, 8, 4): each theta row with column c moved by +shift, then -shift."""
     rows = np.repeat(theta[:, None, :], 8, axis=1)
@@ -416,9 +423,8 @@ def gradients(
     """
     if evaluator is None:
         evaluator = window_evaluator(config.mode, config.eps_target)
-    if evaluator is None and red is None:
-        red = _reduced_stack(states, model.n)
-    feats = _batch_features(states, model, config, rng, red, evaluator)
+    read = _reader(states, model.n, evaluator, rng, red)
+    feats = _features(read, model)
     y_hat = np.array([predict(o, model.w, model.bias) for o in feats])
     resid = y_hat - labels  # d loss / d logit, up to the 1/N average
     d_w = feats.T @ resid / len(states)
@@ -430,30 +436,16 @@ def gradients(
         shift, denom = FD_STEP, 2.0 * FD_STEP
     d_theta = np.zeros((2, 4))
     scale = denom * len(states)
-    if evaluator is None:
-        # Every shifted observable in one build: obs[r, 2 * c + k] for sign k.
-        obs = _row_observables(_shifted_rows(model.theta, shift))
-    for r in range(2):
-        windows = [v for v in range(1, model.n) if theta_row(v) == r]
-        for c in range(4):
-            for k, sgn in enumerate((+1, -1)):
-                # d o_v / d theta_rc feeds the chain rule directly:
-                # dC/dtheta = mean(resid * w_v * do_v).
-                if evaluator is None:
-                    for v in windows:
-                        vals = np.real(np.einsum("nij,ji->n", red[v - 1], obs[r, 2 * c + k]))
-                        d_theta[r, c] += sgn * model.w[v - 1] * float(
-                            np.dot(resid, vals)
-                        ) / scale
-                    continue
-                shifted = model.copy()
-                shifted.theta[r, c] += sgn * shift
-                for v in windows:
-                    circuit = build_shadow_circuit(shifted, v)
-                    wires = (v - 1, v)
-                    for m, state in enumerate(states):
-                        val = evaluator(state, circuit, wires, rng)
-                        d_theta[r, c] += sgn * resid[m] * model.w[v - 1] * val / scale
+    # Row 8 r + 2 c + k is theta row r with column c moved by (+1, -1)[k] shift;
+    # each feeds only the windows of row r.
+    rows = _shifted_rows(model.theta, shift).reshape(16, 4)
+    windows = [[v for v in range(1, model.n) if theta_row(v) == r] for r in range(2)]
+    pairs = [(i, v) for i in range(16) for v in windows[i // 8]]
+    for (i, v), vals in zip(pairs, read(rows, pairs)):
+        # d o_v / d theta_rc feeds the chain rule directly:
+        # dC/dtheta = mean(resid * w_v * do_v).
+        sgn = 1 - 2 * (i % 2)
+        d_theta[i // 8, i % 8 // 2] += sgn * model.w[v - 1] * float(np.dot(resid, vals)) / scale
     return d_theta, d_w, d_b
 
 
@@ -465,12 +457,10 @@ class EpochMetrics:
     test_acc: float
 
 
-def _evaluate(states, labels, model, config, rng, red=None, evaluator=None) -> tuple[float, float]:
-    feats = _batch_features(states, model, config, rng, red, evaluator)
-    y_hat = np.array([predict(o, model.w, model.bias) for o in feats])
-    loss = cross_entropy(y_hat, labels)
-    acc = float(np.mean((y_hat >= 0.5).astype(int) == labels))
-    return loss, acc
+def check_trainable(dataset: LabeledDataset) -> None:
+    """Training holds out at least one sample and needs one more to train on."""
+    if len(dataset) < 2:
+        raise VQAError(f"training needs at least 2 samples, got {len(dataset)}")
 
 
 def train(
@@ -480,8 +470,7 @@ def train(
 
     ``evaluator`` defaults to the local evaluator of ``config.mode``.
     """
-    if len(dataset) == 0:
-        raise VQAError("empty dataset")
+    check_trainable(dataset)
     if evaluator is None:
         evaluator = window_evaluator(config.mode, config.eps_target)
     seq = np.random.SeedSequence(config.seed)
@@ -508,6 +497,13 @@ def train(
             return None
         return [r[idx] for r in red_all]
 
+    def evaluate(idx) -> tuple[float, float]:
+        """(loss, accuracy) of the current model on the samples ``idx``."""
+        read = _reader([states[i] for i in idx], dataset.n, evaluator, eval_rng, red_rows(idx))
+        y_hat = np.array([predict(o, model.w, model.bias) for o in _features(read, model)])
+        acc = float(np.mean((y_hat >= 0.5).astype(int) == labels[idx]))
+        return cross_entropy(y_hat, labels[idx]), acc
+
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.epochs + 1):
         shuffled = data_rng.permutation(train_idx)
@@ -525,24 +521,8 @@ def train(
             model.theta -= LEARNING_RATE * d_theta
             model.w -= LEARNING_RATE * d_w
             model.bias -= LEARNING_RATE * d_b
-        train_loss, train_acc = _evaluate(
-            [states[i] for i in train_idx],
-            labels[train_idx],
-            model,
-            config,
-            eval_rng,
-            red_rows(train_idx),
-            evaluator,
-        )
-        _, test_acc = _evaluate(
-            [states[i] for i in test_idx],
-            labels[test_idx],
-            model,
-            config,
-            eval_rng,
-            red_rows(test_idx),
-            evaluator,
-        )
+        train_loss, train_acc = evaluate(train_idx)
+        _, test_acc = evaluate(test_idx)
         if not np.isfinite(train_loss):
             raise VQAError(f"training diverged at epoch {epoch}")
         metrics.append(EpochMetrics(epoch, train_loss, train_acc, test_acc))

@@ -11,6 +11,7 @@ import pytest
 import qhevqa
 from qhevqa.cli import (
     ANALYTIC_P0,
+    TRANSPORTS,
     build_parser,
     gadget_demo,
     load_config_file,
@@ -108,6 +109,53 @@ class TestTrain:
         rc = main(["train", "--epochs", "1", "--dataset", str(data)])
         assert rc == 2
         assert "error: could not load dataset" in capsys.readouterr().err
+
+    def test_too_few_samples_exit_2_before_any_session(self, tmp_path, capsys, monkeypatch):
+        # Zero samples used to end in an "empty dataset" traceback and one in
+        # "training diverged", both after a delegated session had opened.
+        from qhevqa import protocol
+
+        def no_session(*_args, **_kwargs):
+            raise AssertionError("a session opened")
+
+        monkeypatch.setattr(protocol, "serve_inproc", no_session)
+        monkeypatch.setattr(protocol, "TcpServer", no_session)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        for data, size in ((str(empty), 0), (write_digits(tmp_path, 1), 1)):
+            for transport in TRANSPORTS:
+                rc = main(["train", "--epochs", "1", "--transport", transport, "--dataset", data])
+                assert rc == 2
+                err = capsys.readouterr().err
+                assert f"error: training needs at least 2 samples, got {size}" in err
+
+    def test_busy_port_exits_2_and_closes_its_socket(self, tmp_path, capsys, monkeypatch):
+        # A port already listening used to end in an EADDRINUSE traceback,
+        # leaving the socket whose bind failed open.
+        import socket
+
+        from qhevqa import protocol
+
+        opened = []
+
+        class Recording(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        data = write_digits(tmp_path, 4)
+        host = protocol.default_endpoint()[0]
+        with socket.socket() as busy:
+            busy.bind((host, 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            monkeypatch.setattr(socket, "socket", Recording)
+            rc = main(["train", "--epochs", "1", "--transport", "tcp", "--port", str(port),
+                       "--dataset", data])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot listen on {host}:{port}: " in err and "Traceback" not in err
+        assert len(opened) == 1 and opened[0].fileno() == -1
 
     def test_short_training_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -344,6 +392,8 @@ class TestOptions:
         ["train", "--seed", "-1"],
         ["gadget-demo", "--seed", "-1"],
         ["train", "--transport", "tcp", "--port", "65536"],
+        ["decompose", "--angle", "nan"],
+        ["decompose", "--angle", "inf"],
     ])
     def test_out_of_range_value_is_a_usage_error(self, argv, capsys):
         # Each used to end in a traceback, some only after training began.

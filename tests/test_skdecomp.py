@@ -44,6 +44,17 @@ class TestTraceDistance:
         with pytest.raises(DecompositionError):
             sk_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]), 0, default_net())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_has_no_distance(self, bad):
+        # NaN used to read as distance 0, certifying anything against it.
+        h = FIXED_1Q["H"]
+        broken = np.full((2, 2), bad, dtype=complex)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the product
+            assert np.isnan(trace_distance(broken, h))
+            assert np.isnan(trace_distance(h, broken))
+        with pytest.raises(DecompositionError):
+            sk_decompose(broken, 0, default_net())
+
 
 class TestSimplify:
     def test_preserves_unitary(self):
@@ -176,6 +187,12 @@ class TestDecompose:
     def test_unreachable_target_raises(self):
         with pytest.raises(DecompositionError):
             decompose_circuit([gate("RX", 0, angle=0.917)], eps_target=1e-9, max_depth=1)
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rotation_raises(self, angle):
+        # A NaN angle used to come back as an empty, "certified" sequence.
+        with pytest.raises(DecompositionError):
+            decompose_circuit([gate("RX", 0, angle=angle)])
 
     def test_zero_rotation_collapses(self):
         out, t_total = decompose_circuit([gate("RZ", 0, angle=0.0)])

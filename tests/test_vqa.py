@@ -17,10 +17,13 @@ from qhevqa.simulator import (
 from qhevqa.vqa import (
     LabeledDataset,
     REFERENCE_THETA_INIT,
+    SHIFT_ALPHA,
     ShadowModel,
     TrainConfig,
     VQAError,
     _compensate,
+    _features,
+    _reader,
     _row_observables,
     _shifted_rows,
     _window_reduced,
@@ -192,6 +195,34 @@ class TestFeatures:
         np.testing.assert_allclose(feats, 0.25)
         assert calls == [(0, 1), (1, 2), (2, 3)]
 
+    def test_delegated_gradient_call_order(self):
+        # One step over 2 samples and 4 wires: the batch features window by
+        # window, then the 16 shifted rows in row, window, sample order.
+        rng = np.random.default_rng(8)
+        model = small_model()
+        states = [rand_state(4, rng) for _ in range(2)]
+        calls = []
+
+        def fake(state, circuit, wires, _rng):
+            sample = next(m for m, s in enumerate(states) if s is state)
+            calls.append((sample, wires, tuple(g.angle for g in circuit if g.angle is not None)))
+            return 0.25
+
+        config = TrainConfig(mode="delegated-exact-gates")
+        gradients(states, np.array([0.0, 1.0]), model, config, rng, evaluator=fake)
+        windows = {0: [(0, 1), (2, 3)], 1: [(1, 2)]}
+        shifted = _shifted_rows(model.theta, SHIFT_ALPHA)
+        want = [
+            (m, (v - 1, v), tuple(model.theta[theta_row(v)])) for v in (1, 2, 3) for m in (0, 1)
+        ] + [
+            (m, wires, tuple(shifted[r, j]))
+            for r in (0, 1)
+            for j in range(8)
+            for wires in windows[r]
+            for m in (0, 1)
+        ]
+        assert calls == want
+
 
 class TestReadout:
     def test_predict_is_sigmoid(self):
@@ -227,9 +258,7 @@ class TestGradients:
         labels = np.array([0.0, 1.0, 0.0, 1.0])
         config = TrainConfig()
         _, d_w, d_b = gradients(states, labels, model, config)
-        from qhevqa.vqa import _batch_features
-
-        feats = _batch_features(states, model, config, None)
+        feats = np.stack([shadow_features(s, model) for s in states])
         eps = 1e-6
         for j in range(len(model.w)):
             up, dn = model.copy(), model.copy()
@@ -255,15 +284,18 @@ class TestGradients:
 class TestStackedObservables:
     """The plaintext path builds each window observable once per theta row.
 
-    The digests were recorded with the per-window, per-shift builder the
-    stack replaced (NumPy 2.4, OpenBLAS, x86-64); the stack must reproduce
-    its bits.
+    The gradient digests were recorded with the per-window, per-shift
+    builder the stack replaced (NumPy 2.4, OpenBLAS, x86-64); the stack must
+    reproduce its bits. The features digest is that of the training path's
+    stacked trace, which ``shadow_features`` now shares; the 4x4 matrix
+    trace it used before differed from it in the last bit of 38 of these 80
+    features.
     """
 
     GOLDEN = {
         "parameter-shift": "67073e7cd78a865bfee23763696b17fc90fccc54264938199803fdf48e8f9777",
         "central-difference": "91dcc7ff262858baa0ac0f81157cc85cd74ae7c34fe1a55a70090a309de21e50",
-        "features": "7539b5f15cc7298903ac59a792aa6f29c8afd6d2607c67b1ecc7c9723ff2b555",
+        "features": "ecf1b96cda9794589ef8296ad55c6487b661c7b7f9b11bf86b1dbac86e09650d",
     }
 
     @staticmethod
@@ -291,6 +323,15 @@ class TestStackedObservables:
             for state in states:
                 digest.update(shadow_features(state, model).tobytes())
         assert digest.hexdigest() == self.GOLDEN["features"]
+
+    def test_features_equal_training_rows_bit_for_bit(self):
+        # shadow_features and training read plaintext windows through the
+        # same stacked trace, so a sample's features are the same bits.
+        for seed in range(4):
+            states, _, model = self.digits_batch(seed)
+            rows = _features(_reader(states, model.n, None, None), model)
+            for state, row in zip(states, rows):
+                assert shadow_features(state, model).tobytes() == row.tobytes()
 
     def test_shifted_stack_matches_full_simulation(self):
         rng = np.random.default_rng(7)
@@ -325,8 +366,11 @@ class TestTraining:
         assert met1[-1].loss < met1[0].loss
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(VQAError):
-            train(LabeledDataset((), 2), TrainConfig())
+        # One sample leaves none to train on once one is held out.
+        ds = load_digits_csv()
+        for size in (0, 1):
+            with pytest.raises(VQAError, match="at least 2 samples"):
+                train(LabeledDataset(ds.samples[:size], ds.n), TrainConfig())
 
     def test_metrics_csv_format(self, tmp_path):
         ds = load_digits_csv()
