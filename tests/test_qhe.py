@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qhevqa import qhe
+from qhevqa.classical_he import ct_to_bytes
 from qhevqa.qhe import (
     QHEError,
     decrypt_flips,
@@ -243,6 +244,25 @@ class TestOnePassDecryption:
         )
         assert keys.hexdigest() == (
             "2a386c84799f86160a213d8d11b412c01dc59674afa35bb78b0db80d9437b5e2"
+        )
+
+    def test_deep_keygen_bytes_are_pinned(self):
+        # Every gadget ciphertext and every encrypted pad key of two deep
+        # circuits: the twists and keystream bits keygen plans for 200 T/T†.
+        digest = hashlib.sha256()
+        for seed in range(2):
+            rng = np.random.default_rng(100 + seed)
+            circ = deep_circuit(rng)
+            client, server = keygen(16, 4, circ, rng)
+            cs, _ = encrypt(client, rand_state(4, rng), rng)
+            for g in server.gadgets:
+                for ct in (*g.x_ct, *g.z_ct, *g.e_ct[0], *g.e_ct[1]):
+                    digest.update(ct_to_bytes(ct))
+            for pair in cs.encrypted_keys:
+                for ct in pair:
+                    digest.update(ct_to_bytes(ct))
+        assert digest.hexdigest() == (
+            "58489fb92da926fd9bfa8b9370ce825b5926bdbade9c8eb3942eff55e0e53308"
         )
 
     def test_one_decrypt_pass_per_request(self, monkeypatch):
