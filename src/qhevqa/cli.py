@@ -194,7 +194,7 @@ def decompose_report_tallies(angle: float, axis: str = "X") -> dict:
     from .simulator import ROTATION_1Q
     from .skdecomp import REPORT_DEPTH, default_net, sk_decompose, trace_distance
 
-    u = ROTATION_1Q[f"R{axis.upper()}"](angle)
+    u = ROTATION_1Q[f"R{axis}"](angle)
     seq = sk_decompose(u, REPORT_DEPTH, default_net())
     return {
         "T": seq.t_count,
@@ -208,10 +208,7 @@ def cmd_decompose(args) -> int:
     from .simulator import ROTATION_1Q
     from .skdecomp import decompose_circuit, trace_distance
 
-    kind = f"R{args.axis.upper()}"
-    if kind not in ROTATION_1Q:
-        print(f"error: axis must be one of X, Y, Z, got {args.axis!r}", file=sys.stderr)
-        return 1
+    kind = f"R{args.axis}"
     target = ROTATION_1Q[kind](args.angle)
     t0 = time.perf_counter()
     try:
@@ -397,7 +394,13 @@ def cmd_train(args) -> int:
 # Each property the acceptance suite states is one function here, returning
 # (ok, detail) and taking its sizes and seed (and the bounds that scale with
 # them) as parameters. ``verify`` runs them at small sizes and
-# ``tests/test_acceptance.py`` at the criteria's sizes.
+# ``tests/test_acceptance.py`` at the criteria's sizes. The time limits, the
+# same at every size, are constants.
+
+GADGET_CONTRACT_LIMIT_S = 1.0
+QHE_ROUNDTRIP_LIMITS_S = (60.0, 600.0)  # ideal, faithful
+SK_LIMIT_S = 120.0
+GRADIENT_LIMIT_S = 30.0
 
 
 def _random_state(n: int, rng: np.random.Generator) -> StateVector:
@@ -405,7 +408,7 @@ def _random_state(n: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, v / np.linalg.norm(v))
 
 
-def check_gadget_contract(shots: int, seed: int, band: float, limit: float = 1.0):
+def check_gadget_contract(shots: int, seed: int, band: float):
     """Acceptance 1: the direct and the gadget T-gate circuits both read P(0)
     within ``band`` of cos^2(pi/8)."""
     t0 = time.perf_counter()
@@ -413,10 +416,10 @@ def check_gadget_contract(shots: int, seed: int, band: float, limit: float = 1.0
     dt = time.perf_counter() - t0
     dev_direct = abs(report["direct"]["0"] - ANALYTIC_P0)
     dev_gadget = abs(report["gadget"]["0"] - ANALYTIC_P0)
-    ok = dev_direct <= band and dev_gadget <= band and dt < limit
+    ok = dev_direct <= band and dev_gadget <= band and dt < GADGET_CONTRACT_LIMIT_S
     return ok, (
         f"{shots} shots: direct dev {dev_direct:.4f}, gadget dev {dev_gadget:.4f} "
-        f"(band {band:g}), {dt:.2f} s (< {limit:g} s)"
+        f"(band {band:g}), {dt:.2f} s (< {GADGET_CONTRACT_LIMIT_S:g} s)"
     )
 
 
@@ -436,7 +439,7 @@ def _random_clifford_t_circuit(n: int, rng: np.random.Generator) -> list:
     return circ
 
 
-def check_qhe_roundtrip(count: int, seed: int, limits: tuple = (60.0, 600.0)):
+def check_qhe_roundtrip(count: int, seed: int):
     """Acceptance 2: ``count`` random Clifford+T circuits on 1-6 wires decrypt
     to the plaintext output with ideal RSP gadgets, then ``count`` more with
     claw-based (faithful) ones, all drawn from one generator."""
@@ -445,7 +448,7 @@ def check_qhe_roundtrip(count: int, seed: int, limits: tuple = (60.0, 600.0)):
 
     rng = np.random.default_rng(seed)
     ok, parts = True, []
-    for rsp_mode, limit in zip(("ideal", "faithful"), limits):
+    for rsp_mode, limit in zip(("ideal", "faithful"), QHE_ROUNDTRIP_LIMITS_S):
         t0 = time.perf_counter()
         worst = 1.0
         for _ in range(count):
@@ -563,7 +566,7 @@ def _check_he_roundtrip():
     return True, "200 random AND/XOR/NOT evaluations decrypt correctly"
 
 
-def check_sk(count: int, seed: int, min_improved: int, limit: float = 120.0):
+def check_sk(count: int, seed: int, min_improved: int):
     """Acceptance 5: ``count`` random X, Y or Z rotations synthesised at the
     default depth lie within 1e-2 of their target, at least
     ``min_improved`` of them closer than at depth 0, and RX(5.57) at the
@@ -585,15 +588,15 @@ def check_sk(count: int, seed: int, min_improved: int, limit: float = 120.0):
     tallies = decompose_report_tallies(5.57, "X")
     t_total = tallies["T"] + tallies["Tdagger"]
     dt = time.perf_counter() - t0
-    ok = worst <= 1e-2 and improved >= min_improved and 40 <= t_total <= 200 and dt < limit
+    ok = worst <= 1e-2 and improved >= min_improved and 40 <= t_total <= 200 and dt < SK_LIMIT_S
     return ok, (
         f"{count} rotations: worst certified distance {worst:.2e} (<= 1e-2), "
         f"{improved}/{count} improved with depth (>= {min_improved}), T+Tdagger "
-        f"{t_total} in [40, 200], {dt:.1f} s (< {limit:g} s)"
+        f"{t_total} in [40, 200], {dt:.1f} s (< {SK_LIMIT_S:g} s)"
     )
 
 
-def check_gradients(models: int, seed: int, limit: float = 30.0):
+def check_gradients(models: int, seed: int):
     """Acceptance 6: on ``models`` random 4-wire models, every parameter-shift
     gradient entry a matches its central difference b: |a - b| <= 1e-4 *
     max(|b|, 1e-2), relative 1e-4 away from zero and absolute 1e-6 near it."""
@@ -618,9 +621,10 @@ def check_gradients(models: int, seed: int, limit: float = 30.0):
             a, b = np.asarray(a), np.asarray(b)
             worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-2))) / 1e-4)
     dt = time.perf_counter() - t0
-    return worst <= 1.0 and dt < limit, (
+    return worst <= 1.0 and dt < GRADIENT_LIMIT_S, (
         f"{models} models: parameter-shift vs central-difference worst normalized "
-        f"deviation {worst:.3f} (<= 1, rel 1e-4 / abs 1e-6), {dt:.1f} s (< {limit:g} s)"
+        f"deviation {worst:.3f} (<= 1, rel 1e-4 / abs 1e-6), {dt:.1f} s "
+        f"(< {GRADIENT_LIMIT_S:g} s)"
     )
 
 
@@ -811,7 +815,8 @@ OPTIONS = {
     "port": dict(type=_checked(int, lambda v: 0 <= v <= 65535, "in 0..65535"), default=None),
     "dataset": dict(default=None),
     "out": dict(default=None),
-    "axis": dict(default="X", help="rotation axis: X, Y or Z"),
+    "axis": dict(type=str.upper, choices=("X", "Y", "Z"), default="X",
+                 help="rotation axis: X, Y or Z, in either case"),
     "angle": dict(type=_checked(float, math.isfinite, "finite"), default=5.57),
     "epochs": dict(type=_checked(int, lambda v: v >= 1, "at least 1"), default=20),
     "negative-control": dict(

@@ -8,7 +8,7 @@ from the matrix conjugation identity (``verify_conjugation`` is the oracle),
 so hand-transcription errors are structurally impossible. Each rule is kept
 only as its GF(2) linear form, found by probing the unit pads and checked
 against the oracle on every pad, and ``apply_rule`` evaluates that form for
-plain bits, ciphertexts and symbolic key flows alike.
+plain bits, ciphertexts and key generation's keystream parities alike.
 """
 from __future__ import annotations
 
@@ -163,7 +163,7 @@ def apply_rule(kind: str, bits, xor):
 
     ``bits`` supplies the current key values (2 or 4 of them); each output is
     the XOR, under ``xor``, of the inputs its linear form lists, so the same
-    form drives plain bits, ciphertext handles, and symbolic leaf sets.
+    form drives pad bits, ciphertext handles and keystream parity bits.
     """
     if kind not in _FORMS:
         raise FrameError(f"{kind} is not a tracked Clifford gate")

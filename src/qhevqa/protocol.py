@@ -70,7 +70,6 @@ from .rsp_gadget import (
     RSP_N,
     Gadget,
     GadgetError,
-    GadgetSecrets,
     assemble_gadget_state,
     claw_round,
     gen_gadget,
@@ -837,15 +836,16 @@ class ClientSession:
 
         return round_
 
-    def provision_gadget(self, pk_next, sk_enc, k_bit: int, rng, round_) -> GadgetSecrets:
+    def provision_gadget(self, pk_next, sk_enc, k_bit: int, rng, round_) -> tuple[int, int]:
         """Build one gadget on the server: RSP rounds, then one frame with the
-        pairs to couple, the rejected rounds to drop and the ciphertexts."""
+        pairs to couple, the rejected rounds to drop and the ciphertexts.
+        Returns the gadget's ``(dx, dz)`` keystream parities."""
         coupling = {}
 
         def couple(heads, tails, rejected):
             coupling.update(pairs=[list(pair) for pair in zip(heads, tails)], discard=rejected)
 
-        gadget, secrets = gen_gadget(pk_next, sk_enc, k_bit, rng, round_, couple)
+        gadget, parities = gen_gadget(pk_next, sk_enc, k_bit, rng, round_, couple)
         self._ask(
             "GadgetClassical",
             {
@@ -858,7 +858,7 @@ class ClientSession:
             },
             "GadgetClassical",
         )
-        return secrets
+        return parities
 
     def remote_keygen(
         self, num_wires: int, circuit: list[Gate], rng: np.random.Generator

@@ -10,9 +10,10 @@ the level chain.
 Because the modeled classical HE hides each bit behind a keystream parity,
 the gadget twist for position i must equal the keystream parity of the key
 ciphertext that will route it. Key generation therefore takes the public
-circuit, plans the key flow symbolically (the same derived rules evaluated
-over leaf-token sets), and pins the keystream bits that ``encrypt`` will use
-for the initial key leaves.
+circuit, plans the key flow over keystream parity bits (one bit per key: the
+pad-key updates are GF(2)-linear, so the same derived rules run on the
+parities), and pins the keystream bits that ``encrypt`` will use for the
+initial keys.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ from .rsp_gadget import (
     GADGET_QUBITS,
     RSP_BATCH,
     Gadget,
-    GadgetSecrets,
     claw_round,
     consume_gadget,
     gadget_key_update,
@@ -76,12 +76,12 @@ class EvalKey:
 
 @dataclass(frozen=True)
 class ClientKeys:
-    """Client-side bundle: the secret-key chain and the key-flow plan."""
+    """Client-side bundle: the secret-key chain and the seed of the key-flow
+    plan over keystream parity bits, one (a, b) pair per wire that
+    ``encrypt`` gives the wire's initial key ciphertexts."""
 
     triples: tuple[HEKeyTriple, ...]
-    init_stream_bits: dict[tuple[int, str], int]
-    gadget_secrets: tuple[GadgetSecrets, ...]
-    num_wires: int
+    init_stream_bits: tuple[tuple[int, int], ...]
 
     @property
     def levels(self) -> int:
@@ -126,16 +126,19 @@ def keygen(
 ) -> tuple[ClientKeys, EvalKey]:
     """Generate the level chain and one twisted gadget per T / Tdagger.
 
-    The symbolic key-flow pass mirrors evaluation over leaf-token sets so each
-    gadget's twist equals the keystream parity its routing ciphertext will
-    have at run time, independent of pad values and runtime outcomes.
+    The key-flow pass mirrors evaluation over keystream parity bits, one per
+    key, so each gadget's twist equals the keystream parity its routing
+    ciphertext will have at run time, independent of pad values and runtime
+    outcomes.
 
     ``gadget_factory(pk_next, sk_enc, k_bit)`` may replace local gadget
-    generation; a remote factory (the wire protocol, claw-based rounds only)
-    provisions the gadget on the server and returns ``(None, secrets)``, in
-    which case the returned EvalKey carries no gadget states. Local claw-based
-    gadgets (``rsp_mode="faithful"``) share one pool of rounds, filled
-    ``RSP_BATCH`` at a time; the ideal sampler draws one round at a time.
+    generation. It returns the gadget and ``(dx, dz)``, the keystream parities
+    the gadget's corrections add to the wire's a and b keys. A remote factory
+    (the wire protocol, claw-based rounds only) provisions the gadget on the
+    server and returns ``(None, (dx, dz))``, in which case the returned
+    EvalKey carries no gadget states. Local claw-based gadgets
+    (``rsp_mode="faithful"``) share one pool of rounds, filled ``RSP_BATCH``
+    at a time; the ideal sampler draws one round at a time.
     """
     _check_circuit(circuit, num_wires)
     n_gadgets = t_count(circuit)
@@ -157,41 +160,25 @@ def keygen(
         def gadget_factory(pk_next, sk_enc, k_bit):
             return gen_gadget(pk_next, sk_enc, k_bit, rng, round_)
 
-    stream_bits: dict = {}
-    symbols: list[tuple[frozenset, frozenset]] = []
-    for w in range(num_wires):
-        for comp in ("a", "b"):
-            stream_bits[("init", w, comp)] = int(rng.integers(2))
-        symbols.append((frozenset([("init", w, "a")]), frozenset([("init", w, "b")])))
-
+    init_stream_bits = tuple(
+        (int(rng.integers(2)), int(rng.integers(2))) for _ in range(num_wires)
+    )
+    parity = list(init_stream_bits)
     gadgets: list[Gadget] = []
-    secrets: list[GadgetSecrets] = []
     for g in circuit:
         if g.kind in CLIFFORD_KINDS:
-            update_keys(symbols, g, xor)
+            update_keys(parity, g, xor)
             continue
-        i = len(gadgets)
         (w,) = g.wires
-        a, b = symbols[w]
-        k_bit = 0
-        for token in a:
-            k_bit ^= stream_bits[token]
-        gadget, sec = gadget_factory(triples[i + 1].pk, sk_encs[i], k_bit)
+        ka, kb = parity[w]
+        i = len(gadgets)
+        gadget, (dx, dz) = gadget_factory(triples[i + 1].pk, sk_encs[i], ka)
         gadgets.append(gadget)
-        secrets.append(sec)
-        stream_bits[("gx", i)] = sec.x_stream
-        stream_bits[("gz", i)] = sec.z_stream
-        stream_bits[("ge", i)] = sec.e_stream
         if g.kind == "Tdagger":
-            b = b ^ a
-        symbols[w] = (a ^ frozenset([("gx", i)]), b ^ frozenset([("gz", i), ("ge", i)]))
+            kb ^= ka
+        parity[w] = (ka ^ dx, kb ^ dz)
 
-    client = ClientKeys(
-        triples,
-        {k: v for k, v in stream_bits.items() if k[0] == "init"},
-        tuple(secrets),
-        num_wires,
-    )
+    client = ClientKeys(triples, init_stream_bits)
     return client, EvalKey(tuple(gadgets))
 
 
@@ -203,18 +190,16 @@ def encrypt(
     The pad frame is returned for inspection and tests; the protocol-level
     client discards it (decryption only needs the secret-key chain).
     """
-    if state.num_qubits != client.num_wires:
-        raise QHEError(
-            f"state has {state.num_qubits} wires, keys planned for {client.num_wires}"
-        )
+    planned = len(client.init_stream_bits)
+    if state.num_qubits != planned:
+        raise QHEError(f"state has {state.num_qubits} wires, keys planned for {planned}")
     pk0 = client.triples[0].pk
     frame = KeyFrame.random(state.num_qubits, rng)
-    pairs = []
-    for w, key in enumerate(frame.keys):
-        a_ct = he_enc(pk0, key.a, rng, keystream_bit=client.init_stream_bits[("init", w, "a")])
-        b_ct = he_enc(pk0, key.b, rng, keystream_bit=client.init_stream_bits[("init", w, "b")])
-        pairs.append((a_ct, b_ct))
-    return CipherState(apply_pad(state, frame), tuple(pairs), 0), frame
+    pairs = tuple(
+        (he_enc(pk0, key.a, rng, keystream_bit=ka), he_enc(pk0, key.b, rng, keystream_bit=kb))
+        for key, (ka, kb) in zip(frame.keys, client.init_stream_bits)
+    )
+    return CipherState(apply_pad(state, frame), pairs, 0), frame
 
 
 def eval_circuit(

@@ -291,18 +291,6 @@ class Gadget:
     level: int
 
 
-@dataclass(frozen=True)
-class GadgetSecrets:
-    """Client-side record: preparation bits and leaf-family keystream bits."""
-
-    p: tuple[int, int]
-    x: tuple[int, int]
-    z: tuple[int, int]
-    x_stream: int
-    z_stream: int
-    e_stream: int
-
-
 def gen_gadget(
     pk_next: HEPublicKey,
     sk_enc: tuple[HECiphertext, ...],
@@ -310,7 +298,7 @@ def gen_gadget(
     rng: np.random.Generator,
     round_,
     couple=None,
-) -> tuple[Gadget, GadgetSecrets]:
+) -> tuple[Gadget, tuple[int, int]]:
     """Build one conditional-phase gadget twisted by keystream parity ``k_bit``.
 
     Pair position j gets phase bit p_j = j XOR k_bit, so the position selected
@@ -321,7 +309,8 @@ def gen_gadget(
     public runtime data (position and flip outcome) are encrypted with shared
     per-family keystream bits, keeping downstream keystream parities
     choice-independent. ``couple`` defaults to ``assemble_gadget_state``,
-    which drops the rejected states.
+    which drops the rejected states. Returns the gadget and ``(dx, dz)``, the
+    keystream parities its corrections add to the routed wire's a and b keys.
     """
     p = twist_bits(k_bit)
     heads, tails, rejected = [], [], []
@@ -336,9 +325,8 @@ def gen_gadget(
         state = couple(head_handles, tail_handles, rejected)
     xs = tuple(theta_bits(i)[0] for i in head_idx)
     zs = tuple(theta_bits(i)[1] for i in tail_idx)
-    x_ct, z_ct, e_ct, secrets = build_gadget_ciphertexts(pk_next, p, xs, zs, rng)
-    gadget = Gadget(state, x_ct, z_ct, e_ct, tuple(sk_enc), pk_next.level)
-    return gadget, secrets
+    x_ct, z_ct, e_ct, parities = build_gadget_ciphertexts(pk_next, p, xs, zs, rng)
+    return Gadget(state, x_ct, z_ct, e_ct, tuple(sk_enc), pk_next.level), parities
 
 
 def twist_bits(k_bit: int) -> tuple[int, int]:
@@ -362,8 +350,12 @@ def build_gadget_ciphertexts(
     xs: tuple[int, int],
     zs: tuple[int, int],
     rng: np.random.Generator,
-) -> tuple[tuple, tuple, tuple, GadgetSecrets]:
-    """Encrypt the per-pair correction bits with shared family keystream bits."""
+) -> tuple[tuple, tuple, tuple, tuple[int, int]]:
+    """Encrypt the per-pair correction bits with shared family keystream bits.
+
+    Returns the x, z and e ciphertexts and ``(dx, dz)``: an a key gains the x
+    family's keystream bit, a b key the z and e families' bits together.
+    """
     x_stream, z_stream, e_stream = (int(rng.integers(2)) for _ in range(3))
     x_ct = tuple(he_enc(pk_next, xs[j], rng, keystream_bit=x_stream) for j in range(2))
     z_ct = tuple(he_enc(pk_next, zs[j], rng, keystream_bit=z_stream) for j in range(2))
@@ -371,8 +363,7 @@ def build_gadget_ciphertexts(
         tuple(he_enc(pk_next, p[j] & (xs[j] ^ v), rng, keystream_bit=e_stream) for v in range(2))
         for j in range(2)
     )
-    secrets = GadgetSecrets(p, xs, zs, x_stream, z_stream, e_stream)
-    return x_ct, z_ct, e_ct, secrets
+    return x_ct, z_ct, e_ct, (x_stream, z_stream ^ e_stream)
 
 
 def gen_measurement(a_ct: HECiphertext) -> int:

@@ -152,9 +152,8 @@ class GateSequence:
 
 @dataclass(frozen=True)
 class EpsilonNet:
-    """All distinct products of length <= max_length, shortest-sequence wins."""
+    """All distinct products up to ``build_net``'s length, shortest-sequence wins."""
 
-    max_length: int
     sequences: tuple[GateSequence, ...]
     _stack: np.ndarray  # (N, 2, 2) cached unitaries for vectorized search
 
@@ -194,12 +193,12 @@ def build_net(max_length: int = DEFAULT_BASE_LENGTH) -> EpsilonNet:
         all_entries.extend(nxt)
         frontier = nxt
     seqs = tuple(GateSequence(ops, u) for ops, u in all_entries)
-    return EpsilonNet(max_length, seqs, np.stack([s.unitary for s in seqs]))
+    return EpsilonNet(seqs, np.stack([s.unitary for s in seqs]))
 
 
-@lru_cache(maxsize=4)
-def default_net(max_length: int = DEFAULT_BASE_LENGTH) -> EpsilonNet:
-    return build_net(max_length)
+@lru_cache(maxsize=1)
+def default_net() -> EpsilonNet:
+    return build_net(DEFAULT_BASE_LENGTH)
 
 
 # --- balanced group commutator ---------------------------------------------
@@ -311,7 +310,6 @@ def _sk(u: np.ndarray, depth: int, net: EpsilonNet) -> GateSequence:
 def decompose_circuit(
     circuit: list[Gate],
     eps_target: float = DEFAULT_EPS_TARGET,
-    net: EpsilonNet | None = None,
     max_depth: int = MAX_DEPTH,
 ) -> tuple[list[Gate], int]:
     """Replace every rotation by a certified {H, T, Tdagger} sequence.
@@ -319,8 +317,7 @@ def decompose_circuit(
     Returns the rewritten circuit and the total T + Tdagger tally (the gadget
     budget the rewritten circuit needs).
     """
-    if net is None:
-        net = default_net()
+    net = default_net()
     out: list[Gate] = []
     total_t = 0
     for g in circuit:

@@ -549,12 +549,14 @@ class TestEndToEnd:
         # Full contract: on a padded wire, apply the non-Clifford rotation,
         # consume one gadget, homomorphically update the keys, decrypt them one
         # level up, unpad — the result must be the rotation on the bare state.
+        # The new keys' keystream parities are the ones keygen plans: the old
+        # parities, b's gaining a's for Tdagger, plus the returned (dx, dz).
         rng = np.random.default_rng(15)
         l0 = he_keygen(16, rng, level=0)
         l1 = he_keygen(16, rng, level=1)
         sk_enc = encrypt_seed(l1.pk, l0.sk, rng)
         for a, b, k in product((0, 1), repeat=3):
-            gadget, _sec = gen_gadget(l1.pk, sk_enc, k, rng, rsp_round_ideal)
+            gadget, (dx, dz) = gen_gadget(l1.pk, sk_enc, k, rng, rsp_round_ideal)
             a_ct = he_enc(l0.pk, a, rng, keystream_bit=k)
             b_ct = he_enc(l0.pk, b, rng)
             psi = rand_state(1, rng)
@@ -574,6 +576,9 @@ class TestEndToEnd:
                 gadget, route, u, v, a_ct, b_ct, dagger=kind == "Tdagger"
             )
             a2, b2 = he_dec(l1.sk, a2_ct), he_dec(l1.sk, b2_ct)
+            kb = public_masked_parity(b_ct) ^ b ^ (k if kind == "Tdagger" else 0)
+            assert public_masked_parity(a2_ct) ^ a2 == k ^ dx
+            assert public_masked_parity(b2_ct) ^ b2 == kb ^ dz
             unpadded = out
             if a2:
                 unpadded = apply_gate(unpadded, gate("X", 0))
