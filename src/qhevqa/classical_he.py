@@ -126,17 +126,23 @@ def he_enc(
     if bit not in (0, 1):
         raise HEError(f"plaintext must be a bit, got {bit!r}")
     for _ in range(4096):
-        nonce = rng.bytes(NONCE_BYTES)
-        sb = _stream_bit(pk.stream_seed, nonce)
-        if keystream_bit is None or sb == keystream_bit:
-            return HECiphertext(
-                LEAF,
-                pk.level,
-                nonce=nonce,
-                masked=bit ^ sb,
-                tag=_tag(pk.stream_seed, nonce),
-            )
+        leaf = _leaf(pk, bit, rng.bytes(NONCE_BYTES), keystream_bit)
+        if leaf is not None:
+            return leaf
     raise HEError("could not hit requested keystream bit")  # pragma: no cover
+
+
+def _leaf(
+    pk: HEPublicKey, bit: int, nonce: bytes, keystream_bit: int | None = None
+) -> HECiphertext | None:
+    """The leaf hiding ``bit`` under ``nonce``: its stream bit, masked bit and
+    tag; None if ``keystream_bit`` is given and the stream bit differs."""
+    sb = _stream_bit(pk.stream_seed, nonce)
+    if keystream_bit is not None and sb != keystream_bit:
+        return None
+    return HECiphertext(
+        LEAF, pk.level, nonce=nonce, masked=bit ^ sb, tag=_tag(pk.stream_seed, nonce)
+    )
 
 
 def he_const(value: int, level: int) -> HECiphertext:
@@ -289,14 +295,19 @@ def he_dec(sk: HESecretKey, ct: HECiphertext) -> int:
 def encrypt_seed(
     pk: HEPublicKey, sk_lower: HESecretKey, rng: np.random.Generator
 ) -> tuple[HECiphertext, ...]:
-    """Bitwise encryption of a lower-level secret seed (the key-switch aid)."""
+    """Bitwise encryption of a lower-level secret seed (the key-switch aid).
+
+    The nonces of all the bits are one ``rng.bytes`` draw, which gives the
+    bytes and leaves the generator where one ``he_enc`` call per bit would.
+    """
     if pk.level != sk_lower.level + 1:
         raise HEError("seed must be encrypted under the next level's public key")
-    out = []
-    for byte in sk_lower.seed:
-        for j in range(8):
-            out.append(he_enc(pk, (byte >> j) & 1, rng))
-    return tuple(out)
+    bits = [(byte >> j) & 1 for byte in sk_lower.seed for j in range(8)]
+    nonces = rng.bytes(NONCE_BYTES * len(bits))
+    return tuple(
+        _leaf(pk, bit, nonces[i * NONCE_BYTES : (i + 1) * NONCE_BYTES])
+        for i, bit in enumerate(bits)
+    )
 
 
 def keystream_bit(sk_or_pk, nonce: bytes) -> int:

@@ -29,10 +29,8 @@ import numpy as np
 from .simulator import (
     StateVector,
     apply_gate,
-    bell_measure,
     gate,
     prepare_plus_theta,
-    tensor,
 )
 from .vqa import MODES
 
@@ -67,15 +65,16 @@ def _direct_probability_zero() -> float:
 
 
 def _demo_tables():
-    """Precomputed padded inputs and the 16 possible pair-resource states.
+    """Precomputed padded inputs and the 16 possible gadgets.
 
-    The input |+> is padded with X^a Z^b and the T gate applied; the resource
-    couples two pairs whose tails carry phase bits (0, 1). Caching these
-    (there are only 4 x 16 combinations) keeps the per-shot work to two Bell
-    measurements and one Hadamard.
+    The input |+> is padded with X^a Z^b and the T gate applied; the gadget
+    couples two pairs whose tails carry phase bits (0, 1). The demo tracks
+    its pad keys in the clear, so its gadgets carry no ciphertexts. Caching
+    these (there are only 4 x 16 combinations) keeps the per-shot work to one
+    gadget consumption, one Hadamard and one measurement.
     """
     from .pauli_frame import KeyFrame, PauliKey, apply_pad
-    from .rsp_gadget import assemble_gadget_state, theta_bits
+    from .rsp_gadget import Gadget, assemble_gadget_state, theta_bits
 
     plus = apply_gate(StateVector(1), gate("H", 0))
     inputs = {}
@@ -94,7 +93,7 @@ def _demo_tables():
                     xs = (theta_bits(h0)[0], theta_bits(h1)[0])
                     zs = (theta_bits(t0)[1], theta_bits(t1)[1])
                     resources[(h0, t0, h1, t1)] = (
-                        assemble_gadget_state(heads, tails),
+                        Gadget(assemble_gadget_state(heads, tails), (), (), (), (), 0),
                         xs,
                         zs,
                     )
@@ -108,12 +107,14 @@ def _gadget_shot(rng: np.random.Generator) -> int:
     """One shot of the gadget circuit with plaintext-tracked pad keys.
 
     The input |+> is padded with X^a Z^b, the server applies T, and the P^a
-    byproduct is removed by teleporting through the coupled-pair resource:
-    position j of the resource carries phase bit j, so the pair matching the
-    pad bit a is the route. Keys update classically from the preparation bits
-    and Bell outcomes; the final Hadamard swaps them; the measured bit is
-    corrected by the final X key.
+    byproduct is removed by consuming the gadget: position j carries phase
+    bit j, so the pair matching the pad bit a is the route. Keys update
+    classically from the preparation bits and Bell outcomes; the final
+    Hadamard swaps them; the measured bit is corrected by the final X key.
     """
+    from .rsp_gadget import consume_gadget, pair_byproduct
+    from .simulator import measure
+
     global _DEMO_CACHE
     if _DEMO_CACHE is None:
         _DEMO_CACHE = _demo_tables()
@@ -123,20 +124,12 @@ def _gadget_shot(rng: np.random.Generator) -> int:
     h0, h1 = 2 * int(rng.integers(2)), 2 * int(rng.integers(2))
     t0 = 2 * int(rng.integers(2))
     t1 = 1 + 2 * int(rng.integers(2))
-    resource, xs, zs = resources[(h0, t0, h1, t1)]
-    full = tensor(inputs[(a, b)], resource)
-
-    from .rsp_gadget import pair_byproduct
-    from .simulator import measure
-
+    gadget, xs, zs = resources[(h0, t0, h1, t1)]
     j = a  # route: the pair whose phase bit equals the pad key
-    (u, v), full = bell_measure(full, 0, 1 + 2 * j, rng)
-    # The spent pair factorizes from the output; discarding it does not
-    # change the output wire's statistics, so it is not measured here.
-    out_wire = 0 if j == 0 else 2
+    out, (u, v) = consume_gadget(inputs[(a, b)], 0, gadget, j, rng)
     _, db = pair_byproduct(xs[j], zs[j], j, u, v)
-    full = apply_gate(full, gate("H", out_wire))
-    bit, _ = measure(full, out_wire, "Z", rng)
+    out = apply_gate(out, gate("H", 0))
+    bit, _ = measure(out, 0, "Z", rng)
     return bit ^ b ^ db  # after H the X-type key is the previous Z-type key
 
 
@@ -518,7 +511,7 @@ def check_pad_mixing(registers: int, seed: int):
     twist, (c) the pad-averaged |00> and a random 2-wire state coincide."""
     from .qhe import pad_average_density
     from .rsp_gadget import assemble_gadget_state, twist_bits
-    from .simulator import reduced_density_matrix, trace_distance_dm
+    from .simulator import trace_distance_dm
 
     rng = np.random.default_rng(seed)
     mixed, worst = np.eye(2) / 2, 0.0
@@ -532,13 +525,14 @@ def check_pad_mixing(registers: int, seed: int):
         p = twist_bits(k_bit)
         acc = np.zeros((4, 2, 2), dtype=complex)
         for h0, h1, t0, t1 in product((0, 2), (0, 2), (0, 1), (0, 1)):
-            st = assemble_gadget_state(
+            pairs = assemble_gadget_state(
                 [prepare_plus_theta(h0 * pi / 2), prepare_plus_theta(h1 * pi / 2)],
                 [prepare_plus_theta((p[0] + 2 * t0) * pi / 2),
                  prepare_plus_theta((p[1] + 2 * t1) * pi / 2)],
             )
-            for w in range(4):
-                acc[w] += reduced_density_matrix(st, [w])
+            for j, phi in enumerate(pairs):  # wires 2j and 2j + 1: head and tail
+                acc[2 * j] += phi @ phi.conj().T
+                acc[2 * j + 1] += phi.T @ phi.conj()
         worst = max([worst] + [trace_distance_dm(rho / 16, mixed) for rho in acc])
 
     psi = _random_state(2, rng)

@@ -60,7 +60,9 @@ from .simulator import MAX_QUBITS, Gate, StateVector, apply_gate
 NON_CLIFFORD = ("T", "Tdagger")
 EVAL_KINDS = CLIFFORD_KINDS + NON_CLIFFORD
 SECURITY = 16  # the classical HE security parameter every caller uses
-MAX_WIRES = MAX_QUBITS - GADGET_QUBITS  # a consumed gadget joins the register
+# A published limit, kept from when a consumed gadget joined the register;
+# consumption now runs on the register's own amplitudes.
+MAX_WIRES = MAX_QUBITS - GADGET_QUBITS
 
 
 class QHEError(Exception):

@@ -14,6 +14,14 @@ ciphertext that will route the measurement; the route j is then readable
 from the ciphertext's public masked parity, yet equals the secret key bit's
 pair exactly.
 
+Each pair is entangled only within itself until it is consumed, so a
+gadget holds its pairs as two states of 4 amplitudes each, and consumption
+runs in closed form on the register's own 2^n amplitudes (gate
+teleportation): a Bell outcome of the input wire against a pair's head is a
+2 x 2 map on that wire, and the wire's reduced density matrix gives the
+outcome's probability. Nothing joins the register, and the output stays on
+the input wire.
+
 One builder, ``gen_gadget``, holds the recipe: the twist, the head and tail
 acceptance tests, the bounded rejection loop and the correction
 ciphertexts. It is the same for a gadget built in this process and one built
@@ -52,20 +60,15 @@ from .classical_he import (
     public_masked_parity,
 )
 from .simulator import (
+    FIXED_1Q,
     StateVector,
-    apply_gate,
-    gate,
-    bell_measure,
-    permute_wires,
+    _split,
+    apply_matrix,
     prepare_plus_theta,
-    tensor,
 )
 
 PAIR_COUNT = 2
 GADGET_QUBITS = 2 * PAIR_COUNT
-# Gadget wire layout: pair j occupies wires (2j, 2j+1) = (head, tail).
-_HEAD = (0, 2)
-_TAIL = (1, 3)
 # Claw function size (inputs, outputs) and the rounds one draw may take.
 RSP_N = RSP_MU = 4
 MAX_DRAWS = 512
@@ -152,9 +155,18 @@ def sample_trapdoor(k: int, n: int, mu: int, rng: np.random.Generator) -> Trapdo
     return TrapdoorFunction(matrix, kernel)
 
 
+def _read_only(state: StateVector) -> StateVector:
+    state.amplitudes.flags.writeable = False
+    return state
+
+
+# The four ideal preparations, shared by every ideal round, so read-only.
+_PLUS_THETA = tuple(_read_only(prepare_plus_theta(i * np.pi / 2)) for i in range(4))
+
+
 def rsp_round_ideal(rng: np.random.Generator) -> tuple[int, StateVector]:
     idx = int(rng.integers(4))
-    return idx, prepare_plus_theta(idx * np.pi / 2)
+    return idx, _PLUS_THETA[idx]
 
 
 def rsp_server_commit(
@@ -275,15 +287,17 @@ def _draw(round_, rng: np.random.Generator, accept, rejected: list):
 
 @dataclass(frozen=True)
 class Gadget:
-    """Server-side gadget: the 4-qubit state plus its correction ciphertexts.
+    """Server-side gadget: its two coupled pair states plus its correction
+    ciphertexts.
 
-    ``state`` is None in a client's copy of a gadget built on a server. All
-    ciphertexts live one key level above the wire keys they will update;
-    ``sk_enc`` (the encrypted lower secret key) bridges the gap via key
-    switching.
+    ``state`` holds pair j as a 2 x 2 array phi_j[h, t] of amplitudes over
+    its head bit h and tail bit t; it is None in a client's copy of a gadget
+    built on a server. All ciphertexts live one key level above the wire keys
+    they will update; ``sk_enc`` (the encrypted lower secret key) bridges the
+    gap via key switching.
     """
 
-    state: StateVector | None
+    state: tuple[np.ndarray, np.ndarray] | None
     x_ct: tuple[HECiphertext, HECiphertext]
     z_ct: tuple[HECiphertext, HECiphertext]
     e_ct: tuple[tuple[HECiphertext, HECiphertext], tuple[HECiphertext, HECiphertext]]
@@ -335,13 +349,20 @@ def twist_bits(k_bit: int) -> tuple[int, int]:
     return (k_bit, 1 ^ k_bit)
 
 
-def assemble_gadget_state(heads, tails) -> StateVector:
-    """Couple each (head, tail) pair: CZ across the pair, then H on the head."""
-    state = tensor(tensor(heads[0], tails[0]), tensor(heads[1], tails[1]))
-    for j in range(PAIR_COUNT):
-        state = apply_gate(state, gate("CZ", _HEAD[j], _TAIL[j]))
-        state = apply_gate(state, gate("H", _HEAD[j]))
-    return state
+# CZ's signs on a pair's amplitudes phi[h, t].
+_CZ_SIGNS = np.array([[1, 1], [1, -1]])
+
+
+def assemble_gadget_state(heads, tails) -> tuple[np.ndarray, np.ndarray]:
+    """Couple each (head, tail) pair: CZ across the pair, then H on the head.
+
+    Returns the two pair states phi_j[h, t], 4 amplitudes each. The pairs are
+    never entangled with each other, so nothing builds their product.
+    """
+    return tuple(
+        FIXED_1Q["H"] @ (np.outer(h.amplitudes, t.amplitudes) * _CZ_SIGNS)
+        for h, t in zip(heads, tails)
+    )
 
 
 def build_gadget_ciphertexts(
@@ -372,6 +393,25 @@ def gen_measurement(a_ct: HECiphertext) -> int:
     return public_masked_parity(a_ct)
 
 
+# A Bell outcome (u, v) on wires (a, b) projects onto sum over a of
+# (-1)^(u a) / sqrt(2) |a, a XOR v>: _SIGN[u, a] is the coefficient and
+# _FLIP[v, a] the partner bit a XOR v.
+_SIGN = FIXED_1Q["H"]
+_FLIP = np.array([[0, 1], [1, 0]])
+
+
+def _bell_draw(probs: np.ndarray, rng: np.random.Generator) -> tuple[int, int]:
+    """Draw a Bell outcome from its probabilities probs[u, v] as
+    ``bell_measure`` draws: u first, then v given u."""
+    p = probs.tolist()
+    u = int(rng.random() < p[1][0] + p[1][1])
+    q0, q1 = p[u]
+    v = int(q0 + q1 > 1e-24 and rng.random() < q1 / (q0 + q1))
+    if p[u][v] < 1e-24:
+        raise GadgetError("Bell outcome of zero probability")
+    return u, v
+
+
 def consume_gadget(
     state: StateVector,
     wire: int,
@@ -382,41 +422,29 @@ def consume_gadget(
     """Teleport ``wire`` through pair ``route``; returns the state and (u, v).
 
     The input is Bell-measured against the route's head, the other pair
-    against itself, and the route's tail carries the result. The input wire
-    position is preserved: the output qubit is moved back to ``wire`` after
-    the spent qubits are measured out.
+    against itself, and the route's tail carries the result, which stays on
+    ``wire``. In closed form (gate teleportation) on the register's own
+    amplitudes: outcome (u, v) applies to the wire the 2 x 2 map
+
+        M_uv[t, i] = (-1)^(u i) phi[i XOR v, t] / sqrt(2)
+
+    of the route's pair phi, with probability tr(M_uv rho M_uv^dagger) for
+    the wire's reduced density matrix rho. The spent pair's outcome is drawn
+    from its own four Bell amplitudes, whose phase it leaves on the register.
+    The draws are ``bell_measure``'s, in its order.
     """
     state.check_wires([wire])
-    n = state.num_qubits
-    full = tensor(state, gadget.state)
-    # Track current positions of all surviving labels through removals.
-    pos = {("reg", w): w for w in range(n)}
-    pos.update({("gad", g): n + g for g in range(GADGET_QUBITS)})
-
-    def take(label):
-        where = pos.pop(label)
-        for k in pos:
-            if pos[k] > where:
-                pos[k] -= 1
-        return where
-
-    def bell(st, la, lb):
-        wa, wb = pos[la], pos[lb]
-        out, st = bell_measure(st, wa, wb, rng)
-        take(la)
-        take(lb)
-        return out, st
-
-    other = 1 - route
-    (u, v), full = bell(full, ("reg", wire), ("gad", _HEAD[route]))
-    _, full = bell(full, ("gad", _HEAD[other]), ("gad", _TAIL[other]))
-    out_pos = pos[("gad", _TAIL[route])]
-    order = list(range(full.num_qubits))
-    order.remove(out_pos)
-    order.insert(wire, out_pos)
-    if order != list(range(full.num_qubits)):
-        full = permute_wires(full, order)
-    return full, (u, v)
+    view = _split(state.amplitudes, state.num_qubits, wire)
+    rho = np.einsum("aib,ajb->ij", view, view.conj())
+    phi, spent = gadget.state[route], gadget.state[1 - route]
+    maps = _SIGN[:, None, None, :] * phi[_FLIP].transpose(0, 2, 1)  # [u, v, t, i]
+    u, v = _bell_draw(np.einsum("uvti,ij,uvtj->uv", maps, rho, maps.conj()).real, rng)
+    overlaps = _SIGN @ spent[np.arange(2), _FLIP].T  # <beta_uv|spent>, [u, v]
+    su, sv = _bell_draw(np.abs(overlaps) ** 2, rng)
+    out = apply_matrix(state, maps[u, v], [wire])
+    phase = overlaps[su, sv] / abs(overlaps[su, sv])
+    out.amplitudes *= phase / np.linalg.norm(out.amplitudes)
+    return out, (u, v)
 
 
 def gadget_key_update(

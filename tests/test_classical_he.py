@@ -128,6 +128,27 @@ class TestKeySwitch:
         with pytest.raises(HEError):
             key_switch(ct, sk_enc)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("before", ["none", "random", "one_uint32"])
+    def test_seed_encryption_is_one_he_enc_per_bit(self, seed, before):
+        # encrypt_seed draws every nonce at once; that must give the bytes of
+        # one he_enc per seed bit, and leave the generator where they would.
+        # One uint32 drawn before leaves half a 64-bit output buffered.
+        rng = np.random.default_rng(seed)
+        l0, l1 = he_keygen(16, rng, level=0), he_keygen(16, rng, level=1)
+        if before == "random":
+            rng.random(3)
+        elif before == "one_uint32":
+            rng.integers(0, 2**32, dtype=np.uint32)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        got = encrypt_seed(l1.pk, l0.sk, rng)
+        bits = [(byte >> j) & 1 for byte in l0.sk.seed for j in range(8)]
+        want = [he_enc(l1.pk, bit, twin) for bit in bits]
+        assert len(got) == len(want) == 16
+        assert [ct_to_bytes(ct) for ct in got] == [ct_to_bytes(ct) for ct in want]
+        assert rng.random() == twin.random()
+
     def test_homomorphics_after_switch(self):
         rng = np.random.default_rng(12)
         l0 = he_keygen(16, rng, level=0)

@@ -1,4 +1,5 @@
 """Remote state preparation and the encrypted conditional-phase gadget."""
+import tracemalloc
 from collections import Counter, deque
 from itertools import product
 
@@ -16,6 +17,7 @@ from qhevqa.classical_he import (
 from qhevqa.rsp_gadget import (
     MAX_DRAWS,
     RSP_BATCH,
+    Gadget,
     GadgetError,
     TrapdoorFunction,
     assemble_gadget_state,
@@ -41,6 +43,7 @@ from qhevqa.simulator import (
     fidelity,
     gate,
     measure,
+    permute_wires,
     prepare_plus_theta,
     remove_wire,
     tensor,
@@ -509,28 +512,156 @@ class TestSamplers:
         assert len(calls) == MAX_DRAWS
 
     def test_couple_receives_rejected_in_draw_order(self):
+        # Ideal rounds share their four states, so handles here are draw
+        # numbers.
         rng = np.random.default_rng(16)
-        round_, log = recording(rsp_round_ideal)
+        draws = []
+
+        def round_(r):
+            draws.append(rsp_round_ideal(r)[0])
+            return draws[-1], len(draws) - 1
+
         seen = []
         gadget, _ = build(round_, 0, rng, lambda h, t, rej: seen.append((h, t, rej)) or "s")
         ((heads, tails, rejected),) = seen
-        accepted = {id(s) for s in heads + tails}
-        assert [id(s) for s in rejected] == [
-            id(state) for _, state in log if id(state) not in accepted
-        ]
-        assert rejected and len(rejected) == len(log) - 4
+        accepted = set(heads + tails)
+        assert rejected == [i for i in range(len(draws)) if i not in accepted]
+        assert rejected and len(rejected) == len(draws) - 4
         assert gadget.state == "s"
 
     def test_default_couple_assembles_accepted_states(self):
         # Same seed twice: once capturing the accepted states, once with the
-        # local default coupling.
+        # local default coupling, which keeps the two pair states.
         seen = []
         build(rsp_round_ideal, 1, np.random.default_rng(17),
               lambda h, t, rej: seen.append((h, t)))
         gadget, _ = build(rsp_round_ideal, 1, np.random.default_rng(17))
         ((heads, tails),) = seen
         want = assemble_gadget_state(heads, tails)
-        assert np.array_equal(gadget.state.amplitudes, want.amplitudes)
+        assert len(gadget.state) == 2
+        for got, pair in zip(gadget.state, want):
+            assert got.shape == (2, 2) and np.array_equal(got, pair)
+
+    def test_ideal_states_are_shared_and_read_only(self):
+        # One state per angle, the bytes of a fresh preparation, and no
+        # caller can write to it.
+        rng = np.random.default_rng(18)
+        seen = {}
+        for _ in range(12):
+            idx, state = rsp_round_ideal(rng)
+            assert seen.setdefault(idx, state) is state
+            want = prepare_plus_theta(idx * np.pi / 2)
+            assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0
+        assert len(seen) == 4
+
+
+# The dense recipes the pair-state kernels replace. Gadget wire layout: pair
+# j on wires (2j, 2j + 1) = (head, tail).
+DENSE_HEAD, DENSE_TAIL = (0, 2), (1, 3)
+
+
+def dense_gadget_state(heads, tails):
+    """The dense assembly recipe: both pairs coupled in one 4-qubit state."""
+    state = tensor(tensor(heads[0], tails[0]), tensor(heads[1], tails[1]))
+    for j in range(2):
+        state = apply_gate(state, gate("CZ", DENSE_HEAD[j], DENSE_TAIL[j]))
+        state = apply_gate(state, gate("H", DENSE_HEAD[j]))
+    return state
+
+
+def dense_consume(state, wire, gadget_state, route, rng):
+    """The dense consumption recipe: the register tensored with the 4-qubit
+    gadget, two Bell measurements on n + 4 wires, and the route's tail moved
+    back to ``wire``."""
+    n = state.num_qubits
+    full = tensor(state, gadget_state)
+    # Current positions of all surviving labels through removals.
+    pos = {("reg", w): w for w in range(n)}
+    pos.update({("gad", g): n + g for g in range(4)})
+
+    def bell(st, la, lb):
+        out, st = bell_measure(st, pos[la], pos[lb], rng)
+        for label in (la, lb):
+            where = pos.pop(label)
+            for k in pos:
+                if pos[k] > where:
+                    pos[k] -= 1
+        return out, st
+
+    other = 1 - route
+    (u, v), full = bell(full, ("reg", wire), ("gad", DENSE_HEAD[route]))
+    _, full = bell(full, ("gad", DENSE_HEAD[other]), ("gad", DENSE_TAIL[other]))
+    order = list(range(full.num_qubits))
+    order.remove(pos[("gad", DENSE_TAIL[route])])
+    order.insert(wire, pos[("gad", DENSE_TAIL[route])])
+    if order != list(range(full.num_qubits)):
+        full = permute_wires(full, order)
+    return full, (u, v)
+
+
+def plain_gadget(heads, tails):
+    """A gadget with no ciphertexts: consumption reads only its pair states."""
+    return Gadget(assemble_gadget_state(heads, tails), (), (), (), (), 0)
+
+
+def plus_states(indices):
+    return [prepare_plus_theta(i * np.pi / 2) for i in indices]
+
+
+ANGLES = st.lists(st.integers(0, 3), min_size=2, max_size=2)
+
+
+class TestPairStateOracle:
+    """Gadget assembly and consumption against the dense recipes they
+    replace: the same Bell outcomes, the same generator stream, and the same
+    amplitudes, global phase included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+           st.integers(0, 1), ANGLES, ANGLES, st.booleans(), st.integers(0, 2**32 - 1))
+    def test_kernel_matches_dense_recipe(self, shape, route, head_idx, tail_idx, general, seed):
+        # ``general`` swaps the |+theta> preparations for random qubits, whose
+        # pairs are not maximally entangled, so the Bell outcomes are not
+        # uniform and v's draw depends on u.
+        n, wire = shape
+        prep = np.random.default_rng([seed, 1])
+        state = rand_state(n, prep)
+        heads, tails = plus_states(head_idx), plus_states(tail_idx)
+        if general:
+            heads, tails = ([rand_state(1, prep) for _ in range(2)] for _ in range(2))
+        fast, dense = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, uv = consume_gadget(state, wire, plain_gadget(heads, tails), route, fast)
+        want, uv_dense = dense_consume(state, wire, dense_gadget_state(heads, tails), route, dense)
+        assert uv == uv_dense
+        assert fast.random() == dense.random()
+        assert got.num_qubits == n
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+
+    def test_pair_states_factor_the_dense_gadget(self):
+        for angles in product(range(4), repeat=4):
+            heads, tails = plus_states(angles[:2]), plus_states(angles[2:])
+            phi0, phi1 = assemble_gadget_state(heads, tails)
+            # Little-endian index h0 + 2 t0 + 4 h1 + 8 t1.
+            product_state = np.einsum("ab,cd->dcba", phi0, phi1).reshape(-1)
+            dense = dense_gadget_state(heads, tails).amplitudes
+            assert np.max(np.abs(product_state - dense)) < 1e-15
+
+    def test_consumption_allocates_no_larger_register(self):
+        # The dense recipe held 2^20 amplitudes for a 16-wire register; the
+        # kernel stays under four registers' worth at peak.
+        rng = np.random.default_rng(19)
+        state = rand_state(16, rng)
+        gadget = plain_gadget(plus_states((0, 2)), plus_states((1, 0)))
+        tracemalloc.start()
+        try:
+            out, _ = consume_gadget(state, 7, gadget, 1, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.num_qubits == 16
+        assert peak < 4 * 2**16 * 16
 
 
 class TestRouting:
