@@ -6,6 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhevqa.classical_he import (
+    AND,
+    CONST,
+    KEYSWITCH,
+    LEAF,
+    NONCE_BYTES,
+    NOT,
+    TAG_BYTES,
+    XOR,
+    HECiphertext,
     HEError,
     _dec,
     _topological,
@@ -387,6 +396,25 @@ class TestDagWalker:
         assert back != ct
         assert he_dec(CHAIN[0].sk, back) == he_dec(CHAIN[0].sk, ct) == 1
 
+    def test_nodes_are_immutable_and_compare_by_identity(self):
+        rng = np.random.default_rng(36)
+        leaf = he_enc(CHAIN[0].pk, 1, rng)
+        fields = ("op", "level", "nonce", "masked", "tag", "children", "const_value",
+                  "sk_enc", "masked_parity")
+        for node in (leaf, he_xor(leaf, leaf), key_switch(leaf, SK_ENC[0])):
+            for name in fields:
+                with pytest.raises(AttributeError):
+                    setattr(node, name, getattr(node, name))
+                with pytest.raises(AttributeError):
+                    delattr(node, name)
+            twin = HECiphertext(node.op, node.level, node.nonce, node.masked, node.tag,
+                                node.children, node.const_value, node.sk_enc)
+            assert [getattr(twin, name) for name in fields] == [
+                getattr(node, name) for name in fields
+            ]
+            assert twin is not node and twin != node and not twin == node
+            assert len({node, twin}) == 2 and node in {node} and twin not in {node}
+
 
 def reference_topological(ct):
     """The single-root walk ``ct_to_bytes`` has always encoded in: a node's
@@ -457,3 +485,227 @@ class TestOnePassDecrypt:
         low, high = he_enc(CHAIN[0].pk, 1, rng), he_enc(CHAIN[1].pk, 1, rng)
         with pytest.raises(HEError, match="does not match"):
             _dec(CHAIN[1].sk, high, low)
+
+
+# --- the wire codec against its first, plain implementation ------------------
+
+
+def reference_varint(n):
+    out = bytearray()
+    while True:
+        b = n & 0x7F
+        n >>= 7
+        out.append(b | (0x80 if n else 0))
+        if not n:
+            return bytes(out)
+
+
+def reference_read_varint(data, pos):
+    n = shift = 0
+    while True:
+        if pos >= len(data):
+            raise HEError("truncated varint")
+        b = data[pos]
+        pos += 1
+        n |= (b & 0x7F) << shift
+        shift += 7
+        if not b & 0x80:
+            return n, pos
+
+
+def reference_ct_to_bytes(ct):
+    """The encoder as first written: one bytearray, a varint per value."""
+    order = reference_topological(ct)
+    index = {id(node): i for i, node in enumerate(order)}
+    out = bytearray(reference_varint(len(order)))
+    for node in order:
+        out.append(node.op)
+        out += reference_varint(node.level)
+        if node.op == LEAF:
+            out += node.nonce + bytes([node.masked]) + node.tag
+        elif node.op == CONST:
+            out.append(node.const_value)
+        else:
+            out += reference_varint(len(node.children))
+            out += reference_varint(len(node.sk_enc))
+            for c in (*node.children, *node.sk_enc):
+                out += reference_varint(index[id(c)])
+    return bytes(out)
+
+
+REFERENCE_ARITY = {XOR: 2, AND: 2, NOT: 1, KEYSWITCH: 1}
+
+
+def reference_ct_from_bytes(data):
+    """The decoder as first written. It accepts overlong varints and nodes
+    that nothing references, which ``ct_from_bytes`` refuses."""
+    count, pos = reference_read_varint(data, 0)
+    if count == 0:
+        raise HEError("empty ciphertext encoding")
+    nodes = []
+    for _ in range(count):
+        if pos >= len(data):
+            raise HEError("truncated ciphertext")
+        op = data[pos]
+        pos += 1
+        level, pos = reference_read_varint(data, pos)
+        if op == LEAF:
+            end = pos + NONCE_BYTES + 1 + TAG_BYTES
+            if end > len(data):
+                raise HEError("truncated leaf")
+            nonce = data[pos : pos + NONCE_BYTES]
+            masked = data[pos + NONCE_BYTES]
+            tag = data[pos + NONCE_BYTES + 1 : end]
+            if masked not in (0, 1):
+                raise HEError("bad masked bit")
+            nodes.append(HECiphertext(LEAF, level, nonce=nonce, masked=masked, tag=tag))
+            pos = end
+        elif op == CONST:
+            if pos >= len(data):
+                raise HEError("truncated const")
+            v = data[pos]
+            if v not in (0, 1):
+                raise HEError("bad const bit")
+            nodes.append(HECiphertext(CONST, level, const_value=v))
+            pos += 1
+        elif op in REFERENCE_ARITY:
+            n_children, pos = reference_read_varint(data, pos)
+            n_aux, pos = reference_read_varint(data, pos)
+            if n_children != REFERENCE_ARITY[op] or (n_aux and op != KEYSWITCH):
+                raise HEError("bad child arity")
+            refs = []
+            for _ in range(n_children + n_aux):
+                ref, pos = reference_read_varint(data, pos)
+                if ref >= len(nodes):
+                    raise HEError("forward or dangling child reference")
+                refs.append(nodes[ref])
+            nodes.append(
+                HECiphertext(
+                    op,
+                    level,
+                    children=tuple(refs[:n_children]),
+                    sk_enc=tuple(refs[n_children:]),
+                )
+            )
+        else:
+            raise HEError(f"unknown ciphertext tag {op}")
+    if pos != len(data):
+        raise HEError("trailing bytes after ciphertext")
+    return nodes[-1]
+
+
+# Key chains whose levels straddle the one- and two-byte varint limits.
+_CODEC_RNG = np.random.default_rng(37)
+CODEC_CHAINS = {}
+for _base in (0, 126, 16382):
+    _keys = [he_keygen(16, _CODEC_RNG, level=_base + i) for i in range(3)]
+    CODEC_CHAINS[_base] = (
+        _keys,
+        {_base + i: encrypt_seed(_keys[i + 1].pk, _keys[i].sk, _CODEC_RNG) for i in range(2)},
+    )
+
+# Refusals of non-canonical encodings, which the reference decoder lacks.
+CANONICAL_REFUSALS = ("overlong varint", "unreferenced node")
+
+
+def build_codec_dag(program, base, seed):
+    """A random DAG over ``CODEC_CHAINS[base]``; returns its last node.
+
+    Leaves are drawn at any of the chain's three levels, and an operand is
+    key-switched up to the other's level, so nodes of three levels mix."""
+    keys, sk_enc = CODEC_CHAINS[base]
+    rng = np.random.default_rng(seed)
+    top = base + len(keys) - 1
+
+    def lift(ct, level):
+        while ct.level < level:
+            ct = key_switch(ct, sk_enc[ct.level])
+        return ct
+
+    nodes = []
+    for op, i, j, bit in program:
+        if op == "LEAF" or not nodes:
+            nodes.append(he_enc(keys[j % len(keys)].pk, bit, rng))
+            continue
+        x, y = nodes[i % len(nodes)], nodes[j % len(nodes)]
+        if op == "CONST":
+            nodes.append(he_const(bit, x.level))
+        elif op == "NOT":
+            nodes.append(he_not(x))
+        elif op == "KEYSWITCH":
+            nodes.append(lift(x, min(x.level + 1, top)))
+        else:
+            level = max(x.level, y.level)
+            gate = he_xor if op == "XOR" else he_and
+            nodes.append(gate(lift(x, level), lift(y, level)))
+    return nodes[-1]
+
+
+def decoded(decode, data):
+    """The node ``decode`` makes of ``data``, or the HEError it raises."""
+    try:
+        return decode(data)
+    except HEError as exc:
+        return exc
+
+
+CODEC_BASES = st.sampled_from(sorted(CODEC_CHAINS))
+BYTE_EDITS = st.lists(
+    st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0), st.integers(0, 255)),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestCodecOracle:
+    """``ct_to_bytes`` and ``ct_from_bytes`` against the reference codec."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(DAG_PROGRAMS, CODEC_BASES, st.integers(0, 2**32 - 1))
+    def test_bytes_equal_the_reference_and_round_trip(self, program, base, seed):
+        ct = build_codec_dag(program, base, seed)
+        data = ct_to_bytes(ct)
+        assert data == reference_ct_to_bytes(ct)
+        back = ct_from_bytes(data)
+        assert ct_to_bytes(back) == reference_ct_to_bytes(back) == data
+        assert ct_to_bytes(reference_ct_from_bytes(data)) == data
+        assert (back.level, back.masked_parity) == (ct.level, ct.masked_parity)
+
+    @settings(max_examples=300, deadline=None)
+    @given(DAG_PROGRAMS, CODEC_BASES, st.integers(0, 2**32 - 1), BYTE_EDITS)
+    def test_edited_bytes_decode_as_the_reference_does(self, program, base, seed, edits):
+        data = bytearray(ct_to_bytes(build_codec_dag(program, base, seed)))
+        for kind, pos, value in edits:
+            pos %= len(data) + 1
+            if kind == "insert":
+                data.insert(pos, value)
+            elif pos < len(data):
+                if kind == "set":
+                    data[pos] = value
+                else:
+                    del data[pos]
+        data = bytes(data)
+        want = decoded(reference_ct_from_bytes, data)
+        got = decoded(ct_from_bytes, data)
+        if isinstance(got, HEError) and str(got).startswith(CANONICAL_REFUSALS):
+            return  # the reference may accept it, or refuse it at a later byte
+        if isinstance(want, HEError):
+            assert isinstance(got, HEError) and str(got) == str(want)
+        else:
+            assert not isinstance(got, HEError), got
+            assert ct_to_bytes(got) == ct_to_bytes(want) == reference_ct_to_bytes(got)
+
+    def test_three_byte_references(self):
+        # More than 16 384 nodes: the count and the last references take
+        # three varint bytes.
+        ct = he_enc(CHAIN[0].pk, 1, np.random.default_rng(38))
+        for _ in range(16400):
+            ct = he_not(ct)
+        data = ct_to_bytes(ct)
+        assert data.startswith(reference_varint(16401) + bytes([LEAF]))
+        assert data.endswith(bytes([NOT, 0, 1, 0]) + reference_varint(16399))
+        assert len(reference_varint(16399)) == 3
+        assert data == reference_ct_to_bytes(ct)
+        back = ct_from_bytes(data)
+        assert ct_to_bytes(back) == data
+        assert he_dec(CHAIN[0].sk, back) == 1
