@@ -50,7 +50,7 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .classical_he import HECiphertext, ct_from_bytes, ct_to_bytes
+from .classical_he import HECiphertext, HEError, ct_from_bytes, ct_to_bytes
 from .qhe import (
     EVAL_KINDS,
     MAX_WIRES,
@@ -316,7 +316,7 @@ def ct_to_hex(ct: HECiphertext) -> str:
 def ct_from_hex(text: str) -> HECiphertext:
     try:
         return ct_from_bytes(bytes.fromhex(text))
-    except Exception as exc:  # noqa: BLE001 - hex and HE decode errors alike
+    except (ValueError, HEError) as exc:  # bad hex, a bad ciphertext
         raise ProtocolError("payload", f"bad ciphertext encoding: {exc}") from exc
 
 

@@ -54,7 +54,7 @@ from qhevqa.protocol import (
     serve_inproc,
     validate,
 )
-from qhevqa import vqa
+from qhevqa import protocol, vqa
 from qhevqa.classical_he import ct_from_bytes
 from qhevqa.qhe import SECURITY, encrypt, keygen, t_count
 from qhevqa.rsp_gadget import RSP_BATCH, RSP_MU, RSP_N, sample_trapdoor
@@ -72,6 +72,10 @@ from qhevqa.vqa import (
     window_evaluator,
     write_metrics_csv,
 )
+
+
+def broken_ct_decoder(data):
+    raise KeyError("a decoder fault")
 
 
 def rand_state(n, rng):
@@ -226,6 +230,17 @@ class TestConversions:
         with pytest.raises(ProtocolError):
             ct_from_hex("00ff")
 
+    @pytest.mark.parametrize("text", ["zz", "00ff"])  # bad hex, a bad ciphertext
+    def test_ct_hex_refusals_are_payload_errors(self, text):
+        with pytest.raises(ProtocolError) as info:
+            ct_from_hex(text)
+        assert info.value.code == "payload"
+
+    def test_ct_decoder_faults_are_not_payload_errors(self, monkeypatch):
+        monkeypatch.setattr(protocol, "ct_from_bytes", broken_ct_decoder)
+        with pytest.raises(KeyError):
+            ct_from_hex("00")
+
 
 class TestInProcTransport:
     def test_pair_carries_frames_both_ways(self):
@@ -377,6 +392,16 @@ class TestHostilePayloads:
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
         assert len(session.gadgets) == 1
+
+    def test_a_ct_decoder_fault_is_internal(self, monkeypatch):
+        # A fault in the decoder is the server's, not a bad payload's.
+        channel, _session, thread, keys = self.gadget_session()
+        monkeypatch.setattr(protocol, "ct_from_bytes", broken_ct_decoder)
+        channel.send(Message("RunRequest", self.run(
+            [{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]}, enc_keys=keys)))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "internal"
+        thread.join(timeout=5)
 
     @pytest.mark.parametrize("use_gadgets", [True, False])
     def test_keys_come_with_gadgets_and_only_with_them(self, use_gadgets):
