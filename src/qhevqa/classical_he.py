@@ -10,11 +10,18 @@ indistinguishability holds (ciphertexts of 0 and 1 have identical shape and
 leaf format); computational security is explicitly not claimed, and the
 public key carries the stream seed, so possession of pk suffices to unseal in
 this model.
+
+A node is an immutable tuple of its fields (``HECiphertext``), read by
+position in this module's own loops. The wire format is the ``_topological``
+node table with minimal varints. ``ct_from_bytes`` refuses an overlong varint
+and a node before the root that no later node references, the two ways to pad
+a ciphertext into a second encoding; the table's order is not checked.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -31,10 +38,7 @@ class HEError(Exception):
 
 
 def _digest(*parts: bytes) -> bytes:
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(p)
-    return h.digest()
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 @dataclass(frozen=True)
@@ -75,12 +79,15 @@ def _tag(stream_seed: bytes, nonce: bytes) -> bytes:
     return _digest(stream_seed, nonce, b"tag")[:TAG_BYTES]
 
 
-@dataclass(frozen=True, eq=False)
-class HECiphertext:
+class HECiphertext(tuple):
     """One node of a deferred-evaluation DAG.
 
-    Equality and hashing are by identity: a value comparison would recurse
-    through the whole DAG.
+    A tuple of nine fields, in this order: ``op``, ``level``, ``nonce``,
+    ``masked``, ``tag``, ``children``, ``const_value``, ``sk_enc`` and
+    ``masked_parity``. Each is a read-only property, so assigning to or
+    deleting one raises AttributeError. Comparison and hashing are those of
+    ``object``, by identity: a value comparison would recurse through the
+    whole DAG.
 
     ``masked_parity`` is derived, not serialised: the XOR of the masked bits
     and constants below the node, flipped by each NOT and passed through
@@ -88,27 +95,36 @@ class HECiphertext:
     AND, where no public parity exists.
     """
 
-    op: int
-    level: int
-    nonce: bytes = b""
-    masked: int = 0
-    tag: bytes = b""
-    children: tuple["HECiphertext", ...] = ()
-    const_value: int = 0
-    sk_enc: tuple["HECiphertext", ...] = ()
-    masked_parity: int | None = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.op == LEAF:
-            parity = self.masked
-        elif self.op == CONST:
-            parity = self.const_value
-        elif self.op in (XOR, NOT, KEYSWITCH):
-            kids = [c.masked_parity for c in self.children]
-            parity = None if None in kids else (self.op == NOT) ^ sum(kids) % 2
+    def __new__(cls, op: int, level: int, nonce: bytes = b"", masked: int = 0, tag: bytes = b"",
+                children: tuple[HECiphertext, ...] = (), const_value: int = 0,
+                sk_enc: tuple[HECiphertext, ...] = ()) -> HECiphertext:
+        if op == XOR:
+            a, b = children[0][8], children[1][8]
+            parity = None if a is None or b is None else a ^ b
+        elif op == LEAF:
+            parity = masked
+        elif op == KEYSWITCH:
+            parity = children[0][8]
+        elif op == NOT:
+            parity = children[0][8]
+            parity = None if parity is None else 1 ^ parity
+        elif op == CONST:
+            parity = const_value
         else:
             parity = None
-        object.__setattr__(self, "masked_parity", parity)
+        return tuple.__new__(cls, (op, level, nonce, masked, tag, children, const_value, sk_enc,
+                                   parity))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild the node through __new__
+        return self[:8]
+
+    __hash__ = object.__hash__
+    __eq__, __ne__, __lt__, __le__, __gt__, __ge__ = (
+        object.__eq__, object.__ne__, object.__lt__, object.__le__, object.__gt__, object.__ge__)
+    op, level, nonce, masked, tag, children, const_value, sk_enc, masked_parity = map(
+        property, map(itemgetter, range(9)))
 
 
 def he_enc(
@@ -140,9 +156,7 @@ def _leaf(
     sb = _stream_bit(pk.stream_seed, nonce)
     if keystream_bit is not None and sb != keystream_bit:
         return None
-    return HECiphertext(
-        LEAF, pk.level, nonce=nonce, masked=bit ^ sb, tag=_tag(pk.stream_seed, nonce)
-    )
+    return HECiphertext(LEAF, pk.level, nonce, bit ^ sb, _tag(pk.stream_seed, nonce))
 
 
 def he_const(value: int, level: int) -> HECiphertext:
@@ -152,18 +166,20 @@ def he_const(value: int, level: int) -> HECiphertext:
 
 
 def _check_same_level(kids: Sequence[HECiphertext]) -> int:
-    levels = {c.level for c in kids}
-    if len(levels) != 1:
-        raise HEError(f"mixed ciphertext levels {sorted(levels)} without KEYSWITCH")
-    return levels.pop()
+    level = kids[0][1]
+    for c in kids:
+        if c[1] != level:
+            levels = sorted({c.level for c in kids})
+            raise HEError(f"mixed ciphertext levels {levels} without KEYSWITCH")
+    return level
 
 
 def he_xor(a: HECiphertext, b: HECiphertext) -> HECiphertext:
-    return HECiphertext(XOR, _check_same_level([a, b]), children=(a, b))
+    return HECiphertext(XOR, _check_same_level((a, b)), children=(a, b))
 
 
 def he_and(a: HECiphertext, b: HECiphertext) -> HECiphertext:
-    return HECiphertext(AND, _check_same_level([a, b]), children=(a, b))
+    return HECiphertext(AND, _check_same_level((a, b)), children=(a, b))
 
 
 def he_not(a: HECiphertext) -> HECiphertext:
@@ -210,10 +226,12 @@ def _topological(*roots: HECiphertext) -> list[HECiphertext]:
         elif node in seen:
             continue
         else:
-            deps = [c for c in (*node.children, *node.sk_enc) if c not in seen]
+            deps = node[5] + node[7]  # children, sk_enc
             if deps:
-                stack += (node, _EXPANDED, *deps)
-                continue
+                deps = [c for c in deps if c not in seen]
+                if deps:
+                    stack += (node, _EXPANDED, *deps)
+                    continue
         seen.add(node)
         order.append(node)
     return order
@@ -268,22 +286,21 @@ def _dec(sk: HESecretKey, *roots: HECiphertext) -> list[int]:
     for node in order:
         if node in vals:
             continue
-        if node.op == LEAF:
+        op, _, _, _, _, kids, const_value, _, _ = node
+        if op == XOR:
+            vals[node] = vals[kids[0]] ^ vals[kids[1]]
+        elif op == LEAF:
             unseal(node)
-        elif node.op == CONST:
-            vals[node] = node.const_value
-        elif node.op in (XOR, AND, NOT, KEYSWITCH):
-            kids = [vals[c] for c in node.children]
-            if node.op == XOR:
-                vals[node] = kids[0] ^ kids[1]
-            elif node.op == AND:
-                vals[node] = kids[0] & kids[1]
-            elif node.op == NOT:
-                vals[node] = 1 ^ kids[0]
-            else:
-                vals[node] = kids[0]
+        elif op == KEYSWITCH:
+            vals[node] = vals[kids[0]]
+        elif op == CONST:
+            vals[node] = const_value
+        elif op == AND:
+            vals[node] = vals[kids[0]] & vals[kids[1]]
+        elif op == NOT:
+            vals[node] = 1 ^ vals[kids[0]]
         else:
-            raise HEError(f"malformed ciphertext node op={node.op}")
+            raise HEError(f"malformed ciphertext node op={op}")
     return [vals[ct] for ct in roots]
 
 
@@ -328,8 +345,14 @@ def public_masked_parity(ct: HECiphertext) -> int:
 
 # --- canonical byte encoding (wire format) ---------------------------------
 
+_BYTE = [bytes((i,)) for i in range(128)]  # one-byte varints, op codes and bits
+
 
 def _varint(n: int) -> bytes:
+    if n < 128:
+        return _BYTE[n]
+    if n < 16384:
+        return bytes((n & 0x7F | 0x80, n >> 7))
     out = bytearray()
     while True:
         b = n & 0x7F
@@ -349,6 +372,8 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         n |= (b & 0x7F) << shift
         shift += 7
         if not b & 0x80:
+            if not b and shift > 7:
+                raise HEError("overlong varint")
             return n, pos
 
 
@@ -359,21 +384,22 @@ def ct_to_bytes(ct: HECiphertext) -> bytes:
     number of distinct nodes even for deeply shared evaluation DAGs.
     """
     order = _topological(ct)
-    index = {id(node): i for i, node in enumerate(order)}
-    out = bytearray(_varint(len(order)))
-    for node in order:
-        out.append(node.op)
-        out += _varint(node.level)
-        if node.op == LEAF:
-            out += node.nonce + bytes([node.masked]) + node.tag
-        elif node.op == CONST:
-            out.append(node.const_value)
+    index: dict[HECiphertext, bytes] = {}
+    parts = [_varint(len(order))]
+    put = parts.append
+    for i, node in enumerate(order):
+        index[node] = _BYTE[i] if i < 128 else _varint(i)  # how later nodes refer to it
+        op, level, nonce, masked, tag, children, const_value, sk_enc, _ = node
+        put(_BYTE[op])
+        put(_BYTE[level] if level < 128 else _varint(level))
+        if op == LEAF:
+            parts += (nonce, _BYTE[masked], tag)
+        elif op == CONST:
+            put(_BYTE[const_value])
         else:
-            out += _varint(len(node.children))
-            out += _varint(len(node.sk_enc))
-            for c in (*node.children, *node.sk_enc):
-                out += _varint(index[id(c)])
-    return bytes(out)
+            parts += (_varint(len(children)), _varint(len(sk_enc)))
+            parts += map(index.__getitem__, children + sk_enc)
+    return b"".join(parts)
 
 
 _CHILD_ARITY = {XOR: 2, AND: 2, NOT: 1, KEYSWITCH: 1}
@@ -383,26 +409,31 @@ def ct_from_bytes(data: bytes) -> HECiphertext:
     count, pos = _read_varint(data, 0)
     if count == 0:
         raise HEError("empty ciphertext encoding")
+    size = len(data)
     nodes: list[HECiphertext] = []
-    for _ in range(count):
-        if pos >= len(data):
+    referenced: set[int] = set()
+    for i in range(count):
+        if pos >= size:
             raise HEError("truncated ciphertext")
         op = data[pos]
         pos += 1
-        level, pos = _read_varint(data, pos)
+        if pos < size and data[pos] < 0x80:
+            level = data[pos]
+            pos += 1
+        else:
+            level, pos = _read_varint(data, pos)
         if op == LEAF:
             end = pos + NONCE_BYTES + 1 + TAG_BYTES
-            if end > len(data):
+            if end > size:
                 raise HEError("truncated leaf")
-            nonce = data[pos : pos + NONCE_BYTES]
             masked = data[pos + NONCE_BYTES]
-            tag = data[pos + NONCE_BYTES + 1 : end]
             if masked not in (0, 1):
                 raise HEError("bad masked bit")
-            nodes.append(HECiphertext(LEAF, level, nonce=nonce, masked=masked, tag=tag))
+            nonce, tag = data[pos : pos + NONCE_BYTES], data[pos + NONCE_BYTES + 1 : end]
+            nodes.append(HECiphertext(LEAF, level, nonce, masked, tag))
             pos = end
         elif op == CONST:
-            if pos >= len(data):
+            if pos >= size:
                 raise HEError("truncated const")
             v = data[pos]
             if v not in (0, 1):
@@ -410,26 +441,35 @@ def ct_from_bytes(data: bytes) -> HECiphertext:
             nodes.append(HECiphertext(CONST, level, const_value=v))
             pos += 1
         elif op in _CHILD_ARITY:
-            n_children, pos = _read_varint(data, pos)
-            n_aux, pos = _read_varint(data, pos)
+            if pos + 1 < size and data[pos] < 0x80 and data[pos + 1] < 0x80:
+                n_children, n_aux = data[pos], data[pos + 1]
+                pos += 2
+            else:
+                n_children, pos = _read_varint(data, pos)
+                n_aux, pos = _read_varint(data, pos)
             if n_children != _CHILD_ARITY[op] or (n_aux and op != KEYSWITCH):
                 raise HEError("bad child arity")
             refs = []
             for _ in range(n_children + n_aux):
-                ref, pos = _read_varint(data, pos)
-                if ref >= len(nodes):
+                if pos < size and data[pos] < 0x80:
+                    ref = data[pos]
+                    pos += 1
+                elif pos + 1 < size and 0 < data[pos + 1] < 0x80:  # two bytes
+                    ref = data[pos] & 0x7F | data[pos + 1] << 7
+                    pos += 2
+                else:
+                    ref, pos = _read_varint(data, pos)
+                if ref >= i:
                     raise HEError("forward or dangling child reference")
-                refs.append(nodes[ref])
-            nodes.append(
-                HECiphertext(
-                    op,
-                    level,
-                    children=tuple(refs[:n_children]),
-                    sk_enc=tuple(refs[n_children:]),
-                )
-            )
+                refs.append(ref)
+            referenced.update(refs)
+            refs = [nodes[r] for r in refs]
+            nodes.append(HECiphertext(op, level, children=tuple(refs[:n_children]),
+                                      sk_enc=tuple(refs[n_children:])))
         else:
             raise HEError(f"unknown ciphertext tag {op}")
-    if pos != len(data):
+    if pos != size:
         raise HEError("trailing bytes after ciphertext")
+    if len(referenced) != count - 1:
+        raise HEError("unreferenced node before the root")
     return nodes[-1]

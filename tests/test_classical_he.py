@@ -1,5 +1,7 @@
 """Modeled bit-level homomorphic encryption: correctness, levels, wire format."""
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -231,6 +233,36 @@ class TestWireFormat:
             with pytest.raises(HEError):
                 ct_from_bytes(data[:cut])
 
+    def test_overlong_varints_refused(self, triple):
+        # A count of 81 00, a level of 80 00 or a child reference of 80 00
+        # spells the value of one byte in two: a second encoding.
+        rng = np.random.default_rng(39)
+        leaf = ct_to_bytes(he_enc(triple.pk, 1, rng))
+        flipped = ct_to_bytes(he_not(he_enc(triple.pk, 1, rng)))
+        assert leaf[:2] == bytes([1, LEAF]) and flipped.endswith(bytes([NOT, 0, 1, 0, 0]))
+        for data in (
+            b"\x81\x00" + leaf[1:],
+            leaf[:2] + b"\x80\x00" + leaf[3:],
+            flipped[:-1] + b"\x80\x00",
+        ):
+            assert ct_to_bytes(reference_ct_from_bytes(data)) in (leaf, flipped)
+            with pytest.raises(HEError, match="overlong varint"):
+                ct_from_bytes(data)
+
+    def test_unreferenced_nodes_refused(self, triple):
+        # Only the root may go unreferenced: a node no later node points to
+        # pads the table without changing the ciphertext.
+        rng = np.random.default_rng(40)
+        a, b = (ct_to_bytes(he_enc(triple.pk, bit, rng)) for bit in (0, 1))
+        flipped = ct_to_bytes(he_not(he_enc(triple.pk, 1, rng)))
+        for data in (
+            b"\x02" + a[1:] + b[1:],  # a leaf before the root leaf
+            b"\x03" + flipped[1:] + b[1:],  # a NOT and its leaf before it
+        ):
+            assert len(ct_to_bytes(reference_ct_from_bytes(data))) == len(b) == 28
+            with pytest.raises(HEError, match="unreferenced node"):
+                ct_from_bytes(data)
+
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=64))
     def test_fuzz_never_crashes(self, data):
@@ -409,9 +441,11 @@ class TestDagWalker:
                     delattr(node, name)
             twin = HECiphertext(node.op, node.level, node.nonce, node.masked, node.tag,
                                 node.children, node.const_value, node.sk_enc)
-            assert [getattr(twin, name) for name in fields] == [
-                getattr(node, name) for name in fields
-            ]
+            for other in (twin, copy.copy(node), pickle.loads(pickle.dumps(node))):
+                assert [getattr(other, name) for name in fields[:2] + fields[-1:]] == [
+                    getattr(node, name) for name in fields[:2] + fields[-1:]
+                ]
+                assert ct_to_bytes(other) == ct_to_bytes(node)
             assert twin is not node and twin != node and not twin == node
             assert len({node, twin}) == 2 and node in {node} and twin not in {node}
 
