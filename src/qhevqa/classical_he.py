@@ -101,7 +101,7 @@ class HECiphertext(tuple):
                 children: tuple[HECiphertext, ...] = (), const_value: int = 0,
                 sk_enc: tuple[HECiphertext, ...] = ()) -> HECiphertext:
         if op == XOR:
-            a, b = children[0][8], children[1][8]
+            a, b = children[0][8], children[1][8]  # the children's masked_parity
             parity = None if a is None or b is None else a ^ b
         elif op == LEAF:
             parity = masked

@@ -255,12 +255,22 @@ class TestWireFormat:
         rng = np.random.default_rng(40)
         a, b = (ct_to_bytes(he_enc(triple.pk, bit, rng)) for bit in (0, 1))
         flipped = ct_to_bytes(he_not(he_enc(triple.pk, 1, rng)))
-        for data in (
-            b"\x02" + a[1:] + b[1:],  # a leaf before the root leaf
-            b"\x03" + flipped[1:] + b[1:],  # a NOT and its leaf before it
+        for data, size in (
+            (b"\x02" + a[1:] + b[1:], 28),  # a leaf before the root leaf
+            (b"\x03" + flipped[1:] + b[1:], 28),  # a NOT and its leaf before it
+            (b"\x03" + a[1:] + b[1:] + bytes([XOR, 0, 2, 0, 1, 1]), 34),  # a, then b XOR b
         ):
-            assert len(ct_to_bytes(reference_ct_from_bytes(data))) == len(b) == 28
+            assert len(ct_to_bytes(reference_ct_from_bytes(data))) == size
             with pytest.raises(HEError, match="unreferenced node"):
+                ct_from_bytes(data)
+
+    def test_self_and_forward_references_refused(self, triple):
+        leaf = ct_to_bytes(he_enc(triple.pk, 1, np.random.default_rng(41)))
+        for ref in (1, 2, 200):  # itself, the next node, a two-byte reference
+            data = b"\x02" + leaf[1:] + bytes([NOT, 0, 1, 0]) + reference_varint(ref)
+            with pytest.raises(HEError, match="forward or dangling"):
+                reference_ct_from_bytes(data)
+            with pytest.raises(HEError, match="forward or dangling"):
                 ct_from_bytes(data)
 
     @settings(max_examples=200, deadline=None)
@@ -728,6 +738,18 @@ class TestCodecOracle:
         else:
             assert not isinstance(got, HEError), got
             assert ct_to_bytes(got) == ct_to_bytes(want) == reference_ct_to_bytes(got)
+
+    def test_two_byte_counts(self):
+        # A 1024-bit key seed gives a key switch 1024 encrypted key bits, a
+        # count that takes two varint bytes.
+        rng = np.random.default_rng(42)
+        low, high = he_keygen(1024, rng, level=0), he_keygen(1024, rng, level=1)
+        ct = key_switch(he_enc(low.pk, 1, rng), encrypt_seed(high.pk, low.sk, rng))
+        data = ct_to_bytes(ct)
+        assert bytes([KEYSWITCH, 1, 1]) + reference_varint(1024) in data
+        assert data == reference_ct_to_bytes(ct)
+        assert ct_to_bytes(ct_from_bytes(data)) == data
+        assert he_dec(high.sk, ct_from_bytes(data)) == 1
 
     def test_three_byte_references(self):
         # More than 16 384 nodes: the count and the last references take
