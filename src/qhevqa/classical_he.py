@@ -3,9 +3,14 @@
 This is an API-faithful stand-in, not hardened cryptography: evaluation is
 deferred (ciphertexts record the boolean circuit; decryption replays it on
 unsealed leaves), and each leaf hides its bit as ``masked = bit XOR
-stream(seed, nonce)`` under a keyed pseudorandom stream. Every node stores its
-public masked parity when it is built, and ``_topological`` is the one walk
-over a ciphertext DAG, shared by decryption and the wire encoding. Structural
+stream(seed, nonce)`` under a keyed pseudorandom stream. One SHA-256 digest of
+the stream seed and the nonce seals a leaf: its stream bit is the low bit of
+byte 0 and its tag bytes 1-8, disjoint output bits, so in the random-oracle
+model the public tag says nothing about the stream bit. ``he_enc_bits``
+encrypts a list of bits from pooled nonce draws, and can pin each leaf's
+stream bit (see there). Every node stores its public masked parity when it is
+built, and ``_topological`` is the one walk over a ciphertext DAG, shared by
+decryption and the wire encoding. Structural
 indistinguishability holds (ciphertexts of 0 and 1 have identical shape and
 leaf format); computational security is explicitly not claimed, and the
 public key carries the stream seed, so possession of pk suffices to unseal in
@@ -20,6 +25,7 @@ a ciphertext into a second encoding; the table's order is not checked.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
@@ -37,10 +43,6 @@ class HEError(Exception):
     pass
 
 
-def _digest(*parts: bytes) -> bytes:
-    return hashlib.sha256(b"".join(parts)).digest()
-
-
 @dataclass(frozen=True)
 class HESecretKey:
     level: int
@@ -48,7 +50,7 @@ class HESecretKey:
 
     @property
     def stream_seed(self) -> bytes:
-        return _digest(self.seed, b"enc")
+        return hashlib.sha256(self.seed + b"enc").digest()
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,10 @@ def he_keygen(security: int, rng: np.random.Generator, level: int = 0) -> HEKeyT
     return HEKeyTriple(HEPublicKey(level, sk.stream_seed), sk)
 
 
-def _stream_bit(stream_seed: bytes, nonce: bytes) -> int:
-    return _digest(stream_seed, nonce, b"mask")[0] & 1
-
-
-def _tag(stream_seed: bytes, nonce: bytes) -> bytes:
-    return _digest(stream_seed, nonce, b"tag")[:TAG_BYTES]
+def _seal(stream_seed: bytes, nonce: bytes) -> tuple[int, bytes]:
+    """A leaf's stream bit and tag, from one digest."""
+    digest = hashlib.sha256(stream_seed + nonce + b"seal").digest()
+    return digest[0] & 1, digest[1 : 1 + TAG_BYTES]
 
 
 class HECiphertext(tuple):
@@ -127,36 +127,60 @@ class HECiphertext(tuple):
         property, map(itemgetter, range(9)))
 
 
-def he_enc(
-    pk: HEPublicKey,
-    bit: int,
-    rng: np.random.Generator,
-    keystream_bit: int | None = None,
-) -> HECiphertext:
-    """Encrypt one bit under a fresh nonce.
+def he_enc(pk: HEPublicKey, bit: int, rng: np.random.Generator) -> HECiphertext:
+    """Encrypt one bit under a fresh nonce from one ``rng.bytes`` draw.
 
-    ``keystream_bit`` pins the leaf's stream bit by nonce rejection sampling;
-    it is a client-side choice (the client owns the stream seed) used by the
-    gadget machinery to keep runtime-selectable leaf families aligned.
+    The leaf is sealed by one digest (``_seal``); its stream bit is whatever
+    the nonce gives. ``he_enc_bits`` pins stream bits, from pooled draws.
     """
-    if bit not in (0, 1):
-        raise HEError(f"plaintext must be a bit, got {bit!r}")
-    for _ in range(4096):
-        leaf = _leaf(pk, bit, rng.bytes(NONCE_BYTES), keystream_bit)
-        if leaf is not None:
-            return leaf
-    raise HEError("could not hit requested keystream bit")  # pragma: no cover
+    return he_enc_bits(pk, (bit,), rng)[0]
 
 
-def _leaf(
-    pk: HEPublicKey, bit: int, nonce: bytes, keystream_bit: int | None = None
-) -> HECiphertext | None:
-    """The leaf hiding ``bit`` under ``nonce``: its stream bit, masked bit and
-    tag; None if ``keystream_bit`` is given and the stream bit differs."""
-    sb = _stream_bit(pk.stream_seed, nonce)
-    if keystream_bit is not None and sb != keystream_bit:
-        return None
-    return HECiphertext(LEAF, pk.level, nonce, bit ^ sb, _tag(pk.stream_seed, nonce))
+def he_enc_bits(
+    pk: HEPublicKey,
+    bits: Sequence[int],
+    rng: np.random.Generator,
+    keystream_bits: Sequence[int] | None = None,
+) -> tuple[HECiphertext, ...]:
+    """Encrypt each bit under its own fresh nonce, the nonces drawn in pools.
+
+    Unpinned, the bits take exactly ``len(bits)`` nonces from one
+    ``rng.bytes`` draw, in order: the bytes, and the generator state after,
+    of one ``he_enc`` per bit. ``keystream_bits[i]`` pins leaf i's stream bit,
+    a client-side choice (the client owns the stream seed) that the gadget
+    machinery uses to keep runtime-selectable leaf families aligned. Pinned,
+    a pool holds two nonces per empty slot; each nonce, in draw order, fills
+    the first still-empty slot that wants its stream bit, or is discarded, and
+    a new pool is drawn for the slots still empty. Given its stream bit, each
+    leaf's nonce is still uniform.
+    """
+    for bit in bits:
+        if bit not in (0, 1):
+            raise HEError(f"plaintext must be a bit, got {bit!r}")
+    if keystream_bits is None:
+        slots = deque(range(len(bits)))
+        waiting, per_slot = (slots, slots), 1  # any stream bit fills the next slot
+    else:
+        if len(keystream_bits) != len(bits) or not set(keystream_bits) <= {0, 1}:
+            raise HEError("keystream_bits must pin one stream bit per plaintext bit")
+        waiting, per_slot = (deque(), deque()), 2
+        for i, k in enumerate(keystream_bits):
+            waiting[k].append(i)
+    stream_seed, level = pk.stream_seed, pk.level
+    leaves: list = [None] * len(bits)
+    empty = len(bits)
+    while empty:
+        pool = rng.bytes(per_slot * NONCE_BYTES * empty)
+        for start in range(0, len(pool), NONCE_BYTES):
+            nonce = pool[start : start + NONCE_BYTES]
+            stream, tag = _seal(stream_seed, nonce)
+            if waiting[stream]:
+                i = waiting[stream].popleft()
+                leaves[i] = HECiphertext(LEAF, level, nonce, bits[i] ^ stream, tag)
+                empty -= 1
+                if not empty:
+                    break
+    return tuple(leaves)
 
 
 def he_const(value: int, level: int) -> HECiphertext:
@@ -263,9 +287,10 @@ def _dec(sk: HESecretKey, *roots: HECiphertext) -> list[int]:
         stream_seed = streams.get(leaf.level)
         if stream_seed is None:
             raise HEError(f"no secret key for leaf level {leaf.level}")
-        if _tag(stream_seed, leaf.nonce) != leaf.tag:
+        stream, tag = _seal(stream_seed, leaf.nonce)
+        if tag != leaf.tag:
             raise HEError("seal verification failed: wrong secret key")
-        bit = vals[leaf] = leaf.masked ^ _stream_bit(stream_seed, leaf.nonce)
+        bit = vals[leaf] = leaf.masked ^ stream
         return bit
 
     switched: set[tuple[HECiphertext, ...]] = set()  # key leaves already unsealed
@@ -312,23 +337,10 @@ def he_dec(sk: HESecretKey, ct: HECiphertext) -> int:
 def encrypt_seed(
     pk: HEPublicKey, sk_lower: HESecretKey, rng: np.random.Generator
 ) -> tuple[HECiphertext, ...]:
-    """Bitwise encryption of a lower-level secret seed (the key-switch aid).
-
-    The nonces of all the bits are one ``rng.bytes`` draw, which gives the
-    bytes and leaves the generator where one ``he_enc`` call per bit would.
-    """
+    """Bitwise encryption of a lower-level secret seed (the key-switch aid)."""
     if pk.level != sk_lower.level + 1:
         raise HEError("seed must be encrypted under the next level's public key")
-    bits = [(byte >> j) & 1 for byte in sk_lower.seed for j in range(8)]
-    nonces = rng.bytes(NONCE_BYTES * len(bits))
-    return tuple(
-        _leaf(pk, bit, nonces[i * NONCE_BYTES : (i + 1) * NONCE_BYTES])
-        for i, bit in enumerate(bits)
-    )
-
-
-def keystream_bit(sk_or_pk, nonce: bytes) -> int:
-    return _stream_bit(sk_or_pk.stream_seed, nonce)
+    return he_enc_bits(pk, [(byte >> j) & 1 for byte in sk_lower.seed for j in range(8)], rng)
 
 
 def public_masked_parity(ct: HECiphertext) -> int:

@@ -28,7 +28,7 @@ from .classical_he import (
     HECiphertext,
     HEKeyTriple,
     _dec,
-    he_enc,
+    he_enc_bits,
     he_keygen,
     he_xor,
     encrypt_seed,
@@ -162,9 +162,7 @@ def keygen(
         def gadget_factory(pk_next, sk_enc, k_bit):
             return gen_gadget(pk_next, sk_enc, k_bit, rng, round_)
 
-    init_stream_bits = tuple(
-        (int(rng.integers(2)), int(rng.integers(2))) for _ in range(num_wires)
-    )
+    init_stream_bits = tuple(map(tuple, rng.integers(2, size=(num_wires, 2)).tolist()))
     parity = list(init_stream_bits)
     gadgets: list[Gadget] = []
     for g in circuit:
@@ -197,10 +195,9 @@ def encrypt(
         raise QHEError(f"state has {state.num_qubits} wires, keys planned for {planned}")
     pk0 = client.triples[0].pk
     frame = KeyFrame.random(state.num_qubits, rng)
-    pairs = tuple(
-        (he_enc(pk0, key.a, rng, keystream_bit=ka), he_enc(pk0, key.b, rng, keystream_bit=kb))
-        for key, (ka, kb) in zip(frame.keys, client.init_stream_bits)
-    )
+    cts = he_enc_bits(pk0, [k for key in frame.keys for k in (key.a, key.b)], rng,
+                      [k for pair in client.init_stream_bits for k in pair])
+    pairs = tuple(zip(cts[0::2], cts[1::2]))
     return CipherState(apply_pad(state, frame), pairs, 0), frame
 
 

@@ -54,7 +54,7 @@ from .classical_he import (
     HECiphertext,
     HEPublicKey,
     he_const,
-    he_enc,
+    he_enc_bits,
     he_xor,
     key_switch,
     public_masked_parity,
@@ -377,14 +377,11 @@ def build_gadget_ciphertexts(
     Returns the x, z and e ciphertexts and ``(dx, dz)``: an a key gains the x
     family's keystream bit, a b key the z and e families' bits together.
     """
-    x_stream, z_stream, e_stream = (int(rng.integers(2)) for _ in range(3))
-    x_ct = tuple(he_enc(pk_next, xs[j], rng, keystream_bit=x_stream) for j in range(2))
-    z_ct = tuple(he_enc(pk_next, zs[j], rng, keystream_bit=z_stream) for j in range(2))
-    e_ct = tuple(
-        tuple(he_enc(pk_next, p[j] & (xs[j] ^ v), rng, keystream_bit=e_stream) for v in range(2))
-        for j in range(2)
-    )
-    return x_ct, z_ct, e_ct, (x_stream, z_stream ^ e_stream)
+    x_stream, z_stream, e_stream = rng.integers(2, size=3).tolist()
+    es = [p[j] & (xs[j] ^ v) for j in range(2) for v in range(2)]
+    streams = [x_stream] * 2 + [z_stream] * 2 + [e_stream] * 4
+    cts = he_enc_bits(pk_next, [*xs, *zs, *es], rng, streams)
+    return cts[0:2], cts[2:4], (cts[4:6], cts[6:8]), (x_stream, z_stream ^ e_stream)
 
 
 def gen_measurement(a_ct: HECiphertext) -> int:

@@ -27,11 +27,11 @@ from qhevqa.classical_he import (
     he_const,
     he_dec,
     he_enc,
+    he_enc_bits,
     he_keygen,
     he_not,
     he_xor,
     key_switch,
-    keystream_bit,
     public_masked_parity,
 )
 
@@ -39,6 +39,44 @@ from qhevqa.classical_he import (
 @pytest.fixture(scope="module")
 def triple():
     return he_keygen(16, np.random.default_rng(0))
+
+
+def seal(pk, nonce):
+    """A leaf's stream bit and tag: byte 0's low bit and bytes 1-8 of one digest."""
+    digest = hashlib.sha256(pk.stream_seed + nonce + b"seal").digest()
+    return digest[0] & 1, digest[1 : 1 + TAG_BYTES]
+
+
+def stream_bit(pk, nonce):
+    return seal(pk, nonce)[0]
+
+
+class CountingRng:
+    """A generator whose ``bytes`` calls are recorded, or served from ``pools``
+    first: a list of byte strings handed out, one per call, before ``rng``'s."""
+
+    def __init__(self, rng, pools=()):
+        self.rng, self.pools, self.calls = rng, list(pools), []
+
+    def bytes(self, n):
+        self.calls.append(n)
+        return self.pools.pop(0)[:n] if self.pools else self.rng.bytes(n)
+
+
+def reference_pinned_nonces(pk, keystream_bits, rng):
+    """The pooled rule, one nonce at a time: each pool holds two nonces per
+    empty slot, and a nonce fills the first empty slot that wants its stream
+    bit or is dropped. Returns each slot's nonce."""
+    nonces = [None] * len(keystream_bits)
+    while None in nonces:
+        pool = rng.bytes(2 * NONCE_BYTES * nonces.count(None))
+        for start in range(0, len(pool), NONCE_BYTES):
+            nonce = pool[start : start + NONCE_BYTES]
+            for i, k in enumerate(keystream_bits):
+                if nonces[i] is None and k == stream_bit(pk, nonce):
+                    nonces[i] = nonce
+                    break
+    return nonces
 
 
 class TestEncDec:
@@ -53,6 +91,10 @@ class TestEncDec:
         rng = np.random.default_rng(2)
         with pytest.raises(HEError):
             he_enc(triple.pk, 2, rng)
+        with pytest.raises(HEError):
+            he_enc_bits(triple.pk, [0, 1], rng, [0, 2])
+        with pytest.raises(HEError):
+            he_enc_bits(triple.pk, [0, 1], rng, [0])
 
     def test_wrong_key_detected(self, triple):
         rng = np.random.default_rng(3)
@@ -64,9 +106,55 @@ class TestEncDec:
     def test_keystream_bit_pinning(self, triple):
         rng = np.random.default_rng(4)
         for want in (0, 1):
-            ct = he_enc(triple.pk, 1, rng, keystream_bit=want)
-            assert keystream_bit(triple.pk, ct.nonce) == want
+            (ct,) = he_enc_bits(triple.pk, [1], rng, [want])
+            assert stream_bit(triple.pk, ct.nonce) == want
             assert he_dec(triple.sk, ct) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=24),
+        pinned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_encrypted_bits_are_sealed_leaves(self, triple, pairs, pinned, seed):
+        bits = [b for b, _ in pairs]
+        keystream = [k for _, k in pairs] if pinned else None
+        cts = he_enc_bits(triple.pk, bits, np.random.default_rng(seed), keystream)
+        assert len(cts) == len(bits)
+        assert len({ct.nonce for ct in cts}) == len(cts)
+        assert _dec(triple.sk, *cts) == bits
+        for i, ct in enumerate(cts):
+            stream, tag = seal(triple.pk, ct.nonce)
+            assert (ct.op, ct.level, len(ct.nonce)) == (LEAF, triple.pk.level, NONCE_BYTES)
+            assert (ct.masked, ct.tag) == (bits[i] ^ stream, tag)
+            if pinned:
+                assert stream == keystream[i]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pinned_bits_draw_pooled_nonces(self, triple, seed):
+        keystream = [int(k) for k in np.random.default_rng(100 + seed).integers(2, size=8)]
+        rng = CountingRng(np.random.default_rng(seed))
+        cts = he_enc_bits(triple.pk, [1] * 8, rng, keystream)
+        twin = CountingRng(np.random.default_rng(seed))
+        assert [ct.nonce for ct in cts] == reference_pinned_nonces(triple.pk, keystream, twin)
+        assert rng.calls == twin.calls
+        assert rng.calls[0] == 2 * NONCE_BYTES * 8
+        pool = np.random.default_rng(seed).bytes(2 * NONCE_BYTES * 8)
+        streams = [stream_bit(triple.pk, pool[i : i + NONCE_BYTES])
+                   for i in range(0, len(pool), NONCE_BYTES)]
+        suffices = all(streams.count(k) >= keystream.count(k) for k in (0, 1))
+        assert (len(rng.calls) == 1) == suffices
+
+    def test_pinned_bits_draw_again_when_the_pool_misses(self, triple):
+        # A first pool of 8 nonces whose stream bits are all 1, for 4 slots that want 0.
+        candidates = (i.to_bytes(NONCE_BYTES, "little") for i in range(10**4))
+        wrong = [n for n in candidates if stream_bit(triple.pk, n) == 1][:8]
+        rng = CountingRng(np.random.default_rng(6), [b"".join(wrong)])
+        cts = he_enc_bits(triple.pk, [0, 1, 1, 0], rng, [0] * 4)
+        assert rng.calls[:2] == [8 * NONCE_BYTES, 8 * NONCE_BYTES]
+        assert not {ct.nonce for ct in cts} & set(wrong)
+        assert [stream_bit(triple.pk, ct.nonce) for ct in cts] == [0] * 4
+        assert _dec(triple.sk, *cts) == [0, 1, 1, 0]
 
     def test_ciphertexts_of_same_bit_differ(self, triple):
         rng = np.random.default_rng(5)
@@ -176,10 +264,9 @@ class TestMaskedParity:
     def test_parity_is_plaintext_xor_keystream(self, triple):
         rng = np.random.default_rng(13)
         for bit in (0, 1):
-            ct = he_enc(triple.pk, bit, rng, keystream_bit=0)
-            assert public_masked_parity(ct) == bit
-            ct = he_enc(triple.pk, bit, rng, keystream_bit=1)
-            assert public_masked_parity(ct) == 1 ^ bit
+            zero, one = he_enc_bits(triple.pk, [bit, bit], rng, [0, 1])
+            assert public_masked_parity(zero) == bit
+            assert public_masked_parity(one) == 1 ^ bit
 
     def test_parity_linear_over_xor(self, triple):
         rng = np.random.default_rng(14)
@@ -336,7 +423,7 @@ def build_dag(program, seed):
     for op, i, j, bit in program:
         if op == "LEAF" or not nodes:
             ct = he_enc(CHAIN[0].pk, bit, rng)
-            nodes.append((ct, bit, keystream_bit(CHAIN[0].pk, ct.nonce), False))
+            nodes.append((ct, bit, stream_bit(CHAIN[0].pk, ct.nonce), False))
             continue
         x, y = nodes[i % len(nodes)], nodes[j % len(nodes)]
         if op == "CONST":
@@ -411,6 +498,8 @@ class TestDagWalker:
     def test_golden_keyswitched_encoding(self):
         # Pins the wire format: a fixed seeded DAG with an AND, a constant, a
         # shared subgraph and two key switches must encode to the same bytes.
+        # Re-recorded when each leaf came to be sealed by one digest: the
+        # nonces and the length stayed, the masked bits and tags moved.
         rng = np.random.default_rng(2024)
         levels = [he_keygen(16, rng, level=i) for i in range(3)]
         a = he_enc(levels[0].pk, 1, rng)
@@ -424,7 +513,7 @@ class TestDagWalker:
         data = ct_to_bytes(top)
         assert len(data) == 1026
         assert hashlib.sha256(data).hexdigest() == (
-            "5275381e9a6eef05cacfe7a53054388bffccbd06ce8be33008a650c703164256"
+            "4d1225ca6c338cf61235896b0793e9b3e9ea2394da4b1e6592cf8135b482b666"
         )
         assert he_dec(levels[2].sk, top) == 1
 

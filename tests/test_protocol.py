@@ -995,17 +995,18 @@ class TestDelegatedRuns:
         updates = [m.payload for m in received if m.kind == "EncKeysUpdate"]
         assert [len(u["enc_keys"]) for u in updates] == [1] * 16  # one run per shot
         assert all(len(u["enc_keys"][0]) == 2 for u in updates)
-        # Outcomes recorded when remote RSP became claw-based only.
+        # Outcomes re-recorded when pinned leaves began to share pooled nonce draws.
         assert [(o[2], o[0]) for o in outcomes] == [
-            (1, 1), (1, 1), (0, 0), (0, 0), (1, 0), (0, 0), (1, 0), (1, 1),
-            (0, 1), (1, 1), (0, 1), (0, 0), (0, 0), (0, 0), (1, 1), (0, 0),
+            (1, 0), (0, 1), (1, 1), (0, 0), (1, 1), (1, 1), (1, 0), (0, 1),
+            (1, 0), (1, 1), (1, 1), (1, 0), (0, 1), (1, 1), (0, 0), (1, 0),
         ]
 
     def test_golden_faithful_transcript(self):
         # Every frame both ways and the outcomes of a small claw-based RSP
-        # session, pinned by a SHA-256 recorded at protocol version 5. The
-        # outcomes are version 2's. The digest is the signed-gather pads':
-        # their RunRequest amplitudes carry no -0.0.
+        # session, pinned by a SHA-256 recorded at protocol version 5. Both
+        # were re-recorded when pinned leaves began to share pooled nonce
+        # draws and each leaf to be sealed by one digest; the frame shapes
+        # stayed. The RunRequest amplitudes carry no -0.0.
         channel, _session, thread = serve_inproc()
         transcript = hashlib.sha256()
         send, recv = channel.send_bytes, channel.recv_bytes
@@ -1032,9 +1033,9 @@ class TestDelegatedRuns:
         )
         client.done()
         thread.join(timeout=5)
-        assert outcomes == [{1: 1, 0: 0}, {1: 1, 0: 0}, {1: 1, 0: 1}]
+        assert outcomes == [{1: 0, 0: 1}, {1: 1, 0: 1}, {1: 0, 0: 1}]
         assert transcript.hexdigest() == (
-            "513095ab8c151c8bd88127f499a0f99aedf6d6e70aadc1c862255ceb805717cf"
+            "b18369c1d3fd28f846978445059566d90b20aa080014ea522c31fd4cab89ae21"
         )
 
     def test_unknown_rsp_mode_is_refused(self):

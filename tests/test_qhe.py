@@ -233,20 +233,20 @@ def deep_cipherstate(seed):
 
 class TestOnePassDecryption:
     def test_deep_outputs_are_pinned(self):
-        # The keys digest was recorded with per-root decryption; one pass must
-        # reproduce it bit for bit. The amplitude digest was re-recorded when
-        # gadgets began to be consumed in closed form: every Bell outcome and
-        # key stayed, and the amplitudes moved by at most 2.7e-15.
+        # Both digests were re-recorded when leaves came to be sealed by one
+        # digest from pooled nonce draws, which moves every draw after the
+        # first pinned leaf. Per-root decryption gave the same keys digest
+        # there, so one pass still reproduces it bit for bit.
         amps, keys = hashlib.sha256(), hashlib.sha256()
         for seed in range(3):
             client, cs = deep_cipherstate(seed)
             amps.update(decrypt_state(client, cs).amplitudes.tobytes())
             keys.update(bytes(b for k in decrypt_keys(client, cs).keys for b in (k.a, k.b)))
         assert amps.hexdigest() == (
-            "4c377f9cb51055b71ee4a7caf20e1fa5e0ec709503f9d9fe872fdc23cab28c23"
+            "62ab58939e9b1d667fb332922a2562f3c72a79f2bacc259a231eb1449478c7e9"
         )
         assert keys.hexdigest() == (
-            "2a386c84799f86160a213d8d11b412c01dc59674afa35bb78b0db80d9437b5e2"
+            "4d1d0e9371f97662a6a002751fa1968bff0973393a8b15c314673bf267de5b48"
         )
 
     def test_deep_keygen_bytes_are_pinned(self):
@@ -265,7 +265,7 @@ class TestOnePassDecryption:
                 for ct in pair:
                     digest.update(ct_to_bytes(ct))
         assert digest.hexdigest() == (
-            "58489fb92da926fd9bfa8b9370ce825b5926bdbade9c8eb3942eff55e0e53308"
+            "68684a7172c387230dc1a4ac9ad9727a101001cd5d98af6949266ae05c18452c"
         )
 
     def test_one_decrypt_pass_per_request(self, monkeypatch):

@@ -11,6 +11,7 @@ from qhevqa.classical_he import (
     encrypt_seed,
     he_dec,
     he_enc,
+    he_enc_bits,
     he_keygen,
     public_masked_parity,
 )
@@ -670,7 +671,7 @@ class TestRouting:
         rng = np.random.default_rng(14)
         for bit in (0, 1):
             for stream in (0, 1):
-                ct = he_enc(triple.pk, bit, rng, keystream_bit=stream)
+                (ct,) = he_enc_bits(triple.pk, [bit], rng, [stream])
                 assert gen_measurement(ct) == public_masked_parity(ct) == bit ^ stream
 
 
@@ -688,7 +689,7 @@ class TestEndToEnd:
         sk_enc = encrypt_seed(l1.pk, l0.sk, rng)
         for a, b, k in product((0, 1), repeat=3):
             gadget, (dx, dz) = gen_gadget(l1.pk, sk_enc, k, rng, rsp_round_ideal)
-            a_ct = he_enc(l0.pk, a, rng, keystream_bit=k)
+            (a_ct,) = he_enc_bits(l0.pk, [a], rng, [k])
             b_ct = he_enc(l0.pk, b, rng)
             psi = rand_state(1, rng)
             padded = psi
