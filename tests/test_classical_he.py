@@ -517,6 +517,27 @@ class TestDagWalker:
         )
         assert he_dec(levels[2].sk, top) == 1
 
+    def test_golden_linear_keyswitched_encoding(self):
+        # Pins the wire format on linear ops only: a fixed seeded DAG with a
+        # shared leaf, two constants, a shared key-switched subgraph and two
+        # key switches must encode to the same bytes.
+        rng = np.random.default_rng(2024)
+        levels = [he_keygen(16, rng, level=i) for i in range(3)]
+        a = he_enc(levels[0].pk, 1, rng)
+        b = he_enc(levels[0].pk, 0, rng)
+        low = he_xor(he_xor(a, b), he_xor(a, he_const(1, 0)))
+        sk_enc = encrypt_seed(levels[1].pk, levels[0].sk, rng)
+        mid = key_switch(he_xor(low, he_const(1, 0)), sk_enc)
+        c = he_enc(levels[1].pk, 1, rng)
+        sk_enc = encrypt_seed(levels[2].pk, levels[1].sk, rng)
+        top = key_switch(he_xor(mid, he_xor(c, mid)), sk_enc)
+        data = ct_to_bytes(top)
+        assert len(data) == 1030
+        assert hashlib.sha256(data).hexdigest() == (
+            "55eb62fa4ddd400f7c7fcc2c5708141dfa06d27811e95ad175623328ddced4a7"
+        )
+        assert he_dec(levels[2].sk, top) == 1
+
     def test_deep_chain_hashes_and_compares_by_identity(self):
         # Value equality would recurse through all 3000 NOT nodes.
         ct = he_enc(CHAIN[0].pk, 1, np.random.default_rng(33))
