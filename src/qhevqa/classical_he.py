@@ -1,9 +1,10 @@
-"""Modeled classical homomorphic encryption: keygen, encrypt, gates, decrypt.
+"""Modeled linear classical homomorphic encryption: keygen, encrypt, XOR, decrypt.
 
 This is an API-faithful stand-in, not hardened cryptography: evaluation is
-deferred (ciphertexts record the boolean circuit; decryption replays it on
-unsealed leaves), and each leaf hides its bit as ``masked = bit XOR
-stream(seed, nonce)`` under a keyed pseudorandom stream. One SHA-256 digest of
+deferred (ciphertexts record a GF(2)-affine circuit of XORs, constants and key
+switches, all that the QHE key flow needs; decryption replays it on unsealed
+leaves), and each leaf hides its bit as ``masked = bit XOR stream(seed,
+nonce)`` under a keyed pseudorandom stream. One SHA-256 digest of
 the stream seed and the nonce seals a leaf: its stream bit is the low bit of
 byte 0 and its tag bytes 1-8, disjoint output bits, so in the random-oracle
 model the public tag says nothing about the stream bit. ``he_enc_bits``
@@ -18,9 +19,8 @@ this model.
 
 A node is an immutable tuple of its fields (``HECiphertext``), read by
 position in this module's own loops. The wire format is the ``_topological``
-node table with minimal varints. ``ct_from_bytes`` refuses an overlong varint
-and a node before the root that no later node references, the two ways to pad
-a ciphertext into a second encoding; the table's order is not checked.
+node table with minimal varints; ``ct_from_bytes`` refuses any other table,
+and any levels that ``he_xor`` or ``key_switch`` refuse.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ MIN_SECURITY = 16
 NONCE_BYTES = 16
 TAG_BYTES = 8
 
-LEAF, XOR, AND, NOT, CONST, KEYSWITCH = range(6)
+LEAF, XOR, CONST, KEYSWITCH = 0, 1, 4, 5  # 2 and 3 were AND and NOT; refused as unknown
 
 
 class HEError(Exception):
@@ -90,9 +90,8 @@ class HECiphertext(tuple):
     whole DAG.
 
     ``masked_parity`` is derived, not serialised: the XOR of the masked bits
-    and constants below the node, flipped by each NOT and passed through
-    KEYSWITCH (its ``sk_enc`` is not part of the value); None at or above an
-    AND, where no public parity exists.
+    and constants below the node, passed through KEYSWITCH (its ``sk_enc`` is
+    not part of the value). Every node has one, since every op is linear.
     """
 
     __slots__ = ()
@@ -101,19 +100,13 @@ class HECiphertext(tuple):
                 children: tuple[HECiphertext, ...] = (), const_value: int = 0,
                 sk_enc: tuple[HECiphertext, ...] = ()) -> HECiphertext:
         if op == XOR:
-            a, b = children[0][8], children[1][8]  # the children's masked_parity
-            parity = None if a is None or b is None else a ^ b
+            parity = children[0][8] ^ children[1][8]  # the children's masked_parity
         elif op == LEAF:
             parity = masked
         elif op == KEYSWITCH:
             parity = children[0][8]
-        elif op == NOT:
-            parity = children[0][8]
-            parity = None if parity is None else 1 ^ parity
-        elif op == CONST:
-            parity = const_value
         else:
-            parity = None
+            parity = const_value
         return tuple.__new__(cls, (op, level, nonce, masked, tag, children, const_value, sk_enc,
                                    parity))
 
@@ -200,14 +193,6 @@ def _check_same_level(kids: Sequence[HECiphertext]) -> int:
 
 def he_xor(a: HECiphertext, b: HECiphertext) -> HECiphertext:
     return HECiphertext(XOR, _check_same_level((a, b)), children=(a, b))
-
-
-def he_and(a: HECiphertext, b: HECiphertext) -> HECiphertext:
-    return HECiphertext(AND, _check_same_level((a, b)), children=(a, b))
-
-
-def he_not(a: HECiphertext) -> HECiphertext:
-    return HECiphertext(NOT, a.level, children=(a,))
 
 
 def key_switch(ct: HECiphertext, sk_enc: Sequence[HECiphertext]) -> HECiphertext:
@@ -318,14 +303,8 @@ def _dec(sk: HESecretKey, *roots: HECiphertext) -> list[int]:
             unseal(node)
         elif op == KEYSWITCH:
             vals[node] = vals[kids[0]]
-        elif op == CONST:
-            vals[node] = const_value
-        elif op == AND:
-            vals[node] = vals[kids[0]] & vals[kids[1]]
-        elif op == NOT:
-            vals[node] = 1 ^ vals[kids[0]]
         else:
-            raise HEError(f"malformed ciphertext node op={op}")
+            vals[node] = const_value
     return [vals[ct] for ct in roots]
 
 
@@ -346,12 +325,9 @@ def encrypt_seed(
 def public_masked_parity(ct: HECiphertext) -> int:
     """XOR of leaf masked bits and constants, readable from the public string.
 
-    Defined for XOR/NOT/KEYSWITCH structures only: for those, the plaintext
-    equals this parity XOR the (secret) parity of the leaves' stream bits.
-    Each node stores it when built, so this reads one field.
+    The plaintext equals this parity XOR the (secret) parity of the leaves'
+    stream bits. Each node stores it when built, so this reads one field.
     """
-    if ct.masked_parity is None:
-        raise HEError("masked parity undefined for AND nodes")
     return ct.masked_parity
 
 
@@ -414,16 +390,17 @@ def ct_to_bytes(ct: HECiphertext) -> bytes:
     return b"".join(parts)
 
 
-_CHILD_ARITY = {XOR: 2, AND: 2, NOT: 1, KEYSWITCH: 1}
+_CHILD_ARITY = {XOR: 2, KEYSWITCH: 1}
 
 
 def ct_from_bytes(data: bytes) -> HECiphertext:
+    """Decode a ``ct_to_bytes`` table, checking each node's levels as it is read
+    and then, by one ``_topological`` walk, that every node is listed once, in order."""
     count, pos = _read_varint(data, 0)
     if count == 0:
         raise HEError("empty ciphertext encoding")
     size = len(data)
     nodes: list[HECiphertext] = []
-    referenced: set[int] = set()
     for i in range(count):
         if pos >= size:
             raise HEError("truncated ciphertext")
@@ -473,15 +450,25 @@ def ct_from_bytes(data: bytes) -> HECiphertext:
                     ref, pos = _read_varint(data, pos)
                 if ref >= i:
                     raise HEError("forward or dangling child reference")
-                refs.append(ref)
-            referenced.update(refs)
-            refs = [nodes[r] for r in refs]
-            nodes.append(HECiphertext(op, level, children=tuple(refs[:n_children]),
-                                      sk_enc=tuple(refs[n_children:])))
+                refs.append(nodes[ref])
+            if op == XOR:
+                if refs[0][1] != level or refs[1][1] != level:
+                    raise HEError("misleveled XOR child")
+                nodes.append(HECiphertext(XOR, level, children=tuple(refs)))
+            elif refs[0][1] != level - 1 or {bit[1] for bit in refs[1:]} != {level}:
+                raise HEError("misleveled key switch: needs key bits at its level over a "
+                              "child one level down")
+            else:
+                nodes.append(HECiphertext(KEYSWITCH, level, children=(refs[0],),
+                                          sk_enc=tuple(refs[1:])))
         else:
             raise HEError(f"unknown ciphertext tag {op}")
     if pos != size:
         raise HEError("trailing bytes after ciphertext")
-    if len(referenced) != count - 1:
-        raise HEError("unreferenced node before the root")
+    if count > 1:  # a lone node is its own walk
+        order = _topological(nodes[-1])
+        if len(order) != count:
+            raise HEError("unreferenced node before the root")
+        if order != nodes:  # element by element, by identity
+            raise HEError("non-canonical node order")
     return nodes[-1]

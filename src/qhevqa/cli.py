@@ -545,19 +545,30 @@ def check_pad_mixing(registers: int, seed: int):
 
 
 def _check_he_roundtrip():
-    from .classical_he import he_dec, he_enc, he_keygen, he_not, he_and, he_xor
+    from .classical_he import encrypt_seed, he_const, he_dec, he_enc, he_keygen, he_xor, key_switch
     from .qhe import SECURITY
 
     rng = np.random.default_rng(1)
-    triple = he_keygen(SECURITY, rng)
-    for _ in range(200):
-        bits = [int(rng.integers(2)) for _ in range(3)]
-        cts = [he_enc(triple.pk, b, rng) for b in bits]
-        ct = he_xor(he_and(cts[0], cts[1]), he_not(cts[2]))
-        want = (bits[0] & bits[1]) ^ (1 ^ bits[2])
-        if he_dec(triple.sk, ct) != want:
-            return False, f"wrong decryption for bits {bits}"
-    return True, "200 random AND/XOR/NOT evaluations decrypt correctly"
+    chain = [he_keygen(SECURITY, rng, level=lv) for lv in range(3)]
+    sk_enc = [encrypt_seed(chain[lv + 1].pk, chain[lv].sk, rng) for lv in range(2)]
+    for _ in range(200):  # a random DAG of XORs, constants and key switches
+        bits, levels = rng.integers(2, size=3).tolist(), rng.integers(3, size=3).tolist()
+        nodes = [(he_enc(chain[lv].pk, b, rng), b) for b, lv in zip(bits, levels)]
+        for op in rng.integers(3, size=8):
+            picks = (nodes[i] for i in rng.integers(len(nodes), size=2))
+            (x, a), (y, b) = sorted(picks, key=lambda node: node[0].level)  # x the lower
+            if op == 0:  # a constant, y's bit standing in for a random one
+                nodes.append((he_const(b, x.level), b))
+            elif op == 1 and x.level < 2:  # x, one level up
+                nodes.append((key_switch(x, sk_enc[x.level]), a))
+            else:  # x switched up to y's level, then the XOR
+                while x.level < y.level:
+                    x = key_switch(x, sk_enc[x.level])
+                nodes.append((he_xor(x, y), a ^ b))
+        for ct, want in nodes:
+            if he_dec(chain[ct.level].sk, ct) != want:
+                return False, f"wrong decryption for input bits {bits}"
+    return True, "200 random XOR/CONST/KEYSWITCH DAGs over 3 levels decrypt correctly"
 
 
 def check_sk(count: int, seed: int, min_improved: int):

@@ -330,7 +330,7 @@ Wire = namedtuple("Wire", "wires")  # an int index below the named wire count, n
 Num = namedtuple("Num", ())  # a finite JSON number, never a bool
 Enum = namedtuple("Enum", "values")  # a str or bool among the values
 Str = namedtuple("Str", ())
-Ct = namedtuple("Ct", "level")  # a hex ciphertext at the level with a public masked parity
+Ct = namedtuple("Ct", "level")  # a hex ciphertext whose root sits at the level
 Seq = namedtuple("Seq", "item lo hi distinct", defaults=(0, None, False))  # lo..hi items
 Amps = namedtuple("Amps", "wires")  # (re, im) pairs of a unit-norm 2**wires register
 Bits = namedtuple("Bits", "lo hi shape")  # lo..hi rows of 0/1 ints, each nested to shape
@@ -492,10 +492,10 @@ def validate(spec, value, ctx):
     elif t is Str:
         if type(value) is str:
             return value
-    elif t is Ct:  # the level, and a parity to route gadgets by, checked before any run
+    elif t is Ct:  # the level, checked before any run
         if type(value) is str:
             ct = ct_from_hex(value)
-            if ct.level == ctx.get(spec.level, spec.level) and ct.masked_parity is not None:
+            if ct.level == ctx.get(spec.level, spec.level):
                 return ct
     raise ProtocolError("payload", f"expected {spec}")
 

@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhevqa.classical_he import (
-    AND,
     CONST,
     KEYSWITCH,
     LEAF,
     NONCE_BYTES,
-    NOT,
     TAG_BYTES,
     XOR,
     HECiphertext,
@@ -23,13 +21,11 @@ from qhevqa.classical_he import (
     ct_from_bytes,
     ct_to_bytes,
     encrypt_seed,
-    he_and,
     he_const,
     he_dec,
     he_enc,
     he_enc_bits,
     he_keygen,
-    he_not,
     he_xor,
     key_switch,
     public_masked_parity,
@@ -170,9 +166,8 @@ class TestHomomorphics:
             for y in (0, 1):
                 cx, cy = he_enc(triple.pk, x, rng), he_enc(triple.pk, y, rng)
                 assert he_dec(triple.sk, he_xor(cx, cy)) == x ^ y
-                assert he_dec(triple.sk, he_and(cx, cy)) == x & y
-                assert he_dec(triple.sk, he_not(cx)) == 1 ^ x
-                assert he_dec(triple.sk, he_xor(cx, he_const(1, triple.pk.level))) == 1 ^ x
+                assert he_dec(triple.sk, he_xor(cx, he_const(y, triple.pk.level))) == x ^ y
+                assert he_dec(triple.sk, he_xor(cx, cx)) == 0
 
     def test_random_circuits_against_plaintext(self, triple):
         rng = np.random.default_rng(7)
@@ -182,16 +177,12 @@ class TestHomomorphics:
             vals = list(bits)
             nodes = list(cts)
             for _step in range(6):
-                op = rng.integers(3)
                 i, j = rng.integers(len(nodes)), rng.integers(len(nodes))
-                if op == 0:
+                if rng.integers(2):
                     nodes.append(he_xor(nodes[i], nodes[j]))
                     vals.append(vals[i] ^ vals[j])
-                elif op == 1:
-                    nodes.append(he_and(nodes[i], nodes[j]))
-                    vals.append(vals[i] & vals[j])
-                else:
-                    nodes.append(he_not(nodes[i]))
+                else:  # a NOT
+                    nodes.append(he_xor(nodes[i], he_const(1, triple.pk.level)))
                     vals.append(1 ^ vals[i])
             assert he_dec(triple.sk, nodes[-1]) == vals[-1]
 
@@ -276,19 +267,13 @@ class TestMaskedParity:
             public_masked_parity(a) ^ public_masked_parity(b)
         )
 
-    def test_parity_rejects_and(self, triple):
-        rng = np.random.default_rng(15)
-        a = he_enc(triple.pk, 1, rng)
-        with pytest.raises(HEError):
-            public_masked_parity(he_and(a, a))
-
 
 class TestWireFormat:
     def test_round_trip(self, triple):
         rng = np.random.default_rng(16)
         a = he_enc(triple.pk, 1, rng)
         b = he_enc(triple.pk, 0, rng)
-        ct = he_xor(he_and(a, b), he_not(a))
+        ct = he_xor(he_xor(a, b), he_xor(a, he_const(1, triple.pk.level)))
         back = ct_from_bytes(ct_to_bytes(ct))
         assert he_dec(triple.sk, back) == he_dec(triple.sk, ct)
         assert ct_to_bytes(back) == ct_to_bytes(ct)
@@ -325,8 +310,8 @@ class TestWireFormat:
         # spells the value of one byte in two: a second encoding.
         rng = np.random.default_rng(39)
         leaf = ct_to_bytes(he_enc(triple.pk, 1, rng))
-        flipped = ct_to_bytes(he_not(he_enc(triple.pk, 1, rng)))
-        assert leaf[:2] == bytes([1, LEAF]) and flipped.endswith(bytes([NOT, 0, 1, 0, 0]))
+        flipped = ct_to_bytes(he_xor(he_enc(triple.pk, 1, rng), he_const(1, 0)))
+        assert leaf[:2] == bytes([1, LEAF]) and flipped.endswith(bytes([XOR, 0, 2, 0, 1, 0]))
         for data in (
             b"\x81\x00" + leaf[1:],
             leaf[:2] + b"\x80\x00" + leaf[3:],
@@ -341,10 +326,10 @@ class TestWireFormat:
         # pads the table without changing the ciphertext.
         rng = np.random.default_rng(40)
         a, b = (ct_to_bytes(he_enc(triple.pk, bit, rng)) for bit in (0, 1))
-        flipped = ct_to_bytes(he_not(he_enc(triple.pk, 1, rng)))
+        flipped = ct_to_bytes(he_xor(he_enc(triple.pk, 1, rng), he_const(1, 0)))
         for data, size in (
             (b"\x02" + a[1:] + b[1:], 28),  # a leaf before the root leaf
-            (b"\x03" + flipped[1:] + b[1:], 28),  # a NOT and its leaf before it
+            (b"\x04" + flipped[1:] + b[1:], 28),  # an XOR, its constant and leaf before it
             (b"\x03" + a[1:] + b[1:] + bytes([XOR, 0, 2, 0, 1, 1]), 34),  # a, then b XOR b
         ):
             assert len(ct_to_bytes(reference_ct_from_bytes(data))) == size
@@ -354,11 +339,54 @@ class TestWireFormat:
     def test_self_and_forward_references_refused(self, triple):
         leaf = ct_to_bytes(he_enc(triple.pk, 1, np.random.default_rng(41)))
         for ref in (1, 2, 200):  # itself, the next node, a two-byte reference
-            data = b"\x02" + leaf[1:] + bytes([NOT, 0, 1, 0]) + reference_varint(ref)
+            data = b"\x02" + leaf[1:] + bytes([XOR, 0, 2, 0, 0]) + reference_varint(ref)
             with pytest.raises(HEError, match="forward or dangling"):
                 reference_ct_from_bytes(data)
             with pytest.raises(HEError, match="forward or dangling"):
                 ct_from_bytes(data)
+
+    def test_removed_ops_refused(self, triple):
+        # Op bytes 2 and 3 were AND and NOT; both decoders refuse them.
+        leaf = ct_to_bytes(he_enc(triple.pk, 1, np.random.default_rng(45)))
+        for op in (2, 3):
+            data = b"\x02" + leaf[1:] + bytes([op, 0, 2, 0, 0, 0])
+            for decode in (reference_ct_from_bytes, ct_from_bytes):
+                with pytest.raises(HEError, match=f"unknown ciphertext tag {op}"):
+                    decode(data)
+
+    def test_levels_the_constructors_refuse_are_refused(self):
+        # Each table below decodes by the reference decoder, passes a root
+        # level check and fails only at decryption; he_xor and key_switch
+        # refuse to build any of them.
+        rng = np.random.default_rng(43)
+        low, low2, high, high2 = (ct_to_bytes(he_enc(CHAIN[lv].pk, 1, rng))[1:]
+                                  for lv in (0, 0, 1, 1))
+        for data, message in (
+            (b"\x03" + high + low + bytes([XOR, 0, 2, 0, 1, 0]), "misleveled XOR child"),
+            (b"\x03" + low2 + low + bytes([XOR, 1, 2, 0, 1, 0]), "misleveled XOR child"),
+            (b"\x02" + low + bytes([KEYSWITCH, 1, 1, 0, 0]),  # no key bits
+             "misleveled key switch"),
+            (b"\x03" + high2 + high + bytes([KEYSWITCH, 1, 1, 1, 1, 0]),  # child at its level
+             "misleveled key switch"),
+            (b"\x03" + low2 + low + bytes([KEYSWITCH, 1, 1, 1, 1, 0]),  # key bit a level down
+             "misleveled key switch"),
+        ):
+            assert ct_to_bytes(reference_ct_from_bytes(data)) == data
+            with pytest.raises(HEError, match=message):
+                ct_from_bytes(data)
+
+    def test_non_canonical_order_refused(self, triple):
+        # The XOR of two leaves, listed with its leaves swapped and its
+        # references swapped to match: the same ciphertext in a second order.
+        rng = np.random.default_rng(44)
+        a, b = he_enc(triple.pk, 1, rng), he_enc(triple.pk, 0, rng)
+        data = ct_to_bytes(he_xor(a, b))
+        swapped = b"\x03" + ct_to_bytes(a)[1:] + ct_to_bytes(b)[1:] + bytes([XOR, 0, 2, 0, 0, 1])
+        assert len(swapped) == len(data) and swapped != data
+        assert ct_to_bytes(reference_ct_from_bytes(swapped)) == data
+        assert ct_to_bytes(ct_from_bytes(data)) == data
+        with pytest.raises(HEError, match="non-canonical node order"):
+            ct_from_bytes(swapped)
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=64))
@@ -388,7 +416,10 @@ _CHAIN_RNG = np.random.default_rng(30)
 CHAIN = [he_keygen(16, _CHAIN_RNG, level=i) for i in range(3)]
 SK_ENC = [encrypt_seed(CHAIN[i + 1].pk, CHAIN[i].sk, _CHAIN_RNG) for i in range(2)]
 _LOW = key_switch(
-    he_xor(he_enc(CHAIN[0].pk, 1, _CHAIN_RNG), he_not(he_enc(CHAIN[0].pk, 0, _CHAIN_RNG))),
+    he_xor(
+        he_enc(CHAIN[0].pk, 1, _CHAIN_RNG),
+        he_xor(he_enc(CHAIN[0].pk, 0, _CHAIN_RNG), he_const(1, 0)),
+    ),
     SK_ENC[0],
 )
 KEYSWITCHED_BYTES = ct_to_bytes(key_switch(he_xor(_LOW, _LOW), SK_ENC[1]))
@@ -396,7 +427,7 @@ KEYSWITCHED_BYTES = ct_to_bytes(key_switch(he_xor(_LOW, _LOW), SK_ENC[1]))
 # (op, operand index, operand index, bit); indices wrap around the node list.
 DAG_PROGRAMS = st.lists(
     st.tuples(
-        st.sampled_from(["LEAF", "CONST", "XOR", "AND", "NOT", "KEYSWITCH"]),
+        st.sampled_from(["LEAF", "CONST", "XOR", "KEYSWITCH"]),
         st.integers(0, 63),
         st.integers(0, 63),
         st.integers(0, 1),
@@ -409,13 +440,13 @@ DAG_PROGRAMS = st.lists(
 def lift(node, level):
     """Key-switch a built node up to ``level``."""
     while node[0].level < level:
-        ct, plain, stream, has_and = node
-        node = (key_switch(ct, SK_ENC[ct.level]), plain, stream, has_and)
+        ct, plain, stream = node
+        node = (key_switch(ct, SK_ENC[ct.level]), plain, stream)
     return node
 
 
 def build_dag(program, seed):
-    """Build a random DAG; each node is (ct, plaintext, stream parity, AND below).
+    """Build a random DAG; each node is (ct, plaintext, stream parity).
 
     Returns every node built, the last one being the program's output."""
     rng = np.random.default_rng(seed)
@@ -423,24 +454,17 @@ def build_dag(program, seed):
     for op, i, j, bit in program:
         if op == "LEAF" or not nodes:
             ct = he_enc(CHAIN[0].pk, bit, rng)
-            nodes.append((ct, bit, stream_bit(CHAIN[0].pk, ct.nonce), False))
+            nodes.append((ct, bit, stream_bit(CHAIN[0].pk, ct.nonce)))
             continue
         x, y = nodes[i % len(nodes)], nodes[j % len(nodes)]
         if op == "CONST":
-            nodes.append((he_const(bit, x[0].level), bit, 0, False))
-        elif op == "NOT":
-            nodes.append((he_not(x[0]), 1 ^ x[1], x[2], x[3]))
+            nodes.append((he_const(bit, x[0].level), bit, 0))
         elif op == "KEYSWITCH":
             nodes.append(lift(x, min(x[0].level + 1, len(CHAIN) - 1)))
         else:
             level = max(x[0].level, y[0].level)
             x, y = lift(x, level), lift(y, level)
-            if op == "XOR":
-                has_and = x[3] or y[3]
-                stream = None if has_and else x[2] ^ y[2]
-                nodes.append((he_xor(x[0], y[0]), x[1] ^ y[1], stream, has_and))
-            else:
-                nodes.append((he_and(x[0], y[0]), x[1] & y[1], None, True))
+            nodes.append((he_xor(x[0], y[0]), x[1] ^ y[1], x[2] ^ y[2]))
     return nodes
 
 
@@ -448,13 +472,9 @@ class TestDagWalker:
     @settings(max_examples=150, deadline=None)
     @given(DAG_PROGRAMS, st.integers(0, 2**32 - 1))
     def test_stored_parity_matches_plaintext_and_keystream(self, program, seed):
-        ct, plain, stream, has_and = build_dag(program, seed)[-1]
-        for node in (ct, ct_from_bytes(ct_to_bytes(ct))):
-            assert he_dec(CHAIN[node.level].sk, node) == plain
-            if has_and:
-                with pytest.raises(HEError):
-                    public_masked_parity(node)
-            else:
+        for ct, plain, stream in build_dag(program, seed):
+            for node in (ct, ct_from_bytes(ct_to_bytes(ct))):
+                assert he_dec(CHAIN[node.level].sk, node) == plain
                 assert public_masked_parity(node) == plain ^ stream
 
     @settings(max_examples=300, deadline=None)
@@ -490,32 +510,10 @@ class TestDagWalker:
     def test_non_leaf_key_bit_rejected(self):
         rng = np.random.default_rng(32)
         bad = list(SK_ENC[0])
-        bad[0] = he_not(bad[0])
+        bad[0] = he_xor(bad[0], he_const(1, bad[0].level))
         ct = key_switch(he_enc(CHAIN[0].pk, 1, rng), bad)
         with pytest.raises(HEError, match="not a leaf"):
             he_dec(CHAIN[1].sk, ct)
-
-    def test_golden_keyswitched_encoding(self):
-        # Pins the wire format: a fixed seeded DAG with an AND, a constant, a
-        # shared subgraph and two key switches must encode to the same bytes.
-        # Re-recorded when each leaf came to be sealed by one digest: the
-        # nonces and the length stayed, the masked bits and tags moved.
-        rng = np.random.default_rng(2024)
-        levels = [he_keygen(16, rng, level=i) for i in range(3)]
-        a = he_enc(levels[0].pk, 1, rng)
-        b = he_enc(levels[0].pk, 0, rng)
-        low = he_xor(he_and(a, b), he_not(a))
-        sk_enc = encrypt_seed(levels[1].pk, levels[0].sk, rng)
-        mid = key_switch(he_xor(low, he_const(1, 0)), sk_enc)
-        c = he_enc(levels[1].pk, 1, rng)
-        sk_enc = encrypt_seed(levels[2].pk, levels[1].sk, rng)
-        top = key_switch(he_xor(mid, he_xor(c, mid)), sk_enc)
-        data = ct_to_bytes(top)
-        assert len(data) == 1026
-        assert hashlib.sha256(data).hexdigest() == (
-            "4d1225ca6c338cf61235896b0793e9b3e9ea2394da4b1e6592cf8135b482b666"
-        )
-        assert he_dec(levels[2].sk, top) == 1
 
     def test_golden_linear_keyswitched_encoding(self):
         # Pins the wire format on linear ops only: a fixed seeded DAG with a
@@ -539,10 +537,10 @@ class TestDagWalker:
         assert he_dec(levels[2].sk, top) == 1
 
     def test_deep_chain_hashes_and_compares_by_identity(self):
-        # Value equality would recurse through all 3000 NOT nodes.
-        ct = he_enc(CHAIN[0].pk, 1, np.random.default_rng(33))
+        # Value equality would recurse through all 3000 XOR nodes.
+        ct, one = he_enc(CHAIN[0].pk, 1, np.random.default_rng(33)), he_const(1, 0)
         for _ in range(3000):
-            ct = he_not(ct)
+            ct = he_xor(ct, one)
         back = ct_from_bytes(ct_to_bytes(ct))
         assert hash(ct) == hash(ct) and ct == ct
         assert back != ct
@@ -687,12 +685,14 @@ def reference_ct_to_bytes(ct):
     return bytes(out)
 
 
-REFERENCE_ARITY = {XOR: 2, AND: 2, NOT: 1, KEYSWITCH: 1}
+REFERENCE_ARITY = {XOR: 2, KEYSWITCH: 1}
 
 
 def reference_ct_from_bytes(data):
-    """The decoder as first written. It accepts overlong varints and nodes
-    that nothing references, which ``ct_from_bytes`` refuses."""
+    """The decoder as first written. It accepts overlong varints, nodes that
+    nothing references, tables in another order than ``_topological``'s and
+    nodes at levels the constructors refuse, all of which ``ct_from_bytes``
+    refuses."""
     count, pos = reference_read_varint(data, 0)
     if count == 0:
         raise HEError("empty ciphertext encoding")
@@ -758,8 +758,10 @@ for _base in (0, 126, 16382):
         {_base + i: encrypt_seed(_keys[i + 1].pk, _keys[i].sk, _CODEC_RNG) for i in range(2)},
     )
 
-# Refusals of non-canonical encodings, which the reference decoder lacks.
-CANONICAL_REFUSALS = ("overlong varint", "unreferenced node")
+# Refusals of non-canonical encodings and of levels the constructors refuse,
+# which the reference decoder lacks.
+CANONICAL_REFUSALS = ("overlong varint", "unreferenced node", "non-canonical node order",
+                      "misleveled")
 
 
 def build_codec_dag(program, base, seed):
@@ -784,14 +786,11 @@ def build_codec_dag(program, base, seed):
         x, y = nodes[i % len(nodes)], nodes[j % len(nodes)]
         if op == "CONST":
             nodes.append(he_const(bit, x.level))
-        elif op == "NOT":
-            nodes.append(he_not(x))
         elif op == "KEYSWITCH":
             nodes.append(lift(x, min(x.level + 1, top)))
         else:
             level = max(x.level, y.level)
-            gate = he_xor if op == "XOR" else he_and
-            nodes.append(gate(lift(x, level), lift(y, level)))
+            nodes.append(he_xor(lift(x, level), lift(y, level)))
     return nodes[-1]
 
 
@@ -863,14 +862,14 @@ class TestCodecOracle:
 
     def test_three_byte_references(self):
         # More than 16 384 nodes: the count and the last references take
-        # three varint bytes.
-        ct = he_enc(CHAIN[0].pk, 1, np.random.default_rng(38))
+        # three varint bytes. Every XOR shares one constant, listed first.
+        ct, one = he_enc(CHAIN[0].pk, 1, np.random.default_rng(38)), he_const(1, 0)
         for _ in range(16400):
-            ct = he_not(ct)
+            ct = he_xor(ct, one)
         data = ct_to_bytes(ct)
-        assert data.startswith(reference_varint(16401) + bytes([LEAF]))
-        assert data.endswith(bytes([NOT, 0, 1, 0]) + reference_varint(16399))
-        assert len(reference_varint(16399)) == 3
+        assert data.startswith(reference_varint(16402) + bytes([CONST, 0, 1, LEAF]))
+        assert data.endswith(bytes([XOR, 0, 2, 0]) + reference_varint(16400) + bytes([0]))
+        assert len(reference_varint(16400)) == 3
         assert data == reference_ct_to_bytes(ct)
         back = ct_from_bytes(data)
         assert ct_to_bytes(back) == data

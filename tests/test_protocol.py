@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhevqa.classical_he import he_and, he_enc, he_keygen
+from qhevqa.classical_he import KEYSWITCH, XOR, he_enc, he_keygen, he_xor
 from qhevqa.protocol import (
     ANNOUNCE,
     AUDIT_LIMIT,
@@ -76,6 +76,35 @@ from qhevqa.vqa import (
 
 def broken_ct_decoder(data):
     raise KeyError("a decoder fault")
+
+
+def misleveled_key_hex(level, kind):
+    """A key whose root sits at ``level`` but that ``he_xor`` or
+    ``key_switch`` would refuse to build: an XOR over a leaf one level up, or
+    a key switch with no encrypted key bits."""
+    rng = np.random.default_rng(level)
+
+    def leaf(lv):  # a one-leaf table without its count byte
+        return ct_to_hex(he_enc(he_keygen(16, rng, level=lv).pk, 1, rng))[2:]
+
+    if kind == "xor":
+        return "03" + leaf(level + 1) + leaf(level) + bytes([XOR, level, 2, 0, 1, 0]).hex()
+    return "02" + leaf(level - 1) + bytes([KEYSWITCH, level, 1, 0, 0]).hex()
+
+
+def and_hex(a, b):
+    """The encoding an AND of ``a`` and ``b`` had: an XOR's table with op byte 2."""
+    data = bytearray.fromhex(ct_to_hex(he_xor(a, b)))
+    assert data[-6] == XOR
+    data[-6] = 2
+    return data.hex()
+
+
+def spoil_first_key(payload, kind):
+    """An ``EncKeysUpdate`` payload whose first key is a ``misleveled_key_hex``."""
+    (row,) = payload["enc_keys"]
+    first = [misleveled_key_hex(payload["level"], kind), row[0][1]]
+    return {**payload, "enc_keys": [[first, *row[1:]]]}
 
 
 def rand_state(n, rng):
@@ -610,18 +639,17 @@ class TestHostilePayloads:
 
     @pytest.mark.parametrize("spoil", ["level-1", "and"])
     def test_input_keys_the_run_cannot_use_are_refused(self, spoil):
-        # Input keys sit at level 0 with a public masked parity (an AND has
-        # none, and routing a gadget reads it); a key without either would
-        # fail the run after it took the gadget.
+        # Input keys are ciphertexts at level 0; a key at another level, or
+        # one with op byte 2 (the AND that no longer exists), would fail the
+        # run after it took the gadget.
         channel, session, thread, _keys = self.gadget_session()
         rng = np.random.default_rng(5)
         pk = he_keygen(16, rng, level=1 if spoil == "level-1" else 0).pk
         a, b = he_enc(pk, 0, rng), he_enc(pk, 1, rng)
-        if spoil == "and":
-            a = he_and(a, b)
+        first = ct_to_hex(a) if spoil == "level-1" else and_hex(a, b)
         channel.send(Message("RunRequest", self.run(
             [{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]},
-            enc_keys=[[ct_to_hex(a), ct_to_hex(b)]])))
+            enc_keys=[[first, ct_to_hex(b)]])))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
@@ -716,14 +744,14 @@ SERVER_REPLIES = {  # the replies an accepted message gets, in order
 
 @functools.lru_cache(maxsize=None)
 def ciphertext_pool():
-    """Two ciphertexts per level 0..7, and one with an AND (no public parity)."""
+    """Two ciphertexts per level 0..7, and an encoding with op byte 2 (an AND)."""
     rng = np.random.default_rng(17)
     pool = {}
     for lv in range(8):
         pk = he_keygen(16, rng, level=lv).pk
         pool[lv] = tuple(ct_to_hex(he_enc(pk, int(rng.integers(2)), rng)) for _ in range(2))
     a = he_enc(he_keygen(16, rng).pk, 1, rng)
-    return pool, ct_to_hex(he_and(a, a))
+    return pool, and_hex(a, a)
 
 
 def draw_value(draw, spec, ctx, bad):
@@ -822,7 +850,7 @@ def draw_value(draw, spec, ctx, bad):
             return draw(st.one_of(st.sampled_from(edges), SCALARS))
         if t is Wire:  # outside the register, or not an int
             return draw(st.one_of(st.sampled_from([-1, bound(spec.wires)]), SCALARS))
-        if t is Ct:  # undecodable, at another level, or with no public parity
+        if t is Ct:  # undecodable (bad hex, op byte 2), or at another level
             pool, with_and = ciphertext_pool()
             wrong = [ct for lv, cts in pool.items() if lv != bound(spec.level) for ct in cts]
             return draw(st.one_of(
@@ -1397,9 +1425,12 @@ class TestHostileReplies:
         ("EncKeysUpdate", lambda p: {**p, "level": 2}, "qhe"),
         ("EncKeysUpdate", lambda p: {**p, "enc_keys": [p["enc_keys"][0] * 2]}, "qhe"),
         ("EncKeysUpdate", lambda p: {**p, "enc_keys": []}, "qhe"),
+        ("EncKeysUpdate", lambda p: spoil_first_key(p, "xor"), "qhe"),
+        ("EncKeysUpdate", lambda p: spoil_first_key(p, "keyswitch"), "qhe"),
     ], ids=["no-values", "no-value", "value-not-a-number", "bit-row-without-the-bit",
             "value-for-a-bits-run", "value-and-bits", "negative-level", "level-past-the-chain",
-            "key-row-with-an-extra-pair", "no-key-row"])
+            "key-row-with-an-extra-pair", "no-key-row", "key-xor-over-two-levels",
+            "key-switch-without-key-bits"])
     def test_malformed_run_reply_is_a_protocol_error(self, kind, spoil, run):
         # A live session whose server sends each ``kind`` reply spoiled, under
         # an exact window (an <X x X> run) or a one-T homomorphic run.
