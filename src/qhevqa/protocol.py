@@ -12,17 +12,19 @@ what needs session state, before it changes anything. The client session holds
 only its channel; a misordered call raises ``ProtocolError`` from the server.
 
 The server performs all quantum actions (remote state preparation rounds,
-pair coupling, homomorphic evaluation, measurement) and only ever sees public
-structure, ciphertext strings, padded amplitudes and the circuits it runs; the
-client keeps the trapdoors, the key chain, the data and the trained model.
+pair coupling, homomorphic evaluation, the <X x X> readout) and only ever sees
+public structure, ciphertext strings, padded amplitudes and the circuits it
+runs; the client keeps the trapdoors, the key chain, the data and the trained
+model.
 Remote state preparation runs in batches of up to ``RSP_BATCH`` rounds, one
 request and one reply frame per batch and step, and each gadget's coupling
 instructions travel in its one ``GadgetClassical`` frame. A delegated run is
 one ``RunRequest``, which carries its own padded input (and, for a homomorphic
-run, the input's level-0 key ciphertexts), so no input waits on the server
-between requests. A run is one shot: its ``ShotResults`` holds one readout, an
-<X x X> value or one row of bits. The client sends only what the server reads:
-a plaintext training session is Hello and Done.
+run, the input's level-0 key ciphertexts) and names the two wires it reads,
+so no input waits on the server between requests. A run is one shot: its
+``ShotResults`` holds one <X x X> value, the one readout training uses. Each
+party sends only what the other reads: a plaintext training session is Hello
+and Done.
 
 Two transports share the frame codec byte for byte: an in-process queue pair
 and localhost TCP (default port 7913; ``QHEVQA_HOST`` / ``QHEVQA_PORT``
@@ -87,11 +89,10 @@ from .simulator import (
     apply_circuit,
     expectation,
     gate,
-    measure,
 )
-from .vqa import delegated_run, exact_evaluator, faithful_evaluator, train
+from .vqa import exact_evaluator, faithful_evaluator, train
 
-VERSION = 5
+VERSION = 6
 MAX_FRAME = 16 * 1024 * 1024
 # Payloads a session keeps. A faithful ε = 0.1 reference-model window sends
 # 37-39, the blindness tests' 2-wire one 10; a delegated-exact window sends
@@ -350,43 +351,34 @@ DISCARD = Opt(Seq(QID, 0, 2 * PAIR_COUNT * MAX_DRAWS), ())  # every rejected rou
 QIDS = Seq(QID, "rows", "rows", True)
 
 # Every reply the client takes, with bounds from the request: ``rows`` RSP
-# rounds asked for; a run's measured ``wires`` and its T count ``t_count``.
+# rounds asked for and a run's T count ``t_count``.
 REPLIES = {
-    "Announce": Rec({
-        "ansatz": Str(), "layout": Str(), "observables": Seq(Str()), "gate_set": Seq(Str()),
-        "version": Int(VERSION, VERSION), "max_qubits": Int(1), "max_frame": Int(1),
-        "max_wires": Int(1), "rsp_n": Int(RSP_N, RSP_N), "rsp_mu": Int(RSP_MU, RSP_MU),
-        "rsp_batch": Int(1, RSP_BATCH),
-    }),
+    "Announce": Rec({"version": Int(VERSION, VERSION), "rsp_n": Int(RSP_N, RSP_N),
+                     "rsp_mu": Int(RSP_MU, RSP_MU), "rsp_batch": Int(1, RSP_BATCH)}),
     "RspCommit": Rec({"qids": QIDS, "y": Bits("rows", "rows", (RSP_MU,))}),
     "RspOutcome": Rec({"qids": QIDS, "b": Bits("rows", "rows", (RSP_N - 1,))}),
-    "ShotResults": Variants(None, {  # a run's one readout
-        "value": Rec({"value": Num()}), "bits": Rec({"bits": Seq(Int(0, 1), "wires", "wires")}),
-    }),
+    "ShotResults": Rec({"value": Num()}),  # a run's one readout
     "EncKeysUpdate": Rec({"level": Int("t_count", "t_count"),  # one row: a run is one shot
-                          "enc_keys": Seq(Seq(LEVEL_PAIR, "wires", "wires"), 1, 1)}),
+                          "enc_keys": Seq(Seq(LEVEL_PAIR, 2, 2), 1, 1)}),
     "GadgetClassical": OK, "CoupleInstr": OK,
     "Done": Rec({}),
     "Error": Rec({"code": Str(), "text": Opt(Str(), "")}),
 }
 
 
-def _run_request(use_gadgets: bool, kinds, max_wires: int) -> Rec:
-    """One shot of a circuit over ``kinds`` on its padded input. A homomorphic
-    run takes Clifford+T only and the input's level-0 key pairs."""
+def _run_request(use_gadgets: bool, kinds, wire_limit: int) -> Rec:
+    """One shot of a circuit over ``kinds`` on its padded input, read out as
+    the <X x X> of two distinct ``wires``. A homomorphic run takes Clifford+T
+    only and the input's level-0 key pairs."""
     arity = {k: 2 if k in TWO_QUBIT_KINDS else 1 for k in kinds}
     gates = {k: Rec({"kind": Enum((k,)), "wires": Seq(WIRE, arity[k], arity[k], True),
                      **({"angle": Num()} if k in ROTATION_1Q else {})}) for k in kinds}
     keys = {"enc_keys": Seq(KEY_PAIR, "num_wires", "num_wires")} if use_gadgets else {}
     return Rec({
-        "num_wires": Int(1, max_wires), "amps": Amps("num_wires"),  # bounded before 2**n
+        "num_wires": Int(1, wire_limit), "amps": Amps("num_wires"),  # bounded before 2**n
         **keys,
         "circuit": Seq(Variants("kind", gates)),
-        "measure": Variants("type", {
-            "xx": Rec({"type": Enum(("xx",)), "wires": Seq(WIRE, 2, 2, True)}),
-            "bits": Rec({"type": Enum(("bits",)), "wires": Seq(WIRE, 0, None, True),
-                         "basis": Opt(Enum(("Z", "X")), "Z")}),
-        }),
+        "wires": Seq(WIRE, 2, 2, True),
         "use_gadgets": Enum((use_gadgets,)),
     })
 
@@ -502,21 +494,9 @@ def validate(spec, value, ctx):
 
 # --- server role ------------------------------------------------------------
 
-ANNOUNCE = {
-    "ansatz": "sliding-window-entangler",
-    "layout": "windows (v-1, v) for v in 1..n-1, RX/RY rotations + CNOT pair",
-    "observables": ("XX",),
-    "gate_set": GATE_KINDS,
-    "version": VERSION,
-    # The server's limits: register wires, frame bytes, wires of a homomorphic
-    # run, the claw function's size and RSP rounds per batch.
-    "max_qubits": MAX_QUBITS,
-    "max_frame": MAX_FRAME,
-    "max_wires": MAX_WIRES,
-    "rsp_n": RSP_N,
-    "rsp_mu": RSP_MU,
-    "rsp_batch": RSP_BATCH,
-}
+# What the client checks (the version and the claw function's size) and reads
+# (RSP rounds per batch).
+ANNOUNCE = {"version": VERSION, "rsp_n": RSP_N, "rsp_mu": RSP_MU, "rsp_batch": RSP_BATCH}
 
 
 class ServerSession:
@@ -642,11 +622,12 @@ class ServerSession:
             self.qubits.pop(qid, None)
 
     def _on_runrequest(self, p: dict) -> None:
-        """Run the circuit on the request's padded input and read it out once.
-        A homomorphic run takes one queued gadget per T gate, at levels 1..t in
-        order, and also returns the measured wires' updated (a, b) pairs in
-        ``wires`` order; a compensated-circuit run leaves keys with the client."""
-        circuit, spec, wires = circuit_from_json(p["circuit"]), p["measure"], p["measure"]["wires"]
+        """Run the circuit on the request's padded input and read out the
+        <X x X> of its two wires once. A homomorphic run takes one queued gadget
+        per T gate, at levels 1..t in order, and also returns the two wires'
+        updated (a, b) pairs in ``wires`` order; a compensated-circuit run
+        leaves keys with the client."""
+        circuit, wires = circuit_from_json(p["circuit"]), p["wires"]
         out = amps_from_json(p["amps"], p["num_wires"])
         if p["use_gadgets"]:
             needed, queued = t_count(circuit), len(self.gadgets)
@@ -660,14 +641,7 @@ class ServerSession:
             out = cs.register
         else:
             out = apply_circuit(out, circuit)
-        if spec["type"] == "xx":
-            self._reply("ShotResults", {"value": expectation(out, PauliString(("X", "X"), wires))})
-        else:
-            bits = []
-            for w in wires:
-                bit, out = measure(out, w, spec["basis"], self.rng)
-                bits.append(bit)
-            self._reply("ShotResults", {"bits": bits})
+        self._reply("ShotResults", {"value": expectation(out, PauliString(("X", "X"), wires))})
         if p["use_gadgets"]:
             pairs = [cs.encrypted_keys[w] for w in wires]
             row = [[ct_to_hex(a), ct_to_hex(b)] for a, b in pairs]
@@ -894,27 +868,22 @@ class ClientSession:
         register: StateVector,
         enc_keys: tuple[tuple[HECiphertext, HECiphertext], ...] | None,
         circuit: list[Gate],
-        measure_spec: dict,
-    ) -> tuple[float | tuple[int, ...], dict | None]:
-        """Run ``circuit`` once on the padded ``register``: homomorphically, on
-        the gadgets provisioned for it, when ``enc_keys`` holds the register's
-        level-0 key pairs. Returns the validated readout (an ``xx`` value or a
-        row of ``bits``) and, for a homomorphic run, its updated keys, the key
-        ciphertexts decoded."""
+        wires: tuple[int, int],
+    ) -> tuple[float, dict | None]:
+        """Run ``circuit`` once on the padded ``register`` and read out the
+        <X x X> of ``wires``: homomorphically, on the gadgets provisioned for
+        it, when ``enc_keys`` holds the register's level-0 key pairs. Returns
+        the raw value and, for a homomorphic run, the two wires' updated keys,
+        the key ciphertexts decoded."""
         payload = {"num_wires": register.num_qubits, "amps": amps_to_json(register),
-                   "circuit": circuit_to_json(circuit), "measure": measure_spec,
+                   "circuit": circuit_to_json(circuit), "wires": list(wires),
                    "use_gadgets": enc_keys is not None}
         if enc_keys is not None:
             payload["enc_keys"] = [[ct_to_hex(a), ct_to_hex(b)] for a, b in enc_keys]
-        wires = len(measure_spec["wires"])
-        readout = self._ask("RunRequest", payload, "ShotResults", wires=wires).payload
-        field = "value" if measure_spec["type"] == "xx" else "bits"
-        if field not in readout:
-            raise ProtocolError("payload", f"expected a {field} readout")
+        value = self._ask("RunRequest", payload, "ShotResults").payload["value"]
         if enc_keys is None:
-            return readout[field], None
-        keys = self._recv("EncKeysUpdate", t_count=t_count(circuit), wires=wires)
-        return readout[field], keys.payload
+            return value, None
+        return value, self._recv("EncKeysUpdate", t_count=t_count(circuit)).payload
 
     def done(self) -> None:
         try:
@@ -922,49 +891,6 @@ class ClientSession:
         except (ChannelClosed, ProtocolError):
             pass
         self.channel.close()
-
-
-# --- delegated QHE run over the wire ----------------------------------------
-
-
-def _homomorphic_step(session: ClientSession, spec: dict):
-    """The server step of ``vqa.delegated_run`` over the session: one
-    homomorphic run read out as the measure ``spec`` asks (an ``xx`` value or
-    a row of ``bits``), and its measured wires' updated keys."""
-
-    def server_run(cs, circuit, wires, _ek, _rng):
-        readout, keys = session.request_run(
-            cs.register, cs.encrypted_keys, circuit, {**spec, "wires": list(wires)}
-        )
-        return readout, keys["level"], dict(zip(wires, keys["enc_keys"][0]))
-
-    return server_run
-
-
-def client_qhe_run(
-    session: ClientSession,
-    circuit: list[Gate],
-    state: StateVector,
-    rng: np.random.Generator,
-    shots: int = 1,
-    measure_wires: tuple[int, ...] = (0,),
-    basis: str = "Z",
-) -> list[dict[int, int]]:
-    """Full homomorphic delegation of one Clifford+T circuit, multi-shot.
-
-    Each shot is its own ``delegated_run``: key generation with gadgets
-    provisioned on the server, one run on a freshly padded input, and the
-    decryption of its raw bits with that run's updated keys. Returns per-shot
-    corrected outcome dictionaries keyed by wire.
-    """
-    server_run = _homomorphic_step(session, {"type": "bits", "basis": basis})
-    corrected = []
-    for _ in range(shots):
-        bits, flips = delegated_run(
-            session.provision, server_run, state, circuit, measure_wires, basis, rng
-        )
-        corrected.append({w: bit ^ f for w, bit, f in zip(measure_wires, bits, flips)})
-    return corrected
 
 
 # --- delegated training (protocol-level run_client) -------------------------
@@ -978,17 +904,12 @@ def make_exact_evaluator(session: ClientSession):
     """
 
     def server_run(register, circuit, wires):
-        spec = {"type": "xx", "wires": list(wires)}
-        return session.request_run(register, None, circuit, spec)[0]
+        return session.request_run(register, None, circuit, wires)[0]
 
     return exact_evaluator(server_run)
 
 
-def make_faithful_evaluator(
-    session: ClientSession,
-    eps_target: float = 1e-2,
-    rsp_mode: str = "faithful",
-):
+def make_faithful_evaluator(session: ClientSession, eps_target: float, rsp_mode: str = "faithful"):
     """Delegated-faithful window evaluator whose server step runs over the session.
 
     Each evaluation provisions fresh gadgets (one per T gate) for the exact
@@ -999,9 +920,12 @@ def make_faithful_evaluator(
     """
     if rsp_mode != "faithful":
         raise ProtocolError("mode", f"unknown rsp mode {rsp_mode!r}")
-    return faithful_evaluator(
-        session.provision, _homomorphic_step(session, {"type": "xx"}), eps_target
-    )
+
+    def server_run(cs, circuit, wires, _ek, _rng):  # the gadgets are the server's
+        value, keys = session.request_run(cs.register, cs.encrypted_keys, circuit, wires)
+        return value, keys["level"], dict(zip(wires, keys["enc_keys"][0]))
+
+    return faithful_evaluator(session.provision, server_run, eps_target)
 
 
 def run_client(channel: Channel, dataset, config):

@@ -60,8 +60,8 @@ from .simulator import MAX_QUBITS, Gate, StateVector, apply_gate
 NON_CLIFFORD = ("T", "Tdagger")
 EVAL_KINDS = CLIFFORD_KINDS + NON_CLIFFORD
 SECURITY = 16  # the classical HE security parameter every caller uses
-# A published limit, kept from when a consumed gadget joined the register;
-# consumption now runs on the register's own amplitudes.
+# The wire bound of a homomorphic run, kept from when a consumed gadget joined
+# the register; consumption now runs on the register's own amplitudes.
 MAX_WIRES = MAX_QUBITS - GADGET_QUBITS
 
 
@@ -251,25 +251,6 @@ def _decrypt(client: ClientKeys, level: int, roots) -> list[int]:
     return _dec(client.triples[level].sk, *roots)
 
 
-def decrypt_flips(
-    client: ClientKeys,
-    level: int,
-    encrypted_keys,
-    wires,
-    basis: str,
-) -> list[int]:
-    """Decrypt, at ``level``, the pad bit that flips each listed wire's outcome.
-
-    A Z-basis outcome flips with the X key a, an X-basis outcome with the Z
-    key b. ``encrypted_keys[w]`` is wire w's (a, b) ciphertext pair; only the
-    listed wires' ciphertexts for ``basis`` are decrypted, in one pass.
-    """
-    if basis not in ("Z", "X"):
-        raise QHEError(f"basis must be 'Z' or 'X', got {basis!r}")
-    component = 0 if basis == "Z" else 1
-    return _decrypt(client, level, [encrypted_keys[w][component] for w in wires])
-
-
 def decrypt_keys(client: ClientKeys, cs: CipherState) -> KeyFrame:
     """Decrypt every wire's (a, b) pad key in one pass."""
     bits = _decrypt(client, cs.level, [ct for pair in cs.encrypted_keys for ct in pair])
@@ -281,14 +262,21 @@ def decrypt_state(client: ClientKeys, cs: CipherState) -> StateVector:
     return remove_pad(cs.register, decrypt_keys(client, cs))
 
 
-def xx_expectation_sign(client: ClientKeys, cs: CipherState, wires: tuple[int, int]) -> int:
-    """Sign correcting a server-computed <X x X> on the cipherstate.
+def xx_sign(client: ClientKeys, level: int, encrypted_keys, wires: tuple[int, int]) -> int:
+    """Sign correcting a server-computed <X x X> on ``wires``.
 
     X-basis statistics flip under the Z part of the pad, so the plaintext
     expectation is (-1)^(b1 XOR b2) times the cipher-side value.
+    ``encrypted_keys[w]`` is wire w's (a, b) ciphertext pair at ``level``;
+    only the two b keys are decrypted, in one pass.
     """
-    b1, b2 = decrypt_flips(client, cs.level, cs.encrypted_keys, wires, "X")
+    b1, b2 = _decrypt(client, level, [encrypted_keys[w][1] for w in wires])
     return -1 if b1 ^ b2 else 1
+
+
+def xx_expectation_sign(client: ClientKeys, cs: CipherState, wires: tuple[int, int]) -> int:
+    """``xx_sign`` of a cipherstate's own keys."""
+    return xx_sign(client, cs.level, cs.encrypted_keys, wires)
 
 
 def pad_average_density(state: StateVector, wire: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from math import pi
 import numpy as np
 
 from .pauli_frame import KeyFrame, apply_pad, update_clifford
-from .qhe import SECURITY, decrypt_flips, encrypt, eval_circuit, keygen
+from .qhe import SECURITY, encrypt, eval_circuit, keygen, xx_sign
 from .simulator import (
     CNOT_MATRIX,
     ROTATION_1Q,
@@ -240,30 +240,23 @@ def exact_evaluator(server_run):
     return evaluate
 
 
-def delegated_run(provision, server_run, state, circuit, wires, basis: str, rng):
-    """One homomorphic run of a Clifford+T circuit, read out on ``wires`` in
-    ``basis``: keys for the circuit, the padded input, the server step, and
-    the decrypted pad bit that flips each wire's reading.
+def faithful_evaluator(provision, server_run, eps_target: float):
+    """Delegated-faithful window evaluator: the window synthesized into
+    Clifford+T, keys for that circuit, the padded input, the server step, and
+    the decrypted sign of the <X x X> that comes back.
 
     ``provision(num_wires, circuit, rng)`` returns the client keys and the
     EvalKey (None when the gadgets live on a remote server);
-    ``server_run(cs, circuit, wires, ek, rng)`` returns the raw readout, the
-    final key level and the final encrypted keys. Returns (readout, flips).
+    ``server_run(cs, circuit, wires, ek, rng)`` returns the raw <X x X>, the
+    final key level and the final encrypted keys of ``wires``.
     """
-    client, ek = provision(state.num_qubits, circuit, rng)
-    cs, _ = encrypt(client, state, rng)
-    readout, level, keys = server_run(cs, circuit, wires, ek, rng)
-    return readout, decrypt_flips(client, level, keys, wires, basis)
-
-
-def faithful_evaluator(provision, server_run, eps_target: float):
-    """Delegated-faithful window evaluator: the window synthesized into
-    Clifford+T, then one ``delegated_run`` read out as <X x X>."""
 
     def evaluate(state, circuit, wires, rng):
         clifford_t = fold_t_runs(decompose_circuit(circuit, eps_target)[0])
-        raw, (b1, b2) = delegated_run(provision, server_run, state, clifford_t, wires, "X", rng)
-        return (-1 if b1 ^ b2 else 1) * raw
+        client, ek = provision(state.num_qubits, clifford_t, rng)
+        cs, _ = encrypt(client, state, rng)
+        raw, level, keys = server_run(cs, clifford_t, wires, ek, rng)
+        return xx_sign(client, level, keys, wires) * raw
 
     return evaluate
 

@@ -41,7 +41,6 @@ from qhevqa.protocol import (
     amps_to_json,
     circuit_from_json,
     circuit_to_json,
-    client_qhe_run,
     connect_tcp,
     ct_from_hex,
     ct_to_hex,
@@ -56,15 +55,17 @@ from qhevqa.protocol import (
 )
 from qhevqa import protocol, vqa
 from qhevqa.classical_he import ct_from_bytes
-from qhevqa.qhe import SECURITY, encrypt, keygen, t_count
+from qhevqa.cli import _random_clifford_t_circuit
+from qhevqa.qhe import SECURITY, encrypt, keygen, t_count, xx_sign
 from qhevqa.rsp_gadget import RSP_BATCH, RSP_MU, RSP_N, sample_trapdoor
-from qhevqa.simulator import StateVector, apply_circuit, fidelity, gate
+from qhevqa.simulator import StateVector, fidelity, gate
 from qhevqa.skdecomp import decompose_circuit, fold_t_runs
 from qhevqa.vqa import (
     REFERENCE_THETA_INIT,
     LabeledDataset,
     ShadowModel,
     TrainConfig,
+    _xx_plaintext,
     build_shadow_circuit,
     load_digits_csv,
     shadow_features,
@@ -115,6 +116,17 @@ def rand_state(n, rng):
 def hex_keys(cs):
     """A padded input's level-0 key pairs, as a RunRequest carries them."""
     return [[ct_to_hex(a), ct_to_hex(b)] for a, b in cs.encrypted_keys]
+
+
+def remote_xx(client, circuit, state, rng, wires=(0, 1)):
+    """One homomorphic <X x X> run of ``circuit`` over the session, as
+    ``make_faithful_evaluator`` makes one: keys with the gadgets on the
+    server, the padded input, the run, and the sign decrypted from the two
+    wires' returned keys. Returns (sign, raw value)."""
+    client_keys, _ = client.provision(state.num_qubits, circuit, rng)
+    cs, _ = encrypt(client_keys, state, rng)
+    raw, keys = client.request_run(cs.register, cs.encrypted_keys, circuit, wires)
+    return xx_sign(client_keys, keys["level"], dict(zip(wires, keys["enc_keys"][0])), wires), raw
 
 
 def prepare_rsp(channel, rows):
@@ -341,7 +353,7 @@ class TestServerSession:
         client.close_rsp()
         with pytest.raises(ProtocolError):
             # XX observable needs two distinct wires; server must survive
-            client.request_run(StateVector(1), None, [], {"type": "xx", "wires": [0, 0]})
+            client.request_run(StateVector(1), None, [], (0, 0))
         thread.join(timeout=5)
 
 
@@ -356,11 +368,11 @@ class TestHostilePayloads:
         return channel, session, thread, client
 
     @staticmethod
-    def run(circuit, spec, enc_keys=None):
-        """A RunRequest payload on one qubit in |0>, homomorphic when
-        ``enc_keys`` (hex pairs) is given."""
-        payload = {"num_wires": 1, "amps": [[1.0, 0.0], [0.0, 0.0]], "circuit": circuit,
-                   "measure": spec, "use_gadgets": enc_keys is not None}
+    def run(circuit, wires=(0, 1), enc_keys=None):
+        """A RunRequest payload on two qubits in |00> that reads the <X x X>
+        of ``wires``, homomorphic when ``enc_keys`` (hex pairs) is given."""
+        payload = {"num_wires": 2, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * 3, "circuit": circuit,
+                   "wires": wires, "use_gadgets": enc_keys is not None}
         return payload if enc_keys is None else {**payload, "enc_keys": enc_keys}
 
     @staticmethod
@@ -403,20 +415,20 @@ class TestHostilePayloads:
         channel, _session, thread, client = self.open_session()
         client.close_rsp()
         channel.send(Message("RunRequest", {
-            **self.run([], {"type": "bits", "wires": [0]}),
+            **self.run([]),
             "num_wires": num_wires, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * (amps - 1),
         }))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
 
-    @pytest.mark.parametrize("enc_keys", [5, [[1, 2, 3]], [[1, 2]], [["00", "zz"]]])
+    @pytest.mark.parametrize("enc_keys", [5, [[1, 2, 3]] * 2, [[1, 2]] * 2, [["00", "zz"]] * 2])
     def test_bad_enc_keys_leave_the_register_alone(self, enc_keys):
         # enc_keys is checked and decoded before the register is run and any
         # gadget is taken.
         channel, session, thread, _keys = self.gadget_session()
         channel.send(Message("RunRequest", self.run(
-            [{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]}, enc_keys=enc_keys)))
+            [{"kind": "T", "wires": [0]}], enc_keys=enc_keys)))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
@@ -426,8 +438,7 @@ class TestHostilePayloads:
         # A fault in the decoder is the server's, not a bad payload's.
         channel, _session, thread, keys = self.gadget_session()
         monkeypatch.setattr(protocol, "ct_from_bytes", broken_ct_decoder)
-        channel.send(Message("RunRequest", self.run(
-            [{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]}, enc_keys=keys)))
+        channel.send(Message("RunRequest", self.run([{"kind": "T", "wires": [0]}], enc_keys=keys)))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "internal"
         thread.join(timeout=5)
@@ -435,8 +446,7 @@ class TestHostilePayloads:
     @pytest.mark.parametrize("use_gadgets", [True, False])
     def test_keys_come_with_gadgets_and_only_with_them(self, use_gadgets):
         channel, session, thread, keys = self.gadget_session()
-        payload = self.run([{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]},
-                           enc_keys=keys)
+        payload = self.run([{"kind": "T", "wires": [0]}], enc_keys=keys)
         if use_gadgets:
             del payload["enc_keys"]  # a homomorphic run without its keys
         else:
@@ -447,17 +457,10 @@ class TestHostilePayloads:
         thread.join(timeout=5)
         assert len(session.gadgets) == 1
 
-    @pytest.mark.parametrize("spec", [
-        {"type": "bits", "wires": ["0"]},
-        {"type": "bits", "wires": [True]},
-        {"type": "bits", "wires": [5]},
-        {"type": "bits", "wires": 0},
-        {"type": "xx", "wires": [0]},
-        {"type": "xx", "wires": [0, 0]},
-    ])
+    @pytest.mark.parametrize("spec", [["0", 1], [True, 1], [0, 5], [[0, 1]], [0], [0, 0]])
     def test_bad_measure_wires_consume_no_gadget(self, spec):
-        # Ints (not bools) inside the register; an xx spec names two distinct
-        # wires. All checked before the queued gadget is taken.
+        # A run reads the <X x X> of two distinct wires: ints (not bools)
+        # inside the register. All checked before the queued gadget is taken.
         channel, session, thread, keys = self.gadget_session()
         circ = circuit_to_json([gate("T", 0)])
         channel.send(Message("RunRequest", self.run(circ, spec, enc_keys=keys)))
@@ -473,7 +476,7 @@ class TestHostilePayloads:
         channel, _session, thread, client = self.open_session()
         client.close_rsp()
         channel.send(Message("RunRequest", {
-            **self.run([], {"type": "bits", "wires": [0]}), "shots": shots,
+            **self.run([]), "shots": shots,
         }))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
@@ -483,22 +486,21 @@ class TestHostilePayloads:
         # A homomorphic run is one shot: a second would need gadgets built for
         # the first shot's key flow.
         channel, session, thread, keys = self.gadget_session()
-        channel.send(Message("RunRequest", {**self.run(
-            [{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]}, enc_keys=keys,
-        ), "shots": 2}))
+        channel.send(Message("RunRequest", {
+            **self.run([{"kind": "T", "wires": [0]}], enc_keys=keys), "shots": 2,
+        }))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
         assert len(session.gadgets) == 1
 
     def test_homomorphic_run_on_more_than_20_wires_is_refused(self):
-        # Gadgets add four wires, so a homomorphic run past 20 would build a
-        # 2**25-amplitude state: its wire count is refused before its
-        # amplitudes are read or any gadget is taken.
+        # A homomorphic run holds at most 20 wires (``qhe.MAX_WIRES``): a
+        # larger wire count is refused before its amplitudes are read or any
+        # gadget is taken.
         channel, session, thread, keys = self.gadget_session()
         channel.send(Message("RunRequest", {
-            **self.run([{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]},
-                       enc_keys=keys * 21),
+            **self.run([{"kind": "T", "wires": [0]}], enc_keys=keys[:1] * 21),
             "num_wires": 21,
         }))
         reply = channel.recv()
@@ -523,25 +525,25 @@ class TestHostilePayloads:
 
     def gadget_session(self):
         """An open session with one queued T gadget, and the hex level-0 key
-        pairs of a 1-qubit input padded for it."""
+        pairs of a 2-qubit input padded for it."""
         channel, session, thread, client = self.open_session()
         rng = np.random.default_rng(9)
-        client_keys = client.remote_keygen(1, [gate("T", 0)], rng)
+        client_keys = client.remote_keygen(2, [gate("T", 0)], rng)
         client.close_rsp()
-        cs, _ = encrypt(client_keys, StateVector(1), rng)
+        cs, _ = encrypt(client_keys, StateVector(2), rng)
         assert len(session.gadgets) == 1
         return channel, session, thread, hex_keys(cs)
 
     @pytest.mark.parametrize("circuit, spec", [
-        ([{"kind": "T", "wires": [5]}], {"type": "bits", "wires": [0]}),
-        ([{"kind": "T", "wires": ["0"]}], {"type": "bits", "wires": [0]}),
-        ([{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0], "basis": "Q"}),
-        ([{"kind": "H", "wires": [0, 0]}], {"type": "bits", "wires": [0]}),
-        ([{"kind": "RX", "wires": [0], "angle": "x"}], {"type": "bits", "wires": [0]}),
+        ([{"kind": "T", "wires": [5]}], [0, 1]),
+        ([{"kind": "T", "wires": ["0"]}], [0, 1]),
+        ([{"kind": "T", "wires": [0]}], [0, 2]),
+        ([{"kind": "H", "wires": [0, 0]}], [0, 1]),
+        ([{"kind": "RX", "wires": [0], "angle": "x"}], [0, 1]),
     ])
     def test_bad_gates_consume_no_gadget(self, circuit, spec):
         # Gate kinds, wires inside the register and angles are checked, like
-        # the measure spec, before the queued gadget is taken.
+        # the measured wires ``spec``, before the queued gadget is taken.
         channel, session, thread, keys = self.gadget_session()
         channel.send(Message("RunRequest", self.run(circuit, spec, enc_keys=keys)))
         reply = channel.recv()
@@ -648,8 +650,7 @@ class TestHostilePayloads:
         a, b = he_enc(pk, 0, rng), he_enc(pk, 1, rng)
         first = ct_to_hex(a) if spoil == "level-1" else and_hex(a, b)
         channel.send(Message("RunRequest", self.run(
-            [{"kind": "T", "wires": [0]}], {"type": "bits", "wires": [0]},
-            enc_keys=[[first, ct_to_hex(b)]])))
+            [{"kind": "T", "wires": [0]}], enc_keys=[[first, ct_to_hex(b)]] * 2)))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
@@ -685,14 +686,13 @@ class TestHostilePayloads:
         # provisioned for two runs of one T each holds two at level 1.
         channel, session, thread, client = self.open_session()
         rng = np.random.default_rng(9)
-        client.remote_keygen(1, [gate("T", 0)], rng)
-        client_keys = client.remote_keygen(1, [gate("T", 0)], rng)
+        client.remote_keygen(2, [gate("T", 0)], rng)
+        client_keys = client.remote_keygen(2, [gate("T", 0)], rng)
         client.close_rsp()
-        cs, _ = encrypt(client_keys, StateVector(1), rng)
+        cs, _ = encrypt(client_keys, StateVector(2), rng)
         assert [g.level for g in session.gadgets] == [1, 1]
         channel.send(Message("RunRequest", self.run(
-            circuit_to_json([gate("T", 0), gate("T", 0)]), {"type": "bits", "wires": [0]},
-            enc_keys=hex_keys(cs))))
+            circuit_to_json([gate("T", 0), gate("T", 0)]), enc_keys=hex_keys(cs))))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "order"
         thread.join(timeout=5)
@@ -710,7 +710,7 @@ class TestHostilePayloads:
         channel, _session, thread, client = self.open_session()
         client.close_rsp()
         channel.send(Message("RunRequest", {
-            **self.run([], {"type": "bits", "wires": [0]}), "amps": amps,
+            **self.run([]), "amps": amps + [[0.0, 0.0]] * 2,
         }))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
@@ -721,10 +721,32 @@ class TestHostilePayloads:
         channel, _session, thread, client = self.open_session()
         client.close_rsp()
         psi = StateVector(3, np.full(8, (1 + 1e-10) / np.sqrt(8)))
-        value, _ = client.request_run(psi, None, [], {"type": "xx", "wires": [0, 1]})
+        value, _ = client.request_run(psi, None, [], (0, 1))
         assert value == pytest.approx(1 + 2e-10, abs=1e-12)
         client.done()
         thread.join(timeout=5)
+
+    @pytest.mark.parametrize("measure", [
+        {"type": "bits", "wires": [0], "basis": "X"},
+        {"type": "bits", "wires": [0, 1]},
+        {"type": "xx", "wires": [0, 1]},
+    ], ids=["bits-with-basis", "bits", "xx"])
+    def test_version_5_run_requests_are_refused(self, measure):
+        # A run names its two <X x X> wires directly. A version-5 ``measure``
+        # object, a bits row in a basis or the one-case xx tag, is refused
+        # before any gadget, prepared qubit or committed round is taken.
+        channel, session, thread, keys = self.gadget_session()
+        prepare_rsp(channel, 2)
+        channel.send(Message("RspBasis", {"matrix": [[[1, 0, 1, 0]] * 4]}))
+        assert channel.recv().kind == "RspCommit"
+        before = session_view(session)
+        payload = self.run([{"kind": "T", "wires": [0]}], enc_keys=keys)
+        del payload["wires"]
+        channel.send(Message("RunRequest", {**payload, "measure": measure}))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session_view(session)[1] == before[1]
 
 
 # --- payloads generated from the schema --------------------------------------
@@ -939,68 +961,51 @@ class TestDelegatedRuns:
         rng = np.random.default_rng(5)
         psi = rand_state(2, rng)
         circ = [gate("H", 0), gate("CNOT", 0, 1)]
-        value, keys = client.request_run(psi, None, circ, {"type": "xx", "wires": [0, 1]})
-        from qhevqa.simulator import PauliString, expectation
-
-        want = expectation(apply_circuit(psi, circ), PauliString(("X", "X"), (0, 1)))
-        assert value == pytest.approx(want, abs=1e-10)
+        value, keys = client.request_run(psi, None, circ, (0, 1))
+        assert value == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-10)
         assert keys is None
         client.done()
         thread.join(timeout=5)
 
-    def test_homomorphic_multishot_statistics(self):
-        # Delegated H-T-H with 200 shots: corrected P(1) = sin^2(pi/8).
-        channel, _session, thread = serve_inproc()
-        client = ClientSession(channel)
-        client.hello(7, "x")
-        client.open_rsp(0)
-        rng = np.random.default_rng(7)
-        circ = [gate("H", 0), gate("T", 0), gate("H", 0)]
-        shots = 200
-        outcomes = client_qhe_run(
-            client, circ, StateVector(1), rng, shots=shots, measure_wires=(0,)
-        )
-        p1 = sum(o[0] for o in outcomes) / shots
-        assert abs(p1 - np.sin(np.pi / 8) ** 2) < 0.08
-        client.done()
-        thread.join(timeout=5)
-
     def test_every_shot_decrypts_to_the_circuit_output(self):
-        # T X T is X up to phase, so H T X T H reads 0 on every shot; H T T H
-        # = H P H reads 1 half the time. Each shot has its own keys: replaying
-        # one shot's gadget slots with fresh stream bits misroutes later shots.
+        # T X T is X up to phase and T T is P. Each run has its own keys:
+        # replaying one run's gadget slots with fresh stream bits would
+        # misroute later runs, so the two circuits take turns on one session.
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(11, "x")
         client.open_rsp(0)
         rng = np.random.default_rng(11)
-        h, t = gate("H", 0), gate("T", 0)
-        zeros = client_qhe_run(client, [h, t, gate("X", 0), t, h], StateVector(1), rng, shots=60)
-        halves = client_qhe_run(client, [h, t, t, h], StateVector(1), rng, shots=400)
+        h, t, cnot = gate("H", 0), gate("T", 0), gate("CNOT", 0, 1)
+        for circ in [[h, t, gate("X", 0), t, h, cnot], [h, t, t, h, cnot]] * 4:
+            psi = rand_state(2, rng)
+            sign, raw = remote_xx(client, circ, psi, rng)
+            assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-9)
         client.done()
         thread.join(timeout=5)
-        assert [o[0] for o in zeros] == [0] * 60
-        assert abs(sum(o[0] for o in halves) / 400 - 0.5) <= 0.08
 
     def test_homomorphic_run_faithful_rsp(self):
+        # Seeded random Clifford+T circuits on 2-3 wires (acceptance 2's
+        # draw), each one homomorphic run over claw RSP: the sign decrypted
+        # from the returned keys times the raw value is the plaintext
+        # <X x X> to float rounding, and both signs occur.
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(8, "x")
         client.open_rsp(0)
         rng = np.random.default_rng(8)
-        circ = [gate("H", 0), gate("T", 0), gate("H", 0)]
-        outcomes = client_qhe_run(
-            client,
-            circ,
-            StateVector(1),
-            rng,
-            shots=20,
-            measure_wires=(0,),
-        )
-        assert len(outcomes) == 20
-        assert all(o[0] in (0, 1) for o in outcomes)
+        signs = []
+        for _ in range(6):
+            n = int(rng.integers(2, 4))
+            circ = _random_clifford_t_circuit(n, rng)
+            psi = rand_state(n, rng)
+            wires = tuple(int(w) for w in rng.choice(n, 2, replace=False))
+            sign, raw = remote_xx(client, circ, psi, rng, wires)
+            assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, wires), abs=1e-9)
+            signs.append(sign)
         client.done()
         thread.join(timeout=5)
+        assert set(signs) == {-1, 1}
 
     def test_key_update_carries_only_measured_wires(self):
         channel, _session, thread = serve_inproc()
@@ -1014,27 +1019,31 @@ class TestDelegatedRuns:
             gate("H", 0), gate("T", 0), gate("CNOT", 0, 2),
             gate("H", 2), gate("T", 2), gate("T", 1),
         ]
-        outcomes = client_qhe_run(
-            client, circ, StateVector(3), np.random.default_rng(7),
-            shots=16, measure_wires=(2, 0),
-        )
+        rng = np.random.default_rng(7)
+        runs = []
+        for _ in range(16):
+            psi = rand_state(3, rng)
+            runs.append((psi, *remote_xx(client, circ, psi, rng, (2, 0))))
         client.done()
         thread.join(timeout=5)
         updates = [m.payload for m in received if m.kind == "EncKeysUpdate"]
-        assert [len(u["enc_keys"]) for u in updates] == [1] * 16  # one run per shot
+        assert [len(u["enc_keys"]) for u in updates] == [1] * 16  # one row per run
         assert all(len(u["enc_keys"][0]) == 2 for u in updates)
-        # Outcomes re-recorded when pinned leaves began to share pooled nonce draws.
-        assert [(o[2], o[0]) for o in outcomes] == [
-            (1, 0), (0, 1), (1, 1), (0, 0), (1, 1), (1, 1), (1, 0), (0, 1),
-            (1, 0), (1, 1), (1, 1), (1, 0), (0, 1), (1, 1), (0, 0), (1, 0),
+        # The two returned keys give each run's sign, pinned; sign x value is
+        # the plaintext <X x X>.
+        for psi, sign, raw in runs:
+            assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (2, 0)), abs=1e-9)
+        assert [sign for _, sign, _ in runs] == [
+            1, 1, 1, -1, -1, 1, -1, -1, -1, -1, 1, 1, 1, -1, 1, 1,
         ]
 
     def test_golden_faithful_transcript(self):
-        # Every frame both ways and the outcomes of a small claw-based RSP
-        # session, pinned by a SHA-256 recorded at protocol version 5. Both
-        # were re-recorded when pinned leaves began to share pooled nonce
-        # draws and each leaf to be sealed by one digest; the frame shapes
-        # stayed. The RunRequest amplitudes carry no -0.0.
+        # Every frame both ways of a small claw-based RSP session of three
+        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 6,
+        # and each run's decrypted sign. Re-recorded when a run came to read
+        # only the <X x X> of two named wires, on a random input, and
+        # Announce to carry four fields. The RunRequest amplitudes carry no
+        # -0.0.
         channel, _session, thread = serve_inproc()
         transcript = hashlib.sha256()
         send, recv = channel.send_bytes, channel.recv_bytes
@@ -1055,15 +1064,18 @@ class TestDelegatedRuns:
         circ = [
             gate("H", 0), gate("T", 0), gate("CNOT", 0, 1), gate("Tdagger", 1), gate("H", 1),
         ]
-        outcomes = client_qhe_run(
-            client, circ, StateVector(2), np.random.default_rng(5),
-            shots=3, measure_wires=(1, 0),
-        )
+        rng = np.random.default_rng(5)
+        runs = []
+        for _ in range(3):
+            psi = rand_state(2, rng)
+            runs.append((psi, *remote_xx(client, circ, psi, rng, (1, 0))))
         client.done()
         thread.join(timeout=5)
-        assert outcomes == [{1: 0, 0: 1}, {1: 1, 0: 1}, {1: 0, 0: 1}]
+        for psi, sign, raw in runs:
+            assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (1, 0)), abs=1e-9)
+        assert [sign for _, sign, _ in runs] == [-1, -1, -1]
         assert transcript.hexdigest() == (
-            "b18369c1d3fd28f846978445059566d90b20aa080014ea522c31fd4cab89ae21"
+            "5119a86a7c00e35ab7a9bbe98cd0d14e906e78af3c0c8acc7e4254d8cc2ebaa8"
         )
 
     def test_unknown_rsp_mode_is_refused(self):
@@ -1087,10 +1099,10 @@ class TestDelegatedRuns:
         client.remote_keygen(1, [gate("T", 0)], rng)  # one gadget provisioned
         client.close_rsp()
         circ = [gate("T", 0), gate("H", 0), gate("T", 0)]
-        client_keys, _ = keygen(SECURITY, 1, circ, rng)
-        cs, _ = encrypt(client_keys, StateVector(1), rng)
+        client_keys, _ = keygen(SECURITY, 2, circ, rng)
+        cs, _ = encrypt(client_keys, StateVector(2), rng)
         with pytest.raises(ProtocolError, match="budget"):
-            client.request_run(cs.register, cs.encrypted_keys, circ, {"type": "bits", "wires": [0]})
+            client.request_run(cs.register, cs.encrypted_keys, circ, (0, 1))
         thread.join(timeout=5)
         assert len(session.gadgets) == 1
 
@@ -1132,8 +1144,6 @@ class TestDelegatedRuns:
         )
         psi = rand_state(2, np.random.default_rng(6))
         circ = build_shadow_circuit(model, 1)
-        from qhevqa.vqa import _xx_plaintext
-
         got = evaluator(psi, circ, (0, 1), np.random.default_rng(13))
         want = _xx_plaintext(psi, circ, (0, 1))
         assert got == pytest.approx(want, abs=0.15)
@@ -1181,11 +1191,12 @@ class TestDelegatedRuns:
         client.hello(16, "x")
         client.open_rsp(0)
         rng = np.random.default_rng(16)
-        client_qhe_run(client, [gate("H", 0), gate("T", 0)], StateVector(1), rng)
-        second = client_qhe_run(client, [gate("X", 0)], StateVector(1), rng)
+        for circ in ([gate("H", 0), gate("T", 0)], [gate("X", 0), gate("CNOT", 0, 1)]):
+            psi = rand_state(2, rng)
+            sign, raw = remote_xx(client, circ, psi, rng)
+            assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-9)
         client.done()
         thread.join(timeout=5)
-        assert second == [{0: 1}]
 
     def test_local_and_remote_exact_training_give_identical_csvs(self, tmp_path):
         full = load_digits_csv()
@@ -1349,6 +1360,7 @@ class TestHostileReplies:
     @pytest.mark.parametrize("spoil", [
         {"rsp_batch": 0}, {"rsp_batch": RSP_BATCH + 1}, {"rsp_batch": True}, {"rsp_n": 5},
         {"version": VERSION - 1}, {"max_wires": "20"}, {"gate_set": "H"}, {"extra": 1},
+        {"max_wires": 20}, {"gate_set": ["H", "T"]},  # well-typed fields of version 5
     ])
     def test_malformed_announce_is_a_protocol_error(self, spoil):
         client_end, server_end = make_inproc_pair()
@@ -1419,8 +1431,8 @@ class TestHostileReplies:
         ("ShotResults", lambda p: {}, "xx"),
         ("ShotResults", lambda p: {"value": "x"}, "xx"),
         ("ShotResults", lambda p: {"bits": []}, "qhe"),
-        ("ShotResults", lambda p: {"value": 1.0}, "qhe"),
-        ("ShotResults", lambda p: {**p, "value": 1.0}, "qhe"),
+        ("ShotResults", lambda p: {"value": True}, "qhe"),
+        ("ShotResults", lambda p: {**p, "bits": [0, 1]}, "qhe"),
         ("EncKeysUpdate", lambda p: {**p, "level": -1}, "qhe"),
         ("EncKeysUpdate", lambda p: {**p, "level": 2}, "qhe"),
         ("EncKeysUpdate", lambda p: {**p, "enc_keys": [p["enc_keys"][0] * 2]}, "qhe"),
@@ -1428,12 +1440,13 @@ class TestHostileReplies:
         ("EncKeysUpdate", lambda p: spoil_first_key(p, "xor"), "qhe"),
         ("EncKeysUpdate", lambda p: spoil_first_key(p, "keyswitch"), "qhe"),
     ], ids=["no-values", "no-value", "value-not-a-number", "bit-row-without-the-bit",
-            "value-for-a-bits-run", "value-and-bits", "negative-level", "level-past-the-chain",
+            "value-a-bool", "value-and-bits", "negative-level", "level-past-the-chain",
             "key-row-with-an-extra-pair", "no-key-row", "key-xor-over-two-levels",
             "key-switch-without-key-bits"])
     def test_malformed_run_reply_is_a_protocol_error(self, kind, spoil, run):
         # A live session whose server sends each ``kind`` reply spoiled, under
-        # an exact window (an <X x X> run) or a one-T homomorphic run.
+        # an exact window or a one-T homomorphic run; a version-5 bits row is
+        # one of the spoils.
         channel, session, thread = serve_inproc()
         reply = session._reply
         session._reply = lambda k, p: reply(k, spoil(p) if k == kind else p)
@@ -1446,7 +1459,7 @@ class TestHostileReplies:
                 window = [gate("RX", 0, angle=0.3), gate("CNOT", 0, 1)]
                 make_exact_evaluator(client)(rand_state(2, rng), window, (0, 1), rng)
             else:
-                client_qhe_run(client, [gate("H", 0), gate("T", 0)], StateVector(1), rng)
+                remote_xx(client, [gate("H", 0), gate("T", 0)], StateVector(2), rng)
         assert exc.value.code == "payload"
         client.done()
         thread.join(timeout=5)
@@ -1466,17 +1479,10 @@ def take_round(client):
 
 
 def take_qhe_run(client):
-    """What ``client_qhe_run`` reads of a one-T run's replies (it then decrypts)."""
+    """What ``remote_xx`` reads of a one-T run's replies (it then decrypts)."""
     cs, wires = padded_input(), (1, 0)
-    spec = {"type": "bits", "wires": list(wires)}
-    bits, keys = client.request_run(cs.register, cs.encrypted_keys, [gate("T", 0)], spec)
-    return keys["level"], dict(zip(wires, keys["enc_keys"][0])), bits
-
-
-def take_plain_run(client):
-    bits, _ = client.request_run(StateVector(2), None, [gate("H", 0)],
-                                 {"type": "bits", "wires": [1, 0]})
-    return bits
+    value, keys = client.request_run(cs.register, cs.encrypted_keys, [gate("T", 0)], wires)
+    return keys["level"], dict(zip(wires, keys["enc_keys"][0])), value
 
 
 def take_exact_window(client):
@@ -1499,10 +1505,9 @@ REPLY_TAKERS = {
         Message("RspOutcome", {"qids": [0, 1], "b": [[1, 0, 1]] * ROWS}),)),
     "RspOutcome": ReplyTaker(take_round, {"rows": ROWS}, before=(
         Message("RspCommit", {"qids": [0, 1], "y": [[0] * RSP_MU] * ROWS}),)),
-    "ShotResults/bits": ReplyTaker(take_plain_run, {"wires": 2}),
-    "ShotResults/xx": ReplyTaker(take_exact_window, {"wires": 2}),
-    "EncKeysUpdate": ReplyTaker(take_qhe_run, {"t_count": 1, "wires": 2}, before=(
-        Message("ShotResults", {"bits": [0, 1]}),)),
+    "ShotResults": ReplyTaker(take_exact_window, {}),
+    "EncKeysUpdate": ReplyTaker(take_qhe_run, {"t_count": 1}, before=(
+        Message("ShotResults", {"value": 0.5}),)),
 }
 
 
@@ -1512,8 +1517,7 @@ class TestReplyProperty:
     returns, or raises ``ProtocolError`` and nothing else."""
 
     def test_every_reply_form_is_drawn(self):
-        forms = {form.split("/")[0] for form in REPLY_TAKERS}
-        assert forms == set(REPLIES)
+        assert set(REPLY_TAKERS) == set(REPLIES)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -1521,10 +1525,9 @@ class TestReplyProperty:
         forms = sorted(REPLY_TAKERS)
         form = data.draw(st.sampled_from(forms))
         taker = REPLY_TAKERS[data.draw(st.one_of(st.just(form), st.sampled_from(forms)))]
-        kind = form.split("/")[0]
         bounds = REPLY_TAKERS[form].bounds
-        payload = draw_value(data.draw, REPLIES[kind], dict(bounds), data.draw(st.booleans()))
-        reply = Message(kind, payload if isinstance(payload, dict) else {"payload": payload})
+        payload = draw_value(data.draw, REPLIES[form], dict(bounds), data.draw(st.booleans()))
+        reply = Message(form, payload if isinstance(payload, dict) else {"payload": payload})
         client_end, server_end = make_inproc_pair()
         for msg in (*taker.before, reply, *taker.after):
             server_end.send(msg)
@@ -1546,7 +1549,7 @@ class TestServerBlindness:
                             "level"},
         "RspBasis": {"matrix", "qids", "alphas"},
         "CoupleInstr": {"close", "discard"},
-        "RunRequest": {"num_wires", "amps", "enc_keys", "circuit", "measure", "use_gadgets"},
+        "RunRequest": {"num_wires", "amps", "enc_keys", "circuit", "wires", "use_gadgets"},
         "Done": set(),
     }
 
@@ -1602,8 +1605,7 @@ class TestServerMemory:
         client.hello(0, "x")
         runs = AUDIT_LIMIT + 10
         for i in range(runs):  # each run told apart by its angle
-            client.request_run(StateVector(1), None, [gate("RX", 0, angle=float(i))],
-                               {"type": "bits", "wires": [0]})
+            client.request_run(StateVector(2), None, [gate("RX", 0, angle=float(i))], (0, 1))
         client.done()
         thread.join(timeout=30)
         audit = list(session.audit)
@@ -1623,7 +1625,7 @@ class TestServerMemory:
         tracemalloc.start()
         try:
             for _ in range(20):
-                client.request_run(register, None, [], {"type": "bits", "wires": [0]})
+                client.request_run(register, None, [], (0, 1))
             client.done()
             thread.join(timeout=30)
             held = tracemalloc.get_traced_memory()[0]
@@ -1680,11 +1682,11 @@ class TestTcpTransport:
             client.hello(21, "x")
             client.open_rsp(0)
             rng = np.random.default_rng(21)
-            circ = [gate("H", 0), gate("T", 0), gate("H", 0)]
-            outcomes = client_qhe_run(
-                client, circ, StateVector(1), rng, shots=30, measure_wires=(0,)
-            )
-            assert len(outcomes) == 30
+            circ = [gate("H", 0), gate("T", 0), gate("H", 0), gate("CNOT", 0, 1)]
+            for _ in range(3):
+                psi = rand_state(2, rng)
+                sign, raw = remote_xx(client, circ, psi, rng)
+                assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-9)
             client.done()
         finally:
             server.stop()
@@ -1699,12 +1701,11 @@ class TestTcpTransport:
                 client.hello(seed, "x")
                 client.open_rsp(0)
                 client.close_rsp()
-                psi = rand_state(1, np.random.default_rng(seed))
+                psi = rand_state(2, np.random.default_rng(seed))
+                want = _xx_plaintext(psi, [gate("H", 0)], (0, 1))
                 for _ in range(5):
-                    bits, _ = client.request_run(
-                        psi, None, [gate("H", 0)], {"type": "bits", "wires": [0]}
-                    )
-                    assert len(bits) == 1
+                    value, _ = client.request_run(psi, None, [gate("H", 0)], (0, 1))
+                    assert value == pytest.approx(want, abs=1e-12)
                 client.done()
             except Exception as exc:  # noqa: BLE001 - collected for the assert
                 errors.append(exc)
@@ -1721,26 +1722,24 @@ class TestTcpTransport:
 
     def test_transport_determinism(self):
         # Same session seed, same client draws: inproc and TCP transcripts
-        # must produce identical homomorphic outcomes.
+        # must produce identical homomorphic signs and raw values.
         def run(channel):
             client = ClientSession(channel)
             client.hello(33, "x")
             client.open_rsp(0)
             rng = np.random.default_rng(33)
-            circ = [gate("H", 0), gate("T", 0), gate("H", 0)]
-            out = client_qhe_run(
-                client, circ, StateVector(1), rng, shots=25, measure_wires=(0,)
-            )
+            circ = [gate("H", 0), gate("T", 0), gate("H", 0), gate("CNOT", 0, 1)]
+            out = [remote_xx(client, circ, rand_state(2, rng), rng) for _ in range(5)]
             client.done()
-            return [o[0] for o in out]
+            return out
 
         channel, _session, thread = serve_inproc()
-        inproc_bits = run(channel)
+        inproc_runs = run(channel)
         thread.join(timeout=5)
 
         server = TcpServer(port=0).start()
         try:
-            tcp_bits = run(connect_tcp("127.0.0.1", server.port))
+            tcp_runs = run(connect_tcp("127.0.0.1", server.port))
         finally:
             server.stop()
-        assert inproc_bits == tcp_bits
+        assert inproc_runs == tcp_runs

@@ -8,7 +8,6 @@ from qhevqa import qhe
 from qhevqa.classical_he import ct_to_bytes
 from qhevqa.qhe import (
     QHEError,
-    decrypt_flips,
     decrypt_keys,
     decrypt_state,
     encrypt,
@@ -16,6 +15,7 @@ from qhevqa.qhe import (
     keygen,
     t_count,
     xx_expectation_sign,
+    xx_sign,
 )
 from qhevqa.simulator import (
     StateVector,
@@ -167,7 +167,8 @@ class TestDecryption:
 
     def test_outcome_correction_z_basis(self):
         # Measuring the padded wire and XORing off the decrypted X key must
-        # reproduce the plaintext Born statistics.
+        # reproduce the plaintext Born statistics. The key is decrypted
+        # locally, as acceptance 2 does; no run reads bits over the wire.
         rng = np.random.default_rng(13)
         circ = [gate("H", 0), gate("T", 0), gate("H", 0)]
         client, server = keygen(16, 1, circ, rng)
@@ -178,17 +179,9 @@ class TestDecryption:
             cs, _ = encrypt(client, psi, rng)
             out = eval_circuit(cs, circ, server, rng)
             bit, post = measure(out.register, 0, "Z", rng)
-            (flip,) = decrypt_flips(client, out.level, out.encrypted_keys, [0], "Z")
-            hits += bit ^ flip
+            hits += bit ^ decrypt_keys(client, out).keys[0].a
         want = abs(apply_circuit(psi, circ).amplitudes[1]) ** 2
         assert abs(hits / shots - want) < 0.07
-
-    def test_outcome_correction_rejects_bad_basis(self):
-        rng = np.random.default_rng(14)
-        client, _ = keygen(16, 1, [], rng)
-        cs, _ = encrypt(client, StateVector(1), rng)
-        with pytest.raises(QHEError):
-            decrypt_flips(client, cs.level, cs.encrypted_keys, [0], "Y")
 
     def test_xx_expectation_sign(self):
         rng = np.random.default_rng(15)
@@ -282,8 +275,9 @@ class TestOnePassDecryption:
         monkeypatch.setattr(qhe, "_dec", counted)
         decrypt_state(client, cs)
         xx_expectation_sign(client, cs, (0, 2))
-        decrypt_flips(client, cs.level, cs.encrypted_keys, [0, 1, 2], "Z")
-        assert passes == [6, 2, 3]
+        keys = {w: cs.encrypted_keys[w] for w in (2, 0)}
+        xx_sign(client, cs.level, keys, (2, 0))  # the two keys a run returns
+        assert passes == [6, 2, 2]
 
 
 class TestBlindness:
