@@ -73,14 +73,14 @@ def _demo_tables():
     these (there are only 4 x 16 combinations) keeps the per-shot work to one
     gadget consumption, one Hadamard and one measurement.
     """
-    from .pauli_frame import KeyFrame, PauliKey, apply_pad
+    from .pauli_frame import apply_pad
     from .rsp_gadget import Gadget, assemble_gadget_state, theta_bits
 
     plus = apply_gate(StateVector(1), gate("H", 0))
     inputs = {}
     for a in (0, 1):
         for b in (0, 1):
-            padded = apply_pad(plus, KeyFrame([PauliKey(a, b)]))
+            padded = apply_pad(plus, [(a, b)])
             inputs[(a, b)] = apply_gate(padded, gate("T", 0))
 
     resources = {}
@@ -129,7 +129,7 @@ def _gadget_shot(rng: np.random.Generator) -> int:
     out, (u, v) = consume_gadget(inputs[(a, b)], 0, gadget, j, rng)
     _, db = pair_byproduct(xs[j], zs[j], j, u, v)
     out = apply_gate(out, gate("H", 0))
-    bit, _ = measure(out, 0, "Z", rng)
+    bit, _ = measure(out, 0, rng)
     return bit ^ b ^ db  # after H the X-type key is the previous Z-type key
 
 
@@ -493,13 +493,12 @@ def check_conjugation():
 
 def _pad_average_full(state: StateVector) -> np.ndarray:
     """Exact average of the padded register's density matrix over all pads."""
-    from .pauli_frame import KeyFrame, PauliKey, apply_pad
+    from .pauli_frame import apply_pad
 
     n = state.num_qubits
     acc = np.zeros((2**n, 2**n), dtype=complex)
     for bits in product((0, 1), repeat=2 * n):
-        frame = KeyFrame([PauliKey(*bits[2 * w : 2 * w + 2]) for w in range(n)])
-        padded = apply_pad(state, frame).amplitudes
+        padded = apply_pad(state, list(zip(bits[::2], bits[1::2]))).amplitudes
         acc += np.outer(padded, padded.conj())
     return acc / 4**n
 

@@ -1,7 +1,9 @@
 """Quantum one-time-pad key tracking under Clifford conjugation.
 
-A wire's pad is applied as X^a Z^b (X outermost). Keys are tracked modulo
-global phase; decryption and measurement statistics never see the phase.
+A pad is a list of per-wire (a, b) key pairs, and wire w is padded with
+X^a Z^b (X outermost). Plain bits, key ciphertexts and key generation's
+keystream parities all take that one shape. Keys are tracked modulo global
+phase; decryption and measurement statistics never see the phase.
 
 The update rule of every supported gate is machine-derived at import time
 from the matrix conjugation identity (``verify_conjugation`` is the oracle),
@@ -13,7 +15,6 @@ plain bits, ciphertexts and key generation's keystream parities alike.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -27,60 +28,37 @@ CLIFFORD_KINDS = CLIFFORD_1Q + CLIFFORD_2Q
 _X = FIXED_1Q["X"]
 _Z = FIXED_1Q["Z"]
 _P = FIXED_1Q["P"]
+_ZERO = 1e-12  # a matrix entry below this is zero in ``_proportional``
 
 
 class FrameError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PauliKey:
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a not in (0, 1) or self.b not in (0, 1):
-            raise FrameError(f"key bits must be 0/1, got {self}")
+def random_pad(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """A fresh pad on ``n`` wires: wire w gets (a, b) = draws 2w and 2w + 1 of
+    one call, the same bits, and the same generator state after, as 2n scalar
+    ``integers(2)``."""
+    bits = rng.integers(2, size=2 * n).tolist()
+    return list(zip(bits[::2], bits[1::2]))
 
 
-@dataclass
-class KeyFrame:
-    keys: list[PauliKey]
-
-    @classmethod
-    def zeros(cls, n: int) -> "KeyFrame":
-        return cls([PauliKey(0, 0) for _ in range(n)])
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "KeyFrame":
-        """Wire w gets (a, b) = draws 2w and 2w + 1 of one call: the same bits,
-        and the same generator state after, as 2n scalar ``integers(2)``."""
-        bits = rng.integers(2, size=2 * n).tolist()
-        return cls([PauliKey(a, b) for a, b in zip(bits[::2], bits[1::2])])
-
-    def copy(self) -> "KeyFrame":
-        return KeyFrame(list(self.keys))
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
-def _masks(frame: KeyFrame) -> tuple[int, int]:
-    """The frame's X and Z key bits as integers, wire w at bit w."""
+def _masks(pad) -> tuple[int, int]:
+    """The pad's X and Z key bits as integers, wire w at bit w."""
     xmask = zmask = 0
-    for w, key in enumerate(frame.keys):
-        xmask, zmask = xmask | key.a << w, zmask | key.b << w
+    for w, (a, b) in enumerate(pad):
+        xmask, zmask = xmask | a << w, zmask | b << w
     return xmask, zmask
 
 
-def apply_pad(state: StateVector, frame: KeyFrame) -> StateVector:
+def apply_pad(state: StateVector, pad) -> StateVector:
     """Pad every wire with X^a Z^b: Z^b first, so X ends outermost."""
-    return apply_pauli(state, *_masks(frame))
+    return apply_pauli(state, *_masks(pad))
 
 
-def remove_pad(state: StateVector, frame: KeyFrame) -> StateVector:
+def remove_pad(state: StateVector, pad) -> StateVector:
     """Undo ``apply_pad``: (X^a Z^b)^-1 = Z^b X^a = (-1)^(a.b) X^a Z^b."""
-    xmask, zmask = _masks(frame)
+    xmask, zmask = _masks(pad)
     return apply_pauli(state, xmask, zmask, 2 * (xmask & zmask).bit_count())
 
 
@@ -94,10 +72,10 @@ def _pad_matrix_2(bits: tuple[int, int, int, int]) -> np.ndarray:
     return np.kron(_pad_matrix(a1, b1), _pad_matrix(a2, b2))
 
 
-def _proportional(m1: np.ndarray, m2: np.ndarray, tol: float = 1e-12) -> bool:
+def _proportional(m1: np.ndarray, m2: np.ndarray) -> bool:
     i, j = np.unravel_index(np.argmax(np.abs(m2)), m2.shape)
-    if abs(m2[i, j]) < tol:
-        return bool(np.max(np.abs(m1)) < tol)
+    if abs(m2[i, j]) < _ZERO:
+        return bool(np.max(np.abs(m1)) < _ZERO)
     phase = m1[i, j] / m2[i, j]
     return bool(abs(abs(phase) - 1) < 1e-9 and np.max(np.abs(m1 - phase * m2)) < 1e-9)
 
@@ -187,12 +165,6 @@ def update_keys(keys, g: Gate, xor) -> None:
         keys[w] = out[2 * i : 2 * i + 2]
 
 
-def update_clifford(frame: KeyFrame, gate: Gate) -> KeyFrame:
-    if gate.kind not in CLIFFORD_KINDS:
-        raise FrameError(f"{gate.kind} is not Clifford")
-    pairs = {w: (frame.keys[w].a, frame.keys[w].b) for w in gate.wires}
-    update_keys(pairs, gate, operator.xor)
-    out = frame.copy()
-    for w, (a, b) in pairs.items():
-        out.keys[w] = PauliKey(a, b)
-    return out
+def update_clifford(pad, g: Gate) -> None:
+    """Update a plain-bit pad in place for Clifford ``g``: ``update_keys`` under XOR."""
+    update_keys(pad, g, operator.xor)

@@ -36,9 +36,8 @@ from .classical_he import (
 )
 from .pauli_frame import (
     CLIFFORD_KINDS,
-    KeyFrame,
-    PauliKey,
     apply_pad,
+    random_pad,
     remove_pad,
     update_keys,
 )
@@ -184,21 +183,22 @@ def keygen(
 
 def encrypt(
     client: ClientKeys, state: StateVector, rng: np.random.Generator
-) -> tuple[CipherState, KeyFrame]:
+) -> tuple[CipherState, list[tuple[int, int]]]:
     """Pad the register with fresh keys and attach their encryptions.
 
-    The pad frame is returned for inspection and tests; the protocol-level
-    client discards it (decryption only needs the secret-key chain).
+    The pad, wire w's plain (a, b) key pair at index w, is returned for
+    inspection and tests; the protocol-level client discards it (decryption
+    only needs the secret-key chain).
     """
     planned = len(client.init_stream_bits)
     if state.num_qubits != planned:
         raise QHEError(f"state has {state.num_qubits} wires, keys planned for {planned}")
     pk0 = client.triples[0].pk
-    frame = KeyFrame.random(state.num_qubits, rng)
-    cts = he_enc_bits(pk0, [k for key in frame.keys for k in (key.a, key.b)], rng,
+    pad = random_pad(state.num_qubits, rng)
+    cts = he_enc_bits(pk0, [k for pair in pad for k in pair], rng,
                       [k for pair in client.init_stream_bits for k in pair])
     pairs = tuple(zip(cts[0::2], cts[1::2]))
-    return CipherState(apply_pad(state, frame), pairs, 0), frame
+    return CipherState(apply_pad(state, pad), pairs, 0), pad
 
 
 def eval_circuit(
@@ -251,10 +251,10 @@ def _decrypt(client: ClientKeys, level: int, roots) -> list[int]:
     return _dec(client.triples[level].sk, *roots)
 
 
-def decrypt_keys(client: ClientKeys, cs: CipherState) -> KeyFrame:
+def decrypt_keys(client: ClientKeys, cs: CipherState) -> list[tuple[int, int]]:
     """Decrypt every wire's (a, b) pad key in one pass."""
     bits = _decrypt(client, cs.level, [ct for pair in cs.encrypted_keys for ct in pair])
-    return KeyFrame([PauliKey(a, b) for a, b in zip(bits[::2], bits[1::2])])
+    return list(zip(bits[::2], bits[1::2]))
 
 
 def decrypt_state(client: ClientKeys, cs: CipherState) -> StateVector:
@@ -285,7 +285,7 @@ def pad_average_density(state: StateVector, wire: int) -> np.ndarray:
 
     acc = np.zeros((2, 2), dtype=complex)
     for a, b in product((0, 1), repeat=2):
-        frame = KeyFrame.zeros(state.num_qubits)
-        frame.keys[wire] = PauliKey(a, b)
-        acc += reduced_density_matrix(apply_pad(state, frame), [wire])
+        pad = [(0, 0)] * state.num_qubits
+        pad[wire] = (a, b)
+        acc += reduced_density_matrix(apply_pad(state, pad), [wire])
     return acc / 4.0

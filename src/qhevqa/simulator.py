@@ -252,21 +252,12 @@ def _collapse(state: StateVector, wire: int, outcome: int) -> StateVector:
 
 
 def measure(
-    state: StateVector, wire: int, basis: str, rng: np.random.Generator
+    state: StateVector, wire: int, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
-    """Projective measurement; X basis realized as an H-conjugated Z measurement."""
+    """Projective Z-basis measurement of ``wire``."""
     state.check_wires([wire])
-    if basis not in ("Z", "X"):
-        raise SimulatorError(f"basis must be 'Z' or 'X', got {basis!r}")
-    work = state
-    if basis == "X":
-        work = apply_gate(work, Gate("H", (wire,)))
-    p1 = _prob_one(work, wire)
-    outcome = 1 if rng.random() < p1 else 0
-    work = _collapse(work, wire, outcome)
-    if basis == "X":
-        work = apply_gate(work, Gate("H", (wire,)))
-    return outcome, work
+    outcome = 1 if rng.random() < _prob_one(state, wire) else 0
+    return outcome, _collapse(state, wire, outcome)
 
 
 def remove_wire(state: StateVector, wire: int, outcome: int) -> StateVector:
@@ -295,8 +286,8 @@ def bell_measure(
         raise SimulatorError("bell_measure needs two distinct wires")
     work = apply_gate(state, Gate("CNOT", (wire_a, wire_b)))
     work = apply_gate(work, Gate("H", (wire_a,)))
-    u, work = measure(work, wire_a, "Z", rng)
-    v, work = measure(work, wire_b, "Z", rng)
+    u, work = measure(work, wire_a, rng)
+    v, work = measure(work, wire_b, rng)
     hi, lo = max(wire_a, wire_b), min(wire_a, wire_b)
     work = remove_wire(work, hi, u if hi == wire_a else v)
     work = remove_wire(work, lo, u if lo == wire_a else v)

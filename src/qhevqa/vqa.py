@@ -23,7 +23,7 @@ from math import pi
 
 import numpy as np
 
-from .pauli_frame import KeyFrame, apply_pad, update_clifford
+from .pauli_frame import apply_pad, random_pad, update_clifford
 from .qhe import SECURITY, encrypt, eval_circuit, keygen, xx_sign
 from .simulator import (
     CNOT_MATRIX,
@@ -193,28 +193,30 @@ def _window_reduced(state: StateVector, wires: tuple[int, int]) -> np.ndarray:
     return reduced_density_matrix(state, [wires[1], wires[0]])
 
 
-def _compensate(circuit: list[Gate], frame: KeyFrame) -> tuple[list[Gate], KeyFrame]:
+def _compensate(circuit: list[Gate], pad) -> tuple[list[Gate], list]:
     """Rewrite the circuit to act identically under the given pad.
 
     Rotations get sign-compensated angles (RX flips with the Z key, RY with
-    both keys); Cliffords pass through with the tracked key relabeling.
+    both keys); Cliffords pass through with the tracked key relabeling, which
+    runs on a copy: the returned final pad is new and ``pad`` is unchanged.
     """
+    final = list(pad)
     out = []
     for g in circuit:
         if g.kind == "RX":
             (w,) = g.wires
-            out.append(gate("RX", w, angle=g.angle * (-1) ** frame.keys[w].b))
+            out.append(gate("RX", w, angle=g.angle * (-1) ** final[w][1]))
         elif g.kind == "RY":
             (w,) = g.wires
-            key = frame.keys[w]
-            out.append(gate("RY", w, angle=g.angle * (-1) ** (key.a ^ key.b)))
+            a, b = final[w]
+            out.append(gate("RY", w, angle=g.angle * (-1) ** (a ^ b)))
         elif g.kind == "RZ":
             (w,) = g.wires
-            out.append(gate("RZ", w, angle=g.angle * (-1) ** frame.keys[w].a))
+            out.append(gate("RZ", w, angle=g.angle * (-1) ** final[w][0]))
         else:
             out.append(g)
-            frame = update_clifford(frame, g)
-    return out, frame
+            update_clifford(final, g)
+    return out, final
 
 
 # A delegated window evaluation is one client procedure: pad the input, have a
@@ -226,15 +228,15 @@ def exact_evaluator(server_run):
     """Delegated-exact window evaluator around one server step.
 
     ``server_run(register, circuit, wires)`` runs the compensated circuit on
-    the padded register and returns the raw <X x X>. The pad frame and the
+    the padded register and returns the raw <X x X>. The pad and the
     rotation signs stay with the client.
     """
 
     def evaluate(state, circuit, wires, rng):
-        frame = KeyFrame.random(state.num_qubits, rng)
-        compensated, final = _compensate(circuit, frame)
-        raw = server_run(apply_pad(state, frame), compensated, wires)
-        sign = -1.0 if final.keys[wires[0]].b ^ final.keys[wires[1]].b else 1.0
+        pad = random_pad(state.num_qubits, rng)
+        compensated, final = _compensate(circuit, pad)
+        raw = server_run(apply_pad(state, pad), compensated, wires)
+        sign = -1.0 if final[wires[0]][1] ^ final[wires[1]][1] else 1.0
         return sign * raw
 
     return evaluate

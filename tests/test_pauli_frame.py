@@ -9,10 +9,9 @@ from qhevqa import pauli_frame
 from qhevqa.pauli_frame import (
     CLIFFORD_KINDS,
     FrameError,
-    KeyFrame,
-    PauliKey,
     apply_pad,
     apply_rule,
+    random_pad,
     remove_pad,
     update_clifford,
     verify_conjugation,
@@ -37,6 +36,10 @@ class TestConjugationOracle:
         # X on the control copies to the target; Z on the target copies back.
         assert apply_rule("CNOT", (1, 0, 0, 0), xor) == (1, 0, 1, 0)
         assert apply_rule("CNOT", (0, 0, 0, 1), xor) == (0, 1, 0, 1)
+
+    def test_apply_rule_rejects_unknown(self):
+        with pytest.raises((FrameError, KeyError)):
+            apply_rule("NOPE", (0, 0), lambda x, y: x ^ y)
 
 
 class TestRuleLinearity:
@@ -76,11 +79,11 @@ class TestFrameUpdates:
             wires = (0, 1) if kind in ("CNOT", "CZ") else (0,)
             g = gate(kind, *wires)
             for _ in range(8):
-                frame = KeyFrame.random(2, rng)
+                pad = random_pad(2, rng)
                 psi = rand_state(2, rng)
-                lhs = apply_gate(apply_pad(psi, frame), g)
-                new_frame = update_clifford(frame, g)
-                rhs = apply_pad(apply_gate(psi, g), new_frame)
+                lhs = apply_gate(apply_pad(psi, pad), g)
+                update_clifford(pad, g)
+                rhs = apply_pad(apply_gate(psi, g), pad)
                 assert fidelity(lhs, rhs) == pytest.approx(1.0, abs=1e-12)
 
     def test_t_byproduct_padded_simulation(self):
@@ -88,15 +91,12 @@ class TestFrameUpdates:
         # p the pad's X key.
         rng = np.random.default_rng(1)
         for _ in range(8):
-            frame = KeyFrame.random(1, rng)
-            keys = (frame.keys[0].a, frame.keys[0].b)
-            ok, new_keys, p = verify_conjugation(gate("T", 0), keys)
-            assert ok and p == frame.keys[0].a
+            pad = random_pad(1, rng)
+            ok, new_keys, p = verify_conjugation(gate("T", 0), pad[0])
+            assert ok and p == pad[0][0]
             psi = rand_state(1, rng)
-            lhs = apply_gate(apply_pad(psi, frame), gate("T", 0))
-            rhs = apply_pad(
-                apply_gate(psi, gate("T", 0)), KeyFrame([PauliKey(*new_keys)])
-            )
+            lhs = apply_gate(apply_pad(psi, pad), gate("T", 0))
+            rhs = apply_pad(apply_gate(psi, gate("T", 0)), [new_keys])
             for _i in range(p):
                 rhs = apply_gate(rhs, gate("P", 0))
             assert fidelity(lhs, rhs) == pytest.approx(1.0, abs=1e-12)
@@ -112,8 +112,9 @@ class TestOverrides:
             ok, new_keys, _ = verify_conjugation(gate("CNOT", 0, 1), (1, 0, 0, 0))
             assert ok  # oracle itself is still sound
             assert apply_rule("CNOT", (1, 0, 0, 0), xor) != new_keys
-            frame = update_clifford(KeyFrame([PauliKey(1, 0), PauliKey(0, 0)]), gate("CNOT", 0, 1))
-            assert (frame.keys[1].a, frame.keys[1].b) != new_keys[2:]
+            pad = [(1, 0), (0, 0)]
+            update_clifford(pad, gate("CNOT", 0, 1))
+            assert pad[1] != new_keys[2:]
         finally:
             pauli_frame._FORMS["CNOT"] = cnot
 
@@ -124,43 +125,31 @@ class TestPadHelpers:
         x, z = FIXED_1Q["X"], FIXED_1Q["Z"]
         for _ in range(10):
             psi = rand_state(3, rng)
-            frame = KeyFrame.random(3, rng)
+            pad = random_pad(3, rng)
             op = np.eye(1)
-            for key in reversed(frame.keys):  # wire 0 is the least significant bit
-                pad = np.linalg.matrix_power(x, key.a) @ np.linalg.matrix_power(z, key.b)
-                op = np.kron(op, pad)
-            padded = apply_pad(psi, frame)
+            for a, b in reversed(pad):  # wire 0 is the least significant bit
+                op = np.kron(op, np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b))
+            padded = apply_pad(psi, pad)
             np.testing.assert_allclose(padded.amplitudes, op @ psi.amplitudes, atol=1e-12)
-            restored = remove_pad(padded, frame)
+            restored = remove_pad(padded, pad)
             np.testing.assert_allclose(restored.amplitudes, psi.amplitudes, atol=1e-12)
 
 
-class TestKeyFrame:
-    def test_zero_frame(self):
-        frame = KeyFrame.zeros(3)
-        assert all(k.a == 0 and k.b == 0 for k in frame.keys)
-
-    def test_random_frame_coverage(self):
+class TestRandomPad:
+    def test_random_pad_coverage(self):
         rng = np.random.default_rng(2)
-        seen = set()
-        for _ in range(100):
-            frame = KeyFrame.random(1, rng)
-            seen.add((frame.keys[0].a, frame.keys[0].b))
+        seen = {random_pad(1, rng)[0] for _ in range(100)}
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
-    def test_random_frame_is_the_scalar_recipe(self):
+    def test_random_pad_is_the_scalar_recipe(self):
         # One size-2n draw gives the keys of 2n scalar draws, wire by wire,
         # and leaves the generator where they left it, so every seeded run
         # that pads keeps its keys and the draws after them.
         for seed in range(8):
             for n in range(1, 9):
                 one, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-                frame = KeyFrame.random(n, one)
-                want = [PauliKey(int(scalar.integers(2)), int(scalar.integers(2))) for _ in range(n)]
-                assert frame.keys == want
+                pad = random_pad(n, one)
+                want = [(int(scalar.integers(2)), int(scalar.integers(2))) for _ in range(n)]
+                assert pad == want
                 assert one.integers(2**62) == scalar.integers(2**62)
                 assert one.random() == scalar.random()
-
-    def test_apply_rule_rejects_unknown(self):
-        with pytest.raises((FrameError, KeyError)):
-            apply_rule("NOPE", (0, 0), lambda x, y: x ^ y)

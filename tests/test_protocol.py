@@ -345,16 +345,24 @@ class TestServerSession:
         thread.join(timeout=5)
         assert session.closed and not thread.is_alive()
 
-    def test_internal_errors_are_reported_not_raised(self):
+    def test_internal_errors_are_reported_not_raised(self, monkeypatch):
+        # A fault inside a handler, after the payload has passed validation,
+        # is the server's: reported to the client as ``internal``, and the
+        # session ends instead of raising out of its thread.
+        def broken(self, p):
+            raise RuntimeError("handler fault")
+
+        monkeypatch.setattr(protocol.ServerSession, "_on_runrequest", broken)
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(0, "x")
         client.open_rsp(0)
         client.close_rsp()
-        with pytest.raises(ProtocolError):
-            # XX observable needs two distinct wires; server must survive
-            client.request_run(StateVector(1), None, [], (0, 0))
+        with pytest.raises(ProtocolError) as err:
+            client.request_run(StateVector(2), None, [], (0, 1))
+        assert err.value.code == "internal" and "handler fault" in err.value.text
         thread.join(timeout=5)
+        assert session.closed and not thread.is_alive()
 
 
 class TestHostilePayloads:

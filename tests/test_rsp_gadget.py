@@ -272,7 +272,7 @@ def dense_commit(matrix, rng):
     state = StateVector(n + mu, amps / np.linalg.norm(amps))
     y = np.zeros(mu, dtype=np.int64)
     for w in range(n + mu - 1, n - 1, -1):
-        y[w - n], state = measure(state, w, "Z", rng)
+        y[w - n], state = measure(state, w, rng)
         state = remove_wire(state, w, int(y[w - n]))
     return y, state
 
@@ -285,7 +285,7 @@ def dense_measure(state, alphas, rng):
         if alphas[w]:
             state = apply_gate(state, gate("Pdagger", w))
         state = apply_gate(state, gate("H", w))
-        b[w], state = measure(state, w, "Z", rng)
+        b[w], state = measure(state, w, rng)
         state = remove_wire(state, w, int(b[w]))
     return b, state
 

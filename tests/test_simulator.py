@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhevqa import simulator
-from qhevqa.pauli_frame import KeyFrame, PauliKey, apply_pad, remove_pad
+from qhevqa.pauli_frame import apply_pad, remove_pad
 from qhevqa.simulator import (
     FIXED_1Q,
     GATE_KINDS,
@@ -101,19 +101,19 @@ class TestKernelsAgainstTensordot:
     def test_pads(self, seed, n):
         rng = np.random.default_rng(seed)
         state = state_with_zeros(n, rng)
-        frame = KeyFrame([PauliKey(int(a), int(b)) for a, b in rng.integers(2, size=(n, 2))])
+        pad = [(int(a), int(b)) for a, b in rng.integers(2, size=(n, 2))]
         x, z = FIXED_1Q["X"], FIXED_1Q["Z"]
         padded = unpadded = state
-        for w, key in enumerate(frame.keys):
-            if key.b:
+        for w, (a, b) in enumerate(pad):
+            if b:
                 padded = tensordot_apply(padded, z, [w])
-            if key.a:
+            if a:
                 padded = tensordot_apply(padded, x, [w])
-            if key.a:
+            if a:
                 unpadded = tensordot_apply(unpadded, x, [w])
-            if key.b:
+            if b:
                 unpadded = tensordot_apply(unpadded, z, [w])
-        for got, want in ((apply_pad(state, frame), padded), (remove_pad(state, frame), unpadded)):
+        for got, want in ((apply_pad(state, pad), padded), (remove_pad(state, pad), unpadded)):
             assert np.array_equal(got.amplitudes, want.amplitudes)
             assert not has_negative_zero(got.amplitudes)
 
@@ -224,28 +224,21 @@ class TestMeasurement:
         rng = np.random.default_rng(2)
         st = rand_state(1, rng)
         p1 = abs(st.amplitudes[1]) ** 2
-        hits = sum(measure(st, 0, "Z", rng)[0] for _ in range(4000))
+        hits = sum(measure(st, 0, rng)[0] for _ in range(4000))
         assert abs(hits / 4000 - p1) < 0.03
 
     def test_collapse_is_projective(self):
         rng = np.random.default_rng(3)
         st = rand_state(3, rng)
-        outcome, post = measure(st, 1, "Z", rng)
-        again, _ = measure(post, 1, "Z", rng)
+        outcome, post = measure(st, 1, rng)
+        again, _ = measure(post, 1, rng)
         assert again == outcome
-
-    def test_x_basis_plus_state(self):
-        rng = np.random.default_rng(4)
-        plus = prepare_plus_theta(0.0)
-        for _ in range(20):
-            bit, _ = measure(plus, 0, "X", rng)
-            assert bit == 0
 
     def test_remove_wire(self):
         rng = np.random.default_rng(5)
         a, b = rand_state(1, rng), rand_state(2, rng)
         st = tensor(a, b)
-        outcome, post = measure(st, 0, "Z", rng)
+        outcome, post = measure(st, 0, rng)
         reduced = remove_wire(post, 0, outcome)
         assert reduced.num_qubits == 2
         assert fidelity(reduced, b) == pytest.approx(1.0, abs=1e-12)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhevqa.pauli_frame import KeyFrame
+from qhevqa.pauli_frame import random_pad
 from qhevqa.simulator import (
     StateVector,
     amplitude_encode,
@@ -130,26 +130,29 @@ class TestFeatures:
 
     def test_compensation_identity(self):
         # A compensated circuit on the padded state equals the plain circuit
-        # on the plain state followed by the final pad.
+        # on the plain state followed by the final pad. The caller's pad is
+        # left as it was: the register is padded with it after compensating.
         rng = np.random.default_rng(1)
         model = small_model()
         circ = build_shadow_circuit(model, 1)
         for _ in range(10):
             psi = rand_state(4, rng)
-            frame = KeyFrame.random(4, rng)
+            pad = random_pad(4, rng)
+            given = list(pad)
             padded = psi
-            for w, key in enumerate(frame.keys):
-                if key.b:
+            for w, (a, b) in enumerate(pad):
+                if b:
                     padded = apply_gate(padded, gate("Z", w))
-                if key.a:
+                if a:
                     padded = apply_gate(padded, gate("X", w))
-            compensated, final = _compensate(circ, frame)
+            compensated, final = _compensate(circ, pad)
+            assert pad == given
             lhs = apply_circuit(padded, compensated)
             rhs = apply_circuit(psi, circ)
-            for w, key in enumerate(final.keys):
-                if key.b:
+            for w, (a, b) in enumerate(final):
+                if b:
                     rhs = apply_gate(rhs, gate("Z", w))
-                if key.a:
+                if a:
                     rhs = apply_gate(rhs, gate("X", w))
             from qhevqa.simulator import fidelity
 
