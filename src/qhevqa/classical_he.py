@@ -1,26 +1,28 @@
 """Modeled linear classical homomorphic encryption: keygen, encrypt, XOR, decrypt.
 
-This is an API-faithful stand-in, not hardened cryptography: evaluation is
-deferred (ciphertexts record a GF(2)-affine circuit of XORs, constants and key
-switches, all that the QHE key flow needs; decryption replays it on unsealed
-leaves), and each leaf hides its bit as ``masked = bit XOR stream(seed,
-nonce)`` under a keyed pseudorandom stream. One SHA-256 digest of
-the stream seed and the nonce seals a leaf: its stream bit is the low bit of
-byte 0 and its tag bytes 1-8, disjoint output bits, so in the random-oracle
-model the public tag says nothing about the stream bit. ``he_enc_bits``
-encrypts a list of bits from pooled nonce draws, and can pin each leaf's
-stream bit (see there). Every node stores its public masked parity when it is
-built, and ``_topological`` is the one walk over a ciphertext DAG, shared by
-decryption and the wire encoding. Structural
-indistinguishability holds (ciphertexts of 0 and 1 have identical shape and
-leaf format); computational security is explicitly not claimed, and the
-public key carries the stream seed, so possession of pk suffices to unseal in
-this model.
+This is an API-faithful stand-in, not hardened cryptography. Each leaf (a
+fresh encryption) hides its bit as ``masked = bit XOR stream(seed, nonce)``
+under a keyed pseudorandom stream. One SHA-256 digest of the stream seed and
+the nonce seals a leaf: its stream bit is the low bit of byte 0 and its tag
+bytes 1-8, disjoint output bits, so in the random-oracle model the public tag
+says nothing about the stream bit. ``he_enc_bits`` encrypts a list of bits
+from pooled nonce draws, and can pin each leaf's stream bit (see there).
 
-A node is an immutable tuple of its fields (``HECiphertext``), read by
-position in this module's own loops. The wire format is the ``_topological``
-node table with minimal varints; ``ct_from_bytes`` refuses any other table,
-and any levels that ``he_xor`` or ``key_switch`` refuse.
+Every op is GF(2)-linear, so a ciphertext is kept in normal form: a leaf, or
+a sum of a constant bit and the leaves that sit below it an odd number of
+times. ``he_xor`` takes the symmetric difference of the leaf sets;
+``key_switch`` still requires the next level's encrypted seed, and lifts the
+same leaves and constant one level up. Decryption unseals each leaf once,
+under its own level's secret key. Every node stores its public masked
+parity. Structural indistinguishability holds (ciphertexts of 0 and 1 have
+identical shape and leaf format); computational security is explicitly not
+claimed, and the public key carries the stream seed, so possession of pk
+suffices to unseal in this model.
+
+A node is an immutable tuple of its fields (``HECiphertext``), compared and
+hashed by value. The wire format is one node with a sum's leaves in strictly
+increasing order and minimal varints; ``ct_from_bytes`` refuses any other
+encoding in its one forward pass.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ MIN_SECURITY = 16
 NONCE_BYTES = 16
 TAG_BYTES = 8
 
-LEAF, XOR, CONST, KEYSWITCH = 0, 1, 4, 5  # 2 and 3 were AND and NOT; refused as unknown
+LEAF, SUM = 0, 1  # 2-5 were the AND, NOT, constant and key-switch ops; refused as unknown
 
 
 class HEError(Exception):
@@ -79,45 +81,53 @@ def _seal(stream_seed: bytes, nonce: bytes) -> tuple[int, bytes]:
     return digest[0] & 1, digest[1 : 1 + TAG_BYTES]
 
 
+_NO_LEAVES = frozenset()
+
+
 class HECiphertext(tuple):
-    """One node of a deferred-evaluation DAG.
+    """One ciphertext in normal form: a ``LEAF`` or a ``SUM``.
 
-    A tuple of nine fields, in this order: ``op``, ``level``, ``nonce``,
-    ``masked``, ``tag``, ``children``, ``const_value``, ``sk_enc`` and
-    ``masked_parity``. Each is a read-only property, so assigning to or
-    deleting one raises AttributeError. Comparison and hashing are those of
-    ``object``, by identity: a value comparison would recurse through the
-    whole DAG.
+    A tuple of eight fields, in this order: ``op``, ``level``, ``nonce``,
+    ``masked``, ``tag``, ``children``, ``const_value`` and ``masked_parity``.
+    Each is a read-only property, so assigning to or deleting one raises
+    AttributeError. A leaf holds a nonce, a masked bit and a tag. A sum holds
+    a constant bit and, as ``children``, the frozenset of its leaves of odd
+    multiplicity, each at or below its level; a constant is a sum with no
+    leaves. Comparison and hashing are the tuple's, by value: a sum's
+    children are leaves, so equality never goes more than two nodes deep.
 
-    ``masked_parity`` is derived, not serialised: the XOR of the masked bits
-    and constants below the node, passed through KEYSWITCH (its ``sk_enc`` is
-    not part of the value). Every node has one, since every op is linear.
+    ``masked_parity`` is derived, not serialised: a leaf's masked bit, or a
+    sum's constant XOR its leaves' masked bits. ``sk_enc`` is always empty:
+    a key switch keeps no key material.
     """
 
     __slots__ = ()
+    sk_enc = ()
 
     def __new__(cls, op: int, level: int, nonce: bytes = b"", masked: int = 0, tag: bytes = b"",
-                children: tuple[HECiphertext, ...] = (), const_value: int = 0,
-                sk_enc: tuple[HECiphertext, ...] = ()) -> HECiphertext:
-        if op == XOR:
-            parity = children[0][8] ^ children[1][8]  # the children's masked_parity
-        elif op == LEAF:
-            parity = masked
-        elif op == KEYSWITCH:
-            parity = children[0][8]
-        else:
-            parity = const_value
-        return tuple.__new__(cls, (op, level, nonce, masked, tag, children, const_value, sk_enc,
-                                   parity))
+                children=_NO_LEAVES, const_value: int = 0) -> HECiphertext:
+        children = frozenset(children)
+        parity = masked if op == LEAF else const_value ^ sum(leaf[3] for leaf in children) & 1
+        return tuple.__new__(cls, (op, level, nonce, masked, tag, children, const_value, parity))
 
     def __getnewargs__(self) -> tuple:  # copy and pickle rebuild the node through __new__
-        return self[:8]
+        return self[:7]
 
-    __hash__ = object.__hash__
-    __eq__, __ne__, __lt__, __le__, __gt__, __ge__ = (
-        object.__eq__, object.__ne__, object.__lt__, object.__le__, object.__gt__, object.__ge__)
-    op, level, nonce, masked, tag, children, const_value, sk_enc, masked_parity = map(
-        property, map(itemgetter, range(9)))
+    op, level, nonce, masked, tag, children, const_value, masked_parity = map(
+        property, map(itemgetter, range(8)))
+
+
+def _sum(level: int, const: int, leaves: frozenset, parity: int) -> HECiphertext:
+    """The sum node, or its one leaf if that leaf is at ``level`` and ``const`` is 0."""
+    if len(leaves) == 1 and not const:
+        (leaf,) = leaves
+        if leaf[1] == level:
+            return leaf
+    return tuple.__new__(HECiphertext, (SUM, level, b"", 0, b"", leaves, const, parity))
+
+
+def _leaves(ct: HECiphertext) -> frozenset:
+    return ct[5] if ct[0] else frozenset((ct,))
 
 
 def he_enc(pk: HEPublicKey, bit: int, rng: np.random.Generator) -> HECiphertext:
@@ -179,137 +189,63 @@ def he_enc_bits(
 def he_const(value: int, level: int) -> HECiphertext:
     if value not in (0, 1):
         raise HEError(f"constant must be a bit, got {value!r}")
-    return HECiphertext(CONST, level, const_value=value)
-
-
-def _check_same_level(kids: Sequence[HECiphertext]) -> int:
-    level = kids[0][1]
-    for c in kids:
-        if c[1] != level:
-            levels = sorted({c.level for c in kids})
-            raise HEError(f"mixed ciphertext levels {levels} without KEYSWITCH")
-    return level
+    return _sum(level, value, _NO_LEAVES, value)
 
 
 def he_xor(a: HECiphertext, b: HECiphertext) -> HECiphertext:
-    return HECiphertext(XOR, _check_same_level((a, b)), children=(a, b))
+    """XOR the constants and the parities; the leaves are the symmetric difference."""
+    if a[1] != b[1]:
+        raise HEError(f"mixed ciphertext levels {sorted((a[1], b[1]))} without a key switch")
+    return _sum(a[1], a[6] ^ b[6], _leaves(a) ^ _leaves(b), a[7] ^ b[7])
 
 
 def key_switch(ct: HECiphertext, sk_enc: Sequence[HECiphertext]) -> HECiphertext:
     """Lift a ciphertext one level using the encryption of its secret key.
 
-    ``sk_enc`` holds bitwise encryptions (under the next level's public key)
-    of the current level's secret seed; decryption under the higher key chain
-    replays through it.
+    ``sk_enc`` holds bitwise encryptions, leaves under the next level's
+    public key, of the current level's secret seed. The lifted ciphertext
+    keeps the same leaves and constant: decryption unseals each leaf under
+    its own level's key, so it never reads ``sk_enc``.
     """
     if not sk_enc:
         raise HEError("key_switch requires the encrypted lower secret key")
-    target = _check_same_level(sk_enc)
-    if target != ct.level + 1:
-        raise HEError(f"key_switch target level {target} != ciphertext level {ct.level}+1")
-    return HECiphertext(KEYSWITCH, target, children=(ct,), sk_enc=tuple(sk_enc))
-
-
-_EXPANDED = object()  # on the stack above a node whose dependencies sit above it
-
-
-def _topological(*roots: HECiphertext) -> list[HECiphertext]:
-    """Every node reachable from the roots once: children, then ``sk_enc``, before each parent.
-
-    Ciphertexts are shared DAGs after long evaluations, so each distinct node
-    is listed once; roots are walked in turn over one ``seen`` set, so a node
-    shared by several roots is listed where the first of them reaches it, and
-    one root's order is the order ``ct_to_bytes`` encodes. A node's unseen
-    dependencies are pushed once, above an ``_EXPANDED`` marker: when the
-    marker comes back to the top they are all listed, and so is the node
-    under it. The walk is iterative because key-switch chains nest far
-    beyond the recursion limit.
-    """
-    order: list[HECiphertext] = []
-    seen: set[HECiphertext] = set()
-    stack: list = list(reversed(roots))
-    while stack:
-        node = stack.pop()
-        if node is _EXPANDED:
-            node = stack.pop()
-        elif node in seen:
-            continue
-        else:
-            deps = node[5] + node[7]  # children, sk_enc
-            if deps:
-                deps = [c for c in deps if c not in seen]
-                if deps:
-                    stack += (node, _EXPANDED, *deps)
-                    continue
-        seen.add(node)
-        order.append(node)
-    return order
-
-
-def _dec(sk: HESecretKey, *roots: HECiphertext) -> list[int]:
-    """Decrypt every root in one pass: one walk, each leaf unsealed once, one key chain.
-
-    Level l-1's seed is unsealed from the ``sk_enc`` leaves of the key switches
-    out of level l-1, met parents-first, so it is known before any node below
-    them is evaluated. Key switches out of one level that unseal different
-    seeds are refused, so the order of the roots never picks the seed.
-    """
-    for ct in roots:
-        if ct.level != sk.level:
-            raise HEError(
-                f"secret key level {sk.level} does not match ciphertext level {ct.level}"
-            )
-    order = _topological(*roots)
-    streams = {sk.level: sk.stream_seed}
-    vals: dict[HECiphertext, int] = {}
-
-    def unseal(leaf: HECiphertext) -> int:
-        bit = vals.get(leaf)
-        if bit is not None:
-            return bit
-        if leaf.op != LEAF:
+    target = ct[1] + 1
+    for bit in sk_enc:
+        if bit[0] != LEAF:
             raise HEError("malformed key switch: encrypted key bit is not a leaf")
-        stream_seed = streams.get(leaf.level)
+        if bit[1] != target:
+            raise HEError(f"key_switch target level {bit[1]} != ciphertext level {ct[1]}+1")
+    return tuple.__new__(HECiphertext, (SUM, target, b"", 0, b"", _leaves(ct), ct[6], ct[7]))
+
+
+def _dec(keys: Sequence[HESecretKey], *roots: HECiphertext) -> list[int]:
+    """Decrypt every root in one pass, each distinct leaf unsealed once.
+
+    ``keys[l]`` is level l's secret key, and every root sits at the chain's
+    top level, ``len(keys) - 1``. A root's bit is its masked parity XOR the
+    stream bits of its leaves, each leaf unsealed under its own level's key.
+    """
+    top = len(keys) - 1
+    for ct in roots:
+        if ct[1] != top:
+            raise HEError(f"secret key level {top} does not match ciphertext level {ct[1]}")
+    streams: dict[int, bytes] = {}
+    ones = set()  # the leaves whose stream bit is 1
+    for leaf in set().union(*map(_leaves, roots)):
+        level = leaf[1]
+        stream_seed = streams.get(level)
         if stream_seed is None:
-            raise HEError(f"no secret key for leaf level {leaf.level}")
-        stream, tag = _seal(stream_seed, leaf.nonce)
-        if tag != leaf.tag:
+            stream_seed = streams[level] = keys[level].stream_seed
+        stream, tag = _seal(stream_seed, leaf[2])
+        if tag != leaf[4]:
             raise HEError("seal verification failed: wrong secret key")
-        bit = vals[leaf] = leaf.masked ^ stream
-        return bit
-
-    switched: set[tuple[HECiphertext, ...]] = set()  # key leaves already unsealed
-    for node in reversed(order):
-        if node.op != KEYSWITCH or node.sk_enc in switched:
-            continue
-        switched.add(node.sk_enc)
-        bits = [unseal(c) for c in node.sk_enc]
-        if len(bits) % 8:
-            raise HEError("malformed key switch: seed bit count not byte-aligned")
-        seed = bytes(
-            sum(bits[i * 8 + j] << j for j in range(8)) for i in range(len(bits) // 8)
-        )
-        lower = node.level - 1
-        stream_seed = HESecretKey(lower, seed).stream_seed
-        if streams.setdefault(lower, stream_seed) != stream_seed:
-            raise HEError(f"key switches out of level {lower} unseal different seeds")
-    for node in order:
-        if node in vals:
-            continue
-        op, _, _, _, _, kids, const_value, _, _ = node
-        if op == XOR:
-            vals[node] = vals[kids[0]] ^ vals[kids[1]]
-        elif op == LEAF:
-            unseal(node)
-        elif op == KEYSWITCH:
-            vals[node] = vals[kids[0]]
-        else:
-            vals[node] = const_value
-    return [vals[ct] for ct in roots]
+        if stream:
+            ones.add(leaf)
+    return [ct[7] ^ (len(ones.intersection(_leaves(ct))) & 1) for ct in roots]
 
 
-def he_dec(sk: HESecretKey, ct: HECiphertext) -> int:
-    (bit,) = _dec(sk, ct)
+def he_dec(keys: Sequence[HESecretKey], ct: HECiphertext) -> int:
+    (bit,) = _dec(keys, ct)
     return bit
 
 
@@ -323,7 +259,7 @@ def encrypt_seed(
 
 
 def public_masked_parity(ct: HECiphertext) -> int:
-    """XOR of leaf masked bits and constants, readable from the public string.
+    """XOR of leaf masked bits and the constant, readable from the public string.
 
     The plaintext equals this parity XOR the (secret) parity of the leaves'
     stream bits. Each node stores it when built, so this reads one field.
@@ -334,6 +270,8 @@ def public_masked_parity(ct: HECiphertext) -> int:
 # --- canonical byte encoding (wire format) ---------------------------------
 
 _BYTE = [bytes((i,)) for i in range(128)]  # one-byte varints, op codes and bits
+_LEAF_BYTES = NONCE_BYTES + 1 + TAG_BYTES  # nonce, masked bit, tag
+_LEAF_ORDER = itemgetter(1, 2, 3, 4)  # (level, nonce, masked, tag)
 
 
 def _varint(n: int) -> bytes:
@@ -366,109 +304,65 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def ct_to_bytes(ct: HECiphertext) -> bytes:
-    """Topologically ordered node table (children as back-references).
-
-    Shared subgraphs are emitted once, so the encoding stays linear in the
-    number of distinct nodes even for deeply shared evaluation DAGs.
-    """
-    order = _topological(ct)
-    index: dict[HECiphertext, bytes] = {}
-    parts = [_varint(len(order))]
-    put = parts.append
-    for i, node in enumerate(order):
-        index[node] = _BYTE[i] if i < 128 else _varint(i)  # how later nodes refer to it
-        op, level, nonce, masked, tag, children, const_value, sk_enc, _ = node
-        put(_BYTE[op])
-        put(_BYTE[level] if level < 128 else _varint(level))
-        if op == LEAF:
-            parts += (nonce, _BYTE[masked], tag)
-        elif op == CONST:
-            put(_BYTE[const_value])
-        else:
-            parts += (_varint(len(children)), _varint(len(sk_enc)))
-            parts += map(index.__getitem__, children + sk_enc)
+    """An op byte and a level varint, then a leaf's nonce, masked bit and tag,
+    or a sum's constant, leaf count and leaves (each a level varint, nonce,
+    masked bit and tag) in strictly increasing (level, nonce, masked, tag) order."""
+    op, level, nonce, masked, tag, leaves, const_value, _ = ct
+    if op == LEAF:
+        return b"".join((_BYTE[LEAF], _varint(level), nonce, _BYTE[masked], tag))
+    parts = [_BYTE[SUM], _varint(level), _BYTE[const_value], _varint(len(leaves))]
+    for _, lv, nonce, masked, tag, _, _, _ in sorted(leaves, key=_LEAF_ORDER):
+        parts += (_varint(lv), nonce, _BYTE[masked], tag)
     return b"".join(parts)
 
 
-_CHILD_ARITY = {XOR: 2, KEYSWITCH: 1}
+def _read_leaf(data: bytes, pos: int, level: int) -> tuple[HECiphertext, int]:
+    """The leaf at ``level`` whose nonce, masked bit and tag start at ``pos``,
+    and the position after them."""
+    end = pos + _LEAF_BYTES
+    if end > len(data):
+        raise HEError("truncated leaf")
+    masked = data[pos + NONCE_BYTES]
+    if masked > 1:
+        raise HEError("bad masked bit")
+    nonce, tag = data[pos : pos + NONCE_BYTES], data[end - TAG_BYTES : end]
+    return HECiphertext(LEAF, level, nonce, masked, tag), end
 
 
 def ct_from_bytes(data: bytes) -> HECiphertext:
-    """Decode a ``ct_to_bytes`` table, checking each node's levels as it is read
-    and then, by one ``_topological`` walk, that every node is listed once, in order."""
-    count, pos = _read_varint(data, 0)
-    if count == 0:
+    """Decode a ``ct_to_bytes`` encoding in one forward pass, refusing every
+    other: overlong varints, unknown op bytes, bits other than 0 and 1, sum
+    leaves above the sum's level, out of order or repeated, a sum that is one
+    leaf at its own level with constant 0 (that leaf's second encoding), and
+    truncated or trailing bytes."""
+    data = bytes(data)
+    if not data:
         raise HEError("empty ciphertext encoding")
-    size = len(data)
-    nodes: list[HECiphertext] = []
-    for i in range(count):
-        if pos >= size:
-            raise HEError("truncated ciphertext")
-        op = data[pos]
-        pos += 1
-        if pos < size and data[pos] < 0x80:
-            level = data[pos]
-            pos += 1
-        else:
-            level, pos = _read_varint(data, pos)
-        if op == LEAF:
-            end = pos + NONCE_BYTES + 1 + TAG_BYTES
-            if end > size:
-                raise HEError("truncated leaf")
-            masked = data[pos + NONCE_BYTES]
-            if masked not in (0, 1):
-                raise HEError("bad masked bit")
-            nonce, tag = data[pos : pos + NONCE_BYTES], data[pos + NONCE_BYTES + 1 : end]
-            nodes.append(HECiphertext(LEAF, level, nonce, masked, tag))
-            pos = end
-        elif op == CONST:
-            if pos >= size:
-                raise HEError("truncated const")
-            v = data[pos]
-            if v not in (0, 1):
-                raise HEError("bad const bit")
-            nodes.append(HECiphertext(CONST, level, const_value=v))
-            pos += 1
-        elif op in _CHILD_ARITY:
-            if pos + 1 < size and data[pos] < 0x80 and data[pos + 1] < 0x80:
-                n_children, n_aux = data[pos], data[pos + 1]
-                pos += 2
-            else:
-                n_children, pos = _read_varint(data, pos)
-                n_aux, pos = _read_varint(data, pos)
-            if n_children != _CHILD_ARITY[op] or (n_aux and op != KEYSWITCH):
-                raise HEError("bad child arity")
-            refs = []
-            for _ in range(n_children + n_aux):
-                if pos < size and data[pos] < 0x80:
-                    ref = data[pos]
-                    pos += 1
-                elif pos + 1 < size and 0 < data[pos + 1] < 0x80:  # two bytes
-                    ref = data[pos] & 0x7F | data[pos + 1] << 7
-                    pos += 2
-                else:
-                    ref, pos = _read_varint(data, pos)
-                if ref >= i:
-                    raise HEError("forward or dangling child reference")
-                refs.append(nodes[ref])
-            if op == XOR:
-                if refs[0][1] != level or refs[1][1] != level:
-                    raise HEError("misleveled XOR child")
-                nodes.append(HECiphertext(XOR, level, children=tuple(refs)))
-            elif refs[0][1] != level - 1 or {bit[1] for bit in refs[1:]} != {level}:
-                raise HEError("misleveled key switch: needs key bits at its level over a "
-                              "child one level down")
-            else:
-                nodes.append(HECiphertext(KEYSWITCH, level, children=(refs[0],),
-                                          sk_enc=tuple(refs[1:])))
-        else:
-            raise HEError(f"unknown ciphertext tag {op}")
-    if pos != size:
+    op = data[0]
+    level, pos = _read_varint(data, 1)
+    if op == LEAF:
+        ct, pos = _read_leaf(data, pos, level)
+    elif op == SUM:
+        if pos >= len(data):
+            raise HEError("truncated sum")
+        const_value = data[pos]
+        if const_value > 1:
+            raise HEError("bad const bit")
+        count, pos = _read_varint(data, pos + 1)
+        leaves: list[HECiphertext] = []
+        for _ in range(count):
+            lv, pos = _read_varint(data, pos)
+            if lv > level:
+                raise HEError("sum leaf above its ciphertext's level")
+            leaf, pos = _read_leaf(data, pos, lv)
+            if leaves and _LEAF_ORDER(leaf) <= _LEAF_ORDER(leaves[-1]):
+                raise HEError("sum leaves out of order or repeated")
+            leaves.append(leaf)
+        if count == 1 and not const_value and lv == level:
+            raise HEError("non-canonical sum: one leaf at its own level")
+        ct = HECiphertext(SUM, level, children=leaves, const_value=const_value)
+    else:
+        raise HEError(f"unknown ciphertext tag {op}")
+    if pos != len(data):
         raise HEError("trailing bytes after ciphertext")
-    if count > 1:  # a lone node is its own walk
-        order = _topological(nodes[-1])
-        if len(order) != count:
-            raise HEError("unreferenced node before the root")
-        if order != nodes:  # element by element, by identity
-            raise HEError("non-canonical node order")
-    return nodes[-1]
+    return ct

@@ -549,8 +549,9 @@ def _check_he_roundtrip():
 
     rng = np.random.default_rng(1)
     chain = [he_keygen(SECURITY, rng, level=lv) for lv in range(3)]
+    sks = [triple.sk for triple in chain]
     sk_enc = [encrypt_seed(chain[lv + 1].pk, chain[lv].sk, rng) for lv in range(2)]
-    for _ in range(200):  # a random DAG of XORs, constants and key switches
+    for _ in range(200):  # a random program of XORs, constants and key switches
         bits, levels = rng.integers(2, size=3).tolist(), rng.integers(3, size=3).tolist()
         nodes = [(he_enc(chain[lv].pk, b, rng), b) for b, lv in zip(bits, levels)]
         for op in rng.integers(3, size=8):
@@ -565,9 +566,10 @@ def _check_he_roundtrip():
                     x = key_switch(x, sk_enc[x.level])
                 nodes.append((he_xor(x, y), a ^ b))
         for ct, want in nodes:
-            if he_dec(chain[ct.level].sk, ct) != want:
+            if he_dec(sks[: ct.level + 1], ct) != want:  # through the key chain
                 return False, f"wrong decryption for input bits {bits}"
-    return True, "200 random XOR/CONST/KEYSWITCH DAGs over 3 levels decrypt correctly"
+    return True, ("200 random programs of XORs, constants and key switches over 3 levels "
+                  "decrypt correctly through the key chain")
 
 
 def check_sk(count: int, seed: int, min_improved: int):

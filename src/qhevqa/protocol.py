@@ -92,7 +92,7 @@ from .simulator import (
 )
 from .vqa import exact_evaluator, faithful_evaluator, train
 
-VERSION = 6
+VERSION = 7
 MAX_FRAME = 16 * 1024 * 1024
 # Payloads a session keeps. A faithful ε = 0.1 reference-model window sends
 # 37-39, the blindness tests' 2-wire one 10; a delegated-exact window sends

@@ -4,8 +4,8 @@ Key generation provisions one conditional-phase gadget per non-Clifford gate,
 encryption applies a quantum one-time pad and encrypts the pad bits,
 evaluation applies Clifford gates directly (updating encrypted pad keys
 homomorphically with the machine-derived rules) and consumes one gadget per
-T / Tdagger, and decryption strips the final pad using the top secret key of
-the level chain.
+T / Tdagger, and decryption strips the final pad, unsealing each key leaf
+under its own level's secret key from the level chain.
 
 Because the modeled classical HE hides each bit behind a keystream parity,
 the gadget twist for position i must equal the keystream parity of the key
@@ -245,10 +245,11 @@ def eval_circuit(
 
 
 def _decrypt(client: ClientKeys, level: int, roots) -> list[int]:
-    """Decrypt the key ciphertexts ``roots`` of one request at ``level`` in one pass."""
+    """Decrypt the key ciphertexts ``roots`` of one request at ``level`` in one
+    pass, each leaf under its own level's key from the chain."""
     if level >= client.levels:
         raise QHEError(f"cipherstate level {level} beyond key chain {client.levels}")
-    return _dec(client.triples[level].sk, *roots)
+    return _dec([triple.sk for triple in client.triples[: level + 1]], *roots)
 
 
 def decrypt_keys(client: ClientKeys, cs: CipherState) -> list[tuple[int, int]]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhevqa.classical_he import KEYSWITCH, XOR, he_enc, he_keygen, he_xor
+from qhevqa.classical_he import SUM, ct_to_bytes, he_const, he_enc, he_keygen
 from qhevqa.protocol import (
     ANNOUNCE,
     AUDIT_LIMIT,
@@ -56,7 +56,8 @@ from qhevqa.protocol import (
 from qhevqa import protocol, vqa
 from qhevqa.classical_he import ct_from_bytes
 from qhevqa.cli import _random_clifford_t_circuit
-from qhevqa.qhe import SECURITY, encrypt, keygen, t_count, xx_sign
+from qhevqa.pauli_frame import apply_pad
+from qhevqa.qhe import SECURITY, CipherState, decrypt_keys, encrypt, keygen, t_count, xx_sign
 from qhevqa.rsp_gadget import RSP_BATCH, RSP_MU, RSP_N, sample_trapdoor
 from qhevqa.simulator import StateVector, fidelity, gate
 from qhevqa.skdecomp import decompose_circuit, fold_t_runs
@@ -79,32 +80,32 @@ def broken_ct_decoder(data):
     raise KeyError("a decoder fault")
 
 
-def misleveled_key_hex(level, kind):
-    """A key whose root sits at ``level`` but that ``he_xor`` or
-    ``key_switch`` would refuse to build: an XOR over a leaf one level up, or
-    a key switch with no encrypted key bits."""
+HOSTILE_KEYS = ("above", "order", "repeat", 2, 3, 4, 5)
+
+
+def hostile_key_hex(level, kind):
+    """A key whose root sits at ``level`` in an encoding ``ct_from_bytes``
+    refuses: a sum of two leaves, one of them a level above the sum
+    ("above"), the two out of order ("order") or one leaf twice ("repeat"),
+    or that sum under a removed op byte (2-5 were AND, NOT, CONST and
+    KEYSWITCH)."""
     rng = np.random.default_rng(level)
-
-    def leaf(lv):  # a one-leaf table without its count byte
-        return ct_to_hex(he_enc(he_keygen(16, rng, level=lv).pk, 1, rng))[2:]
-
-    if kind == "xor":
-        return "03" + leaf(level + 1) + leaf(level) + bytes([XOR, level, 2, 0, 1, 0]).hex()
-    return "02" + leaf(level - 1) + bytes([KEYSWITCH, level, 1, 0, 0]).hex()
-
-
-def and_hex(a, b):
-    """The encoding an AND of ``a`` and ``b`` had: an XOR's table with op byte 2."""
-    data = bytearray.fromhex(ct_to_hex(he_xor(a, b)))
-    assert data[-6] == XOR
-    data[-6] = 2
-    return data.hex()
+    leaves = sorted(  # each leaf's encoding without its op byte: level, nonce, masked, tag
+        ct_to_bytes(he_enc(he_keygen(16, rng, level=lv).pk, 1, rng))[1:]
+        for lv in (level, level + (kind == "above"))
+    )
+    if kind == "order":
+        leaves.reverse()
+    elif kind == "repeat":
+        leaves[1] = leaves[0]
+    op = kind if type(kind) is int else SUM
+    return (bytes([op, level, 0, 2]) + b"".join(leaves)).hex()
 
 
 def spoil_first_key(payload, kind):
-    """An ``EncKeysUpdate`` payload whose first key is a ``misleveled_key_hex``."""
+    """An ``EncKeysUpdate`` payload whose first key is a ``hostile_key_hex``."""
     (row,) = payload["enc_keys"]
-    first = [misleveled_key_hex(payload["level"], kind), row[0][1]]
+    first = [hostile_key_hex(payload["level"], kind), row[0][1]]
     return {**payload, "enc_keys": [[first, *row[1:]]]}
 
 
@@ -647,16 +648,19 @@ class TestHostilePayloads:
         thread.join(timeout=5)
         assert session.gadgets == [] and session.qubits == qubits
 
-    @pytest.mark.parametrize("spoil", ["level-1", "and"])
+    @pytest.mark.parametrize("spoil", ["level-1", "and", "above", "order", "repeat", 3, 4, 5])
     def test_input_keys_the_run_cannot_use_are_refused(self, spoil):
-        # Input keys are ciphertexts at level 0; a key at another level, or
-        # one with op byte 2 (the AND that no longer exists), would fail the
-        # run after it took the gadget.
+        # Input keys are level-0 ciphertexts in their one encoding. A key at
+        # another level would fail the run after it took the gadget. So would
+        # a removed op byte: 2 (the AND, "and") to 5. A sum with a leaf above
+        # its level, or with its leaves out of order or repeated, is another
+        # encoding of a key or none.
         channel, session, thread, _keys = self.gadget_session()
         rng = np.random.default_rng(5)
         pk = he_keygen(16, rng, level=1 if spoil == "level-1" else 0).pk
         a, b = he_enc(pk, 0, rng), he_enc(pk, 1, rng)
-        first = ct_to_hex(a) if spoil == "level-1" else and_hex(a, b)
+        first = ct_to_hex(a) if spoil == "level-1" else hostile_key_hex(
+            0, 2 if spoil == "and" else spoil)
         channel.send(Message("RunRequest", self.run(
             [{"kind": "T", "wires": [0]}], enc_keys=[[first, ct_to_hex(b)]] * 2)))
         reply = channel.recv()
@@ -774,14 +778,13 @@ SERVER_REPLIES = {  # the replies an accepted message gets, in order
 
 @functools.lru_cache(maxsize=None)
 def ciphertext_pool():
-    """Two ciphertexts per level 0..7, and an encoding with op byte 2 (an AND)."""
+    """Two ciphertexts per level 0..7, and per level each ``hostile_key_hex``."""
     rng = np.random.default_rng(17)
     pool = {}
     for lv in range(8):
         pk = he_keygen(16, rng, level=lv).pk
         pool[lv] = tuple(ct_to_hex(he_enc(pk, int(rng.integers(2)), rng)) for _ in range(2))
-    a = he_enc(he_keygen(16, rng).pk, 1, rng)
-    return pool, and_hex(a, a)
+    return pool, {lv: [hostile_key_hex(lv, kind) for kind in HOSTILE_KEYS] for lv in range(8)}
 
 
 def draw_value(draw, spec, ctx, bad):
@@ -880,11 +883,11 @@ def draw_value(draw, spec, ctx, bad):
             return draw(st.one_of(st.sampled_from(edges), SCALARS))
         if t is Wire:  # outside the register, or not an int
             return draw(st.one_of(st.sampled_from([-1, bound(spec.wires)]), SCALARS))
-        if t is Ct:  # undecodable (bad hex, op byte 2), or at another level
-            pool, with_and = ciphertext_pool()
+        if t is Ct:  # undecodable (bad hex, a hostile encoding), or at another level
+            pool, hostile = ciphertext_pool()
             wrong = [ct for lv, cts in pool.items() if lv != bound(spec.level) for ct in cts]
             return draw(st.one_of(
-                st.sampled_from(["zz", "00ff", "", with_and] + wrong), SCALARS))
+                st.sampled_from(["zz", "00ff", "", *hostile[bound(spec.level)], *wrong]), SCALARS))
         return draw(SCALARS)
     if t is Int:
         lo, hi = bound(spec.lo), bound(spec.hi)
@@ -1047,11 +1050,10 @@ class TestDelegatedRuns:
 
     def test_golden_faithful_transcript(self):
         # Every frame both ways of a small claw-based RSP session of three
-        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 6,
-        # and each run's decrypted sign. Re-recorded when a run came to read
-        # only the <X x X> of two named wires, on a random input, and
-        # Announce to carry four fields. The RunRequest amplitudes carry no
-        # -0.0.
+        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 7,
+        # and each run's decrypted sign. Re-recorded when ciphertexts came to
+        # travel in normal form (a leaf, or a constant and its leaves), with
+        # the signs unchanged. The RunRequest amplitudes carry no -0.0.
         channel, _session, thread = serve_inproc()
         transcript = hashlib.sha256()
         send, recv = channel.send_bytes, channel.recv_bytes
@@ -1083,7 +1085,7 @@ class TestDelegatedRuns:
             assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (1, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [-1, -1, -1]
         assert transcript.hexdigest() == (
-            "5119a86a7c00e35ab7a9bbe98cd0d14e906e78af3c0c8acc7e4254d8cc2ebaa8"
+            "5cff4e98c98309df6fec4bce57f44d95c241df6fd8dc2ace49561d577f0e9a14"
         )
 
     def test_unknown_rsp_mode_is_refused(self):
@@ -1205,6 +1207,33 @@ class TestDelegatedRuns:
             assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-9)
         client.done()
         thread.join(timeout=5)
+
+    def test_a_leaf_that_arrives_twice_cancels(self):
+        # Wires 0 and 1 carry one X-key leaf, hex for hex, so the server
+        # decodes two equal leaves. CNOT(0, 1) XORs them into wire 1's X key:
+        # compared by value they cancel to the constant 0, which the T on
+        # wire 0 switches up a level. Kept apart, they would make a sum with
+        # a repeated leaf, an encoding the client refuses.
+        channel, _session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(31, "x")
+        client.open_rsp(0)
+        rng = np.random.default_rng(31)
+        circ = [gate("CNOT", 0, 1), gate("T", 0)]
+        psi = rand_state(2, rng)
+        client_keys, _ = client.provision(2, circ, rng)
+        cs, pad = encrypt(client_keys, psi, rng)
+        (a0, b0), (_, b1) = cs.encrypted_keys
+        pad = [pad[0], (pad[0][0], pad[1][1])]
+        raw, keys = client.request_run(apply_pad(psi, pad), ((a0, b0), (a0, b1)), circ, (0, 1))
+        client.done()
+        thread.join(timeout=5)
+        (row,), level = keys["enc_keys"], keys["level"]
+        assert level == 1 and row[1][0] == he_const(0, 1)
+        final = decrypt_keys(client_keys, CipherState(StateVector(2), row, level))
+        assert final[1] == (0, pad[1][1])
+        sign = xx_sign(client_keys, level, dict(enumerate(row)), (0, 1))
+        assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-9)
 
     def test_local_and_remote_exact_training_give_identical_csvs(self, tmp_path):
         full = load_digits_csv()
@@ -1445,12 +1474,16 @@ class TestHostileReplies:
         ("EncKeysUpdate", lambda p: {**p, "level": 2}, "qhe"),
         ("EncKeysUpdate", lambda p: {**p, "enc_keys": [p["enc_keys"][0] * 2]}, "qhe"),
         ("EncKeysUpdate", lambda p: {**p, "enc_keys": []}, "qhe"),
-        ("EncKeysUpdate", lambda p: spoil_first_key(p, "xor"), "qhe"),
-        ("EncKeysUpdate", lambda p: spoil_first_key(p, "keyswitch"), "qhe"),
+        ("EncKeysUpdate", lambda p: spoil_first_key(p, "above"), "qhe"),
+        ("EncKeysUpdate", lambda p: spoil_first_key(p, 5), "qhe"),
+        ("EncKeysUpdate", lambda p: spoil_first_key(p, "order"), "qhe"),
+        ("EncKeysUpdate", lambda p: spoil_first_key(p, "repeat"), "qhe"),
+        ("EncKeysUpdate", lambda p: spoil_first_key(p, 4), "qhe"),
     ], ids=["no-values", "no-value", "value-not-a-number", "bit-row-without-the-bit",
             "value-a-bool", "value-and-bits", "negative-level", "level-past-the-chain",
             "key-row-with-an-extra-pair", "no-key-row", "key-xor-over-two-levels",
-            "key-switch-without-key-bits"])
+            "key-switch-without-key-bits", "key-leaves-out-of-order", "key-leaf-repeated",
+            "key-constant-op"])
     def test_malformed_run_reply_is_a_protocol_error(self, kind, spoil, run):
         # A live session whose server sends each ``kind`` reply spoiled, under
         # an exact window or a one-T homomorphic run; a version-5 bits row is

@@ -244,6 +244,9 @@ class TestOnePassDecryption:
     def test_deep_keygen_bytes_are_pinned(self):
         # Every gadget ciphertext and every encrypted pad key of two deep
         # circuits: the twists and keystream bits keygen plans for 200 T/T†.
+        # Re-recorded when a leaf came to be encoded as one node, without the
+        # node-table count byte 01 in front; with it, the old digest
+        # 68684a71... is reproduced byte for byte.
         digest = hashlib.sha256()
         for seed in range(2):
             rng = np.random.default_rng(100 + seed)
@@ -257,7 +260,7 @@ class TestOnePassDecryption:
                 for ct in pair:
                     digest.update(ct_to_bytes(ct))
         assert digest.hexdigest() == (
-            "68684a7172c387230dc1a4ac9ad9727a101001cd5d98af6949266ae05c18452c"
+            "8d36721bcf13a6ff70a1f0883cb04c68b16341fa44f19799ea0fcb3599287c54"
         )
 
     def test_one_decrypt_pass_per_request(self, monkeypatch):

@@ -707,7 +707,7 @@ class TestEndToEnd:
             a2_ct, b2_ct = gadget_key_update(
                 gadget, route, u, v, a_ct, b_ct, dagger=kind == "Tdagger"
             )
-            a2, b2 = he_dec(l1.sk, a2_ct), he_dec(l1.sk, b2_ct)
+            a2, b2 = (he_dec([l0.sk, l1.sk], ct) for ct in (a2_ct, b2_ct))
             kb = public_masked_parity(b_ct) ^ b ^ (k if kind == "Tdagger" else 0)
             assert public_masked_parity(a2_ct) ^ a2 == k ^ dx
             assert public_masked_parity(b2_ct) ^ b2 == kb ^ dz
