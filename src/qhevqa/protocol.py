@@ -16,12 +16,15 @@ pair coupling, homomorphic evaluation, the <X x X> readout) and only ever sees
 public structure, ciphertext strings, padded amplitudes and the circuits it
 runs; the client keeps the trapdoors, the key chain, the data and the trained
 model.
-Remote state preparation runs in batches of up to ``RSP_BATCH`` rounds, one
-request and one reply frame per batch and step, and each gadget's coupling
-instructions travel in its one ``GadgetClassical`` frame. A delegated run is
-one ``RunRequest``, which carries its own padded input (and, for a homomorphic
-run, the input's level-0 key ciphertexts) and names the two wires it reads,
-so no input waits on the server between requests. A run is one shot: its
+Remote state preparation runs in batches sized to a key generation's T count,
+of up to ``RSP_BATCH`` rounds, one request and one reply frame per batch and
+step, each round's row of bits packed into one int. A key generation's
+gadgets (their coupling instructions and ciphertexts) and the rounds to drop
+travel in its one ``GadgetClassical`` frame, sent at its end; a rare top-up
+batch first sends the gadgets built so far in a frame of their own. A
+delegated run is one ``RunRequest``, which carries its own padded input (and,
+for a homomorphic run, the input's level-0 key ciphertexts) and names the two
+wires it reads, so no input waits on the server between requests. A run is one shot: its
 ``ShotResults`` holds one <X x X> value, the one readout training uses. Each
 party sends only what the other reads: a plaintext training session is Hello
 and Done.
@@ -40,6 +43,7 @@ both modes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 import socket
@@ -65,6 +69,7 @@ from .qhe import (
     t_count,
 )
 from .rsp_gadget import (
+    GADGET_QUBITS,
     MAX_DRAWS,
     PAIR_COUNT,
     RSP_BATCH,
@@ -92,17 +97,17 @@ from .simulator import (
 )
 from .vqa import exact_evaluator, faithful_evaluator, train
 
-VERSION = 7
+VERSION = 8
 MAX_FRAME = 16 * 1024 * 1024
-# Payloads a session keeps. A faithful ε = 0.1 reference-model window sends
-# 37-39, the blindness tests' 2-wire one 10; a delegated-exact window sends
-# one, its register and circuit, which decode to about 12 KB of lists on the
-# bundled digits' six wires.
+# Payloads a session keeps. A faithful window sends four, a delegated-exact
+# window one, its register and circuit, which decode to about 12 KB of lists
+# on the bundled digits' six wires.
 AUDIT_LIMIT = 256
 AUDIT_FRAME = 1 << 14  # a payload of a larger frame is kept as its fields' lengths
 # RSP qubits a session holds, committed or prepared: one gadget's worst-case
-# draws plus one batch.
+# draws plus one batch. A gadget frame couples four held qubits per gadget.
 MAX_HELD = 2 * PAIR_COUNT * MAX_DRAWS + RSP_BATCH
+MAX_FRAME_GADGETS = MAX_HELD // GADGET_QUBITS
 HEADER = struct.Struct("<I")  # little-endian payload length
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7913
@@ -310,6 +315,14 @@ def circuit_from_json(entries) -> list[Gate]:
     return [gate(e["kind"], *e["wires"], angle=e.get("angle")) for e in entries]
 
 
+def pack_rows(bits) -> list[int]:
+    """Each row of a bit array as one int, bit j its j-th bit in C order, as
+    ``Bits`` reads it."""
+    bits = np.asarray(bits)
+    width = math.prod(bits.shape[1:])
+    return (bits.reshape(len(bits), width) << np.arange(width)).sum(axis=1).tolist()
+
+
 def ct_to_hex(ct: HECiphertext) -> str:
     return ct_to_bytes(ct).hex()
 
@@ -334,7 +347,7 @@ Str = namedtuple("Str", ())
 Ct = namedtuple("Ct", "level")  # a hex ciphertext whose root sits at the level
 Seq = namedtuple("Seq", "item lo hi distinct", defaults=(0, None, False))  # lo..hi items
 Amps = namedtuple("Amps", "wires")  # (re, im) pairs of a unit-norm 2**wires register
-Bits = namedtuple("Bits", "lo hi shape")  # lo..hi rows of 0/1 ints, each nested to shape
+Bits = namedtuple("Bits", "lo hi shape")  # lo..hi rows, each one int of the shape's bits
 Opt = namedtuple("Opt", "type default", defaults=(None,))  # absent or null: default
 Rec = namedtuple("Rec", "fields")  # an object with no fields but these
 Variants = namedtuple("Variants", "tag cases")  # tag None: the one case key present
@@ -347,8 +360,12 @@ PHASES = ("handshake", "open", "done")
 QID, WIRE, OPEN = Int(), Wire("num_wires"), ("open",)
 KEY_PAIR, LEVEL_PAIR = Seq(Ct(0), 2, 2), Seq(Ct("level"), 2, 2)
 OK = Rec({"ok": Enum((True,))})  # an acknowledgement
-DISCARD = Opt(Seq(QID, 0, 2 * PAIR_COUNT * MAX_DRAWS), ())  # every rejected round
 QIDS = Seq(QID, "rows", "rows", True)
+# One gadget of a frame: the qids of its two (head, tail) pairs to couple and
+# its ciphertexts, which sit at its level.
+GADGET = Rec({"pairs": Seq(Seq(QID, 2, 2), 2, 2, True), "level": Int(1),
+              "x_ct": LEVEL_PAIR, "z_ct": LEVEL_PAIR, "e_ct": Seq(LEVEL_PAIR, 2, 2),
+              "sk_enc": Seq(Ct("level"), SECURITY, SECURITY)})
 
 # Every reply the client takes, with bounds from the request: ``rows`` RSP
 # rounds asked for and a run's T count ``t_count``.
@@ -391,13 +408,11 @@ SCHEMA = {
         "alphas": Rec({"qids": Seq(QID, 1, RSP_BATCH, True),
                        "alphas": Bits("qids", "qids", (RSP_N - 1,))}),
     })),
-    "CoupleInstr": Entry(OPEN, Rec({"close": Enum((True,)), "discard": DISCARD})),
+    "CoupleInstr": Entry(OPEN, Rec({"close": Enum((True,))})),
     "GadgetClassical": Entry(OPEN, Variants(None, {
         "declare": Rec({"declare": Int()}),
-        "pairs": Rec({"pairs": Seq(Seq(QID, 2, 2), 2, 2, True), "discard": DISCARD,
-                      "level": Int(1), "x_ct": LEVEL_PAIR, "z_ct": LEVEL_PAIR,
-                      "e_ct": Seq(LEVEL_PAIR, 2, 2),
-                      "sk_enc": Seq(Ct("level"), SECURITY, SECURITY)}),
+        "gadgets": Rec({"gadgets": Seq(GADGET, 1, MAX_FRAME_GADGETS),
+                        "discard": Seq(QID, 0, MAX_HELD)}),
     })),
     "RunRequest": Entry(OPEN, Variants("use_gadgets", {
         False: _run_request(False, GATE_KINDS, MAX_QUBITS),
@@ -469,18 +484,15 @@ def validate(spec, value, ctx):
                     # One dot product checks finiteness and norm: NaN or inf fails the bound.
                     if abs(arr @ arr - 1) <= 1e-9:
                         return arr
-    elif t is Bits:  # one level of nesting at a time, not one call per bit
+    elif t is Bits:  # bit j of a row's int is its j-th bit in C order
         lo, hi = _bound(spec.lo, ctx), _bound(spec.hi, ctx)
-        shape = [_bound(size, ctx) for size in spec.shape]
-        if type(value) is list and lo <= len(value) <= hi:
-            flat = value
-            for size in shape:
-                if not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {size}):
-                    break
-                flat = list(chain.from_iterable(flat))
-            else:  # bools are not ints here: type(True) is bool
-                if set(map(type, flat)) <= {int} and set(flat) <= {0, 1}:
-                    return np.array(flat, dtype=np.int64).reshape(len(value), *shape)
+        width = math.prod(spec.shape)
+        # Bools are not ints here (type(True) is bool), and a row past the
+        # width is refused before any array is built.
+        if (type(value) is list and lo <= len(value) <= hi and set(map(type, value)) <= {int}
+                and min(value, default=0) >= 0 and max(value, default=0) >> width == 0):
+            rows = (np.array(value, dtype=np.int64)[:, None] >> np.arange(width)) & 1
+            return rows.reshape(len(value), *spec.shape)
     elif t is Str:
         if type(value) is str:
             return value
@@ -495,7 +507,7 @@ def validate(spec, value, ctx):
 # --- server role ------------------------------------------------------------
 
 # What the client checks (the version and the claw function's size) and reads
-# (RSP rounds per batch).
+# (the largest RSP batch the server takes).
 ANNOUNCE = {"version": VERSION, "rsp_n": RSP_N, "rsp_mu": RSP_MU, "rsp_batch": RSP_BATCH}
 
 
@@ -573,21 +585,28 @@ class ServerSession:
         self._reply("Announce", ANNOUNCE)
 
     def _on_gadgetclassical(self, p: dict) -> None:
-        """Acknowledge a declared count, or queue a gadget: couple its two
-        (head, tail) pairs, drop its rejected rounds and keep its ciphertexts.
+        """Acknowledge a declared count, or queue a frame's gadgets in order:
+        couple each one's two (head, tail) pairs and keep its ciphertexts;
+        then drop the frame's discarded rounds.
 
-        Every qid is checked before any prepared qubit is removed.
+        The whole frame is checked before any prepared qubit is removed: its
+        ciphertexts by ``validate``, and here every pair's qid, known and
+        used once across the frame's gadgets.
         """
         if "declare" in p:  # an acknowledged count; the server does not keep it
             self._reply("GadgetClassical", {"ok": True})
             return
-        qids = [pair[0] for pair in p["pairs"]] + [pair[1] for pair in p["pairs"]]
-        if not all(q in self.qubits for q in qids):
-            raise ProtocolError("order", f"unknown prepared qubit among {qids}")
-        qubits = [self.qubits.pop(q) for q in qids]
-        self._discard(p["discard"])
-        fields = (p[k] for k in ("x_ct", "z_ct", "e_ct", "sk_enc", "level"))
-        self.gadgets.append(Gadget(assemble_gadget_state(qubits[:2], qubits[2:]), *fields))
+        qids = [q for g in p["gadgets"] for pair in g["pairs"] for q in pair]
+        if len(set(qids)) != len(qids):
+            raise ProtocolError("payload", "a qid repeats across the frame's gadgets")
+        if not self.qubits.keys() >= set(qids):
+            raise ProtocolError("order", "an unknown prepared qubit in the frame's pairs")
+        for g in p["gadgets"]:
+            heads, tails = ([self.qubits.pop(q) for q in side] for side in zip(*g["pairs"]))
+            fields = (g[k] for k in ("x_ct", "z_ct", "e_ct", "sk_enc", "level"))
+            self.gadgets.append(Gadget(assemble_gadget_state(heads, tails), *fields))
+        for qid in p["discard"]:
+            self.qubits.pop(qid, None)
         self._reply("GadgetClassical", {"ok": True})
 
     def _on_rspbasis(self, p: dict) -> None:
@@ -601,7 +620,7 @@ class ServerSession:
             states = np.array(list(map(self.pending.pop, qids)))
             b, qubits = rsp_server_measure(states, p["alphas"], self.rng)
             self.qubits.update(zip(qids, qubits))
-            self._reply("RspOutcome", {"qids": qids, "b": b.tolist()})
+            self._reply("RspOutcome", {"qids": qids, "b": pack_rows(b)})
             return
         rows = len(p["matrix"])
         held = len(self.qubits) + len(self.pending)
@@ -610,16 +629,12 @@ class ServerSession:
         qids = list(islice(self._qids, rows))
         y, states = rsp_server_commit(p["matrix"], self.rng)
         self.pending.update(zip(qids, states))
-        self._reply("RspCommit", {"qids": qids, "y": y.tolist()})
+        self._reply("RspCommit", {"qids": qids, "y": pack_rows(y)})
 
     def _on_coupleinstr(self, p: dict) -> None:
-        """Acknowledge the close of gadget provisioning; drop the discards."""
-        self._discard(p["discard"])
+        """Acknowledge a close of provisioning. It carries nothing: a key
+        generation's last gadget frame drops its spare rounds."""
         self._reply("CoupleInstr", {"ok": True})
-
-    def _discard(self, qids) -> None:
-        for qid in qids:
-            self.qubits.pop(qid, None)
 
     def _on_runrequest(self, p: dict) -> None:
         """Run the circuit on the request's padded input and read out the
@@ -735,15 +750,13 @@ class TcpServer:
 class ClientSession:
     """Client-side driver: handshake, gadget provisioning, delegated runs.
 
-    It keeps no phase: the server decides what is in order. It keeps the RSP
-    batch size the server announced, and the qids of prepared rounds no gadget
-    took, which the next ``close_rsp`` discards.
+    It keeps no phase: the server decides what is in order. It keeps the
+    largest RSP batch the server announced.
     """
 
     def __init__(self, channel: Channel):
         self.channel = channel
         self.rsp_batch = RSP_BATCH
-        self._spare: list[int] = []
 
     # -- plumbing --
 
@@ -774,33 +787,36 @@ class ClientSession:
         return announce
 
     def open_rsp(self, declared: int = 0) -> None:
+        """Declare a gadget count, which the server acknowledges and drops."""
         self._ask("GadgetClassical", {"declare": int(declared)}, "GadgetClassical")
 
     def close_rsp(self) -> None:
-        """End gadget provisioning; the server drops the prepared rounds no
-        gadget took."""
-        self._ask("CoupleInstr", {"close": True, "discard": self._spare}, "CoupleInstr")
-        self._spare = []
+        """Close provisioning, acknowledged; it carries nothing, since each
+        key generation's last gadget frame drops its spare rounds."""
+        self._ask("CoupleInstr", {"close": True}, "CoupleInstr")
 
     # -- remote state preparation --
 
-    def _round(self, pool: deque):
-        """The claw-based RSP round on the server, pooled in batches of the
-        announced size; each yields (theta_index, qid)."""
-        rows = self.rsp_batch
+    def _round(self, pool: deque, left, flush=lambda: None):
+        """The claw-based RSP round on the server, each yielding
+        (theta_index, qid), pooled in batches that ``rsp_rows`` sizes to the
+        ``left()`` gadgets still to build, at most the announced batch.
+        ``flush()`` runs before each commit."""
 
         def commit(matrices, _rng):
-            reply = self._ask("RspBasis", {"matrix": matrices.tolist()}, "RspCommit", rows=rows)
+            flush()
+            payload = {"matrix": pack_rows(matrices)}
+            reply = self._ask("RspBasis", payload, "RspCommit", rows=len(matrices))
             return reply.payload["y"], reply.payload["qids"]
 
         def measure(qids, alphas, _rng):
-            payload = {"qids": qids, "alphas": alphas.tolist()}
-            reply = self._ask("RspBasis", payload, "RspOutcome", rows=rows)
+            payload = {"qids": qids, "alphas": pack_rows(alphas)}
+            reply = self._ask("RspBasis", payload, "RspOutcome", rows=len(qids))
             if reply.payload["qids"] != qids:
                 raise ProtocolError("payload", "the outcomes are for other qids")
             return reply.payload["b"], qids
 
-        claw = claw_round(commit, measure, rows, pool)
+        claw = claw_round(commit, measure, left, pool, self.rsp_batch)
 
         def round_(rng):
             try:
@@ -810,56 +826,58 @@ class ClientSession:
 
         return round_
 
-    def provision_gadget(self, pk_next, sk_enc, k_bit: int, rng, round_) -> tuple[int, int]:
-        """Build one gadget on the server: RSP rounds, then one frame with the
-        pairs to couple, the rejected rounds to drop and the ciphertexts.
-        Returns the gadget's ``(dx, dz)`` keystream parities."""
-        coupling = {}
-
-        def couple(heads, tails, rejected):
-            coupling.update(pairs=[list(pair) for pair in zip(heads, tails)], discard=rejected)
-
-        gadget, parities = gen_gadget(pk_next, sk_enc, k_bit, rng, round_, couple)
-        self._ask(
-            "GadgetClassical",
-            {
-                **coupling,
-                "x_ct": [ct_to_hex(c) for c in gadget.x_ct],
-                "z_ct": [ct_to_hex(c) for c in gadget.z_ct],
-                "e_ct": [[ct_to_hex(c) for c in row] for row in gadget.e_ct],
-                "sk_enc": [ct_to_hex(c) for c in gadget.sk_enc],
-                "level": gadget.level,
-            },
-            "GadgetClassical",
-        )
-        return parities
-
     def remote_keygen(
         self, num_wires: int, circuit: list[Gate], rng: np.random.Generator
     ) -> ClientKeys:
         """Run key generation with one run's gadgets provisioned on the server.
 
-        The gadgets draw from one pool of claw-based RSP rounds; the rounds
-        left in it are discarded at the next ``close_rsp``.
+        The gadgets draw from one pool of claw-based RSP rounds, asked for in
+        one batch ``rsp_rows`` sizes to the run's T count and topped up only
+        if the pool runs dry. One ``GadgetClassical`` frame at the end carries
+        every gadget's pairs to couple and ciphertexts, and the rejected and
+        spare rounds to drop. A top-up first sends the gadgets built so far
+        in a frame of their own, so the server holds at most ``MAX_HELD``
+        qubits. A run with no T gate sends nothing.
         """
+        left, frame = t_count(circuit), {"gadgets": [], "discard": []}
+
+        def send_frame():
+            nonlocal frame
+            if frame["gadgets"]:
+                self._ask("GadgetClassical", frame, "GadgetClassical")
+                frame = {"gadgets": [], "discard": []}
+
         pool: deque = deque()
-        round_ = self._round(pool)
+        round_ = self._round(pool, lambda: left, send_frame)
+
+        def couple(heads, tails, rejected):
+            frame["discard"] += rejected
+            frame["gadgets"].append({"pairs": [list(pair) for pair in zip(heads, tails)]})
 
         def factory(pk_next, sk_enc, k_bit):
-            return None, self.provision_gadget(pk_next, sk_enc, k_bit, rng, round_)
+            nonlocal left
+            gadget, parities = gen_gadget(pk_next, sk_enc, k_bit, rng, round_, couple)
+            frame["gadgets"][-1].update({
+                "level": gadget.level,
+                "x_ct": [ct_to_hex(c) for c in gadget.x_ct],
+                "z_ct": [ct_to_hex(c) for c in gadget.z_ct],
+                "e_ct": [[ct_to_hex(c) for c in row] for row in gadget.e_ct],
+                "sk_enc": [ct_to_hex(c) for c in gadget.sk_enc],
+            })
+            left -= 1
+            return None, parities
 
         client_keys, _ = keygen(SECURITY, num_wires, circuit, rng, gadget_factory=factory)
-        self._spare += [qid for _, qid in pool]
+        frame["discard"] += [qid for _, qid in pool]
+        send_frame()
         return client_keys
 
     def provision(
         self, num_wires: int, circuit: list[Gate], rng: np.random.Generator
     ) -> tuple[ClientKeys, None]:
-        """Provision one run: key generation with its gadgets on the server,
-        then the close of provisioning. The EvalKey stays with the server."""
-        client_keys = self.remote_keygen(num_wires, circuit, rng)
-        self.close_rsp()
-        return client_keys, None
+        """``remote_keygen`` in the form ``vqa.faithful_evaluator`` takes: the
+        EvalKey stays with the server."""
+        return self.remote_keygen(num_wires, circuit, rng), None
 
     # -- delegated evaluation --
 

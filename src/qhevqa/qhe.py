@@ -43,7 +43,6 @@ from .pauli_frame import (
 )
 from .rsp_gadget import (
     GADGET_QUBITS,
-    RSP_BATCH,
     Gadget,
     claw_round,
     consume_gadget,
@@ -138,8 +137,9 @@ def keygen(
     (the wire protocol, claw-based rounds only) provisions the gadget on the
     server and returns ``(None, (dx, dz))``, in which case the returned
     EvalKey carries no gadget states. Local claw-based gadgets
-    (``rsp_mode="faithful"``) share one pool of rounds, filled ``RSP_BATCH``
-    at a time; the ideal sampler draws one round at a time.
+    (``rsp_mode="faithful"``) share one pool of rounds, refilled when it runs
+    dry by a batch ``rsp_rows`` sizes to the gadgets still to build, the rule
+    the wire protocol follows; the ideal sampler draws one round at a time.
     """
     _check_circuit(circuit, num_wires)
     n_gadgets = t_count(circuit)
@@ -149,10 +149,12 @@ def keygen(
     sk_encs = tuple(
         encrypt_seed(triples[i + 1].pk, triples[i].sk, rng) for i in range(n_gadgets)
     )
+    gadgets: list[Gadget] = []
     if gadget_factory is None:
         rounds = {
             "ideal": rsp_round_ideal,
-            "faithful": claw_round(rsp_server_commit, rsp_server_measure, RSP_BATCH, deque()),
+            "faithful": claw_round(rsp_server_commit, rsp_server_measure,
+                                   lambda: n_gadgets - len(gadgets), deque()),
         }
         if rsp_mode not in rounds:
             raise QHEError(f"unknown rsp mode {rsp_mode!r}")
@@ -163,7 +165,6 @@ def keygen(
 
     init_stream_bits = tuple(map(tuple, rng.integers(2, size=(num_wires, 2)).tolist()))
     parity = list(init_stream_bits)
-    gadgets: list[Gadget] = []
     for g in circuit:
         if g.kind in CLIFFORD_KINDS:
             update_keys(parity, g, xor)

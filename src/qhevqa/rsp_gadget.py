@@ -29,10 +29,11 @@ on a remote server; only two seams differ. ``round_(rng)`` hands out one
 preparation round as ``(theta_index, handle)``: locally the handle is the
 prepared state, remotely the server's qubit id. A round comes from the ideal
 sampler (in process only) or from ``claw_round``, the one claw-based recipe
-and the only remote one: a first-in, first-out pool refilled ``batch`` rounds
-at a time, each round with a fresh 2-to-1 GF(2) linear function and its
-trapdoor (the hidden kernel vector), and the batch's two server steps called
-locally or sent as messages. The rounds are independent instances, so every
+and the only remote one: a first-in, first-out pool refilled, only when it
+runs dry, with a batch sized by ``rsp_rows`` to the gadgets still to build,
+each round with a fresh 2-to-1 GF(2) linear function and its trapdoor (the
+hidden kernel vector), and the batch's two server steps called locally or
+sent as messages. The rounds are independent instances, so every
 step works on the whole batch as arrays. ``couple(heads, tails, rejected)``
 entangles the accepted pairs and drops the rejected rounds. The claw function
 has a fixed size, ``RSP_N`` inputs by ``RSP_MU`` outputs. The server's claw
@@ -45,6 +46,7 @@ simulation's outcomes.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -72,8 +74,8 @@ GADGET_QUBITS = 2 * PAIR_COUNT
 # Claw function size (inputs, outputs) and the rounds one draw may take.
 RSP_N = RSP_MU = 4
 MAX_DRAWS = 512
-# Claw rounds per batch, the most a server takes in one frame.
-RSP_BATCH = 32
+# The most claw rounds in one batch, and so in one frame a server takes.
+RSP_BATCH = 512
 
 
 class GadgetError(Exception):
@@ -250,10 +252,20 @@ def pooled(refill, pool: deque):
     return round_
 
 
-def claw_round(commit, measure, batch: int, pool: deque):
-    """The claw-based round, pooled over batches of ``batch`` rounds.
+def rsp_rows(gadgets: int, cap: int = RSP_BATCH) -> int:
+    """The rounds to ask for while ``gadgets`` gadgets are still to build, at
+    most ``cap``. A gadget makes four draws, each accepted with probability
+    1/2, so its rounds have mean 8 and variance 8: the batch is the mean plus
+    three standard deviations, and the pool rarely runs dry."""
+    mean = 2 * GADGET_QUBITS * gadgets
+    return min(cap, mean + math.ceil(3 * math.sqrt(mean)))
 
-    A refill draws ``batch`` fresh trapdoors, the server commits to their
+
+def claw_round(commit, measure, left, pool: deque, cap: int = RSP_BATCH):
+    """The claw-based round, pooled over batches of ``rsp_rows(left(), cap)``
+    rounds, ``left()`` the gadgets still to build.
+
+    A refill draws a batch of fresh trapdoors, the server commits to their
     matrices (``commit(matrices, rng) -> (y, handles)``), the client draws
     random basis bits, the server measures (``measure(handles, alphas, rng)
     -> (b, handles)``), and the client recovers the angles. Locally the two
@@ -263,6 +275,7 @@ def claw_round(commit, measure, batch: int, pool: deque):
     """
 
     def refill(rng: np.random.Generator):
+        batch = rsp_rows(left(), cap)
         td = sample_trapdoor(batch, RSP_N, RSP_MU, rng)
         y, handles = commit(td.matrix, rng)
         alphas = rng.integers(0, 2, (batch, RSP_N - 1))

@@ -23,6 +23,7 @@ from qhevqa.protocol import (
     Int,
     KINDS,
     MAX_FRAME,
+    MAX_FRAME_GADGETS,
     MAX_HELD,
     Message,
     Num,
@@ -49,6 +50,7 @@ from qhevqa.protocol import (
     make_exact_evaluator,
     make_faithful_evaluator,
     make_inproc_pair,
+    pack_rows,
     run_client,
     serve_inproc,
     validate,
@@ -58,7 +60,14 @@ from qhevqa.classical_he import ct_from_bytes
 from qhevqa.cli import _random_clifford_t_circuit
 from qhevqa.pauli_frame import apply_pad
 from qhevqa.qhe import SECURITY, CipherState, decrypt_keys, encrypt, keygen, t_count, xx_sign
-from qhevqa.rsp_gadget import RSP_BATCH, RSP_MU, RSP_N, sample_trapdoor
+from qhevqa.rsp_gadget import (
+    RSP_BATCH,
+    RSP_MU,
+    RSP_N,
+    assemble_gadget_state,
+    rsp_rows,
+    sample_trapdoor,
+)
 from qhevqa.simulator import StateVector, fidelity, gate
 from qhevqa.skdecomp import decompose_circuit, fold_t_runs
 from qhevqa.vqa import (
@@ -130,14 +139,24 @@ def remote_xx(client, circuit, state, rng, wires=(0, 1)):
     return xx_sign(client_keys, keys["level"], dict(zip(wires, keys["enc_keys"][0])), wires), raw
 
 
+# One claw matrix, rows [1, 0, 1, 0], and one row of basis bits [0, 1, 0], packed.
+MATRIX, ALPHAS = pack_rows([[[1, 0, 1, 0]] * 4])[0], pack_rows([[0, 1, 0]])[0]
+
+
 def prepare_rsp(channel, rows):
     """Prepare ``rows`` RSP qubits on the server by one claw batch: a
     ``matrix`` commit, then an ``alphas`` measure. Returns their qids."""
-    channel.send(Message("RspBasis", {"matrix": [[[1, 0, 1, 0]] * 4] * rows}))
+    channel.send(Message("RspBasis", {"matrix": [MATRIX] * rows}))
     qids = channel.recv().payload["qids"]
-    channel.send(Message("RspBasis", {"qids": qids, "alphas": [[0, 1, 0]] * rows}))
+    channel.send(Message("RspBasis", {"qids": qids, "alphas": [ALPHAS] * rows}))
     assert channel.recv().kind == "RspOutcome"
     return qids
+
+
+def commit_rsp(channel, rows=1):
+    """Commit ``rows`` claw rounds on the server, left pending."""
+    channel.send(Message("RspBasis", {"matrix": [MATRIX] * rows}))
+    assert channel.recv().kind == "RspCommit"
 
 
 class TestCodec:
@@ -284,6 +303,49 @@ class TestConversions:
             ct_from_hex("00")
 
 
+SHAPES = st.sampled_from([(RSP_N - 1,), (RSP_MU,), (RSP_MU, RSP_N), (2, 3, 2)])
+
+
+@st.composite
+def bit_rows(draw, min_rows=0):
+    """A (rows, *shape) array of bits and its shape."""
+    shape = draw(SHAPES)
+    rows = draw(st.integers(min_rows, 6))
+    size = rows * int(np.prod(shape))
+    bits = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    return np.array(bits, dtype=np.int64).reshape(rows, *shape), shape
+
+
+class TestPackedRows:
+    """A row of bits travels as one int, bit j its j-th bit in C order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit_rows())
+    def test_pack_then_validate_returns_the_bits(self, drawn):
+        bits, shape = drawn
+        packed = pack_rows(bits)
+        assert len(packed) == len(bits) and all(type(v) is int for v in packed)
+        got = validate(Bits(0, 6, shape), packed, {})
+        assert got.shape == bits.shape and np.array_equal(got, bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit_rows(min_rows=1), st.sampled_from(["negative", "wide", "bool", "float", "nested"]),
+           st.data())
+    def test_bad_rows_are_payload_errors(self, drawn, spoil, data):
+        bits, shape = drawn
+        packed = pack_rows(bits)
+        i = data.draw(st.integers(0, len(packed) - 1))
+        width = int(np.prod(shape))
+        packed[i] = {
+            "negative": -1 - packed[i], "wide": packed[i] + (1 << width),
+            "bool": bool(packed[i] & 1), "float": float(packed[i]),
+            "nested": bits[i].tolist(),
+        }[spoil]
+        with pytest.raises(ProtocolError) as exc:
+            validate(Bits(0, 6, shape), packed, {})
+        assert exc.value.code == "payload"
+
+
 class TestInProcTransport:
     def test_pair_carries_frames_both_ways(self):
         a, b = make_inproc_pair()
@@ -357,8 +419,6 @@ class TestServerSession:
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(0, "x")
-        client.open_rsp(0)
-        client.close_rsp()
         with pytest.raises(ProtocolError) as err:
             client.request_run(StateVector(2), None, [], (0, 1))
         assert err.value.code == "internal" and "handler fault" in err.value.text
@@ -373,7 +433,6 @@ class TestHostilePayloads:
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(seed, "x")
-        client.open_rsp(0)
         return channel, session, thread, client
 
     @staticmethod
@@ -386,16 +445,23 @@ class TestHostilePayloads:
 
     @staticmethod
     def bundle(level=1, seed=4):
-        """A gadget's ciphertexts at ``level``, as GadgetClassical fields."""
+        """A gadget's ciphertexts at ``level``, as a frame's gadget fields."""
         rng = np.random.default_rng(seed)
         pk = he_keygen(16, rng, level=level).pk
         cts = [ct_to_hex(he_enc(pk, int(rng.integers(2)), rng)) for _ in range(24)]
         return {"x_ct": cts[:2], "z_ct": cts[2:4], "e_ct": [cts[4:6], cts[6:8]],
                 "sk_enc": cts[8:], "level": level}
 
+    @classmethod
+    def frame(cls, *pairs, discard=()):
+        """A GadgetClassical frame of one gadget at level 1 per entry of
+        ``pairs``, its two (head, tail) qid pairs, and the qids to drop."""
+        return {"gadgets": [{"pairs": p, **cls.bundle()} for p in pairs],
+                "discard": list(discard)}
+
     def test_claw_matrix_of_the_wrong_shape_is_refused(self):
         channel, session, thread, _client = self.open_session()
-        matrix = [[[1, 0, 1, 0, 1]] * 4]  # a batch of one 4x5; the claw size is 4x4
+        matrix = [1 << 16]  # a batch of one 17-bit row; the claw size is 4x4
         channel.send(Message("RspBasis", {"matrix": matrix}))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
@@ -403,14 +469,14 @@ class TestHostilePayloads:
         thread.join(timeout=5)
 
     @pytest.mark.parametrize("alphas", [
-        [[0, 1, 0, 1, 0]] * 2, [[0, 2, 1]] * 2, [[0, 1, 0]] * 3, [[0, 1, 0]], [[0, True, 0]] * 2,
+        [1 << 3] * 2, [-1] * 2, [ALPHAS] * 3, [ALPHAS], [True] * 2, [[0, 1, 0]] * 2, [2.0] * 2,
     ])
     def test_bad_alphas_leave_the_round_pending(self, alphas):
-        # A wrong length, a non-bit entry or a row count other than the qid
-        # count is refused before the rounds are taken.
+        # A row past three bits, a negative or non-int row (a bool, a float,
+        # the unpacked bit list) or a row count other than the qid count is
+        # refused before the rounds are taken.
         channel, session, thread, _client = self.open_session()
-        matrix = [[1, 0, 1, 0]] * 4
-        channel.send(Message("RspBasis", {"matrix": [matrix] * 2}))
+        channel.send(Message("RspBasis", {"matrix": [MATRIX] * 2}))
         qids = channel.recv().payload["qids"]
         channel.send(Message("RspBasis", {"qids": qids, "alphas": alphas}))
         reply = channel.recv()
@@ -422,7 +488,6 @@ class TestHostilePayloads:
     def test_bad_wire_counts_are_refused(self, num_wires, amps):
         # Checked as an int in 1..MAX_QUBITS before 2**num_wires is evaluated.
         channel, _session, thread, client = self.open_session()
-        client.close_rsp()
         channel.send(Message("RunRequest", {
             **self.run([]),
             "num_wires": num_wires, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * (amps - 1),
@@ -483,7 +548,6 @@ class TestHostilePayloads:
         # A run is one shot, so no shot count is read: a version-4 peer's
         # ``shots`` field is refused as payload, whatever its value.
         channel, _session, thread, client = self.open_session()
-        client.close_rsp()
         channel.send(Message("RunRequest", {
             **self.run([]), "shots": shots,
         }))
@@ -525,7 +589,7 @@ class TestHostilePayloads:
         channel, session, thread, _client = self.open_session()
         prepare_rsp(channel, 3)
         before = dict(session.qubits)
-        channel.send(Message("GadgetClassical", {"pairs": pairs, "discard": [1], **self.bundle()}))
+        channel.send(Message("GadgetClassical", self.frame(pairs, discard=[1])))
         reply = channel.recv()
         assert reply.kind == "Error"
         thread.join(timeout=5)
@@ -538,7 +602,6 @@ class TestHostilePayloads:
         channel, session, thread, client = self.open_session()
         rng = np.random.default_rng(9)
         client_keys = client.remote_keygen(2, [gate("T", 0)], rng)
-        client.close_rsp()
         cs, _ = encrypt(client_keys, StateVector(2), rng)
         assert len(session.gadgets) == 1
         return channel, session, thread, hex_keys(cs)
@@ -563,24 +626,25 @@ class TestHostilePayloads:
     @pytest.mark.parametrize("payload", [
         {"matrix": [[[1, 2], [3]]]},
         {"matrix": "abcd"},
-        {"matrix": [[[10**30] * 4] * 4]},
-        {"qids": [True], "alphas": [[0, 1, 0]]},
+        {"matrix": [10**30]},
+        {"qids": [True], "alphas": [ALPHAS]},
         {"ideal": 1},
-        {"matrix": [[[1, 0, True, 0]] * 4]},
-        {"matrix": [[[1, 0, 1.0, 0]] * 4]},
-        {"matrix": [[[1, 0, 1, 0]] * 4] * (RSP_BATCH + 1)},
+        {"matrix": [True]},
+        {"matrix": [float(MATRIX)]},
+        {"matrix": [MATRIX] * (RSP_BATCH + 1)},
         {"matrix": []},
-        {"matrix": [[[1, 0, 1, 0]] * 4], "qids": [1], "alphas": [[0, 1, 0]]},
-        {"alphas": [[0, 1, 0]]},
-        {"qids": [1, 1], "alphas": [[0, 1, 0]] * 2},
+        {"matrix": [MATRIX], "qids": [1], "alphas": [ALPHAS]},
+        {"alphas": [ALPHAS]},
+        {"qids": [1, 1], "alphas": [ALPHAS] * 2},
+        {"matrix": [-MATRIX]},
+        {"matrix": [[[1, 0, 1, 0]] * 4]},  # the unpacked rows of version 7
     ])
     def test_bad_rsp_basis_changes_nothing(self, payload):
         # Remote RSP is claw-based only: the server draws no angle itself,
         # so a request for ideal rounds is refused like any unknown form.
         channel, session, thread, _client = self.open_session()
         prepare_rsp(channel, 1)
-        channel.send(Message("RspBasis", {"matrix": [[[1, 0, 1, 0]] * 4]}))
-        assert channel.recv().kind == "RspCommit"
+        commit_rsp(channel)
         qubits, pending = dict(session.qubits), dict(session.pending)
         channel.send(Message("RspBasis", payload))
         reply = channel.recv()
@@ -589,7 +653,7 @@ class TestHostilePayloads:
         assert session.qubits == qubits and session.pending == pending
 
     @pytest.mark.parametrize("payload", [
-        {"matrix": [[[1, 0, 1, 0]] * 4] * 2}, {"matrix": [[[1, 0, 1, 0]] * 4] * RSP_BATCH},
+        {"matrix": [MATRIX] * 2}, {"matrix": [MATRIX] * RSP_BATCH},
     ])
     def test_rsp_qubits_past_the_held_limit_are_refused(self, payload):
         # One gadget's worst-case draws plus one batch may be held, committed
@@ -599,8 +663,7 @@ class TestHostilePayloads:
         left = MAX_HELD - 2
         while left:
             batch = min(left, RSP_BATCH)
-            channel.send(Message("RspBasis", {"matrix": [[[1, 0, 1, 0]] * 4] * batch}))
-            assert channel.recv().kind == "RspCommit"
+            commit_rsp(channel, batch)
             left -= batch
         qubits, pending = dict(session.qubits), dict(session.pending)
         assert len(qubits) + len(pending) == MAX_HELD - 1
@@ -611,7 +674,7 @@ class TestHostilePayloads:
         assert session.qubits == qubits and session.pending == pending
 
     @pytest.mark.parametrize("payload", [
-        {"close": True, "discard": [True]},
+        {"pairs": [[0, 2], [1, 3]], "discard": [True]},
         {"pairs": [[0, 2], [True, 3]], "discard": []},
     ])
     def test_bool_qids_are_refused(self, payload):
@@ -619,10 +682,8 @@ class TestHostilePayloads:
         channel, session, thread, _client = self.open_session()
         prepare_rsp(channel, 4)
         qubits = dict(session.qubits)
-        if "pairs" in payload:
-            channel.send(Message("GadgetClassical", {**payload, **self.bundle()}))
-        else:
-            channel.send(Message("CoupleInstr", payload))
+        channel.send(Message("GadgetClassical", self.frame(payload["pairs"],
+                                                           discard=payload["discard"])))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
@@ -640,9 +701,9 @@ class TestHostilePayloads:
         channel, session, thread, _client = self.open_session()
         prepare_rsp(channel, 4)
         qubits = dict(session.qubits)
-        channel.send(Message("GadgetClassical", {
-            "pairs": [[0, 1], [2, 3]], "discard": [], **self.bundle(), "level": level,
-        }))
+        frame = self.frame([[0, 1], [2, 3]])
+        frame["gadgets"][0]["level"] = level
+        channel.send(Message("GadgetClassical", frame))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
@@ -673,7 +734,8 @@ class TestHostilePayloads:
         channel, session, thread, client = self.open_session()
         prepare_rsp(channel, 5)
         qubits = dict(session.qubits)
-        bundle = {"pairs": [[0, 1], [2, 3]], "discard": [4], **self.bundle()}
+        frame = self.frame([[0, 1], [2, 3]], discard=[4])
+        bundle = frame["gadgets"][0]
         stray = self.bundle(level=2)["x_ct"][0]
         if spoil == "level":
             bundle["level"] = 2
@@ -681,7 +743,7 @@ class TestHostilePayloads:
             bundle["e_ct"] = [bundle["e_ct"][0], [bundle["e_ct"][1][0], stray]]
         elif spoil is not None:
             bundle[spoil] = bundle[spoil][:-1] + [stray]
-        channel.send(Message("GadgetClassical", bundle))
+        channel.send(Message("GadgetClassical", frame))
         reply = channel.recv()
         if spoil is None:
             assert reply.payload == {"ok": True}
@@ -693,6 +755,67 @@ class TestHostilePayloads:
         thread.join(timeout=5)
         assert session.gadgets == [] and session.qubits == qubits
 
+    @pytest.mark.parametrize("spoil, code", [
+        ("ciphertext", "payload"), ("unknown", "order"), ("repeat", "payload"),
+    ])
+    def test_a_frame_is_checked_whole_before_anything_changes(self, spoil, code):
+        # The last of a frame's two gadgets carries a ciphertext at another
+        # level, an unknown qid or a qid of the first gadget: the frame is
+        # refused, with no gadget queued and no qubit taken or dropped.
+        channel, session, thread, _client = self.open_session()
+        prepare_rsp(channel, 9)
+        commit_rsp(channel)
+        last = {"ciphertext": [[4, 5], [6, 7]], "unknown": [[4, 5], [6, 99]],
+                "repeat": [[4, 5], [2, 6]]}[spoil]
+        frame = self.frame([[0, 1], [2, 3]], last, discard=[8])
+        if spoil == "ciphertext":
+            frame["gadgets"][-1]["sk_enc"][-1] = self.bundle(level=2)["x_ct"][0]
+        before = session_view(session)
+        channel.send(Message("GadgetClassical", frame))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == code, reply.payload
+        thread.join(timeout=5)
+        assert session_view(session)[1] == before[1]
+
+    def test_a_frame_queues_its_gadgets_in_order(self):
+        # Each gadget couples its own (head, tail) pairs; the discards go.
+        channel, session, thread, client = self.open_session()
+        prepare_rsp(channel, 9)
+        qubits = dict(session.qubits)
+        frame = self.frame([[0, 1], [2, 3]], [[7, 4], [5, 6]], discard=[8])
+        channel.send(Message("GadgetClassical", frame))
+        assert channel.recv().payload == {"ok": True}
+        assert not session.qubits and len(session.gadgets) == 2
+        for gadget, (heads, tails) in zip(session.gadgets, [((0, 2), (1, 3)), ((7, 5), (4, 6))]):
+            want = assemble_gadget_state([qubits[q] for q in heads], [qubits[q] for q in tails])
+            assert all(np.array_equal(g, w) for g, w in zip(gadget.state, want))
+        client.done()
+        thread.join(timeout=5)
+
+    def test_a_frame_holds_at_most_a_held_budget_of_gadgets(self):
+        # Every gadget of a frame couples four held qubits.
+        channel, session, thread, _client = self.open_session()
+        prepare_rsp(channel, 4)
+        frame = self.frame([[0, 1], [2, 3]])
+        frame["gadgets"] *= MAX_FRAME_GADGETS + 1
+        before = session_view(session)
+        channel.send(Message("GadgetClassical", frame))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session_view(session)[1] == before[1]
+
+    def test_declare_and_close_are_acknowledged_and_change_nothing(self):
+        channel, session, thread, client = self.open_session()
+        prepare_rsp(channel, 2)
+        commit_rsp(channel)
+        before = session_view(session)
+        client.open_rsp(3)
+        client.close_rsp()
+        assert session_view(session)[1] == before[1]
+        client.done()
+        thread.join(timeout=5)
+
     def test_gadgets_out_of_slot_order_are_refused_before_any_is_taken(self):
         # A run of two T gates needs gadgets at levels 1 and 2; a queue
         # provisioned for two runs of one T each holds two at level 1.
@@ -700,7 +823,6 @@ class TestHostilePayloads:
         rng = np.random.default_rng(9)
         client.remote_keygen(2, [gate("T", 0)], rng)
         client_keys = client.remote_keygen(2, [gate("T", 0)], rng)
-        client.close_rsp()
         cs, _ = encrypt(client_keys, StateVector(2), rng)
         assert [g.level for g in session.gadgets] == [1, 1]
         channel.send(Message("RunRequest", self.run(
@@ -720,7 +842,6 @@ class TestHostilePayloads:
     ])
     def test_registers_must_be_finite_with_unit_norm(self, amps):
         channel, _session, thread, client = self.open_session()
-        client.close_rsp()
         channel.send(Message("RunRequest", {
             **self.run([]), "amps": amps + [[0.0, 0.0]] * 2,
         }))
@@ -731,7 +852,6 @@ class TestHostilePayloads:
     def test_near_unit_norm_register_is_accepted(self):
         # Honest registers are normalized to float precision, not exactly.
         channel, _session, thread, client = self.open_session()
-        client.close_rsp()
         psi = StateVector(3, np.full(8, (1 + 1e-10) / np.sqrt(8)))
         value, _ = client.request_run(psi, None, [], (0, 1))
         assert value == pytest.approx(1 + 2e-10, abs=1e-12)
@@ -749,8 +869,7 @@ class TestHostilePayloads:
         # before any gadget, prepared qubit or committed round is taken.
         channel, session, thread, keys = self.gadget_session()
         prepare_rsp(channel, 2)
-        channel.send(Message("RspBasis", {"matrix": [[[1, 0, 1, 0]] * 4]}))
-        assert channel.recv().kind == "RspCommit"
+        commit_rsp(channel)
         before = session_view(session)
         payload = self.run([{"kind": "T", "wires": [0]}], enc_keys=keys)
         del payload["wires"]
@@ -844,21 +963,13 @@ def draw_value(draw, spec, ctx, bad):
             items.append(items[0])
         return items
     if t is Bits:
-        lo, hi, shape = bound(spec.lo), bound(spec.hi), [bound(size) for size in spec.shape]
+        lo, hi, width = bound(spec.lo), bound(spec.hi), int(np.prod(spec.shape))
         rows = draw(st.integers(lo, min(hi, lo + 3)))
-        size = rows * int(np.prod(shape))
-        bits = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
-        value = np.array(bits, dtype=int).reshape(rows, *shape).tolist()
-        spoil = draw(st.sampled_from(["entry", "ragged", "rows", "type"])) if bad else None
-        if spoil in ("entry", "ragged") and rows:
-            row = value[draw(st.integers(0, rows - 1))]
-            for _ in shape[1:]:
-                row = row[draw(st.integers(0, len(row) - 1))]
-            if spoil == "ragged":
-                row.pop()
-            else:
-                row[draw(st.integers(0, len(row) - 1))] = draw(
-                    st.sampled_from([2, -1, True, False, 1.0, "1", None, [0]]))
+        value = draw(st.lists(st.integers(0, 2**width - 1), min_size=rows, max_size=rows))
+        spoil = draw(st.sampled_from(["entry", "rows", "type"])) if bad else None
+        if spoil == "entry" and rows:
+            value[draw(st.integers(0, rows - 1))] = draw(st.sampled_from(
+                [2**width, -1, True, False, 1.0, "1", None, [0], [0] * width]))
         elif spoil == "rows":
             value = value[:1] * (hi + 1) if rows and hi + 1 > rows else []
         elif spoil is not None:
@@ -921,19 +1032,17 @@ def session_view(session):
 
 class TestSchemaProperty:
     """Every kind the server accepts, well-formed or hostile, on an open
-    session with one queued gadget, prepared qubits (the keygen pool's spares
-    and four more) and one committed claw round."""
+    session with one queued gadget, four prepared qubits (the key generation
+    dropped its pool's spares) and one committed claw round."""
 
     @staticmethod
     def loaded_session():
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(3, "x")
-        client.open_rsp(0)
         client.remote_keygen(2, [gate("T", 0)], np.random.default_rng(3))
         prepare_rsp(channel, 4)
-        channel.send(Message("RspBasis", {"matrix": [[[1, 0, 1, 0]] * 4]}))
-        assert channel.recv().kind == "RspCommit"
+        commit_rsp(channel)
         return channel, session, thread
 
     @settings(max_examples=300, deadline=None)
@@ -967,8 +1076,6 @@ class TestDelegatedRuns:
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(5, "x")
-        client.open_rsp(0)
-        client.close_rsp()
         rng = np.random.default_rng(5)
         psi = rand_state(2, rng)
         circ = [gate("H", 0), gate("CNOT", 0, 1)]
@@ -985,7 +1092,6 @@ class TestDelegatedRuns:
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(11, "x")
-        client.open_rsp(0)
         rng = np.random.default_rng(11)
         h, t, cnot = gate("H", 0), gate("T", 0), gate("CNOT", 0, 1)
         for circ in [[h, t, gate("X", 0), t, h, cnot], [h, t, t, h, cnot]] * 4:
@@ -1003,7 +1109,6 @@ class TestDelegatedRuns:
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(8, "x")
-        client.open_rsp(0)
         rng = np.random.default_rng(8)
         signs = []
         for _ in range(6):
@@ -1025,7 +1130,6 @@ class TestDelegatedRuns:
         channel.recv = lambda: received.append(recv()) or received[-1]
         client = ClientSession(channel)
         client.hello(7, "x")
-        client.open_rsp(0)
         circ = [
             gate("H", 0), gate("T", 0), gate("CNOT", 0, 2),
             gate("H", 2), gate("T", 2), gate("T", 1),
@@ -1041,19 +1145,21 @@ class TestDelegatedRuns:
         assert [len(u["enc_keys"]) for u in updates] == [1] * 16  # one row per run
         assert all(len(u["enc_keys"][0]) == 2 for u in updates)
         # The two returned keys give each run's sign, pinned; sign x value is
-        # the plaintext <X x X>.
+        # the plaintext <X x X>. Re-pinned at protocol version 8: RSP batches
+        # sized to a run's T count move the client's later draws, its pads.
         for psi, sign, raw in runs:
             assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (2, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [
-            1, 1, 1, -1, -1, 1, -1, -1, -1, -1, 1, 1, 1, -1, 1, 1,
+            -1, -1, -1, 1, 1, -1, -1, -1, 1, -1, 1, -1, -1, 1, 1, -1,
         ]
 
     def test_golden_faithful_transcript(self):
         # Every frame both ways of a small claw-based RSP session of three
-        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 7,
-        # and each run's decrypted sign. Re-recorded when ciphertexts came to
-        # travel in normal form (a leaf, or a constant and its leaves), with
-        # the signs unchanged. The RunRequest amplitudes carry no -0.0.
+        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 8,
+        # and each run's decrypted sign. Re-recorded when RSP batches came to
+        # be sized to the run's T count, with their rows packed, and each key
+        # generation's gadgets to travel in one frame, with the signs
+        # unchanged. The RunRequest amplitudes carry no -0.0.
         channel, _session, thread = serve_inproc()
         transcript = hashlib.sha256()
         send, recv = channel.send_bytes, channel.recv_bytes
@@ -1070,7 +1176,6 @@ class TestDelegatedRuns:
         channel.send_bytes, channel.recv_bytes = send_bytes, recv_bytes
         client = ClientSession(channel)
         client.hello(5, "x")
-        client.open_rsp(0)
         circ = [
             gate("H", 0), gate("T", 0), gate("CNOT", 0, 1), gate("Tdagger", 1), gate("H", 1),
         ]
@@ -1085,7 +1190,7 @@ class TestDelegatedRuns:
             assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (1, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [-1, -1, -1]
         assert transcript.hexdigest() == (
-            "5cff4e98c98309df6fec4bce57f44d95c241df6fd8dc2ace49561d577f0e9a14"
+            "17b2912d5d91052880a2b6b8a45ba1c383db22c03acd8e6acb6427eba9b99e59"
         )
 
     def test_unknown_rsp_mode_is_refused(self):
@@ -1093,7 +1198,6 @@ class TestDelegatedRuns:
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(9, "x")
-        client.open_rsp(0)
         with pytest.raises(ProtocolError, match="rsp mode"):
             make_faithful_evaluator(client, eps_target=0.1, rsp_mode="ideal")
         client.done()
@@ -1104,10 +1208,8 @@ class TestDelegatedRuns:
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(9, "x")
-        client.open_rsp(0)
         rng = np.random.default_rng(9)
         client.remote_keygen(1, [gate("T", 0)], rng)  # one gadget provisioned
-        client.close_rsp()
         circ = [gate("T", 0), gate("H", 0), gate("T", 0)]
         client_keys, _ = keygen(SECURITY, 2, circ, rng)
         cs, _ = encrypt(client_keys, StateVector(2), rng)
@@ -1120,8 +1222,6 @@ class TestDelegatedRuns:
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(11, "delegated-exact-gates")
-        client.open_rsp(0)
-        client.close_rsp()
         evaluator = make_exact_evaluator(client)
         model = ShadowModel(
             np.random.default_rng(3).uniform(0, 2 * np.pi, (2, 4)),
@@ -1143,8 +1243,6 @@ class TestDelegatedRuns:
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(12, "delegated-faithful")
-        client.open_rsp(0)
-        client.close_rsp()
         evaluator = make_faithful_evaluator(client, eps_target=3e-2)
         model = ShadowModel(
             np.random.default_rng(5).uniform(0, 2 * np.pi, (2, 4)),
@@ -1161,13 +1259,14 @@ class TestDelegatedRuns:
         thread.join(timeout=5)
 
     def test_faithful_features_without_t_gates_match_plaintext(self):
-        # At theta = 0 each window is [CNOT, CNOT], so a window provisions no
-        # gadget before its close acknowledgement.
+        # At theta = 0 each window is [CNOT, CNOT], so a window sends no RSP
+        # and no gadget frame: only its run.
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(15, "delegated-faithful")
-        client.open_rsp(0)
-        client.close_rsp()
+        sent = []
+        send = channel.send
+        channel.send = lambda msg: (sent.append(msg.kind), send(msg))[-1]
         evaluator = make_faithful_evaluator(client, eps_target=0.1)
         model = ShadowModel(np.zeros((2, 4)), np.zeros(2), 0.0, 3)
         psi = rand_state(3, np.random.default_rng(15))
@@ -1176,6 +1275,7 @@ class TestDelegatedRuns:
         )
         client.done()
         thread.join(timeout=5)
+        assert sent == ["RunRequest", "RunRequest", "Done"]
         want = shadow_features(psi, model)
         assert np.allclose(got, want, rtol=0, atol=1e-9)
 
@@ -1199,7 +1299,6 @@ class TestDelegatedRuns:
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(16, "x")
-        client.open_rsp(0)
         rng = np.random.default_rng(16)
         for circ in ([gate("H", 0), gate("T", 0)], [gate("X", 0), gate("CNOT", 0, 1)]):
             psi = rand_state(2, rng)
@@ -1217,7 +1316,6 @@ class TestDelegatedRuns:
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(31, "x")
-        client.open_rsp(0)
         rng = np.random.default_rng(31)
         circ = [gate("CNOT", 0, 1), gate("T", 0)]
         psi = rand_state(2, rng)
@@ -1283,32 +1381,30 @@ class TestGadgetBudget:
         assert budget < t_count(synthesised)
         return circ, budget
 
-    def test_remote_window_sends_one_gadget_frame_per_folded_t(self):
+    def test_remote_window_sends_one_gadget_per_folded_t(self):
         circ, budget = self.window()
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(18, "delegated-faithful")
-        client.open_rsp(0)
-        client.close_rsp()
         sent = []
         send = channel.send
-        channel.send = lambda msg: (sent.append(msg.kind), send(msg))[-1]
+        channel.send = lambda msg: (sent.append(msg), send(msg))[-1]
         evaluator = make_faithful_evaluator(client, eps_target=self.EPS)
         evaluator(rand_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
         client.done()
         thread.join(timeout=30)
-        assert sent.count("GadgetClassical") == budget
+        frames = [m.payload for m in sent if m.kind == "GadgetClassical"]
+        assert len(frames) == 1 and len(frames[0]["gadgets"]) == budget
 
     def test_remote_window_frame_counts(self):
-        # RSP rounds come in batches, each gadget is one frame and the run
-        # carries its input: 75 frames both ways, where one claw round per two
-        # round trips and a coupling frame per gadget took 867 on this window.
+        # The window's RSP rounds come in one batch sized to its T count, its
+        # gadgets in one frame, and the run carries its input: 9 frames both
+        # ways, where 32-round batches and a frame per gadget took 75 on this
+        # window, and one claw round per two round trips 867.
         circ, budget = self.window()
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(18, "delegated-faithful")
-        client.open_rsp(0)
-        client.close_rsp()
         sent, received = Counter(), Counter()
         send, recv = channel.send, channel.recv
         channel.send = lambda msg: (sent.update([msg.kind]), send(msg))[-1]
@@ -1317,9 +1413,43 @@ class TestGadgetBudget:
         evaluator(rand_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
         client.done()
         thread.join(timeout=30)
-        assert sent == {"RspBasis": 12, "GadgetClassical": budget, "CoupleInstr": 1,
-                        "RunRequest": 1, "Done": 1}
-        assert sum(sent.values()) + sum(received.values()) == 75 + 2
+        assert sent == {"RspBasis": 2, "GadgetClassical": 1, "RunRequest": 1, "Done": 1}
+        assert sum(sent.values()) + sum(received.values()) == 9 + 2
+
+    def test_a_long_window_tops_up_after_sending_its_gadgets(self):
+        # 100 T gates on 2 wires need about 800 rounds, more than one batch:
+        # the gadgets built from the first batch go out before the second
+        # commit, so the server never holds more than MAX_HELD qubits, and
+        # the run still decrypts to the plaintext <X x X>.
+        circ = [gate("H", 0), gate("CNOT", 0, 1)] + [
+            gate("T", 0), gate("H", 0), gate("Tdagger", 1), gate("H", 1), gate("CNOT", 1, 0),
+        ] * 50
+        assert t_count(circ) == 100 and rsp_rows(100) == RSP_BATCH
+        channel, session, thread = serve_inproc()
+        held, dispatch = [], session._dispatch
+
+        def dispatch_and_count(msg, size):
+            dispatch(msg, size)
+            held.append(len(session.qubits) + len(session.pending))
+
+        session._dispatch = dispatch_and_count
+        client = ClientSession(channel)
+        client.hello(44, "x")
+        sent = []
+        send = channel.send
+        channel.send = lambda msg: (sent.append(msg), send(msg))[-1]
+        rng = np.random.default_rng(44)
+        psi = rand_state(2, rng)
+        sign, raw = remote_xx(client, circ, psi, rng)
+        client.done()
+        thread.join(timeout=30)
+        commits = [i for i, m in enumerate(sent) if "matrix" in m.payload]
+        assert len(commits) >= 2
+        assert "GadgetClassical" in [m.kind for m in sent[commits[0] : commits[1]]]
+        frames = [m.payload["gadgets"] for m in sent if m.kind == "GadgetClassical"]
+        assert sum(map(len, frames)) == 100
+        assert max(held) <= MAX_HELD and not session.qubits and not session.pending
+        assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-9)
 
     def test_local_keygen_makes_one_gadget_per_folded_t(self, monkeypatch):
         circ, budget = self.window()
@@ -1336,10 +1466,11 @@ class TestGadgetBudget:
         assert made == [budget]
 
 
-K = RSP_BATCH
+K = rsp_rows(1)  # one gadget's batch
 QIDS = list(range(K))
-COMMIT = Message("RspCommit", {"qids": QIDS, "y": [[0] * RSP_MU] * K})  # A x = 0 for x = 0
-OUTCOME = Message("RspOutcome", {"qids": QIDS, "b": [[1, 0, 1]] * K})
+COMMIT = Message("RspCommit", {"qids": QIDS, "y": [0] * K})  # A x = 0 for x = 0
+B = pack_rows([[1, 0, 1]])[0]
+OUTCOME = Message("RspOutcome", {"qids": QIDS, "b": [B] * K})
 
 
 def unreachable_image():
@@ -1364,27 +1495,32 @@ class TestHostileReplies:
         client_end, server_end = make_inproc_pair()
         for reply in replies:
             server_end.send(reply)
-        return ClientSession(client_end)._round(deque())(np.random.default_rng(0))
+        return ClientSession(client_end)._round(deque(), lambda: 1)(np.random.default_rng(0))
 
     @pytest.mark.parametrize("replies", [
         [Message("RspCommit", {"qids": QIDS, "y": "zz"}), OUTCOME],
-        [Message("RspCommit", {"y": [[0] * RSP_MU] * K}), OUTCOME],
+        [Message("RspCommit", {"y": [0] * K}), OUTCOME],
         [Message("RspCommit", {"qids": QIDS, "y": [[0] * (RSP_MU - 1)] * K}), OUTCOME],
-        [COMMIT, Message("RspOutcome", {"qids": [q + 1 for q in QIDS], "b": [[0, 1, 0]] * K})],
-        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [[0, 2, 0]] * K})],
+        [COMMIT, Message("RspOutcome", {"qids": [q + 1 for q in QIDS], "b": [2] * K})],
+        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [1 << (RSP_N - 1)] * K})],
         [COMMIT, Message("RspOutcome", {"qids": QIDS, "theta_index": [1] * K})],
-        [Message("RspCommit", {"qids": QIDS, "y": [unreachable_image()]
-                               + [[0] * RSP_MU] * (K - 1)}), OUTCOME],
-        [Message("RspCommit", {"qids": QIDS, "y": [[0] * RSP_MU] * (K - 1)}), OUTCOME],
-        [Message("RspCommit", {"qids": QIDS + [K], "y": [[0] * RSP_MU] * K}), OUTCOME],
-        [Message("RspCommit", {"qids": [0] * K, "y": [[0] * RSP_MU] * K}), OUTCOME],
-        [Message("RspCommit", {"qids": QIDS, "y": [[True] + [0] * (RSP_MU - 1)] * K}), OUTCOME],
-        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [[0, 1, 0]] * (K + 1)})],
-        [COMMIT, Message("RspOutcome", {"qids": QIDS[::-1], "b": [[0, 1, 0]] * K})],
+        [Message("RspCommit", {"qids": QIDS, "y": pack_rows([unreachable_image()])
+                               + [0] * (K - 1)}), OUTCOME],
+        [Message("RspCommit", {"qids": QIDS, "y": [0] * (K - 1)}), OUTCOME],
+        [Message("RspCommit", {"qids": QIDS + [K], "y": [0] * K}), OUTCOME],
+        [Message("RspCommit", {"qids": [0] * K, "y": [0] * K}), OUTCOME],
+        [Message("RspCommit", {"qids": QIDS, "y": [True] + [0] * (K - 1)}), OUTCOME],
+        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [2] * (K + 1)})],
+        [COMMIT, Message("RspOutcome", {"qids": QIDS[::-1], "b": [2] * K})],
+        [Message("RspCommit", {"qids": QIDS, "y": [1 << RSP_MU] + [0] * (K - 1)}), OUTCOME],
+        [Message("RspCommit", {"qids": QIDS, "y": [-1] + [0] * (K - 1)}), OUTCOME],
+        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [float(B)] * K})],
+        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [[1, 0, 1]] * K})],
     ], ids=["y-not-bits", "commit-without-qid", "short-y", "outcome-for-another-qid",
             "b-not-bits", "theta-index-for-alphas", "y-without-preimage",
             "commit-missing-a-row", "commit-with-an-extra-qid", "commit-repeating-a-qid",
-            "y-with-a-bool", "outcome-with-an-extra-row", "outcome-qids-reordered"])
+            "y-with-a-bool", "outcome-with-an-extra-row", "outcome-qids-reordered",
+            "y-too-wide", "y-negative", "b-a-float", "b-unpacked"])
     def test_malformed_round_reply_is_a_protocol_error(self, replies):
         with pytest.raises(ProtocolError) as exc:
             self.round_with_replies(*replies)
@@ -1411,10 +1547,10 @@ class TestHostileReplies:
         server_end.send(Message("Announce", {**ANNOUNCE, "rsp_batch": 3}))
         client = ClientSession(client_end)
         client.hello(0, "x")
-        server_end.send(Message("RspCommit", {"qids": [7, 8, 9], "y": [[0] * RSP_MU] * 3}))
-        server_end.send(Message("RspOutcome", {"qids": [7, 8, 9], "b": [[1, 0, 1]] * 3}))
+        server_end.send(Message("RspCommit", {"qids": [7, 8, 9], "y": [0] * 3}))
+        server_end.send(Message("RspOutcome", {"qids": [7, 8, 9], "b": [B] * 3}))
         pool = deque()
-        _, qid = client._round(pool)(np.random.default_rng(0))
+        _, qid = client._round(pool, lambda: 1)(np.random.default_rng(0))
         sent = [server_end.recv() for _ in range(3)]
         assert [m.kind for m in sent] == ["Hello", "RspBasis", "RspBasis"]
         assert len(sent[1].payload["matrix"]) == 3 and sent[2].payload["qids"] == [7, 8, 9]
@@ -1493,7 +1629,6 @@ class TestHostileReplies:
         session._reply = lambda k, p: reply(k, spoil(p) if k == kind else p)
         client = ClientSession(channel)
         client.hello(3, "x")
-        client.open_rsp(0)
         rng = np.random.default_rng(3)
         with pytest.raises(ProtocolError) as exc:
             if run == "xx":
@@ -1516,7 +1651,7 @@ def padded_input():
 
 
 def take_round(client):
-    return client._round(deque())(np.random.default_rng(0))
+    return client._round(deque(), lambda: 1)(np.random.default_rng(0))
 
 
 def take_qhe_run(client):
@@ -1543,9 +1678,9 @@ REPLY_TAKERS = {
     "Done": ReplyTaker(TestHostileReplies.ACK_CALLS["Done"], {}),
     "Error": ReplyTaker(lambda client: client.open_rsp(0), {}),
     "RspCommit": ReplyTaker(take_round, {"rows": ROWS}, after=(
-        Message("RspOutcome", {"qids": [0, 1], "b": [[1, 0, 1]] * ROWS}),)),
+        Message("RspOutcome", {"qids": [0, 1], "b": [B] * ROWS}),)),
     "RspOutcome": ReplyTaker(take_round, {"rows": ROWS}, before=(
-        Message("RspCommit", {"qids": [0, 1], "y": [[0] * RSP_MU] * ROWS}),)),
+        Message("RspCommit", {"qids": [0, 1], "y": [0] * ROWS}),)),
     "ShotResults": ReplyTaker(take_exact_window, {}),
     "EncKeysUpdate": ReplyTaker(take_qhe_run, {"t_count": 1}, before=(
         Message("ShotResults", {"value": 0.5}),)),
@@ -1582,25 +1717,32 @@ class TestReplyProperty:
 
 class TestServerBlindness:
     """Everything the server receives is public structure, a ciphertext
-    string or padded quantum data (checked on ``ServerSession.audit``)."""
+    string or padded quantum data (checked on ``ServerSession.audit``, and a
+    gadget frame's gadgets as sent, since the audit keeps a frame over
+    ``AUDIT_FRAME`` bytes as its fields' lengths)."""
 
     PUBLIC_FIELDS = {
         "Hello": {"version", "session_seed", "mode"},
-        "GadgetClassical": {"declare", "pairs", "discard", "x_ct", "z_ct", "e_ct", "sk_enc",
-                            "level"},
+        "GadgetClassical": {"declare", "gadgets", "discard"},
         "RspBasis": {"matrix", "qids", "alphas"},
-        "CoupleInstr": {"close", "discard"},
+        "CoupleInstr": {"close"},
         "RunRequest": {"num_wires", "amps", "enc_keys", "circuit", "wires", "use_gadgets"},
         "Done": set(),
     }
+    GADGET_FIELDS = {"pairs", "level", "x_ct", "z_ct", "e_ct", "sk_enc"}
 
     def audited_window(self, mode, make_evaluator):
-        """Run one delegated 2-wire window; return the server's audit log."""
+        """Run one delegated 2-wire window; return the server's audit log
+        and the gadgets the client sent."""
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(41, mode)
-        client.open_rsp(0)
-        client.close_rsp()
+        gadgets = []
+        send = channel.send
+        channel.send = lambda msg: (
+            gadgets.extend(msg.payload.get("gadgets", ()) if msg.kind == "GadgetClassical" else ()),
+            send(msg),
+        )[-1]
         model = ShadowModel(
             np.random.default_rng(7).uniform(0, 2 * np.pi, (2, 4)), np.zeros(1), 0.0, 2
         )
@@ -1611,19 +1753,22 @@ class TestServerBlindness:
         thread.join(timeout=30)
         for kind, payload in session.audit:
             assert set(payload) <= self.PUBLIC_FIELDS[kind], (kind, sorted(payload))
-        return session.audit
+        for gadget in gadgets:
+            assert set(gadget) == self.GADGET_FIELDS, sorted(gadget)
+        return session.audit, gadgets
 
     def test_exact_session(self):
-        audit = self.audited_window("delegated-exact-gates", make_exact_evaluator)
+        audit, gadgets = self.audited_window("delegated-exact-gates", make_exact_evaluator)
         runs = [p for kind, p in audit if kind == "RunRequest"]
-        assert runs
+        assert runs and not gadgets
         assert all("enc_keys" not in p for p in runs)
 
     def test_faithful_session_claw_rsp(self):
-        audit = self.audited_window(
+        audit, gadgets = self.audited_window(
             "delegated-faithful",
             lambda client: make_faithful_evaluator(client, eps_target=0.1),
         )
+        assert gadgets
         assert audit[0][0] == "Hello"  # the log holds the whole window
         assert any("matrix" in p for kind, p in audit if kind == "RspBasis")
         runs = [p for kind, p in audit if kind == "RunRequest"]
@@ -1677,7 +1822,7 @@ class TestServerMemory:
         assert held < 100_000
 
     def test_a_faithful_window_leaves_no_rsp_qubits_held(self):
-        # The pool's spare rounds go out with the close of provisioning.
+        # The pool's spare rounds go out with the key generation's gadget frame.
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(42, "delegated-faithful")
@@ -1721,7 +1866,6 @@ class TestTcpTransport:
             channel = connect_tcp("127.0.0.1", server.port)
             client = ClientSession(channel)
             client.hello(21, "x")
-            client.open_rsp(0)
             rng = np.random.default_rng(21)
             circ = [gate("H", 0), gate("T", 0), gate("H", 0), gate("CNOT", 0, 1)]
             for _ in range(3):
@@ -1740,8 +1884,6 @@ class TestTcpTransport:
             try:
                 client = ClientSession(connect_tcp("127.0.0.1", server.port))
                 client.hello(seed, "x")
-                client.open_rsp(0)
-                client.close_rsp()
                 psi = rand_state(2, np.random.default_rng(seed))
                 want = _xx_plaintext(psi, [gate("H", 0)], (0, 1))
                 for _ in range(5):
@@ -1767,7 +1909,6 @@ class TestTcpTransport:
         def run(channel):
             client = ClientSession(channel)
             client.hello(33, "x")
-            client.open_rsp(0)
             rng = np.random.default_rng(33)
             circ = [gate("H", 0), gate("T", 0), gate("H", 0), gate("CNOT", 0, 1)]
             out = [remote_xx(client, circ, rand_state(2, rng), rng) for _ in range(5)]

@@ -30,6 +30,7 @@ from qhevqa.rsp_gadget import (
     pair_byproduct,
     pooled,
     rsp_round_ideal,
+    rsp_rows,
     rsp_server_commit,
     rsp_server_measure,
     rsp_theta_index,
@@ -205,7 +206,7 @@ class TestRemotePreparation:
             matrices.extend(m.tobytes() for m in batch)
             return rsp_server_commit(batch, r)
 
-        round_ = claw_round(commit, rsp_server_measure, 8, deque())
+        round_ = claw_round(commit, rsp_server_measure, lambda: 1, deque(), cap=8)
         seen = set()
         for _ in range(40):
             idx, state = round_(rng)
@@ -244,6 +245,35 @@ class TestRemotePreparation:
         for shape in [(2, 4), (3, 3), (3,)]:
             with pytest.raises(GadgetError):
                 rsp_server_measure(states, np.zeros(shape, dtype=np.int64), rng)
+
+    def test_batch_size_rule(self):
+        # Eight rounds a gadget on average, plus three standard deviations
+        # (the variance is eight too), at most the cap.
+        assert [rsp_rows(t) for t in (1, 2, 22)] == [17, 28, 216]
+        assert rsp_rows(100) == RSP_BATCH and rsp_rows(1, cap=3) == 3
+
+    @pytest.mark.parametrize("gadgets", [1, 5, 22, 60])
+    def test_a_sized_batch_rarely_runs_dry(self, gadgets):
+        # Each of a gadget's four draws takes a geometric number of rounds
+        # with success probability 1/2; the batch covers all of them in more
+        # than 99 % of 20 000 simulated key generations.
+        draws = np.random.default_rng(gadgets).geometric(0.5, (20_000, 4 * gadgets))
+        assert (draws.sum(axis=1) > rsp_rows(gadgets, cap=10**6)).mean() < 0.01
+
+    def test_refills_are_sized_to_the_gadgets_left(self):
+        sizes, left = [], [3]
+
+        def commit(batch, r):
+            sizes.append(len(batch))
+            return rsp_server_commit(batch, r)
+
+        round_ = claw_round(commit, rsp_server_measure, lambda: left[0], deque())
+        rng = np.random.default_rng(13)
+        for _ in range(rsp_rows(3)):  # the first batch, sized for three gadgets
+            round_(rng)
+        left[0] = 1
+        round_(rng)  # the pool is dry: a batch for the one gadget left
+        assert sizes == [rsp_rows(3), rsp_rows(1)]
 
     def test_pool_serves_rounds_in_order_and_refills_only_when_empty(self):
         refills = []
@@ -488,7 +518,7 @@ class TestSamplers:
         # recovered angle and meets its acceptance test.
         rng = np.random.default_rng(11)
         round_, log = recording(
-            claw_round(rsp_server_commit, rsp_server_measure, RSP_BATCH, deque())
+            claw_round(rsp_server_commit, rsp_server_measure, lambda: 1, deque())
         )
         seen = []
         build(round_, 1, rng, lambda h, t, rej: seen.append((h, t)))
