@@ -26,12 +26,7 @@ from operator import xor
 
 import numpy as np
 
-from .simulator import (
-    StateVector,
-    apply_gate,
-    gate,
-    prepare_plus_theta,
-)
+from .simulator import StateVector, apply_circuit, gate, prepare_plus_theta
 from .vqa import MODES
 
 TRANSPORTS = ("local", "inproc", "tcp")
@@ -55,82 +50,22 @@ def load_config_file(path: str) -> dict[str, str]:
 # --- gadget demo ------------------------------------------------------------
 
 ANALYTIC_P0 = float(np.cos(pi / 8) ** 2)
-
-
-def _direct_probability_zero() -> float:
-    st = StateVector(1)
-    for g in ("H", "T", "H"):
-        st = apply_gate(st, gate(g, 0))
-    return float(abs(st.amplitudes[0]) ** 2)
-
-
-def _demo_tables():
-    """Precomputed padded inputs and the 16 possible gadgets.
-
-    The input |+> is padded with X^a Z^b and the T gate applied; the gadget
-    couples two pairs whose tails carry phase bits (0, 1). The demo tracks
-    its pad keys in the clear, so its gadgets carry no ciphertexts. Caching
-    these (there are only 4 x 16 combinations) keeps the per-shot work to one
-    gadget consumption, one Hadamard and one measurement.
-    """
-    from .pauli_frame import apply_pad
-    from .rsp_gadget import Gadget, assemble_gadget_state, theta_bits
-
-    plus = apply_gate(StateVector(1), gate("H", 0))
-    inputs = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            padded = apply_pad(plus, [(a, b)])
-            inputs[(a, b)] = apply_gate(padded, gate("T", 0))
-
-    resources = {}
-    for h0 in (0, 2):
-        for t0 in (0, 2):
-            for h1 in (0, 2):
-                for t1 in (1, 3):
-                    heads = [prepare_plus_theta(h0 * pi / 2), prepare_plus_theta(h1 * pi / 2)]
-                    tails = [prepare_plus_theta(t0 * pi / 2), prepare_plus_theta(t1 * pi / 2)]
-                    xs = (theta_bits(h0)[0], theta_bits(h1)[0])
-                    zs = (theta_bits(t0)[1], theta_bits(t1)[1])
-                    resources[(h0, t0, h1, t1)] = (
-                        Gadget(assemble_gadget_state(heads, tails), (), (), (), (), 0),
-                        xs,
-                        zs,
-                    )
-    return inputs, resources
-
-
-_DEMO_CACHE: tuple[dict, dict] | None = None
+DEMO_CIRCUIT = [gate("H", 0), gate("T", 0), gate("H", 0)]
 
 
 def _gadget_shot(rng: np.random.Generator) -> int:
-    """One shot of the gadget circuit with plaintext-tracked pad keys.
-
-    The input |+> is padded with X^a Z^b, the server applies T, and the P^a
-    byproduct is removed by consuming the gadget: position j carries phase
-    bit j, so the pair matching the pad bit a is the route. Keys update
-    classically from the preparation bits and Bell outcomes; the final
-    Hadamard swaps them; the measured bit is corrected by the final X key.
-    """
-    from .rsp_gadget import consume_gadget, pair_byproduct
+    """One shot of the demo circuit on |0> through the QHE scheme: keygen
+    with an ideal-RSP gadget, encryption, homomorphic evaluation (the T gate
+    consumes the gadget, routed by its key ciphertext), decryption and a
+    measurement."""
+    from .qhe import SECURITY, decrypt_state, encrypt, eval_circuit, keygen
     from .simulator import measure
 
-    global _DEMO_CACHE
-    if _DEMO_CACHE is None:
-        _DEMO_CACHE = _demo_tables()
-    inputs, resources = _DEMO_CACHE
-
-    a, b = int(rng.integers(2)), int(rng.integers(2))
-    h0, h1 = 2 * int(rng.integers(2)), 2 * int(rng.integers(2))
-    t0 = 2 * int(rng.integers(2))
-    t1 = 1 + 2 * int(rng.integers(2))
-    gadget, xs, zs = resources[(h0, t0, h1, t1)]
-    j = a  # route: the pair whose phase bit equals the pad key
-    out, (u, v) = consume_gadget(inputs[(a, b)], 0, gadget, j, rng)
-    _, db = pair_byproduct(xs[j], zs[j], j, u, v)
-    out = apply_gate(out, gate("H", 0))
-    bit, _ = measure(out, 0, rng)
-    return bit ^ b ^ db  # after H the X-type key is the previous Z-type key
+    ck, ek = keygen(SECURITY, 1, DEMO_CIRCUIT, rng)
+    cs, _ = encrypt(ck, StateVector(1), rng)
+    cs = eval_circuit(cs, DEMO_CIRCUIT, ek, rng)
+    bit, _ = measure(decrypt_state(ck, cs), 0, rng)
+    return bit
 
 
 def gadget_demo(shots: int, seed: int) -> dict:
@@ -138,7 +73,7 @@ def gadget_demo(shots: int, seed: int) -> dict:
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
-    p1_direct = 1.0 - _direct_probability_zero()
+    p1_direct = 1.0 - float(abs(apply_circuit(StateVector(1), DEMO_CIRCUIT).amplitudes[0]) ** 2)
     direct_ones = int(np.count_nonzero(rng.random(shots) < p1_direct))
     gadget_ones = sum(_gadget_shot(rng) for _ in range(shots))
     return {
@@ -199,7 +134,7 @@ def decompose_report_tallies(angle: float, axis: str = "X") -> dict:
 
 def cmd_decompose(args) -> int:
     from .simulator import ROTATION_1Q
-    from .skdecomp import decompose_circuit, trace_distance
+    from .skdecomp import decompose_circuit, ops_unitary, trace_distance
 
     kind = f"R{args.axis}"
     target = ROTATION_1Q[kind](args.angle)
@@ -211,9 +146,7 @@ def cmd_decompose(args) -> int:
         return 1
     dt = time.perf_counter() - t0
     ops = [g.kind for g in circuit]
-    achieved = np.eye(2, dtype=complex)
-    for g in circuit:
-        achieved = g.matrix() @ achieved
+    achieved = ops_unitary(ops)
     dist = trace_distance(achieved, target)
     tallies = {
         "T": ops.count("T"),
@@ -491,16 +424,19 @@ def check_conjugation():
     )
 
 
-def _pad_average_full(state: StateVector) -> np.ndarray:
-    """Exact average of the padded register's density matrix over all pads."""
+def _pad_average(state: StateVector, wires) -> np.ndarray:
+    """Exact average over every pad of ``wires`` of the padded register's
+    density matrix, reduced to ``wires``."""
     from .pauli_frame import apply_pad
+    from .simulator import reduced_density_matrix
 
-    n = state.num_qubits
-    acc = np.zeros((2**n, 2**n), dtype=complex)
-    for bits in product((0, 1), repeat=2 * n):
-        padded = apply_pad(state, list(zip(bits[::2], bits[1::2]))).amplitudes
-        acc += np.outer(padded, padded.conj())
-    return acc / 4**n
+    acc = 0
+    for bits in product((0, 1), repeat=2 * len(wires)):
+        pad = [(0, 0)] * state.num_qubits
+        for w, a, b in zip(wires, bits[::2], bits[1::2]):
+            pad[w] = (a, b)
+        acc = acc + reduced_density_matrix(apply_pad(state, pad), wires)
+    return acc / 4 ** len(wires)
 
 
 def check_pad_mixing(registers: int, seed: int):
@@ -508,7 +444,6 @@ def check_pad_mixing(registers: int, seed: int):
     of ``registers`` random 1-3 wire registers averaged over its pad, (b)
     every gadget wire averaged over the preparation ensemble of either
     twist, (c) the pad-averaged |00> and a random 2-wire state coincide."""
-    from .qhe import pad_average_density
     from .rsp_gadget import assemble_gadget_state, twist_bits
     from .simulator import trace_distance_dm
 
@@ -518,7 +453,7 @@ def check_pad_mixing(registers: int, seed: int):
         n = int(rng.integers(1, 4))
         psi = _random_state(n, rng)
         for w in range(n):
-            worst = max(worst, trace_distance_dm(pad_average_density(psi, w), mixed))
+            worst = max(worst, trace_distance_dm(_pad_average(psi, [w]), mixed))
 
     for k_bit in (0, 1):
         p = twist_bits(k_bit)
@@ -535,7 +470,7 @@ def check_pad_mixing(registers: int, seed: int):
         worst = max([worst] + [trace_distance_dm(rho / 16, mixed) for rho in acc])
 
     psi = _random_state(2, rng)
-    gap = float(np.max(np.abs(_pad_average_full(StateVector(2)) - _pad_average_full(psi))))
+    gap = float(np.max(np.abs(_pad_average(StateVector(2), [0, 1]) - _pad_average(psi, [0, 1]))))
     worst = max(worst, gap)
     return worst < 1e-12, (
         f"pad averages, gadget-wire averages and Enc(|0>) vs Enc(rho) all "

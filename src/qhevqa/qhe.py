@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 from operator import xor
 
 import numpy as np
@@ -279,15 +278,3 @@ def xx_sign(client: ClientKeys, level: int, encrypted_keys, wires: tuple[int, in
 def xx_expectation_sign(client: ClientKeys, cs: CipherState, wires: tuple[int, int]) -> int:
     """``xx_sign`` of a cipherstate's own keys."""
     return xx_sign(client, cs.level, cs.encrypted_keys, wires)
-
-
-def pad_average_density(state: StateVector, wire: int) -> np.ndarray:
-    """Average the wire's reduced state over all four pad keys (exact sum)."""
-    from .simulator import reduced_density_matrix
-
-    acc = np.zeros((2, 2), dtype=complex)
-    for a, b in product((0, 1), repeat=2):
-        pad = [(0, 0)] * state.num_qubits
-        pad[wire] = (a, b)
-        acc += reduced_density_matrix(apply_pad(state, pad), [wire])
-    return acc / 4.0

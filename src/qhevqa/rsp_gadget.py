@@ -93,11 +93,6 @@ def theta_bits(theta_index: int) -> tuple[int, int, int]:
     return int(theta_index == 2), int(theta_index in (1, 2)), theta_index & 1
 
 
-def pair_byproduct(x: int, z: int, p: int, u: int, v: int) -> tuple[int, int]:
-    """Pauli bits (da, db) accompanying the pair's Pdagger^p action."""
-    return x ^ v, z ^ u ^ (p & (x ^ v))
-
-
 # --- GF(2) trapdoor function and remote state preparation ------------------
 
 

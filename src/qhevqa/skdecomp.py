@@ -141,14 +141,6 @@ class GateSequence:
     def h_count(self) -> int:
         return self.ops.count("H")
 
-    def dagger(self) -> "GateSequence":
-        return GateSequence(
-            tuple(_INVERSE[op] for op in reversed(self.ops)), self.unitary.conj().T
-        )
-
-    def __add__(self, other: "GateSequence") -> "GateSequence":
-        return GateSequence(self.ops + other.ops, other.unitary @ self.unitary)
-
 
 @dataclass(frozen=True)
 class EpsilonNet:
@@ -286,6 +278,10 @@ def sk_decompose(u: np.ndarray, depth: int, net: EpsilonNet) -> GateSequence:
     return _sk(_to_su2(u), depth, net)
 
 
+def _inverse(ops: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(_INVERSE[op] for op in reversed(ops))
+
+
 def _sk(u: np.ndarray, depth: int, net: EpsilonNet) -> GateSequence:
     if depth == 0:
         return net.nearest(u)
@@ -297,10 +293,10 @@ def _sk(u: np.ndarray, depth: int, net: EpsilonNet) -> GateSequence:
     v, w = group_commutator_factors(delta)
     va = _sk(_to_su2(v), depth - 1, net)
     wa = _sk(_to_su2(w), depth - 1, net)
-    # Sequence-append order is application order, so the matrix product
-    # V W V^dag W^dag reads right-to-left from the appended sequence.
-    candidate = prev + wa.dagger() + va.dagger() + wa + va
-    candidate = GateSequence.from_ops(simplify_ops(candidate.ops))
+    # Op order is application order, so the matrix product V W V^dag W^dag
+    # reads right-to-left from the concatenated ops.
+    ops = prev.ops + _inverse(wa.ops) + _inverse(va.ops) + wa.ops + va.ops
+    candidate = GateSequence.from_ops(simplify_ops(ops))
     # The recursion can stall on a bad commutator fit; never get worse.
     if trace_distance(candidate.unitary, u) <= trace_distance(prev.unitary, u):
         return candidate
@@ -310,7 +306,6 @@ def _sk(u: np.ndarray, depth: int, net: EpsilonNet) -> GateSequence:
 def decompose_circuit(
     circuit: list[Gate],
     eps_target: float = DEFAULT_EPS_TARGET,
-    max_depth: int = MAX_DEPTH,
 ) -> tuple[list[Gate], int]:
     """Replace every rotation by a certified {H, T, Tdagger} sequence.
 
@@ -329,7 +324,7 @@ def decompose_circuit(
             raise DecompositionError(f"{g.kind} angle must be finite, got {g.angle}")
         u = ROTATION_1Q[g.kind](g.angle)
         seq = None
-        for depth in range(max_depth + 1):
+        for depth in range(MAX_DEPTH + 1):
             seq = sk_decompose(u, depth, net)
             if trace_distance(seq.unitary, u) <= eps_target:
                 break
@@ -337,7 +332,7 @@ def decompose_circuit(
         if trace_distance(seq.unitary, u) > eps_target:
             raise DecompositionError(
                 f"could not reach eps={eps_target} for {g.kind}({g.angle}) "
-                f"within depth {max_depth}"
+                f"within depth {MAX_DEPTH}"
             )
         (wire,) = g.wires
         out.extend(gate(op, wire) for op in seq.ops)

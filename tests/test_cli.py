@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 import qhevqa
+from qhevqa import qhe
+from qhevqa.classical_he import he_xor
 from qhevqa.cli import (
     ANALYTIC_P0,
     TRANSPORTS,
     build_parser,
+    check_gadget_contract,
     gadget_demo,
     load_config_file,
     main,
@@ -48,6 +51,20 @@ class TestGadgetDemo:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             gadget_demo(0, 0)
+
+    def test_contract_catches_a_broken_t_key_update(self, monkeypatch):
+        # The gadget shots run the scheme's own T-gate key update, so an
+        # update that drops the e correction leaves a wrong Z key behind and
+        # acceptance 1 fails.
+        real = qhe.gadget_key_update
+
+        def without_e(gadget, route, u, v, a_ct, b_ct, dagger=False):
+            a_new, b_new = real(gadget, route, u, v, a_ct, b_ct, dagger)
+            return a_new, he_xor(b_new, gadget.e_ct[route][v])
+
+        monkeypatch.setattr(qhe, "gadget_key_update", without_e)
+        ok, detail = check_gadget_contract(600, 7, 0.05)
+        assert not ok, detail
 
     def test_command_prints_table(self, capsys):
         rc = main(["gadget-demo", "--shots", "200", "--seed", "1"])

@@ -1159,7 +1159,12 @@ class TestDelegatedRuns:
         # and each run's decrypted sign. Re-recorded when RSP batches came to
         # be sized to the run's T count, with their rows packed, and each key
         # generation's gadgets to travel in one frame, with the signs
-        # unchanged. The RunRequest amplitudes carry no -0.0.
+        # unchanged, and again when the three inputs came to be drawn from
+        # their own generator, so that a change to how many draws provisioning
+        # takes leaves every run's input as it was. The RunRequest amplitudes
+        # carry no -0.0.
+        inputs = np.random.default_rng(6)
+        states = [rand_state(2, inputs) for _ in range(3)]
         channel, _session, thread = serve_inproc()
         transcript = hashlib.sha256()
         send, recv = channel.send_bytes, channel.recv_bytes
@@ -1180,17 +1185,14 @@ class TestDelegatedRuns:
             gate("H", 0), gate("T", 0), gate("CNOT", 0, 1), gate("Tdagger", 1), gate("H", 1),
         ]
         rng = np.random.default_rng(5)
-        runs = []
-        for _ in range(3):
-            psi = rand_state(2, rng)
-            runs.append((psi, *remote_xx(client, circ, psi, rng, (1, 0))))
+        runs = [(psi, *remote_xx(client, circ, psi, rng, (1, 0))) for psi in states]
         client.done()
         thread.join(timeout=5)
         for psi, sign, raw in runs:
             assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (1, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [-1, -1, -1]
         assert transcript.hexdigest() == (
-            "17b2912d5d91052880a2b6b8a45ba1c383db22c03acd8e6acb6427eba9b99e59"
+            "76b3ab4870077f86a3559721cb56f8935c0eef0ee0335dee7ff7be6efa1464e7"
         )
 
     def test_unknown_rsp_mode_is_refused(self):

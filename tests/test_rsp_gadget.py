@@ -27,7 +27,6 @@ from qhevqa.rsp_gadget import (
     gadget_key_update,
     gen_gadget,
     gen_measurement,
-    pair_byproduct,
     pooled,
     rsp_round_ideal,
     rsp_rows,
@@ -55,6 +54,13 @@ from qhevqa.simulator import (
 def rand_state(n, rng):
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return StateVector(n, v / np.linalg.norm(v))
+
+
+def pair_byproduct(x, z, p, u, v):
+    """The plain-bit oracle of one pair's teleportation: the Pauli bits
+    (da, db) accompanying its Pdagger^p action, the rule ``gadget_key_update``
+    applies under the HE."""
+    return x ^ v, z ^ u ^ (p & (x ^ v))
 
 
 def recording(round_):
@@ -93,10 +99,23 @@ class TestThetaBits:
             theta_bits(4)
 
     def test_pair_byproduct_formula(self):
-        for x, z, p, u, v in product((0, 1), repeat=5):
-            da, db = pair_byproduct(x, z, p, u, v)
-            assert da == x ^ v
-            assert db == z ^ u ^ (p & (x ^ v))
+        # gadget_key_update runs the oracle's rule under the HE: for every
+        # twist k, route j and Bell outcome (u, v), the decrypted key change
+        # is the byproduct of pair j's decrypted x and z and its phase bit
+        # j XOR k.
+        rng = np.random.default_rng(3)
+        l0 = he_keygen(16, rng, level=0)
+        l1 = he_keygen(16, rng, level=1)
+        sks = [l0.sk, l1.sk]
+        sk_enc = encrypt_seed(l1.pk, l0.sk, rng)
+        zero_a, zero_b = he_enc_bits(l0.pk, [0, 0], rng)
+        for k in (0, 1):
+            gadget, _ = gen_gadget(l1.pk, sk_enc, k, rng, rsp_round_ideal)
+            for j, u, v in product((0, 1), repeat=3):
+                keys = gadget_key_update(gadget, j, u, v, zero_a, zero_b)
+                x, z = he_dec(sks, gadget.x_ct[j]), he_dec(sks, gadget.z_ct[j])
+                want = pair_byproduct(x, z, j ^ k, u, v)
+                assert tuple(he_dec(sks, ct) for ct in keys) == want
 
 
 class TestSinglePairContract:

@@ -80,20 +80,6 @@ class TestSimplify:
 
 
 class TestGateSequence:
-    def test_dagger_inverts(self):
-        seq = GateSequence.from_ops(("H", "T", "H", "Tdagger"))
-        prod = seq.dagger().unitary @ seq.unitary
-        assert trace_distance(prod, np.eye(2)) == pytest.approx(0.0, abs=1e-7)
-
-    def test_add_is_application_order(self):
-        a = GateSequence.from_ops(("H",))
-        b = GateSequence.from_ops(("T",))
-        combined = a + b
-        assert combined.ops == ("H", "T")
-        np.testing.assert_allclose(
-            combined.unitary, FIXED_1Q["T"] @ FIXED_1Q["H"], atol=1e-12
-        )
-
     def test_counts(self):
         seq = GateSequence.from_ops(("T", "H", "T", "Tdagger", "H"))
         assert (seq.t_count, seq.tdg_count, seq.h_count) == (2, 1, 2)
@@ -186,7 +172,7 @@ class TestDecompose:
 
     def test_unreachable_target_raises(self):
         with pytest.raises(DecompositionError):
-            decompose_circuit([gate("RX", 0, angle=0.917)], eps_target=1e-9, max_depth=1)
+            decompose_circuit([gate("RX", 0, angle=0.917)], eps_target=1e-9)
 
     @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
     def test_non_finite_rotation_raises(self, angle):
