@@ -26,7 +26,7 @@ from operator import xor
 
 import numpy as np
 
-from .simulator import StateVector, apply_circuit, gate, prepare_plus_theta
+from .simulator import StateVector, apply_circuit, gate, prepare_plus_theta, random_state
 from .vqa import MODES
 
 TRANSPORTS = ("local", "inproc", "tcp")
@@ -329,11 +329,6 @@ SK_LIMIT_S = 120.0
 GRADIENT_LIMIT_S = 30.0
 
 
-def _random_state(n: int, rng: np.random.Generator) -> StateVector:
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return StateVector(n, v / np.linalg.norm(v))
-
-
 def check_gadget_contract(shots: int, seed: int, band: float):
     """Acceptance 1: the direct and the gadget T-gate circuits both read P(0)
     within ``band`` of cos^2(pi/8)."""
@@ -380,7 +375,7 @@ def check_qhe_roundtrip(count: int, seed: int):
         for _ in range(count):
             n = int(rng.integers(1, 7))
             circ = _random_clifford_t_circuit(n, rng)
-            psi = _random_state(n, rng)
+            psi = random_state(n, rng)
             ck, ek = keygen(SECURITY, n, circ, rng, rsp_mode=rsp_mode)
             cs, _ = encrypt(ck, psi, rng)
             cs = eval_circuit(cs, circ, ek, rng)
@@ -451,7 +446,7 @@ def check_pad_mixing(registers: int, seed: int):
     mixed, worst = np.eye(2) / 2, 0.0
     for _ in range(registers):
         n = int(rng.integers(1, 4))
-        psi = _random_state(n, rng)
+        psi = random_state(n, rng)
         for w in range(n):
             worst = max(worst, trace_distance_dm(_pad_average(psi, [w]), mixed))
 
@@ -469,7 +464,7 @@ def check_pad_mixing(registers: int, seed: int):
                 acc[2 * j + 1] += phi.T @ phi.conj()
         worst = max([worst] + [trace_distance_dm(rho / 16, mixed) for rho in acc])
 
-    psi = _random_state(2, rng)
+    psi = random_state(2, rng)
     gap = float(np.max(np.abs(_pad_average(StateVector(2), [0, 1]) - _pad_average(psi, [0, 1]))))
     worst = max(worst, gap)
     return worst < 1e-12, (
@@ -577,7 +572,6 @@ def check_protocol(frames: int, sessions: int, seed: int):
     from .protocol import (
         KINDS,
         PHASES,
-        VERSION,
         ClientSession,
         Message,
         ProtocolError,
@@ -624,7 +618,7 @@ def check_protocol(frames: int, sessions: int, seed: int):
         walks.append((*walk, session.phase))
     for hello, kind, payload in (
         (False, "RunRequest", {}),
-        (True, "Hello", {"version": VERSION, "session_seed": 1}),
+        (True, "Hello", {"session_seed": 1}),
     ):
         channel, session, thread = serve_inproc()
         if hello:

@@ -64,7 +64,6 @@ from .qhe import (
     CipherState,
     ClientKeys,
     EvalKey,
-    eval_circuit,
     keygen,
     t_count,
 )
@@ -89,15 +88,12 @@ from .simulator import (
     ROTATION_1Q,
     TWO_QUBIT_KINDS,
     Gate,
-    PauliString,
     StateVector,
-    apply_circuit,
-    expectation,
     gate,
 )
-from .vqa import exact_evaluator, faithful_evaluator, train
+from .vqa import exact_evaluator, faithful_evaluator, train, xx_run, xx_run_homomorphic
 
-VERSION = 8
+VERSION = 9
 MAX_FRAME = 16 * 1024 * 1024
 # Payloads a session keeps. A faithful window sends four, a delegated-exact
 # window one, its register and circuit, which decode to about 12 KB of lists
@@ -368,16 +364,13 @@ GADGET = Rec({"pairs": Seq(Seq(QID, 2, 2), 2, 2, True), "level": Int(1),
               "sk_enc": Seq(Ct("level"), SECURITY, SECURITY)})
 
 # Every reply the client takes, with bounds from the request: ``rows`` RSP
-# rounds asked for and a run's T count ``t_count``.
+# rounds asked for and a run's key ``level``, its T count.
 REPLIES = {
-    "Announce": Rec({"version": Int(VERSION, VERSION), "rsp_n": Int(RSP_N, RSP_N),
-                     "rsp_mu": Int(RSP_MU, RSP_MU), "rsp_batch": Int(1, RSP_BATCH)}),
     "RspCommit": Rec({"qids": QIDS, "y": Bits("rows", "rows", (RSP_MU,))}),
     "RspOutcome": Rec({"qids": QIDS, "b": Bits("rows", "rows", (RSP_N - 1,))}),
     "ShotResults": Rec({"value": Num()}),  # a run's one readout
-    "EncKeysUpdate": Rec({"level": Int("t_count", "t_count"),  # one row: a run is one shot
-                          "enc_keys": Seq(Seq(LEVEL_PAIR, 2, 2), 1, 1)}),
-    "GadgetClassical": OK, "CoupleInstr": OK,
+    "EncKeysUpdate": Rec({"enc_keys": Seq(Seq(LEVEL_PAIR, 2, 2), 1, 1)}),  # one row: one shot
+    "Announce": OK, "GadgetClassical": OK, "CoupleInstr": OK,
     "Done": Rec({}),
     "Error": Rec({"code": Str(), "text": Opt(Str(), "")}),
 }
@@ -401,8 +394,7 @@ def _run_request(use_gadgets: bool, kinds, wire_limit: int) -> Rec:
 
 
 SCHEMA = {
-    "Hello": Entry(("handshake",), Rec(
-        {"version": Int(), "session_seed": Int(), "mode": Opt(Str())})),
+    "Hello": Entry(("handshake",), Rec({"session_seed": Int(), "mode": Opt(Str())})),
     "RspBasis": Entry(OPEN, Variants(None, {
         "matrix": Rec({"matrix": Bits(1, RSP_BATCH, (RSP_MU, RSP_N))}),
         "alphas": Rec({"qids": Seq(QID, 1, RSP_BATCH, True),
@@ -506,10 +498,6 @@ def validate(spec, value, ctx):
 
 # --- server role ------------------------------------------------------------
 
-# What the client checks (the version and the claw function's size) and reads
-# (the largest RSP batch the server takes).
-ANNOUNCE = {"version": VERSION, "rsp_n": RSP_N, "rsp_mu": RSP_MU, "rsp_batch": RSP_BATCH}
-
 
 class ServerSession:
     """One server-side session: phase machine plus quantum/HE workloads.
@@ -578,11 +566,9 @@ class ServerSession:
     # -- handlers: each payload has passed ``validate`` --
 
     def _on_hello(self, p: dict) -> None:
-        if p["version"] != VERSION:
-            raise ProtocolError("version", f"client version {p['version']!r}")
         self.rng = np.random.default_rng(p["session_seed"])
         self.phase = "open"
-        self._reply("Announce", ANNOUNCE)
+        self._reply("Announce", {"ok": True})
 
     def _on_gadgetclassical(self, p: dict) -> None:
         """Acknowledge a declared count, or queue a frame's gadgets in order:
@@ -643,24 +629,21 @@ class ServerSession:
         updated (a, b) pairs in ``wires`` order; a compensated-circuit run
         leaves keys with the client."""
         circuit, wires = circuit_from_json(p["circuit"]), p["wires"]
-        out = amps_from_json(p["amps"], p["num_wires"])
-        if p["use_gadgets"]:
-            needed, queued = t_count(circuit), len(self.gadgets)
-            if needed > queued:
-                raise ProtocolError("budget", f"{needed} gadgets needed, {queued} queued")
-            if [g.level for g in self.gadgets[:needed]] != list(range(1, needed + 1)):
-                raise ProtocolError("order", "queued gadget levels are not 1..t in order")
-            run_gadgets, self.gadgets = self.gadgets[:needed], self.gadgets[needed:]
-            cs = CipherState(out, p["enc_keys"], 0)
-            cs = eval_circuit(cs, circuit, EvalKey(tuple(run_gadgets)), self.rng)
-            out = cs.register
-        else:
-            out = apply_circuit(out, circuit)
-        self._reply("ShotResults", {"value": expectation(out, PauliString(("X", "X"), wires))})
-        if p["use_gadgets"]:
-            pairs = [cs.encrypted_keys[w] for w in wires]
-            row = [[ct_to_hex(a), ct_to_hex(b)] for a, b in pairs]
-            self._reply("EncKeysUpdate", {"enc_keys": [row], "level": cs.level})
+        register = amps_from_json(p["amps"], p["num_wires"])
+        if not p["use_gadgets"]:
+            self._reply("ShotResults", {"value": xx_run(register, circuit, wires)})
+            return
+        needed, queued = t_count(circuit), len(self.gadgets)
+        if needed > queued:
+            raise ProtocolError("budget", f"{needed} gadgets needed, {queued} queued")
+        if [g.level for g in self.gadgets[:needed]] != list(range(1, needed + 1)):
+            raise ProtocolError("order", "queued gadget levels are not 1..t in order")
+        run_gadgets, self.gadgets = self.gadgets[:needed], self.gadgets[needed:]
+        value, _, keys = xx_run_homomorphic(CipherState(register, p["enc_keys"], 0), circuit,
+                                            wires, EvalKey(tuple(run_gadgets)), self.rng)
+        self._reply("ShotResults", {"value": value})
+        row = [[ct_to_hex(a), ct_to_hex(b)] for a, b in (keys[w] for w in wires)]
+        self._reply("EncKeysUpdate", {"enc_keys": [row]})
 
     def _on_done(self, p: dict) -> None:
         self.phase = "done"
@@ -750,13 +733,11 @@ class TcpServer:
 class ClientSession:
     """Client-side driver: handshake, gadget provisioning, delegated runs.
 
-    It keeps no phase: the server decides what is in order. It keeps the
-    largest RSP batch the server announced.
+    It keeps no phase: the server decides what is in order.
     """
 
     def __init__(self, channel: Channel):
         self.channel = channel
-        self.rsp_batch = RSP_BATCH
 
     # -- plumbing --
 
@@ -777,14 +758,9 @@ class ClientSession:
 
     # -- acknowledged steps --
 
-    def hello(self, session_seed: int, mode: str) -> dict:
-        announce = self._ask(
-            "Hello",
-            {"version": VERSION, "session_seed": int(session_seed), "mode": mode},
-            "Announce",
-        ).payload
-        self.rsp_batch = announce["rsp_batch"]
-        return announce
+    def hello(self, session_seed: int, mode: str) -> None:
+        """Open the session; the frame header carries the protocol version."""
+        self._ask("Hello", {"session_seed": int(session_seed), "mode": mode}, "Announce")
 
     def open_rsp(self, declared: int = 0) -> None:
         """Declare a gadget count, which the server acknowledges and drops."""
@@ -800,7 +776,7 @@ class ClientSession:
     def _round(self, pool: deque, left, flush=lambda: None):
         """The claw-based RSP round on the server, each yielding
         (theta_index, qid), pooled in batches that ``rsp_rows`` sizes to the
-        ``left()`` gadgets still to build, at most the announced batch.
+        ``left()`` gadgets still to build, at most ``RSP_BATCH``.
         ``flush()`` runs before each commit."""
 
         def commit(matrices, _rng):
@@ -816,7 +792,7 @@ class ClientSession:
                 raise ProtocolError("payload", "the outcomes are for other qids")
             return reply.payload["b"], qids
 
-        claw = claw_round(commit, measure, left, pool, self.rsp_batch)
+        claw = claw_round(commit, measure, left, pool)
 
         def round_(rng):
             try:
@@ -887,12 +863,13 @@ class ClientSession:
         enc_keys: tuple[tuple[HECiphertext, HECiphertext], ...] | None,
         circuit: list[Gate],
         wires: tuple[int, int],
-    ) -> tuple[float, dict | None]:
+    ) -> tuple[float, tuple | None]:
         """Run ``circuit`` once on the padded ``register`` and read out the
         <X x X> of ``wires``: homomorphically, on the gadgets provisioned for
         it, when ``enc_keys`` holds the register's level-0 key pairs. Returns
-        the raw value and, for a homomorphic run, the two wires' updated keys,
-        the key ciphertexts decoded."""
+        the raw value and, for a homomorphic run, the two wires' updated
+        (a, b) key pairs in ``wires`` order, decoded and checked to sit at the
+        run's T count."""
         payload = {"num_wires": register.num_qubits, "amps": amps_to_json(register),
                    "circuit": circuit_to_json(circuit), "wires": list(wires),
                    "use_gadgets": enc_keys is not None}
@@ -901,7 +878,8 @@ class ClientSession:
         value = self._ask("RunRequest", payload, "ShotResults").payload["value"]
         if enc_keys is None:
             return value, None
-        return value, self._recv("EncKeysUpdate", t_count=t_count(circuit)).payload
+        (row,) = self._recv("EncKeysUpdate", level=t_count(circuit)).payload["enc_keys"]
+        return value, row
 
     def done(self) -> None:
         try:
@@ -940,8 +918,8 @@ def make_faithful_evaluator(session: ClientSession, eps_target: float, rsp_mode:
         raise ProtocolError("mode", f"unknown rsp mode {rsp_mode!r}")
 
     def server_run(cs, circuit, wires, _ek, _rng):  # the gadgets are the server's
-        value, keys = session.request_run(cs.register, cs.encrypted_keys, circuit, wires)
-        return value, keys["level"], dict(zip(wires, keys["enc_keys"][0]))
+        value, row = session.request_run(cs.register, cs.encrypted_keys, circuit, wires)
+        return value, t_count(circuit), dict(zip(wires, row))
 
     return faithful_evaluator(session.provision, server_run, eps_target)
 

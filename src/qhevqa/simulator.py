@@ -327,6 +327,12 @@ def amplitude_encode(vector: Sequence[float], target_qubits: int) -> StateVector
     return StateVector(target_qubits, amps)
 
 
+def random_state(n: int, rng: np.random.Generator) -> StateVector:
+    """A Gaussian-drawn unit register of ``n`` qubits: the real parts are drawn first."""
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(n, v / np.linalg.norm(v))
+
+
 def fidelity(a: StateVector, b: StateVector) -> float:
     if a.num_qubits != b.num_qubits:
         raise SimulatorError("fidelity requires equal register widths")

@@ -18,8 +18,7 @@ from .simulator import FIXED_1Q, Gate, ROTATION_1Q, gate
 
 ALPHABET = ("H", "T", "Tdagger")
 _INVERSE = {"H": "H", "T": "Tdagger", "Tdagger": "T"}
-MAX_BASE_LENGTH = 16
-DEFAULT_BASE_LENGTH = 12
+BASE_LENGTH = 12  # the longest product in the net
 DEFAULT_DEPTH = 3
 DEFAULT_EPS_TARGET = 1e-2
 MAX_DEPTH = 5
@@ -52,32 +51,29 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def simplify_ops(ops: tuple[str, ...]) -> tuple[str, ...]:
-    """Cancel H pairs and reduce T-power runs modulo 8 (T^7 -> Tdagger)."""
-    out: list[str] = []
-    i = 0
-    ops_list = list(ops)
-    while i < len(ops_list):
-        op = ops_list[i]
+    """Cancel H pairs and reduce T-power runs modulo 8 (T^7 -> Tdagger).
+
+    One pass over a stack of syllables, each an H or a T power 1..7: an H
+    cancels an H on top, a T power merges with one on top, and a power that
+    vanishes leaves the syllable below on top, so it can cancel in turn.
+    """
+    stack: list = []
+    for op in ops:
         if op == "H":
-            if out and out[-1] == "H":
-                out.pop()
+            if stack and stack[-1] == "H":
+                stack.pop()
             else:
-                out.append("H")
-            i += 1
+                stack.append("H")
             continue
-        power = 0
-        while i < len(ops_list) and ops_list[i] in ("T", "Tdagger"):
-            power += 1 if ops_list[i] == "T" else 7
-            i += 1
-        power %= 8
-        reduced = ["T"] * power if power <= 4 else ["Tdagger"] * (8 - power)
-        out.extend(reduced)
-        # A vanished run can expose an H-H pair across where it stood.
-        if power == 0 and len(out) >= 2 and out[-1] == "H" and out[-2] == "H":
-            out.pop()
-            out.pop()
-    collapsed = tuple(out)
-    return collapsed if collapsed == ops else simplify_ops(collapsed)
+        power = 1 if op == "T" else 7
+        if stack and stack[-1] != "H":
+            power = (stack.pop() + power) % 8
+        if power:
+            stack.append(power)
+    out: list[str] = []
+    for syl in stack:
+        out += [syl] if syl == "H" else ["T"] * syl if syl <= 4 else ["Tdagger"] * (8 - syl)
+    return tuple(out)
 
 
 # T^p for p mod 8 with at most one T or Tdagger: T^2 = P, T^4 = Z, T^6 = Pdagger.
@@ -144,7 +140,7 @@ class GateSequence:
 
 @dataclass(frozen=True)
 class EpsilonNet:
-    """All distinct products up to ``build_net``'s length, shortest-sequence wins."""
+    """All distinct products up to ``BASE_LENGTH`` long, shortest-sequence wins."""
 
     sequences: tuple[GateSequence, ...]
     _stack: np.ndarray  # (N, 2, 2) cached unitaries for vectorized search
@@ -163,13 +159,11 @@ def _canonical_key(u: np.ndarray) -> bytes:
     return np.round(normalized, 9).tobytes()
 
 
-def build_net(max_length: int = DEFAULT_BASE_LENGTH) -> EpsilonNet:
-    if not 1 <= max_length <= MAX_BASE_LENGTH:
-        raise DecompositionError(f"base length must be 1..{MAX_BASE_LENGTH}")
+def build_net() -> EpsilonNet:
     seen: dict[bytes, tuple[str, ...]] = {_canonical_key(np.eye(2, dtype=complex)): ()}
     frontier: list[tuple[tuple[str, ...], np.ndarray]] = [((), np.eye(2, dtype=complex))]
     all_entries: list[tuple[tuple[str, ...], np.ndarray]] = list(frontier)
-    for _ in range(max_length):
+    for _ in range(BASE_LENGTH):
         nxt = []
         for ops, u in frontier:
             for sym in ALPHABET:
@@ -190,7 +184,7 @@ def build_net(max_length: int = DEFAULT_BASE_LENGTH) -> EpsilonNet:
 
 @lru_cache(maxsize=1)
 def default_net() -> EpsilonNet:
-    return build_net(DEFAULT_BASE_LENGTH)
+    return build_net()
 
 
 # --- balanced group commutator ---------------------------------------------

@@ -144,9 +144,10 @@ def _window_circuit(row: np.ndarray, v: int) -> list[Gate]:
     ]
 
 
-def _xx_plaintext(state: StateVector, circuit: list[Gate], wires: tuple[int, int]) -> float:
-    out = apply_circuit(state.copy(), circuit)
-    return expectation(out, PauliString(("X", "X"), wires))
+def xx_run(state: StateVector, circuit: list[Gate], wires: tuple[int, int]) -> float:
+    """The <X x X> of ``wires`` after ``circuit`` on ``state``: a delegated-exact
+    window's server step, local or remote."""
+    return expectation(apply_circuit(state, circuit), PauliString(("X", "X"), wires))
 
 
 # Window matrices put the first wire (a) most significant. CNOT(b, a) is
@@ -220,8 +221,8 @@ def _compensate(circuit: list[Gate], pad) -> tuple[list[Gate], list]:
 
 
 # A delegated window evaluation is one client procedure: pad the input, have a
-# server run the window, undo the pad on the value that comes back. Only the
-# server step differs between local simulation and the wire protocol.
+# server run the window, undo the pad on the value that comes back. The server
+# steps, ``xx_run`` and ``xx_run_homomorphic``, are also the remote server's.
 
 
 def exact_evaluator(server_run):
@@ -267,7 +268,9 @@ def _provision_local(num_wires, circuit, rng):
     return keygen(SECURITY, num_wires, circuit, rng)
 
 
-def _run_homomorphic_local(cs, circuit, wires, ek, rng):
+def xx_run_homomorphic(cs, circuit, wires, ek, rng):
+    """A delegated-faithful window's server step, local or remote: the
+    homomorphic run, its raw <X x X>, the final key level and encrypted keys."""
     out = eval_circuit(cs, circuit, ek, rng)
     raw = expectation(out.register, PauliString(("X", "X"), wires))
     return raw, out.level, out.encrypted_keys
@@ -280,8 +283,8 @@ def window_evaluator(mode: str, eps_target: float = DEFAULT_EPS_TARGET):
     if mode == "plaintext":
         return None
     if mode == "delegated-exact-gates":
-        return exact_evaluator(_xx_plaintext)
-    return faithful_evaluator(_provision_local, _run_homomorphic_local, eps_target)
+        return exact_evaluator(xx_run)
+    return faithful_evaluator(_provision_local, xx_run_homomorphic, eps_target)
 
 
 def _reduced_stack(states: list[StateVector], n: int) -> list[np.ndarray]:

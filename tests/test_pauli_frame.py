@@ -16,12 +16,7 @@ from qhevqa.pauli_frame import (
     update_clifford,
     verify_conjugation,
 )
-from qhevqa.simulator import FIXED_1Q, StateVector, apply_gate, fidelity, gate
-
-
-def rand_state(n, rng):
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return StateVector(n, v / np.linalg.norm(v))
+from qhevqa.simulator import FIXED_1Q, apply_gate, fidelity, gate, random_state
 
 
 class TestConjugationOracle:
@@ -80,7 +75,7 @@ class TestFrameUpdates:
             g = gate(kind, *wires)
             for _ in range(8):
                 pad = random_pad(2, rng)
-                psi = rand_state(2, rng)
+                psi = random_state(2, rng)
                 lhs = apply_gate(apply_pad(psi, pad), g)
                 update_clifford(pad, g)
                 rhs = apply_pad(apply_gate(psi, g), pad)
@@ -94,7 +89,7 @@ class TestFrameUpdates:
             pad = random_pad(1, rng)
             ok, new_keys, p = verify_conjugation(gate("T", 0), pad[0])
             assert ok and p == pad[0][0]
-            psi = rand_state(1, rng)
+            psi = random_state(1, rng)
             lhs = apply_gate(apply_pad(psi, pad), gate("T", 0))
             rhs = apply_pad(apply_gate(psi, gate("T", 0)), [new_keys])
             for _i in range(p):
@@ -124,7 +119,7 @@ class TestPadHelpers:
         rng = np.random.default_rng(3)
         x, z = FIXED_1Q["X"], FIXED_1Q["Z"]
         for _ in range(10):
-            psi = rand_state(3, rng)
+            psi = random_state(3, rng)
             pad = random_pad(3, rng)
             op = np.eye(1)
             for a, b in reversed(pad):  # wire 0 is the least significant bit

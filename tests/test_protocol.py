@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from qhevqa.classical_he import SUM, ct_to_bytes, he_const, he_enc, he_keygen
 from qhevqa.protocol import (
-    ANNOUNCE,
     AUDIT_LIMIT,
     Amps,
     Bits,
@@ -68,20 +67,20 @@ from qhevqa.rsp_gadget import (
     rsp_rows,
     sample_trapdoor,
 )
-from qhevqa.simulator import StateVector, fidelity, gate
+from qhevqa.simulator import StateVector, fidelity, gate, random_state
 from qhevqa.skdecomp import decompose_circuit, fold_t_runs
 from qhevqa.vqa import (
     REFERENCE_THETA_INIT,
     LabeledDataset,
     ShadowModel,
     TrainConfig,
-    _xx_plaintext,
     build_shadow_circuit,
     load_digits_csv,
     shadow_features,
     train,
     window_evaluator,
     write_metrics_csv,
+    xx_run,
 )
 
 
@@ -112,15 +111,11 @@ def hostile_key_hex(level, kind):
 
 
 def spoil_first_key(payload, kind):
-    """An ``EncKeysUpdate`` payload whose first key is a ``hostile_key_hex``."""
+    """A one-T run's ``EncKeysUpdate`` payload whose first key is a
+    ``hostile_key_hex`` at the run's level, 1."""
     (row,) = payload["enc_keys"]
-    first = [hostile_key_hex(payload["level"], kind), row[0][1]]
+    first = [hostile_key_hex(1, kind), row[0][1]]
     return {**payload, "enc_keys": [[first, *row[1:]]]}
-
-
-def rand_state(n, rng):
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return StateVector(n, v / np.linalg.norm(v))
 
 
 def hex_keys(cs):
@@ -135,8 +130,8 @@ def remote_xx(client, circuit, state, rng, wires=(0, 1)):
     wires' returned keys. Returns (sign, raw value)."""
     client_keys, _ = client.provision(state.num_qubits, circuit, rng)
     cs, _ = encrypt(client_keys, state, rng)
-    raw, keys = client.request_run(cs.register, cs.encrypted_keys, circuit, wires)
-    return xx_sign(client_keys, keys["level"], dict(zip(wires, keys["enc_keys"][0])), wires), raw
+    raw, row = client.request_run(cs.register, cs.encrypted_keys, circuit, wires)
+    return xx_sign(client_keys, t_count(circuit), dict(zip(wires, row)), wires), raw
 
 
 # One claw matrix, rows [1, 0, 1, 0], and one row of basis bits [0, 1, 0], packed.
@@ -161,7 +156,7 @@ def commit_rsp(channel, rows=1):
 
 class TestCodec:
     def test_round_trip(self):
-        msg = Message("Hello", {"version": 1, "session_seed": 7, "mode": "x"})
+        msg = Message("Hello", {"session_seed": 7, "mode": "x"})
         assert decode_message(encode_message(msg)) == msg
 
     def test_encoding_is_canonical(self):
@@ -257,7 +252,7 @@ class TestPhaseMachine:
 class TestConversions:
     def test_amps_round_trip(self):
         rng = np.random.default_rng(0)
-        psi = rand_state(3, rng)
+        psi = random_state(3, rng)
         back = amps_from_json(amps_to_json(psi), 3)
         assert fidelity(back, psi) == pytest.approx(1.0, abs=1e-12)
 
@@ -363,20 +358,25 @@ class TestInProcTransport:
 
 class TestServerSession:
     def test_handshake_announce(self):
+        # The reply to Hello is an acknowledgement: the frame header carries
+        # the version, and the version fixes the RSP sizes.
         channel, session, thread = serve_inproc()
-        client = ClientSession(channel)
-        announce = client.hello(0, "plaintext")
-        assert announce == ANNOUNCE
-        client.done()
+        channel.send(Message("Hello", {"session_seed": 0, "mode": "plaintext"}))
+        assert channel.recv() == Message("Announce", {"ok": True})
+        ClientSession(channel).done()
         thread.join(timeout=5)
         assert session.phase == "done"
 
     def test_version_mismatch_errors(self):
+        # The header's version byte is the one version check.
         channel, session, thread = serve_inproc()
-        channel.send(Message("Hello", {"version": 99, "session_seed": 0}))
+        frame = bytearray(encode_message(Message("Hello", {"session_seed": 0})))
+        frame[4] = VERSION - 1
+        channel.send_bytes(bytes(frame))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "version"
         thread.join(timeout=5)
+        assert session.closed
 
     def test_out_of_order_message_errors_without_crash(self):
         channel, session, thread = serve_inproc()
@@ -389,7 +389,7 @@ class TestServerSession:
     def test_second_hello_is_a_phase_error(self):
         channel, session, thread = serve_inproc()
         ClientSession(channel).hello(0, "x")
-        channel.send(Message("Hello", {"version": VERSION, "session_seed": 1}))
+        channel.send(Message("Hello", {"session_seed": 1}))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "phase"
         thread.join(timeout=5)
@@ -1077,10 +1077,10 @@ class TestDelegatedRuns:
         client = ClientSession(channel)
         client.hello(5, "x")
         rng = np.random.default_rng(5)
-        psi = rand_state(2, rng)
+        psi = random_state(2, rng)
         circ = [gate("H", 0), gate("CNOT", 0, 1)]
         value, keys = client.request_run(psi, None, circ, (0, 1))
-        assert value == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-10)
+        assert value == pytest.approx(xx_run(psi, circ, (0, 1)), abs=1e-10)
         assert keys is None
         client.done()
         thread.join(timeout=5)
@@ -1095,9 +1095,9 @@ class TestDelegatedRuns:
         rng = np.random.default_rng(11)
         h, t, cnot = gate("H", 0), gate("T", 0), gate("CNOT", 0, 1)
         for circ in [[h, t, gate("X", 0), t, h, cnot], [h, t, t, h, cnot]] * 4:
-            psi = rand_state(2, rng)
+            psi = random_state(2, rng)
             sign, raw = remote_xx(client, circ, psi, rng)
-            assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-9)
+            assert sign * raw == pytest.approx(xx_run(psi, circ, (0, 1)), abs=1e-9)
         client.done()
         thread.join(timeout=5)
 
@@ -1114,10 +1114,10 @@ class TestDelegatedRuns:
         for _ in range(6):
             n = int(rng.integers(2, 4))
             circ = _random_clifford_t_circuit(n, rng)
-            psi = rand_state(n, rng)
+            psi = random_state(n, rng)
             wires = tuple(int(w) for w in rng.choice(n, 2, replace=False))
             sign, raw = remote_xx(client, circ, psi, rng, wires)
-            assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, wires), abs=1e-9)
+            assert sign * raw == pytest.approx(xx_run(psi, circ, wires), abs=1e-9)
             signs.append(sign)
         client.done()
         thread.join(timeout=5)
@@ -1137,7 +1137,7 @@ class TestDelegatedRuns:
         rng = np.random.default_rng(7)
         runs = []
         for _ in range(16):
-            psi = rand_state(3, rng)
+            psi = random_state(3, rng)
             runs.append((psi, *remote_xx(client, circ, psi, rng, (2, 0))))
         client.done()
         thread.join(timeout=5)
@@ -1148,23 +1148,25 @@ class TestDelegatedRuns:
         # the plaintext <X x X>. Re-pinned at protocol version 8: RSP batches
         # sized to a run's T count move the client's later draws, its pads.
         for psi, sign, raw in runs:
-            assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (2, 0)), abs=1e-9)
+            assert sign * raw == pytest.approx(xx_run(psi, circ, (2, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [
             -1, -1, -1, 1, 1, -1, -1, -1, 1, -1, 1, -1, -1, 1, 1, -1,
         ]
 
     def test_golden_faithful_transcript(self):
         # Every frame both ways of a small claw-based RSP session of three
-        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 8,
+        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 9,
         # and each run's decrypted sign. Re-recorded when RSP batches came to
         # be sized to the run's T count, with their rows packed, and each key
         # generation's gadgets to travel in one frame, with the signs
-        # unchanged, and again when the three inputs came to be drawn from
-        # their own generator, so that a change to how many draws provisioning
-        # takes leaves every run's input as it was. The RunRequest amplitudes
-        # carry no -0.0.
+        # unchanged; again when the three inputs came to be drawn from their
+        # own generator, so that a change to how many draws provisioning
+        # takes leaves every run's input as it was; and again when Hello lost
+        # its version, Announce became an acknowledgement and EncKeysUpdate
+        # lost its level, with every sign and raw value unchanged. The
+        # RunRequest amplitudes carry no -0.0.
         inputs = np.random.default_rng(6)
-        states = [rand_state(2, inputs) for _ in range(3)]
+        states = [random_state(2, inputs) for _ in range(3)]
         channel, _session, thread = serve_inproc()
         transcript = hashlib.sha256()
         send, recv = channel.send_bytes, channel.recv_bytes
@@ -1189,10 +1191,10 @@ class TestDelegatedRuns:
         client.done()
         thread.join(timeout=5)
         for psi, sign, raw in runs:
-            assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (1, 0)), abs=1e-9)
+            assert sign * raw == pytest.approx(xx_run(psi, circ, (1, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [-1, -1, -1]
         assert transcript.hexdigest() == (
-            "76b3ab4870077f86a3559721cb56f8935c0eef0ee0335dee7ff7be6efa1464e7"
+            "695ab97c462a96d3db54ded1bdd53cf991a54d31924ca5ea53b2946b79306ea7"
         )
 
     def test_unknown_rsp_mode_is_refused(self):
@@ -1231,7 +1233,7 @@ class TestDelegatedRuns:
             0.0,
             4,
         )
-        psi = rand_state(4, np.random.default_rng(4))
+        psi = random_state(4, np.random.default_rng(4))
         circ = build_shadow_circuit(model, 2)
         remote = evaluator(psi, circ, (1, 2), np.random.default_rng(42))
         local = window_evaluator("delegated-exact-gates")(
@@ -1252,10 +1254,10 @@ class TestDelegatedRuns:
             0.0,
             2,
         )
-        psi = rand_state(2, np.random.default_rng(6))
+        psi = random_state(2, np.random.default_rng(6))
         circ = build_shadow_circuit(model, 1)
         got = evaluator(psi, circ, (0, 1), np.random.default_rng(13))
-        want = _xx_plaintext(psi, circ, (0, 1))
+        want = xx_run(psi, circ, (0, 1))
         assert got == pytest.approx(want, abs=0.15)
         client.done()
         thread.join(timeout=5)
@@ -1271,7 +1273,7 @@ class TestDelegatedRuns:
         channel.send = lambda msg: (sent.append(msg.kind), send(msg))[-1]
         evaluator = make_faithful_evaluator(client, eps_target=0.1)
         model = ShadowModel(np.zeros((2, 4)), np.zeros(2), 0.0, 3)
-        psi = rand_state(3, np.random.default_rng(15))
+        psi = random_state(3, np.random.default_rng(15))
         got = shadow_features(
             psi, model, "delegated-faithful", np.random.default_rng(16), 0.1, evaluator
         )
@@ -1289,7 +1291,7 @@ class TestDelegatedRuns:
         client.hello(17, "delegated-faithful")
         evaluator = make_faithful_evaluator(client, eps_target=0.3)
         model = ShadowModel(REFERENCE_THETA_INIT, np.zeros(2), 0.0, 3)
-        psi = rand_state(3, np.random.default_rng(17))
+        psi = random_state(3, np.random.default_rng(17))
         got = shadow_features(psi, model, "delegated-faithful", np.random.default_rng(18),
                               0.3, evaluator)
         client.done()
@@ -1303,9 +1305,9 @@ class TestDelegatedRuns:
         client.hello(16, "x")
         rng = np.random.default_rng(16)
         for circ in ([gate("H", 0), gate("T", 0)], [gate("X", 0), gate("CNOT", 0, 1)]):
-            psi = rand_state(2, rng)
+            psi = random_state(2, rng)
             sign, raw = remote_xx(client, circ, psi, rng)
-            assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-9)
+            assert sign * raw == pytest.approx(xx_run(psi, circ, (0, 1)), abs=1e-9)
         client.done()
         thread.join(timeout=5)
 
@@ -1320,20 +1322,19 @@ class TestDelegatedRuns:
         client.hello(31, "x")
         rng = np.random.default_rng(31)
         circ = [gate("CNOT", 0, 1), gate("T", 0)]
-        psi = rand_state(2, rng)
+        psi = random_state(2, rng)
         client_keys, _ = client.provision(2, circ, rng)
         cs, pad = encrypt(client_keys, psi, rng)
         (a0, b0), (_, b1) = cs.encrypted_keys
         pad = [pad[0], (pad[0][0], pad[1][1])]
-        raw, keys = client.request_run(apply_pad(psi, pad), ((a0, b0), (a0, b1)), circ, (0, 1))
+        raw, row = client.request_run(apply_pad(psi, pad), ((a0, b0), (a0, b1)), circ, (0, 1))
         client.done()
         thread.join(timeout=5)
-        (row,), level = keys["enc_keys"], keys["level"]
-        assert level == 1 and row[1][0] == he_const(0, 1)
-        final = decrypt_keys(client_keys, CipherState(StateVector(2), row, level))
+        assert row[1][0] == he_const(0, 1)  # one T: the keys sit at level 1
+        final = decrypt_keys(client_keys, CipherState(StateVector(2), row, 1))
         assert final[1] == (0, pad[1][1])
-        sign = xx_sign(client_keys, level, dict(enumerate(row)), (0, 1))
-        assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-9)
+        sign = xx_sign(client_keys, 1, dict(enumerate(row)), (0, 1))
+        assert sign * raw == pytest.approx(xx_run(psi, circ, (0, 1)), abs=1e-9)
 
     def test_local_and_remote_exact_training_give_identical_csvs(self, tmp_path):
         full = load_digits_csv()
@@ -1392,7 +1393,7 @@ class TestGadgetBudget:
         send = channel.send
         channel.send = lambda msg: (sent.append(msg), send(msg))[-1]
         evaluator = make_faithful_evaluator(client, eps_target=self.EPS)
-        evaluator(rand_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
+        evaluator(random_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
         client.done()
         thread.join(timeout=30)
         frames = [m.payload for m in sent if m.kind == "GadgetClassical"]
@@ -1412,7 +1413,7 @@ class TestGadgetBudget:
         channel.send = lambda msg: (sent.update([msg.kind]), send(msg))[-1]
         channel.recv = lambda: (lambda msg: (received.update([msg.kind]), msg)[-1])(recv())
         evaluator = make_faithful_evaluator(client, eps_target=self.EPS)
-        evaluator(rand_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
+        evaluator(random_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
         client.done()
         thread.join(timeout=30)
         assert sent == {"RspBasis": 2, "GadgetClassical": 1, "RunRequest": 1, "Done": 1}
@@ -1441,7 +1442,7 @@ class TestGadgetBudget:
         send = channel.send
         channel.send = lambda msg: (sent.append(msg), send(msg))[-1]
         rng = np.random.default_rng(44)
-        psi = rand_state(2, rng)
+        psi = random_state(2, rng)
         sign, raw = remote_xx(client, circ, psi, rng)
         client.done()
         thread.join(timeout=30)
@@ -1451,7 +1452,7 @@ class TestGadgetBudget:
         frames = [m.payload["gadgets"] for m in sent if m.kind == "GadgetClassical"]
         assert sum(map(len, frames)) == 100
         assert max(held) <= MAX_HELD and not session.qubits and not session.pending
-        assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-9)
+        assert sign * raw == pytest.approx(xx_run(psi, circ, (0, 1)), abs=1e-9)
 
     def test_local_keygen_makes_one_gadget_per_folded_t(self, monkeypatch):
         circ, budget = self.window()
@@ -1464,7 +1465,7 @@ class TestGadgetBudget:
 
         monkeypatch.setattr(vqa, "keygen", counting_keygen)
         evaluate = window_evaluator("delegated-faithful", self.EPS)
-        evaluate(rand_state(2, np.random.default_rng(20)), circ, (0, 1), np.random.default_rng(21))
+        evaluate(random_state(2, np.random.default_rng(20)), circ, (0, 1), np.random.default_rng(21))
         assert made == [budget]
 
 
@@ -1532,31 +1533,33 @@ class TestHostileReplies:
         idx, qid = self.round_with_replies(COMMIT, OUTCOME)
         assert idx in range(4) and qid == 0
 
+    # Version 8's Announce; the version now fixes what it carried.
+    VERSION_8_ANNOUNCE = {"version": 8, "rsp_n": RSP_N, "rsp_mu": RSP_MU, "rsp_batch": RSP_BATCH}
+
     @pytest.mark.parametrize("spoil", [
-        {"rsp_batch": 0}, {"rsp_batch": RSP_BATCH + 1}, {"rsp_batch": True}, {"rsp_n": 5},
-        {"version": VERSION - 1}, {"max_wires": "20"}, {"gate_set": "H"}, {"extra": 1},
-        {"max_wires": 20}, {"gate_set": ["H", "T"]},  # well-typed fields of version 5
+        VERSION_8_ANNOUNCE, {**VERSION_8_ANNOUNCE, "ok": True},
+        {"ok": True, "version": VERSION}, {"ok": True, "rsp_n": RSP_N},
+        {"ok": True, "rsp_mu": RSP_MU}, {"ok": True, "rsp_batch": RSP_BATCH},
+        {"ok": True, "max_wires": 20}, {"ok": True, "gate_set": ["H", "T"]},  # of version 5
+        {"ok": False}, {"ok": 1},
     ])
     def test_malformed_announce_is_a_protocol_error(self, spoil):
+        # The Announce is an acknowledgement: one that carries a field of an
+        # earlier version's Announce, or a malformed ``ok``, is refused.
         client_end, server_end = make_inproc_pair()
-        server_end.send(Message("Announce", {**ANNOUNCE, **spoil}))
+        server_end.send(Message("Announce", spoil))
         with pytest.raises(ProtocolError) as exc:
             ClientSession(client_end).hello(0, "x")
         assert exc.value.code == "payload"
 
-    def test_batches_take_the_announced_size(self):
+    def test_announce_of_another_version_is_refused(self):
         client_end, server_end = make_inproc_pair()
-        server_end.send(Message("Announce", {**ANNOUNCE, "rsp_batch": 3}))
-        client = ClientSession(client_end)
-        client.hello(0, "x")
-        server_end.send(Message("RspCommit", {"qids": [7, 8, 9], "y": [0] * 3}))
-        server_end.send(Message("RspOutcome", {"qids": [7, 8, 9], "b": [B] * 3}))
-        pool = deque()
-        _, qid = client._round(pool, lambda: 1)(np.random.default_rng(0))
-        sent = [server_end.recv() for _ in range(3)]
-        assert [m.kind for m in sent] == ["Hello", "RspBasis", "RspBasis"]
-        assert len(sent[1].payload["matrix"]) == 3 and sent[2].payload["qids"] == [7, 8, 9]
-        assert qid == 7 and [q for _, q in pool] == [8, 9]
+        frame = bytearray(encode_message(Message("Announce", {"ok": True})))
+        frame[4] = VERSION - 1
+        server_end.send_bytes(bytes(frame))
+        with pytest.raises(ProtocolError) as exc:
+            ClientSession(client_end).hello(0, "x")
+        assert exc.value.code == "version"
 
     @pytest.mark.parametrize("payload", [{"code": [1]}, {"code": "x", "text": 7}, {}])
     def test_malformed_error_is_a_protocol_error_with_a_str_code(self, payload):
@@ -1608,8 +1611,7 @@ class TestHostileReplies:
         ("ShotResults", lambda p: {"bits": []}, "qhe"),
         ("ShotResults", lambda p: {"value": True}, "qhe"),
         ("ShotResults", lambda p: {**p, "bits": [0, 1]}, "qhe"),
-        ("EncKeysUpdate", lambda p: {**p, "level": -1}, "qhe"),
-        ("EncKeysUpdate", lambda p: {**p, "level": 2}, "qhe"),
+        ("EncKeysUpdate", lambda p: {**p, "level": 1}, "qhe"),
         ("EncKeysUpdate", lambda p: {**p, "enc_keys": [p["enc_keys"][0] * 2]}, "qhe"),
         ("EncKeysUpdate", lambda p: {**p, "enc_keys": []}, "qhe"),
         ("EncKeysUpdate", lambda p: spoil_first_key(p, "above"), "qhe"),
@@ -1618,7 +1620,7 @@ class TestHostileReplies:
         ("EncKeysUpdate", lambda p: spoil_first_key(p, "repeat"), "qhe"),
         ("EncKeysUpdate", lambda p: spoil_first_key(p, 4), "qhe"),
     ], ids=["no-values", "no-value", "value-not-a-number", "bit-row-without-the-bit",
-            "value-a-bool", "value-and-bits", "negative-level", "level-past-the-chain",
+            "value-a-bool", "value-and-bits", "level-of-v8",
             "key-row-with-an-extra-pair", "no-key-row", "key-xor-over-two-levels",
             "key-switch-without-key-bits", "key-leaves-out-of-order", "key-leaf-repeated",
             "key-constant-op"])
@@ -1635,7 +1637,7 @@ class TestHostileReplies:
         with pytest.raises(ProtocolError) as exc:
             if run == "xx":
                 window = [gate("RX", 0, angle=0.3), gate("CNOT", 0, 1)]
-                make_exact_evaluator(client)(rand_state(2, rng), window, (0, 1), rng)
+                make_exact_evaluator(client)(random_state(2, rng), window, (0, 1), rng)
             else:
                 remote_xx(client, [gate("H", 0), gate("T", 0)], StateVector(2), rng)
         assert exc.value.code == "payload"
@@ -1659,32 +1661,29 @@ def take_round(client):
 def take_qhe_run(client):
     """What ``remote_xx`` reads of a one-T run's replies (it then decrypts)."""
     cs, wires = padded_input(), (1, 0)
-    value, keys = client.request_run(cs.register, cs.encrypted_keys, [gate("T", 0)], wires)
-    return keys["level"], dict(zip(wires, keys["enc_keys"][0])), value
+    value, row = client.request_run(cs.register, cs.encrypted_keys, [gate("T", 0)], wires)
+    return dict(zip(wires, row)), value
 
 
 def take_exact_window(client):
     rng = np.random.default_rng(2)
     window = [gate("RX", 0, angle=0.3), gate("CNOT", 0, 1)]
-    return make_exact_evaluator(client)(rand_state(2, rng), window, (0, 1), rng)
+    return make_exact_evaluator(client)(random_state(2, rng), window, (0, 1), rng)
 
 
 # Per reply form: the client call that takes it, the request values its
 # bounds name, and well-formed replies that go before and after it.
 ReplyTaker = namedtuple("ReplyTaker", "call bounds before after", defaults=((), ()))
-ROWS = 2  # the RSP batch the client asks for
 REPLY_TAKERS = {
     "Announce": ReplyTaker(lambda client: client.hello(0, "x"), {}),
     "GadgetClassical": ReplyTaker(TestHostileReplies.ACK_CALLS["GadgetClassical"], {}),
     "CoupleInstr": ReplyTaker(TestHostileReplies.ACK_CALLS["CoupleInstr"], {}),
     "Done": ReplyTaker(TestHostileReplies.ACK_CALLS["Done"], {}),
     "Error": ReplyTaker(lambda client: client.open_rsp(0), {}),
-    "RspCommit": ReplyTaker(take_round, {"rows": ROWS}, after=(
-        Message("RspOutcome", {"qids": [0, 1], "b": [B] * ROWS}),)),
-    "RspOutcome": ReplyTaker(take_round, {"rows": ROWS}, before=(
-        Message("RspCommit", {"qids": [0, 1], "y": [0] * ROWS}),)),
+    "RspCommit": ReplyTaker(take_round, {"rows": K}, after=(OUTCOME,)),
+    "RspOutcome": ReplyTaker(take_round, {"rows": K}, before=(COMMIT,)),
     "ShotResults": ReplyTaker(take_exact_window, {}),
-    "EncKeysUpdate": ReplyTaker(take_qhe_run, {"t_count": 1}, before=(
+    "EncKeysUpdate": ReplyTaker(take_qhe_run, {"level": 1}, before=(
         Message("ShotResults", {"value": 0.5}),)),
 }
 
@@ -1709,10 +1708,8 @@ class TestReplyProperty:
         client_end, server_end = make_inproc_pair()
         for msg in (*taker.before, reply, *taker.after):
             server_end.send(msg)
-        client = ClientSession(client_end)
-        client.rsp_batch = ROWS
         try:
-            taker.call(client)
+            taker.call(ClientSession(client_end))
         except ProtocolError:
             pass
 
@@ -1724,7 +1721,7 @@ class TestServerBlindness:
     ``AUDIT_FRAME`` bytes as its fields' lengths)."""
 
     PUBLIC_FIELDS = {
-        "Hello": {"version", "session_seed", "mode"},
+        "Hello": {"session_seed", "mode"},
         "GadgetClassical": {"declare", "gadgets", "discard"},
         "RspBasis": {"matrix", "qids", "alphas"},
         "CoupleInstr": {"close"},
@@ -1748,7 +1745,7 @@ class TestServerBlindness:
         model = ShadowModel(
             np.random.default_rng(7).uniform(0, 2 * np.pi, (2, 4)), np.zeros(1), 0.0, 2
         )
-        psi = rand_state(2, np.random.default_rng(8))
+        psi = random_state(2, np.random.default_rng(8))
         evaluate = make_evaluator(client)
         evaluate(psi, build_shadow_circuit(model, 1), (0, 1), np.random.default_rng(9))
         client.done()
@@ -1831,7 +1828,7 @@ class TestServerMemory:
         evaluator = make_faithful_evaluator(client, eps_target=0.1)
         model = ShadowModel(REFERENCE_THETA_INIT, np.zeros(1), 0.0, 2)
         circ = build_shadow_circuit(model, 1)
-        evaluator(rand_state(2, np.random.default_rng(42)), circ, (0, 1), np.random.default_rng(43))
+        evaluator(random_state(2, np.random.default_rng(42)), circ, (0, 1), np.random.default_rng(43))
         assert not session.qubits and not session.pending
         client.done()
         thread.join(timeout=30)
@@ -1871,9 +1868,9 @@ class TestTcpTransport:
             rng = np.random.default_rng(21)
             circ = [gate("H", 0), gate("T", 0), gate("H", 0), gate("CNOT", 0, 1)]
             for _ in range(3):
-                psi = rand_state(2, rng)
+                psi = random_state(2, rng)
                 sign, raw = remote_xx(client, circ, psi, rng)
-                assert sign * raw == pytest.approx(_xx_plaintext(psi, circ, (0, 1)), abs=1e-9)
+                assert sign * raw == pytest.approx(xx_run(psi, circ, (0, 1)), abs=1e-9)
             client.done()
         finally:
             server.stop()
@@ -1886,8 +1883,8 @@ class TestTcpTransport:
             try:
                 client = ClientSession(connect_tcp("127.0.0.1", server.port))
                 client.hello(seed, "x")
-                psi = rand_state(2, np.random.default_rng(seed))
-                want = _xx_plaintext(psi, [gate("H", 0)], (0, 1))
+                psi = random_state(2, np.random.default_rng(seed))
+                want = xx_run(psi, [gate("H", 0)], (0, 1))
                 for _ in range(5):
                     value, _ = client.request_run(psi, None, [gate("H", 0)], (0, 1))
                     assert value == pytest.approx(want, abs=1e-12)
@@ -1913,7 +1910,7 @@ class TestTcpTransport:
             client.hello(33, "x")
             rng = np.random.default_rng(33)
             circ = [gate("H", 0), gate("T", 0), gate("H", 0), gate("CNOT", 0, 1)]
-            out = [remote_xx(client, circ, rand_state(2, rng), rng) for _ in range(5)]
+            out = [remote_xx(client, circ, random_state(2, rng), rng) for _ in range(5)]
             client.done()
             return out
 

@@ -25,12 +25,8 @@ from qhevqa.simulator import (
     gate,
     measure,
     PauliString,
+    random_state,
 )
-
-
-def rand_state(n, rng):
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return StateVector(n, v / np.linalg.norm(v))
 
 
 def rand_circuit(num_wires, rng, n_gates=8, max_t=3):
@@ -51,7 +47,7 @@ def rand_circuit(num_wires, rng, n_gates=8, max_t=3):
 
 def round_trip(circuit, num_wires, rng, rsp_mode="ideal"):
     client, server = keygen(16, num_wires, circuit, rng, rsp_mode=rsp_mode)
-    psi = rand_state(num_wires, rng)
+    psi = random_state(num_wires, rng)
     cs, _pad = encrypt(client, psi, rng)
     out = eval_circuit(cs, circuit, server, rng)
     got = decrypt_state(client, out)
@@ -127,7 +123,7 @@ class TestKeygenValidation:
     def test_eval_rejects_budget_overrun(self):
         rng = np.random.default_rng(10)
         client, server = keygen(16, 1, [gate("T", 0)], rng)
-        cs, _ = encrypt(client, rand_state(1, rng), rng)
+        cs, _ = encrypt(client, random_state(1, rng), rng)
         with pytest.raises(QHEError):
             eval_circuit(cs, [gate("T", 0), gate("T", 0)], server, rng)
 
@@ -154,14 +150,14 @@ class TestKeygenValidation:
         rng = np.random.default_rng(11)
         client, _ = keygen(16, 2, [], rng)
         with pytest.raises(QHEError):
-            encrypt(client, rand_state(1, rng), rng)
+            encrypt(client, random_state(1, rng), rng)
 
 
 class TestDecryption:
     def test_decrypt_keys_matches_frame_at_level_zero(self):
         rng = np.random.default_rng(12)
         client, _ = keygen(16, 3, [], rng)
-        cs, pad = encrypt(client, rand_state(3, rng), rng)
+        cs, pad = encrypt(client, random_state(3, rng), rng)
         assert decrypt_keys(client, cs) == pad
 
     def test_outcome_correction_z_basis(self):
@@ -185,7 +181,7 @@ class TestDecryption:
     def test_xx_expectation_sign(self):
         rng = np.random.default_rng(15)
         client, server = keygen(16, 2, [], rng)
-        psi = rand_state(2, rng)
+        psi = random_state(2, rng)
         obs = PauliString(("X", "X"), (0, 1))
         want = expectation(psi, obs)
         for _ in range(10):
@@ -219,7 +215,7 @@ def deep_cipherstate(seed):
     rng = np.random.default_rng(seed)
     circ = deep_circuit(rng)
     client, server = keygen(16, 4, circ, rng)
-    cs, _ = encrypt(client, rand_state(4, rng), rng)
+    cs, _ = encrypt(client, random_state(4, rng), rng)
     return client, eval_circuit(cs, circ, server, rng)
 
 
@@ -252,7 +248,7 @@ class TestOnePassDecryption:
             rng = np.random.default_rng(100 + seed)
             circ = deep_circuit(rng)
             client, server = keygen(16, 4, circ, rng)
-            cs, _ = encrypt(client, rand_state(4, rng), rng)
+            cs, _ = encrypt(client, random_state(4, rng), rng)
             for g in server.gadgets:
                 for ct in (*g.x_ct, *g.z_ct, *g.e_ct[0], *g.e_ct[1]):
                     digest.update(ct_to_bytes(ct))
@@ -267,7 +263,7 @@ class TestOnePassDecryption:
         rng = np.random.default_rng(20)
         circ = [gate("T", 0), gate("CNOT", 0, 1), gate("Tdagger", 2)]
         client, server = keygen(16, 3, circ, rng)
-        cs = eval_circuit(encrypt(client, rand_state(3, rng), rng)[0], circ, server, rng)
+        cs = eval_circuit(encrypt(client, random_state(3, rng), rng)[0], circ, server, rng)
         passes, one_pass = [], qhe._dec
 
         def counted(sk, *roots):
@@ -287,12 +283,12 @@ class TestBlindness:
         rng = np.random.default_rng(18)
         circ = [gate("T", 0), gate("H", 0), gate("Tdagger", 0)]
         client, server = keygen(16, 1, circ, rng)
-        cs, _ = encrypt(client, rand_state(1, rng), rng)
+        cs, _ = encrypt(client, random_state(1, rng), rng)
         out = eval_circuit(cs, circ, server, rng)
         assert out.level == 2
         assert fidelity(
             decrypt_state(client, out),
-            apply_circuit(rand_state(1, np.random.default_rng(18)), circ),
+            apply_circuit(random_state(1, np.random.default_rng(18)), circ),
         ) >= 0  # level bookkeeping only; state check covered elsewhere
 
     def test_multi_wire_keys_follow_gadget_level(self):
@@ -301,7 +297,7 @@ class TestBlindness:
         rng = np.random.default_rng(19)
         circ = [gate("T", 0), gate("CNOT", 0, 1)]
         client, server = keygen(16, 2, circ, rng)
-        psi = rand_state(2, rng)
+        psi = random_state(2, rng)
         cs, _ = encrypt(client, psi, rng)
         out = eval_circuit(cs, circ, server, rng)
         got = decrypt_state(client, out)

@@ -46,14 +46,10 @@ from qhevqa.simulator import (
     measure,
     permute_wires,
     prepare_plus_theta,
+    random_state,
     remove_wire,
     tensor,
 )
-
-
-def rand_state(n, rng):
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return StateVector(n, v / np.linalg.norm(v))
 
 
 def pair_byproduct(x, z, p, u, v):
@@ -130,7 +126,7 @@ class TestSinglePairContract:
                 z = theta_bits(t)[1]
                 p = t & 1
                 for _ in range(4):
-                    psi = rand_state(1, rng)
+                    psi = random_state(1, rng)
                     pair = tensor(
                         prepare_plus_theta(h * np.pi / 2),
                         prepare_plus_theta(t * np.pi / 2),
@@ -677,10 +673,10 @@ class TestPairStateOracle:
         # uniform and v's draw depends on u.
         n, wire = shape
         prep = np.random.default_rng([seed, 1])
-        state = rand_state(n, prep)
+        state = random_state(n, prep)
         heads, tails = plus_states(head_idx), plus_states(tail_idx)
         if general:
-            heads, tails = ([rand_state(1, prep) for _ in range(2)] for _ in range(2))
+            heads, tails = ([random_state(1, prep) for _ in range(2)] for _ in range(2))
         fast, dense = np.random.default_rng(seed), np.random.default_rng(seed)
         got, uv = consume_gadget(state, wire, plain_gadget(heads, tails), route, fast)
         want, uv_dense = dense_consume(state, wire, dense_gadget_state(heads, tails), route, dense)
@@ -702,7 +698,7 @@ class TestPairStateOracle:
         # The dense recipe held 2^20 amplitudes for a 16-wire register; the
         # kernel stays under four registers' worth at peak.
         rng = np.random.default_rng(19)
-        state = rand_state(16, rng)
+        state = random_state(16, rng)
         gadget = plain_gadget(plus_states((0, 2)), plus_states((1, 0)))
         tracemalloc.start()
         try:
@@ -740,7 +736,7 @@ class TestEndToEnd:
             gadget, (dx, dz) = gen_gadget(l1.pk, sk_enc, k, rng, rsp_round_ideal)
             (a_ct,) = he_enc_bits(l0.pk, [a], rng, [k])
             b_ct = he_enc(l0.pk, b, rng)
-            psi = rand_state(1, rng)
+            psi = random_state(1, rng)
             padded = psi
             if b:
                 padded = apply_gate(padded, gate("Z", 0))

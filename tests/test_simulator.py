@@ -25,16 +25,12 @@ from qhevqa.simulator import (
     measure,
     permute_wires,
     prepare_plus_theta,
+    random_state,
     reduced_density_matrix,
     remove_wire,
     tensor,
     trace_distance_dm,
 )
-
-
-def rand_state(n, rng):
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return StateVector(n, v / np.linalg.norm(v))
 
 
 def tensordot_apply(state, matrix, wires):
@@ -160,7 +156,7 @@ class TestApplyMatrix:
             n = int(rng.integers(1, 5))
             w = int(rng.integers(n))
             m = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-            st = rand_state(n, rng)
+            st = random_state(n, rng)
             got = apply_matrix(st, m, [w]).amplitudes
             want = dense_1q(n, w, m) @ st.amplitudes
             np.testing.assert_allclose(got, want, atol=1e-12)
@@ -179,7 +175,7 @@ class TestApplyMatrix:
     def test_two_qubit_against_dense_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            st = rand_state(3, rng)
+            st = random_state(3, rng)
             got = apply_gate(st, gate("CNOT", 2, 0)).amplitudes
             # oracle: permute wires so (2, 0) become (MSB, LSB) of the matrix
             full = np.zeros((8, 8), dtype=complex)
@@ -222,21 +218,21 @@ class TestGateAlgebra:
 class TestMeasurement:
     def test_statistics_match_born_rule(self):
         rng = np.random.default_rng(2)
-        st = rand_state(1, rng)
+        st = random_state(1, rng)
         p1 = abs(st.amplitudes[1]) ** 2
         hits = sum(measure(st, 0, rng)[0] for _ in range(4000))
         assert abs(hits / 4000 - p1) < 0.03
 
     def test_collapse_is_projective(self):
         rng = np.random.default_rng(3)
-        st = rand_state(3, rng)
+        st = random_state(3, rng)
         outcome, post = measure(st, 1, rng)
         again, _ = measure(post, 1, rng)
         assert again == outcome
 
     def test_remove_wire(self):
         rng = np.random.default_rng(5)
-        a, b = rand_state(1, rng), rand_state(2, rng)
+        a, b = random_state(1, rng), random_state(2, rng)
         st = tensor(a, b)
         outcome, post = measure(st, 0, rng)
         reduced = remove_wire(post, 0, outcome)
@@ -250,7 +246,7 @@ class TestBellMeasure:
         # the X^v Z^u correction indexed by the outcome bits.
         rng = np.random.default_rng(6)
         for trial in range(20):
-            psi = rand_state(1, rng)
+            psi = random_state(1, rng)
             epr = StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
             full = tensor(psi, epr)
             (u, v), rest = bell_measure(full, 0, 1, rng)
@@ -265,7 +261,7 @@ class TestBellMeasure:
         rng = np.random.default_rng(7)
         counts = {}
         for _ in range(800):
-            psi = rand_state(1, rng)
+            psi = random_state(1, rng)
             epr = StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
             (u, v), _ = bell_measure(tensor(psi, epr), 0, 1, rng)
             counts[(u, v)] = counts.get((u, v), 0) + 1
@@ -282,7 +278,7 @@ class TestCompositions:
 
     def test_permute_round_trip(self):
         rng = np.random.default_rng(8)
-        st = rand_state(3, rng)
+        st = random_state(3, rng)
         perm = [2, 0, 1]
         inverse = [perm.index(i) for i in range(3)]
         back = permute_wires(permute_wires(st, perm), inverse)
@@ -290,7 +286,7 @@ class TestCompositions:
 
     def test_reduced_density_pure_product(self):
         rng = np.random.default_rng(9)
-        a, b = rand_state(1, rng), rand_state(2, rng)
+        a, b = random_state(1, rng), random_state(2, rng)
         st = tensor(a, b)
         rho = reduced_density_matrix(st, [0])
         np.testing.assert_allclose(
@@ -299,7 +295,7 @@ class TestCompositions:
 
     def test_reduced_density_trace_one(self):
         rng = np.random.default_rng(10)
-        st = rand_state(4, rng)
+        st = random_state(4, rng)
         rho = reduced_density_matrix(st, [1, 3])
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
@@ -308,7 +304,7 @@ class TestCompositions:
 class TestObservables:
     def test_expectation_matches_dense(self):
         rng = np.random.default_rng(11)
-        st = rand_state(2, rng)
+        st = random_state(2, rng)
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         dense = np.kron(x, x)  # wire1 high, wire0 low
         want = (st.amplitudes.conj() @ dense @ st.amplitudes).real
@@ -317,7 +313,7 @@ class TestObservables:
 
     def test_fidelity_phase_invariant(self):
         rng = np.random.default_rng(12)
-        st = rand_state(2, rng)
+        st = random_state(2, rng)
         rotated = StateVector(2, st.amplitudes * np.exp(1j * 0.9))
         assert fidelity(st, rotated) == pytest.approx(1.0, abs=1e-12)
 
@@ -351,7 +347,7 @@ class TestEncodings:
 )
 def test_gates_preserve_norm(seed, kind):
     rng = np.random.default_rng(seed)
-    state = rand_state(2, rng)
+    state = random_state(2, rng)
     out = apply_gate(state, gate(kind, int(rng.integers(2))))
     assert out.norm() == pytest.approx(1.0, abs=1e-10)
 
@@ -361,7 +357,7 @@ def test_gates_preserve_norm(seed, kind):
 def test_circuit_linearity(seed):
     rng = np.random.default_rng(seed)
     circ = [gate("H", 0), gate("CNOT", 0, 1), gate("T", 1)]
-    a, b = rand_state(2, rng), rand_state(2, rng)
+    a, b = random_state(2, rng), random_state(2, rng)
     mixed = StateVector(2, (a.amplitudes + b.amplitudes) / np.linalg.norm(a.amplitudes + b.amplitudes))
     lhs = apply_circuit(mixed, circ).amplitudes
     rhs = apply_circuit(a, circ).amplitudes + apply_circuit(b, circ).amplitudes

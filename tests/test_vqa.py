@@ -13,6 +13,7 @@ from qhevqa.simulator import (
     apply_circuit,
     apply_gate,
     gate,
+    random_state,
 )
 from qhevqa.vqa import (
     LabeledDataset,
@@ -27,7 +28,6 @@ from qhevqa.vqa import (
     _row_observables,
     _shifted_rows,
     _window_reduced,
-    _xx_plaintext,
     build_shadow_circuit,
     cross_entropy,
     gradients,
@@ -37,6 +37,7 @@ from qhevqa.vqa import (
     theta_row,
     train,
     write_metrics_csv,
+    xx_run,
 )
 
 
@@ -48,11 +49,6 @@ def small_model(n=4, seed=0):
         float(rng.uniform(-0.2, 0.2)),
         n,
     )
-
-
-def rand_state(n, rng):
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return StateVector(n, v / np.linalg.norm(v))
 
 
 class TestDatasets:
@@ -118,11 +114,11 @@ class TestFeatures:
         rng = np.random.default_rng(0)
         model = small_model()
         for _ in range(5):
-            psi = rand_state(4, rng)
+            psi = random_state(4, rng)
             fast = shadow_features(psi, model)
             slow = np.array(
                 [
-                    _xx_plaintext(psi, build_shadow_circuit(model, v), (v - 1, v))
+                    xx_run(psi, build_shadow_circuit(model, v), (v - 1, v))
                     for v in range(1, 4)
                 ]
             )
@@ -136,7 +132,7 @@ class TestFeatures:
         model = small_model()
         circ = build_shadow_circuit(model, 1)
         for _ in range(10):
-            psi = rand_state(4, rng)
+            psi = random_state(4, rng)
             pad = random_pad(4, rng)
             given = list(pad)
             padded = psi
@@ -161,7 +157,7 @@ class TestFeatures:
     def test_delegated_exact_equals_plaintext(self):
         rng = np.random.default_rng(2)
         model = small_model()
-        psi = rand_state(4, rng)
+        psi = random_state(4, rng)
         plain = shadow_features(psi, model)
         deleg = shadow_features(psi, model, "delegated-exact-gates", rng)
         np.testing.assert_allclose(deleg, plain, atol=1e-10)
@@ -169,7 +165,7 @@ class TestFeatures:
     def test_delegated_faithful_close_to_plaintext(self):
         rng = np.random.default_rng(3)
         model = small_model(n=2)
-        psi = rand_state(2, rng)
+        psi = random_state(2, rng)
         plain = shadow_features(psi, model)
         faith = shadow_features(psi, model, "delegated-faithful", rng, eps_target=3e-2)
         np.testing.assert_allclose(faith, plain, atol=0.15)
@@ -187,7 +183,7 @@ class TestFeatures:
     def test_evaluator_callback_used(self):
         rng = np.random.default_rng(4)
         model = small_model()
-        psi = rand_state(4, rng)
+        psi = random_state(4, rng)
         calls = []
 
         def fake(state, circuit, wires, _rng):
@@ -203,7 +199,7 @@ class TestFeatures:
         # window, then the 16 shifted rows in row, window, sample order.
         rng = np.random.default_rng(8)
         model = small_model()
-        states = [rand_state(4, rng) for _ in range(2)]
+        states = [random_state(4, rng) for _ in range(2)]
         calls = []
 
         def fake(state, circuit, wires, _rng):
@@ -245,7 +241,7 @@ class TestGradients:
     def test_parameter_shift_matches_central_difference(self):
         rng = np.random.default_rng(5)
         model = small_model()
-        states = [rand_state(4, rng) for _ in range(3)]
+        states = [random_state(4, rng) for _ in range(3)]
         labels = np.array([0.0, 1.0, 1.0])
         ps = TrainConfig(grad_method="parameter-shift")
         cd = TrainConfig(grad_method="central-difference")
@@ -257,7 +253,7 @@ class TestGradients:
     def test_head_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(6)
         model = small_model()
-        states = [rand_state(4, rng) for _ in range(4)]
+        states = [random_state(4, rng) for _ in range(4)]
         labels = np.array([0.0, 1.0, 0.0, 1.0])
         config = TrainConfig()
         _, d_w, d_b = gradients(states, labels, model, config)
@@ -339,7 +335,7 @@ class TestStackedObservables:
     def test_shifted_stack_matches_full_simulation(self):
         rng = np.random.default_rng(7)
         model = small_model(n=5, seed=7)
-        psi = rand_state(5, rng)
+        psi = random_state(5, rng)
         shift = 0.3
         stack = _row_observables(_shifted_rows(model.theta, shift))
         assert stack.shape == (2, 8, 4, 4)
@@ -353,7 +349,7 @@ class TestStackedObservables:
                             continue
                         wires = (v - 1, v)
                         fast = np.trace(_window_reduced(psi, wires) @ stack[r, 2 * c + k]).real
-                        slow = _xx_plaintext(psi, build_shadow_circuit(shifted, v), wires)
+                        slow = xx_run(psi, build_shadow_circuit(shifted, v), wires)
                         assert fast == pytest.approx(slow, abs=1e-12)
 
 
