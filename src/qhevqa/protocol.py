@@ -95,11 +95,6 @@ from .vqa import exact_evaluator, faithful_evaluator, train, xx_run, xx_run_homo
 
 VERSION = 9
 MAX_FRAME = 16 * 1024 * 1024
-# Payloads a session keeps. A faithful window sends four, a delegated-exact
-# window one, its register and circuit, which decode to about 12 KB of lists
-# on the bundled digits' six wires.
-AUDIT_LIMIT = 256
-AUDIT_FRAME = 1 << 14  # a payload of a larger frame is kept as its fields' lengths
 # RSP qubits a session holds, committed or prepared: one gadget's worst-case
 # draws plus one batch. A gadget frame couples four held qubits per gadget.
 MAX_HELD = 2 * PAIR_COUNT * MAX_DRAWS + RSP_BATCH
@@ -503,34 +498,30 @@ class ServerSession:
     """One server-side session: phase machine plus quantum/HE workloads.
 
     Between requests it holds only prepared and committed RSP qubits and
-    queued gadgets: each run brings its own input.
-    The session records the last ``AUDIT_LIMIT`` accepted payloads in
-    ``audit`` so tests can check server blindness: everything visible here is
-    public structure, ciphertext strings, or padded quantum data. A payload
-    whose frame is over ``AUDIT_FRAME`` bytes is recorded with each list or
-    string field replaced by its length (an 18-wire register decodes to
-    38 MB), so the log holds at most ``AUDIT_LIMIT * AUDIT_FRAME`` frame bytes.
+    queued gadgets: each run brings its own input. It keeps no record of the
+    payloads it takes; a test watches what the server sees at its channel.
+    ``phase`` is the whole session state: Done, or an Error the server sends,
+    ends the session in ``"done"``.
     """
+
+    audit: deque = deque(maxlen=0)  # always empty: perfbench clears it
 
     def __init__(self, channel: Channel):
         self.channel = channel
         self.phase = "handshake"
         self.rng: np.random.Generator | None = None
-        self.audit: deque[tuple[str, dict]] = deque(maxlen=AUDIT_LIMIT)
         self.qubits: dict[int, StateVector] = {}  # prepared RSP outputs
         self.pending: dict[int, np.ndarray] = {}  # committed claw states, not yet measured
         self._qids = count()  # the next qid to hand out
         self.gadgets: list[Gadget] = []
-        self.closed = False
 
     # -- plumbing --
 
     def run(self) -> None:
         try:
-            while not self.closed:  # _fail closes the session
+            while self.phase != "done":
                 try:
-                    data = self.channel.recv_bytes()
-                    self._dispatch(decode_message(data), len(data))
+                    self._dispatch(self.channel.recv())
                 except ChannelClosed:
                     break
                 except ProtocolError as exc:
@@ -545,22 +536,18 @@ class ServerSession:
             self.channel.send(Message("Error", {"code": exc.code, "text": exc.text}))
         except (ChannelClosed, OSError):
             pass
-        self.closed = True
+        self.phase = "done"
 
     def _reply(self, kind: str, payload: dict) -> None:
         self.channel.send(Message(kind, payload))
 
-    def _dispatch(self, msg: Message, size: int) -> None:
+    def _dispatch(self, msg: Message) -> None:
         entry = SCHEMA.get(msg.kind)
         if entry is None:
             raise ProtocolError("kind", f"server cannot handle {msg.kind}")
         if self.phase not in entry.phases:
             raise ProtocolError("phase", f"message not allowed in phase {self.phase!r}")
         payload = validate(entry.payload, msg.payload, {})
-        record = msg.payload
-        if size > AUDIT_FRAME:  # validated, so its fields are the schema's few
-            record = {k: len(v) if type(v) in (list, str) else v for k, v in record.items()}
-        self.audit.append((msg.kind, record))
         getattr(self, f"_on_{msg.kind.lower()}")(payload)
 
     # -- handlers: each payload has passed ``validate`` --
@@ -648,7 +635,6 @@ class ServerSession:
     def _on_done(self, p: dict) -> None:
         self.phase = "done"
         self._reply("Done", {})
-        self.closed = True
 
 
 def serve_inproc() -> tuple[Channel, ServerSession, threading.Thread]:
@@ -804,8 +790,10 @@ class ClientSession:
 
     def remote_keygen(
         self, num_wires: int, circuit: list[Gate], rng: np.random.Generator
-    ) -> ClientKeys:
-        """Run key generation with one run's gadgets provisioned on the server.
+    ) -> tuple[ClientKeys, None]:
+        """Run key generation with one run's gadgets provisioned on the server;
+        return the client keys and None for the EvalKey, which stays with the
+        server: the form ``vqa.faithful_evaluator`` takes.
 
         The gadgets draw from one pool of claw-based RSP rounds, asked for in
         one batch ``rsp_rows`` sizes to the run's T count and topped up only
@@ -846,14 +834,7 @@ class ClientSession:
         client_keys, _ = keygen(SECURITY, num_wires, circuit, rng, gadget_factory=factory)
         frame["discard"] += [qid for _, qid in pool]
         send_frame()
-        return client_keys
-
-    def provision(
-        self, num_wires: int, circuit: list[Gate], rng: np.random.Generator
-    ) -> tuple[ClientKeys, None]:
-        """``remote_keygen`` in the form ``vqa.faithful_evaluator`` takes: the
-        EvalKey stays with the server."""
-        return self.remote_keygen(num_wires, circuit, rng), None
+        return client_keys, None
 
     # -- delegated evaluation --
 
@@ -921,7 +902,7 @@ def make_faithful_evaluator(session: ClientSession, eps_target: float, rsp_mode:
         value, row = session.request_run(cs.register, cs.encrypted_keys, circuit, wires)
         return value, t_count(circuit), dict(zip(wires, row))
 
-    return faithful_evaluator(session.provision, server_run, eps_target)
+    return faithful_evaluator(session.remote_keygen, server_run, eps_target)
 
 
 def run_client(channel: Channel, dataset, config):

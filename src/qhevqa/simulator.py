@@ -135,9 +135,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
     def check_wires(self, wires: Iterable[int]) -> None:
         for w in wires:
             if not 0 <= w < self.num_qubits:

@@ -200,6 +200,8 @@ def _compensate(circuit: list[Gate], pad) -> tuple[list[Gate], list]:
     Rotations get sign-compensated angles (RX flips with the Z key, RY with
     both keys); Cliffords pass through with the tracked key relabeling, which
     runs on a copy: the returned final pad is new and ``pad`` is unchanged.
+    A window has no other gate: ``update_clifford`` refuses one (an RZ) with
+    ``FrameError``.
     """
     final = list(pad)
     out = []
@@ -211,9 +213,6 @@ def _compensate(circuit: list[Gate], pad) -> tuple[list[Gate], list]:
             (w,) = g.wires
             a, b = final[w]
             out.append(gate("RY", w, angle=g.angle * (-1) ** (a ^ b)))
-        elif g.kind == "RZ":
-            (w,) = g.wires
-            out.append(gate("RZ", w, angle=g.angle * (-1) ** final[w][0]))
         else:
             out.append(g)
             update_clifford(final, g)

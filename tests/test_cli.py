@@ -246,9 +246,9 @@ class TestTrain:
         received, evaluations = [], []
         dispatch, make_exact = protocol.ServerSession._dispatch, protocol.make_exact_evaluator
 
-        def recording_dispatch(session, msg, size):
+        def recording_dispatch(session, msg):
             received.append(msg.kind)
-            dispatch(session, msg, size)
+            dispatch(session, msg)
 
         def counting_evaluator(session):
             evaluate = make_exact(session)

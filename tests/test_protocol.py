@@ -4,7 +4,7 @@ import hashlib
 import threading
 import time
 from collections import ChainMap, Counter, deque, namedtuple
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from qhevqa.classical_he import SUM, ct_to_bytes, he_const, he_enc, he_keygen
 from qhevqa.protocol import (
-    AUDIT_LIMIT,
     Amps,
     Bits,
     ChannelClosed,
@@ -128,10 +127,31 @@ def remote_xx(client, circuit, state, rng, wires=(0, 1)):
     ``make_faithful_evaluator`` makes one: keys with the gadgets on the
     server, the padded input, the run, and the sign decrypted from the two
     wires' returned keys. Returns (sign, raw value)."""
-    client_keys, _ = client.provision(state.num_qubits, circuit, rng)
+    client_keys, _ = client.remote_keygen(state.num_qubits, circuit, rng)
     cs, _ = encrypt(client_keys, state, rng)
     raw, row = client.request_run(cs.register, cs.encrypted_keys, circuit, wires)
     return xx_sign(client_keys, t_count(circuit), dict(zip(wires, row)), wires), raw
+
+
+def watch(channel):
+    """Record the frames crossing ``channel``, decoded: returns the lists of
+    the frames it sends and receives, which grow as the session runs. At the
+    client end of ``serve_inproc()`` these are byte for byte the frames the
+    server receives and sends."""
+    sent, received = [], []
+    send, recv = channel.send_bytes, channel.recv_bytes
+
+    def send_bytes(data):
+        sent.append(decode_message(data))
+        send(data)
+
+    def recv_bytes():
+        data = recv()
+        received.append(decode_message(data))
+        return data
+
+    channel.send_bytes, channel.recv_bytes = send_bytes, recv_bytes
+    return sent, received
 
 
 # One claw matrix, rows [1, 0, 1, 0], and one row of basis bits [0, 1, 0], packed.
@@ -376,7 +396,7 @@ class TestServerSession:
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "version"
         thread.join(timeout=5)
-        assert session.closed
+        assert session.phase == "done"
 
     def test_out_of_order_message_errors_without_crash(self):
         channel, session, thread = serve_inproc()
@@ -384,7 +404,7 @@ class TestServerSession:
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "phase"
         thread.join(timeout=5)
-        assert session.closed
+        assert session.phase == "done"
 
     def test_second_hello_is_a_phase_error(self):
         channel, session, thread = serve_inproc()
@@ -393,7 +413,7 @@ class TestServerSession:
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "phase"
         thread.join(timeout=5)
-        assert session.closed
+        assert session.phase == "done"
 
     @pytest.mark.parametrize("hello", [False, True])
     def test_an_error_from_the_client_is_refused_and_ends_the_session(self, hello):
@@ -406,7 +426,7 @@ class TestServerSession:
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "kind"
         thread.join(timeout=5)
-        assert session.closed and not thread.is_alive()
+        assert session.phase == "done" and not thread.is_alive()
 
     def test_internal_errors_are_reported_not_raised(self, monkeypatch):
         # A fault inside a handler, after the payload has passed validation,
@@ -423,7 +443,7 @@ class TestServerSession:
             client.request_run(StateVector(2), None, [], (0, 1))
         assert err.value.code == "internal" and "handler fault" in err.value.text
         thread.join(timeout=5)
-        assert session.closed and not thread.is_alive()
+        assert session.phase == "done" and not thread.is_alive()
 
 
 class TestHostilePayloads:
@@ -601,7 +621,7 @@ class TestHostilePayloads:
         pairs of a 2-qubit input padded for it."""
         channel, session, thread, client = self.open_session()
         rng = np.random.default_rng(9)
-        client_keys = client.remote_keygen(2, [gate("T", 0)], rng)
+        client_keys, _ = client.remote_keygen(2, [gate("T", 0)], rng)
         cs, _ = encrypt(client_keys, StateVector(2), rng)
         assert len(session.gadgets) == 1
         return channel, session, thread, hex_keys(cs)
@@ -822,7 +842,7 @@ class TestHostilePayloads:
         channel, session, thread, client = self.open_session()
         rng = np.random.default_rng(9)
         client.remote_keygen(2, [gate("T", 0)], rng)
-        client_keys = client.remote_keygen(2, [gate("T", 0)], rng)
+        client_keys, _ = client.remote_keygen(2, [gate("T", 0)], rng)
         cs, _ = encrypt(client_keys, StateVector(2), rng)
         assert [g.level for g in session.gadgets] == [1, 1]
         channel.send(Message("RunRequest", self.run(
@@ -1268,9 +1288,7 @@ class TestDelegatedRuns:
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(15, "delegated-faithful")
-        sent = []
-        send = channel.send
-        channel.send = lambda msg: (sent.append(msg.kind), send(msg))[-1]
+        to_server, _ = watch(channel)
         evaluator = make_faithful_evaluator(client, eps_target=0.1)
         model = ShadowModel(np.zeros((2, 4)), np.zeros(2), 0.0, 3)
         psi = random_state(3, np.random.default_rng(15))
@@ -1279,7 +1297,7 @@ class TestDelegatedRuns:
         )
         client.done()
         thread.join(timeout=5)
-        assert sent == ["RunRequest", "RunRequest", "Done"]
+        assert [m.kind for m in to_server] == ["RunRequest", "RunRequest", "Done"]
         want = shadow_features(psi, model)
         assert np.allclose(got, want, rtol=0, atol=1e-9)
 
@@ -1323,7 +1341,7 @@ class TestDelegatedRuns:
         rng = np.random.default_rng(31)
         circ = [gate("CNOT", 0, 1), gate("T", 0)]
         psi = random_state(2, rng)
-        client_keys, _ = client.provision(2, circ, rng)
+        client_keys, _ = client.remote_keygen(2, circ, rng)
         cs, pad = encrypt(client_keys, psi, rng)
         (a0, b0), (_, b1) = cs.encrypted_keys
         pad = [pad[0], (pad[0][0], pad[1][1])]
@@ -1349,16 +1367,18 @@ class TestDelegatedRuns:
         assert (tmp_path / "local.csv").read_bytes() == (tmp_path / "remote.csv").read_bytes()
 
     def test_remote_faithful_training_runs_claw_rsp_and_matches_local(self, tmp_path):
-        # The server draws no preparation angle: every RSP request is a claw
-        # commit or a claw measurement, and the metrics equal local training's.
+        # The server draws no preparation angle: every RSP request of the
+        # session is a claw commit or a claw measurement, and the metrics
+        # equal local training's.
         full = load_digits_csv()
         dataset = LabeledDataset(full.samples[:2], full.n)
         config = TrainConfig(epochs=1, seed=0, mode="delegated-faithful", eps_target=0.3)
         _, local = train(dataset, config)
-        channel, session, thread = serve_inproc()
+        channel, _session, thread = serve_inproc()
+        to_server, _ = watch(channel)
         _, remote = run_client(channel, dataset, config)
         thread.join(timeout=30)
-        forms = [set(p) & {"matrix", "alphas"} for kind, p in session.audit if kind == "RspBasis"]
+        forms = [set(m.payload) & {"matrix", "alphas"} for m in to_server if m.kind == "RspBasis"]
         assert forms and all(len(form) == 1 for form in forms)
         write_metrics_csv(str(tmp_path / "local.csv"), local)
         write_metrics_csv(str(tmp_path / "remote.csv"), remote)
@@ -1389,14 +1409,12 @@ class TestGadgetBudget:
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(18, "delegated-faithful")
-        sent = []
-        send = channel.send
-        channel.send = lambda msg: (sent.append(msg), send(msg))[-1]
+        to_server, _ = watch(channel)
         evaluator = make_faithful_evaluator(client, eps_target=self.EPS)
         evaluator(random_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
         client.done()
         thread.join(timeout=30)
-        frames = [m.payload for m in sent if m.kind == "GadgetClassical"]
+        frames = [m.payload for m in to_server if m.kind == "GadgetClassical"]
         assert len(frames) == 1 and len(frames[0]["gadgets"]) == budget
 
     def test_remote_window_frame_counts(self):
@@ -1408,16 +1426,14 @@ class TestGadgetBudget:
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
         client.hello(18, "delegated-faithful")
-        sent, received = Counter(), Counter()
-        send, recv = channel.send, channel.recv
-        channel.send = lambda msg: (sent.update([msg.kind]), send(msg))[-1]
-        channel.recv = lambda: (lambda msg: (received.update([msg.kind]), msg)[-1])(recv())
+        to_server, from_server = watch(channel)
         evaluator = make_faithful_evaluator(client, eps_target=self.EPS)
         evaluator(random_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
         client.done()
         thread.join(timeout=30)
+        sent = Counter(m.kind for m in to_server)
         assert sent == {"RspBasis": 2, "GadgetClassical": 1, "RunRequest": 1, "Done": 1}
-        assert sum(sent.values()) + sum(received.values()) == 9 + 2
+        assert len(to_server) + len(from_server) == 9 + 2
 
     def test_a_long_window_tops_up_after_sending_its_gadgets(self):
         # 100 T gates on 2 wires need about 800 rounds, more than one batch:
@@ -1431,25 +1447,23 @@ class TestGadgetBudget:
         channel, session, thread = serve_inproc()
         held, dispatch = [], session._dispatch
 
-        def dispatch_and_count(msg, size):
-            dispatch(msg, size)
+        def dispatch_and_count(msg):
+            dispatch(msg)
             held.append(len(session.qubits) + len(session.pending))
 
         session._dispatch = dispatch_and_count
         client = ClientSession(channel)
         client.hello(44, "x")
-        sent = []
-        send = channel.send
-        channel.send = lambda msg: (sent.append(msg), send(msg))[-1]
+        to_server, _ = watch(channel)
         rng = np.random.default_rng(44)
         psi = random_state(2, rng)
         sign, raw = remote_xx(client, circ, psi, rng)
         client.done()
         thread.join(timeout=30)
-        commits = [i for i, m in enumerate(sent) if "matrix" in m.payload]
+        commits = [i for i, m in enumerate(to_server) if "matrix" in m.payload]
         assert len(commits) >= 2
-        assert "GadgetClassical" in [m.kind for m in sent[commits[0] : commits[1]]]
-        frames = [m.payload["gadgets"] for m in sent if m.kind == "GadgetClassical"]
+        assert "GadgetClassical" in [m.kind for m in to_server[commits[0] : commits[1]]]
+        frames = [m.payload["gadgets"] for m in to_server if m.kind == "GadgetClassical"]
         assert sum(map(len, frames)) == 100
         assert max(held) <= MAX_HELD and not session.qubits and not session.pending
         assert sign * raw == pytest.approx(xx_run(psi, circ, (0, 1)), abs=1e-9)
@@ -1716,9 +1730,8 @@ class TestReplyProperty:
 
 class TestServerBlindness:
     """Everything the server receives is public structure, a ciphertext
-    string or padded quantum data (checked on ``ServerSession.audit``, and a
-    gadget frame's gadgets as sent, since the audit keeps a frame over
-    ``AUDIT_FRAME`` bytes as its fields' lengths)."""
+    string or padded quantum data: checked on every frame the client end of
+    the channel sends, whole gadget frames included."""
 
     PUBLIC_FIELDS = {
         "Hello": {"session_seed", "mode"},
@@ -1730,18 +1743,13 @@ class TestServerBlindness:
     }
     GADGET_FIELDS = {"pairs", "level", "x_ct", "z_ct", "e_ct", "sk_enc"}
 
-    def audited_window(self, mode, make_evaluator):
-        """Run one delegated 2-wire window; return the server's audit log
-        and the gadgets the client sent."""
-        channel, session, thread = serve_inproc()
+    def watched_window(self, mode, make_evaluator):
+        """Run one delegated 2-wire window; return the frames the server
+        received and the gadgets among them."""
+        channel, _session, thread = serve_inproc()
+        to_server, _ = watch(channel)
         client = ClientSession(channel)
         client.hello(41, mode)
-        gadgets = []
-        send = channel.send
-        channel.send = lambda msg: (
-            gadgets.extend(msg.payload.get("gadgets", ()) if msg.kind == "GadgetClassical" else ()),
-            send(msg),
-        )[-1]
         model = ShadowModel(
             np.random.default_rng(7).uniform(0, 2 * np.pi, (2, 4)), np.zeros(1), 0.0, 2
         )
@@ -1750,75 +1758,74 @@ class TestServerBlindness:
         evaluate(psi, build_shadow_circuit(model, 1), (0, 1), np.random.default_rng(9))
         client.done()
         thread.join(timeout=30)
-        for kind, payload in session.audit:
-            assert set(payload) <= self.PUBLIC_FIELDS[kind], (kind, sorted(payload))
+        for msg in to_server:
+            assert set(msg.payload) <= self.PUBLIC_FIELDS[msg.kind], (msg.kind, sorted(msg.payload))
+        gadgets = [g for m in to_server if m.kind == "GadgetClassical"
+                   for g in m.payload.get("gadgets", ())]
         for gadget in gadgets:
             assert set(gadget) == self.GADGET_FIELDS, sorted(gadget)
-        return session.audit, gadgets
+        return to_server, gadgets
 
     def test_exact_session(self):
-        audit, gadgets = self.audited_window("delegated-exact-gates", make_exact_evaluator)
-        runs = [p for kind, p in audit if kind == "RunRequest"]
+        to_server, gadgets = self.watched_window("delegated-exact-gates", make_exact_evaluator)
+        runs = [m.payload for m in to_server if m.kind == "RunRequest"]
         assert runs and not gadgets
         assert all("enc_keys" not in p for p in runs)
 
     def test_faithful_session_claw_rsp(self):
-        audit, gadgets = self.audited_window(
+        to_server, gadgets = self.watched_window(
             "delegated-faithful",
             lambda client: make_faithful_evaluator(client, eps_target=0.1),
         )
         assert gadgets
-        assert audit[0][0] == "Hello"  # the log holds the whole window
-        assert any("matrix" in p for kind, p in audit if kind == "RspBasis")
-        runs = [p for kind, p in audit if kind == "RunRequest"]
+        assert any("matrix" in m.payload for m in to_server if m.kind == "RspBasis")
+        runs = [m.payload for m in to_server if m.kind == "RunRequest"]
         assert runs
         for p in runs:
             assert len(p["enc_keys"]) == p["num_wires"] == 2
             for pair in p["enc_keys"]:
                 assert len(pair) == 2
-                for text in pair:
-                    assert isinstance(text, str)
-                    ct_from_bytes(bytes.fromhex(text))
+        texts = [t for p in runs for pair in p["enc_keys"] for t in pair] + [
+            t for g in gadgets
+            for t in (*g["x_ct"], *g["z_ct"], *chain.from_iterable(g["e_ct"]), *g["sk_enc"])
+        ]
+        for text in texts:
+            assert isinstance(text, str)
+            ct_from_bytes(bytes.fromhex(text))
 
 
 class TestServerMemory:
     """A long session or a long-running server keeps bounded state."""
 
-    def test_audit_keeps_only_the_last_payloads(self):
-        channel, session, thread = serve_inproc()
-        client = ClientSession(channel)
-        client.hello(0, "x")
-        runs = AUDIT_LIMIT + 10
-        for i in range(runs):  # each run told apart by its angle
-            client.request_run(StateVector(2), None, [gate("RX", 0, angle=float(i))], (0, 1))
-        client.done()
-        thread.join(timeout=30)
-        audit = list(session.audit)
-        assert len(audit) == AUDIT_LIMIT and audit[-1] == ("Done", {})
-        angles = [p["circuit"][0]["angle"] for kind, p in audit if kind == "RunRequest"]
-        assert angles == list(range(runs))[-(AUDIT_LIMIT - 1):]
-        session.audit.clear()
-        assert not session.audit
-
-    def test_audit_keeps_large_payloads_as_lengths(self):
+    def test_a_long_exact_session_keeps_no_state_per_payload(self):
+        # 300 six-wire delegated-exact windows, each one RunRequest of about
+        # 3 KB of frame. The server keeps no record of a payload, so traced
+        # memory is flat from window 50 on; a log of the last 256 decoded
+        # payloads grew by about 2.5 MB over the same windows.
+        import gc
         import tracemalloc
 
-        channel, session, thread = serve_inproc()
+        channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(0, "x")
-        register = StateVector(12)  # a 4096-pair register: 41 KB of frame, 0.5 MB decoded
+        client.hello(0, "delegated-exact-gates")
+        evaluate = make_exact_evaluator(client)
+        model = ShadowModel(REFERENCE_THETA_INIT, np.zeros(5), 0.0, 6)
+        rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            for _ in range(20):
-                client.request_run(register, None, [], (0, 1))
-            client.done()
-            thread.join(timeout=30)
-            held = tracemalloc.get_traced_memory()[0]
-            session.audit.clear()
-            held -= tracemalloc.get_traced_memory()[0]
+            for i in range(300):
+                if i == 50:
+                    gc.collect()
+                    before = tracemalloc.get_traced_memory()[0]
+                v = 1 + i % 5
+                evaluate(random_state(6, rng), build_shadow_circuit(model, v), (v - 1, v), rng)
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held < 100_000
+            client.done()
+            thread.join(timeout=30)
+        assert growth < 200_000
 
     def test_a_faithful_window_leaves_no_rsp_qubits_held(self):
         # The pool's spare rounds go out with the key generation's gadget frame.

@@ -322,7 +322,7 @@ class TestEncodings:
     def test_amplitude_encode_normalizes(self):
         vec = np.arange(1, 65, dtype=float)
         st = amplitude_encode(vec, 6)
-        assert st.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
             st.amplitudes.real, vec / np.linalg.norm(vec), atol=1e-12
         )
@@ -349,7 +349,7 @@ def test_gates_preserve_norm(seed, kind):
     rng = np.random.default_rng(seed)
     state = random_state(2, rng)
     out = apply_gate(state, gate(kind, int(rng.integers(2))))
-    assert out.norm() == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhevqa.pauli_frame import random_pad
+from qhevqa.pauli_frame import FrameError, random_pad
 from qhevqa.simulator import (
     StateVector,
     amplitude_encode,
@@ -153,6 +153,12 @@ class TestFeatures:
             from qhevqa.simulator import fidelity
 
             assert fidelity(lhs, rhs) == pytest.approx(1.0, abs=1e-10)
+
+    def test_compensation_refuses_rz(self):
+        # A window is RX, RY and CNOT: an RZ has no compensation rule and
+        # reaches the Clifford key update, which refuses it.
+        with pytest.raises(FrameError):
+            _compensate([gate("RZ", 0, angle=0.3)], [(0, 1)])
 
     def test_delegated_exact_equals_plaintext(self):
         rng = np.random.default_rng(2)
