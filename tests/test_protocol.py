@@ -1827,6 +1827,32 @@ class TestServerMemory:
             thread.join(timeout=30)
         assert growth < 200_000
 
+    def test_large_payloads_leave_no_state(self):
+        # Twenty runs of a 4096-pair register, each 41 KB of frame and 0.5 MB
+        # decoded: a finished session still in hand holds none of them.
+        import gc
+        import tracemalloc
+
+        channel, session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(0, "x")
+        register = StateVector(12)
+        client.request_run(register, None, [], (0, 1))
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                client.request_run(register, None, [], (0, 1))
+            client.done()
+            thread.join(timeout=30)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert session.phase == "done"
+        assert held < 100_000
+
     def test_a_faithful_window_leaves_no_rsp_qubits_held(self):
         # The pool's spare rounds go out with the key generation's gadget frame.
         channel, session, thread = serve_inproc()
