@@ -1452,6 +1452,8 @@ class TestGadgetBudget:
             held.append(len(session.qubits) + len(session.pending))
 
         session._dispatch = dispatch_and_count
+        sent, send = hashlib.sha256(), channel.send_bytes
+        channel.send_bytes = lambda data: (sent.update(data), send(data))[1]
         client = ClientSession(channel)
         client.hello(44, "x")
         to_server, _ = watch(channel)
@@ -1467,6 +1469,10 @@ class TestGadgetBudget:
         assert sum(map(len, frames)) == 100
         assert max(held) <= MAX_HELD and not session.qubits and not session.pending
         assert sign * raw == pytest.approx(xx_run(psi, circ, (0, 1)), abs=1e-9)
+        # Every byte the client sent, top-up included, pinned.
+        assert sent.hexdigest() == (
+            "11cd76d61ee0a4646d21bac290eece25bf6515b39c0254f1fb6907bc9fc17a78"
+        )
 
     def test_local_keygen_makes_one_gadget_per_folded_t(self, monkeypatch):
         circ, budget = self.window()

@@ -45,6 +45,11 @@ def rand_circuit(num_wires, rng, n_gates=8, max_t=3):
     return circ
 
 
+def claw_keygen(num_wires, circuit, rng):
+    """Key generation whose claw-based RSP rounds run in this process."""
+    return keygen(16, num_wires, circuit, rng, rsp_mode="faithful")
+
+
 def round_trip(circuit, num_wires, rng, rsp_mode="ideal"):
     client, server = keygen(16, num_wires, circuit, rng, rsp_mode=rsp_mode)
     psi = random_state(num_wires, rng)
@@ -257,6 +262,26 @@ class TestOnePassDecryption:
                     digest.update(ct_to_bytes(ct))
         assert digest.hexdigest() == (
             "8d36721bcf13a6ff70a1f0883cb04c68b16341fa44f19799ea0fcb3599287c54"
+        )
+
+    def test_local_claw_keygen_bytes_are_pinned(self):
+        # The client keys, and every gadget's ciphertexts and pair states, of
+        # a key generation whose claw-based rounds run in process. 70 T/T†
+        # need more rounds than one batch holds, so the pool is refilled.
+        rng = np.random.default_rng(30)
+        client, server = claw_keygen(4, deep_circuit(rng, t_gates=70), rng)
+        digest = hashlib.sha256()
+        for triple in client.triples:
+            digest.update(triple.sk.seed + triple.pk.stream_seed)
+        digest.update(bytes(b for pair in client.init_stream_bits for b in pair))
+        for g in server.gadgets:
+            for ct in (*g.x_ct, *g.z_ct, *g.e_ct[0], *g.e_ct[1], *g.sk_enc):
+                digest.update(ct_to_bytes(ct))
+            for pair in g.state:
+                digest.update(pair.tobytes())
+        assert len(server.gadgets) == 70
+        assert digest.hexdigest() == (
+            "b7f51a2e7c3fb17e9e3714ae6bb61e5eb709e628de1404c4f1597e7f966793e1"
         )
 
     def test_one_decrypt_pass_per_request(self, monkeypatch):
