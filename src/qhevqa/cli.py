@@ -274,6 +274,9 @@ def cmd_train(args) -> int:
         except OSError as exc:
             print(f"error: {exc.strerror}", file=sys.stderr)
             return 2
+        except ValueError as exc:  # a malformed QHEVQA_PORT
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         try:
             channel = connect_tcp(server.host, server.port)
             model, metrics = run_client(channel, dataset, config)
@@ -364,25 +367,32 @@ def check_qhe_roundtrip(count: int, seed: int):
     """Acceptance 2: ``count`` random Clifford+T circuits on 1-6 wires decrypt
     to the plaintext output with ideal RSP gadgets, then ``count`` more with
     claw-based (faithful) ones, all drawn from one generator."""
+    from collections import deque
+
     from .qhe import SECURITY, decrypt_state, encrypt, eval_circuit, keygen
+    from .rsp_gadget import claw_round, rsp_server_commit, rsp_server_measure
     from .simulator import apply_circuit, fidelity
+
+    def local_claw(left):
+        return claw_round(rsp_server_commit, rsp_server_measure, left, deque())
 
     rng = np.random.default_rng(seed)
     ok, parts = True, []
-    for rsp_mode, limit in zip(("ideal", "faithful"), QHE_ROUNDTRIP_LIMITS_S):
+    for name, rounds, limit in zip(("ideal", "faithful"), (None, local_claw),
+                                   QHE_ROUNDTRIP_LIMITS_S):
         t0 = time.perf_counter()
         worst = 1.0
         for _ in range(count):
             n = int(rng.integers(1, 7))
             circ = _random_clifford_t_circuit(n, rng)
             psi = random_state(n, rng)
-            ck, ek = keygen(SECURITY, n, circ, rng, rsp_mode=rsp_mode)
+            ck, ek = keygen(SECURITY, n, circ, rng, rounds)
             cs, _ = encrypt(ck, psi, rng)
             cs = eval_circuit(cs, circ, ek, rng)
             worst = min(worst, fidelity(decrypt_state(ck, cs), apply_circuit(psi, circ)))
         dt = time.perf_counter() - t0
         ok = ok and worst >= 1 - 1e-9 and dt < limit
-        parts.append(f"{rsp_mode} {1 - worst:.1e} ({dt:.1f} s < {limit:g} s)")
+        parts.append(f"{name} {1 - worst:.1e} ({dt:.1f} s < {limit:g} s)")
     return ok, f"{count} circuits each: worst fidelity deficit " + ", ".join(parts)
 
 

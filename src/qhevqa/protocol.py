@@ -78,7 +78,6 @@ from .rsp_gadget import (
     GadgetError,
     assemble_gadget_state,
     claw_round,
-    gen_gadget,
     rsp_server_commit,
     rsp_server_measure,
 )
@@ -272,8 +271,13 @@ class TcpChannel(Channel):
 
 
 def default_endpoint() -> tuple[str, int]:
+    """``QHEVQA_HOST`` and ``QHEVQA_PORT``, or the defaults. A port that is
+    not an integer in 0..65535 is a ValueError."""
     host = os.environ.get("QHEVQA_HOST", DEFAULT_HOST)
-    port = int(os.environ.get("QHEVQA_PORT", DEFAULT_PORT))
+    text = os.environ.get("QHEVQA_PORT", str(DEFAULT_PORT))
+    port = int(text) if text.strip().isdecimal() else -1
+    if not 0 <= port <= 65535:
+        raise ValueError(f"QHEVQA_PORT must be an integer in 0..65535, got {text!r}")
     return host, port
 
 
@@ -803,7 +807,7 @@ class ClientSession:
         in a frame of their own, so the server holds at most ``MAX_HELD``
         qubits. A run with no T gate sends nothing.
         """
-        left, frame = t_count(circuit), {"gadgets": [], "discard": []}
+        frame = {"gadgets": [], "discard": []}
 
         def send_frame():
             nonlocal frame
@@ -811,27 +815,20 @@ class ClientSession:
                 self._ask("GadgetClassical", frame, "GadgetClassical")
                 frame = {"gadgets": [], "discard": []}
 
-        pool: deque = deque()
-        round_ = self._round(pool, lambda: left, send_frame)
-
-        def couple(heads, tails, rejected):
+        def couple(heads, tails, rejected, gadget):
             frame["discard"] += rejected
-            frame["gadgets"].append({"pairs": [list(pair) for pair in zip(heads, tails)]})
-
-        def factory(pk_next, sk_enc, k_bit):
-            nonlocal left
-            gadget, parities = gen_gadget(pk_next, sk_enc, k_bit, rng, round_, couple)
-            frame["gadgets"][-1].update({
+            frame["gadgets"].append({
+                "pairs": [list(pair) for pair in zip(heads, tails)],
                 "level": gadget.level,
                 "x_ct": [ct_to_hex(c) for c in gadget.x_ct],
                 "z_ct": [ct_to_hex(c) for c in gadget.z_ct],
                 "e_ct": [[ct_to_hex(c) for c in row] for row in gadget.e_ct],
                 "sk_enc": [ct_to_hex(c) for c in gadget.sk_enc],
             })
-            left -= 1
-            return None, parities
 
-        client_keys, _ = keygen(SECURITY, num_wires, circuit, rng, gadget_factory=factory)
+        pool: deque = deque()
+        client_keys, _ = keygen(SECURITY, num_wires, circuit, rng,
+                                lambda left: self._round(pool, left, send_frame), couple)
         frame["discard"] += [qid for _, qid in pool]
         send_frame()
         return client_keys, None

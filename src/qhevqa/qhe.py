@@ -17,7 +17,6 @@ initial keys.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import xor
 
@@ -43,14 +42,11 @@ from .pauli_frame import (
 from .rsp_gadget import (
     GADGET_QUBITS,
     Gadget,
-    claw_round,
     consume_gadget,
     gadget_key_update,
     gen_gadget,
     gen_measurement,
     rsp_round_ideal,
-    rsp_server_commit,
-    rsp_server_measure,
 )
 from .simulator import MAX_QUBITS, Gate, StateVector, apply_gate
 
@@ -120,8 +116,8 @@ def keygen(
     num_wires: int,
     circuit: list[Gate],
     rng: np.random.Generator,
-    rsp_mode: str = "ideal",
-    gadget_factory=None,
+    rounds=None,
+    couple=None,
 ) -> tuple[ClientKeys, EvalKey]:
     """Generate the level chain and one twisted gadget per T / Tdagger.
 
@@ -130,15 +126,13 @@ def keygen(
     ciphertext will have at run time, independent of pad values and runtime
     outcomes.
 
-    ``gadget_factory(pk_next, sk_enc, k_bit)`` may replace local gadget
-    generation. It returns the gadget and ``(dx, dz)``, the keystream parities
-    the gadget's corrections add to the wire's a and b keys. A remote factory
-    (the wire protocol, claw-based rounds only) provisions the gadget on the
-    server and returns ``(None, (dx, dz))``, in which case the returned
-    EvalKey carries no gadget states. Local claw-based gadgets
-    (``rsp_mode="faithful"``) share one pool of rounds, refilled when it runs
-    dry by a batch ``rsp_rows`` sizes to the gadgets still to build, the rule
-    the wire protocol follows; the ideal sampler draws one round at a time.
+    Every gadget is built here by ``gen_gadget``; a caller chooses only its
+    two seams. ``rounds(left)`` returns the RSP round source, where
+    ``left()`` is the number of gadgets still to build, which sizes the
+    batches of a ``claw_round`` pool. None means the ideal sampler, one round
+    at a time. ``couple`` is ``gen_gadget``'s coupling step, by default the
+    local one. The wire protocol's coupler queues each gadget for the server
+    and returns no state, so its EvalKey holds gadgets without states.
     """
     _check_circuit(circuit, num_wires)
     n_gadgets = t_count(circuit)
@@ -149,19 +143,7 @@ def keygen(
         encrypt_seed(triples[i + 1].pk, triples[i].sk, rng) for i in range(n_gadgets)
     )
     gadgets: list[Gadget] = []
-    if gadget_factory is None:
-        rounds = {
-            "ideal": rsp_round_ideal,
-            "faithful": claw_round(rsp_server_commit, rsp_server_measure,
-                                   lambda: n_gadgets - len(gadgets), deque()),
-        }
-        if rsp_mode not in rounds:
-            raise QHEError(f"unknown rsp mode {rsp_mode!r}")
-        round_ = rounds[rsp_mode]
-
-        def gadget_factory(pk_next, sk_enc, k_bit):
-            return gen_gadget(pk_next, sk_enc, k_bit, rng, round_)
-
+    round_ = rsp_round_ideal if rounds is None else rounds(lambda: n_gadgets - len(gadgets))
     init_stream_bits = tuple(map(tuple, rng.integers(2, size=(num_wires, 2)).tolist()))
     parity = list(init_stream_bits)
     for g in circuit:
@@ -171,7 +153,7 @@ def keygen(
         (w,) = g.wires
         ka, kb = parity[w]
         i = len(gadgets)
-        gadget, (dx, dz) = gadget_factory(triples[i + 1].pk, sk_encs[i], ka)
+        gadget, (dx, dz) = gen_gadget(triples[i + 1].pk, sk_encs[i], ka, rng, round_, couple)
         gadgets.append(gadget)
         if g.kind == "Tdagger":
             kb ^= ka

@@ -34,8 +34,10 @@ runs dry, with a batch sized by ``rsp_rows`` to the gadgets still to build,
 each round with a fresh 2-to-1 GF(2) linear function and its trapdoor (the
 hidden kernel vector), and the batch's two server steps called locally or
 sent as messages. The rounds are independent instances, so every
-step works on the whole batch as arrays. ``couple(heads, tails, rejected)``
-entangles the accepted pairs and drops the rejected rounds. The claw function
+step works on the whole batch as arrays. ``couple(heads, tails, rejected,
+gadget)`` entangles the accepted pairs, drops the rejected rounds and returns
+the gadget's state: locally the pair states; remotely None, once the pairs
+to couple and the ciphertexts are queued for the server. The claw function
 has a fixed size, ``RSP_N`` inputs by ``RSP_MU`` outputs. The server's claw
 steps run on each state's support, not on n + mu dense wires: the commit
 enumerates the 2^n inputs once, and the measurement is two-term arithmetic on
@@ -299,10 +301,10 @@ class Gadget:
     ciphertexts.
 
     ``state`` holds pair j as a 2 x 2 array phi_j[h, t] of amplitudes over
-    its head bit h and tail bit t; it is None in a client's copy of a gadget
-    built on a server. All ciphertexts live one key level above the wire keys
-    they will update; ``sk_enc`` (the encrypted lower secret key) bridges the
-    gap via key switching.
+    its head bit h and tail bit t; it is None in the client's copy of a
+    gadget coupled on a server. All ciphertexts live one key level above the
+    wire keys they will update; ``sk_enc`` (the encrypted lower secret key)
+    bridges the gap via key switching.
     """
 
     state: tuple[np.ndarray, np.ndarray] | None
@@ -330,9 +332,12 @@ def gen_gadget(
     head 0, tail 0, head 1, tail 1. Corrections that the server picks by
     public runtime data (position and flip outcome) are encrypted with shared
     per-family keystream bits, keeping downstream keystream parities
-    choice-independent. ``couple`` defaults to ``assemble_gadget_state``,
-    which drops the rejected states. Returns the gadget and ``(dx, dz)``, the
-    keystream parities its corrections add to the routed wire's a and b keys.
+    choice-independent. Once the ciphertexts are built, ``couple(heads,
+    tails, rejected, gadget)`` gets the accepted handles, the rejected ones
+    in draw order and the gadget without its state, and returns the state.
+    It defaults to ``assemble_gadget_state``, which drops the rejected
+    states. Returns the gadget and ``(dx, dz)``, the keystream parities its
+    corrections add to the routed wire's a and b keys.
     """
     p = twist_bits(k_bit)
     heads, tails, rejected = [], [], []
@@ -341,14 +346,15 @@ def gen_gadget(
         tails.append(_draw(round_, rng, lambda i, pj=p[j]: (i & 1) == pj, rejected))
     head_idx, head_handles = zip(*heads)
     tail_idx, tail_handles = zip(*tails)
-    if couple is None:
-        state = assemble_gadget_state(head_handles, tail_handles)
-    else:
-        state = couple(head_handles, tail_handles, rejected)
     xs = tuple(theta_bits(i)[0] for i in head_idx)
     zs = tuple(theta_bits(i)[1] for i in tail_idx)
     x_ct, z_ct, e_ct, parities = build_gadget_ciphertexts(pk_next, p, xs, zs, rng)
-    return Gadget(state, x_ct, z_ct, e_ct, tuple(sk_enc), pk_next.level), parities
+    fields = (x_ct, z_ct, e_ct, tuple(sk_enc), pk_next.level)
+    if couple is None:
+        state = assemble_gadget_state(head_handles, tail_handles)
+    else:
+        state = couple(head_handles, tail_handles, rejected, Gadget(None, *fields))
+    return Gadget(state, *fields), parities
 
 
 def twist_bits(k_bit: int) -> tuple[int, int]:

@@ -132,9 +132,6 @@ class StateVector:
             if self.amplitudes.shape != (2**self.num_qubits,):
                 raise SimulatorError("amplitude length must be 2**num_qubits")
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
     def check_wires(self, wires: Iterable[int]) -> None:
         for w in wires:
             if not 0 <= w < self.num_qubits:

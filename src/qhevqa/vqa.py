@@ -35,6 +35,7 @@ from .simulator import (
     apply_circuit,
     expectation,
     gate,
+    reduced_density_matrix,
 )
 from .skdecomp import DEFAULT_EPS_TARGET, decompose_circuit, fold_t_runs
 
@@ -109,9 +110,6 @@ class ShadowModel:
     @property
     def num_windows(self) -> int:
         return self.n - SHADOW_WIDTH + 1
-
-    def copy(self) -> "ShadowModel":
-        return ShadowModel(self.theta.copy(), self.w.copy(), self.bias, self.n)
 
 
 # Paper-style fixed angles for a model built by hand, such as one delegated
@@ -189,8 +187,6 @@ def _row_observables(rows: np.ndarray) -> np.ndarray:
 def _window_reduced(state: StateVector, wires: tuple[int, int]) -> np.ndarray:
     # reduced_density_matrix packs its first listed wire least significant;
     # list the second window wire first so the first is the matrix MSB.
-    from .simulator import reduced_density_matrix
-
     return reduced_density_matrix(state, [wires[1], wires[0]])
 
 

@@ -170,6 +170,18 @@ class TestTrain:
         assert f"error: cannot listen on {host}:{port}: " in err and "Traceback" not in err
         assert len(opened) == 1 and opened[0].fileno() == -1
 
+    @pytest.mark.parametrize("port", ["abc", "70000", "-1"])
+    def test_malformed_port_variable_exits_2(self, tmp_path, capsys, monkeypatch, port):
+        # A QHEVQA_PORT that is no integer in 0..65535 used to end in a
+        # ValueError (abc) or OverflowError (70000, -1) traceback.
+        monkeypatch.setenv("QHEVQA_PORT", port)
+        rc = main(["train", "--epochs", "1", "--transport", "tcp",
+                   "--dataset", write_digits(tmp_path, 4)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: QHEVQA_PORT must be an integer in 0..65535, got {port!r}" in err
+        assert "Traceback" not in err
+
     def test_short_training_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(

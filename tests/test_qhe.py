@@ -1,5 +1,6 @@
 """Quantum homomorphic encryption: round trips, statistics, blindness."""
 import hashlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qhevqa.qhe import (
     xx_expectation_sign,
     xx_sign,
 )
+from qhevqa.rsp_gadget import claw_round, rsp_server_commit, rsp_server_measure
 from qhevqa.simulator import (
     StateVector,
     apply_circuit,
@@ -45,13 +47,18 @@ def rand_circuit(num_wires, rng, n_gates=8, max_t=3):
     return circ
 
 
+def local_claw(left):
+    """Claw-based RSP rounds run in this process, as ``keygen``'s ``rounds``."""
+    return claw_round(rsp_server_commit, rsp_server_measure, left, deque())
+
+
 def claw_keygen(num_wires, circuit, rng):
     """Key generation whose claw-based RSP rounds run in this process."""
-    return keygen(16, num_wires, circuit, rng, rsp_mode="faithful")
+    return keygen(16, num_wires, circuit, rng, local_claw)
 
 
-def round_trip(circuit, num_wires, rng, rsp_mode="ideal"):
-    client, server = keygen(16, num_wires, circuit, rng, rsp_mode=rsp_mode)
+def round_trip(circuit, num_wires, rng, rounds=None):
+    client, server = keygen(16, num_wires, circuit, rng, rounds)
     psi = random_state(num_wires, rng)
     cs, _pad = encrypt(client, psi, rng)
     out = eval_circuit(cs, circuit, server, rng)
@@ -84,9 +91,7 @@ class TestRoundTrip:
     def test_random_circuits_faithful(self):
         rng = np.random.default_rng(4)
         circ = rand_circuit(2, rng, n_gates=6, max_t=2)
-        assert round_trip(circ, 2, rng, rsp_mode="faithful") == pytest.approx(
-            1.0, abs=1e-9
-        )
+        assert round_trip(circ, 2, rng, local_claw) == pytest.approx(1.0, abs=1e-9)
 
     def test_interleaved_clifford_t(self):
         rng = np.random.default_rng(5)
@@ -112,11 +117,6 @@ class TestKeygenValidation:
         rng = np.random.default_rng(7)
         with pytest.raises(QHEError):
             keygen(16, 1, [gate("CNOT", 0, 1)], rng)
-
-    def test_rejects_unknown_rsp_mode(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(QHEError):
-            keygen(16, 1, [gate("T", 0)], rng, rsp_mode="nope")
 
     def test_budget_matches_t_count(self):
         rng = np.random.default_rng(9)

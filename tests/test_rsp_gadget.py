@@ -1,6 +1,7 @@
 """Remote state preparation and the encrypted conditional-phase gadget."""
 import tracemalloc
 from collections import Counter, deque
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -523,7 +524,7 @@ class TestSamplers:
                     return angles[-1], len(angles) - 1
 
                 seen = []
-                build(round_, k, rng, lambda h, t, rej: seen.append((h, t)))
+                build(round_, k, rng, lambda h, t, rej, g: seen.append((h, t)))
                 ((heads, tails),) = seen
                 assert all(angles[h] in (0, 2) for h in heads)
                 assert [angles[t] & 1 for t in tails] == list(p)
@@ -536,7 +537,7 @@ class TestSamplers:
             claw_round(rsp_server_commit, rsp_server_measure, lambda: 1, deque())
         )
         seen = []
-        build(round_, 1, rng, lambda h, t, rej: seen.append((h, t)))
+        build(round_, 1, rng, lambda h, t, rej, g: seen.append((h, t)))
         angle = {id(state): idx for idx, state in log}
         ((heads, tails),) = seen
         for state in heads + tails:
@@ -559,7 +560,8 @@ class TestSamplers:
 
     def test_couple_receives_rejected_in_draw_order(self):
         # Ideal rounds share their four states, so handles here are draw
-        # numbers.
+        # numbers. The coupler gets the built gadget without its state, and
+        # what it returns becomes the state.
         rng = np.random.default_rng(16)
         draws = []
 
@@ -568,19 +570,19 @@ class TestSamplers:
             return draws[-1], len(draws) - 1
 
         seen = []
-        gadget, _ = build(round_, 0, rng, lambda h, t, rej: seen.append((h, t, rej)) or "s")
-        ((heads, tails, rejected),) = seen
+        gadget, _ = build(round_, 0, rng, lambda *args: seen.append(args) or "s")
+        ((heads, tails, rejected, stateless),) = seen
         accepted = set(heads + tails)
         assert rejected == [i for i in range(len(draws)) if i not in accepted]
         assert rejected and len(rejected) == len(draws) - 4
-        assert gadget.state == "s"
+        assert stateless.state is None and replace(stateless, state="s") == gadget
 
     def test_default_couple_assembles_accepted_states(self):
         # Same seed twice: once capturing the accepted states, once with the
         # local default coupling, which keeps the two pair states.
         seen = []
         build(rsp_round_ideal, 1, np.random.default_rng(17),
-              lambda h, t, rej: seen.append((h, t)))
+              lambda h, t, rej, g: seen.append((h, t)))
         gadget, _ = build(rsp_round_ideal, 1, np.random.default_rng(17))
         ((heads, tails),) = seen
         want = assemble_gadget_state(heads, tails)

@@ -1,4 +1,5 @@
 """Shadow classifier: features, compensation, gradients, training."""
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -266,7 +267,7 @@ class TestGradients:
         feats = np.stack([shadow_features(s, model) for s in states])
         eps = 1e-6
         for j in range(len(model.w)):
-            up, dn = model.copy(), model.copy()
+            up, dn = copy.deepcopy(model), copy.deepcopy(model)
             up.w[j] += eps
             dn.w[j] -= eps
             lu = cross_entropy(
@@ -348,7 +349,7 @@ class TestStackedObservables:
         for r in range(2):
             for c in range(4):
                 for k, sgn in enumerate((+1, -1)):
-                    shifted = model.copy()
+                    shifted = copy.deepcopy(model)
                     shifted.theta[r, c] += sgn * shift
                     for v in range(1, model.n):
                         if theta_row(v) != r:
