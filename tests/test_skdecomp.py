@@ -1,4 +1,6 @@
 """Clifford+T approximation of rotations: net, recursion, certification."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +219,35 @@ class TestDecompose:
     def test_zero_rotation_collapses(self):
         out, t_total = decompose_circuit([gate("RZ", 0, angle=0.0)])
         assert out == [] and t_total == 0
+
+
+def synthesis_digest():
+    """SHA-256 over the words and T tallies ``decompose_circuit`` gives seeded
+    RX/RY/RZ targets at four tolerances, and over the words and unitary bytes
+    ``sk_decompose`` gives seeded targets at depths 0-3."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(33)
+    for eps in (0.3, 0.1, 0.03, 0.01):
+        for axis in ("RX", "RY", "RZ") * 4:
+            g = gate(axis, 0, angle=float(rng.uniform(0, 2 * np.pi)))
+            out, t_total = decompose_circuit([g], eps)
+            word = " ".join(h.kind for h in out)
+            digest.update(f"{eps} {g.kind} {g.angle!r}: {word} {t_total}\n".encode())
+    net = default_net()
+    for axis in ("RX", "RY", "RZ") * 2:
+        u = ROTATION_1Q[axis](float(rng.uniform(0, 2 * np.pi)))
+        for depth in range(4):
+            seq = sk_decompose(u, depth, net)
+            digest.update(f"{depth}: {' '.join(seq.ops)}\n".encode())
+            digest.update(np.ascontiguousarray(seq.unitary).tobytes())
+    return digest.hexdigest()
+
+
+class TestSynthesisGolden:
+    def test_words_tallies_and_unitaries_are_pinned(self):
+        assert synthesis_digest() == (
+            "437594e84c67c81baea2af4523d835aaea1f652e8f3e391a8e7cad1ab3120654"
+        )
 
 
 class TestReportTallies:
