@@ -123,12 +123,12 @@ def decompose_report_tallies(angle: float, axis: str = "X") -> dict:
     from .skdecomp import REPORT_DEPTH, default_net, sk_decompose, trace_distance
 
     u = ROTATION_1Q[f"R{axis}"](angle)
-    seq = sk_decompose(u, REPORT_DEPTH, default_net())
+    word, approx = sk_decompose(u, REPORT_DEPTH, default_net())
     return {
-        "T": seq.t_count,
-        "Tdagger": seq.tdg_count,
-        "H": seq.h_count,
-        "distance": trace_distance(seq.unitary, u),
+        "T": word.count("T"),
+        "Tdagger": word.count("Tdagger"),
+        "H": word.count("H"),
+        "distance": trace_distance(approx, u),
     }
 
 
@@ -527,8 +527,8 @@ def check_sk(count: int, seed: int, min_improved: int):
     for _ in range(count):
         axis = str(rng.choice(["RX", "RY", "RZ"]))
         u = ROTATION_1Q[axis](float(rng.uniform(0, 2 * pi)))
-        d0 = trace_distance(sk_decompose(u, 0, net).unitary, u)
-        dd = trace_distance(sk_decompose(u, DEFAULT_DEPTH, net).unitary, u)
+        d0 = trace_distance(sk_decompose(u, 0, net)[1], u)
+        dd = trace_distance(sk_decompose(u, DEFAULT_DEPTH, net)[1], u)
         worst = max(worst, dd)
         improved += dd < d0
     tallies = decompose_report_tallies(5.57, "X")

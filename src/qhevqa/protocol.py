@@ -63,7 +63,6 @@ from .qhe import (
     SECURITY,
     CipherState,
     ClientKeys,
-    EvalKey,
     keygen,
     t_count,
 )
@@ -631,7 +630,7 @@ class ServerSession:
             raise ProtocolError("order", "queued gadget levels are not 1..t in order")
         run_gadgets, self.gadgets = self.gadgets[:needed], self.gadgets[needed:]
         value, _, keys = xx_run_homomorphic(CipherState(register, p["enc_keys"], 0), circuit,
-                                            wires, EvalKey(tuple(run_gadgets)), self.rng)
+                                            wires, tuple(run_gadgets), self.rng)
         self._reply("ShotResults", {"value": value})
         row = [[ct_to_hex(a), ct_to_hex(b)] for a, b in (keys[w] for w in wires)]
         self._reply("EncKeysUpdate", {"enc_keys": [row]})
@@ -796,7 +795,7 @@ class ClientSession:
         self, num_wires: int, circuit: list[Gate], rng: np.random.Generator
     ) -> tuple[ClientKeys, None]:
         """Run key generation with one run's gadgets provisioned on the server;
-        return the client keys and None for the EvalKey, which stays with the
+        return the client keys and None for the gadgets, which stay with the
         server: the form ``vqa.faithful_evaluator`` takes.
 
         The gadgets draw from one pool of claw-based RSP rounds, asked for in

@@ -63,13 +63,6 @@ class QHEError(Exception):
 
 
 @dataclass(frozen=True)
-class EvalKey:
-    """Server-side evaluation material: one gadget per T gate."""
-
-    gadgets: tuple[Gadget, ...]
-
-
-@dataclass(frozen=True)
 class ClientKeys:
     """Client-side bundle: the secret-key chain and the seed of the key-flow
     plan over keystream parity bits, one (a, b) pair per wire that
@@ -118,8 +111,9 @@ def keygen(
     rng: np.random.Generator,
     rounds=None,
     couple=None,
-) -> tuple[ClientKeys, EvalKey]:
-    """Generate the level chain and one twisted gadget per T / Tdagger.
+) -> tuple[ClientKeys, tuple[Gadget, ...]]:
+    """Generate the level chain and one twisted gadget per T / Tdagger: the
+    client keys, and the gadgets in T order, the server's evaluation key.
 
     The key-flow pass mirrors evaluation over keystream parity bits, one per
     key, so each gadget's twist equals the keystream parity its routing
@@ -132,7 +126,7 @@ def keygen(
     batches of a ``claw_round`` pool. None means the ideal sampler, one round
     at a time. ``couple`` is ``gen_gadget``'s coupling step, by default the
     local one. The wire protocol's coupler queues each gadget for the server
-    and returns no state, so its EvalKey holds gadgets without states.
+    and returns no state, so the gadgets keygen then returns hold no states.
     """
     _check_circuit(circuit, num_wires)
     n_gadgets = t_count(circuit)
@@ -160,7 +154,7 @@ def keygen(
         parity[w] = (ka ^ dx, kb ^ dz)
 
     client = ClientKeys(triples, init_stream_bits)
-    return client, EvalKey(tuple(gadgets))
+    return client, tuple(gadgets)
 
 
 def encrypt(
@@ -186,19 +180,20 @@ def encrypt(
 def eval_circuit(
     cs: CipherState,
     circuit: list[Gate],
-    ek: EvalKey,
+    gadgets: tuple[Gadget, ...],
     rng: np.random.Generator,
 ) -> CipherState:
-    """Homomorphically apply a Clifford+T circuit to the cipherstate.
+    """Homomorphically apply a Clifford+T circuit to the cipherstate, each
+    T or Tdagger consuming the next of ``gadgets`` from ``cs.level`` on.
 
     Runs entirely on public data: gates, ciphertext handles, Bell outcomes,
     and the public masked parity that routes each gadget.
     """
     _check_circuit(circuit, len(cs.encrypted_keys))
     needed = t_count(circuit)
-    if cs.level + needed > len(ek.gadgets):
+    if cs.level + needed > len(gadgets):
         raise QHEError(
-            f"circuit needs {needed} gadgets, {len(ek.gadgets) - cs.level} remain"
+            f"circuit needs {needed} gadgets, {len(gadgets) - cs.level} remain"
         )
     register = cs.register
     keys = list(cs.encrypted_keys)
@@ -209,7 +204,7 @@ def eval_circuit(
             update_keys(keys, g, he_xor)
             continue
         (w,) = g.wires
-        gadget = ek.gadgets[level]
+        gadget = gadgets[level]
         route = gen_measurement(keys[w][0])
         register, (u, v) = consume_gadget(register, w, gadget, route, rng)
         new_a, new_b = gadget_key_update(

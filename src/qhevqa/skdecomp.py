@@ -1,16 +1,20 @@
 """Solovay-Kitaev synthesis of single-qubit unitaries over {H, T, Tdagger}.
 
-A breadth-first epsilon-net of short products seeds the standard recursion:
-each level approximates the residual between the target and the previous
-level's result by a balanced group commutator, whose two factors are in turn
-approximated one level down. Distances use the phase-invariant metric
-d(U, V) = sqrt(1 - |tr(U^dag V)| / 2), which is zero exactly when the two
-matrices agree up to global phase.
+Depth 0 is the nearest word of a breadth-first epsilon-net of short products.
+Each deeper word is built from the one before (Dawson-Nielsen,
+arXiv:quant-ph/0505030): the residual between the target and the current
+word is a balanced group commutator V W V^dag W^dag, and the word grows by
+the one-depth-shallower words of V and W and their inverses, kept only if it
+comes closer. One generator yields the (word, unitary) pair at every depth,
+so deepening until a tolerance is met builds each depth once. Distances use
+the phase-invariant metric d(U, V) = sqrt(1 - |tr(U^dag V)| / 2), which is
+zero exactly when the two matrices agree up to global phase.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -115,40 +119,18 @@ def ops_unitary(ops: tuple[str, ...]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GateSequence:
-    """Ordered ops over {H, T, Tdagger} with their cached product."""
-
-    ops: tuple[str, ...]
-    unitary: np.ndarray
-
-    @classmethod
-    def from_ops(cls, ops: tuple[str, ...]) -> "GateSequence":
-        return cls(ops, ops_unitary(ops))
-
-    @property
-    def t_count(self) -> int:
-        return self.ops.count("T")
-
-    @property
-    def tdg_count(self) -> int:
-        return self.ops.count("Tdagger")
-
-    @property
-    def h_count(self) -> int:
-        return self.ops.count("H")
-
-
-@dataclass(frozen=True)
 class EpsilonNet:
-    """All distinct products up to ``BASE_LENGTH`` long, shortest-sequence wins."""
+    """All distinct products up to ``BASE_LENGTH`` long, shortest word wins:
+    the words, and their unitaries stacked for one vectorized search."""
 
-    sequences: tuple[GateSequence, ...]
-    _stack: np.ndarray  # (N, 2, 2) cached unitaries for vectorized search
+    words: tuple[tuple[str, ...], ...]
+    unitaries: np.ndarray  # (N, 2, 2)
 
-    def nearest(self, u: np.ndarray) -> GateSequence:
+    def nearest(self, u: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
         # |tr(S^dag U)| for every net entry in one vectorized pass.
-        overlap = np.abs(np.einsum("nij,ij->n", self._stack.conj(), u)) / 2.0
-        return self.sequences[int(np.argmax(overlap))]
+        overlap = np.abs(np.einsum("nij,ij->n", self.unitaries.conj(), u)) / 2.0
+        i = int(np.argmax(overlap))
+        return self.words[i], self.unitaries[i]
 
 
 def _canonical_key(u: np.ndarray) -> bytes:
@@ -178,8 +160,10 @@ def build_net() -> EpsilonNet:
                 nxt.append((new_ops, new_u))
         all_entries.extend(nxt)
         frontier = nxt
-    seqs = tuple(GateSequence(ops, u) for ops, u in all_entries)
-    return EpsilonNet(seqs, np.stack([s.unitary for s in seqs]))
+    words, unitaries = zip(*all_entries)
+    stack = np.stack(unitaries)
+    stack.flags.writeable = False  # nearest hands out rows of the shared net
+    return EpsilonNet(words, stack)
 
 
 @lru_cache(maxsize=1)
@@ -239,9 +223,11 @@ def _axis_mapper(frm: np.ndarray, to: np.ndarray) -> np.ndarray:
     return _rotation(cross / np.linalg.norm(cross), np.arccos(dot))
 
 
-def group_commutator_factors(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V, W with V W V^dag W^dag = delta (up to phase), balanced in size."""
-    _, theta = _axis_angle(delta)
+def group_commutator_factors(
+    axis: np.ndarray, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """V, W whose commutator V W V^dag W^dag is the rotation by ``theta``
+    about the unit vector ``axis`` (up to phase), balanced in size."""
     # Commutator of phi-rotations about X and Y is a rotation by theta with
     # sin(theta/2) = 2 sin^2(phi/2) sqrt(1 - sin^4(phi/2)); solve by bisection.
     st = np.sin(theta / 2.0)
@@ -259,52 +245,58 @@ def group_commutator_factors(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     w = _rotation(np.array([0.0, 1.0, 0.0]), phi)
     commutator = v @ w @ v.conj().T @ w.conj().T
     n_have, _ = _axis_angle(commutator)
-    n_want, _ = _axis_angle(delta)
-    s = _axis_mapper(n_have, n_want)
+    s = _axis_mapper(n_have, axis)
     return s @ v @ s.conj().T, s @ w @ s.conj().T
-
-
-def sk_decompose(u: np.ndarray, depth: int, net: EpsilonNet) -> GateSequence:
-    """Recursive approximation; distance shrinks as depth grows."""
-    u = _check_unitary(u)
-    if depth < 0 or depth > MAX_DEPTH:
-        raise DecompositionError(f"depth must be 0..{MAX_DEPTH}")
-    return _sk(_to_su2(u), depth, net)
 
 
 def _inverse(ops: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(_INVERSE[op] for op in reversed(ops))
 
 
-def _sk(u: np.ndarray, depth: int, net: EpsilonNet) -> GateSequence:
-    if depth == 0:
-        return net.nearest(u)
-    prev = _sk(u, depth - 1, net)
-    delta = _to_su2(u @ prev.unitary.conj().T)
-    _, theta = _axis_angle(delta)
-    if theta < 1e-14:
-        return prev
-    v, w = group_commutator_factors(delta)
-    va = _sk(_to_su2(v), depth - 1, net)
-    wa = _sk(_to_su2(w), depth - 1, net)
-    # Op order is application order, so the matrix product V W V^dag W^dag
-    # reads right-to-left from the concatenated ops.
-    ops = prev.ops + _inverse(wa.ops) + _inverse(va.ops) + wa.ops + va.ops
-    candidate = GateSequence.from_ops(simplify_ops(ops))
-    # The recursion can stall on a bad commutator fit; never get worse.
-    if trace_distance(candidate.unitary, u) <= trace_distance(prev.unitary, u):
-        return candidate
-    return prev
+def _deepen(u: np.ndarray, net: EpsilonNet):
+    """Yield the (word, unitary) approximations of the SU(2) element ``u`` at
+    depths 0..MAX_DEPTH, each built from the one before."""
+    word, approx = net.nearest(u)
+    yield word, approx
+    for depth in range(MAX_DEPTH):
+        # _axis_angle normalizes once more; the pinned words depend on both.
+        axis, theta = _axis_angle(_to_su2(u @ approx.conj().T))
+        if theta >= 1e-14:
+            va, wa = (
+                next(islice(_deepen(_to_su2(f), net), depth, None))[0]
+                for f in group_commutator_factors(axis, theta)
+            )
+            # Op order is application order, so the matrix product
+            # V W V^dag W^dag reads right-to-left from the concatenated ops.
+            longer = simplify_ops(word + _inverse(wa) + _inverse(va) + wa + va)
+            closer = ops_unitary(longer)
+            # The recursion can stall on a bad commutator fit; never get worse.
+            if trace_distance(closer, u) <= trace_distance(approx, u):
+                word, approx = longer, closer
+        yield word, approx
+
+
+def sk_decompose(
+    u: np.ndarray, depth: int, net: EpsilonNet
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The (word, unitary) approximation of ``u`` at ``depth``; its distance
+    to ``u`` never grows with depth."""
+    u = _check_unitary(u)
+    if depth < 0 or depth > MAX_DEPTH:
+        raise DecompositionError(f"depth must be 0..{MAX_DEPTH}")
+    return next(islice(_deepen(_to_su2(u), net), depth, None))
 
 
 def decompose_circuit(
     circuit: list[Gate],
     eps_target: float = DEFAULT_EPS_TARGET,
 ) -> tuple[list[Gate], int]:
-    """Replace every rotation by a certified {H, T, Tdagger} sequence.
+    """Replace every rotation by its shallowest {H, T, Tdagger} word within
+    ``eps_target``.
 
-    Returns the rewritten circuit and the total T + Tdagger tally (the gadget
-    budget the rewritten circuit needs).
+    Returns the rewritten circuit and its T + Tdagger tally. The tally counts
+    T gates before ``fold_t_runs``, so it can exceed the gadgets the folded
+    circuit needs (155 against 111 on the reference feature vector at 0.1).
     """
     net = default_net()
     out: list[Gate] = []
@@ -317,18 +309,15 @@ def decompose_circuit(
         if not np.isfinite(g.angle):
             raise DecompositionError(f"{g.kind} angle must be finite, got {g.angle}")
         u = ROTATION_1Q[g.kind](g.angle)
-        seq = None
-        for depth in range(MAX_DEPTH + 1):
-            seq = sk_decompose(u, depth, net)
-            if trace_distance(seq.unitary, u) <= eps_target:
+        for word, approx in _deepen(_to_su2(u), net):
+            if trace_distance(approx, u) <= eps_target:
                 break
-        assert seq is not None
-        if trace_distance(seq.unitary, u) > eps_target:
+        else:
             raise DecompositionError(
                 f"could not reach eps={eps_target} for {g.kind}({g.angle}) "
                 f"within depth {MAX_DEPTH}"
             )
         (wire,) = g.wires
-        out.extend(gate(op, wire) for op in seq.ops)
-        total_t += seq.t_count + seq.tdg_count
+        out.extend(gate(op, wire) for op in word)
+        total_t += word.count("T") + word.count("Tdagger")
     return out, total_t

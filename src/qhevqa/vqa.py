@@ -244,16 +244,16 @@ def faithful_evaluator(provision, server_run, eps_target: float):
     the decrypted sign of the <X x X> that comes back.
 
     ``provision(num_wires, circuit, rng)`` returns the client keys and the
-    EvalKey (None when the gadgets live on a remote server);
-    ``server_run(cs, circuit, wires, ek, rng)`` returns the raw <X x X>, the
-    final key level and the final encrypted keys of ``wires``.
+    gadget tuple (None when the gadgets live on a remote server);
+    ``server_run(cs, circuit, wires, gadgets, rng)`` returns the raw
+    <X x X>, the final key level and the final encrypted keys of ``wires``.
     """
 
     def evaluate(state, circuit, wires, rng):
         clifford_t = fold_t_runs(decompose_circuit(circuit, eps_target)[0])
-        client, ek = provision(state.num_qubits, clifford_t, rng)
+        client, gadgets = provision(state.num_qubits, clifford_t, rng)
         cs, _ = encrypt(client, state, rng)
-        raw, level, keys = server_run(cs, clifford_t, wires, ek, rng)
+        raw, level, keys = server_run(cs, clifford_t, wires, gadgets, rng)
         return xx_sign(client, level, keys, wires) * raw
 
     return evaluate
@@ -263,10 +263,10 @@ def _provision_local(num_wires, circuit, rng):
     return keygen(SECURITY, num_wires, circuit, rng)
 
 
-def xx_run_homomorphic(cs, circuit, wires, ek, rng):
+def xx_run_homomorphic(cs, circuit, wires, gadgets, rng):
     """A delegated-faithful window's server step, local or remote: the
     homomorphic run, its raw <X x X>, the final key level and encrypted keys."""
-    out = eval_circuit(cs, circuit, ek, rng)
+    out = eval_circuit(cs, circuit, gadgets, rng)
     raw = expectation(out.register, PauliString(("X", "X"), wires))
     return raw, out.level, out.encrypted_keys
 

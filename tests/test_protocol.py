@@ -1479,9 +1479,9 @@ class TestGadgetBudget:
         made, keygen = [], vqa.keygen
 
         def counting_keygen(*args, **kwargs):
-            client, ek = keygen(*args, **kwargs)
-            made.append(len(ek.gadgets))
-            return client, ek
+            client, gadgets = keygen(*args, **kwargs)
+            made.append(len(gadgets))
+            return client, gadgets
 
         monkeypatch.setattr(vqa, "keygen", counting_keygen)
         evaluate = window_evaluator("delegated-faithful", self.EPS)

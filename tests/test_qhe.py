@@ -58,10 +58,10 @@ def claw_keygen(num_wires, circuit, rng):
 
 
 def round_trip(circuit, num_wires, rng, rounds=None):
-    client, server = keygen(16, num_wires, circuit, rng, rounds)
+    client, gadgets = keygen(16, num_wires, circuit, rng, rounds)
     psi = random_state(num_wires, rng)
     cs, _pad = encrypt(client, psi, rng)
-    out = eval_circuit(cs, circuit, server, rng)
+    out = eval_circuit(cs, circuit, gadgets, rng)
     got = decrypt_state(client, out)
     want = apply_circuit(psi, circuit)
     return fidelity(got, want)
@@ -122,21 +122,21 @@ class TestKeygenValidation:
         rng = np.random.default_rng(9)
         circ = [gate("T", 0), gate("H", 0), gate("Tdagger", 0)]
         assert t_count(circ) == 2
-        _, server = keygen(16, 1, circ, rng)
-        assert len(server.gadgets) == 2
+        _, gadgets = keygen(16, 1, circ, rng)
+        assert len(gadgets) == 2
 
     def test_eval_rejects_budget_overrun(self):
         rng = np.random.default_rng(10)
-        client, server = keygen(16, 1, [gate("T", 0)], rng)
+        client, gadgets = keygen(16, 1, [gate("T", 0)], rng)
         cs, _ = encrypt(client, random_state(1, rng), rng)
         with pytest.raises(QHEError):
-            eval_circuit(cs, [gate("T", 0), gate("T", 0)], server, rng)
+            eval_circuit(cs, [gate("T", 0), gate("T", 0)], gadgets, rng)
 
     def test_more_than_20_wires_refused_before_any_allocation(self):
         # Gadgets add four wires to the register, and a register holds at most 24.
         import tracemalloc
 
-        from qhevqa.qhe import CipherState, EvalKey
+        from qhevqa.qhe import CipherState
 
         rng = np.random.default_rng(12)
         with pytest.raises(QHEError, match="20 wires"):
@@ -145,7 +145,7 @@ class TestKeygenValidation:
         tracemalloc.start()
         try:
             with pytest.raises(QHEError, match="20 wires"):
-                eval_circuit(cs, [gate("T", 0)], EvalKey((None,)), rng)
+                eval_circuit(cs, [gate("T", 0)], (None,), rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -171,13 +171,13 @@ class TestDecryption:
         # locally, as acceptance 2 does; no run reads bits over the wire.
         rng = np.random.default_rng(13)
         circ = [gate("H", 0), gate("T", 0), gate("H", 0)]
-        client, server = keygen(16, 1, circ, rng)
+        client, gadgets = keygen(16, 1, circ, rng)
         psi = StateVector(1)  # |0>
         hits = 0
         shots = 300
         for _ in range(shots):
             cs, _ = encrypt(client, psi, rng)
-            out = eval_circuit(cs, circ, server, rng)
+            out = eval_circuit(cs, circ, gadgets, rng)
             bit, post = measure(out.register, 0, rng)
             hits += bit ^ decrypt_keys(client, out)[0][0]
         want = abs(apply_circuit(psi, circ).amplitudes[1]) ** 2
@@ -185,7 +185,7 @@ class TestDecryption:
 
     def test_xx_expectation_sign(self):
         rng = np.random.default_rng(15)
-        client, server = keygen(16, 2, [], rng)
+        client, gadgets = keygen(16, 2, [], rng)
         psi = random_state(2, rng)
         obs = PauliString(("X", "X"), (0, 1))
         want = expectation(psi, obs)
@@ -197,7 +197,7 @@ class TestDecryption:
 
     def test_decrypt_rejects_exhausted_chain(self):
         rng = np.random.default_rng(16)
-        client, server = keygen(16, 1, [], rng)
+        client, gadgets = keygen(16, 1, [], rng)
         cs, _ = encrypt(client, StateVector(1), rng)
         bad = type(cs)(cs.register, cs.encrypted_keys, 5)
         with pytest.raises(QHEError):
@@ -219,9 +219,9 @@ def deep_circuit(rng, num_wires=4, t_gates=200):
 def deep_cipherstate(seed):
     rng = np.random.default_rng(seed)
     circ = deep_circuit(rng)
-    client, server = keygen(16, 4, circ, rng)
+    client, gadgets = keygen(16, 4, circ, rng)
     cs, _ = encrypt(client, random_state(4, rng), rng)
-    return client, eval_circuit(cs, circ, server, rng)
+    return client, eval_circuit(cs, circ, gadgets, rng)
 
 
 class TestOnePassDecryption:
@@ -252,9 +252,9 @@ class TestOnePassDecryption:
         for seed in range(2):
             rng = np.random.default_rng(100 + seed)
             circ = deep_circuit(rng)
-            client, server = keygen(16, 4, circ, rng)
+            client, gadgets = keygen(16, 4, circ, rng)
             cs, _ = encrypt(client, random_state(4, rng), rng)
-            for g in server.gadgets:
+            for g in gadgets:
                 for ct in (*g.x_ct, *g.z_ct, *g.e_ct[0], *g.e_ct[1]):
                     digest.update(ct_to_bytes(ct))
             for pair in cs.encrypted_keys:
@@ -269,17 +269,17 @@ class TestOnePassDecryption:
         # a key generation whose claw-based rounds run in process. 70 T/T†
         # need more rounds than one batch holds, so the pool is refilled.
         rng = np.random.default_rng(30)
-        client, server = claw_keygen(4, deep_circuit(rng, t_gates=70), rng)
+        client, gadgets = claw_keygen(4, deep_circuit(rng, t_gates=70), rng)
         digest = hashlib.sha256()
         for triple in client.triples:
             digest.update(triple.sk.seed + triple.pk.stream_seed)
         digest.update(bytes(b for pair in client.init_stream_bits for b in pair))
-        for g in server.gadgets:
+        for g in gadgets:
             for ct in (*g.x_ct, *g.z_ct, *g.e_ct[0], *g.e_ct[1], *g.sk_enc):
                 digest.update(ct_to_bytes(ct))
             for pair in g.state:
                 digest.update(pair.tobytes())
-        assert len(server.gadgets) == 70
+        assert len(gadgets) == 70
         assert digest.hexdigest() == (
             "b7f51a2e7c3fb17e9e3714ae6bb61e5eb709e628de1404c4f1597e7f966793e1"
         )
@@ -287,8 +287,8 @@ class TestOnePassDecryption:
     def test_one_decrypt_pass_per_request(self, monkeypatch):
         rng = np.random.default_rng(20)
         circ = [gate("T", 0), gate("CNOT", 0, 1), gate("Tdagger", 2)]
-        client, server = keygen(16, 3, circ, rng)
-        cs = eval_circuit(encrypt(client, random_state(3, rng), rng)[0], circ, server, rng)
+        client, gadgets = keygen(16, 3, circ, rng)
+        cs = eval_circuit(encrypt(client, random_state(3, rng), rng)[0], circ, gadgets, rng)
         passes, one_pass = [], qhe._dec
 
         def counted(sk, *roots):
@@ -307,9 +307,9 @@ class TestBlindness:
     def test_level_advances_per_gadget(self):
         rng = np.random.default_rng(18)
         circ = [gate("T", 0), gate("H", 0), gate("Tdagger", 0)]
-        client, server = keygen(16, 1, circ, rng)
+        client, gadgets = keygen(16, 1, circ, rng)
         cs, _ = encrypt(client, random_state(1, rng), rng)
-        out = eval_circuit(cs, circ, server, rng)
+        out = eval_circuit(cs, circ, gadgets, rng)
         assert out.level == 2
         assert fidelity(
             decrypt_state(client, out),
@@ -321,9 +321,9 @@ class TestBlindness:
         # decrypt at the new level (they are key-switched alongside).
         rng = np.random.default_rng(19)
         circ = [gate("T", 0), gate("CNOT", 0, 1)]
-        client, server = keygen(16, 2, circ, rng)
+        client, gadgets = keygen(16, 2, circ, rng)
         psi = random_state(2, rng)
         cs, _ = encrypt(client, psi, rng)
-        out = eval_circuit(cs, circ, server, rng)
+        out = eval_circuit(cs, circ, gadgets, rng)
         got = decrypt_state(client, out)
         assert fidelity(got, apply_circuit(psi, circ)) == pytest.approx(1.0, abs=1e-10)

@@ -11,7 +11,7 @@ from qhevqa.simulator import FIXED_1Q, ROTATION_1Q, StateVector, apply_circuit, 
 from qhevqa.skdecomp import (
     DEFAULT_DEPTH,
     DecompositionError,
-    GateSequence,
+    EpsilonNet,
     decompose_circuit,
     default_net,
     fold_t_runs,
@@ -112,20 +112,14 @@ class TestSimplify:
             assert simplify_ops(once) == once
 
 
-class TestGateSequence:
-    def test_counts(self):
-        seq = GateSequence.from_ops(("T", "H", "T", "Tdagger", "H"))
-        assert (seq.t_count, seq.tdg_count, seq.h_count) == (2, 1, 2)
-
-
 class TestNet:
     def test_small_net_contents(self):
         net = default_net()
-        as_ops = [s.ops for s in net.sequences]
-        assert as_ops[:4] == [(), ("H",), ("T",), ("Tdagger",)]
-        assert [len(ops) for ops in as_ops] == sorted(map(len, as_ops))  # breadth first
-        for s in net.sequences:
-            assert np.allclose(s.unitary, ops_unitary(s.ops), atol=1e-12)
+        assert net.words[:4] == ((), ("H",), ("T",), ("Tdagger",))
+        assert [len(w) for w in net.words] == sorted(map(len, net.words))  # breadth first
+        assert net.unitaries.shape == (len(net.words), 2, 2)
+        for word, u in zip(net.words, net.unitaries):
+            assert np.allclose(u, ops_unitary(word), atol=1e-12)
 
     @pytest.mark.xfail(strict=True, reason=(
         "the net's dedup key keeps the sign of a rounded zero, so equal "
@@ -133,13 +127,13 @@ class TestNet:
     def test_no_entry_reduces_to_a_shorter_one(self):
         # No redundant entries: T^4 and Tdagger^4 are the same Z, so either
         # may be stored, but no entry has a shorter equal word.
-        for s in default_net().sequences:
-            assert len(simplify_ops(s.ops)) == len(s.ops), s.ops
+        for word in default_net().words:
+            assert len(simplify_ops(word)) == len(word), word
 
     def test_nearest_exact_hits(self):
         net = default_net()
-        assert net.nearest(FIXED_1Q["H"]).ops == ("H",)
-        assert net.nearest(np.eye(2, dtype=complex)).ops == ()
+        assert net.nearest(FIXED_1Q["H"])[0] == ("H",)
+        assert net.nearest(np.eye(2, dtype=complex))[0] == ()
 
 
 class TestCommutator:
@@ -158,7 +152,7 @@ class TestCommutator:
             delta = (
                 np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * h
             )
-            v, w = group_commutator_factors(delta)
+            v, w = group_commutator_factors(axis, theta)
             recon = v @ w @ v.conj().T @ w.conj().T
             assert trace_distance(recon, delta) < 1e-6
 
@@ -170,19 +164,35 @@ class TestDecompose:
         for _ in range(5):
             u = ROTATION_1Q["RZ"](float(rng.uniform(0, 2 * np.pi)))
             dists = [
-                trace_distance(sk_decompose(u, d, net).unitary, u)
+                trace_distance(sk_decompose(u, d, net)[1], u)
                 for d in range(DEFAULT_DEPTH + 1)
             ]
             for lo, hi in zip(dists[1:], dists[:-1]):
                 assert lo <= hi + 1e-12
+
+    def test_each_depth_is_built_once(self, monkeypatch):
+        # RX(1.2) first comes within 0.02 at depth 2. Built from the depth
+        # before, depth d costs 3^d nearest-word searches in all, 9 here;
+        # restarted from depth 0 at each depth it cost 1 + 3 + 9 = 13.
+        u = ROTATION_1Q["RX"](1.2)
+        net = default_net()
+        dists = [trace_distance(sk_decompose(u, d, net)[1], u) for d in range(3)]
+        assert dists[1] > 0.02 >= dists[2]
+        calls = []
+        nearest = EpsilonNet.nearest
+        monkeypatch.setattr(
+            EpsilonNet, "nearest", lambda self, v: calls.append(v) or nearest(self, v)
+        )
+        decompose_circuit([gate("RX", 0, angle=1.2)], eps_target=0.02)
+        assert len(calls) == 3**2
 
     def test_default_depth_hits_target(self):
         rng = np.random.default_rng(5)
         net = default_net()
         for axis in ("RX", "RY", "RZ"):
             u = ROTATION_1Q[axis](float(rng.uniform(0, 2 * np.pi)))
-            seq = sk_decompose(u, DEFAULT_DEPTH, net)
-            assert trace_distance(seq.unitary, u) <= 1e-2
+            _, approx = sk_decompose(u, DEFAULT_DEPTH, net)
+            assert trace_distance(approx, u) <= 1e-2
 
     def test_depth_out_of_range(self):
         with pytest.raises(DecompositionError):
@@ -237,9 +247,9 @@ def synthesis_digest():
     for axis in ("RX", "RY", "RZ") * 2:
         u = ROTATION_1Q[axis](float(rng.uniform(0, 2 * np.pi)))
         for depth in range(4):
-            seq = sk_decompose(u, depth, net)
-            digest.update(f"{depth}: {' '.join(seq.ops)}\n".encode())
-            digest.update(np.ascontiguousarray(seq.unitary).tobytes())
+            word, approx = sk_decompose(u, depth, net)
+            digest.update(f"{depth}: {' '.join(word)}\n".encode())
+            digest.update(np.ascontiguousarray(approx).tobytes())
     return digest.hexdigest()
 
 
