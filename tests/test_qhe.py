@@ -284,6 +284,33 @@ class TestOnePassDecryption:
             "b7f51a2e7c3fb17e9e3714ae6bb61e5eb709e628de1404c4f1597e7f966793e1"
         )
 
+    def test_deep_round_trip_bytes_are_pinned(self):
+        # What the digests above leave unpinned in two deep_cipherstate round
+        # trips: every gadget's encrypted seed and ideal pair states, every
+        # evaluated key's bytes, the padded register, and the generator's
+        # state after decryption (through the next 8 bytes it draws).
+        digest = hashlib.sha256()
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            circ = deep_circuit(rng)
+            client, gadgets = keygen(16, 4, circ, rng)
+            cs, _ = encrypt(client, random_state(4, rng), rng)
+            for g in gadgets:
+                for ct in g.sk_enc:
+                    digest.update(ct_to_bytes(ct))
+                for pair in g.state:
+                    digest.update(pair.tobytes())
+            cs = eval_circuit(cs, circ, gadgets, rng)
+            for pair in cs.encrypted_keys:
+                for ct in pair:
+                    digest.update(ct_to_bytes(ct))
+            digest.update(cs.register.amplitudes.tobytes())
+            decrypt_state(client, cs)
+            digest.update(rng.bytes(8))
+        assert digest.hexdigest() == (
+            "05fe6985d5dcd48482fdf1856623bec2416a1bce5899f0328bd26c6456ea95e5"
+        )
+
     def test_one_decrypt_pass_per_request(self, monkeypatch):
         rng = np.random.default_rng(20)
         circ = [gate("T", 0), gate("CNOT", 0, 1), gate("Tdagger", 2)]
