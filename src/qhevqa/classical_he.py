@@ -6,13 +6,16 @@ under a keyed pseudorandom stream. One SHA-256 digest of the stream seed and
 the nonce seals a leaf: its stream bit is the low bit of byte 0 and its tag
 bytes 1-8, disjoint output bits, so in the random-oracle model the public tag
 says nothing about the stream bit. ``he_enc_bits`` encrypts a list of bits
-from pooled nonce draws, and can pin each leaf's stream bit (see there).
+from pooled nonce draws, and can pin each leaf's stream bit (see there);
+``encrypt_seed`` encrypts a level chain's seeds from one draw. Both seal a
+pool in one loop, ``_seal_pool``, that builds the leaf tuples directly.
 
 Every op is GF(2)-linear, so a ciphertext is kept in normal form: a leaf, or
 a sum of a constant bit and the leaves that sit below it an odd number of
 times. ``he_xor`` takes the symmetric difference of the leaf sets;
-``key_switch`` still requires the next level's encrypted seed, and lifts the
-same leaves and constant one level up. Decryption unseals each leaf once,
+``key_switch`` still requires the next level's encrypted seed, checked once
+for all the ciphertexts it lifts one level up with their leaves and
+constants. Decryption unseals each leaf once,
 under its own level's secret key. Every node stores its public masked
 parity. Structural indistinguishability holds (ciphertexts of 0 and 1 have
 identical shape and leaf format); computational security is explicitly not
@@ -75,12 +78,6 @@ def he_keygen(security: int, rng: np.random.Generator, level: int = 0) -> HEKeyT
     return HEKeyTriple(HEPublicKey(level, sk.stream_seed), sk)
 
 
-def _seal(stream_seed: bytes, nonce: bytes) -> tuple[int, bytes]:
-    """A leaf's stream bit and tag, from one digest."""
-    digest = hashlib.sha256(stream_seed + nonce + b"seal").digest()
-    return digest[0] & 1, digest[1 : 1 + TAG_BYTES]
-
-
 _NO_LEAVES = frozenset()
 
 
@@ -133,10 +130,34 @@ def _leaves(ct: HECiphertext) -> frozenset:
 def he_enc(pk: HEPublicKey, bit: int, rng: np.random.Generator) -> HECiphertext:
     """Encrypt one bit under a fresh nonce from one ``rng.bytes`` draw.
 
-    The leaf is sealed by one digest (``_seal``); its stream bit is whatever
-    the nonce gives. ``he_enc_bits`` pins stream bits, from pooled draws.
+    The leaf is sealed by one digest; its stream bit is whatever the nonce
+    gives. ``he_enc_bits`` pins stream bits, from pooled draws.
     """
     return he_enc_bits(pk, (bit,), rng)[0]
+
+
+def _seal_pool(pk: HEPublicKey, bits: Sequence[int], pool: bytes, waiting, leaves: list) -> int:
+    """Seal the nonces of one pool into leaves under ``pk``; return how many.
+
+    Each nonce, in draw order, fills the first slot of ``waiting[stream
+    bit]`` with the leaf of ``bits[slot]``, or is discarded if no slot wants
+    it. A leaf is built as its tuple directly: its fields are in normal form.
+    """
+    stream_seed, level = pk.stream_seed, pk.level
+    filled = 0
+    for start in range(0, len(pool), NONCE_BYTES):
+        nonce = pool[start : start + NONCE_BYTES]
+        digest = hashlib.sha256(stream_seed + nonce + b"seal").digest()
+        stream = digest[0] & 1
+        if waiting[stream]:
+            i = waiting[stream].popleft()
+            masked = bits[i] ^ stream
+            leaves[i] = tuple.__new__(HECiphertext, (
+                LEAF, level, nonce, masked, digest[1 : 1 + TAG_BYTES], _NO_LEAVES, 0, masked))
+            filled += 1
+            if not (waiting[0] or waiting[1]):
+                break
+    return filled
 
 
 def he_enc_bits(
@@ -155,7 +176,7 @@ def he_enc_bits(
     a pool holds two nonces per empty slot; each nonce, in draw order, fills
     the first still-empty slot that wants its stream bit, or is discarded, and
     a new pool is drawn for the slots still empty. Given its stream bit, each
-    leaf's nonce is still uniform.
+    leaf's nonce is still uniform. ``_seal_pool`` seals each pool.
     """
     for bit in bits:
         if bit not in (0, 1):
@@ -169,20 +190,10 @@ def he_enc_bits(
         waiting, per_slot = (deque(), deque()), 2
         for i, k in enumerate(keystream_bits):
             waiting[k].append(i)
-    stream_seed, level = pk.stream_seed, pk.level
     leaves: list = [None] * len(bits)
     empty = len(bits)
     while empty:
-        pool = rng.bytes(per_slot * NONCE_BYTES * empty)
-        for start in range(0, len(pool), NONCE_BYTES):
-            nonce = pool[start : start + NONCE_BYTES]
-            stream, tag = _seal(stream_seed, nonce)
-            if waiting[stream]:
-                i = waiting[stream].popleft()
-                leaves[i] = HECiphertext(LEAF, level, nonce, bits[i] ^ stream, tag)
-                empty -= 1
-                if not empty:
-                    break
+        empty -= _seal_pool(pk, bits, rng.bytes(per_slot * NONCE_BYTES * empty), waiting, leaves)
     return tuple(leaves)
 
 
@@ -199,23 +210,26 @@ def he_xor(a: HECiphertext, b: HECiphertext) -> HECiphertext:
     return _sum(a[1], a[6] ^ b[6], _leaves(a) ^ _leaves(b), a[7] ^ b[7])
 
 
-def key_switch(ct: HECiphertext, sk_enc: Sequence[HECiphertext]) -> HECiphertext:
-    """Lift a ciphertext one level using the encryption of its secret key.
+def key_switch(sk_enc: Sequence[HECiphertext], *cts: HECiphertext) -> tuple[HECiphertext, ...]:
+    """Lift ciphertexts one level using the encryption of their secret key.
 
     ``sk_enc`` holds bitwise encryptions, leaves under the next level's
-    public key, of the current level's secret seed. The lifted ciphertext
-    keeps the same leaves and constant: decryption unseals each leaf under
-    its own level's key, so it never reads ``sk_enc``.
+    public key, of the current level's secret seed; it is checked once for
+    all of ``cts``, which must sit one level below it. Each lifted
+    ciphertext keeps the same leaves and constant: decryption unseals each
+    leaf under its own level's key, so it never reads ``sk_enc``.
     """
     if not sk_enc:
         raise HEError("key_switch requires the encrypted lower secret key")
-    target = ct[1] + 1
+    target = sk_enc[0][1]
     for bit in sk_enc:
-        if bit[0] != LEAF:
-            raise HEError("malformed key switch: encrypted key bit is not a leaf")
-        if bit[1] != target:
-            raise HEError(f"key_switch target level {bit[1]} != ciphertext level {ct[1]}+1")
-    return tuple.__new__(HECiphertext, (SUM, target, b"", 0, b"", _leaves(ct), ct[6], ct[7]))
+        if bit[0] != LEAF or bit[1] != target:
+            raise HEError(f"malformed key switch: a key bit is not a leaf at level {target}")
+    for ct in cts:
+        if ct[1] + 1 != target:
+            raise HEError(f"key_switch target level {target} != ciphertext level {ct[1]}+1")
+    return tuple(tuple.__new__(HECiphertext, (SUM, target, b"", 0, b"", _leaves(ct), ct[6], ct[7]))
+                 for ct in cts)
 
 
 def _dec(keys: Sequence[HESecretKey], *roots: HECiphertext) -> list[int]:
@@ -236,10 +250,10 @@ def _dec(keys: Sequence[HESecretKey], *roots: HECiphertext) -> list[int]:
         stream_seed = streams.get(level)
         if stream_seed is None:
             stream_seed = streams[level] = keys[level].stream_seed
-        stream, tag = _seal(stream_seed, leaf[2])
-        if tag != leaf[4]:
+        digest = hashlib.sha256(stream_seed + leaf[2] + b"seal").digest()  # as _seal_pool seals
+        if digest[1 : 1 + TAG_BYTES] != leaf[4]:
             raise HEError("seal verification failed: wrong secret key")
-        if stream:
+        if digest[0] & 1:
             ones.add(leaf)
     return [ct[7] ^ (len(ones.intersection(_leaves(ct))) & 1) for ct in roots]
 
@@ -250,12 +264,28 @@ def he_dec(keys: Sequence[HESecretKey], ct: HECiphertext) -> int:
 
 
 def encrypt_seed(
-    pk: HEPublicKey, sk_lower: HESecretKey, rng: np.random.Generator
-) -> tuple[HECiphertext, ...]:
-    """Bitwise encryption of a lower-level secret seed (the key-switch aid)."""
-    if pk.level != sk_lower.level + 1:
-        raise HEError("seed must be encrypted under the next level's public key")
-    return he_enc_bits(pk, [(byte >> j) & 1 for byte in sk_lower.seed for j in range(8)], rng)
+    chain: Sequence[HEKeyTriple], rng: np.random.Generator
+) -> tuple[tuple[HECiphertext, ...], ...]:
+    """The key-switch aids of a level chain: for each level l below the top,
+    level l's secret seed encrypted bitwise under level l+1's public key.
+
+    One ``rng.bytes`` draw holds every level's nonces, level by level: the
+    bytes, and the generator state after, of one unpinned ``he_enc_bits``
+    call per level.
+    """
+    for lower, upper in zip(chain, chain[1:]):
+        if upper.pk.level != lower.sk.level + 1:
+            raise HEError("seed must be encrypted under the next level's public key")
+    seeds = [[(byte >> j) & 1 for byte in t.sk.seed for j in range(8)] for t in chain[:-1]]
+    # No draw for a one-level chain: rng.bytes(0) can still move the generator.
+    pool = rng.bytes(NONCE_BYTES * sum(map(len, seeds))) if seeds else b""
+    out, end = [], 0
+    for bits, upper in zip(seeds, chain[1:]):
+        slots, leaves = deque(range(len(bits))), [None] * len(bits)
+        start, end = end, end + NONCE_BYTES * len(bits)
+        _seal_pool(upper.pk, bits, pool[start:end], (slots, slots), leaves)
+        out.append(tuple(leaves))
+    return tuple(out)
 
 
 def public_masked_parity(ct: HECiphertext) -> int:

@@ -114,6 +114,8 @@ def keygen(
 ) -> tuple[ClientKeys, tuple[Gadget, ...]]:
     """Generate the level chain and one twisted gadget per T / Tdagger: the
     client keys, and the gadgets in T order, the server's evaluation key.
+    ``encrypt_seed`` encrypts every level's seed under the next level's key
+    from one draw, and gadget i carries level i's encrypted seed.
 
     The key-flow pass mirrors evaluation over keystream parity bits, one per
     key, so each gadget's twist equals the keystream parity its routing
@@ -133,9 +135,7 @@ def keygen(
     triples = tuple(
         he_keygen(security, rng, level=i) for i in range(n_gadgets + 1)
     )
-    sk_encs = tuple(
-        encrypt_seed(triples[i + 1].pk, triples[i].sk, rng) for i in range(n_gadgets)
-    )
+    sk_encs = encrypt_seed(triples, rng)
     gadgets: list[Gadget] = []
     round_ = rsp_round_ideal if rounds is None else rounds(lambda: n_gadgets - len(gadgets))
     init_stream_bits = tuple(map(tuple, rng.integers(2, size=(num_wires, 2)).tolist()))
@@ -187,7 +187,9 @@ def eval_circuit(
     T or Tdagger consuming the next of ``gadgets`` from ``cs.level`` on.
 
     Runs entirely on public data: gates, ciphertext handles, Bell outcomes,
-    and the public masked parity that routes each gadget.
+    and the public masked parity that routes each gadget. At each gadget one
+    ``key_switch`` lifts every wire's keys to the gadget's level, then
+    ``gadget_key_update`` updates the routed wire's pair.
     """
     _check_circuit(circuit, len(cs.encrypted_keys))
     needed = t_count(circuit)
@@ -207,16 +209,9 @@ def eval_circuit(
         gadget = gadgets[level]
         route = gen_measurement(keys[w][0])
         register, (u, v) = consume_gadget(register, w, gadget, route, rng)
-        new_a, new_b = gadget_key_update(
-            gadget, route, u, v, keys[w][0], keys[w][1], dagger=g.kind == "Tdagger"
-        )
-        keys[w] = (new_a, new_b)
-        for other in range(len(keys)):
-            if other != w:
-                keys[other] = (
-                    key_switch(keys[other][0], gadget.sk_enc),
-                    key_switch(keys[other][1], gadget.sk_enc),
-                )
+        up = key_switch(gadget.sk_enc, *(ct for pair in keys for ct in pair))
+        keys = list(zip(up[0::2], up[1::2]))
+        keys[w] = gadget_key_update(gadget, route, u, v, *keys[w], dagger=g.kind == "Tdagger")
         level += 1
     return CipherState(register, tuple(keys), level)
 

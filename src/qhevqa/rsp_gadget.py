@@ -60,7 +60,6 @@ from .classical_he import (
     he_const,
     he_enc_bits,
     he_xor,
-    key_switch,
     public_masked_parity,
 )
 from .simulator import (
@@ -370,13 +369,13 @@ _CZ_SIGNS = np.array([[1, 1], [1, -1]])
 def assemble_gadget_state(heads, tails) -> tuple[np.ndarray, np.ndarray]:
     """Couple each (head, tail) pair: CZ across the pair, then H on the head.
 
-    Returns the two pair states phi_j[h, t], 4 amplitudes each. The pairs are
-    never entangled with each other, so nothing builds their product.
+    Returns the two pair states phi_j[h, t], 4 amplitudes each, built in one
+    broadcast. The pairs are never entangled with each other, so nothing
+    builds their product.
     """
-    return tuple(
-        FIXED_1Q["H"] @ (np.outer(h.amplitudes, t.amplitudes) * _CZ_SIGNS)
-        for h, t in zip(heads, tails)
-    )
+    h = np.array([s.amplitudes for s in heads])
+    t = np.array([s.amplitudes for s in tails])
+    return tuple(FIXED_1Q["H"] @ (h[:, :, None] * t[:, None, :] * _CZ_SIGNS))
 
 
 def build_gadget_ciphertexts(
@@ -470,17 +469,14 @@ def gadget_key_update(
     """Homomorphic pad-key update after consuming the gadget.
 
     a' = a XOR x_j XOR v and b' = b XOR z_j XOR u XOR e_{j,v}, for j the
-    route, with the old keys first switched up to the gadget's level. The
-    inverse-rotation variant folds the extra Z^a from commuting Tdagger past
-    the pad into b.
+    route, on keys already switched up to the gadget's level (``key_switch``
+    with ``gadget.sk_enc``). The gadget's few-leaf terms are summed first, so
+    each key's leaves are copied once. The inverse-rotation variant folds
+    the extra Z^a from commuting Tdagger past the pad into b.
     """
     if dagger:
         b_ct = he_xor(b_ct, a_ct)
-    a_up = key_switch(a_ct, gadget.sk_enc)
-    b_up = key_switch(b_ct, gadget.sk_enc)
-    a_new = he_xor(he_xor(a_up, gadget.x_ct[route]), he_const(v, gadget.level))
-    b_new = he_xor(
-        he_xor(he_xor(b_up, gadget.z_ct[route]), he_const(u, gadget.level)),
-        gadget.e_ct[route][v],
-    )
-    return a_new, b_new
+    level = gadget.level
+    x_v = he_xor(gadget.x_ct[route], he_const(v, level))
+    z_u_e = he_xor(he_xor(gadget.z_ct[route], he_const(u, level)), gadget.e_ct[route][v])
+    return he_xor(x_v, a_ct), he_xor(z_u_e, b_ct)

@@ -127,8 +127,9 @@ class EpsilonNet:
     unitaries: np.ndarray  # (N, 2, 2)
 
     def nearest(self, u: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-        # |tr(S^dag U)| for every net entry in one vectorized pass.
-        overlap = np.abs(np.einsum("nij,ij->n", self.unitaries.conj(), u)) / 2.0
+        # |tr(S^dag U)| = |sum S conj(U)| for every net entry in one vectorized
+        # pass; conjugating the 2 x 2 target, not the stack, gives the same bits.
+        overlap = np.abs(np.einsum("nij,ij->n", self.unitaries, u.conj())) / 2.0
         i = int(np.argmax(overlap))
         return self.words[i], self.unitaries[i]
 

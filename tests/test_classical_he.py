@@ -121,6 +121,7 @@ class TestEncDec:
             stream, tag = seal(triple.pk, ct.nonce)
             assert (ct.op, ct.level, len(ct.nonce)) == (LEAF, triple.pk.level, NONCE_BYTES)
             assert (ct.masked, ct.tag) == (bits[i] ^ stream, tag)
+            assert ct == HECiphertext(LEAF, ct.level, ct.nonce, ct.masked, ct.tag)
             if pinned:
                 assert stream == keystream[i]
 
@@ -193,14 +194,22 @@ class TestHomomorphics:
             he_xor(a, b)
 
 
+def per_level_encrypt_seed(pk, sk_lower, rng):
+    """The per-level form ``encrypt_seed`` replaced: one level's seed bits
+    through one unpinned ``he_enc_bits`` call."""
+    if pk.level != sk_lower.level + 1:
+        raise HEError("seed must be encrypted under the next level's public key")
+    return he_enc_bits(pk, [(byte >> j) & 1 for byte in sk_lower.seed for j in range(8)], rng)
+
+
 class TestKeySwitch:
     def test_switch_chain(self):
         rng = np.random.default_rng(10)
         levels = [he_keygen(16, rng, level=i) for i in range(4)]
         ct = he_enc(levels[0].pk, 1, rng)
         for i in range(3):
-            sk_enc = encrypt_seed(levels[i + 1].pk, levels[i].sk, rng)
-            ct = key_switch(ct, sk_enc)
+            (sk_enc,) = encrypt_seed(levels[i : i + 2], rng)
+            (ct,) = key_switch(sk_enc, ct)
             assert ct.level == i + 1
             assert he_dec([level.sk for level in levels[: i + 2]], ct) == 1
 
@@ -209,12 +218,12 @@ class TestKeySwitch:
         l0 = he_keygen(16, rng, level=0)
         l2 = he_keygen(16, rng, level=2)
         with pytest.raises(HEError):
-            encrypt_seed(l2.pk, l0.sk, rng)
+            encrypt_seed((l0, l2), rng)
         l1 = he_keygen(16, rng, level=1)
-        sk_enc = encrypt_seed(l1.pk, l0.sk, rng)
+        (sk_enc,) = encrypt_seed((l0, l1), rng)
         ct = he_enc(l1.pk, 0, rng)
         with pytest.raises(HEError):
-            key_switch(ct, sk_enc)
+            key_switch(sk_enc, ct)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("before", ["none", "random", "one_uint32"])
@@ -230,21 +239,55 @@ class TestKeySwitch:
             rng.integers(0, 2**32, dtype=np.uint32)
         twin = np.random.default_rng()
         twin.bit_generator.state = rng.bit_generator.state
-        got = encrypt_seed(l1.pk, l0.sk, rng)
+        (got,) = encrypt_seed((l0, l1), rng)
         bits = [(byte >> j) & 1 for byte in l0.sk.seed for j in range(8)]
         want = [he_enc(l1.pk, bit, twin) for bit in bits]
         assert len(got) == len(want) == 16
         assert [ct_to_bytes(ct) for ct in got] == [ct_to_bytes(ct) for ct in want]
         assert rng.random() == twin.random()
 
+    @pytest.mark.parametrize("levels", [1, 2, 6])
+    @pytest.mark.parametrize("security", [16, 24])
+    def test_chain_seeds_equal_the_per_level_form(self, security, levels):
+        # One draw for the whole chain gives the bytes of one unpinned
+        # he_enc_bits call per level, and leaves the generator where they
+        # would, half a 64-bit output buffered before included. A one-level
+        # chain draws nothing.
+        rng = np.random.default_rng(security + levels)
+        chain = [he_keygen(security, rng, level=i) for i in range(levels)]
+        rng.integers(0, 2**32, dtype=np.uint32)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        got = encrypt_seed(chain, rng)
+        want = [per_level_encrypt_seed(chain[i + 1].pk, chain[i].sk, twin)
+                for i in range(levels - 1)]
+        assert [len(cts) for cts in got] == [security] * (levels - 1)
+        assert [list(map(ct_to_bytes, cts)) for cts in got] == [
+            list(map(ct_to_bytes, cts)) for cts in want]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_key_switch_checks_sk_enc_once_for_all_its_ciphertexts(self):
+        rng = np.random.default_rng(18)
+        l0, l1 = he_keygen(16, rng, level=0), he_keygen(16, rng, level=1)
+        (sk_enc,) = encrypt_seed((l0, l1), rng)
+        low = he_enc_bits(l0.pk, [0, 1, 1], rng)
+        ups = key_switch(sk_enc, *low)
+        assert [up.level for up in ups] == [1, 1, 1]
+        assert [he_dec([l0.sk, l1.sk], up) for up in ups] == [0, 1, 1]
+        assert key_switch(sk_enc) == ()
+        with pytest.raises(HEError, match="target level"):
+            key_switch(sk_enc, low[0], he_enc(l1.pk, 0, rng))
+        with pytest.raises(HEError, match="not a leaf at level 1"):
+            key_switch((*sk_enc[:-1], he_enc(l0.pk, 0, rng)))
+
     def test_homomorphics_after_switch(self):
         rng = np.random.default_rng(12)
         l0 = he_keygen(16, rng, level=0)
         l1 = he_keygen(16, rng, level=1)
-        sk_enc = encrypt_seed(l1.pk, l0.sk, rng)
+        (sk_enc,) = encrypt_seed((l0, l1), rng)
         for x in (0, 1):
             for y in (0, 1):
-                cx = key_switch(he_enc(l0.pk, x, rng), sk_enc)
+                (cx,) = key_switch(sk_enc, he_enc(l0.pk, x, rng))
                 cy = he_enc(l1.pk, y, rng)
                 assert he_dec([l0.sk, l1.sk], he_xor(cx, cy)) == x ^ y
 
@@ -276,20 +319,20 @@ for _base in (0, 126, 16382):
     _keys = [he_keygen(16, _CHAIN_RNG, level=_base + i) for i in range(3)]
     CHAINS[_base] = (
         _keys,
-        {_base + i: encrypt_seed(_keys[i + 1].pk, _keys[i].sk, _CHAIN_RNG) for i in range(2)},
+        dict(enumerate(encrypt_seed(_keys, _CHAIN_RNG), _base)),
     )
 CHAIN, SK_ENC = CHAINS[0]
 SKS = [keys.sk for keys in CHAIN]  # level l's secret key at index l
 CHAIN_BASES = st.sampled_from(sorted(CHAINS))
-_LOW = key_switch(
+(_LOW,) = key_switch(
+    SK_ENC[0],
     he_xor(
         he_enc(CHAIN[0].pk, 1, _CHAIN_RNG),
         he_xor(he_enc(CHAIN[0].pk, 0, _CHAIN_RNG), he_const(1, 0)),
     ),
-    SK_ENC[0],
 )
-KEYSWITCHED_BYTES = ct_to_bytes(key_switch(he_xor(_LOW, he_enc(CHAIN[1].pk, 1, _CHAIN_RNG)),
-                                           SK_ENC[1]))
+KEYSWITCHED_BYTES = ct_to_bytes(key_switch(SK_ENC[1],
+                                           he_xor(_LOW, he_enc(CHAIN[1].pk, 1, _CHAIN_RNG)))[0])
 
 # (op, operand index, operand index, bit); indices wrap around the node list.
 DAG_PROGRAMS = st.lists(
@@ -320,7 +363,7 @@ def lift(node, level, base=0):
     sk_enc = CHAINS[base][1]
     while node[0].level < level:
         ct, plain, stream = node
-        node = (key_switch(ct, sk_enc[ct.level]), plain, stream)
+        node = (key_switch(sk_enc[ct.level], ct)[0], plain, stream)
     return node
 
 
@@ -365,8 +408,8 @@ class TestWireFormat:
         rng = np.random.default_rng(17)
         l0 = he_keygen(16, rng, level=0)
         l1 = he_keygen(16, rng, level=1)
-        sk_enc = encrypt_seed(l1.pk, l0.sk, rng)
-        ct = key_switch(he_enc(l0.pk, 1, rng), sk_enc)
+        (sk_enc,) = encrypt_seed((l0, l1), rng)
+        (ct,) = key_switch(sk_enc, he_enc(l0.pk, 1, rng))
         back = ct_from_bytes(ct_to_bytes(ct))
         assert he_dec([l0.sk, l1.sk], back) == 1
 
@@ -429,8 +472,8 @@ class TestWireFormat:
         with pytest.raises(HEError, match="mixed ciphertext levels"):
             he_xor(low, high)
         with pytest.raises(HEError, match="target level"):
-            key_switch(high, SK_ENC[0])
-        data = ct_to_bytes(he_xor(key_switch(low, SK_ENC[0]), high))
+            key_switch(SK_ENC[0], high)
+        data = ct_to_bytes(he_xor(key_switch(SK_ENC[0], low)[0], high))
         assert data[:4] == bytes([SUM, 1, 0, 2]) and ct_from_bytes(data).level == 1
         with pytest.raises(HEError, match="above its ciphertext's level"):
             ct_from_bytes(data[:1] + b"\x00" + data[2:])
@@ -469,7 +512,7 @@ class TestWireFormat:
         rng = np.random.default_rng(38)
         ct = he_enc(keys[0].pk, 1, rng)
         for i in (1, 2):
-            ct = he_xor(key_switch(ct, sk_enc[ct.level]), he_enc(keys[i].pk, 1, rng))
+            ct = he_xor(key_switch(sk_enc[ct.level], ct)[0], he_enc(keys[i].pk, 1, rng))
         data = ct_to_bytes(ct)
         assert data[:4] == bytes([SUM, 0x80, 0x80, 0x01])
         assert sorted(leaf.level for leaf in ct.children) == [16382, 16383, 16384]
@@ -493,8 +536,8 @@ class TestDeepChains:
         levels = [he_keygen(16, rng, level=i) for i in range(30)]
         ct = he_enc(levels[0].pk, 1, rng)
         for i in range(29):
-            sk_enc = encrypt_seed(levels[i + 1].pk, levels[i].sk, rng)
-            ct = key_switch(he_xor(ct, he_const(0, ct.level)), sk_enc)
+            (sk_enc,) = encrypt_seed(levels[i : i + 2], rng)
+            (ct,) = key_switch(sk_enc, he_xor(ct, he_const(0, ct.level)))
         assert he_dec([level.sk for level in levels], ct) == 1
 
 
@@ -518,7 +561,7 @@ class TestNormalForm:
         for ct, plain, _ in build_dag(program, seed, base):
             if ct.level == base + 2:
                 continue
-            up = key_switch(ct, CHAINS[base][1][ct.level])
+            (up,) = key_switch(CHAINS[base][1][ct.level], ct)
             assert (up.op, up.level, up.children) == (SUM, ct.level + 1, leaves(ct))
             assert (up.const_value, up.masked_parity) == (ct.const_value, ct.masked_parity)
             if base == 0:
@@ -602,7 +645,7 @@ class TestDagWalker:
         bad = list(SK_ENC[0])
         bad[0] = he_xor(bad[0], he_const(1, bad[0].level))
         with pytest.raises(HEError, match="not a leaf"):
-            key_switch(he_enc(CHAIN[0].pk, 1, rng), bad)
+            key_switch(bad, he_enc(CHAIN[0].pk, 1, rng))
 
     def test_golden_linear_keyswitched_encoding(self):
         # Pins the wire format on linear ops only: a fixed seeded program with
@@ -616,12 +659,12 @@ class TestDagWalker:
         a = he_enc(levels[0].pk, 1, rng)
         b = he_enc(levels[0].pk, 0, rng)
         low = he_xor(he_xor(a, b), he_xor(a, he_const(1, 0)))
-        sk_enc = encrypt_seed(levels[1].pk, levels[0].sk, rng)
-        mid = key_switch(he_xor(low, he_const(1, 0)), sk_enc)
+        (sk_enc,) = encrypt_seed(levels[:2], rng)
+        (mid,) = key_switch(sk_enc, he_xor(low, he_const(1, 0)))
         c = he_enc(levels[1].pk, 1, rng)
-        sk_enc = encrypt_seed(levels[2].pk, levels[1].sk, rng)
-        top = key_switch(he_xor(mid, he_xor(c, mid)), sk_enc)
-        rest = key_switch(he_xor(he_xor(mid, c), he_const(1, 1)), sk_enc)
+        (sk_enc,) = encrypt_seed(levels[1:], rng)
+        top, rest = key_switch(sk_enc, he_xor(mid, he_xor(c, mid)),
+                               he_xor(he_xor(mid, c), he_const(1, 1)))
         data = ct_to_bytes(top) + ct_to_bytes(rest)
         assert len(data) == 86
         assert hashlib.sha256(data).hexdigest() == (
@@ -646,7 +689,7 @@ class TestDagWalker:
         leaf, other = he_enc(CHAIN[0].pk, 1, rng), he_enc(CHAIN[0].pk, 0, rng)
         fields = ("op", "level", "nonce", "masked", "tag", "children", "const_value",
                   "masked_parity", "sk_enc")
-        for node in (leaf, he_xor(leaf, other), key_switch(leaf, SK_ENC[0])):
+        for node in (leaf, he_xor(leaf, other), *key_switch(SK_ENC[0], leaf)):
             assert node.sk_enc == ()
             for name in fields:
                 with pytest.raises(AttributeError):
@@ -685,9 +728,9 @@ class TestOnePassDecrypt:
         # the chain's own key at its level, so no root order lets it through.
         rng = np.random.default_rng(34)
         other = he_keygen(16, rng, level=0)
-        good = key_switch(he_enc(CHAIN[0].pk, 1, rng), SK_ENC[0])
-        forged = key_switch(
-            he_enc(other.pk, 0, rng), encrypt_seed(CHAIN[1].pk, other.sk, rng)
+        (good,) = key_switch(SK_ENC[0], he_enc(CHAIN[0].pk, 1, rng))
+        (forged,) = key_switch(
+            encrypt_seed((other, CHAIN[1]), rng)[0], he_enc(other.pk, 0, rng)
         )
         assert he_dec(SKS[:2], good) == 1 and he_dec([other.sk, SKS[1]], forged) == 0
         for reads in ((forged,), (good, forged), (forged, good), (he_xor(good, forged),)):

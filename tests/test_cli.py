@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qhevqa
-from qhevqa import qhe
+from qhevqa import qhe, skdecomp
 from qhevqa.classical_he import he_xor
 from qhevqa.cli import (
     ANALYTIC_P0,
@@ -107,6 +108,24 @@ class TestDecompose:
         rc = main(["decompose", "--angle", "0.917", "--epsilon", "1e-9"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_elapsed_leaves_out_the_net_build(self, capsys, monkeypatch):
+        # The first default_net() build is timed on its own line, before the
+        # synthesis timer starts, so a slow build does not reach "elapsed".
+        build = skdecomp.build_net
+
+        def slow_build():
+            time.sleep(0.5)
+            return build()
+
+        skdecomp.default_net.cache_clear()
+        monkeypatch.setattr(skdecomp, "build_net", slow_build)
+        assert main(["decompose", "--axis", "X", "--angle", "5.57"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        elapsed = [float(line.split()[1]) for line in lines if line.startswith("elapsed ")]
+        assert len(elapsed) == 1 and elapsed[0] < 0.5
+        built = [float(line.split()[3]) for line in lines if line.startswith("net built in ")]
+        assert len(built) == 1 and built[0] >= 0.5
 
 
 class TestTrain:

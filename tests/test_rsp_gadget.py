@@ -9,11 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qhevqa.classical_he import (
+    ct_to_bytes,
     encrypt_seed,
+    he_const,
     he_dec,
     he_enc,
     he_enc_bits,
     he_keygen,
+    he_xor,
+    key_switch,
     public_masked_parity,
 )
 from qhevqa.rsp_gadget import (
@@ -39,6 +43,7 @@ from qhevqa.rsp_gadget import (
     twist_bits,
 )
 from qhevqa.simulator import (
+    FIXED_1Q,
     StateVector,
     apply_gate,
     bell_measure,
@@ -79,7 +84,7 @@ def image(td, x):
 def build(round_, k_bit, rng, couple=None):
     l0 = he_keygen(16, rng, level=0)
     l1 = he_keygen(16, rng, level=1)
-    return gen_gadget(l1.pk, encrypt_seed(l1.pk, l0.sk, rng), k_bit, rng, round_, couple)
+    return gen_gadget(l1.pk, encrypt_seed((l0, l1), rng)[0], k_bit, rng, round_, couple)
 
 
 class TestThetaBits:
@@ -104,12 +109,12 @@ class TestThetaBits:
         l0 = he_keygen(16, rng, level=0)
         l1 = he_keygen(16, rng, level=1)
         sks = [l0.sk, l1.sk]
-        sk_enc = encrypt_seed(l1.pk, l0.sk, rng)
+        (sk_enc,) = encrypt_seed((l0, l1), rng)
         zero_a, zero_b = he_enc_bits(l0.pk, [0, 0], rng)
         for k in (0, 1):
             gadget, _ = gen_gadget(l1.pk, sk_enc, k, rng, rsp_round_ideal)
             for j, u, v in product((0, 1), repeat=3):
-                keys = gadget_key_update(gadget, j, u, v, zero_a, zero_b)
+                keys = gadget_key_update(gadget, j, u, v, *key_switch(sk_enc, zero_a, zero_b))
                 x, z = he_dec(sks, gadget.x_ct[j]), he_dec(sks, gadget.z_ct[j])
                 want = pair_byproduct(x, z, j ^ k, u, v)
                 assert tuple(he_dec(sks, ct) for ct in keys) == want
@@ -696,6 +701,19 @@ class TestPairStateOracle:
             dense = dense_gadget_state(heads, tails).amplitudes
             assert np.max(np.abs(product_state - dense)) < 1e-15
 
+    def test_one_broadcast_equals_the_per_pair_form(self):
+        # assemble_gadget_state builds both pairs in one broadcast; each pair
+        # keeps the bytes of its own outer product, CZ signs and H.
+        prep = np.random.default_rng(21)
+        cases = [(plus_states(a[:2]), plus_states(a[2:])) for a in product(range(4), repeat=4)]
+        cases += [tuple([random_state(1, prep) for _ in range(2)] for _ in range(2))
+                  for _ in range(64)]
+        for heads, tails in cases:
+            want = [FIXED_1Q["H"] @ (np.outer(h.amplitudes, t.amplitudes) * [[1, 1], [1, -1]])
+                    for h, t in zip(heads, tails)]
+            got = assemble_gadget_state(heads, tails)
+            assert [phi.tobytes() for phi in got] == [phi.tobytes() for phi in want]
+
     def test_consumption_allocates_no_larger_register(self):
         # The dense recipe held 2^20 amplitudes for a 16-wire register; the
         # kernel stays under four registers' worth at peak.
@@ -733,7 +751,7 @@ class TestEndToEnd:
         rng = np.random.default_rng(15)
         l0 = he_keygen(16, rng, level=0)
         l1 = he_keygen(16, rng, level=1)
-        sk_enc = encrypt_seed(l1.pk, l0.sk, rng)
+        (sk_enc,) = encrypt_seed((l0, l1), rng)
         for a, b, k in product((0, 1), repeat=3):
             gadget, (dx, dz) = gen_gadget(l1.pk, sk_enc, k, rng, rsp_round_ideal)
             (a_ct,) = he_enc_bits(l0.pk, [a], rng, [k])
@@ -752,7 +770,8 @@ class TestEndToEnd:
             # both pairs are consumed, leaving only the teleported wire
             assert out.num_qubits == 1
             a2_ct, b2_ct = gadget_key_update(
-                gadget, route, u, v, a_ct, b_ct, dagger=kind == "Tdagger"
+                gadget, route, u, v, *key_switch(sk_enc, a_ct, b_ct),
+                dagger=kind == "Tdagger",
             )
             a2, b2 = (he_dec([l0.sk, l1.sk], ct) for ct in (a2_ct, b2_ct))
             kb = public_masked_parity(b_ct) ^ b ^ (k if kind == "Tdagger" else 0)
@@ -765,3 +784,41 @@ class TestEndToEnd:
                 unpadded = apply_gate(unpadded, gate("Z", 0))
             target = apply_gate(psi, gate(kind, 0))
             assert fidelity(unpadded, target) == pytest.approx(1.0, abs=1e-10)
+
+
+def fold_key_update(gadget, route, u, v, a_ct, b_ct, dagger=False):
+    """The left-to-right form ``gadget_key_update`` replaced: each key switched
+    up on its own, then the gadget's terms XORed in one at a time."""
+    if dagger:
+        b_ct = he_xor(b_ct, a_ct)
+    ((a_up,), (b_up,)) = (key_switch(gadget.sk_enc, ct) for ct in (a_ct, b_ct))
+    level = gadget.level
+    a_new = he_xor(he_xor(a_up, gadget.x_ct[route]), he_const(v, level))
+    b_new = he_xor(he_xor(he_xor(b_up, gadget.z_ct[route]), he_const(u, level)),
+                   gadget.e_ct[route][v])
+    return a_new, b_new
+
+
+class TestKeyUpdateOracle:
+    @pytest.mark.parametrize("dagger", [False, True])
+    def test_update_equals_the_left_to_right_fold(self, dagger):
+        # Keys of many leaves, sharing some, single leaves (the normal form
+        # keeps those bare) and constants, for every twist, route and (u, v).
+        rng = np.random.default_rng(40)
+        l0, l1 = he_keygen(16, rng, level=0), he_keygen(16, rng, level=1)
+        (sk_enc,) = encrypt_seed((l0, l1), rng)
+        leaves = he_enc_bits(l0.pk, rng.integers(2, size=12).tolist(), rng)
+        many = he_xor(he_const(1, 0), leaves[0])
+        for leaf in leaves[1:8]:
+            many = he_xor(many, leaf)
+        shared = he_xor(he_xor(many, leaves[8]), leaves[0])
+        keys = [many, shared, leaves[9], leaves[10], he_const(0, 0), he_const(1, 0)]
+        for k in (0, 1):
+            gadget, _ = gen_gadget(l1.pk, sk_enc, k, rng, rsp_round_ideal)
+            for a_ct, b_ct in product(keys, repeat=2):
+                for route, u, v in product((0, 1), repeat=3):
+                    got = gadget_key_update(gadget, route, u, v, *key_switch(sk_enc, a_ct, b_ct),
+                                            dagger=dagger)
+                    want = fold_key_update(gadget, route, u, v, a_ct, b_ct, dagger)
+                    assert got == want
+                    assert list(map(ct_to_bytes, got)) == list(map(ct_to_bytes, want))
