@@ -624,7 +624,7 @@ def check_protocol(frames: int, sessions: int, seed: int):
         client = ClientSession(channel)
         walk = [session.phase]
         if hello:
-            client.hello(0, "x")
+            client.hello(0)
             walk.append(session.phase)
         client.done()
         thread.join(timeout=5)
@@ -635,7 +635,7 @@ def check_protocol(frames: int, sessions: int, seed: int):
     ):
         channel, session, thread = serve_inproc()
         if hello:
-            ClientSession(channel).hello(0, "x")
+            ClientSession(channel).hello(0)
         channel.send(Message(kind, payload))
         refusals.append(channel.recv().payload.get("code"))
         thread.join(timeout=5)

@@ -21,13 +21,15 @@ of up to ``RSP_BATCH`` rounds, one request and one reply frame per batch and
 step, each round's row of bits packed into one int. A key generation's
 gadgets (their coupling instructions and ciphertexts) and the rounds to drop
 travel in its one ``GadgetClassical`` frame, sent at its end; a rare top-up
-batch first sends the gadgets built so far in a frame of their own. A
-delegated run is one ``RunRequest``, which carries its own padded input (and,
-for a homomorphic run, the input's level-0 key ciphertexts) and names the two
-wires it reads, so no input waits on the server between requests. A run is one shot: its
+batch first sends the gadgets built so far in a frame of their own. The
+server's gadget queue always holds levels 1..n in order: a frame continues
+it, and a homomorphic run takes all of it. A delegated run is one
+``RunRequest``, which carries its own padded input (and, for a homomorphic
+run, the input's level-0 key ciphertexts) and names the two wires it reads,
+so no input waits on the server between requests. A run is one shot: its
 ``ShotResults`` holds one <X x X> value, the one readout training uses. Each
-party sends only what the other reads: a plaintext training session is Hello
-and Done.
+party sends only what the other reads: Hello carries only the session seed,
+and a plaintext training session is Hello and Done.
 
 Two transports share the frame codec byte for byte: an in-process queue pair
 and localhost TCP (default port 7913; ``QHEVQA_HOST`` / ``QHEVQA_PORT``
@@ -57,15 +59,7 @@ from itertools import chain, count, islice
 import numpy as np
 
 from .classical_he import HECiphertext, HEError, ct_from_bytes, ct_to_bytes
-from .qhe import (
-    EVAL_KINDS,
-    MAX_WIRES,
-    SECURITY,
-    CipherState,
-    ClientKeys,
-    keygen,
-    t_count,
-)
+from .qhe import EVAL_KINDS, SECURITY, CipherState, ClientKeys, keygen, t_count
 from .rsp_gadget import (
     GADGET_QUBITS,
     MAX_DRAWS,
@@ -89,14 +83,22 @@ from .simulator import (
     StateVector,
     gate,
 )
+from .skdecomp import BASE_LENGTH, MAX_DEPTH
 from .vqa import exact_evaluator, faithful_evaluator, train, xx_run, xx_run_homomorphic
 
-VERSION = 9
+VERSION = 10
 MAX_FRAME = 16 * 1024 * 1024
 # RSP qubits a session holds, committed or prepared: one gadget's worst-case
 # draws plus one batch. A gadget frame couples four held qubits per gadget.
 MAX_HELD = 2 * PAIR_COUNT * MAX_DRAWS + RSP_BATCH
 MAX_FRAME_GADGETS = MAX_HELD // GADGET_QUBITS
+# The top gadget level, and so the queue's bound: the most gadgets the run of
+# one synthesized window takes. A depth-0 word has at most BASE_LENGTH ops,
+# and a depth-d word is the depth-(d-1) word and four more words of depth
+# d-1, so at most 5x as long: at most 12 * 5**5 = 37 500 ops at MAX_DEPTH. H
+# separates T syllables after ``fold_t_runs``, so at most half of them
+# (rounded up) are T gates, and a window has four rotations: 75 000.
+MAX_LEVEL = 4 * math.ceil(BASE_LENGTH * 5**MAX_DEPTH / 2)
 HEADER = struct.Struct("<I")  # little-endian payload length
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7913
@@ -107,7 +109,6 @@ KINDS = (
     "RspCommit",
     "RspBasis",
     "RspOutcome",
-    "CoupleInstr",
     "GadgetClassical",
     "RunRequest",
     "ShotResults",
@@ -357,7 +358,7 @@ OK = Rec({"ok": Enum((True,))})  # an acknowledgement
 QIDS = Seq(QID, "rows", "rows", True)
 # One gadget of a frame: the qids of its two (head, tail) pairs to couple and
 # its ciphertexts, which sit at its level.
-GADGET = Rec({"pairs": Seq(Seq(QID, 2, 2), 2, 2, True), "level": Int(1),
+GADGET = Rec({"pairs": Seq(Seq(QID, 2, 2), 2, 2, True), "level": Int(1, MAX_LEVEL),
               "x_ct": LEVEL_PAIR, "z_ct": LEVEL_PAIR, "e_ct": Seq(LEVEL_PAIR, 2, 2),
               "sk_enc": Seq(Ct("level"), SECURITY, SECURITY)})
 
@@ -368,13 +369,13 @@ REPLIES = {
     "RspOutcome": Rec({"qids": QIDS, "b": Bits("rows", "rows", (RSP_N - 1,))}),
     "ShotResults": Rec({"value": Num()}),  # a run's one readout
     "EncKeysUpdate": Rec({"enc_keys": Seq(Seq(LEVEL_PAIR, 2, 2), 1, 1)}),  # one row: one shot
-    "Announce": OK, "GadgetClassical": OK, "CoupleInstr": OK,
+    "Announce": OK, "GadgetClassical": OK,
     "Done": Rec({}),
     "Error": Rec({"code": Str(), "text": Opt(Str(), "")}),
 }
 
 
-def _run_request(use_gadgets: bool, kinds, wire_limit: int) -> Rec:
+def _run_request(use_gadgets: bool, kinds) -> Rec:
     """One shot of a circuit over ``kinds`` on its padded input, read out as
     the <X x X> of two distinct ``wires``. A homomorphic run takes Clifford+T
     only and the input's level-0 key pairs."""
@@ -383,7 +384,7 @@ def _run_request(use_gadgets: bool, kinds, wire_limit: int) -> Rec:
                      **({"angle": Num()} if k in ROTATION_1Q else {})}) for k in kinds}
     keys = {"enc_keys": Seq(KEY_PAIR, "num_wires", "num_wires")} if use_gadgets else {}
     return Rec({
-        "num_wires": Int(1, wire_limit), "amps": Amps("num_wires"),  # bounded before 2**n
+        "num_wires": Int(1, MAX_QUBITS), "amps": Amps("num_wires"),  # bounded before 2**n
         **keys,
         "circuit": Seq(Variants("kind", gates)),
         "wires": Seq(WIRE, 2, 2, True),
@@ -392,21 +393,17 @@ def _run_request(use_gadgets: bool, kinds, wire_limit: int) -> Rec:
 
 
 SCHEMA = {
-    "Hello": Entry(("handshake",), Rec({"session_seed": Int(), "mode": Opt(Str())})),
+    "Hello": Entry(("handshake",), Rec({"session_seed": Int()})),
     "RspBasis": Entry(OPEN, Variants(None, {
         "matrix": Rec({"matrix": Bits(1, RSP_BATCH, (RSP_MU, RSP_N))}),
         "alphas": Rec({"qids": Seq(QID, 1, RSP_BATCH, True),
                        "alphas": Bits("qids", "qids", (RSP_N - 1,))}),
     })),
-    "CoupleInstr": Entry(OPEN, Rec({"close": Enum((True,))})),
-    "GadgetClassical": Entry(OPEN, Variants(None, {
-        "declare": Rec({"declare": Int()}),
-        "gadgets": Rec({"gadgets": Seq(GADGET, 1, MAX_FRAME_GADGETS),
-                        "discard": Seq(QID, 0, MAX_HELD)}),
-    })),
+    "GadgetClassical": Entry(OPEN, Rec({"gadgets": Seq(GADGET, 1, MAX_FRAME_GADGETS),
+                                        "discard": Seq(QID, 0, MAX_HELD)})),
     "RunRequest": Entry(OPEN, Variants("use_gadgets", {
-        False: _run_request(False, GATE_KINDS, MAX_QUBITS),
-        True: _run_request(True, EVAL_KINDS, MAX_WIRES),
+        False: _run_request(False, GATE_KINDS),
+        True: _run_request(True, EVAL_KINDS),
     })),
     "Done": Entry(("handshake", "open"), Rec({})),
 }
@@ -561,22 +558,23 @@ class ServerSession:
         self._reply("Announce", {"ok": True})
 
     def _on_gadgetclassical(self, p: dict) -> None:
-        """Acknowledge a declared count, or queue a frame's gadgets in order:
-        couple each one's two (head, tail) pairs and keep its ciphertexts;
-        then drop the frame's discarded rounds.
+        """Queue a frame's gadgets in order: couple each one's two (head, tail)
+        pairs and keep its ciphertexts; then drop the frame's discarded rounds.
 
         The whole frame is checked before any prepared qubit is removed: its
-        ciphertexts by ``validate``, and here every pair's qid, known and
-        used once across the frame's gadgets.
+        ciphertexts and levels (at most ``MAX_LEVEL``) by ``validate``, and
+        here every pair's qid, known and used once across the frame's
+        gadgets, and the levels, which continue the queue, so that the queue
+        always holds levels 1..n.
         """
-        if "declare" in p:  # an acknowledged count; the server does not keep it
-            self._reply("GadgetClassical", {"ok": True})
-            return
         qids = [q for g in p["gadgets"] for pair in g["pairs"] for q in pair]
         if len(set(qids)) != len(qids):
             raise ProtocolError("payload", "a qid repeats across the frame's gadgets")
         if not self.qubits.keys() >= set(qids):
             raise ProtocolError("order", "an unknown prepared qubit in the frame's pairs")
+        first = len(self.gadgets) + 1
+        if [g["level"] for g in p["gadgets"]] != list(range(first, first + len(p["gadgets"]))):
+            raise ProtocolError("order", f"the frame's gadget levels do not run on from {first}")
         for g in p["gadgets"]:
             heads, tails = ([self.qubits.pop(q) for q in side] for side in zip(*g["pairs"]))
             fields = (g[k] for k in ("x_ct", "z_ct", "e_ct", "sk_enc", "level"))
@@ -607,30 +605,24 @@ class ServerSession:
         self.pending.update(zip(qids, states))
         self._reply("RspCommit", {"qids": qids, "y": pack_rows(y)})
 
-    def _on_coupleinstr(self, p: dict) -> None:
-        """Acknowledge a close of provisioning. It carries nothing: a key
-        generation's last gadget frame drops its spare rounds."""
-        self._reply("CoupleInstr", {"ok": True})
-
     def _on_runrequest(self, p: dict) -> None:
         """Run the circuit on the request's padded input and read out the
-        <X x X> of its two wires once. A homomorphic run takes one queued gadget
-        per T gate, at levels 1..t in order, and also returns the two wires'
-        updated (a, b) pairs in ``wires`` order; a compensated-circuit run
-        leaves keys with the client."""
+        <X x X> of its two wires once. A homomorphic run takes the whole gadget
+        queue, which must hold one gadget per T gate (its levels are 1..t, as
+        the frames that filled it were checked to be), and also returns the
+        two wires' updated (a, b) pairs in ``wires`` order; a
+        compensated-circuit run leaves keys with the client."""
         circuit, wires = circuit_from_json(p["circuit"]), p["wires"]
         register = amps_from_json(p["amps"], p["num_wires"])
         if not p["use_gadgets"]:
             self._reply("ShotResults", {"value": xx_run(register, circuit, wires)})
             return
         needed, queued = t_count(circuit), len(self.gadgets)
-        if needed > queued:
+        if needed != queued:
             raise ProtocolError("budget", f"{needed} gadgets needed, {queued} queued")
-        if [g.level for g in self.gadgets[:needed]] != list(range(1, needed + 1)):
-            raise ProtocolError("order", "queued gadget levels are not 1..t in order")
-        run_gadgets, self.gadgets = self.gadgets[:needed], self.gadgets[needed:]
+        run_gadgets, self.gadgets = tuple(self.gadgets), []
         value, _, keys = xx_run_homomorphic(CipherState(register, p["enc_keys"], 0), circuit,
-                                            wires, tuple(run_gadgets), self.rng)
+                                            wires, run_gadgets, self.rng)
         self._reply("ShotResults", {"value": value})
         row = [[ct_to_hex(a), ct_to_hex(b)] for a, b in (keys[w] for w in wires)]
         self._reply("EncKeysUpdate", {"enc_keys": [row]})
@@ -747,22 +739,24 @@ class ClientSession:
 
     # -- acknowledged steps --
 
-    def hello(self, session_seed: int, mode: str) -> None:
-        """Open the session; the frame header carries the protocol version."""
-        self._ask("Hello", {"session_seed": int(session_seed), "mode": mode}, "Announce")
+    def hello(self, session_seed: int, mode: str | None = None) -> None:
+        """Open the session; the frame header carries the protocol version.
+        ``mode`` is not read: it stays only because perfbench's
+        ``open_session`` passes one."""
+        self._ask("Hello", {"session_seed": int(session_seed)}, "Announce")
 
     def open_rsp(self, declared: int = 0) -> None:
-        """Declare a gadget count, which the server acknowledges and drops."""
-        self._ask("GadgetClassical", {"declare": int(declared)}, "GadgetClassical")
+        """Send nothing: it stays only because perfbench's ``open_session``
+        calls it. The server keeps no declared count."""
 
     def close_rsp(self) -> None:
-        """Close provisioning, acknowledged; it carries nothing, since each
-        key generation's last gadget frame drops its spare rounds."""
-        self._ask("CoupleInstr", {"close": True}, "CoupleInstr")
+        """Send nothing: it stays only because perfbench's ``open_session``
+        calls it. Each key generation's last gadget frame drops its spare
+        rounds."""
 
     # -- remote state preparation --
 
-    def _round(self, pool: deque, left, flush=lambda: None):
+    def _round(self, pool: deque, left, flush):
         """The claw-based RSP round on the server, each yielding
         (theta_index, qid), pooled in batches that ``rsp_rows`` sizes to the
         ``left()`` gadgets still to build, at most ``RSP_BATCH``.
@@ -909,7 +903,7 @@ def run_client(channel: Channel, dataset, config):
     plaintext mode trains locally, so its session is the handshake and Done.
     """
     session = ClientSession(channel)
-    session.hello(config.seed, config.mode)
+    session.hello(config.seed)
 
     if config.mode == "plaintext":
         evaluator = None

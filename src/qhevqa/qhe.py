@@ -40,7 +40,6 @@ from .pauli_frame import (
     update_keys,
 )
 from .rsp_gadget import (
-    GADGET_QUBITS,
     Gadget,
     consume_gadget,
     gadget_key_update,
@@ -53,9 +52,6 @@ from .simulator import MAX_QUBITS, Gate, StateVector, apply_gate
 NON_CLIFFORD = ("T", "Tdagger")
 EVAL_KINDS = CLIFFORD_KINDS + NON_CLIFFORD
 SECURITY = 16  # the classical HE security parameter every caller uses
-# The wire bound of a homomorphic run, kept from when a consumed gadget joined
-# the register; consumption now runs on the register's own amplitudes.
-MAX_WIRES = MAX_QUBITS - GADGET_QUBITS
 
 
 class QHEError(Exception):
@@ -94,8 +90,8 @@ def t_count(circuit: list[Gate]) -> int:
 
 
 def _check_circuit(circuit: list[Gate], num_wires: int) -> None:
-    if num_wires > MAX_WIRES:
-        raise QHEError(f"{num_wires} wires: a homomorphic register holds {MAX_WIRES} wires")
+    if num_wires > MAX_QUBITS:
+        raise QHEError(f"{num_wires} wires: a homomorphic register holds {MAX_QUBITS} wires")
     for g in circuit:
         if g.kind not in EVAL_KINDS:
             raise QHEError(f"gate {g.kind} is not evaluable under the pad (Clifford+T only)")

@@ -248,17 +248,17 @@ def pooled(refill, pool: deque):
     return round_
 
 
-def rsp_rows(gadgets: int, cap: int = RSP_BATCH) -> int:
+def rsp_rows(gadgets: int) -> int:
     """The rounds to ask for while ``gadgets`` gadgets are still to build, at
-    most ``cap``. A gadget makes four draws, each accepted with probability
+    most ``RSP_BATCH``. A gadget makes four draws, each accepted with probability
     1/2, so its rounds have mean 8 and variance 8: the batch is the mean plus
     three standard deviations, and the pool rarely runs dry."""
     mean = 2 * GADGET_QUBITS * gadgets
-    return min(cap, mean + math.ceil(3 * math.sqrt(mean)))
+    return min(RSP_BATCH, mean + math.ceil(3 * math.sqrt(mean)))
 
 
-def claw_round(commit, measure, left, pool: deque, cap: int = RSP_BATCH):
-    """The claw-based round, pooled over batches of ``rsp_rows(left(), cap)``
+def claw_round(commit, measure, left, pool: deque):
+    """The claw-based round, pooled over batches of ``rsp_rows(left())``
     rounds, ``left()`` the gadgets still to build.
 
     A refill draws a batch of fresh trapdoors, the server commits to their
@@ -271,7 +271,7 @@ def claw_round(commit, measure, left, pool: deque, cap: int = RSP_BATCH):
     """
 
     def refill(rng: np.random.Generator):
-        batch = rsp_rows(left(), cap)
+        batch = rsp_rows(left())
         td = sample_trapdoor(batch, RSP_N, RSP_MU, rng)
         y, handles = commit(td.matrix, rng)
         alphas = rng.integers(0, 2, (batch, RSP_N - 1))

@@ -66,8 +66,15 @@ from qhevqa.rsp_gadget import (
     rsp_rows,
     sample_trapdoor,
 )
-from qhevqa.simulator import StateVector, fidelity, gate, random_state
-from qhevqa.skdecomp import decompose_circuit, fold_t_runs
+from qhevqa.simulator import ROTATION_1Q, StateVector, fidelity, gate, random_state
+from qhevqa.skdecomp import (
+    BASE_LENGTH,
+    MAX_DEPTH,
+    decompose_circuit,
+    default_net,
+    fold_t_runs,
+    sk_decompose,
+)
 from qhevqa.vqa import (
     REFERENCE_THETA_INIT,
     LabeledDataset,
@@ -176,7 +183,7 @@ def commit_rsp(channel, rows=1):
 
 class TestCodec:
     def test_round_trip(self):
-        msg = Message("Hello", {"session_seed": 7, "mode": "x"})
+        msg = Message("Hello", {"session_seed": 7})
         assert decode_message(encode_message(msg)) == msg
 
     def test_encoding_is_canonical(self):
@@ -381,11 +388,21 @@ class TestServerSession:
         # The reply to Hello is an acknowledgement: the frame header carries
         # the version, and the version fixes the RSP sizes.
         channel, session, thread = serve_inproc()
-        channel.send(Message("Hello", {"session_seed": 0, "mode": "plaintext"}))
+        channel.send(Message("Hello", {"session_seed": 0}))
         assert channel.recv() == Message("Announce", {"ok": True})
         ClientSession(channel).done()
         thread.join(timeout=5)
         assert session.phase == "done"
+
+    def test_a_hello_with_a_mode_is_refused(self):
+        # Hello carries only the session seed: version 9's ``mode``, which the
+        # server never read, is refused like any unknown field.
+        channel, session, thread = serve_inproc()
+        channel.send(Message("Hello", {"session_seed": 0, "mode": "plaintext"}))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session.phase == "done" and session.rng is None
 
     def test_version_mismatch_errors(self):
         # The header's version byte is the one version check.
@@ -408,7 +425,7 @@ class TestServerSession:
 
     def test_second_hello_is_a_phase_error(self):
         channel, session, thread = serve_inproc()
-        ClientSession(channel).hello(0, "x")
+        ClientSession(channel).hello(0)
         channel.send(Message("Hello", {"session_seed": 1}))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "phase"
@@ -421,7 +438,7 @@ class TestServerSession:
         # kind it does not take, and the session ends.
         channel, session, thread = serve_inproc()
         if hello:
-            ClientSession(channel).hello(0, "x")
+            ClientSession(channel).hello(0)
         channel.send(Message("Error", {"code": "x", "text": "y"}))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "kind"
@@ -438,7 +455,7 @@ class TestServerSession:
         monkeypatch.setattr(protocol.ServerSession, "_on_runrequest", broken)
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(0, "x")
+        client.hello(0)
         with pytest.raises(ProtocolError) as err:
             client.request_run(StateVector(2), None, [], (0, 1))
         assert err.value.code == "internal" and "handler fault" in err.value.text
@@ -452,7 +469,7 @@ class TestHostilePayloads:
     def open_session(self, seed=0):
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(seed, "x")
+        client.hello(seed)
         return channel, session, thread, client
 
     @staticmethod
@@ -473,10 +490,12 @@ class TestHostilePayloads:
                 "sk_enc": cts[8:], "level": level}
 
     @classmethod
-    def frame(cls, *pairs, discard=()):
-        """A GadgetClassical frame of one gadget at level 1 per entry of
-        ``pairs``, its two (head, tail) qid pairs, and the qids to drop."""
-        return {"gadgets": [{"pairs": p, **cls.bundle()} for p in pairs],
+    def frame(cls, *pairs, discard=(), first=1):
+        """A GadgetClassical frame of one gadget per entry of ``pairs``, its
+        two (head, tail) qid pairs, at levels ``first``, ``first + 1``, ...,
+        and the qids to drop."""
+        return {"gadgets": [{"pairs": p, **cls.bundle(level)}
+                            for level, p in enumerate(pairs, first)],
                 "discard": list(discard)}
 
     def test_claw_matrix_of_the_wrong_shape_is_refused(self):
@@ -587,14 +606,14 @@ class TestHostilePayloads:
         thread.join(timeout=5)
         assert len(session.gadgets) == 1
 
-    def test_homomorphic_run_on_more_than_20_wires_is_refused(self):
-        # A homomorphic run holds at most 20 wires (``qhe.MAX_WIRES``): a
-        # larger wire count is refused before its amplitudes are read or any
-        # gadget is taken.
+    def test_homomorphic_run_on_more_than_24_wires_is_refused(self):
+        # A homomorphic run holds at most 24 wires (``simulator.MAX_QUBITS``),
+        # like a plain one: a larger wire count is refused before its
+        # amplitudes are read or any gadget is taken.
         channel, session, thread, keys = self.gadget_session()
         channel.send(Message("RunRequest", {
-            **self.run([{"kind": "T", "wires": [0]}], enc_keys=keys[:1] * 21),
-            "num_wires": 21,
+            **self.run([{"kind": "T", "wires": [0]}], enc_keys=keys[:1] * 25),
+            "num_wires": 25,
         }))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload", reply.payload
@@ -716,6 +735,18 @@ class TestHostilePayloads:
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
 
+    def test_a_declare_frame_is_refused(self):
+        # A gadget frame is gadgets and discards only: version 9's declared
+        # count, which the server acknowledged and dropped, is refused.
+        channel, session, thread, _client = self.open_session()
+        prepare_rsp(channel, 2)
+        before = session_view(session)
+        channel.send(Message("GadgetClassical", {"declare": 0}))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload"
+        thread.join(timeout=5)
+        assert session_view(session)[1] == before[1]
+
     @pytest.mark.parametrize("level", ["3", True, 2.5])
     def test_gadget_level_must_be_an_int(self, level):
         channel, session, thread, _client = self.open_session()
@@ -777,19 +808,22 @@ class TestHostilePayloads:
 
     @pytest.mark.parametrize("spoil, code", [
         ("ciphertext", "payload"), ("unknown", "order"), ("repeat", "payload"),
+        ("level", "order"),
     ])
     def test_a_frame_is_checked_whole_before_anything_changes(self, spoil, code):
         # The last of a frame's two gadgets carries a ciphertext at another
-        # level, an unknown qid or a qid of the first gadget: the frame is
-        # refused, with no gadget queued and no qubit taken or dropped.
+        # level, an unknown qid, a qid of the first gadget or the first
+        # gadget's level: the frame is refused, with no gadget queued and no
+        # qubit taken or dropped.
         channel, session, thread, _client = self.open_session()
         prepare_rsp(channel, 9)
         commit_rsp(channel)
-        last = {"ciphertext": [[4, 5], [6, 7]], "unknown": [[4, 5], [6, 99]],
-                "repeat": [[4, 5], [2, 6]]}[spoil]
+        last = {"unknown": [[4, 5], [6, 99]], "repeat": [[4, 5], [2, 6]]}.get(spoil, [[4, 5], [6, 7]])
         frame = self.frame([[0, 1], [2, 3]], last, discard=[8])
         if spoil == "ciphertext":
-            frame["gadgets"][-1]["sk_enc"][-1] = self.bundle(level=2)["x_ct"][0]
+            frame["gadgets"][-1]["sk_enc"][-1] = self.bundle(level=3)["x_ct"][0]
+        elif spoil == "level":
+            frame["gadgets"][-1] = {**frame["gadgets"][-1], **self.bundle(level=1)}
         before = session_view(session)
         channel.send(Message("GadgetClassical", frame))
         reply = channel.recv()
@@ -805,7 +839,7 @@ class TestHostilePayloads:
         frame = self.frame([[0, 1], [2, 3]], [[7, 4], [5, 6]], discard=[8])
         channel.send(Message("GadgetClassical", frame))
         assert channel.recv().payload == {"ok": True}
-        assert not session.qubits and len(session.gadgets) == 2
+        assert not session.qubits and [g.level for g in session.gadgets] == [1, 2]
         for gadget, (heads, tails) in zip(session.gadgets, [((0, 2), (1, 3)), ((7, 5), (4, 6))]):
             want = assemble_gadget_state([qubits[q] for q in heads], [qubits[q] for q in tails])
             assert all(np.array_equal(g, w) for g, w in zip(gadget.state, want))
@@ -825,32 +859,54 @@ class TestHostilePayloads:
         thread.join(timeout=5)
         assert session_view(session)[1] == before[1]
 
-    def test_declare_and_close_are_acknowledged_and_change_nothing(self):
+    def test_open_rsp_and_close_rsp_send_nothing(self):
         channel, session, thread, client = self.open_session()
         prepare_rsp(channel, 2)
         commit_rsp(channel)
         before = session_view(session)
+        to_server, _ = watch(channel)
         client.open_rsp(3)
         client.close_rsp()
-        assert session_view(session)[1] == before[1]
+        assert to_server == [] and session_view(session)[1] == before[1]
         client.done()
         thread.join(timeout=5)
 
     def test_gadgets_out_of_slot_order_are_refused_before_any_is_taken(self):
-        # A run of two T gates needs gadgets at levels 1 and 2; a queue
-        # provisioned for two runs of one T each holds two at level 1.
+        # The queue holds levels 1..n: a second key generation with no run
+        # between the two would queue a second gadget at level 1, so its
+        # frame is refused, before any of its qubits is taken.
         channel, session, thread, client = self.open_session()
+        views, dispatch = [], session._dispatch
+
+        def dispatch_and_view(msg):
+            if msg.kind == "GadgetClassical":
+                views.append(session_view(session))
+            dispatch(msg)
+
+        session._dispatch = dispatch_and_view
         rng = np.random.default_rng(9)
         client.remote_keygen(2, [gate("T", 0)], rng)
-        client_keys, _ = client.remote_keygen(2, [gate("T", 0)], rng)
-        cs, _ = encrypt(client_keys, StateVector(2), rng)
-        assert [g.level for g in session.gadgets] == [1, 1]
-        channel.send(Message("RunRequest", self.run(
-            circuit_to_json([gate("T", 0), gate("T", 0)]), enc_keys=hex_keys(cs))))
-        reply = channel.recv()
-        assert reply.kind == "Error" and reply.payload["code"] == "order"
+        with pytest.raises(ProtocolError) as err:
+            client.remote_keygen(2, [gate("T", 0)], rng)
+        assert err.value.code == "order"
         thread.join(timeout=5)
-        assert [g.level for g in session.gadgets] == [1, 1]
+        assert len(views) == 2 and session.qubits
+        assert session_view(session)[1] == views[-1][1]
+        assert [g.level for g in session.gadgets] == [1]
+
+    def test_a_gadget_past_the_top_level_is_refused(self):
+        # No window's run takes more than MAX_LEVEL gadgets, and the queue
+        # holds levels 1..n, so the level bound is the queue's bound.
+        channel, session, thread, _client = self.open_session()
+        prepare_rsp(channel, 4)
+        before = session_view(session)
+        frame = self.frame([[0, 1], [2, 3]], first=protocol.MAX_LEVEL + 1)
+        channel.send(Message("GadgetClassical", frame))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload", reply.payload
+        assert reply.payload["text"].startswith("gadgets"), reply.payload
+        thread.join(timeout=5)
+        assert session_view(session)[1] == before[1]
 
     @pytest.mark.parametrize("amps", [
         [[0.0, 0.0], [0.0, 0.0]],
@@ -909,7 +965,7 @@ SCALARS = st.one_of(
 )
 SERVER_REPLIES = {  # the replies an accepted message gets, in order
     "Hello": [{"Announce"}], "RspBasis": [{"RspOutcome", "RspCommit"}],
-    "CoupleInstr": [{"CoupleInstr"}], "GadgetClassical": [{"GadgetClassical"}],
+    "GadgetClassical": [{"GadgetClassical"}],
     "RunRequest": [{"ShotResults"}, {"EncKeysUpdate"}],  # keys for a homomorphic run only
     "Done": [{"Done"}],
 }
@@ -1059,7 +1115,7 @@ class TestSchemaProperty:
     def loaded_session():
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(3, "x")
+        client.hello(3)
         client.remote_keygen(2, [gate("T", 0)], np.random.default_rng(3))
         prepare_rsp(channel, 4)
         commit_rsp(channel)
@@ -1095,7 +1151,7 @@ class TestDelegatedRuns:
     def test_plain_run_matches_local_simulation(self):
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(5, "x")
+        client.hello(5)
         rng = np.random.default_rng(5)
         psi = random_state(2, rng)
         circ = [gate("H", 0), gate("CNOT", 0, 1)]
@@ -1111,7 +1167,7 @@ class TestDelegatedRuns:
         # misroute later runs, so the two circuits take turns on one session.
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(11, "x")
+        client.hello(11)
         rng = np.random.default_rng(11)
         h, t, cnot = gate("H", 0), gate("T", 0), gate("CNOT", 0, 1)
         for circ in [[h, t, gate("X", 0), t, h, cnot], [h, t, t, h, cnot]] * 4:
@@ -1128,7 +1184,7 @@ class TestDelegatedRuns:
         # <X x X> to float rounding, and both signs occur.
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(8, "x")
+        client.hello(8)
         rng = np.random.default_rng(8)
         signs = []
         for _ in range(6):
@@ -1149,7 +1205,7 @@ class TestDelegatedRuns:
         recv = channel.recv
         channel.recv = lambda: received.append(recv()) or received[-1]
         client = ClientSession(channel)
-        client.hello(7, "x")
+        client.hello(7)
         circ = [
             gate("H", 0), gate("T", 0), gate("CNOT", 0, 2),
             gate("H", 2), gate("T", 2), gate("T", 1),
@@ -1175,7 +1231,7 @@ class TestDelegatedRuns:
 
     def test_golden_faithful_transcript(self):
         # Every frame both ways of a small claw-based RSP session of three
-        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 9,
+        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 10,
         # and each run's decrypted sign. Re-recorded when RSP batches came to
         # be sized to the run's T count, with their rows packed, and each key
         # generation's gadgets to travel in one frame, with the signs
@@ -1183,8 +1239,9 @@ class TestDelegatedRuns:
         # own generator, so that a change to how many draws provisioning
         # takes leaves every run's input as it was; and again when Hello lost
         # its version, Announce became an acknowledgement and EncKeysUpdate
-        # lost its level, with every sign and raw value unchanged. The
-        # RunRequest amplitudes carry no -0.0.
+        # lost its level, with every sign and raw value unchanged; and again
+        # when Hello lost its mode, with every other frame unchanged but for
+        # the header's version byte. The RunRequest amplitudes carry no -0.0.
         inputs = np.random.default_rng(6)
         states = [random_state(2, inputs) for _ in range(3)]
         channel, _session, thread = serve_inproc()
@@ -1202,7 +1259,7 @@ class TestDelegatedRuns:
 
         channel.send_bytes, channel.recv_bytes = send_bytes, recv_bytes
         client = ClientSession(channel)
-        client.hello(5, "x")
+        client.hello(5)
         circ = [
             gate("H", 0), gate("T", 0), gate("CNOT", 0, 1), gate("Tdagger", 1), gate("H", 1),
         ]
@@ -1214,14 +1271,14 @@ class TestDelegatedRuns:
             assert sign * raw == pytest.approx(xx_run(psi, circ, (1, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [-1, -1, -1]
         assert transcript.hexdigest() == (
-            "695ab97c462a96d3db54ded1bdd53cf991a54d31924ca5ea53b2946b79306ea7"
+            "26284577810d12cc4ab1b909d94b1a6ad11a1ad4a599a94c9cdee53b65be2a58"
         )
 
     def test_unknown_rsp_mode_is_refused(self):
         # Remote RSP is claw-based only; the ideal sampler is local.
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(9, "x")
+        client.hello(9)
         with pytest.raises(ProtocolError, match="rsp mode"):
             make_faithful_evaluator(client, eps_target=0.1, rsp_mode="ideal")
         client.done()
@@ -1231,7 +1288,7 @@ class TestDelegatedRuns:
     def test_budget_enforced(self):
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(9, "x")
+        client.hello(9)
         rng = np.random.default_rng(9)
         client.remote_keygen(1, [gate("T", 0)], rng)  # one gadget provisioned
         circ = [gate("T", 0), gate("H", 0), gate("T", 0)]
@@ -1242,10 +1299,26 @@ class TestDelegatedRuns:
         thread.join(timeout=5)
         assert len(session.gadgets) == 1
 
+    @pytest.mark.parametrize("circ", [[gate("T", 0)], [gate("H", 0)]])
+    def test_a_run_takes_the_whole_queue(self, circ):
+        # A homomorphic run needs exactly the queue's gadgets: one with fewer
+        # T gates than the two queued is refused, and the queue stays whole.
+        channel, session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(9)
+        rng = np.random.default_rng(9)
+        client.remote_keygen(2, [gate("T", 0), gate("H", 0), gate("T", 0)], rng)
+        client_keys, _ = keygen(SECURITY, 2, circ, rng)
+        cs, _ = encrypt(client_keys, StateVector(2), rng)
+        with pytest.raises(ProtocolError, match="budget"):
+            client.request_run(cs.register, cs.encrypted_keys, circ, (0, 1))
+        thread.join(timeout=5)
+        assert [g.level for g in session.gadgets] == [1, 2]
+
     def test_exact_evaluator_bitwise_matches_local(self):
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(11, "delegated-exact-gates")
+        client.hello(11)
         evaluator = make_exact_evaluator(client)
         model = ShadowModel(
             np.random.default_rng(3).uniform(0, 2 * np.pi, (2, 4)),
@@ -1266,7 +1339,7 @@ class TestDelegatedRuns:
     def test_faithful_evaluator_close_to_plaintext(self):
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(12, "delegated-faithful")
+        client.hello(12)
         evaluator = make_faithful_evaluator(client, eps_target=3e-2)
         model = ShadowModel(
             np.random.default_rng(5).uniform(0, 2 * np.pi, (2, 4)),
@@ -1287,7 +1360,7 @@ class TestDelegatedRuns:
         # and no gadget frame: only its run.
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(15, "delegated-faithful")
+        client.hello(15)
         to_server, _ = watch(channel)
         evaluator = make_faithful_evaluator(client, eps_target=0.1)
         model = ShadowModel(np.zeros((2, 4)), np.zeros(2), 0.0, 3)
@@ -1306,7 +1379,7 @@ class TestDelegatedRuns:
         # circuit per window, so the features agree to float rounding.
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(17, "delegated-faithful")
+        client.hello(17)
         evaluator = make_faithful_evaluator(client, eps_target=0.3)
         model = ShadowModel(REFERENCE_THETA_INIT, np.zeros(2), 0.0, 3)
         psi = random_state(3, np.random.default_rng(17))
@@ -1320,7 +1393,7 @@ class TestDelegatedRuns:
     def test_qhe_runs_without_t_gates_follow_runs_with_them(self):
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(16, "x")
+        client.hello(16)
         rng = np.random.default_rng(16)
         for circ in ([gate("H", 0), gate("T", 0)], [gate("X", 0), gate("CNOT", 0, 1)]):
             psi = random_state(2, rng)
@@ -1337,7 +1410,7 @@ class TestDelegatedRuns:
         # a repeated leaf, an encoding the client refuses.
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(31, "x")
+        client.hello(31)
         rng = np.random.default_rng(31)
         circ = [gate("CNOT", 0, 1), gate("T", 0)]
         psi = random_state(2, rng)
@@ -1408,7 +1481,7 @@ class TestGadgetBudget:
         circ, budget = self.window()
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(18, "delegated-faithful")
+        client.hello(18)
         to_server, _ = watch(channel)
         evaluator = make_faithful_evaluator(client, eps_target=self.EPS)
         evaluator(random_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
@@ -1425,7 +1498,7 @@ class TestGadgetBudget:
         circ, budget = self.window()
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(18, "delegated-faithful")
+        client.hello(18)
         to_server, from_server = watch(channel)
         evaluator = make_faithful_evaluator(client, eps_target=self.EPS)
         evaluator(random_state(2, np.random.default_rng(18)), circ, (0, 1), np.random.default_rng(19))
@@ -1455,7 +1528,7 @@ class TestGadgetBudget:
         sent, send = hashlib.sha256(), channel.send_bytes
         channel.send_bytes = lambda data: (sent.update(data), send(data))[1]
         client = ClientSession(channel)
-        client.hello(44, "x")
+        client.hello(44)
         to_server, _ = watch(channel)
         rng = np.random.default_rng(44)
         psi = random_state(2, rng)
@@ -1469,10 +1542,26 @@ class TestGadgetBudget:
         assert sum(map(len, frames)) == 100
         assert max(held) <= MAX_HELD and not session.qubits and not session.pending
         assert sign * raw == pytest.approx(xx_run(psi, circ, (0, 1)), abs=1e-9)
-        # Every byte the client sent, top-up included, pinned.
+        # Every byte the client sent, top-up included, pinned; re-recorded at
+        # protocol version 10, whose Hello has no mode.
         assert sent.hexdigest() == (
-            "11cd76d61ee0a4646d21bac290eece25bf6515b39c0254f1fb6907bc9fc17a78"
+            "7c8401bedcb2e8b58abdd51936141ab98645c316af4df5195649017b927fb4ff"
         )
+
+    def test_a_deepest_window_fits_under_the_top_level(self):
+        # A window whose four rotations are synthesized at MAX_DEPTH: each
+        # word is at most BASE_LENGTH * 5**MAX_DEPTH ops, and the folded
+        # window takes at most MAX_LEVEL gadgets (34 135 here).
+        theta = np.random.default_rng(0).uniform(0, 2 * np.pi, (2, 4))
+        circ, words = [], []
+        for g in build_shadow_circuit(ShadowModel(theta, np.zeros(1), 0.0, 2), 1):
+            if g.kind in ROTATION_1Q:
+                words.append(sk_decompose(ROTATION_1Q[g.kind](g.angle), MAX_DEPTH, default_net())[0])
+                circ += [gate(op, *g.wires) for op in words[-1]]
+            else:
+                circ.append(g)
+        assert len(words) == 4 and max(map(len, words)) <= BASE_LENGTH * 5**MAX_DEPTH
+        assert t_count(fold_t_runs(circ)) <= protocol.MAX_LEVEL
 
     def test_local_keygen_makes_one_gadget_per_folded_t(self, monkeypatch):
         circ, budget = self.window()
@@ -1505,6 +1594,14 @@ def unreachable_image():
     return next(list(y) for y in product((0, 1), repeat=RSP_MU) if y not in images)
 
 
+def send_gadget_frame(client):
+    """Send a hand-built frame of two gadgets and take its acknowledgement."""
+    return client._ask("GadgetClassical", GADGET_FRAME, "GadgetClassical")
+
+
+GADGET_FRAME = TestHostilePayloads.frame([[0, 1], [2, 3]], [[4, 5], [6, 7]], discard=[8])
+
+
 class TestHostileReplies:
     """A malformed reply to a batch of RSP rounds or to a run, a malformed
     Announce or a malformed Error reaches the client's caller only as
@@ -1518,7 +1615,8 @@ class TestHostileReplies:
         client_end, server_end = make_inproc_pair()
         for reply in replies:
             server_end.send(reply)
-        return ClientSession(client_end)._round(deque(), lambda: 1)(np.random.default_rng(0))
+        return ClientSession(client_end)._round(deque(), lambda: 1, lambda: None)(
+            np.random.default_rng(0))
 
     @pytest.mark.parametrize("replies", [
         [Message("RspCommit", {"qids": QIDS, "y": "zz"}), OUTCOME],
@@ -1569,7 +1667,7 @@ class TestHostileReplies:
         client_end, server_end = make_inproc_pair()
         server_end.send(Message("Announce", spoil))
         with pytest.raises(ProtocolError) as exc:
-            ClientSession(client_end).hello(0, "x")
+            ClientSession(client_end).hello(0)
         assert exc.value.code == "payload"
 
     def test_announce_of_another_version_is_refused(self):
@@ -1578,7 +1676,7 @@ class TestHostileReplies:
         frame[4] = VERSION - 1
         server_end.send_bytes(bytes(frame))
         with pytest.raises(ProtocolError) as exc:
-            ClientSession(client_end).hello(0, "x")
+            ClientSession(client_end).hello(0)
         assert exc.value.code == "version"
 
     @pytest.mark.parametrize("payload", [{"code": [1]}, {"code": "x", "text": 7}, {}])
@@ -1586,12 +1684,11 @@ class TestHostileReplies:
         client_end, server_end = make_inproc_pair()
         server_end.send(Message("Error", payload))
         with pytest.raises(ProtocolError) as exc:
-            ClientSession(client_end).open_rsp(0)
+            send_gadget_frame(ClientSession(client_end))
         assert exc.value.code == "payload"
 
     ACK_CALLS = {
-        "GadgetClassical": lambda client: client.open_rsp(0),
-        "CoupleInstr": lambda client: client.close_rsp(),
+        "GadgetClassical": send_gadget_frame,
         "Done": lambda client: client._ask("Done", {}, "Done"),
     }
 
@@ -1599,11 +1696,9 @@ class TestHostileReplies:
         ("GadgetClassical", {"ok": True, "budget": 1}),
         ("GadgetClassical", {"ok": False}),
         ("GadgetClassical", {}),
-        ("CoupleInstr", {"ok": True, "extra": 1}),
-        ("CoupleInstr", {"ok": 1}),
         ("Done", {"ok": True}),
     ], ids=["gadget-ack-with-budget", "gadget-ack-not-ok", "gadget-ack-without-ok",
-            "couple-ack-with-extra", "couple-ack-ok-1", "done-with-ok"])
+            "done-with-ok"])
     def test_malformed_ack_is_a_protocol_error(self, kind, payload):
         client_end, server_end = make_inproc_pair()
         server_end.send(Message(kind, payload))
@@ -1621,7 +1716,7 @@ class TestHostileReplies:
         client_end, server_end = make_inproc_pair()
         server_end.send(Message("Error", {"code": "budget", "text": "none queued"}))
         with pytest.raises(ProtocolError) as exc:
-            ClientSession(client_end).open_rsp(0)
+            send_gadget_frame(ClientSession(client_end))
         assert (exc.value.code, exc.value.text) == ("budget", "none queued")
 
     @pytest.mark.parametrize("kind, spoil, run", [
@@ -1652,7 +1747,7 @@ class TestHostileReplies:
         reply = session._reply
         session._reply = lambda k, p: reply(k, spoil(p) if k == kind else p)
         client = ClientSession(channel)
-        client.hello(3, "x")
+        client.hello(3)
         rng = np.random.default_rng(3)
         with pytest.raises(ProtocolError) as exc:
             if run == "xx":
@@ -1675,7 +1770,7 @@ def padded_input():
 
 
 def take_round(client):
-    return client._round(deque(), lambda: 1)(np.random.default_rng(0))
+    return client._round(deque(), lambda: 1, lambda: None)(np.random.default_rng(0))
 
 
 def take_qhe_run(client):
@@ -1695,11 +1790,10 @@ def take_exact_window(client):
 # bounds name, and well-formed replies that go before and after it.
 ReplyTaker = namedtuple("ReplyTaker", "call bounds before after", defaults=((), ()))
 REPLY_TAKERS = {
-    "Announce": ReplyTaker(lambda client: client.hello(0, "x"), {}),
-    "GadgetClassical": ReplyTaker(TestHostileReplies.ACK_CALLS["GadgetClassical"], {}),
-    "CoupleInstr": ReplyTaker(TestHostileReplies.ACK_CALLS["CoupleInstr"], {}),
+    "Announce": ReplyTaker(lambda client: client.hello(0), {}),
+    "GadgetClassical": ReplyTaker(send_gadget_frame, {}),
     "Done": ReplyTaker(TestHostileReplies.ACK_CALLS["Done"], {}),
-    "Error": ReplyTaker(lambda client: client.open_rsp(0), {}),
+    "Error": ReplyTaker(send_gadget_frame, {}),
     "RspCommit": ReplyTaker(take_round, {"rows": K}, after=(OUTCOME,)),
     "RspOutcome": ReplyTaker(take_round, {"rows": K}, before=(COMMIT,)),
     "ShotResults": ReplyTaker(take_exact_window, {}),
@@ -1740,22 +1834,21 @@ class TestServerBlindness:
     the channel sends, whole gadget frames included."""
 
     PUBLIC_FIELDS = {
-        "Hello": {"session_seed", "mode"},
-        "GadgetClassical": {"declare", "gadgets", "discard"},
+        "Hello": {"session_seed"},
+        "GadgetClassical": {"gadgets", "discard"},
         "RspBasis": {"matrix", "qids", "alphas"},
-        "CoupleInstr": {"close"},
         "RunRequest": {"num_wires", "amps", "enc_keys", "circuit", "wires", "use_gadgets"},
         "Done": set(),
     }
     GADGET_FIELDS = {"pairs", "level", "x_ct", "z_ct", "e_ct", "sk_enc"}
 
-    def watched_window(self, mode, make_evaluator):
+    def watched_window(self, make_evaluator):
         """Run one delegated 2-wire window; return the frames the server
         received and the gadgets among them."""
         channel, _session, thread = serve_inproc()
         to_server, _ = watch(channel)
         client = ClientSession(channel)
-        client.hello(41, mode)
+        client.hello(41)
         model = ShadowModel(
             np.random.default_rng(7).uniform(0, 2 * np.pi, (2, 4)), np.zeros(1), 0.0, 2
         )
@@ -1767,20 +1860,19 @@ class TestServerBlindness:
         for msg in to_server:
             assert set(msg.payload) <= self.PUBLIC_FIELDS[msg.kind], (msg.kind, sorted(msg.payload))
         gadgets = [g for m in to_server if m.kind == "GadgetClassical"
-                   for g in m.payload.get("gadgets", ())]
+                   for g in m.payload["gadgets"]]
         for gadget in gadgets:
             assert set(gadget) == self.GADGET_FIELDS, sorted(gadget)
         return to_server, gadgets
 
     def test_exact_session(self):
-        to_server, gadgets = self.watched_window("delegated-exact-gates", make_exact_evaluator)
+        to_server, gadgets = self.watched_window(make_exact_evaluator)
         runs = [m.payload for m in to_server if m.kind == "RunRequest"]
         assert runs and not gadgets
         assert all("enc_keys" not in p for p in runs)
 
     def test_faithful_session_claw_rsp(self):
         to_server, gadgets = self.watched_window(
-            "delegated-faithful",
             lambda client: make_faithful_evaluator(client, eps_target=0.1),
         )
         assert gadgets
@@ -1813,7 +1905,7 @@ class TestServerMemory:
 
         channel, _session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(0, "delegated-exact-gates")
+        client.hello(0)
         evaluate = make_exact_evaluator(client)
         model = ShadowModel(REFERENCE_THETA_INIT, np.zeros(5), 0.0, 6)
         rng = np.random.default_rng(0)
@@ -1841,7 +1933,7 @@ class TestServerMemory:
 
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(0, "x")
+        client.hello(0)
         register = StateVector(12)
         client.request_run(register, None, [], (0, 1))
         tracemalloc.start()
@@ -1863,7 +1955,7 @@ class TestServerMemory:
         # The pool's spare rounds go out with the key generation's gadget frame.
         channel, session, thread = serve_inproc()
         client = ClientSession(channel)
-        client.hello(42, "delegated-faithful")
+        client.hello(42)
         evaluator = make_faithful_evaluator(client, eps_target=0.1)
         model = ShadowModel(REFERENCE_THETA_INIT, np.zeros(1), 0.0, 2)
         circ = build_shadow_circuit(model, 1)
@@ -1877,7 +1969,7 @@ class TestServerMemory:
         try:
             for seed in range(3):
                 client = ClientSession(connect_tcp("127.0.0.1", server.port))
-                client.hello(seed, "x")
+                client.hello(seed)
                 client.done()
             deadline = time.monotonic() + 10
             while (server.sessions or server._threads) and time.monotonic() < deadline:
@@ -1889,7 +1981,7 @@ class TestServerMemory:
     def test_tcp_stop_ends_the_accept_thread_at_once(self):
         server = TcpServer(port=0).start()
         client = ClientSession(connect_tcp("127.0.0.1", server.port))
-        client.hello(0, "x")
+        client.hello(0)
         client.done()
         t0 = time.monotonic()
         server.stop()
@@ -1903,7 +1995,7 @@ class TestTcpTransport:
         try:
             channel = connect_tcp("127.0.0.1", server.port)
             client = ClientSession(channel)
-            client.hello(21, "x")
+            client.hello(21)
             rng = np.random.default_rng(21)
             circ = [gate("H", 0), gate("T", 0), gate("H", 0), gate("CNOT", 0, 1)]
             for _ in range(3):
@@ -1921,7 +2013,7 @@ class TestTcpTransport:
         def one(seed):
             try:
                 client = ClientSession(connect_tcp("127.0.0.1", server.port))
-                client.hello(seed, "x")
+                client.hello(seed)
                 psi = random_state(2, np.random.default_rng(seed))
                 want = xx_run(psi, [gate("H", 0)], (0, 1))
                 for _ in range(5):
@@ -1946,7 +2038,7 @@ class TestTcpTransport:
         # must produce identical homomorphic signs and raw values.
         def run(channel):
             client = ClientSession(channel)
-            client.hello(33, "x")
+            client.hello(33)
             rng = np.random.default_rng(33)
             circ = [gate("H", 0), gate("T", 0), gate("H", 0), gate("CNOT", 0, 1)]
             out = [remote_xx(client, circ, random_state(2, rng), rng) for _ in range(5)]

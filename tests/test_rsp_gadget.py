@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qhevqa import rsp_gadget
 from qhevqa.classical_he import (
     ct_to_bytes,
     encrypt_seed,
@@ -219,7 +220,8 @@ class TestRemotePreparation:
             want = prepare_plus_theta(idx * np.pi / 2)
             assert fidelity(state, want) == pytest.approx(1.0, abs=1e-12)
 
-    def test_faithful_round_state_matches_recovered_index(self):
+    def test_faithful_round_state_matches_recovered_index(self, monkeypatch):
+        monkeypatch.setattr(rsp_gadget, "RSP_BATCH", 8)
         rng = np.random.default_rng(6)
         matrices = []
 
@@ -227,7 +229,7 @@ class TestRemotePreparation:
             matrices.extend(m.tobytes() for m in batch)
             return rsp_server_commit(batch, r)
 
-        round_ = claw_round(commit, rsp_server_measure, lambda: 1, deque(), cap=8)
+        round_ = claw_round(commit, rsp_server_measure, lambda: 1, deque())
         seen = set()
         for _ in range(40):
             idx, state = round_(rng)
@@ -267,19 +269,22 @@ class TestRemotePreparation:
             with pytest.raises(GadgetError):
                 rsp_server_measure(states, np.zeros(shape, dtype=np.int64), rng)
 
-    def test_batch_size_rule(self):
+    def test_batch_size_rule(self, monkeypatch):
         # Eight rounds a gadget on average, plus three standard deviations
-        # (the variance is eight too), at most the cap.
+        # (the variance is eight too), at most ``RSP_BATCH``, read at call time.
         assert [rsp_rows(t) for t in (1, 2, 22)] == [17, 28, 216]
-        assert rsp_rows(100) == RSP_BATCH and rsp_rows(1, cap=3) == 3
+        assert rsp_rows(100) == RSP_BATCH
+        monkeypatch.setattr(rsp_gadget, "RSP_BATCH", 3)
+        assert rsp_rows(1) == 3
 
     @pytest.mark.parametrize("gadgets", [1, 5, 22, 60])
-    def test_a_sized_batch_rarely_runs_dry(self, gadgets):
+    def test_a_sized_batch_rarely_runs_dry(self, gadgets, monkeypatch):
         # Each of a gadget's four draws takes a geometric number of rounds
         # with success probability 1/2; the batch covers all of them in more
         # than 99 % of 20 000 simulated key generations.
+        monkeypatch.setattr(rsp_gadget, "RSP_BATCH", 10**6)
         draws = np.random.default_rng(gadgets).geometric(0.5, (20_000, 4 * gadgets))
-        assert (draws.sum(axis=1) > rsp_rows(gadgets, cap=10**6)).mean() < 0.01
+        assert (draws.sum(axis=1) > rsp_rows(gadgets)).mean() < 0.01
 
     def test_refills_are_sized_to_the_gadgets_left(self):
         sizes, left = [], [3]
