@@ -66,7 +66,14 @@ from qhevqa.rsp_gadget import (
     rsp_rows,
     sample_trapdoor,
 )
-from qhevqa.simulator import ROTATION_1Q, StateVector, fidelity, gate, random_state
+from qhevqa.simulator import (
+    ROTATION_1Q,
+    StateVector,
+    amplitude_encode,
+    fidelity,
+    gate,
+    random_state,
+)
 from qhevqa.skdecomp import (
     BASE_LENGTH,
     MAX_DEPTH,
@@ -159,6 +166,72 @@ def watch(channel):
 
     channel.send_bytes, channel.recv_bytes = send_bytes, recv_bytes
     return sent, received
+
+
+GOLDEN_CIRCUIT = [
+    gate("H", 0), gate("T", 0), gate("CNOT", 0, 1), gate("Tdagger", 1), gate("H", 1),
+]
+
+
+def golden_runs(transcript=None):
+    """The golden transcript's session: three homomorphic <X x X> runs of
+    ``GOLDEN_CIRCUIT`` over claw RSP, reading wires (1, 0), on inputs drawn
+    from their own generator. Every frame both ways goes to ``transcript``
+    (a hash) if one is given. Returns (input, sign, raw value) per run."""
+    inputs = np.random.default_rng(6)
+    states = [random_state(2, inputs) for _ in range(3)]
+    channel, _session, thread = serve_inproc()
+    if transcript is not None:
+        send, recv = channel.send_bytes, channel.recv_bytes
+
+        def send_bytes(data):
+            transcript.update(data)
+            send(data)
+
+        def recv_bytes():
+            data = recv()
+            transcript.update(data)
+            return data
+
+        channel.send_bytes, channel.recv_bytes = send_bytes, recv_bytes
+    client = ClientSession(channel)
+    client.hello(5)
+    rng = np.random.default_rng(5)
+    runs = [(psi, *remote_xx(client, GOLDEN_CIRCUIT, psi, rng, (1, 0))) for psi in states]
+    client.done()
+    thread.join(timeout=5)
+    return runs
+
+
+TOP_UP_CIRCUIT = [gate("H", 0), gate("CNOT", 0, 1)] + [
+    gate("T", 0), gate("H", 0), gate("Tdagger", 1), gate("H", 1), gate("CNOT", 1, 0),
+] * 50
+
+
+def top_up_window():
+    """One homomorphic run of ``TOP_UP_CIRCUIT``, whose 100 T gates take
+    more RSP rounds than one batch. Returns its input, sign and raw value,
+    the RSP qubits the server held after each frame, the frames the client
+    sent after Hello, a hash of every byte it sent and the server session."""
+    channel, session, thread = serve_inproc()
+    held, dispatch = [], session._dispatch
+
+    def dispatch_and_count(msg):
+        dispatch(msg)
+        held.append(len(session.qubits) + len(session.pending))
+
+    session._dispatch = dispatch_and_count
+    sent, send = hashlib.sha256(), channel.send_bytes
+    channel.send_bytes = lambda data: (sent.update(data), send(data))[1]
+    client = ClientSession(channel)
+    client.hello(44)
+    to_server, _ = watch(channel)
+    rng = np.random.default_rng(44)
+    psi = random_state(2, rng)
+    sign, raw = remote_xx(client, TOP_UP_CIRCUIT, psi, rng)
+    client.done()
+    thread.join(timeout=30)
+    return psi, sign, raw, held, to_server, sent, session
 
 
 # One claw matrix, rows [1, 0, 1, 0], and one row of basis bits [0, 1, 0], packed.
@@ -1242,36 +1315,44 @@ class TestDelegatedRuns:
         # lost its level, with every sign and raw value unchanged; and again
         # when Hello lost its mode, with every other frame unchanged but for
         # the header's version byte. The RunRequest amplitudes carry no -0.0.
-        inputs = np.random.default_rng(6)
-        states = [random_state(2, inputs) for _ in range(3)]
-        channel, _session, thread = serve_inproc()
+        # ``test_values_the_frames_carry_are_pinned`` pins the values apart
+        # from the frames.
         transcript = hashlib.sha256()
-        send, recv = channel.send_bytes, channel.recv_bytes
-
-        def send_bytes(data):
-            transcript.update(data)
-            send(data)
-
-        def recv_bytes():
-            data = recv()
-            transcript.update(data)
-            return data
-
-        channel.send_bytes, channel.recv_bytes = send_bytes, recv_bytes
-        client = ClientSession(channel)
-        client.hello(5)
-        circ = [
-            gate("H", 0), gate("T", 0), gate("CNOT", 0, 1), gate("Tdagger", 1), gate("H", 1),
-        ]
-        rng = np.random.default_rng(5)
-        runs = [(psi, *remote_xx(client, circ, psi, rng, (1, 0))) for psi in states]
-        client.done()
-        thread.join(timeout=5)
+        runs = golden_runs(transcript)
         for psi, sign, raw in runs:
-            assert sign * raw == pytest.approx(xx_run(psi, circ, (1, 0)), abs=1e-9)
+            assert sign * raw == pytest.approx(xx_run(psi, GOLDEN_CIRCUIT, (1, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [-1, -1, -1]
         assert transcript.hexdigest() == (
             "26284577810d12cc4ab1b909d94b1a6ad11a1ad4a599a94c9cdee53b65be2a58"
+        )
+
+    def test_values_the_frames_carry_are_pinned(self):
+        # What a change of frame format must keep, apart from the frames: the
+        # exact float bytes of sign x raw of the golden transcript's three
+        # runs and of the top-up window's run, then the float bytes of three
+        # seeded digit rows' delegated-faithful features at epsilon 0.1 over
+        # the in-process queue (session seed 4, each row's generator seeded
+        # by its row number), all under one SHA-256. Recorded at protocol
+        # version 10.
+        digest = hashlib.sha256()
+        runs = [*golden_runs(), top_up_window()[:3]]
+        for _, sign, raw in runs:
+            digest.update(np.float64(sign * raw).tobytes())
+        data = load_digits_csv()
+        model = ShadowModel(REFERENCE_THETA_INIT, np.zeros(data.n - 1), 0.0, data.n)
+        channel, _session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(4)
+        evaluator = make_faithful_evaluator(client, eps_target=0.1)
+        for row in (3, 40, 77):
+            psi = amplitude_encode(data.samples[row][0], data.n)
+            features = shadow_features(psi, model, "delegated-faithful",
+                                       np.random.default_rng(row), 0.1, evaluator)
+            digest.update(np.asarray(features, dtype=np.float64).tobytes())
+        client.done()
+        thread.join(timeout=30)
+        assert digest.hexdigest() == (
+            "6ed605a0d310d3fefda225e09b15b02870061eaa31a8716bc18bbd9239b78f59"
         )
 
     def test_unknown_rsp_mode_is_refused(self):
@@ -1513,35 +1594,15 @@ class TestGadgetBudget:
         # the gadgets built from the first batch go out before the second
         # commit, so the server never holds more than MAX_HELD qubits, and
         # the run still decrypts to the plaintext <X x X>.
-        circ = [gate("H", 0), gate("CNOT", 0, 1)] + [
-            gate("T", 0), gate("H", 0), gate("Tdagger", 1), gate("H", 1), gate("CNOT", 1, 0),
-        ] * 50
-        assert t_count(circ) == 100 and rsp_rows(100) == RSP_BATCH
-        channel, session, thread = serve_inproc()
-        held, dispatch = [], session._dispatch
-
-        def dispatch_and_count(msg):
-            dispatch(msg)
-            held.append(len(session.qubits) + len(session.pending))
-
-        session._dispatch = dispatch_and_count
-        sent, send = hashlib.sha256(), channel.send_bytes
-        channel.send_bytes = lambda data: (sent.update(data), send(data))[1]
-        client = ClientSession(channel)
-        client.hello(44)
-        to_server, _ = watch(channel)
-        rng = np.random.default_rng(44)
-        psi = random_state(2, rng)
-        sign, raw = remote_xx(client, circ, psi, rng)
-        client.done()
-        thread.join(timeout=30)
+        assert t_count(TOP_UP_CIRCUIT) == 100 and rsp_rows(100) == RSP_BATCH
+        psi, sign, raw, held, to_server, sent, session = top_up_window()
         commits = [i for i, m in enumerate(to_server) if "matrix" in m.payload]
         assert len(commits) >= 2
         assert "GadgetClassical" in [m.kind for m in to_server[commits[0] : commits[1]]]
         frames = [m.payload["gadgets"] for m in to_server if m.kind == "GadgetClassical"]
         assert sum(map(len, frames)) == 100
         assert max(held) <= MAX_HELD and not session.qubits and not session.pending
-        assert sign * raw == pytest.approx(xx_run(psi, circ, (0, 1)), abs=1e-9)
+        assert sign * raw == pytest.approx(xx_run(psi, TOP_UP_CIRCUIT, (0, 1)), abs=1e-9)
         # Every byte the client sent, top-up included, pinned; re-recorded at
         # protocol version 10, whose Hello has no mode.
         assert sent.hexdigest() == (
