@@ -25,7 +25,7 @@ suffices to unseal in this model.
 A node is an immutable tuple of its fields (``HECiphertext``), compared and
 hashed by value. The wire format is one node with a sum's leaves in strictly
 increasing order and minimal varints; ``ct_from_bytes`` refuses any other
-encoding in its one forward pass.
+encoding in its one forward pass. A leaf table packs leaves in fixed width.
 """
 from __future__ import annotations
 
@@ -300,7 +300,7 @@ def public_masked_parity(ct: HECiphertext) -> int:
 # --- canonical byte encoding (wire format) ---------------------------------
 
 _BYTE = [bytes((i,)) for i in range(128)]  # one-byte varints, op codes and bits
-_LEAF_BYTES = NONCE_BYTES + 1 + TAG_BYTES  # nonce, masked bit, tag
+LEAF_BYTES = NONCE_BYTES + 1 + TAG_BYTES  # nonce, masked bit, tag
 _LEAF_ORDER = itemgetter(1, 2, 3, 4)  # (level, nonce, masked, tag)
 
 
@@ -349,7 +349,7 @@ def ct_to_bytes(ct: HECiphertext) -> bytes:
 def _read_leaf(data: bytes, pos: int, level: int) -> tuple[HECiphertext, int]:
     """The leaf at ``level`` whose nonce, masked bit and tag start at ``pos``,
     and the position after them."""
-    end = pos + _LEAF_BYTES
+    end = pos + LEAF_BYTES
     if end > len(data):
         raise HEError("truncated leaf")
     masked = data[pos + NONCE_BYTES]
@@ -357,6 +357,18 @@ def _read_leaf(data: bytes, pos: int, level: int) -> tuple[HECiphertext, int]:
         raise HEError("bad masked bit")
     nonce, tag = data[pos : pos + NONCE_BYTES], data[end - TAG_BYTES : end]
     return HECiphertext(LEAF, level, nonce, masked, tag), end
+
+
+def leaves_to_bytes(leaves: Sequence[HECiphertext], level: int) -> bytes:
+    """The leaf table of ``leaves``, each a leaf at ``level``."""
+    if any(leaf[0] != LEAF or leaf[1] != level for leaf in leaves):
+        raise HEError(f"a leaf table holds only leaves at level {level}")
+    return b"".join(leaf[2] + _BYTE[leaf[3]] + leaf[4] for leaf in leaves)
+
+
+def leaves_from_bytes(data: bytes, level: int) -> tuple[HECiphertext, ...]:
+    """The leaves at ``level`` of a table; a bad masked bit or a cut leaf is an HEError."""
+    return tuple(_read_leaf(data, pos, level)[0] for pos in range(0, len(data), LEAF_BYTES))
 
 
 def ct_from_bytes(data: bytes) -> HECiphertext:

@@ -11,22 +11,23 @@ checks a payload against it before any handler runs; a handler checks only
 what needs session state, before it changes anything. The client session holds
 only its channel; a misordered call raises ``ProtocolError`` from the server.
 
-The server performs all quantum actions (remote state preparation rounds,
-pair coupling, homomorphic evaluation, the <X x X> readout) and only ever sees
-public structure, ciphertext strings, padded amplitudes and the circuits it
+The server performs all quantum actions (remote state preparation rounds, pair
+coupling, homomorphic evaluation, the <X x X> readout) and only ever sees
+public structure, fresh encryptions, padded amplitudes and the circuits it
 runs; the client keeps the trapdoors, the key chain, the data and the trained
-model.
-Remote state preparation runs in batches sized to a key generation's T count,
-of up to ``RSP_BATCH`` rounds, one request and one reply frame per batch and
-step, each round's row of bits packed into one int. A key generation's
-gadgets (their coupling instructions and ciphertexts) and the rounds to drop
-travel in its one ``GadgetClassical`` frame, sent at its end; a rare top-up
-batch first sends the gadgets built so far in a frame of their own. The
-server's gadget queue always holds levels 1..n in order: a frame continues
-it, and a homomorphic run takes all of it. A delegated run is one
+model. Each bit row or ciphertext the server takes is in a ``Blob``, canonical
+base64 of fixed-width records: packed bit rows, or a leaf table at a level the
+frame carries; only the keys a run returns travel as hex. Remote state
+preparation runs in batches sized to a key generation's T count, of up to
+``RSP_BATCH`` rounds, one request and one reply frame per batch and step. A
+key generation's gadgets (their coupling instructions and leaves) and the
+rounds to drop travel in its one ``GadgetClassical`` frame, sent at its end; a
+rare top-up batch first sends the gadgets built so far in a frame of their
+own. The server's gadget queue always holds levels 1..n in order: a frame
+continues it, and a homomorphic run takes all of it. A delegated run is one
 ``RunRequest``, which carries its own padded input (and, for a homomorphic
-run, the input's level-0 key ciphertexts) and names the two wires it reads,
-so no input waits on the server between requests. A run is one shot: its
+run, the input's level-0 key pairs) and names the two wires it reads, so no
+input waits on the server between requests. A run is one shot: its
 ``ShotResults`` holds one <X x X> value, the one readout training uses. Each
 party sends only what the other reads: Hello carries only the session seed,
 and a plaintext training session is Hello and Done.
@@ -44,6 +45,7 @@ both modes.
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -58,7 +60,8 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .classical_he import HECiphertext, HEError, ct_from_bytes, ct_to_bytes
+from .classical_he import (LEAF_BYTES, HECiphertext, HEError, ct_from_bytes, ct_to_bytes,
+                           leaves_from_bytes, leaves_to_bytes)
 from .qhe import EVAL_KINDS, SECURITY, CipherState, ClientKeys, keygen, t_count
 from .rsp_gadget import (
     GADGET_QUBITS,
@@ -86,7 +89,7 @@ from .simulator import (
 from .skdecomp import BASE_LENGTH, MAX_DEPTH
 from .vqa import exact_evaluator, faithful_evaluator, train, xx_run, xx_run_homomorphic
 
-VERSION = 10
+VERSION = 11
 MAX_FRAME = 16 * 1024 * 1024
 # RSP qubits a session holds, committed or prepared: one gadget's worst-case
 # draws plus one batch. A gadget frame couples four held qubits per gadget.
@@ -105,7 +108,6 @@ DEFAULT_PORT = 7913
 
 KINDS = (
     "Hello",
-    "Announce",
     "RspCommit",
     "RspBasis",
     "RspOutcome",
@@ -310,12 +312,13 @@ def circuit_from_json(entries) -> list[Gate]:
     return [gate(e["kind"], *e["wires"], angle=e.get("angle")) for e in entries]
 
 
-def pack_rows(bits) -> list[int]:
-    """Each row of a bit array as one int, bit j its j-th bit in C order, as
-    ``Bits`` reads it."""
-    bits = np.asarray(bits)
-    width = math.prod(bits.shape[1:])
-    return (bits.reshape(len(bits), width) << np.arange(width)).sum(axis=1).tolist()
+def to_blob(records) -> str:
+    """``Blob`` text of a leaf table, or of a bit array's rows packed little-endian."""
+    if type(records) is not bytes:
+        bits = np.asarray(records, dtype=np.uint8)
+        rows = bits.reshape(len(bits), math.prod(bits.shape[1:]))
+        records = np.packbits(rows, axis=1, bitorder="little").tobytes()
+    return base64.b64encode(records).decode("ascii")
 
 
 def ct_to_hex(ct: HECiphertext) -> str:
@@ -342,7 +345,7 @@ Str = namedtuple("Str", ())
 Ct = namedtuple("Ct", "level")  # a hex ciphertext whose root sits at the level
 Seq = namedtuple("Seq", "item lo hi distinct", defaults=(0, None, False))  # lo..hi items
 Amps = namedtuple("Amps", "wires")  # (re, im) pairs of a unit-norm 2**wires register
-Bits = namedtuple("Bits", "lo hi shape")  # lo..hi rows, each one int of the shape's bits
+Blob = namedtuple("Blob", "lo hi shape level", defaults=(None,))  # base64 bit rows or leaves
 Opt = namedtuple("Opt", "type default", defaults=(None,))  # absent or null: default
 Rec = namedtuple("Rec", "fields")  # an object with no fields but these
 Variants = namedtuple("Variants", "tag cases")  # tag None: the one case key present
@@ -353,23 +356,21 @@ Entry = namedtuple("Entry", "phases payload")
 PHASES = ("handshake", "open", "done")
 
 QID, WIRE, OPEN = Int(), Wire("num_wires"), ("open",)
-KEY_PAIR, LEVEL_PAIR = Seq(Ct(0), 2, 2), Seq(Ct("level"), 2, 2)
 OK = Rec({"ok": Enum((True,))})  # an acknowledgement
 QIDS = Seq(QID, "rows", "rows", True)
 # One gadget of a frame: the qids of its two (head, tail) pairs to couple and
-# its ciphertexts, which sit at its level.
+# its leaves, built at its level: 8 correction bits and SECURITY key bits.
 GADGET = Rec({"pairs": Seq(Seq(QID, 2, 2), 2, 2, True), "level": Int(1, MAX_LEVEL),
-              "x_ct": LEVEL_PAIR, "z_ct": LEVEL_PAIR, "e_ct": Seq(LEVEL_PAIR, 2, 2),
-              "sk_enc": Seq(Ct("level"), SECURITY, SECURITY)})
+              "leaves": Blob(8 + SECURITY, 8 + SECURITY, (), "level")})
 
 # Every reply the client takes, with bounds from the request: ``rows`` RSP
 # rounds asked for and a run's key ``level``, its T count.
 REPLIES = {
-    "RspCommit": Rec({"qids": QIDS, "y": Bits("rows", "rows", (RSP_MU,))}),
-    "RspOutcome": Rec({"qids": QIDS, "b": Bits("rows", "rows", (RSP_N - 1,))}),
+    "RspCommit": Rec({"qids": QIDS, "y": Blob("rows", "rows", (RSP_MU,))}),
+    "RspOutcome": Rec({"qids": QIDS, "b": Blob("rows", "rows", (RSP_N - 1,))}),
     "ShotResults": Rec({"value": Num()}),  # a run's one readout
-    "EncKeysUpdate": Rec({"enc_keys": Seq(Seq(LEVEL_PAIR, 2, 2), 1, 1)}),  # one row: one shot
-    "Announce": OK, "GadgetClassical": OK,
+    "EncKeysUpdate": Rec({"enc_keys": Seq(Seq(Seq(Ct("level"), 2, 2), 2, 2), 1, 1)}),  # one shot
+    "Hello": OK, "GadgetClassical": OK,
     "Done": Rec({}),
     "Error": Rec({"code": Str(), "text": Opt(Str(), "")}),
 }
@@ -382,7 +383,7 @@ def _run_request(use_gadgets: bool, kinds) -> Rec:
     arity = {k: 2 if k in TWO_QUBIT_KINDS else 1 for k in kinds}
     gates = {k: Rec({"kind": Enum((k,)), "wires": Seq(WIRE, arity[k], arity[k], True),
                      **({"angle": Num()} if k in ROTATION_1Q else {})}) for k in kinds}
-    keys = {"enc_keys": Seq(KEY_PAIR, "num_wires", "num_wires")} if use_gadgets else {}
+    keys = {"enc_keys": Blob("num_wires", "num_wires", (2,), 0)} if use_gadgets else {}
     return Rec({
         "num_wires": Int(1, MAX_QUBITS), "amps": Amps("num_wires"),  # bounded before 2**n
         **keys,
@@ -395,9 +396,9 @@ def _run_request(use_gadgets: bool, kinds) -> Rec:
 SCHEMA = {
     "Hello": Entry(("handshake",), Rec({"session_seed": Int()})),
     "RspBasis": Entry(OPEN, Variants(None, {
-        "matrix": Rec({"matrix": Bits(1, RSP_BATCH, (RSP_MU, RSP_N))}),
+        "matrix": Rec({"matrix": Blob(1, RSP_BATCH, (RSP_MU, RSP_N))}),
         "alphas": Rec({"qids": Seq(QID, 1, RSP_BATCH, True),
-                       "alphas": Bits("qids", "qids", (RSP_N - 1,))}),
+                       "alphas": Blob("qids", "qids", (RSP_N - 1,))}),
     })),
     "GadgetClassical": Entry(OPEN, Rec({"gadgets": Seq(GADGET, 1, MAX_FRAME_GADGETS),
                                         "discard": Seq(QID, 0, MAX_HELD)})),
@@ -471,15 +472,25 @@ def validate(spec, value, ctx):
                     # One dot product checks finiteness and norm: NaN or inf fails the bound.
                     if abs(arr @ arr - 1) <= 1e-9:
                         return arr
-    elif t is Bits:  # bit j of a row's int is its j-th bit in C order
-        lo, hi = _bound(spec.lo, ctx), _bound(spec.hi, ctx)
-        width = math.prod(spec.shape)
-        # Bools are not ints here (type(True) is bool), and a row past the
-        # width is refused before any array is built.
-        if (type(value) is list and lo <= len(value) <= hi and set(map(type, value)) <= {int}
-                and min(value, default=0) >= 0 and max(value, default=0) >> width == 0):
-            rows = (np.array(value, dtype=np.int64)[:, None] >> np.arange(width)) & 1
-            return rows.reshape(len(value), *spec.shape)
+    elif t is Blob:  # rows of the shape's bits, or with a level, of its leaves built there
+        lo, hi, width = _bound(spec.lo, ctx), _bound(spec.hi, ctx), math.prod(spec.shape)
+        size = -(-width // 8) if spec.level is None else LEAF_BYTES * width
+        data = b""  # unless value is decoded: b"" is the text "" only
+        if type(value) is str and len(value) <= 4 * -(-hi * size // 3):  # bounded before decoding
+            with suppress(ValueError):  # a character outside the alphabet, bad padding
+                data = base64.b64decode(value, validate=True)
+        rows, part = divmod(len(data), size)
+        # One text per value: "AB==" decodes too, to the byte of "AA==".
+        if not part and lo <= rows <= hi and base64.b64encode(data).decode() == value:
+            if spec.level is None:
+                bits = np.unpackbits(np.frombuffer(data, "u1"), bitorder="little")
+                bits = bits.reshape(rows, 8 * size)  # bit j of a row: j % 8 of byte j // 8
+                if not bits[:, width:].any():  # the unused high bits are zero
+                    return bits[:, :width].reshape(rows, *spec.shape).astype(np.int64)
+            else:
+                with suppress(HEError):  # a masked bit other than 0 and 1
+                    leaves = leaves_from_bytes(data, _bound(spec.level, ctx))
+                    return tuple(zip(*[iter(leaves)] * width)) if spec.shape else leaves
     elif t is Str:
         if type(value) is str:
             return value
@@ -555,14 +566,14 @@ class ServerSession:
     def _on_hello(self, p: dict) -> None:
         self.rng = np.random.default_rng(p["session_seed"])
         self.phase = "open"
-        self._reply("Announce", {"ok": True})
+        self._reply("Hello", {"ok": True})
 
     def _on_gadgetclassical(self, p: dict) -> None:
         """Queue a frame's gadgets in order: couple each one's two (head, tail)
-        pairs and keep its ciphertexts; then drop the frame's discarded rounds.
+        pairs and keep its leaves; then drop the frame's discarded rounds.
 
         The whole frame is checked before any prepared qubit is removed: its
-        ciphertexts and levels (at most ``MAX_LEVEL``) by ``validate``, and
+        leaf tables and levels (at most ``MAX_LEVEL``) by ``validate``, and
         here every pair's qid, known and used once across the frame's
         gadgets, and the levels, which continue the queue, so that the queue
         always holds levels 1..n.
@@ -577,8 +588,8 @@ class ServerSession:
             raise ProtocolError("order", f"the frame's gadget levels do not run on from {first}")
         for g in p["gadgets"]:
             heads, tails = ([self.qubits.pop(q) for q in side] for side in zip(*g["pairs"]))
-            fields = (g[k] for k in ("x_ct", "z_ct", "e_ct", "sk_enc", "level"))
-            self.gadgets.append(Gadget(assemble_gadget_state(heads, tails), *fields))
+            state = assemble_gadget_state(heads, tails)
+            self.gadgets.append(Gadget(state, g["leaves"], g["level"]))
         for qid in p["discard"]:
             self.qubits.pop(qid, None)
         self._reply("GadgetClassical", {"ok": True})
@@ -594,7 +605,7 @@ class ServerSession:
             states = np.array(list(map(self.pending.pop, qids)))
             b, qubits = rsp_server_measure(states, p["alphas"], self.rng)
             self.qubits.update(zip(qids, qubits))
-            self._reply("RspOutcome", {"qids": qids, "b": pack_rows(b)})
+            self._reply("RspOutcome", {"qids": qids, "b": to_blob(b)})
             return
         rows = len(p["matrix"])
         held = len(self.qubits) + len(self.pending)
@@ -603,7 +614,7 @@ class ServerSession:
         qids = list(islice(self._qids, rows))
         y, states = rsp_server_commit(p["matrix"], self.rng)
         self.pending.update(zip(qids, states))
-        self._reply("RspCommit", {"qids": qids, "y": pack_rows(y)})
+        self._reply("RspCommit", {"qids": qids, "y": to_blob(y)})
 
     def _on_runrequest(self, p: dict) -> None:
         """Run the circuit on the request's padded input and read out the
@@ -743,7 +754,7 @@ class ClientSession:
         """Open the session; the frame header carries the protocol version.
         ``mode`` is not read: it stays only because perfbench's
         ``open_session`` passes one."""
-        self._ask("Hello", {"session_seed": int(session_seed)}, "Announce")
+        self._ask("Hello", {"session_seed": int(session_seed)}, "Hello")
 
     def open_rsp(self, declared: int = 0) -> None:
         """Send nothing: it stays only because perfbench's ``open_session``
@@ -764,12 +775,12 @@ class ClientSession:
 
         def commit(matrices, _rng):
             flush()
-            payload = {"matrix": pack_rows(matrices)}
+            payload = {"matrix": to_blob(matrices)}
             reply = self._ask("RspBasis", payload, "RspCommit", rows=len(matrices))
             return reply.payload["y"], reply.payload["qids"]
 
         def measure(qids, alphas, _rng):
-            payload = {"qids": qids, "alphas": pack_rows(alphas)}
+            payload = {"qids": qids, "alphas": to_blob(alphas)}
             reply = self._ask("RspBasis", payload, "RspOutcome", rows=len(qids))
             if reply.payload["qids"] != qids:
                 raise ProtocolError("payload", "the outcomes are for other qids")
@@ -795,7 +806,7 @@ class ClientSession:
         The gadgets draw from one pool of claw-based RSP rounds, asked for in
         one batch ``rsp_rows`` sizes to the run's T count and topped up only
         if the pool runs dry. One ``GadgetClassical`` frame at the end carries
-        every gadget's pairs to couple and ciphertexts, and the rejected and
+        every gadget's pairs to couple and leaves, and the rejected and
         spare rounds to drop. A top-up first sends the gadgets built so far
         in a frame of their own, so the server holds at most ``MAX_HELD``
         qubits. A run with no T gate sends nothing.
@@ -810,14 +821,9 @@ class ClientSession:
 
         def couple(heads, tails, rejected, gadget):
             frame["discard"] += rejected
-            frame["gadgets"].append({
-                "pairs": [list(pair) for pair in zip(heads, tails)],
-                "level": gadget.level,
-                "x_ct": [ct_to_hex(c) for c in gadget.x_ct],
-                "z_ct": [ct_to_hex(c) for c in gadget.z_ct],
-                "e_ct": [[ct_to_hex(c) for c in row] for row in gadget.e_ct],
-                "sk_enc": [ct_to_hex(c) for c in gadget.sk_enc],
-            })
+            leaves = to_blob(leaves_to_bytes(gadget.leaves, gadget.level))
+            frame["gadgets"].append({"pairs": [list(pair) for pair in zip(heads, tails)],
+                                     "level": gadget.level, "leaves": leaves})
 
         pool: deque = deque()
         client_keys, _ = keygen(SECURITY, num_wires, circuit, rng,
@@ -845,7 +851,7 @@ class ClientSession:
                    "circuit": circuit_to_json(circuit), "wires": list(wires),
                    "use_gadgets": enc_keys is not None}
         if enc_keys is not None:
-            payload["enc_keys"] = [[ct_to_hex(a), ct_to_hex(b)] for a, b in enc_keys]
+            payload["enc_keys"] = to_blob(leaves_to_bytes([*chain.from_iterable(enc_keys)], 0))
         value = self._ask("RunRequest", payload, "ShotResults").payload["value"]
         if enc_keys is None:
             return value, None

@@ -301,17 +301,19 @@ class Gadget:
 
     ``state`` holds pair j as a 2 x 2 array phi_j[h, t] of amplitudes over
     its head bit h and tail bit t; it is None in the client's copy of a
-    gadget coupled on a server. All ciphertexts live one key level above the
-    wire keys they will update; ``sk_enc`` (the encrypted lower secret key)
-    bridges the gap via key switching.
+    gadget coupled on a server. Its ciphertexts, leaves one key level above the
+    wire keys they will update, keep the wire's order, which the properties
+    read; ``sk_enc`` (the encrypted lower secret key) bridges the gap via key switching.
     """
 
     state: tuple[np.ndarray, np.ndarray] | None
-    x_ct: tuple[HECiphertext, HECiphertext]
-    z_ct: tuple[HECiphertext, HECiphertext]
-    e_ct: tuple[tuple[HECiphertext, HECiphertext], tuple[HECiphertext, HECiphertext]]
-    sk_enc: tuple[HECiphertext, ...]
+    leaves: tuple[HECiphertext, ...]
     level: int
+
+    x_ct = property(lambda self: self.leaves[0:2])
+    z_ct = property(lambda self: self.leaves[2:4])
+    e_ct = property(lambda self: (self.leaves[4:6], self.leaves[6:8]))
+    sk_enc = property(lambda self: self.leaves[8:])
 
 
 def gen_gadget(
@@ -347,8 +349,8 @@ def gen_gadget(
     tail_idx, tail_handles = zip(*tails)
     xs = tuple(theta_bits(i)[0] for i in head_idx)
     zs = tuple(theta_bits(i)[1] for i in tail_idx)
-    x_ct, z_ct, e_ct, parities = build_gadget_ciphertexts(pk_next, p, xs, zs, rng)
-    fields = (x_ct, z_ct, e_ct, tuple(sk_enc), pk_next.level)
+    cts, parities = build_gadget_ciphertexts(pk_next, p, xs, zs, rng)
+    fields = ((*cts, *sk_enc), pk_next.level)
     if couple is None:
         state = assemble_gadget_state(head_handles, tail_handles)
     else:
@@ -384,17 +386,17 @@ def build_gadget_ciphertexts(
     xs: tuple[int, int],
     zs: tuple[int, int],
     rng: np.random.Generator,
-) -> tuple[tuple, tuple, tuple, tuple[int, int]]:
+) -> tuple[tuple[HECiphertext, ...], tuple[int, int]]:
     """Encrypt the per-pair correction bits with shared family keystream bits.
 
-    Returns the x, z and e ciphertexts and ``(dx, dz)``: an a key gains the x
-    family's keystream bit, a b key the z and e families' bits together.
+    Returns the x, z and e ciphertexts, in order, and ``(dx, dz)``: an a key
+    gains the x family's keystream bit, a b key the z and e families' bits together.
     """
     x_stream, z_stream, e_stream = rng.integers(2, size=3).tolist()
     es = [p[j] & (xs[j] ^ v) for j in range(2) for v in range(2)]
     streams = [x_stream] * 2 + [z_stream] * 2 + [e_stream] * 4
     cts = he_enc_bits(pk_next, [*xs, *zs, *es], rng, streams)
-    return cts[0:2], cts[2:4], (cts[4:6], cts[6:8]), (x_stream, z_stream ^ e_stream)
+    return cts, (x_stream, z_stream ^ e_stream)
 
 
 def gen_measurement(a_ct: HECiphertext) -> int:

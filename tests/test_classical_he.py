@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhevqa.classical_he import (
     LEAF,
+    LEAF_BYTES,
     NONCE_BYTES,
     SUM,
     TAG_BYTES,
@@ -26,6 +27,8 @@ from qhevqa.classical_he import (
     he_keygen,
     he_xor,
     key_switch,
+    leaves_from_bytes,
+    leaves_to_bytes,
     public_masked_parity,
 )
 
@@ -526,6 +529,46 @@ class TestWireFormat:
             ct_from_bytes(data)
         except HEError:
             pass
+
+
+class TestLeafTable:
+    """Fresh encryptions at one level as fixed-width records: nonce, masked
+    bit and tag, with the level left to the reader."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=30), st.integers(0, 5), st.integers(0, 99))
+    def test_round_trip(self, bits, level, seed):
+        rng = np.random.default_rng(seed)
+        triple = he_keygen(16, rng, level=level)
+        leaves = he_enc_bits(triple.pk, bits, rng)
+        table = leaves_to_bytes(leaves, level)
+        assert len(table) == LEAF_BYTES * len(bits)
+        back = leaves_from_bytes(table, level)
+        assert back == leaves and type(back) is tuple
+        # Each record is the leaf's encoding without its op byte and level
+        # (one varint byte below 128).
+        assert table == b"".join(ct_to_bytes(leaf)[2:] for leaf in leaves)
+
+    @pytest.mark.parametrize("spoil", ["sum", "constant", "other-level"])
+    def test_only_leaves_at_the_level_are_encoded(self, triple, spoil):
+        rng = np.random.default_rng(21)
+        a, b = he_enc_bits(triple.pk, [0, 1], rng)
+        ct = {"sum": he_xor(a, b), "constant": he_const(1, 0),
+              "other-level": he_enc(he_keygen(16, rng, level=1).pk, 1, rng)}[spoil]
+        with pytest.raises(HEError):
+            leaves_to_bytes([a, ct, b], 0)
+
+    def test_truncated_and_bad_tables_are_refused(self, triple):
+        rng = np.random.default_rng(22)
+        table = leaves_to_bytes(he_enc_bits(triple.pk, [1, 0, 1], rng), 0)
+        for cut in (1, LEAF_BYTES - 1, LEAF_BYTES + 1, len(table) - 1):
+            with pytest.raises(HEError, match="truncated"):
+                leaves_from_bytes(table[:cut], 0)
+        bad = bytearray(table)
+        bad[LEAF_BYTES + NONCE_BYTES] = 2  # the second leaf's masked bit
+        with pytest.raises(HEError, match="masked"):
+            leaves_from_bytes(bytes(bad), 0)
+        assert leaves_from_bytes(b"", 0) == ()
 
 
 class TestDeepChains:

@@ -1,4 +1,5 @@
 """Wire protocol: codec, phase machine, server/client sessions, transports."""
+import base64
 import functools
 import hashlib
 import threading
@@ -8,12 +9,22 @@ from itertools import chain, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qhevqa.classical_he import SUM, ct_to_bytes, he_const, he_enc, he_keygen
+from qhevqa.classical_he import (
+    LEAF_BYTES,
+    NONCE_BYTES,
+    SUM,
+    ct_to_bytes,
+    he_const,
+    he_enc,
+    he_keygen,
+    leaves_from_bytes,
+    leaves_to_bytes,
+)
 from qhevqa.protocol import (
     Amps,
-    Bits,
+    Blob,
     ChannelClosed,
     ClientSession,
     Ct,
@@ -48,13 +59,12 @@ from qhevqa.protocol import (
     make_exact_evaluator,
     make_faithful_evaluator,
     make_inproc_pair,
-    pack_rows,
     run_client,
     serve_inproc,
+    to_blob,
     validate,
 )
-from qhevqa import protocol, vqa
-from qhevqa.classical_he import ct_from_bytes
+from qhevqa import classical_he, protocol, vqa
 from qhevqa.cli import _random_clifford_t_circuit
 from qhevqa.pauli_frame import apply_pad
 from qhevqa.qhe import SECURITY, CipherState, decrypt_keys, encrypt, keygen, t_count, xx_sign
@@ -97,8 +107,11 @@ from qhevqa.vqa import (
 )
 
 
-def broken_ct_decoder(data):
+def broken_ct_decoder(*args):
     raise KeyError("a decoder fault")
+
+
+GADGET_LEAVES = protocol.GADGET.fields["leaves"].lo  # the leaves of a gadget in a frame
 
 
 HOSTILE_KEYS = ("above", "order", "repeat", 2, 3, 4, 5)
@@ -131,9 +144,14 @@ def spoil_first_key(payload, kind):
     return {**payload, "enc_keys": [[first, *row[1:]]]}
 
 
-def hex_keys(cs):
-    """A padded input's level-0 key pairs, as a RunRequest carries them."""
-    return [[ct_to_hex(a), ct_to_hex(b)] for a, b in cs.encrypted_keys]
+def key_blob(pairs):
+    """Level-0 key pairs as a RunRequest carries them: one leaf table."""
+    return to_blob(leaves_to_bytes([k for pair in pairs for k in pair], 0))
+
+
+def blob_leaves(text, level):
+    """The leaves of a leaf-table ``Blob``."""
+    return leaves_from_bytes(base64.b64decode(text), level)
 
 
 def remote_xx(client, circuit, state, rng, wires=(0, 1)):
@@ -234,24 +252,36 @@ def top_up_window():
     return psi, sign, raw, held, to_server, sent, session
 
 
-# One claw matrix, rows [1, 0, 1, 0], and one row of basis bits [0, 1, 0], packed.
-MATRIX, ALPHAS = pack_rows([[[1, 0, 1, 0]] * 4])[0], pack_rows([[0, 1, 0]])[0]
+# One claw matrix, rows [1, 0, 1, 0], and one row of basis bits [0, 1, 0].
+MATRIX, ALPHAS = [[1, 0, 1, 0]] * 4, [0, 1, 0]
 
 
 def prepare_rsp(channel, rows):
     """Prepare ``rows`` RSP qubits on the server by one claw batch: a
     ``matrix`` commit, then an ``alphas`` measure. Returns their qids."""
-    channel.send(Message("RspBasis", {"matrix": [MATRIX] * rows}))
+    channel.send(Message("RspBasis", {"matrix": to_blob([MATRIX] * rows)}))
     qids = channel.recv().payload["qids"]
-    channel.send(Message("RspBasis", {"qids": qids, "alphas": [ALPHAS] * rows}))
+    channel.send(Message("RspBasis", {"qids": qids, "alphas": to_blob([ALPHAS] * rows)}))
     assert channel.recv().kind == "RspOutcome"
     return qids
 
 
 def commit_rsp(channel, rows=1):
-    """Commit ``rows`` claw rounds on the server, left pending."""
-    channel.send(Message("RspBasis", {"matrix": [MATRIX] * rows}))
-    assert channel.recv().kind == "RspCommit"
+    """Commit ``rows`` claw rounds on the server, left pending. Returns their qids."""
+    channel.send(Message("RspBasis", {"matrix": to_blob([MATRIX] * rows)}))
+    reply = channel.recv()
+    assert reply.kind == "RspCommit"
+    return reply.payload["qids"]
+
+
+B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def noncanonical(text):
+    """``text``, a Blob whose bytes leave pad bits (its length is not a
+    multiple of 3), with the lowest pad bit set: the same bytes decode."""
+    i = text.index("=") - 1
+    return text[:i] + B64[B64.index(text[i]) + 1] + text[i + 1 :]
 
 
 class TestCodec:
@@ -412,32 +442,46 @@ def bit_rows(draw, min_rows=0):
 
 
 class TestPackedRows:
-    """A row of bits travels as one int, bit j its j-th bit in C order."""
+    """A row of bits travels as a record of whole bytes of a ``Blob``, bit j
+    its j-th bit in C order, little-endian, the unused high bits zero."""
 
     @settings(max_examples=200, deadline=None)
     @given(bit_rows())
     def test_pack_then_validate_returns_the_bits(self, drawn):
         bits, shape = drawn
-        packed = pack_rows(bits)
-        assert len(packed) == len(bits) and all(type(v) is int for v in packed)
-        got = validate(Bits(0, 6, shape), packed, {})
-        assert got.shape == bits.shape and np.array_equal(got, bits)
+        text = to_blob(bits)
+        assert len(base64.b64decode(text)) == len(bits) * -(-int(np.prod(shape)) // 8)
+        got = validate(Blob(len(bits), len(bits), shape), text, {})
+        assert got.shape == bits.shape and got.dtype == np.int64 and np.array_equal(got, bits)
 
     @settings(max_examples=200, deadline=None)
-    @given(bit_rows(min_rows=1), st.sampled_from(["negative", "wide", "bool", "float", "nested"]),
+    @given(bit_rows(min_rows=1),
+           st.sampled_from(["short", "long", "wide", "pad", "char", "space", "unpacked"]),
            st.data())
     def test_bad_rows_are_payload_errors(self, drawn, spoil, data):
         bits, shape = drawn
-        packed = pack_rows(bits)
-        i = data.draw(st.integers(0, len(packed) - 1))
-        width = int(np.prod(shape))
-        packed[i] = {
-            "negative": -1 - packed[i], "wide": packed[i] + (1 << width),
-            "bool": bool(packed[i] & 1), "float": float(packed[i]),
-            "nested": bits[i].tolist(),
-        }[spoil]
+        width, rows = int(np.prod(shape)), len(bits)
+        size = -(-width // 8)
+        text, raw = to_blob(bits), bytearray(base64.b64decode(to_blob(bits)))
+        if spoil == "short":  # a byte cut: a record too few, or a part record
+            text = base64.b64encode(raw[:-1]).decode()
+        elif spoil == "long":
+            text = to_blob([*bits, bits[0]])
+        elif spoil == "wide":  # a bit past a row's shape
+            assume(width % 8)
+            raw[data.draw(st.integers(1, rows)) * size - 1] |= 0x80
+            text = base64.b64encode(raw).decode()
+        elif spoil == "pad":
+            assume(len(raw) % 3)
+            text = noncanonical(text)
+        elif spoil == "char":
+            text = "*" + text[1:]
+        elif spoil == "space":
+            text = text[:2] + " " + text[2:]
+        else:
+            text = bits.tolist()
         with pytest.raises(ProtocolError) as exc:
-            validate(Bits(0, 6, shape), packed, {})
+            validate(Blob(rows, rows, shape), text, {})
         assert exc.value.code == "payload"
 
 
@@ -458,11 +502,13 @@ class TestInProcTransport:
 
 class TestServerSession:
     def test_handshake_announce(self):
-        # The reply to Hello is an acknowledgement: the frame header carries
-        # the version, and the version fixes the RSP sizes.
+        # The reply to Hello is an acknowledgement under its own kind, as for
+        # a gadget frame: the frame header carries the version, and the
+        # version fixes the RSP sizes. Version 10 replied with an Announce.
         channel, session, thread = serve_inproc()
         channel.send(Message("Hello", {"session_seed": 0}))
-        assert channel.recv() == Message("Announce", {"ok": True})
+        assert channel.recv() == Message("Hello", {"ok": True})
+        assert "Announce" not in KINDS
         ClientSession(channel).done()
         thread.join(timeout=5)
         assert session.phase == "done"
@@ -548,19 +594,23 @@ class TestHostilePayloads:
     @staticmethod
     def run(circuit, wires=(0, 1), enc_keys=None):
         """A RunRequest payload on two qubits in |00> that reads the <X x X>
-        of ``wires``, homomorphic when ``enc_keys`` (hex pairs) is given."""
+        of ``wires``, homomorphic when ``enc_keys`` (a ``key_blob``) is given."""
         payload = {"num_wires": 2, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * 3, "circuit": circuit,
                    "wires": wires, "use_gadgets": enc_keys is not None}
         return payload if enc_keys is None else {**payload, "enc_keys": enc_keys}
 
     @staticmethod
-    def bundle(level=1, seed=4):
-        """A gadget's ciphertexts at ``level``, as a frame's gadget fields."""
+    def bundle(level=1, seed=4, leaves=GADGET_LEAVES, bad_leaf=None):
+        """A gadget's fields in a frame: the leaf table of ``leaves`` leaves
+        at ``level``, and the level. Leaf ``bad_leaf``, if given, has the
+        masked byte 2."""
         rng = np.random.default_rng(seed)
         pk = he_keygen(16, rng, level=level).pk
-        cts = [ct_to_hex(he_enc(pk, int(rng.integers(2)), rng)) for _ in range(24)]
-        return {"x_ct": cts[:2], "z_ct": cts[2:4], "e_ct": [cts[4:6], cts[6:8]],
-                "sk_enc": cts[8:], "level": level}
+        table = bytearray(leaves_to_bytes(
+            [he_enc(pk, int(rng.integers(2)), rng) for _ in range(leaves)], level))
+        if bad_leaf is not None:
+            table[bad_leaf * LEAF_BYTES + NONCE_BYTES] = 2
+        return {"leaves": to_blob(bytes(table)), "level": level}
 
     @classmethod
     def frame(cls, *pairs, discard=(), first=1):
@@ -573,7 +623,7 @@ class TestHostilePayloads:
 
     def test_claw_matrix_of_the_wrong_shape_is_refused(self):
         channel, session, thread, _client = self.open_session()
-        matrix = [1 << 16]  # a batch of one 17-bit row; the claw size is 4x4
+        matrix = to_blob(bytes(3))  # a batch of one 24-bit row; the claw size is 4x4
         channel.send(Message("RspBasis", {"matrix": matrix}))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
@@ -581,15 +631,16 @@ class TestHostilePayloads:
         thread.join(timeout=5)
 
     @pytest.mark.parametrize("alphas", [
-        [1 << 3] * 2, [-1] * 2, [ALPHAS] * 3, [ALPHAS], [True] * 2, [[0, 1, 0]] * 2, [2.0] * 2,
-    ])
+        to_blob(bytes([8, 0])), "-gA=", to_blob([ALPHAS] * 3), to_blob([ALPHAS]),
+        noncanonical(to_blob([ALPHAS] * 2)), [[0, 1, 0]] * 2, to_blob([ALPHAS] * 2) + "\n",
+    ], ids=[f"alphas{i}" for i in range(7)])  # the ids of version 10's lists of ints
     def test_bad_alphas_leave_the_round_pending(self, alphas):
-        # A row past three bits, a negative or non-int row (a bool, a float,
-        # the unpacked bit list) or a row count other than the qid count is
-        # refused before the rounds are taken.
+        # A row past three bits, a character outside the base64 alphabet, a
+        # row count other than the qid count, non-canonical pad bits, the
+        # unpacked bit lists or whitespace is refused before the rounds are
+        # taken.
         channel, session, thread, _client = self.open_session()
-        channel.send(Message("RspBasis", {"matrix": [MATRIX] * 2}))
-        qids = channel.recv().payload["qids"]
+        qids = commit_rsp(channel, 2)
         channel.send(Message("RspBasis", {"qids": qids, "alphas": alphas}))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
@@ -611,7 +662,8 @@ class TestHostilePayloads:
     @pytest.mark.parametrize("enc_keys", [5, [[1, 2, 3]] * 2, [[1, 2]] * 2, [["00", "zz"]] * 2])
     def test_bad_enc_keys_leave_the_register_alone(self, enc_keys):
         # enc_keys is checked and decoded before the register is run and any
-        # gadget is taken.
+        # gadget is taken: a value other than one Blob string, such as
+        # version 10's hex pairs, is refused.
         channel, session, thread, _keys = self.gadget_session()
         channel.send(Message("RunRequest", self.run(
             [{"kind": "T", "wires": [0]}], enc_keys=enc_keys)))
@@ -621,9 +673,9 @@ class TestHostilePayloads:
         assert len(session.gadgets) == 1
 
     def test_a_ct_decoder_fault_is_internal(self, monkeypatch):
-        # A fault in the decoder is the server's, not a bad payload's.
+        # A fault in the leaf-table decoder is the server's, not a bad payload's.
         channel, _session, thread, keys = self.gadget_session()
-        monkeypatch.setattr(protocol, "ct_from_bytes", broken_ct_decoder)
+        monkeypatch.setattr(protocol, "leaves_from_bytes", broken_ct_decoder)
         channel.send(Message("RunRequest", self.run([{"kind": "T", "wires": [0]}], enc_keys=keys)))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "internal"
@@ -684,8 +736,9 @@ class TestHostilePayloads:
         # like a plain one: a larger wire count is refused before its
         # amplitudes are read or any gadget is taken.
         channel, session, thread, keys = self.gadget_session()
+        pair = blob_leaves(keys, 0)[:2]
         channel.send(Message("RunRequest", {
-            **self.run([{"kind": "T", "wires": [0]}], enc_keys=keys[:1] * 25),
+            **self.run([{"kind": "T", "wires": [0]}], enc_keys=key_blob([pair] * 25)),
             "num_wires": 25,
         }))
         reply = channel.recv()
@@ -709,14 +762,14 @@ class TestHostilePayloads:
         assert all(session.qubits[q] is before[q] for q in before)
 
     def gadget_session(self):
-        """An open session with one queued T gadget, and the hex level-0 key
-        pairs of a 2-qubit input padded for it."""
+        """An open session with one queued T gadget, and the ``key_blob`` of
+        the level-0 key pairs of a 2-qubit input padded for it."""
         channel, session, thread, client = self.open_session()
         rng = np.random.default_rng(9)
         client_keys, _ = client.remote_keygen(2, [gate("T", 0)], rng)
         cs, _ = encrypt(client_keys, StateVector(2), rng)
         assert len(session.gadgets) == 1
-        return channel, session, thread, hex_keys(cs)
+        return channel, session, thread, key_blob(cs.encrypted_keys)
 
     @pytest.mark.parametrize("circuit, spec", [
         ([{"kind": "T", "wires": [5]}], [0, 1]),
@@ -739,21 +792,24 @@ class TestHostilePayloads:
         {"matrix": [[[1, 2], [3]]]},
         {"matrix": "abcd"},
         {"matrix": [10**30]},
-        {"qids": [True], "alphas": [ALPHAS]},
+        {"qids": [True], "alphas": to_blob([ALPHAS])},
         {"ideal": 1},
         {"matrix": [True]},
-        {"matrix": [float(MATRIX)]},
-        {"matrix": [MATRIX] * (RSP_BATCH + 1)},
-        {"matrix": []},
-        {"matrix": [MATRIX], "qids": [1], "alphas": [ALPHAS]},
-        {"alphas": [ALPHAS]},
-        {"qids": [1, 1], "alphas": [ALPHAS] * 2},
-        {"matrix": [-MATRIX]},
+        {"matrix": [1.0]},
+        {"matrix": to_blob([MATRIX] * (RSP_BATCH + 1))},
+        {"matrix": ""},
+        {"matrix": to_blob([MATRIX]), "qids": [1], "alphas": to_blob([ALPHAS])},
+        {"alphas": to_blob([ALPHAS])},
+        {"qids": [1, 1], "alphas": to_blob([ALPHAS] * 2)},
+        {"matrix": noncanonical(to_blob([MATRIX]))},
         {"matrix": [[[1, 0, 1, 0]] * 4]},  # the unpacked rows of version 7
     ])
     def test_bad_rsp_basis_changes_nothing(self, payload):
         # Remote RSP is claw-based only: the server draws no angle itself,
         # so a request for ideal rounds is refused like any unknown form.
+        # Rows travel as one Blob: a list of rows (version 10's ints, or
+        # version 7's bits) is refused, as are a batch of no rows or of one
+        # too many and non-canonical pad bits.
         channel, session, thread, _client = self.open_session()
         prepare_rsp(channel, 1)
         commit_rsp(channel)
@@ -765,7 +821,7 @@ class TestHostilePayloads:
         assert session.qubits == qubits and session.pending == pending
 
     @pytest.mark.parametrize("payload", [
-        {"matrix": [MATRIX] * 2}, {"matrix": [MATRIX] * RSP_BATCH},
+        {"matrix": to_blob([MATRIX] * 2)}, {"matrix": to_blob([MATRIX] * RSP_BATCH)},
     ])
     def test_rsp_qubits_past_the_held_limit_are_refused(self, payload):
         # One gadget's worst-case draws plus one batch may be held, committed
@@ -835,11 +891,12 @@ class TestHostilePayloads:
 
     @pytest.mark.parametrize("spoil", ["level-1", "and", "above", "order", "repeat", 3, 4, 5])
     def test_input_keys_the_run_cannot_use_are_refused(self, spoil):
-        # Input keys are level-0 ciphertexts in their one encoding. A key at
-        # another level would fail the run after it took the gadget. So would
-        # a removed op byte: 2 (the AND, "and") to 5. A sum with a leaf above
-        # its level, or with its leaves out of order or repeated, is another
-        # encoding of a key or none.
+        # Version 10 sent input keys as hex ciphertexts, each in one of many
+        # encodings: a key at another level, a removed op byte (2, the AND,
+        # "and", to 5), or a sum with a leaf above its level, or with its
+        # leaves out of order or repeated. Version 11's keys are one leaf
+        # table read at level 0, in which none of these can be written; the
+        # old form is refused whole, before the gadget is taken.
         channel, session, thread, _keys = self.gadget_session()
         rng = np.random.default_rng(5)
         pk = he_keygen(16, rng, level=1 if spoil == "level-1" else 0).pk
@@ -855,23 +912,25 @@ class TestHostilePayloads:
 
     @pytest.mark.parametrize("spoil", [None, "level", "x_ct", "e_ct", "sk_enc"])
     def test_gadget_ciphertexts_sit_at_the_bundle_level(self, spoil):
+        # A leaf table carries no level: the server builds every leaf at its
+        # gadget's level, so a table of level-2 leaves sent for level 1 is
+        # read at level 1 ("level"). The last leaf of each family (x, e,
+        # sk_enc) with the masked byte 2 is refused, and nothing changes.
         channel, session, thread, client = self.open_session()
         prepare_rsp(channel, 5)
         qubits = dict(session.qubits)
+        bad_leaf = {"x_ct": 1, "e_ct": 7, "sk_enc": GADGET_LEAVES - 1}.get(spoil)
+        bundle = self.bundle(level=2 if spoil == "level" else 1, bad_leaf=bad_leaf)
         frame = self.frame([[0, 1], [2, 3]], discard=[4])
-        bundle = frame["gadgets"][0]
-        stray = self.bundle(level=2)["x_ct"][0]
-        if spoil == "level":
-            bundle["level"] = 2
-        elif spoil == "e_ct":
-            bundle["e_ct"] = [bundle["e_ct"][0], [bundle["e_ct"][1][0], stray]]
-        elif spoil is not None:
-            bundle[spoil] = bundle[spoil][:-1] + [stray]
+        frame["gadgets"][0].update(bundle, level=1)
         channel.send(Message("GadgetClassical", frame))
         reply = channel.recv()
-        if spoil is None:
+        if bad_leaf is None:
             assert reply.payload == {"ok": True}
             assert len(session.gadgets) == 1 and not session.qubits
+            (gadget,) = session.gadgets
+            assert gadget.leaves == blob_leaves(bundle["leaves"], 1)
+            assert {leaf.level for leaf in gadget.leaves} == {gadget.level} == {1}
             client.done()
             thread.join(timeout=5)
             return
@@ -884,8 +943,8 @@ class TestHostilePayloads:
         ("level", "order"),
     ])
     def test_a_frame_is_checked_whole_before_anything_changes(self, spoil, code):
-        # The last of a frame's two gadgets carries a ciphertext at another
-        # level, an unknown qid, a qid of the first gadget or the first
+        # The last of a frame's two gadgets carries a leaf with a bad masked
+        # byte, an unknown qid, a qid of the first gadget or the first
         # gadget's level: the frame is refused, with no gadget queued and no
         # qubit taken or dropped.
         channel, session, thread, _client = self.open_session()
@@ -894,7 +953,7 @@ class TestHostilePayloads:
         last = {"unknown": [[4, 5], [6, 99]], "repeat": [[4, 5], [2, 6]]}.get(spoil, [[4, 5], [6, 7]])
         frame = self.frame([[0, 1], [2, 3]], last, discard=[8])
         if spoil == "ciphertext":
-            frame["gadgets"][-1]["sk_enc"][-1] = self.bundle(level=3)["x_ct"][0]
+            frame["gadgets"][-1].update(self.bundle(level=2, bad_leaf=GADGET_LEAVES - 1))
         elif spoil == "level":
             frame["gadgets"][-1] = {**frame["gadgets"][-1], **self.bundle(level=1)}
         before = session_view(session)
@@ -981,6 +1040,59 @@ class TestHostilePayloads:
         thread.join(timeout=5)
         assert session_view(session)[1] == before[1]
 
+    @pytest.mark.parametrize("case", [
+        "matrix-short", "matrix-long", "matrix-char", "matrix-space", "matrix-newline",
+        "matrix-int", "alphas-pad", "alphas-wide", "alphas-list", "leaf-masked-2",
+        "gadget-23-leaves", "gadget-25-leaves", "keys-for-1-wire", "keys-for-3-wires",
+        "keys-in-a-list",
+    ])
+    def test_hostile_blobs_are_refused_and_change_nothing(self, case):
+        # Every kind of Blob the server takes, spoiled: a text a byte short
+        # or past its bound, a character outside the base64 alphabet,
+        # whitespace, non-canonical pad bits ("AB==" decodes to the byte of
+        # "AA=="), a row bit past its shape, a leaf whose masked byte is 2, a
+        # gadget of 23 or 25 leaves, key pairs for one wire too few or too
+        # many, or a value that is not a string. Each is refused as a bad
+        # payload, on a session with a queued gadget, prepared qubits and a
+        # committed round, none of which changes.
+        channel, session, thread, keys = self.gadget_session()
+        held = prepare_rsp(channel, 4)
+        (pending,) = commit_rsp(channel)
+        matrix, pair, t_run = to_blob([MATRIX]), blob_leaves(keys, 0)[:2], [gate("T", 0)]
+
+        def gadget_frame(**spoil):  # a frame of one gadget, next in the queue, at level 2
+            frame = self.frame([held[:2], held[2:]], first=2)
+            frame["gadgets"][0].update(self.bundle(level=2, **spoil))
+            return frame
+
+        def run(enc_keys):
+            return self.run(circuit_to_json(t_run), enc_keys=enc_keys)
+
+        kind, payload = {
+            "matrix-short": ("RspBasis", {"matrix": to_blob(bytes(1))}),
+            "matrix-long": ("RspBasis", {"matrix": to_blob([MATRIX] * (RSP_BATCH + 1))}),
+            "matrix-char": ("RspBasis", {"matrix": "!" + matrix[1:]}),
+            "matrix-space": ("RspBasis", {"matrix": matrix[:2] + " " + matrix[2:]}),
+            "matrix-newline": ("RspBasis", {"matrix": matrix + "\n"}),
+            "matrix-int": ("RspBasis", {"matrix": 5}),
+            "alphas-pad": ("RspBasis", {"qids": [pending], "alphas": "AB=="}),
+            "alphas-wide": ("RspBasis", {"qids": [pending], "alphas": to_blob(bytes([8]))}),
+            "alphas-list": ("RspBasis", {"qids": [pending], "alphas": [ALPHAS]}),
+            "leaf-masked-2": ("GadgetClassical", gadget_frame(bad_leaf=0)),
+            "gadget-23-leaves": ("GadgetClassical", gadget_frame(leaves=GADGET_LEAVES - 1)),
+            "gadget-25-leaves": ("GadgetClassical", gadget_frame(leaves=GADGET_LEAVES + 1)),
+            "keys-for-1-wire": ("RunRequest", run(key_blob([pair]))),
+            "keys-for-3-wires": ("RunRequest", run(key_blob([pair] * 3))),
+            "keys-in-a-list": ("RunRequest", run([keys])),
+        }[case]
+        assert to_blob(bytes([0])) == "AA==" and base64.b64decode("AB==") == bytes([0])
+        before = session_view(session)
+        channel.send(Message(kind, payload))
+        reply = channel.recv()
+        assert reply.kind == "Error" and reply.payload["code"] == "payload", reply.payload
+        thread.join(timeout=5)
+        assert session_view(session)[1] == before[1]
+
     @pytest.mark.parametrize("amps", [
         [[0.0, 0.0], [0.0, 0.0]],
         [[float("nan"), 0.0], [1.0, 0.0]],
@@ -1037,7 +1149,7 @@ SCALARS = st.one_of(
     st.lists(st.integers(0, 3), max_size=2),
 )
 SERVER_REPLIES = {  # the replies an accepted message gets, in order
-    "Hello": [{"Announce"}], "RspBasis": [{"RspOutcome", "RspCommit"}],
+    "Hello": [{"Hello"}], "RspBasis": [{"RspOutcome", "RspCommit"}],
     "GadgetClassical": [{"GadgetClassical"}],
     "RunRequest": [{"ShotResults"}, {"EncKeysUpdate"}],  # keys for a homomorphic run only
     "Done": [{"Done"}],
@@ -1046,19 +1158,68 @@ SERVER_REPLIES = {  # the replies an accepted message gets, in order
 
 @functools.lru_cache(maxsize=None)
 def ciphertext_pool():
-    """Two ciphertexts per level 0..7, and per level each ``hostile_key_hex``."""
+    """Two ciphertexts per level 0..2, and per level each ``hostile_key_hex``:
+    only the client takes hex ciphertexts, a run's keys, at level 1 in the
+    replies drawn here."""
     rng = np.random.default_rng(17)
     pool = {}
-    for lv in range(8):
+    for lv in range(3):
         pk = he_keygen(16, rng, level=lv).pk
         pool[lv] = tuple(ct_to_hex(he_enc(pk, int(rng.integers(2)), rng)) for _ in range(2))
-    return pool, {lv: [hostile_key_hex(lv, kind) for kind in HOSTILE_KEYS] for lv in range(8)}
+    return pool, {lv: [hostile_key_hex(lv, kind) for kind in HOSTILE_KEYS] for lv in range(3)}
+
+
+def draw_blob(draw, spec, lo, hi, bad):
+    """A ``Blob`` text of ``spec``'s records, lo..hi of them, or when ``bad``
+    one spoiled: a record too few or too many, a cut byte, a character
+    outside the alphabet or whitespace, non-canonical pad bits, a set bit
+    past a row's shape or a masked byte past 1, or a value not a string."""
+    width = int(np.prod(spec.shape))
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+
+    def records(n):
+        if spec.level is None:
+            return bytearray(base64.b64decode(to_blob(rng.integers(0, 2, (n, *spec.shape)))))
+        data = bytearray(rng.bytes(n * width * LEAF_BYTES))
+        data[NONCE_BYTES::LEAF_BYTES] = bytes(b & 1 for b in data[NONCE_BYTES::LEAF_BYTES])
+        return data
+
+    rows = draw(st.integers(lo, min(hi, lo + 3)))
+    data = records(rows)
+    text = base64.b64encode(data).decode()
+    if not bad:
+        return text
+    size = -(-width // 8) if spec.level is None else LEAF_BYTES * width  # bytes per record
+    high = rows > 0 and (spec.level is not None or width % 8 > 0)  # a record has a spare bit
+    spoils = ["many", "char", "type"] + ["few"] * (lo > 0) + ["cut"] * (size > 1) + [
+        "pad"] * (len(data) % 3 > 0) + ["high"] * high
+    spoil = draw(st.sampled_from(spoils))
+    if spoil == "many":
+        return base64.b64encode(data + records(hi + 1 - rows)).decode()
+    if spoil == "char":
+        i = draw(st.integers(0, len(text)))
+        return text[:i] + draw(st.sampled_from(" \n!-_.")) + text[i:]
+    if spoil == "few":
+        return base64.b64encode(data[: (lo - 1) * size]).decode()
+    if spoil == "cut":  # a part record
+        return base64.b64encode(data[:-1] if data else bytes(size - 1)).decode()
+    if spoil == "pad":
+        return noncanonical(text)
+    if spoil == "high":
+        record = draw(st.integers(0, rows - 1))
+        if spec.level is None:
+            data[(record + 1) * size - 1] |= 0x80
+        else:
+            data[record * size + NONCE_BYTES] = draw(st.integers(2, 255))
+        return base64.b64encode(data).decode()
+    return draw(st.one_of(SCALARS, st.just(list(data))))
 
 
 def draw_value(draw, spec, ctx, bad):
     """A value of the field type ``spec``, well-formed, or with one hostile
     part when ``bad``: a value out of range or of the wrong type, a wrong
-    length, a ragged or non-finite register, or a wrong variant."""
+    length, a ragged or non-finite register, a spoiled ``Blob`` or a wrong
+    variant."""
     t = type(spec)
 
     def bound(b):  # a named bound (a list: its length); a hostile count stands in as 1
@@ -1099,6 +1260,11 @@ def draw_value(draw, spec, ctx, bad):
         lo, hi = bound(spec.lo), bound(spec.hi)
         size = draw(st.integers(lo, lo + 3 if hi is None else min(hi, lo + 3)))
         items = [draw_value(draw, spec.item, ctx, False) for _ in range(size)]
+        if spec.distinct:  # well-formed: the ints (qids, wires) a permutation, so none repeats
+            ints = iter(draw(st.permutations(range(len(list(chain.from_iterable(
+                item if type(item) is list else [item] for item in items)))))))
+            items = [[next(ints) for _ in item] if type(item) is list else next(ints)
+                     for item in items]
         spoil = draw(st.sampled_from(["item", "short", "long", "type", "repeat"])) if bad else None
         if spoil == "item" and items:
             items[draw(st.integers(0, size - 1))] = draw_value(draw, spec.item, ctx, True)
@@ -1111,19 +1277,8 @@ def draw_value(draw, spec, ctx, bad):
         elif spoil == "repeat" and items:
             items.append(items[0])
         return items
-    if t is Bits:
-        lo, hi, width = bound(spec.lo), bound(spec.hi), int(np.prod(spec.shape))
-        rows = draw(st.integers(lo, min(hi, lo + 3)))
-        value = draw(st.lists(st.integers(0, 2**width - 1), min_size=rows, max_size=rows))
-        spoil = draw(st.sampled_from(["entry", "rows", "type"])) if bad else None
-        if spoil == "entry" and rows:
-            value[draw(st.integers(0, rows - 1))] = draw(st.sampled_from(
-                [2**width, -1, True, False, 1.0, "1", None, [0], [0] * width]))
-        elif spoil == "rows":
-            value = value[:1] * (hi + 1) if rows and hi + 1 > rows else []
-        elif spoil is not None:
-            return draw(SCALARS)
-        return value
+    if t is Blob:
+        return draw_blob(draw, spec, bound(spec.lo), bound(spec.hi), bad)
     if t is Amps:
         n = 2 ** bound(spec.wires)
         v = np.random.default_rng(draw(st.integers(0, 99))).normal(size=(n, 2))
@@ -1304,7 +1459,7 @@ class TestDelegatedRuns:
 
     def test_golden_faithful_transcript(self):
         # Every frame both ways of a small claw-based RSP session of three
-        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 10,
+        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 11,
         # and each run's decrypted sign. Re-recorded when RSP batches came to
         # be sized to the run's T count, with their rows packed, and each key
         # generation's gadgets to travel in one frame, with the signs
@@ -1314,7 +1469,10 @@ class TestDelegatedRuns:
         # its version, Announce became an acknowledgement and EncKeysUpdate
         # lost its level, with every sign and raw value unchanged; and again
         # when Hello lost its mode, with every other frame unchanged but for
-        # the header's version byte. The RunRequest amplitudes carry no -0.0.
+        # the header's version byte; and again at protocol version 11, when
+        # bit rows, gadget leaves and input keys came to travel as Blobs and
+        # Hello's reply came under its own kind, with every row, leaf, sign
+        # and raw value unchanged. The RunRequest amplitudes carry no -0.0.
         # ``test_values_the_frames_carry_are_pinned`` pins the values apart
         # from the frames.
         transcript = hashlib.sha256()
@@ -1323,7 +1481,7 @@ class TestDelegatedRuns:
             assert sign * raw == pytest.approx(xx_run(psi, GOLDEN_CIRCUIT, (1, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [-1, -1, -1]
         assert transcript.hexdigest() == (
-            "26284577810d12cc4ab1b909d94b1a6ad11a1ad4a599a94c9cdee53b65be2a58"
+            "67fe6734c6bf05d8e28131625568005ce3bce9e4cfc049318a0e8417825cf899"
         )
 
     def test_values_the_frames_carry_are_pinned(self):
@@ -1604,9 +1762,10 @@ class TestGadgetBudget:
         assert max(held) <= MAX_HELD and not session.qubits and not session.pending
         assert sign * raw == pytest.approx(xx_run(psi, TOP_UP_CIRCUIT, (0, 1)), abs=1e-9)
         # Every byte the client sent, top-up included, pinned; re-recorded at
-        # protocol version 10, whose Hello has no mode.
+        # protocol version 10, whose Hello has no mode, and at version 11,
+        # whose rows, gadget leaves and input keys travel as Blobs.
         assert sent.hexdigest() == (
-            "7c8401bedcb2e8b58abdd51936141ab98645c316af4df5195649017b927fb4ff"
+            "6b07acc95c4052390579b883aaa932ad8646c140309c81304be78adf43430618"
         )
 
     def test_a_deepest_window_fits_under_the_top_level(self):
@@ -1641,9 +1800,9 @@ class TestGadgetBudget:
 
 K = rsp_rows(1)  # one gadget's batch
 QIDS = list(range(K))
-COMMIT = Message("RspCommit", {"qids": QIDS, "y": [0] * K})  # A x = 0 for x = 0
-B = pack_rows([[1, 0, 1]])[0]
-OUTCOME = Message("RspOutcome", {"qids": QIDS, "b": [B] * K})
+Y, B = [0] * RSP_MU, [1, 0, 1]  # A x = 0 for x = 0
+COMMIT = Message("RspCommit", {"qids": QIDS, "y": to_blob([Y] * K)})
+OUTCOME = Message("RspOutcome", {"qids": QIDS, "b": to_blob([B] * K)})
 
 
 def unreachable_image():
@@ -1664,9 +1823,8 @@ GADGET_FRAME = TestHostilePayloads.frame([[0, 1], [2, 3]], [[4, 5], [6, 7]], dis
 
 
 class TestHostileReplies:
-    """A malformed reply to a batch of RSP rounds or to a run, a malformed
-    Announce or a malformed Error reaches the client's caller only as
-    ``ProtocolError``."""
+    """A malformed reply to a batch of RSP rounds, to Hello or to a run, or a
+    malformed Error, reaches the client's caller only as ``ProtocolError``."""
 
     @staticmethod
     def round_with_replies(*replies):
@@ -1681,23 +1839,23 @@ class TestHostileReplies:
 
     @pytest.mark.parametrize("replies", [
         [Message("RspCommit", {"qids": QIDS, "y": "zz"}), OUTCOME],
-        [Message("RspCommit", {"y": [0] * K}), OUTCOME],
-        [Message("RspCommit", {"qids": QIDS, "y": [[0] * (RSP_MU - 1)] * K}), OUTCOME],
-        [COMMIT, Message("RspOutcome", {"qids": [q + 1 for q in QIDS], "b": [2] * K})],
-        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [1 << (RSP_N - 1)] * K})],
+        [Message("RspCommit", {"y": to_blob([Y] * K)}), OUTCOME],
+        [Message("RspCommit", {"qids": QIDS, "y": to_blob([Y] * K)[:-4]}), OUTCOME],
+        [COMMIT, Message("RspOutcome", {"qids": [q + 1 for q in QIDS], "b": to_blob([B] * K)})],
+        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": to_blob(bytes([8]) * K)})],
         [COMMIT, Message("RspOutcome", {"qids": QIDS, "theta_index": [1] * K})],
-        [Message("RspCommit", {"qids": QIDS, "y": pack_rows([unreachable_image()])
-                               + [0] * (K - 1)}), OUTCOME],
-        [Message("RspCommit", {"qids": QIDS, "y": [0] * (K - 1)}), OUTCOME],
-        [Message("RspCommit", {"qids": QIDS + [K], "y": [0] * K}), OUTCOME],
-        [Message("RspCommit", {"qids": [0] * K, "y": [0] * K}), OUTCOME],
-        [Message("RspCommit", {"qids": QIDS, "y": [True] + [0] * (K - 1)}), OUTCOME],
-        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [2] * (K + 1)})],
-        [COMMIT, Message("RspOutcome", {"qids": QIDS[::-1], "b": [2] * K})],
-        [Message("RspCommit", {"qids": QIDS, "y": [1 << RSP_MU] + [0] * (K - 1)}), OUTCOME],
-        [Message("RspCommit", {"qids": QIDS, "y": [-1] + [0] * (K - 1)}), OUTCOME],
-        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [float(B)] * K})],
-        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [[1, 0, 1]] * K})],
+        [Message("RspCommit", {"qids": QIDS, "y": to_blob([unreachable_image()] + [Y] * (K - 1))}),
+         OUTCOME],
+        [Message("RspCommit", {"qids": QIDS, "y": to_blob([Y] * (K - 1))}), OUTCOME],
+        [Message("RspCommit", {"qids": QIDS + [K], "y": to_blob([Y] * K)}), OUTCOME],
+        [Message("RspCommit", {"qids": [0] * K, "y": to_blob([Y] * K)}), OUTCOME],
+        [Message("RspCommit", {"qids": QIDS, "y": True}), OUTCOME],
+        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": to_blob([B] * (K + 1))})],
+        [COMMIT, Message("RspOutcome", {"qids": QIDS[::-1], "b": to_blob([B] * K)})],
+        [Message("RspCommit", {"qids": QIDS, "y": to_blob(bytes([1 << RSP_MU]) * K)}), OUTCOME],
+        [Message("RspCommit", {"qids": QIDS, "y": "-" + to_blob([Y] * K)[1:]}), OUTCOME],
+        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": 5.0})],
+        [COMMIT, Message("RspOutcome", {"qids": QIDS, "b": [B] * K})],
     ], ids=["y-not-bits", "commit-without-qid", "short-y", "outcome-for-another-qid",
             "b-not-bits", "theta-index-for-alphas", "y-without-preimage",
             "commit-missing-a-row", "commit-with-an-extra-qid", "commit-repeating-a-qid",
@@ -1712,7 +1870,8 @@ class TestHostileReplies:
         idx, qid = self.round_with_replies(COMMIT, OUTCOME)
         assert idx in range(4) and qid == 0
 
-    # Version 8's Announce; the version now fixes what it carried.
+    # Version 8's Announce; the version now fixes what it carried, and the
+    # reply to Hello is an acknowledgement under the kind Hello.
     VERSION_8_ANNOUNCE = {"version": 8, "rsp_n": RSP_N, "rsp_mu": RSP_MU, "rsp_batch": RSP_BATCH}
 
     @pytest.mark.parametrize("spoil", [
@@ -1723,17 +1882,17 @@ class TestHostileReplies:
         {"ok": False}, {"ok": 1},
     ])
     def test_malformed_announce_is_a_protocol_error(self, spoil):
-        # The Announce is an acknowledgement: one that carries a field of an
+        # Hello's reply is an acknowledgement: one that carries a field of an
         # earlier version's Announce, or a malformed ``ok``, is refused.
         client_end, server_end = make_inproc_pair()
-        server_end.send(Message("Announce", spoil))
+        server_end.send(Message("Hello", spoil))
         with pytest.raises(ProtocolError) as exc:
             ClientSession(client_end).hello(0)
         assert exc.value.code == "payload"
 
     def test_announce_of_another_version_is_refused(self):
         client_end, server_end = make_inproc_pair()
-        frame = bytearray(encode_message(Message("Announce", {"ok": True})))
+        frame = bytearray(encode_message(Message("Hello", {"ok": True})))
         frame[4] = VERSION - 1
         server_end.send_bytes(bytes(frame))
         with pytest.raises(ProtocolError) as exc:
@@ -1851,7 +2010,7 @@ def take_exact_window(client):
 # bounds name, and well-formed replies that go before and after it.
 ReplyTaker = namedtuple("ReplyTaker", "call bounds before after", defaults=((), ()))
 REPLY_TAKERS = {
-    "Announce": ReplyTaker(lambda client: client.hello(0), {}),
+    "Hello": ReplyTaker(lambda client: client.hello(0), {}),
     "GadgetClassical": ReplyTaker(send_gadget_frame, {}),
     "Done": ReplyTaker(TestHostileReplies.ACK_CALLS["Done"], {}),
     "Error": ReplyTaker(send_gadget_frame, {}),
@@ -1890,9 +2049,9 @@ class TestReplyProperty:
 
 
 class TestServerBlindness:
-    """Everything the server receives is public structure, a ciphertext
-    string or padded quantum data: checked on every frame the client end of
-    the channel sends, whole gadget frames included."""
+    """Everything the server receives is public structure, fresh encryptions
+    in leaf tables or padded quantum data: checked on every frame the client
+    end of the channel sends, whole gadget frames included."""
 
     PUBLIC_FIELDS = {
         "Hello": {"session_seed"},
@@ -1901,7 +2060,7 @@ class TestServerBlindness:
         "RunRequest": {"num_wires", "amps", "enc_keys", "circuit", "wires", "use_gadgets"},
         "Done": set(),
     }
-    GADGET_FIELDS = {"pairs", "level", "x_ct", "z_ct", "e_ct", "sk_enc"}
+    GADGET_FIELDS = {"pairs", "level", "leaves"}
 
     def watched_window(self, make_evaluator):
         """Run one delegated 2-wire window; return the frames the server
@@ -1940,17 +2099,27 @@ class TestServerBlindness:
         assert any("matrix" in m.payload for m in to_server if m.kind == "RspBasis")
         runs = [m.payload for m in to_server if m.kind == "RunRequest"]
         assert runs
-        for p in runs:
-            assert len(p["enc_keys"]) == p["num_wires"] == 2
-            for pair in p["enc_keys"]:
-                assert len(pair) == 2
-        texts = [t for p in runs for pair in p["enc_keys"] for t in pair] + [
-            t for g in gadgets
-            for t in (*g["x_ct"], *g["z_ct"], *chain.from_iterable(g["e_ct"]), *g["sk_enc"])
-        ]
-        for text in texts:
-            assert isinstance(text, str)
-            ct_from_bytes(bytes.fromhex(text))
+        for p in runs:  # a key pair per wire, leaves at level 0
+            assert len(blob_leaves(p["enc_keys"], 0)) == 2 * p["num_wires"] == 4
+        for g in gadgets:
+            assert len(blob_leaves(g["leaves"], g["level"])) == GADGET_LEAVES
+
+
+    def test_the_server_decodes_no_variable_length_ciphertext(self, monkeypatch):
+        # A whole delegated-faithful window: every ciphertext the server takes
+        # is a fixed-width leaf, so ``ct_from_bytes`` runs only on the client
+        # thread, for the keys a run returns.
+        callers = []
+
+        def recording(data, decode=classical_he.ct_from_bytes):
+            callers.append(threading.current_thread())
+            return decode(data)
+
+        monkeypatch.setattr(classical_he, "ct_from_bytes", recording)
+        monkeypatch.setattr(protocol, "ct_from_bytes", recording)
+        _, gadgets = self.watched_window(lambda client: make_faithful_evaluator(client, 0.1))
+        assert gadgets and callers
+        assert set(callers) == {threading.main_thread()}
 
 
 class TestServerMemory:

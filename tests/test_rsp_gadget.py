@@ -661,7 +661,7 @@ def dense_consume(state, wire, gadget_state, route, rng):
 
 def plain_gadget(heads, tails):
     """A gadget with no ciphertexts: consumption reads only its pair states."""
-    return Gadget(assemble_gadget_state(heads, tails), (), (), (), (), 0)
+    return Gadget(assemble_gadget_state(heads, tails), (), 0)
 
 
 def plus_states(indices):
