@@ -15,12 +15,15 @@ a sum of a constant bit and the leaves that sit below it an odd number of
 times. ``he_xor`` takes the symmetric difference of the leaf sets;
 ``key_switch`` still requires the next level's encrypted seed, checked once
 for all the ciphertexts it lifts one level up with their leaves and
-constants. Decryption unseals each leaf once,
-under its own level's secret key. Every node stores its public masked
-parity. Structural indistinguishability holds (ciphertexts of 0 and 1 have
-identical shape and leaf format); computational security is explicitly not
-claimed, and the public key carries the stream seed, so possession of pk
-suffices to unseal in this model.
+constants. A ``LeafIndex`` packs normal forms as ints over one run's leaves
+(parity, constant, one bit per leaf), so a run of XORs and key switches is
+int ``^`` and a level counter; ``unpack`` gives back the node. Decryption
+unseals each leaf once, under its own level's secret key. Every node stores
+its public masked parity. Structural indistinguishability holds
+(ciphertexts of 0 and 1 have identical shape and leaf format);
+computational security is explicitly not claimed, and the public key
+carries the stream seed, so possession of pk suffices to unseal in this
+model.
 
 A node is an immutable tuple of its fields (``HECiphertext``), compared and
 hashed by value. The wire format is one node with a sum's leaves in strictly
@@ -32,6 +35,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Sequence
 
@@ -70,12 +74,30 @@ class HEKeyTriple:
     sk: HESecretKey
 
 
-def he_keygen(security: int, rng: np.random.Generator, level: int = 0) -> HEKeyTriple:
+def he_keygen_chain(
+    security: int, levels: Sequence[int], rng: np.random.Generator
+) -> tuple[HEKeyTriple, ...]:
+    """One key per level of ``levels``, in order, from one ``rng.bytes`` draw:
+    the seeds, and the generator state after, of one ``rng.bytes(w)`` per key.
+
+    ``rng.bytes(w)`` takes ceil(w/4) 32-bit words and keeps their first w
+    bytes, so key i's seed opens the i-th stride of 4 ceil(w/4) bytes.
+    """
     if security < MIN_SECURITY:
         raise HEError(f"security parameter {security} below minimum {MIN_SECURITY}")
-    seed = rng.bytes(max(2, security // 8))
-    sk = HESecretKey(level, seed)
-    return HEKeyTriple(HEPublicKey(level, sk.stream_seed), sk)
+    width = max(2, security // 8)
+    stride = 4 * -(-width // 4)
+    pool = rng.bytes(stride * len(levels))
+    triples = []
+    for i, level in enumerate(levels):
+        sk = HESecretKey(level, pool[stride * i : stride * i + width])
+        triples.append(HEKeyTriple(HEPublicKey(level, sk.stream_seed), sk))
+    return tuple(triples)
+
+
+def he_keygen(security: int, rng: np.random.Generator, level: int = 0) -> HEKeyTriple:
+    """One key at ``level``: ``he_keygen_chain`` of that one level."""
+    return he_keygen_chain(security, (level,), rng)[0]
 
 
 _NO_LEAVES = frozenset()
@@ -208,6 +230,41 @@ def he_xor(a: HECiphertext, b: HECiphertext) -> HECiphertext:
     if a[1] != b[1]:
         raise HEError(f"mixed ciphertext levels {sorted((a[1], b[1]))} without a key switch")
     return _sum(a[1], a[6] ^ b[6], _leaves(a) ^ _leaves(b), a[7] ^ b[7])
+
+
+class LeafIndex:
+    """Normal-form ciphertexts packed as ints over one run's leaves.
+
+    Bit 0 of a packing is the masked parity, bit 1 the constant and bit 2 + i
+    leaf i of the index, each leaf keyed by value, as a sum's frozenset keys
+    it. So ``he_xor`` of two ciphertexts at one level is the int ``^`` of
+    their packings, parity included. A packing holds no level: a key switch
+    keeps the leaves and the constant, so the caller counts levels.
+    """
+
+    def __init__(self):
+        self.bits: dict[HECiphertext, int] = {}
+        self.leaves: list[HECiphertext] = []
+
+    def pack(self, ct: HECiphertext, level: int) -> int:
+        """``ct`` as an int; an HEError unless it sits at ``level``."""
+        if ct[1] != level:
+            raise HEError(f"a ciphertext at level {ct[1]} packed at level {level}")
+        packed = ct[7] | ct[6] << 1
+        for leaf in _leaves(ct):
+            bit = self.bits.get(leaf)
+            if bit is None:
+                bit = self.bits[leaf] = 4 << len(self.leaves)
+                self.leaves.append(leaf)
+            packed |= bit
+        return packed
+
+    def unpack(self, level: int, packed: int) -> HECiphertext:
+        """The node at ``level`` that ``packed`` packs, built by ``_sum``: a
+        lone leaf at ``level`` with constant 0 comes back as that leaf."""
+        # bin() reversed reads leaf 0 first; its trailing "b0" selects nothing.
+        chosen = compress(self.leaves, map("1".__eq__, reversed(bin(packed >> 2))))
+        return _sum(level, packed >> 1 & 1, frozenset(chosen), packed & 1)
 
 
 def key_switch(sk_enc: Sequence[HECiphertext], *cts: HECiphertext) -> tuple[HECiphertext, ...]:

@@ -487,11 +487,12 @@ def check_pad_mixing(registers: int, seed: int):
 
 
 def _check_he_roundtrip():
-    from .classical_he import encrypt_seed, he_const, he_dec, he_enc, he_keygen, he_xor, key_switch
+    from .classical_he import (encrypt_seed, he_const, he_dec, he_enc, he_keygen_chain, he_xor,
+                               key_switch)
     from .qhe import SECURITY
 
     rng = np.random.default_rng(1)
-    chain = [he_keygen(SECURITY, rng, level=lv) for lv in range(3)]
+    chain = he_keygen_chain(SECURITY, range(3), rng)
     sks = [triple.sk for triple in chain]
     sk_enc = encrypt_seed(chain, rng)
     for _ in range(200):  # a random program of XORs, constants and key switches

@@ -24,11 +24,12 @@ import numpy as np
 
 from .classical_he import (
     HECiphertext,
+    HEError,
     HEKeyTriple,
+    LeafIndex,
     _dec,
     he_enc_bits,
-    he_keygen,
-    he_xor,
+    he_keygen_chain,
     encrypt_seed,
     key_switch,
 )
@@ -110,8 +111,9 @@ def keygen(
 ) -> tuple[ClientKeys, tuple[Gadget, ...]]:
     """Generate the level chain and one twisted gadget per T / Tdagger: the
     client keys, and the gadgets in T order, the server's evaluation key.
-    ``encrypt_seed`` encrypts every level's seed under the next level's key
-    from one draw, and gadget i carries level i's encrypted seed.
+    ``he_keygen_chain`` draws every level's seed at once, ``encrypt_seed``
+    encrypts each under the next level's key from one draw, and gadget i
+    carries level i's encrypted seed.
 
     The key-flow pass mirrors evaluation over keystream parity bits, one per
     key, so each gadget's twist equals the keystream parity its routing
@@ -128,9 +130,7 @@ def keygen(
     """
     _check_circuit(circuit, num_wires)
     n_gadgets = t_count(circuit)
-    triples = tuple(
-        he_keygen(security, rng, level=i) for i in range(n_gadgets + 1)
-    )
+    triples = he_keygen_chain(security, range(n_gadgets + 1), rng)
     sk_encs = encrypt_seed(triples, rng)
     gadgets: list[Gadget] = []
     round_ = rsp_round_ideal if rounds is None else rounds(lambda: n_gadgets - len(gadgets))
@@ -183,9 +183,12 @@ def eval_circuit(
     T or Tdagger consuming the next of ``gadgets`` from ``cs.level`` on.
 
     Runs entirely on public data: gates, ciphertext handles, Bell outcomes,
-    and the public masked parity that routes each gadget. At each gadget one
-    ``key_switch`` lifts every wire's keys to the gadget's level, then
-    ``gadget_key_update`` updates the routed wire's pair.
+    and the public masked parity that routes each gadget. Every key must sit
+    at ``cs.level``. The keys are packed once over one ``LeafIndex``, so each
+    Clifford's key update and each gadget's ``gadget_key_update`` XOR ints. A
+    key switch keeps every key's leaves and constant, so the level is a
+    counter; ``key_switch`` still checks each gadget's encrypted seed once.
+    The keys become nodes again at the final level when the run ends.
     """
     _check_circuit(circuit, len(cs.encrypted_keys))
     needed = t_count(circuit)
@@ -193,23 +196,27 @@ def eval_circuit(
         raise QHEError(
             f"circuit needs {needed} gadgets, {len(gadgets) - cs.level} remain"
         )
+    index, level = LeafIndex(), cs.level
+    keys = [tuple(index.pack(ct, level) for ct in pair) for pair in cs.encrypted_keys]
     register = cs.register
-    keys = list(cs.encrypted_keys)
-    level = cs.level
     for g in circuit:
         register = apply_gate(register, g)
         if g.kind in CLIFFORD_KINDS:
-            update_keys(keys, g, he_xor)
+            update_keys(keys, g, xor)
             continue
         (w,) = g.wires
         gadget = gadgets[level]
         route = gen_measurement(keys[w][0])
         register, (u, v) = consume_gadget(register, w, gadget, route, rng)
-        up = key_switch(gadget.sk_enc, *(ct for pair in keys for ct in pair))
-        keys = list(zip(up[0::2], up[1::2]))
-        keys[w] = gadget_key_update(gadget, route, u, v, *keys[w], dagger=g.kind == "Tdagger")
+        key_switch(gadget.sk_enc)
         level += 1
-    return CipherState(register, tuple(keys), level)
+        if gadget.level != level or gadget.sk_enc[0][1] != level:
+            raise HEError(f"gadget {level - 1} sits at level {gadget.level} with a key switch "
+                          f"to level {gadget.sk_enc[0][1]}; the keys go to level {level}")
+        keys[w] = gadget_key_update(index, gadget, route, u, v, *keys[w],
+                                    dagger=g.kind == "Tdagger")
+    return CipherState(register, tuple(tuple(index.unpack(level, k) for k in pair)
+                                       for pair in keys), level)
 
 
 def _decrypt(client: ClientKeys, level: int, roots) -> list[int]:

@@ -54,14 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical_he import (
-    HECiphertext,
-    HEPublicKey,
-    he_const,
-    he_enc_bits,
-    he_xor,
-    public_masked_parity,
-)
+from .classical_he import HECiphertext, HEPublicKey, LeafIndex, he_enc_bits
 from .simulator import (
     FIXED_1Q,
     StateVector,
@@ -399,10 +392,11 @@ def build_gadget_ciphertexts(
     return cts, (x_stream, z_stream ^ e_stream)
 
 
-def gen_measurement(a_ct: HECiphertext) -> int:
+def gen_measurement(a: int) -> int:
     """The route: the pair j the input teleports through, read from the
-    public masked parity of the key-bit ciphertext."""
-    return public_masked_parity(a_ct)
+    public masked parity of the key-bit ciphertext, bit 0 of its
+    ``LeafIndex`` packing ``a``."""
+    return a & 1
 
 
 # A Bell outcome (u, v) on wires (a, b) projects onto sum over a of
@@ -460,25 +454,27 @@ def consume_gadget(
 
 
 def gadget_key_update(
+    index: LeafIndex,
     gadget: Gadget,
     route: int,
     u: int,
     v: int,
-    a_ct: HECiphertext,
-    b_ct: HECiphertext,
+    a: int,
+    b: int,
     dagger: bool = False,
-) -> tuple[HECiphertext, HECiphertext]:
-    """Homomorphic pad-key update after consuming the gadget.
+) -> tuple[int, int]:
+    """Homomorphic pad-key update after consuming the gadget, on the routed
+    wire's keys packed by ``index``; returns the packed pair, at the gadget's
+    level once the caller counts its key switch.
 
     a' = a XOR x_j XOR v and b' = b XOR z_j XOR u XOR e_{j,v}, for j the
-    route, on keys already switched up to the gadget's level (``key_switch``
-    with ``gadget.sk_enc``). The gadget's few-leaf terms are summed first, so
-    each key's leaves are copied once. The inverse-rotation variant folds
-    the extra Z^a from commuting Tdagger past the pad into b.
+    route. The three gadget leaves it reads are packed at the gadget's
+    level, and a constant bit c packs as 3c, its constant and its parity.
+    The inverse-rotation variant folds the extra Z^a from commuting Tdagger
+    past the pad into b.
     """
     if dagger:
-        b_ct = he_xor(b_ct, a_ct)
-    level = gadget.level
-    x_v = he_xor(gadget.x_ct[route], he_const(v, level))
-    z_u_e = he_xor(he_xor(gadget.z_ct[route], he_const(u, level)), gadget.e_ct[route][v])
-    return he_xor(x_v, a_ct), he_xor(z_u_e, b_ct)
+        b ^= a
+    x, z, e = (index.pack(ct, gadget.level)
+               for ct in (gadget.x_ct[route], gadget.z_ct[route], gadget.e_ct[route][v]))
+    return a ^ x ^ 3 * v, b ^ z ^ e ^ 3 * u

@@ -16,6 +16,8 @@ from qhevqa.classical_he import (
     TAG_BYTES,
     HECiphertext,
     HEError,
+    HEPublicKey,
+    LeafIndex,
     _dec,
     ct_from_bytes,
     ct_to_bytes,
@@ -25,6 +27,7 @@ from qhevqa.classical_he import (
     he_enc,
     he_enc_bits,
     he_keygen,
+    he_keygen_chain,
     he_xor,
     key_switch,
     leaves_from_bytes,
@@ -203,6 +206,34 @@ def per_level_encrypt_seed(pk, sk_lower, rng):
     if pk.level != sk_lower.level + 1:
         raise HEError("seed must be encrypted under the next level's public key")
     return he_enc_bits(pk, [(byte >> j) & 1 for byte in sk_lower.seed for j in range(8)], rng)
+
+
+def per_level_seeds(security, levels, rng):
+    """The per-level form ``he_keygen_chain`` replaced: one ``rng.bytes`` per key."""
+    return [rng.bytes(max(2, security // 8)) for _ in range(levels)]
+
+
+class TestKeyChain:
+    @pytest.mark.parametrize("levels", [1, 2, 33])
+    @pytest.mark.parametrize("security", range(16, 72, 8))
+    def test_chain_seeds_equal_the_per_level_form(self, security, levels):
+        # Seeds of 2 to 8 bytes from one draw equal one draw per level, and
+        # leave the generator where those would, with half a 64-bit output
+        # buffered before.
+        rng = np.random.default_rng(security * levels)
+        rng.integers(0, 2**32, dtype=np.uint32)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        got = he_keygen_chain(security, range(levels), rng)
+        seeds = per_level_seeds(security, levels, twin)
+        assert [(t.sk.level, t.sk.seed) for t in got] == list(enumerate(seeds))
+        assert [len(seed) for seed in seeds] == [security // 8] * levels
+        assert all(t.pk == HEPublicKey(t.sk.level, t.sk.stream_seed) for t in got)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_chain_refuses_a_weak_security_parameter(self):
+        with pytest.raises(HEError, match="below minimum"):
+            he_keygen_chain(8, range(3), np.random.default_rng(0))
 
 
 class TestKeySwitch:
@@ -569,6 +600,61 @@ class TestLeafTable:
         with pytest.raises(HEError, match="masked"):
             leaves_from_bytes(bytes(bad), 0)
         assert leaves_from_bytes(b"", 0) == ()
+
+
+class TestLeafIndex:
+    def test_pack_and_unpack(self):
+        # Bit 0 is the masked parity, bit 1 the constant, bit 2 + i leaf i
+        # in first-packed order; a leaf is keyed by value, not identity.
+        rng = np.random.default_rng(23)
+        a, b = he_enc_bits(CHAIN[0].pk, [1, 0], rng)
+        index = LeafIndex()
+        assert index.pack(a, 0) == 4 | a.masked
+        assert index.pack(copy.copy(b), 0) == 8 | b.masked
+        assert index.pack(b, 0) == 8 | b.masked
+        total = he_xor(he_xor(a, b), he_const(1, 0))
+        assert index.pack(total, 0) == 12 | 2 | total.masked_parity
+        assert index.pack(he_const(1, 0), 0) == 3 and index.pack(he_const(0, 0), 0) == 0
+        for ct in (a, total, he_const(1, 0), he_const(0, 0)):
+            assert index.unpack(0, index.pack(ct, 0)) == ct
+        assert index.unpack(0, index.pack(a, 0)) is a
+
+    def test_a_lone_leaf_below_the_level_stays_a_sum(self):
+        rng = np.random.default_rng(24)
+        leaf = he_enc(CHAIN[0].pk, 1, rng)
+        (up,) = key_switch(SK_ENC[0], leaf)
+        index = LeafIndex()
+        assert index.pack(up, 1) == index.pack(leaf, 0)
+        back = index.unpack(1, index.pack(up, 1))
+        assert back == up and back.op == SUM and ct_to_bytes(back) == ct_to_bytes(up)
+
+    def test_a_ciphertext_at_another_level_is_refused(self):
+        rng = np.random.default_rng(25)
+        index = LeafIndex()
+        with pytest.raises(HEError, match="level 1 packed at level 0"):
+            index.pack(he_enc(CHAIN[1].pk, 0, rng), 0)
+        assert index.leaves == [] and index.bits == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(DAG_PROGRAMS, CHAIN_BASES, SEEDS, st.data())
+    def test_packed_xor_and_key_switch_equal_the_node_ops(self, program, base, seed, data):
+        # Over one index, unpacking a packed XOR gives he_xor's node and
+        # bytes, and a key switch leaves the packing as it was.
+        nodes = build_dag(program, seed, base)
+        index = LeafIndex()
+        for ct, _, _ in nodes:
+            packed = index.pack(ct, ct.level)
+            assert packed & 1 == public_masked_parity(ct)
+            assert index.unpack(ct.level, packed) == ct
+            if ct.level < base + 2:
+                (up,) = key_switch(CHAINS[base][1][ct.level], ct)
+                assert index.pack(up, ct.level + 1) == packed
+        x, y = (nodes[i] for i in data.draw(st.lists(st.integers(0, len(nodes) - 1),
+                                                      min_size=2, max_size=2)))
+        level = max(x[0].level, y[0].level)
+        x, y = lift(x, level, base)[0], lift(y, level, base)[0]
+        got = index.unpack(level, index.pack(x, level) ^ index.pack(y, level))
+        assert got == he_xor(x, y) and ct_to_bytes(got) == ct_to_bytes(he_xor(x, y))
 
 
 class TestDeepChains:

@@ -11,7 +11,6 @@ import pytest
 
 import qhevqa
 from qhevqa import qhe, skdecomp
-from qhevqa.classical_he import he_xor
 from qhevqa.cli import (
     ANALYTIC_P0,
     TRANSPORTS,
@@ -59,9 +58,9 @@ class TestGadgetDemo:
         # acceptance 1 fails.
         real = qhe.gadget_key_update
 
-        def without_e(gadget, route, u, v, a_ct, b_ct, dagger=False):
-            a_new, b_new = real(gadget, route, u, v, a_ct, b_ct, dagger)
-            return a_new, he_xor(b_new, gadget.e_ct[route][v])
+        def without_e(index, gadget, route, u, v, a, b, dagger=False):
+            a_new, b_new = real(index, gadget, route, u, v, a, b, dagger)
+            return a_new, b_new ^ index.pack(gadget.e_ct[route][v], gadget.level)
 
         monkeypatch.setattr(qhe, "gadget_key_update", without_e)
         ok, detail = check_gadget_contract(600, 7, 0.05)

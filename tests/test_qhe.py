@@ -4,10 +4,21 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhevqa import qhe
-from qhevqa.classical_he import ct_to_bytes
+from qhevqa import classical_he, qhe, rsp_gadget
+from qhevqa.classical_he import (
+    HEError,
+    ct_to_bytes,
+    he_const,
+    he_xor,
+    key_switch,
+    public_masked_parity,
+)
+from qhevqa.pauli_frame import CLIFFORD_KINDS, update_keys
 from qhevqa.qhe import (
+    EVAL_KINDS,
+    CipherState,
     QHEError,
     decrypt_keys,
     decrypt_state,
@@ -18,10 +29,17 @@ from qhevqa.qhe import (
     xx_expectation_sign,
     xx_sign,
 )
-from qhevqa.rsp_gadget import claw_round, rsp_server_commit, rsp_server_measure
+from qhevqa.rsp_gadget import (
+    Gadget,
+    claw_round,
+    consume_gadget,
+    rsp_server_commit,
+    rsp_server_measure,
+)
 from qhevqa.simulator import (
     StateVector,
     apply_circuit,
+    apply_gate,
     expectation,
     fidelity,
     gate,
@@ -357,3 +375,144 @@ class TestBlindness:
         out = eval_circuit(cs, circ, gadgets, rng)
         got = decrypt_state(client, out)
         assert fidelity(got, apply_circuit(psi, circ)) == pytest.approx(1.0, abs=1e-10)
+
+
+def node_key_update(gadget, route, u, v, a_ct, b_ct, dagger=False):
+    """The node form of ``gadget_key_update``, on keys already switched up to
+    the gadget's level: its few-leaf terms summed first, then each key."""
+    if dagger:
+        b_ct = he_xor(b_ct, a_ct)
+    level = gadget.level
+    x_v = he_xor(gadget.x_ct[route], he_const(v, level))
+    z_u_e = he_xor(he_xor(gadget.z_ct[route], he_const(u, level)), gadget.e_ct[route][v])
+    return he_xor(x_v, a_ct), he_xor(z_u_e, b_ct)
+
+
+def node_eval_circuit(cs, circuit, gadgets, rng):
+    """The node-level loop ``eval_circuit`` replaced: ``he_xor`` over nodes for
+    each Clifford, every wire's keys lifted by one ``key_switch`` at each
+    gadget, and the routed pair updated by ``node_key_update``."""
+    register, keys, level = cs.register, list(cs.encrypted_keys), cs.level
+    for g in circuit:
+        register = apply_gate(register, g)
+        if g.kind in CLIFFORD_KINDS:
+            update_keys(keys, g, he_xor)
+            continue
+        (w,) = g.wires
+        gadget = gadgets[level]
+        route = public_masked_parity(keys[w][0])
+        register, (u, v) = consume_gadget(register, w, gadget, route, rng)
+        up = key_switch(gadget.sk_enc, *(ct for pair in keys for ct in pair))
+        keys = list(zip(up[0::2], up[1::2]))
+        keys[w] = node_key_update(gadget, route, u, v, *keys[w], dagger=g.kind == "Tdagger")
+        level += 1
+    return CipherState(register, tuple(keys), level)
+
+
+def kinds_circuit(rng, kinds, num_wires=3, n_gates=40):
+    """``n_gates`` gates drawn uniformly from ``kinds`` on random wires."""
+    circ = []
+    for _ in range(n_gates):
+        kind = kinds[rng.integers(len(kinds))]
+        wires = rng.choice(num_wires, size=2 if kind in ("CNOT", "CZ") else 1, replace=False)
+        circ.append(gate(kind, *(int(w) for w in wires)))
+    return circ
+
+
+def assert_same_keys(got, want):
+    assert got.level == want.level
+    assert got.encrypted_keys == want.encrypted_keys
+    assert [[ct_to_bytes(ct) for ct in pair] for pair in got.encrypted_keys] == [
+        [ct_to_bytes(ct) for ct in pair] for pair in want.encrypted_keys]
+    assert np.array_equal(got.register.amplitudes, want.register.amplitudes)
+
+
+class TestPackedEvaluation:
+    """``eval_circuit`` against the node-level loop it replaced, by value and
+    by bytes, on twin generators."""
+
+    @staticmethod
+    def both(seed, kinds, num_wires=3, n_gates=40, split=None):
+        rng = np.random.default_rng(seed)
+        circ = kinds_circuit(rng, kinds, num_wires, n_gates)
+        client, gadgets = keygen(16, num_wires, circ, rng)
+        psi = random_state(num_wires, rng)
+        cs, _ = encrypt(client, psi, rng)
+        run, oracle = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = cs
+        for part in (circ[:split], circ[split:]) if split else (circ,):
+            got = eval_circuit(got, part, gadgets, run)
+        want = node_eval_circuit(cs, circ, gadgets, oracle)
+        assert_same_keys(got, want)
+        assert fidelity(decrypt_state(client, got), apply_circuit(psi, circ)) == pytest.approx(
+            1.0, abs=1e-9)
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_kind(self, seed):
+        assert self.both(seed, EVAL_KINDS).level > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_t_free(self, seed):
+        assert self.both(10 + seed, CLIFFORD_KINDS).level == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pauli_only(self, seed):
+        assert self.both(20 + seed, ("X", "Y", "Z")).level == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_continuation_from_a_later_level(self, seed):
+        # The second run starts at the first one's level, from keys whose
+        # leaves sit at several lower levels.
+        assert self.both(30 + seed, EVAL_KINDS, split=25).level > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 30))
+    def test_random_circuits(self, seed, num_wires, n_gates):
+        kinds = EVAL_KINDS if num_wires > 1 else tuple(
+            k for k in EVAL_KINDS if k not in ("CNOT", "CZ"))
+        self.both(seed, kinds, num_wires, n_gates)
+
+    def test_a_deep_run_xors_no_node(self, monkeypatch):
+        # Keygen, encryption, evaluation and decryption of 200 T/T-dagger
+        # gates call no he_xor, and reproduce the pinned round-trip bytes.
+        def refuse(a, b):
+            raise AssertionError("he_xor called")
+
+        for module in (classical_he, qhe, rsp_gadget):
+            if hasattr(module, "he_xor"):
+                monkeypatch.setattr(module, "he_xor", refuse)
+        client, cs = deep_cipherstate(2)
+        assert cs.level == 200 and decrypt_state(client, cs).num_qubits == 4
+        TestOnePassDecryption().test_deep_round_trip_bytes_are_pinned()
+
+    def test_keys_off_the_cipherstate_level_are_refused_before_any_gate(self, monkeypatch):
+        # A key at level 1 in a level-0 cipherstate is refused with HEError
+        # when the run starts, whatever the circuit, and no gate is applied.
+        rng = np.random.default_rng(21)
+        client, gadgets = keygen(16, 2, [gate("T", 0)], rng)
+        cs, _ = encrypt(client, random_state(2, rng), rng)
+        (high,) = key_switch(gadgets[0].sk_enc, cs.encrypted_keys[1][0])
+        bad = CipherState(cs.register, (cs.encrypted_keys[0], (high, cs.encrypted_keys[1][1])), 0)
+        applied = []
+        monkeypatch.setattr(qhe, "apply_gate", lambda state, g: applied.append(g) or state)
+        for circ in ([gate("X", 1), gate("Z", 0)], [gate("CNOT", 0, 1)], [gate("T", 0)], []):
+            with pytest.raises(HEError, match="level 1"):
+                eval_circuit(bad, circ, gadgets, rng)
+        assert applied == []
+
+    def test_a_gadget_of_another_level_is_refused(self):
+        # Gadget i lifts keys from level i to i + 1; one of another level,
+        # or whose key switch goes elsewhere, is refused, as the node loop's
+        # key switch refused it.
+        rng = np.random.default_rng(22)
+        circ = [gate("T", 0), gate("T", 0)]
+        client, gadgets = keygen(16, 1, circ, rng)
+        cs, _ = encrypt(client, random_state(1, rng), rng)
+        first, second = gadgets
+        for shuffled in ((second, first),
+                         (Gadget(first.state, first.leaves, 2), second),
+                         (Gadget(first.state, first.leaves[:8] + second.sk_enc, 1), second)):
+            for evaluate in (eval_circuit, node_eval_circuit):
+                with pytest.raises(HEError):
+                    evaluate(cs, circ[:1], shuffled, np.random.default_rng(0))

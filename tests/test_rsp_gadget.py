@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qhevqa import rsp_gadget
 from qhevqa.classical_he import (
+    LeafIndex,
     ct_to_bytes,
     encrypt_seed,
     he_const,
@@ -66,6 +67,15 @@ def pair_byproduct(x, z, p, u, v):
     return x ^ v, z ^ u ^ (p & (x ^ v))
 
 
+def packed_key_update(gadget, route, u, v, a_ct, b_ct, dagger=False):
+    """``gadget_key_update`` on node keys at the gadget's level: packed over a
+    fresh ``LeafIndex``, updated, and unpacked at that level."""
+    index, level = LeafIndex(), gadget.level
+    a, b = gadget_key_update(index, gadget, route, u, v, index.pack(a_ct, level),
+                             index.pack(b_ct, level), dagger)
+    return index.unpack(level, a), index.unpack(level, b)
+
+
 def recording(round_):
     """Wrap a round so every (theta_index, handle) it yields is logged."""
     log = []
@@ -115,7 +125,7 @@ class TestThetaBits:
         for k in (0, 1):
             gadget, _ = gen_gadget(l1.pk, sk_enc, k, rng, rsp_round_ideal)
             for j, u, v in product((0, 1), repeat=3):
-                keys = gadget_key_update(gadget, j, u, v, *key_switch(sk_enc, zero_a, zero_b))
+                keys = packed_key_update(gadget, j, u, v, *key_switch(sk_enc, zero_a, zero_b))
                 x, z = he_dec(sks, gadget.x_ct[j]), he_dec(sks, gadget.z_ct[j])
                 want = pair_byproduct(x, z, j ^ k, u, v)
                 assert tuple(he_dec(sks, ct) for ct in keys) == want
@@ -742,7 +752,8 @@ class TestRouting:
         for bit in (0, 1):
             for stream in (0, 1):
                 (ct,) = he_enc_bits(triple.pk, [bit], rng, [stream])
-                assert gen_measurement(ct) == public_masked_parity(ct) == bit ^ stream
+                packed = LeafIndex().pack(ct, ct.level)
+                assert gen_measurement(packed) == public_masked_parity(ct) == bit ^ stream
 
 
 class TestEndToEnd:
@@ -769,12 +780,12 @@ class TestEndToEnd:
                 padded = apply_gate(padded, gate("X", 0))
             padded = apply_gate(padded, gate(kind, 0))
 
-            route = gen_measurement(a_ct)
+            route = gen_measurement(LeafIndex().pack(a_ct, 0))
             assert route == a ^ k
             out, (u, v) = consume_gadget(padded, 0, gadget, route, rng)
             # both pairs are consumed, leaving only the teleported wire
             assert out.num_qubits == 1
-            a2_ct, b2_ct = gadget_key_update(
+            a2_ct, b2_ct = packed_key_update(
                 gadget, route, u, v, *key_switch(sk_enc, a_ct, b_ct),
                 dagger=kind == "Tdagger",
             )
@@ -822,7 +833,7 @@ class TestKeyUpdateOracle:
             gadget, _ = gen_gadget(l1.pk, sk_enc, k, rng, rsp_round_ideal)
             for a_ct, b_ct in product(keys, repeat=2):
                 for route, u, v in product((0, 1), repeat=3):
-                    got = gadget_key_update(gadget, route, u, v, *key_switch(sk_enc, a_ct, b_ct),
+                    got = packed_key_update(gadget, route, u, v, *key_switch(sk_enc, a_ct, b_ct),
                                             dagger=dagger)
                     want = fold_key_update(gadget, route, u, v, a_ct, b_ct, dagger)
                     assert got == want
