@@ -6,9 +6,10 @@ under a keyed pseudorandom stream. One SHA-256 digest of the stream seed and
 the nonce seals a leaf: its stream bit is the low bit of byte 0 and its tag
 bytes 1-8, disjoint output bits, so in the random-oracle model the public tag
 says nothing about the stream bit. ``he_enc_bits`` encrypts a list of bits
-from pooled nonce draws, and can pin each leaf's stream bit (see there);
-``encrypt_seed`` encrypts a level chain's seeds from one draw. Both seal a
-pool in one loop, ``_seal_pool``, that builds the leaf tuples directly.
+from pooled nonce draws, which calls may share, and can pin each leaf's
+stream bit (see there); ``encrypt_seed`` encrypts a level chain's seeds from
+one draw. Both seal a pool in one loop, ``_seal_pool``, that builds the leaf
+tuples directly.
 
 Every op is GF(2)-linear, so a ciphertext is kept in normal form: a leaf, or
 a sum of a constant bit and the leaves that sit below it an odd number of
@@ -33,6 +34,7 @@ encoding in its one forward pass. A leaf table packs leaves in fixed width.
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
@@ -44,6 +46,7 @@ import numpy as np
 MIN_SECURITY = 16
 NONCE_BYTES = 16
 TAG_BYTES = 8
+_NONCE = struct.Struct(f"{NONCE_BYTES}s")
 
 LEAF, SUM = 0, 1  # 2-5 were the AND, NOT, constant and key-switch ops; refused as unknown
 
@@ -158,18 +161,29 @@ def he_enc(pk: HEPublicKey, bit: int, rng: np.random.Generator) -> HECiphertext:
     return he_enc_bits(pk, (bit,), rng)[0]
 
 
-def _seal_pool(pk: HEPublicKey, bits: Sequence[int], pool: bytes, waiting, leaves: list) -> int:
-    """Seal the nonces of one pool into leaves under ``pk``; return how many.
+def draw_nonces(rng: np.random.Generator, count: int) -> deque:
+    """``count`` nonces from one ``rng.bytes`` draw, in draw order."""
+    return deque(map(itemgetter(0), _NONCE.iter_unpack(rng.bytes(NONCE_BYTES * count))))
+
+
+def _seal_pool(pk: HEPublicKey, bits: Sequence[int], nonces: deque, waiting, leaves: list) -> int:
+    """Seal nonces from the front of ``nonces`` into leaves under ``pk``;
+    return how many leaves.
 
     Each nonce, in draw order, fills the first slot of ``waiting[stream
     bit]`` with the leaf of ``bits[slot]``, or is discarded if no slot wants
-    it. A leaf is built as its tuple directly: its fields are in normal form.
+    it. It stops when every slot is filled, so the nonces it does not read
+    stay in ``nonces``, or when ``nonces`` runs dry. ``stream_seed`` is
+    hashed once, and each nonce's digest continues a copy of that hash. A
+    leaf is built as its tuple directly: its fields are in normal form.
     """
-    stream_seed, level = pk.stream_seed, pk.level
+    keyed, level = hashlib.sha256(pk.stream_seed), pk.level
     filled = 0
-    for start in range(0, len(pool), NONCE_BYTES):
-        nonce = pool[start : start + NONCE_BYTES]
-        digest = hashlib.sha256(stream_seed + nonce + b"seal").digest()
+    while nonces:
+        nonce = nonces.popleft()
+        seal = keyed.copy()
+        seal.update(nonce + b"seal")
+        digest = seal.digest()
         stream = digest[0] & 1
         if waiting[stream]:
             i = waiting[stream].popleft()
@@ -187,6 +201,7 @@ def he_enc_bits(
     bits: Sequence[int],
     rng: np.random.Generator,
     keystream_bits: Sequence[int] | None = None,
+    nonces: deque | None = None,
 ) -> tuple[HECiphertext, ...]:
     """Encrypt each bit under its own fresh nonce, the nonces drawn in pools.
 
@@ -199,6 +214,11 @@ def he_enc_bits(
     the first still-empty slot that wants its stream bit, or is discarded, and
     a new pool is drawn for the slots still empty. Given its stream bit, each
     leaf's nonce is still uniform. ``_seal_pool`` seals each pool.
+
+    ``nonces`` is a pool drawn ahead (``draw_nonces``) that several calls
+    share: a call reads it from the front and leaves the nonces it does not
+    read, and a pool is drawn only when it runs dry. None means a pool of
+    this call's own, whose unread nonces are dropped.
     """
     for bit in bits:
         if bit not in (0, 1):
@@ -212,10 +232,13 @@ def he_enc_bits(
         waiting, per_slot = (deque(), deque()), 2
         for i, k in enumerate(keystream_bits):
             waiting[k].append(i)
+    pool = deque() if nonces is None else nonces
     leaves: list = [None] * len(bits)
     empty = len(bits)
     while empty:
-        empty -= _seal_pool(pk, bits, rng.bytes(per_slot * NONCE_BYTES * empty), waiting, leaves)
+        if not pool:
+            pool += draw_nonces(rng, per_slot * empty)
+        empty -= _seal_pool(pk, bits, pool, waiting, leaves)
     return tuple(leaves)
 
 
@@ -335,12 +358,11 @@ def encrypt_seed(
             raise HEError("seed must be encrypted under the next level's public key")
     seeds = [[(byte >> j) & 1 for byte in t.sk.seed for j in range(8)] for t in chain[:-1]]
     # No draw for a one-level chain: rng.bytes(0) can still move the generator.
-    pool = rng.bytes(NONCE_BYTES * sum(map(len, seeds))) if seeds else b""
-    out, end = [], 0
+    nonces = draw_nonces(rng, sum(map(len, seeds))) if seeds else deque()
+    out = []
     for bits, upper in zip(seeds, chain[1:]):
         slots, leaves = deque(range(len(bits))), [None] * len(bits)
-        start, end = end, end + NONCE_BYTES * len(bits)
-        _seal_pool(upper.pk, bits, pool[start:end], (slots, slots), leaves)
+        _seal_pool(upper.pk, bits, nonces, (slots, slots), leaves)
         out.append(tuple(leaves))
     return tuple(out)
 

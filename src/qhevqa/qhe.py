@@ -17,6 +17,7 @@ initial keys.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from operator import xor
 
@@ -28,6 +29,7 @@ from .classical_he import (
     HEKeyTriple,
     LeafIndex,
     _dec,
+    draw_nonces,
     he_enc_bits,
     he_keygen_chain,
     encrypt_seed,
@@ -41,12 +43,13 @@ from .pauli_frame import (
     update_keys,
 )
 from .rsp_gadget import (
+    CORRECTION_LEAVES,
     Gadget,
     consume_gadget,
     gadget_key_update,
     gen_gadget,
     gen_measurement,
-    rsp_round_ideal,
+    ideal_round,
 )
 from .simulator import MAX_QUBITS, Gate, StateVector, apply_gate
 
@@ -111,30 +114,49 @@ def keygen(
 ) -> tuple[ClientKeys, tuple[Gadget, ...]]:
     """Generate the level chain and one twisted gadget per T / Tdagger: the
     client keys, and the gadgets in T order, the server's evaluation key.
-    ``he_keygen_chain`` draws every level's seed at once, ``encrypt_seed``
-    encrypts each under the next level's key from one draw, and gadget i
-    carries level i's encrypted seed.
+    Gadget i carries level i's encrypted seed.
 
     The key-flow pass mirrors evaluation over keystream parity bits, one per
     key, so each gadget's twist equals the keystream parity its routing
     ciphertext will have at run time, independent of pad values and runtime
     outcomes.
 
+    Each layer's draws are one batch, in this order, one generator call each:
+      1. every level's seed (``he_keygen_chain``);
+      2. the nonces that encrypt each seed under the next level's key
+         (``encrypt_seed``);
+      3. every stream bit (``rng.integers(2)``): each wire's initial (a, b)
+         keys, then each gadget's x, z and e family bits;
+      4. one nonce pool for every gadget's pinned correction leaves, two per
+         leaf (``draw_nonces``), if there is a gadget.
+    Then, as the gadgets are built, RSP rounds come in pooled batches sized
+    by ``rsp_rows`` to the gadgets still to build, and a nonce pool is drawn
+    again only if the one above runs dry. No child generator is spawned: at
+    a shot's size one spawn costs more than the calls it saves.
+
     Every gadget is built here by ``gen_gadget``; a caller chooses only its
     two seams. ``rounds(left)`` returns the RSP round source, where
-    ``left()`` is the number of gadgets still to build, which sizes the
-    batches of a ``claw_round`` pool. None means the ideal sampler, one round
-    at a time. ``couple`` is ``gen_gadget``'s coupling step, by default the
-    local one. The wire protocol's coupler queues each gadget for the server
-    and returns no state, so the gadgets keygen then returns hold no states.
+    ``left()`` is the number of gadgets still to build, which sizes its
+    batches; a ``claw_round`` pool is one. None means the ideal sampler,
+    ``ideal_round``, each batch one draw. ``couple`` is ``gen_gadget``'s
+    coupling step, by default the local one. The wire protocol's coupler
+    queues each gadget for the server and returns no state, so the gadgets
+    keygen then returns hold no states.
     """
     _check_circuit(circuit, num_wires)
     n_gadgets = t_count(circuit)
     triples = he_keygen_chain(security, range(n_gadgets + 1), rng)
     sk_encs = encrypt_seed(triples, rng)
+    streams = rng.integers(2, size=2 * num_wires + 3 * n_gadgets).tolist()
+    # No draw without a gadget: rng.bytes(0) can still move the generator.
+    nonces = draw_nonces(rng, 2 * CORRECTION_LEAVES * n_gadgets) if n_gadgets else None
     gadgets: list[Gadget] = []
-    round_ = rsp_round_ideal if rounds is None else rounds(lambda: n_gadgets - len(gadgets))
-    init_stream_bits = tuple(map(tuple, rng.integers(2, size=(num_wires, 2)).tolist()))
+
+    def left() -> int:
+        return n_gadgets - len(gadgets)
+
+    round_ = ideal_round(left, deque()) if rounds is None else rounds(left)
+    init_stream_bits = tuple(zip(streams[0 : 2 * num_wires : 2], streams[1 : 2 * num_wires : 2]))
     parity = list(init_stream_bits)
     for g in circuit:
         if g.kind in CLIFFORD_KINDS:
@@ -143,7 +165,9 @@ def keygen(
         (w,) = g.wires
         ka, kb = parity[w]
         i = len(gadgets)
-        gadget, (dx, dz) = gen_gadget(triples[i + 1].pk, sk_encs[i], ka, rng, round_, couple)
+        family = streams[2 * num_wires + 3 * i : 2 * num_wires + 3 * i + 3]
+        gadget, (dx, dz) = gen_gadget(triples[i + 1].pk, sk_encs[i], ka, rng, round_, couple,
+                                      family, nonces)
         gadgets.append(gadget)
         if g.kind == "Tdagger":
             kb ^= ka

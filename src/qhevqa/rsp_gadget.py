@@ -27,12 +27,13 @@ acceptance tests, the bounded rejection loop and the correction
 ciphertexts. It is the same for a gadget built in this process and one built
 on a remote server; only two seams differ. ``round_(rng)`` hands out one
 preparation round as ``(theta_index, handle)``: locally the handle is the
-prepared state, remotely the server's qubit id. A round comes from the ideal
-sampler (in process only) or from ``claw_round``, the one claw-based recipe
-and the only remote one: a first-in, first-out pool refilled, only when it
-runs dry, with a batch sized by ``rsp_rows`` to the gadgets still to build,
-each round with a fresh 2-to-1 GF(2) linear function and its trapdoor (the
-hidden kernel vector), and the batch's two server steps called locally or
+prepared state, remotely the server's qubit id. Rounds come from a
+first-in, first-out pool (``pooled``) refilled, only when it runs dry, with
+a batch sized by ``rsp_rows`` to the gadgets still to build: from the ideal
+sampler (``ideal_round``, in process only), a batch is one draw; from
+``claw_round``, the one claw-based recipe and the only remote one, each
+round has a fresh 2-to-1 GF(2) linear function and its trapdoor (the hidden
+kernel vector), and the batch's two server steps are called locally or
 sent as messages. The rounds are independent instances, so every
 step works on the whole batch as arrays. ``couple(heads, tails, rejected,
 gadget)`` entangles the accepted pairs, drops the rejected rounds and returns
@@ -65,6 +66,7 @@ from .simulator import (
 
 PAIR_COUNT = 2
 GADGET_QUBITS = 2 * PAIR_COUNT
+CORRECTION_LEAVES = 4 * PAIR_COUNT  # each pair's x, z and two e ciphertexts
 # Claw function size (inputs, outputs) and the rounds one draw may take.
 RSP_N = RSP_MU = 4
 MAX_DRAWS = 512
@@ -153,11 +155,17 @@ def _read_only(state: StateVector) -> StateVector:
 
 # The four ideal preparations, shared by every ideal round, so read-only.
 _PLUS_THETA = tuple(_read_only(prepare_plus_theta(i * np.pi / 2)) for i in range(4))
+_IDEAL_ROUNDS = tuple(enumerate(_PLUS_THETA))
 
 
-def rsp_round_ideal(rng: np.random.Generator) -> tuple[int, StateVector]:
-    idx = int(rng.integers(4))
-    return idx, _PLUS_THETA[idx]
+def rsp_round_ideal(rng: np.random.Generator, size: int | None = None):
+    """One ideal round ``(theta_index, state)``, the state |+_theta> for a
+    uniform quarter turn; with ``size``, a list of ``size`` rounds from one
+    ``rng.integers`` draw."""
+    if size is None:
+        idx = int(rng.integers(4))
+        return idx, _PLUS_THETA[idx]
+    return list(map(_IDEAL_ROUNDS.__getitem__, rng.integers(4, size=size).tolist()))
 
 
 def rsp_server_commit(
@@ -250,6 +258,13 @@ def rsp_rows(gadgets: int) -> int:
     return min(RSP_BATCH, mean + math.ceil(3 * math.sqrt(mean)))
 
 
+def ideal_round(left, pool: deque):
+    """The ideal round, pooled over batches of ``rsp_rows(left())`` rounds,
+    ``left()`` the gadgets still to build; a batch is one ``rsp_round_ideal``
+    draw."""
+    return pooled(lambda rng: rsp_round_ideal(rng, rsp_rows(left())), pool)
+
+
 def claw_round(commit, measure, left, pool: deque):
     """The claw-based round, pooled over batches of ``rsp_rows(left())``
     rounds, ``left()`` the gadgets still to build.
@@ -316,6 +331,8 @@ def gen_gadget(
     rng: np.random.Generator,
     round_,
     couple=None,
+    streams: tuple[int, int, int] | None = None,
+    nonces=None,
 ) -> tuple[Gadget, tuple[int, int]]:
     """Build one conditional-phase gadget twisted by keystream parity ``k_bit``.
 
@@ -326,12 +343,13 @@ def gen_gadget(
     head 0, tail 0, head 1, tail 1. Corrections that the server picks by
     public runtime data (position and flip outcome) are encrypted with shared
     per-family keystream bits, keeping downstream keystream parities
-    choice-independent. Once the ciphertexts are built, ``couple(heads,
-    tails, rejected, gadget)`` gets the accepted handles, the rejected ones
-    in draw order and the gadget without its state, and returns the state.
-    It defaults to ``assemble_gadget_state``, which drops the rejected
-    states. Returns the gadget and ``(dx, dz)``, the keystream parities its
-    corrections add to the routed wire's a and b keys.
+    choice-independent; ``streams`` and ``nonces`` go to
+    ``build_gadget_ciphertexts``. Once the ciphertexts are built,
+    ``couple(heads, tails, rejected, gadget)`` gets the accepted handles, the
+    rejected ones in draw order and the gadget without its state, and
+    returns the state. It defaults to ``assemble_gadget_state``, which drops
+    the rejected states. Returns the gadget and ``(dx, dz)``, the keystream
+    parities its corrections add to the routed wire's a and b keys.
     """
     p = twist_bits(k_bit)
     heads, tails, rejected = [], [], []
@@ -342,7 +360,7 @@ def gen_gadget(
     tail_idx, tail_handles = zip(*tails)
     xs = tuple(theta_bits(i)[0] for i in head_idx)
     zs = tuple(theta_bits(i)[1] for i in tail_idx)
-    cts, parities = build_gadget_ciphertexts(pk_next, p, xs, zs, rng)
+    cts, parities = build_gadget_ciphertexts(pk_next, p, xs, zs, rng, streams, nonces)
     fields = ((*cts, *sk_enc), pk_next.level)
     if couple is None:
         state = assemble_gadget_state(head_handles, tail_handles)
@@ -379,16 +397,25 @@ def build_gadget_ciphertexts(
     xs: tuple[int, int],
     zs: tuple[int, int],
     rng: np.random.Generator,
+    streams: tuple[int, int, int] | None = None,
+    nonces=None,
 ) -> tuple[tuple[HECiphertext, ...], tuple[int, int]]:
     """Encrypt the per-pair correction bits with shared family keystream bits.
 
-    Returns the x, z and e ciphertexts, in order, and ``(dx, dz)``: an a key
-    gains the x family's keystream bit, a b key the z and e families' bits together.
+    ``streams`` holds the x, z and e families' keystream bits; None draws
+    them, one ``rng.integers(2, size=3)``. The ``CORRECTION_LEAVES`` pinned
+    leaves take their nonces from ``nonces``, a pool ``he_enc_bits`` shares
+    across calls, or from a pool of their own if None. Key generation passes
+    both, drawn for all its gadgets at once. Returns the x, z and e
+    ciphertexts, in order, and ``(dx, dz)``: an a key gains the x family's
+    keystream bit, a b key the z and e families' bits together.
     """
-    x_stream, z_stream, e_stream = rng.integers(2, size=3).tolist()
+    if streams is None:
+        streams = rng.integers(2, size=3).tolist()
+    x_stream, z_stream, e_stream = streams
     es = [p[j] & (xs[j] ^ v) for j in range(2) for v in range(2)]
-    streams = [x_stream] * 2 + [z_stream] * 2 + [e_stream] * 4
-    cts = he_enc_bits(pk_next, [*xs, *zs, *es], rng, streams)
+    pinned = [x_stream] * 2 + [z_stream] * 2 + [e_stream] * 4
+    cts = he_enc_bits(pk_next, [*xs, *zs, *es], rng, pinned, nonces)
     return cts, (x_stream, z_stream ^ e_stream)
 
 

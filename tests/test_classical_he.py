@@ -21,6 +21,7 @@ from qhevqa.classical_he import (
     _dec,
     ct_from_bytes,
     ct_to_bytes,
+    draw_nonces,
     encrypt_seed,
     he_const,
     he_dec,
@@ -156,6 +157,33 @@ class TestEncDec:
         assert not {ct.nonce for ct in cts} & set(wrong)
         assert [stream_bit(triple.pk, ct.nonce) for ct in cts] == [0] * 4
         assert _dec([triple.sk], *cts) == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_shared_pool_keeps_the_nonces_it_does_not_read(self, triple, seed):
+        # Calls that share a pool read it from the front by the pooled rule
+        # and leave the rest in it, drawing nothing while it holds nonces.
+        keystream = [int(k) for k in np.random.default_rng(200 + seed).integers(2, size=8)]
+        pool = draw_nonces(np.random.default_rng(seed), 64)
+        drawn, rng = list(pool), CountingRng(np.random.default_rng(seed))
+        for call in range(2):
+            start = 64 - len(pool)
+            cts = he_enc_bits(triple.pk, [1] * 8, rng, keystream, pool)
+            read = drawn[start : 64 - len(pool)]
+            served = CountingRng(None, [b"".join(read)])
+            assert [ct.nonce for ct in cts] == reference_pinned_nonces(triple.pk, keystream, served)
+            assert read[-1] in {ct.nonce for ct in cts} and list(pool) == drawn[64 - len(pool):]
+        assert rng.calls == []
+
+    def test_a_dry_shared_pool_draws_two_nonces_per_empty_slot(self, triple):
+        # An empty shared pool draws what a call's own pool would, and keeps
+        # the nonces that call leaves unread for the next.
+        keystream = [0, 1, 1, 0, 0, 0, 1, 1]
+        pool, rng = draw_nonces(np.random.default_rng(9), 0), CountingRng(np.random.default_rng(9))
+        shared = he_enc_bits(triple.pk, [0, 1] * 4, rng, keystream, pool)
+        own = he_enc_bits(triple.pk, [0, 1] * 4, np.random.default_rng(9), keystream)
+        assert shared == own and rng.calls[0] == 2 * NONCE_BYTES * 8
+        unread = np.random.default_rng(9).bytes(2 * NONCE_BYTES * 8)[-NONCE_BYTES * len(pool):]
+        assert b"".join(pool) == (unread if pool else b"")
 
     def test_ciphertexts_of_same_bit_differ(self, triple):
         rng = np.random.default_rng(5)

@@ -1451,10 +1451,12 @@ class TestDelegatedRuns:
         # The two returned keys give each run's sign, pinned; sign x value is
         # the plaintext <X x X>. Re-pinned at protocol version 8: RSP batches
         # sized to a run's T count move the client's later draws, its pads.
+        # Re-pinned again when keygen came to draw each layer in one call,
+        # which moves every later draw: the inputs, pads and Bell outcomes.
         for psi, sign, raw in runs:
             assert sign * raw == pytest.approx(xx_run(psi, circ, (2, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [
-            -1, -1, -1, 1, 1, -1, -1, -1, 1, -1, 1, -1, -1, 1, 1, -1,
+            -1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -1, -1, -1, -1, 1,
         ]
 
     def test_golden_faithful_transcript(self):
@@ -1472,7 +1474,10 @@ class TestDelegatedRuns:
         # the header's version byte; and again at protocol version 11, when
         # bit rows, gadget leaves and input keys came to travel as Blobs and
         # Hello's reply came under its own kind, with every row, leaf, sign
-        # and raw value unchanged. The RunRequest amplitudes carry no -0.0.
+        # and raw value unchanged; and again when keygen came to draw each
+        # layer in one call, which moves every gadget leaf and the pads, with
+        # every sign unchanged and the second run's raw value moved in its
+        # last bits. The RunRequest amplitudes carry no -0.0.
         # ``test_values_the_frames_carry_are_pinned`` pins the values apart
         # from the frames.
         transcript = hashlib.sha256()
@@ -1481,7 +1486,7 @@ class TestDelegatedRuns:
             assert sign * raw == pytest.approx(xx_run(psi, GOLDEN_CIRCUIT, (1, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [-1, -1, -1]
         assert transcript.hexdigest() == (
-            "67fe6734c6bf05d8e28131625568005ce3bce9e4cfc049318a0e8417825cf899"
+            "5b78be656909e2397f8f06aee6050768c6f75ba95ac09d1abd2f4e41f6c4e010"
         )
 
     def test_values_the_frames_carry_are_pinned(self):
@@ -1491,7 +1496,10 @@ class TestDelegatedRuns:
         # seeded digit rows' delegated-faithful features at epsilon 0.1 over
         # the in-process queue (session seed 4, each row's generator seeded
         # by its row number), all under one SHA-256. Recorded at protocol
-        # version 10.
+        # version 10. Re-recorded when keygen came to draw each layer in one
+        # call: the pads and gadget angles move, so the server's floats are
+        # rounded in another order: two of the four values moved, by 2.2e-16
+        # and 7.2e-16, and 12 of the 15 features, by at most 4.5e-16; no sign.
         digest = hashlib.sha256()
         runs = [*golden_runs(), top_up_window()[:3]]
         for _, sign, raw in runs:
@@ -1510,7 +1518,7 @@ class TestDelegatedRuns:
         client.done()
         thread.join(timeout=30)
         assert digest.hexdigest() == (
-            "6ed605a0d310d3fefda225e09b15b02870061eaa31a8716bc18bbd9239b78f59"
+            "12414f767a4a86bb9890024bbae6aeb5378fcc4be99f29831f39836be1b41faa"
         )
 
     def test_unknown_rsp_mode_is_refused(self):
@@ -1763,9 +1771,10 @@ class TestGadgetBudget:
         assert sign * raw == pytest.approx(xx_run(psi, TOP_UP_CIRCUIT, (0, 1)), abs=1e-9)
         # Every byte the client sent, top-up included, pinned; re-recorded at
         # protocol version 10, whose Hello has no mode, and at version 11,
-        # whose rows, gadget leaves and input keys travel as Blobs.
+        # whose rows, gadget leaves and input keys travel as Blobs; and when
+        # keygen came to draw each layer in one call, which moves the leaves.
         assert sent.hexdigest() == (
-            "6b07acc95c4052390579b883aaa932ad8646c140309c81304be78adf43430618"
+            "65bff52dccb9e62f83dd67981349753b93e989b89ea9cfc01234e817154a8e5c"
         )
 
     def test_a_deepest_window_fits_under_the_top_level(self):

@@ -1,6 +1,7 @@
 """Quantum homomorphic encryption: round trips, statistics, blindness."""
 import hashlib
 from collections import deque
+from operator import xor
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from qhevqa import classical_he, qhe, rsp_gadget
 from qhevqa.classical_he import (
+    LEAF,
+    NONCE_BYTES,
+    TAG_BYTES,
+    HECiphertext,
     HEError,
     ct_to_bytes,
     he_const,
@@ -30,11 +35,15 @@ from qhevqa.qhe import (
     xx_sign,
 )
 from qhevqa.rsp_gadget import (
+    CORRECTION_LEAVES,
     Gadget,
+    assemble_gadget_state,
     claw_round,
     consume_gadget,
+    rsp_rows,
     rsp_server_commit,
     rsp_server_measure,
+    theta_bits,
 )
 from qhevqa.simulator import (
     StateVector,
@@ -45,6 +54,7 @@ from qhevqa.simulator import (
     gate,
     measure,
     PauliString,
+    prepare_plus_theta,
     random_state,
 )
 
@@ -250,17 +260,19 @@ class TestOnePassDecryption:
         # Both digests were re-recorded when leaves came to be sealed by one
         # digest from pooled nonce draws, which moves every draw after the
         # first pinned leaf. Per-root decryption gave the same keys digest
-        # there, so one pass still reproduces it bit for bit.
+        # there, so one pass still reproduces it bit for bit. Re-recorded
+        # again when keygen came to draw each layer in one call: the input
+        # state, pads and Bell outcomes come from the generator after keygen.
         amps, keys = hashlib.sha256(), hashlib.sha256()
         for seed in range(3):
             client, cs = deep_cipherstate(seed)
             amps.update(decrypt_state(client, cs).amplitudes.tobytes())
             keys.update(bytes(b for pair in decrypt_keys(client, cs) for b in pair))
         assert amps.hexdigest() == (
-            "62ab58939e9b1d667fb332922a2562f3c72a79f2bacc259a231eb1449478c7e9"
+            "79fdaeb7c2d8f6a68527bdd6c7822a4a29fc24007e5e65b94bcc12a8ff2efd6b"
         )
         assert keys.hexdigest() == (
-            "4d1d0e9371f97662a6a002751fa1968bff0973393a8b15c314673bf267de5b48"
+            "3970ef5350d0f11c4a639a708cd6659fc7f5e2b07654e8b896df1cffa989f222"
         )
 
     def test_deep_keygen_bytes_are_pinned(self):
@@ -268,7 +280,9 @@ class TestOnePassDecryption:
         # circuits: the twists and keystream bits keygen plans for 200 T/T†.
         # Re-recorded when a leaf came to be encoded as one node, without the
         # node-table count byte 01 in front; with it, the old digest
-        # 68684a71... is reproduced byte for byte.
+        # 68684a71... is reproduced byte for byte. Re-recorded when keygen
+        # came to draw each layer in one call (stream bits, one nonce pool,
+        # ideal rounds in batches), which moves every leaf's nonce.
         digest = hashlib.sha256()
         for seed in range(2):
             rng = np.random.default_rng(100 + seed)
@@ -282,13 +296,15 @@ class TestOnePassDecryption:
                 for ct in pair:
                     digest.update(ct_to_bytes(ct))
         assert digest.hexdigest() == (
-            "8d36721bcf13a6ff70a1f0883cb04c68b16341fa44f19799ea0fcb3599287c54"
+            "e314b367404cb3caca7933e864276ae025511718f6bb5c1ecec5894e02b01c7c"
         )
 
     def test_local_claw_keygen_bytes_are_pinned(self):
         # The client keys, and every gadget's ciphertexts and pair states, of
         # a key generation whose claw-based rounds run in process. 70 T/T†
         # need more rounds than one batch holds, so the pool is refilled.
+        # Re-recorded when keygen came to draw all its stream bits and one
+        # nonce pool before the first claw batch.
         rng = np.random.default_rng(30)
         client, gadgets = claw_keygen(4, deep_circuit(rng, t_gates=70), rng)
         digest = hashlib.sha256()
@@ -302,7 +318,7 @@ class TestOnePassDecryption:
                 digest.update(pair.tobytes())
         assert len(gadgets) == 70
         assert digest.hexdigest() == (
-            "b7f51a2e7c3fb17e9e3714ae6bb61e5eb709e628de1404c4f1597e7f966793e1"
+            "608181b28193bf04f3f7c7ee31e75b78224249c43de75bfccf0d7721d1539a27"
         )
 
     def test_deep_round_trip_bytes_are_pinned(self):
@@ -310,6 +326,7 @@ class TestOnePassDecryption:
         # trips: every gadget's encrypted seed and ideal pair states, every
         # evaluated key's bytes, the padded register, and the generator's
         # state after decryption (through the next 8 bytes it draws).
+        # Re-recorded when keygen came to draw each layer in one call.
         digest = hashlib.sha256()
         for seed in range(2):
             rng = np.random.default_rng(seed)
@@ -329,7 +346,7 @@ class TestOnePassDecryption:
             decrypt_state(client, cs)
             digest.update(rng.bytes(8))
         assert digest.hexdigest() == (
-            "05fe6985d5dcd48482fdf1856623bec2416a1bce5899f0328bd26c6456ea95e5"
+            "c19e28ca2490c08839cf7474448c09ba20261063e1316c261095e0786d75be82"
         )
 
     def test_one_decrypt_pass_per_request(self, monkeypatch):
@@ -516,3 +533,151 @@ class TestPackedEvaluation:
             for evaluate in (eval_circuit, node_eval_circuit):
                 with pytest.raises(HEError):
                     evaluate(cs, circ[:1], shuffled, np.random.default_rng(0))
+
+
+class CallLog:
+    """A forwarding proxy of a ``Generator`` that logs every call it forwards:
+    the method's name, its arguments and its keyword arguments."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def call(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return call
+
+
+def pinned_leaves(pk, bits, pinned, nonces, refills):
+    """The pinned rule over a pool shared from one call to the next: each
+    nonce from the front of ``nonces`` fills the first empty slot that wants
+    its stream bit, or is dropped. A dry pool takes the next of ``refills``,
+    which must hold two nonces per empty slot. Returns the leaves."""
+    leaves = [None] * len(bits)
+    while None in leaves:
+        if not nonces:
+            pool = refills.pop(0)
+            assert len(pool) == 2 * NONCE_BYTES * leaves.count(None)
+            nonces.extend(pool[i : i + NONCE_BYTES] for i in range(0, len(pool), NONCE_BYTES))
+        nonce = nonces.popleft()
+        digest = hashlib.sha256(pk.stream_seed + nonce + b"seal").digest()
+        stream = digest[0] & 1
+        for i, k in enumerate(pinned):
+            if leaves[i] is None and k == stream:
+                leaves[i] = HECiphertext(LEAF, pk.level, nonce, bits[i] ^ stream,
+                                         digest[1 : 1 + TAG_BYTES])
+                break
+    return tuple(leaves)
+
+
+# Generator calls one keygen may make, whatever its T count: the four named
+# layers, a few ideal-round batches and the rare nonce refill.
+MAX_KEYGEN_CALLS = 12
+
+
+class TestKeygenDraws:
+    @pytest.mark.parametrize("t_gates", [1, 200])
+    def test_keygen_makes_a_fixed_number_of_generator_calls(self, t_gates):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            circ = deep_circuit(rng, t_gates=t_gates)
+            log = CallLog(rng)
+            keygen(16, 4, circ, log)
+            assert len(log.calls) <= MAX_KEYGEN_CALLS
+
+    def test_the_ideal_sampler_draws_once_per_batch(self, monkeypatch):
+        # Each batch is one rng.integers call of rsp_rows(gadgets left) rounds.
+        batches, ideal = [], rsp_gadget.rsp_round_ideal
+
+        def batch(rng, size=None):
+            before = len(rng.calls)
+            rounds = ideal(rng, size)
+            batches.append((size, len(rounds), rng.calls[before:]))
+            return rounds
+
+        monkeypatch.setattr(rsp_gadget, "rsp_round_ideal", batch)
+        rng = np.random.default_rng(5)
+        circ = deep_circuit(rng)
+        keygen(16, 4, circ, CallLog(rng))
+        assert len(batches) >= 2 and batches[0][0] == rsp_rows(200)
+        for size, got, calls in batches:
+            assert got == size and calls == [("integers", (4,), {"size": size})]
+
+    @pytest.mark.parametrize("seed, t_gates", [(0, 0), (0, 1), (1, 1), (2, 70), (3, 200)])
+    def test_keygen_draws_replay_in_their_named_order(self, seed, t_gates):
+        # A twin generator replays the named layers, then the logged ideal
+        # batches and nonce refills in their order. The seeds, the encrypted
+        # seeds' nonces, the stream bits, every gadget's leaves (by the
+        # pinned rule over the shared pool) and states (by the acceptance
+        # rule over the replayed rounds), and the generator state after all
+        # come out the same. (0, 1) refills the nonce pool once.
+        rng = np.random.default_rng(seed)
+        circ, w = deep_circuit(rng, t_gates=t_gates), 4
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        log = CallLog(rng)
+        client, gadgets = keygen(16, w, circ, log)
+        n, width, stride = t_gates, 2, 4  # 16-bit seeds, each one 32-bit word
+        # A keygen with no gadget draws neither nonce layer.
+        seed_size = NONCE_BYTES * 8 * width * n
+        pool_size = 2 * NONCE_BYTES * CORRECTION_LEAVES * n
+        named = [("bytes", (stride * (n + 1),), {})] + [("bytes", (seed_size,), {})] * bool(n) + [
+            ("integers", (2,), {"size": 2 * w + 3 * n})] + [("bytes", (pool_size,), {})] * bool(n)
+        assert log.calls[: len(named)] == named
+        seeds = twin.bytes(stride * (n + 1))
+        seed_nonces = twin.bytes(seed_size) if n else b""
+        streams = twin.integers(2, size=2 * w + 3 * n).tolist()
+        pool = twin.bytes(pool_size) if n else b""
+        rounds, sizes, refills = [], [], []
+        for name, args, kwargs in log.calls[len(named):]:
+            if name == "integers":
+                assert args == (4,) and list(kwargs) == ["size"]
+                rounds += twin.integers(4, size=kwargs["size"]).tolist()
+                sizes.append(kwargs["size"])
+            else:
+                assert name == "bytes" and not kwargs
+                refills.append(twin.bytes(*args))
+        assert twin.bit_generator.state == rng.bit_generator.state
+        assert (seed, t_gates) != (0, 1) or len(refills) == 1
+
+        assert [t.sk.seed for t in client.triples] == [
+            seeds[stride * i : stride * i + width] for i in range(n + 1)]
+        assert [leaf.nonce for g in gadgets for leaf in g.sk_enc] == [
+            seed_nonces[i : i + NONCE_BYTES] for i in range(0, len(seed_nonces), NONCE_BYTES)]
+        assert client.init_stream_bits == tuple(zip(streams[0 : 2 * w : 2], streams[1 : 2 * w : 2]))
+        nonces = deque(pool[i : i + NONCE_BYTES] for i in range(0, len(pool), NONCE_BYTES))
+        fifo, parity, built = iter(rounds), list(client.init_stream_bits), iter(gadgets)
+        for g in circ:
+            if g.kind in CLIFFORD_KINDS:
+                update_keys(parity, g, xor)
+                continue
+            (wire,) = g.wires
+            gadget = next(built)
+            i = gadget.level - 1
+            ka, kb = parity[wire]
+            x_s, z_s, e_s = streams[2 * w + 3 * i : 2 * w + 3 * i + 3]
+            heads, tails = [], []
+            for j in range(2):  # head 0, tail 0, head 1, tail 1
+                heads.append(next(r for r in fifo if r in (0, 2)))
+                tails.append(next(r for r in fifo if r & 1 == j ^ ka))
+            plus = [prepare_plus_theta(r * np.pi / 2) for r in heads + tails]
+            for got, want in zip(gadget.state, assemble_gadget_state(plus[:2], plus[2:])):
+                assert got.tobytes() == want.tobytes()
+            xs = [theta_bits(r)[0] for r in heads]
+            zs = [theta_bits(r)[1] for r in tails]
+            es = [(j ^ ka) & (xs[j] ^ v) for j in range(2) for v in range(2)]
+            pinned = [x_s] * 2 + [z_s] * 2 + [e_s] * 4
+            pk = client.triples[i + 1].pk
+            assert gadget.leaves[:CORRECTION_LEAVES] == pinned_leaves(
+                pk, xs + zs + es, pinned, nonces, refills)
+            if g.kind == "Tdagger":
+                kb ^= ka
+            parity[wire] = (ka ^ x_s, kb ^ z_s ^ e_s)
+        assert next(built, None) is None and not refills
+        if n:  # batches shrink with the gadgets left, and the last one was needed
+            assert sizes[0] == rsp_rows(n) and sizes == sorted(sizes, reverse=True)
+            assert len(list(fifo)) < sizes[-1]
