@@ -1521,6 +1521,46 @@ class TestDelegatedRuns:
             "12414f767a4a86bb9890024bbae6aeb5378fcc4be99f29831f39836be1b41faa"
         )
 
+    def test_the_registers_the_server_runs_are_pinned(self, monkeypatch):
+        # What a change of the register's encoding must keep: the exact
+        # little-endian complex128 bytes of every register the server runs,
+        # for the delegated-exact features of three seeded digit rows over
+        # the in-process queue (session seed 4, each row's generator seeded
+        # by its row number: 15 windows of 6 wires), then the golden
+        # transcript's three homomorphic runs and the top-up window's run,
+        # all under one SHA-256. Recorded at protocol version 11, where the
+        # register travelled as JSON (re, im) pairs.
+        taken = []
+
+        def recording(run, register_of):
+            def run_and_record(*args):
+                amplitudes = register_of(args[0]).amplitudes
+                taken.append(np.ascontiguousarray(amplitudes, "<c16").tobytes())
+                return run(*args)
+            return run_and_record
+
+        monkeypatch.setattr(protocol, "xx_run", recording(xx_run, lambda state: state))
+        monkeypatch.setattr(protocol, "xx_run_homomorphic",
+                            recording(vqa.xx_run_homomorphic, lambda cs: cs.register))
+        data = load_digits_csv()
+        model = ShadowModel(REFERENCE_THETA_INIT, np.zeros(data.n - 1), 0.0, data.n)
+        channel, _session, thread = serve_inproc()
+        client = ClientSession(channel)
+        client.hello(4)
+        evaluator = make_exact_evaluator(client)
+        for row in (3, 40, 77):
+            psi = amplitude_encode(data.samples[row][0], data.n)
+            shadow_features(psi, model, "delegated-exact-gates", np.random.default_rng(row),
+                            evaluator=evaluator)
+        client.done()
+        thread.join(timeout=30)
+        golden_runs()
+        top_up_window()
+        assert len(taken) == 3 * (data.n - 1) + 4
+        assert hashlib.sha256(b"".join(taken)).hexdigest() == (
+            "89e085516b0e59863a2583696224f333ee3baa5164f083521eba73e6619ce6a5"
+        )
+
     def test_unknown_rsp_mode_is_refused(self):
         # Remote RSP is claw-based only; the ideal sampler is local.
         channel, session, thread = serve_inproc()
