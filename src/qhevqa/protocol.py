@@ -15,9 +15,10 @@ The server performs all quantum actions (remote state preparation rounds, pair
 coupling, homomorphic evaluation, the <X x X> readout) and only ever sees
 public structure, fresh encryptions, padded amplitudes and the circuits it
 runs; the client keeps the trapdoors, the key chain, the data and the trained
-model. Each bit row or ciphertext the server takes is in a ``Blob``, canonical
-base64 of fixed-width records: packed bit rows, or a leaf table at a level the
-frame carries; only the keys a run returns travel as hex. Remote state
+model. Each bit row, ciphertext or register the server takes is in a
+``Blob``, canonical base64 of fixed-width records: packed bit rows, a leaf
+table at a level the frame carries, or a register's little-endian complex128
+amplitudes; only the keys a run returns travel as hex. Remote state
 preparation runs in batches sized to a key generation's T count, of up to
 ``RSP_BATCH`` rounds, one request and one reply frame per batch and step. A
 key generation's gadgets (their coupling instructions and leaves) and the
@@ -39,8 +40,8 @@ so a run is replayable and transport-independent.
 
 Simulation seam: states crossing the wire (the padded input register, remotely
 prepared qubits held server-side) are simulator objects; the input register
-travels as (re, im) amplitude pairs, which a physical protocol
-would of course never do. The classical transcript is real wire traffic in
+travels as its complex128 amplitudes, which a physical protocol would of
+course never do. The classical transcript is real wire traffic in
 both modes.
 """
 from __future__ import annotations
@@ -89,7 +90,7 @@ from .simulator import (
 from .skdecomp import BASE_LENGTH, MAX_DEPTH
 from .vqa import exact_evaluator, faithful_evaluator, train, xx_run, xx_run_homomorphic
 
-VERSION = 11
+VERSION = 12
 MAX_FRAME = 16 * 1024 * 1024
 # RSP qubits a session holds, committed or prepared: one gadget's worst-case
 # draws plus one batch. A gadget frame couples four held qubits per gadget.
@@ -293,15 +294,6 @@ def connect_tcp(host: str | None = None, port: int | None = None) -> TcpChannel:
 # --- JSON <-> simulator conversions ----------------------------------------
 
 
-def amps_to_json(state: StateVector) -> list[list[float]]:
-    return np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, 2).tolist()
-
-
-def amps_from_json(pairs, num_qubits: int) -> StateVector:
-    """The register of (re, im) pairs that ``validate`` has accepted."""
-    return StateVector(num_qubits, np.asarray(pairs, dtype=float).view(complex).ravel())
-
-
 def circuit_to_json(circuit: list[Gate]) -> list[dict]:
     return [{"kind": g.kind, "wires": list(g.wires)} if g.angle is None else
             {"kind": g.kind, "wires": list(g.wires), "angle": float(g.angle)} for g in circuit]
@@ -313,7 +305,8 @@ def circuit_from_json(entries) -> list[Gate]:
 
 
 def to_blob(records) -> str:
-    """``Blob`` text of a leaf table, or of a bit array's rows packed little-endian."""
+    """``Blob`` text of bytes (a leaf table, a register's amplitudes), or of a
+    bit array's rows packed little-endian."""
     if type(records) is not bytes:
         bits = np.asarray(records, dtype=np.uint8)
         rows = bits.reshape(len(bits), math.prod(bits.shape[1:]))
@@ -344,8 +337,9 @@ Enum = namedtuple("Enum", "values")  # a str or bool among the values
 Str = namedtuple("Str", ())
 Ct = namedtuple("Ct", "level")  # a hex ciphertext whose root sits at the level
 Seq = namedtuple("Seq", "item lo hi distinct", defaults=(0, None, False))  # lo..hi items
-Amps = namedtuple("Amps", "wires")  # (re, im) pairs of a unit-norm 2**wires register
-Blob = namedtuple("Blob", "lo hi shape level", defaults=(None,))  # base64 bit rows or leaves
+# Base64 rows of the shape's bits or, at a level, of its leaves; a register's
+# records are amplitudes, 2**lo to 2**hi of them.
+Blob = namedtuple("Blob", "lo hi shape level register", defaults=(None, False))
 Opt = namedtuple("Opt", "type default", defaults=(None,))  # absent or null: default
 Rec = namedtuple("Rec", "fields")  # an object with no fields but these
 Variants = namedtuple("Variants", "tag cases")  # tag None: the one case key present
@@ -385,7 +379,8 @@ def _run_request(use_gadgets: bool, kinds) -> Rec:
                      **({"angle": Num()} if k in ROTATION_1Q else {})}) for k in kinds}
     keys = {"enc_keys": Blob("num_wires", "num_wires", (2,), 0)} if use_gadgets else {}
     return Rec({
-        "num_wires": Int(1, MAX_QUBITS), "amps": Amps("num_wires"),  # bounded before 2**n
+        "num_wires": Int(1, MAX_QUBITS),  # bounded before 2**n
+        "amps": Blob("num_wires", "num_wires", (), register=True),
         **keys,
         "circuit": Seq(Variants("kind", gates)),
         "wires": Seq(WIRE, 2, 2, True),
@@ -462,19 +457,11 @@ def validate(spec, value, ctx):
         return validate(spec.cases[keys[0]], value, ctx)
     elif t is Opt:
         return spec.default if value is None else validate(spec.type, value, ctx)
-    elif t is Amps:
-        n = 2 ** ctx[spec.wires]
-        with suppress(TypeError, OverflowError):  # a row with no length, an int past a float
-            if type(value) is list and len(value) == n and set(map(len, value)) == {2}:
-                flat = list(chain.from_iterable(value))
-                if set(map(type, flat)) <= {int, float}:
-                    arr = np.array(flat, dtype=float)
-                    # One dot product checks finiteness and norm: NaN or inf fails the bound.
-                    if abs(arr @ arr - 1) <= 1e-9:
-                        return arr
-    elif t is Blob:  # rows of the shape's bits, or with a level, of its leaves built there
+    elif t is Blob:  # rows of the shape's bits, of its leaves built at a level, or amplitudes
         lo, hi, width = _bound(spec.lo, ctx), _bound(spec.hi, ctx), math.prod(spec.shape)
         size = -(-width // 8) if spec.level is None else LEAF_BYTES * width
+        if spec.register:  # 2**wires amplitudes, each a (re, im) pair of float64
+            lo, hi, size = 2**lo, 2**hi, 16
         data = b""  # unless value is decoded: b"" is the text "" only
         if type(value) is str and len(value) <= 4 * -(-hi * size // 3):  # bounded before decoding
             with suppress(ValueError):  # a character outside the alphabet, bad padding
@@ -482,7 +469,15 @@ def validate(spec, value, ctx):
         rows, part = divmod(len(data), size)
         # One text per value: "AB==" decodes too, to the byte of "AA==".
         if not part and lo <= rows <= hi and base64.b64encode(data).decode() == value:
-            if spec.level is None:
+            if spec.register:
+                floats = np.frombuffer(data, "<f8")
+                # One dot product checks finiteness and norm: NaN or inf fails the
+                # bound. A signalling NaN or an overflow fails it without a warning.
+                with np.errstate(invalid="ignore", over="ignore"):
+                    norm = floats @ floats
+                if abs(norm - 1) <= 1e-9:
+                    return floats.view("<c16").copy()  # writable: the server runs on it
+            elif spec.level is None:
                 bits = np.unpackbits(np.frombuffer(data, "u1"), bitorder="little")
                 bits = bits.reshape(rows, 8 * size)  # bit j of a row: j % 8 of byte j // 8
                 if not bits[:, width:].any():  # the unused high bits are zero
@@ -624,7 +619,7 @@ class ServerSession:
         two wires' updated (a, b) pairs in ``wires`` order; a
         compensated-circuit run leaves keys with the client."""
         circuit, wires = circuit_from_json(p["circuit"]), p["wires"]
-        register = amps_from_json(p["amps"], p["num_wires"])
+        register = StateVector(p["num_wires"], p["amps"])
         if not p["use_gadgets"]:
             self._reply("ShotResults", {"value": xx_run(register, circuit, wires)})
             return
@@ -847,7 +842,8 @@ class ClientSession:
         the raw value and, for a homomorphic run, the two wires' updated
         (a, b) key pairs in ``wires`` order, decoded and checked to sit at the
         run's T count."""
-        payload = {"num_wires": register.num_qubits, "amps": amps_to_json(register),
+        amps = np.ascontiguousarray(register.amplitudes, "<c16").tobytes()
+        payload = {"num_wires": register.num_qubits, "amps": to_blob(amps),
                    "circuit": circuit_to_json(circuit), "wires": list(wires),
                    "use_gadgets": enc_keys is not None}
         if enc_keys is not None:

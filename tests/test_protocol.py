@@ -23,7 +23,6 @@ from qhevqa.classical_he import (
     leaves_to_bytes,
 )
 from qhevqa.protocol import (
-    Amps,
     Blob,
     ChannelClosed,
     ClientSession,
@@ -47,8 +46,6 @@ from qhevqa.protocol import (
     VERSION,
     Variants,
     Wire,
-    amps_from_json,
-    amps_to_json,
     circuit_from_json,
     circuit_to_json,
     connect_tcp,
@@ -112,6 +109,7 @@ def broken_ct_decoder(*args):
 
 
 GADGET_LEAVES = protocol.GADGET.fields["leaves"].lo  # the leaves of a gadget in a frame
+REGISTER = SCHEMA["RunRequest"].payload.cases[False].fields["amps"]  # a run's padded input
 
 
 HOSTILE_KEYS = ("above", "order", "repeat", 2, 3, 4, 5)
@@ -147,6 +145,12 @@ def spoil_first_key(payload, kind):
 def key_blob(pairs):
     """Level-0 key pairs as a RunRequest carries them: one leaf table."""
     return to_blob(leaves_to_bytes([k for pair in pairs for k in pair], 0))
+
+
+def amps_blob(amplitudes):
+    """A register's amplitudes as a RunRequest carries them: a ``Blob`` of
+    little-endian complex128 records."""
+    return to_blob(np.ascontiguousarray(amplitudes, "<c16").tobytes())
 
 
 def blob_leaves(text, level):
@@ -381,16 +385,15 @@ class TestPhaseMachine:
 
 class TestConversions:
     def test_amps_round_trip(self):
-        rng = np.random.default_rng(0)
-        psi = random_state(3, rng)
-        back = amps_from_json(amps_to_json(psi), 3)
-        assert fidelity(back, psi) == pytest.approx(1.0, abs=1e-12)
+        psi = random_state(3, np.random.default_rng(0))
+        back = validate(REGISTER, amps_blob(psi.amplitudes), {"num_wires": 3})
+        assert back.tobytes() == psi.amplitudes.tobytes() and back.flags.writeable
 
     def test_amps_length_check(self):
-        # amps_from_json converts validated pairs; the count is the schema's check.
+        # The record count is 2**num_wires, checked by the schema.
         run = SCHEMA["RunRequest"].payload.cases[False]
         with pytest.raises(ProtocolError, match="payload: amps"):
-            validate(run, {"num_wires": 2, "amps": [[1.0, 0.0]]}, {})
+            validate(run, {"num_wires": 2, "amps": amps_blob([1.0])}, {})
 
     def test_circuit_round_trip(self):
         circ = [gate("H", 0), gate("RX", 1, angle=0.7), gate("CNOT", 0, 1)]
@@ -482,6 +485,56 @@ class TestPackedRows:
             text = bits.tolist()
         with pytest.raises(ProtocolError) as exc:
             validate(Blob(rows, rows, shape), text, {})
+        assert exc.value.code == "payload"
+
+
+@st.composite
+def unit_registers(draw):
+    """(wires, float64 parts) of a register of 1 to 4 wires with unit norm:
+    random parts, some of them -0.0, some subnormal, some moved one ulp."""
+    wires = draw(st.integers(1, 4))
+    floats = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=2 ** (wires + 1))
+    index = st.integers(0, len(floats) - 1)
+    zeros, tiny, moved = (draw(st.sets(index, max_size=3)) for _ in range(3))
+    assume(len(zeros | tiny) < len(floats))
+    floats[list(zeros | tiny)] = -0.0
+    floats /= np.linalg.norm(floats)
+    for i in tiny:  # a subnormal adds nothing to the norm
+        floats[i] = draw(st.floats(-2.2e-308, 2.2e-308).filter(lambda x: x != 0))
+    for i in moved:
+        floats[i] = np.nextafter(floats[i], draw(st.sampled_from([-np.inf, np.inf])))
+    return wires, floats
+
+
+class TestRegisterBlob:
+    """A register travels as a ``Blob`` of its 2**wires amplitudes, each a
+    little-endian complex128 record: bit for bit, or refused."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_registers())
+    def test_unit_norm_registers_round_trip_bit_exactly(self, drawn):
+        wires, floats = drawn
+        assert abs(floats @ floats - 1) <= 1e-9
+        back = validate(REGISTER, amps_blob(floats.view(complex)), {"num_wires": wires})
+        state = StateVector(wires, back)
+        assert state.amplitudes.tobytes() == floats.tobytes()  # -0.0 and subnormals too
+        assert state.amplitudes.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_registers(), st.sampled_from(["nan", "inf", "norm"]), st.data())
+    def test_non_finite_and_off_norm_registers_are_refused(self, drawn, spoil, data):
+        wires, floats = drawn
+        if spoil == "norm":
+            off = data.draw(st.floats(2e-9, 1.0)) * data.draw(st.sampled_from([-1, 1]))
+            floats = floats * np.sqrt(1 + off)
+            assume(abs(floats @ floats - 1) > 1e-9)
+        else:  # any sign and, for a NaN, any payload
+            exponent = 0x7FF << 52 | (data.draw(st.integers(0, 1)) << 63)
+            mantissa = data.draw(st.integers(1, 2**52 - 1)) if spoil == "nan" else 0
+            i = data.draw(st.integers(0, len(floats) - 1))
+            floats[i] = np.array([exponent | mantissa], dtype=np.uint64).view(float)[0]
+        with pytest.raises(ProtocolError) as exc:
+            validate(REGISTER, amps_blob(floats.view(complex)), {"num_wires": wires})
         assert exc.value.code == "payload"
 
 
@@ -595,7 +648,7 @@ class TestHostilePayloads:
     def run(circuit, wires=(0, 1), enc_keys=None):
         """A RunRequest payload on two qubits in |00> that reads the <X x X>
         of ``wires``, homomorphic when ``enc_keys`` (a ``key_blob``) is given."""
-        payload = {"num_wires": 2, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * 3, "circuit": circuit,
+        payload = {"num_wires": 2, "amps": amps_blob([1, 0, 0, 0]), "circuit": circuit,
                    "wires": wires, "use_gadgets": enc_keys is not None}
         return payload if enc_keys is None else {**payload, "enc_keys": enc_keys}
 
@@ -653,17 +706,17 @@ class TestHostilePayloads:
         channel, _session, thread, client = self.open_session()
         channel.send(Message("RunRequest", {
             **self.run([]),
-            "num_wires": num_wires, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * (amps - 1),
+            "num_wires": num_wires, "amps": amps_blob([1] + [0] * (amps - 1)),
         }))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
 
-    @pytest.mark.parametrize("enc_keys", [5, [[1, 2, 3]] * 2, [[1, 2]] * 2, [["00", "zz"]] * 2])
+    @pytest.mark.parametrize("enc_keys", [5, [[1, 2, 3]] * 2, [[1, 2]] * 2])
     def test_bad_enc_keys_leave_the_register_alone(self, enc_keys):
         # enc_keys is checked and decoded before the register is run and any
-        # gadget is taken: a value other than one Blob string, such as
-        # version 10's hex pairs, is refused.
+        # gadget is taken: a value other than one Blob string is refused
+        # (version 10's hex pairs: test_input_keys_the_run_cannot_use_are_refused).
         channel, session, thread, _keys = self.gadget_session()
         channel.send(Message("RunRequest", self.run(
             [{"kind": "T", "wires": [0]}], enc_keys=enc_keys)))
@@ -857,13 +910,6 @@ class TestHostilePayloads:
         thread.join(timeout=5)
         assert session.qubits == qubits
 
-    def test_bool_declared_count_is_refused(self):
-        channel, _session, thread, _client = self.open_session()
-        channel.send(Message("GadgetClassical", {"declare": True}))
-        reply = channel.recv()
-        assert reply.kind == "Error" and reply.payload["code"] == "payload"
-        thread.join(timeout=5)
-
     def test_a_declare_frame_is_refused(self):
         # A gadget frame is gadgets and discards only: version 9's declared
         # count, which the server acknowledged and dropped, is refused.
@@ -1044,7 +1090,8 @@ class TestHostilePayloads:
         "matrix-short", "matrix-long", "matrix-char", "matrix-space", "matrix-newline",
         "matrix-int", "alphas-pad", "alphas-wide", "alphas-list", "leaf-masked-2",
         "gadget-23-leaves", "gadget-25-leaves", "keys-for-1-wire", "keys-for-3-wires",
-        "keys-in-a-list",
+        "keys-in-a-list", "register-short", "register-long", "register-char",
+        "register-pad",
     ])
     def test_hostile_blobs_are_refused_and_change_nothing(self, case):
         # Every kind of Blob the server takes, spoiled: a text a byte short
@@ -1052,9 +1099,11 @@ class TestHostilePayloads:
         # whitespace, non-canonical pad bits ("AB==" decodes to the byte of
         # "AA=="), a row bit past its shape, a leaf whose masked byte is 2, a
         # gadget of 23 or 25 leaves, key pairs for one wire too few or too
-        # many, or a value that is not a string. Each is refused as a bad
-        # payload, on a session with a queued gadget, prepared qubits and a
-        # committed round, none of which changes.
+        # many, a register an amplitude short or long, or a value that is not
+        # a string. Each is refused as a bad payload, on a session with a
+        # queued gadget, prepared qubits and a committed round, none of which
+        # changes. Registers that are not finite or off unit norm:
+        # test_registers_must_be_finite_with_unit_norm.
         channel, session, thread, keys = self.gadget_session()
         held = prepare_rsp(channel, 4)
         (pending,) = commit_rsp(channel)
@@ -1065,8 +1114,11 @@ class TestHostilePayloads:
             frame["gadgets"][0].update(self.bundle(level=2, **spoil))
             return frame
 
-        def run(enc_keys):
-            return self.run(circuit_to_json(t_run), enc_keys=enc_keys)
+        def run(enc_keys=keys, amps=(1, 0, 0, 0)):
+            payload = self.run(circuit_to_json(t_run), enc_keys=enc_keys)
+            return {**payload, "amps": amps if type(amps) is str else amps_blob(amps)}
+
+        register = amps_blob([1, 0, 0, 0])
 
         kind, payload = {
             "matrix-short": ("RspBasis", {"matrix": to_blob(bytes(1))}),
@@ -1084,6 +1136,10 @@ class TestHostilePayloads:
             "keys-for-1-wire": ("RunRequest", run(key_blob([pair]))),
             "keys-for-3-wires": ("RunRequest", run(key_blob([pair] * 3))),
             "keys-in-a-list": ("RunRequest", run([keys])),
+            "register-short": ("RunRequest", run(amps=[1, 0, 0])),
+            "register-long": ("RunRequest", run(amps=[1, 0, 0, 0, 0])),
+            "register-char": ("RunRequest", run(amps="-" + register[1:])),
+            "register-pad": ("RunRequest", run(amps=noncanonical(register))),
         }[case]
         assert to_blob(bytes([0])) == "AA==" and base64.b64decode("AB==") == bytes([0])
         before = session_view(session)
@@ -1094,21 +1150,26 @@ class TestHostilePayloads:
         assert session_view(session)[1] == before[1]
 
     @pytest.mark.parametrize("amps", [
-        [[0.0, 0.0], [0.0, 0.0]],
-        [[float("nan"), 0.0], [1.0, 0.0]],
-        [[float("inf"), 0.0], [0.0, 0.0]],
-        [[True, 0.0], [0.0, 0.0]],
-        [["1.0", 0.0], [0.0, 0.0]],
-        [[1.0, 0.0], [1.0, 0.0]],
-    ])
+        amps_blob([0, 0, 0, 0]),
+        amps_blob([complex("nan"), 1, 0, 0]),
+        amps_blob([complex("inf"), 0, 0, 0]),
+        amps_blob([complex(0, -np.inf), 1, 0, 0]),
+        [[1.0, 0.0]] + [[0.0, 0.0]] * 3,
+        amps_blob([1 + 1e-9, 0, 0, 0]),
+    ], ids=[f"amps{i}" for i in range(6)])  # the ids of version 11's lists of pairs
     def test_registers_must_be_finite_with_unit_norm(self, amps):
-        channel, _session, thread, client = self.open_session()
-        channel.send(Message("RunRequest", {
-            **self.run([]), "amps": amps + [[0.0, 0.0]] * 2,
-        }))
+        # A register of zeros, with a NaN, an infinite real or imaginary
+        # part, or with a squared norm 2e-9 off 1 is refused, and so is
+        # version 11's list of (re, im) pairs, before the queued gadget is
+        # taken.
+        channel, session, thread, keys = self.gadget_session()
+        before = session_view(session)
+        payload = self.run([{"kind": "T", "wires": [0]}], enc_keys=keys)
+        channel.send(Message("RunRequest", {**payload, "amps": amps}))
         reply = channel.recv()
         assert reply.kind == "Error" and reply.payload["code"] == "payload"
         thread.join(timeout=5)
+        assert session_view(session)[1] == before[1]
 
     def test_near_unit_norm_register_is_accepted(self):
         # Honest registers are normalized to float precision, not exactly.
@@ -1170,14 +1231,21 @@ def ciphertext_pool():
 
 
 def draw_blob(draw, spec, lo, hi, bad):
-    """A ``Blob`` text of ``spec``'s records, lo..hi of them, or when ``bad``
-    one spoiled: a record too few or too many, a cut byte, a character
-    outside the alphabet or whitespace, non-canonical pad bits, a set bit
-    past a row's shape or a masked byte past 1, or a value not a string."""
+    """A ``Blob`` text of ``spec``'s records, lo..hi of them (a register's
+    2**lo..2**hi amplitudes, of unit norm), or when ``bad`` one spoiled: a
+    record too few or too many, a cut byte, a character outside the alphabet
+    or whitespace, non-canonical pad bits, a set bit past a row's shape, a
+    masked byte past 1, a NaN or infinite amplitude part or a register off
+    unit norm, or a value not a string."""
     width = int(np.prod(spec.shape))
     rng = np.random.default_rng(draw(st.integers(0, 99)))
+    if spec.register:
+        lo, hi = 2**lo, 2**hi
 
     def records(n):
+        if spec.register:
+            floats = rng.normal(size=2 * n)
+            return bytearray((floats / np.linalg.norm(floats)).astype("<f8").tobytes())
         if spec.level is None:
             return bytearray(base64.b64decode(to_blob(rng.integers(0, 2, (n, *spec.shape)))))
         data = bytearray(rng.bytes(n * width * LEAF_BYTES))
@@ -1189,11 +1257,21 @@ def draw_blob(draw, spec, lo, hi, bad):
     text = base64.b64encode(data).decode()
     if not bad:
         return text
-    size = -(-width // 8) if spec.level is None else LEAF_BYTES * width  # bytes per record
+    # bytes per record
+    size = 16 if spec.register else -(-width // 8) if spec.level is None else LEAF_BYTES * width
     high = rows > 0 and (spec.level is not None or width % 8 > 0)  # a record has a spare bit
     spoils = ["many", "char", "type"] + ["few"] * (lo > 0) + ["cut"] * (size > 1) + [
-        "pad"] * (len(data) % 3 > 0) + ["high"] * high
+        "pad"] * (len(data) % 3 > 0) + (["nan", "inf", "norm"] if spec.register else
+                                        ["high"] * high)
     spoil = draw(st.sampled_from(spoils))
+    if spoil in ("nan", "inf", "norm"):  # one part of one amplitude, or every part scaled
+        floats = np.frombuffer(data, "<f8").copy()
+        if spoil == "norm":
+            floats *= draw(st.sampled_from([0.0, 0.5, 1 - 1e-9, 1 + 1e-9, 2.0]))
+        else:
+            bad_part = np.nan if spoil == "nan" else np.inf
+            floats[draw(st.integers(0, len(floats) - 1))] = draw(st.sampled_from([1, -1])) * bad_part
+        return base64.b64encode(floats.astype("<f8").tobytes()).decode()
     if spoil == "many":
         return base64.b64encode(data + records(hi + 1 - rows)).decode()
     if spoil == "char":
@@ -1218,8 +1296,7 @@ def draw_blob(draw, spec, lo, hi, bad):
 def draw_value(draw, spec, ctx, bad):
     """A value of the field type ``spec``, well-formed, or with one hostile
     part when ``bad``: a value out of range or of the wrong type, a wrong
-    length, a ragged or non-finite register, a spoiled ``Blob`` or a wrong
-    variant."""
+    length, a spoiled ``Blob`` or a wrong variant."""
     t = type(spec)
 
     def bound(b):  # a named bound (a list: its length); a hostile count stands in as 1
@@ -1279,18 +1356,6 @@ def draw_value(draw, spec, ctx, bad):
         return items
     if t is Blob:
         return draw_blob(draw, spec, bound(spec.lo), bound(spec.hi), bad)
-    if t is Amps:
-        n = 2 ** bound(spec.wires)
-        v = np.random.default_rng(draw(st.integers(0, 99))).normal(size=(n, 2))
-        amps = (v / np.linalg.norm(v)).tolist()
-        if bad:
-            spoil = draw(st.sampled_from(["zero", "nan", "ragged", "short", "bool", "str"]))
-            amps = {
-                "zero": [[0.0, 0.0]] * n, "nan": [[float("nan"), 0.0]] + amps[1:],
-                "ragged": [[1.0, 0.0, 0.0]] + amps[1:], "short": amps[1:],
-                "bool": [[True, 0.0]] + amps[1:], "str": [["1", 0.0]] + amps[1:],
-            }[spoil]
-        return amps
     if bad:
         if t is Int:  # out of range, or not an int
             hi = bound(spec.hi)
@@ -1461,7 +1526,7 @@ class TestDelegatedRuns:
 
     def test_golden_faithful_transcript(self):
         # Every frame both ways of a small claw-based RSP session of three
-        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 11,
+        # <X x X> runs, pinned by a SHA-256 recorded at protocol version 12,
         # and each run's decrypted sign. Re-recorded when RSP batches came to
         # be sized to the run's T count, with their rows packed, and each key
         # generation's gadgets to travel in one frame, with the signs
@@ -1477,16 +1542,19 @@ class TestDelegatedRuns:
         # and raw value unchanged; and again when keygen came to draw each
         # layer in one call, which moves every gadget leaf and the pads, with
         # every sign unchanged and the second run's raw value moved in its
-        # last bits. The RunRequest amplitudes carry no -0.0.
-        # ``test_values_the_frames_carry_are_pinned`` pins the values apart
-        # from the frames.
+        # last bits; and again at protocol version 12, when the RunRequest
+        # register came to travel as a Blob of complex128 amplitudes, with
+        # every other field, every amplitude's bytes, sign and raw value
+        # unchanged. ``test_values_the_frames_carry_are_pinned`` pins the
+        # values apart from the frames, and
+        # ``test_the_registers_the_server_runs_are_pinned`` the registers.
         transcript = hashlib.sha256()
         runs = golden_runs(transcript)
         for psi, sign, raw in runs:
             assert sign * raw == pytest.approx(xx_run(psi, GOLDEN_CIRCUIT, (1, 0)), abs=1e-9)
         assert [sign for _, sign, _ in runs] == [-1, -1, -1]
         assert transcript.hexdigest() == (
-            "5b78be656909e2397f8f06aee6050768c6f75ba95ac09d1abd2f4e41f6c4e010"
+            "046aeac663f37acf81e5e4be3bf3e350f1d60066589d308dee70074edfbe7f5f"
         )
 
     def test_values_the_frames_carry_are_pinned(self):
@@ -1811,10 +1879,12 @@ class TestGadgetBudget:
         assert sign * raw == pytest.approx(xx_run(psi, TOP_UP_CIRCUIT, (0, 1)), abs=1e-9)
         # Every byte the client sent, top-up included, pinned; re-recorded at
         # protocol version 10, whose Hello has no mode, and at version 11,
-        # whose rows, gadget leaves and input keys travel as Blobs; and when
-        # keygen came to draw each layer in one call, which moves the leaves.
+        # whose rows, gadget leaves and input keys travel as Blobs; when
+        # keygen came to draw each layer in one call, which moves the leaves;
+        # and at version 12, whose register travels as a Blob, with every
+        # other field and every amplitude's bytes unchanged.
         assert sent.hexdigest() == (
-            "65bff52dccb9e62f83dd67981349753b93e989b89ea9cfc01234e817154a8e5c"
+            "fd803e8666e0e616794e2d00225bcc578326e3fac7d8b78930cd7d6a566828a9"
         )
 
     def test_a_deepest_window_fits_under_the_top_level(self):
@@ -2176,7 +2246,7 @@ class TestServerMemory:
 
     def test_a_long_exact_session_keeps_no_state_per_payload(self):
         # 300 six-wire delegated-exact windows, each one RunRequest of about
-        # 3 KB of frame. The server keeps no record of a payload, so traced
+        # 1.5 KB of frame. The server keeps no record of a payload, so traced
         # memory is flat from window 50 on; a log of the last 256 decoded
         # payloads grew by about 2.5 MB over the same windows.
         import gc
@@ -2205,8 +2275,8 @@ class TestServerMemory:
         assert growth < 200_000
 
     def test_large_payloads_leave_no_state(self):
-        # Twenty runs of a 4096-pair register, each 41 KB of frame and 0.5 MB
-        # decoded: a finished session still in hand holds none of them.
+        # Twenty runs of a 4096-amplitude register, each 87 KB of frame and
+        # 64 KB decoded: a finished session still in hand holds none of them.
         import gc
         import tracemalloc
 
